@@ -11,7 +11,7 @@ import sys
 
 from kronrec.errors import KronrecError
 from kronrec.poly_core import parse_polynomial
-from kronrec.toeplitz import gram_growth, lyons_ratio
+from kronrec.toeplitz import gram_growth, lyons_ratios
 
 
 def main() -> int:
@@ -22,6 +22,8 @@ def main() -> int:
     ap.add_argument("--step", type=int, default=5)
     argv = [" " + a if a and a[0] == "-" and "," in a else a for a in sys.argv[1:]]
     args = ap.parse_args(argv)
+    if args.ell_min < 1:
+        ap.error("--ell-min must be at least 1")
 
     poly = parse_polynomial(args.polynomial)
     depths = list(range(args.ell_min, args.ell_max + 1, args.step))
@@ -38,10 +40,11 @@ def main() -> int:
     print()
 
     sets = [{i} for i in range(1, poly.degree + 1)]
+    values = [lyons_ratios(poly, s, args.ell_max) for s in sets]
     header = "  ".join(f"{'S=' + str(set(s)):>16}" for s in sets)
     print(f"{'ell':>4}  {header}")
     for ell in depths:
-        row = "  ".join(f"{float(lyons_ratio(poly, s, ell)):>16.12f}" for s in sets)
+        row = "  ".join(f"{float(vals[ell - 1]):>16.12f}" for vals in values)
         print(f"{ell:>4}  {row}")
     return 0
 

@@ -24,7 +24,6 @@ from .density import (
     certify_non_density,
     critical_epsilon,
     epsilon_bound,
-    factor_real,
     witness,
 )
 from .errors import KronrecError, ParseError
@@ -39,7 +38,7 @@ from .poly_core import MAHLER_VARIANTS, mahler_measure, parse_polynomial
 from .toeplitz import (
     LaurentSymbol,
     gram_growth,
-    lyons_ratio,
+    lyons_ratios,
     toeplitz_det_direct,
     trench_data,
 )
@@ -170,7 +169,6 @@ def _cmd_witness(args) -> dict:
         target = tuple(rng.random() for _ in range(args.m))
     eps = float(_parse_rational(args.eps, "--eps")) if args.eps is not None else None
     wit = witness(poly, args.m, target, eps)
-    fact = factor_real(poly)
     return {
         "command": "witness",
         "polynomial": _poly_echo(poly),
@@ -181,7 +179,7 @@ def _cmd_witness(args) -> dict:
         "sup_norm": max(abs(x) for x in wit.w),
         "residual": wit.residual,
         "eps_used": wit.eps_used,
-        "eps_constructive": fact.eps,
+        "eps_constructive": wit.eps_constructive,
     }
 
 
@@ -355,7 +353,7 @@ def _cmd_lyons(args) -> dict:
     print(
         f"lyons ratios for S={indices} up to ell = {args.ell_max}", file=sys.stderr
     )
-    values = [lyons_ratio(poly, indices, ell) for ell in range(1, args.ell_max + 1)]
+    values = lyons_ratios(poly, indices, args.ell_max)
     diffs = [abs(float(b - a)) for a, b in zip(values, values[1:])]
     tail = diffs[-min(10, len(diffs)):] if diffs else []
     return {

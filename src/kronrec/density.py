@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateError, DomainError, KronrecError
-from .exact_linalg import det_exact
+from .exact_linalg import coerce_rational, det_exact
 from .intervals import Interval, interval_min
 from .lattice_structure import basis_N, integral_basis
 from .poly_core import (
@@ -54,20 +54,6 @@ __all__ = [
 ]
 
 GRID_DIMENSION_GUARD = 4
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError("need a finite number")
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise DomainError(f"cannot interpret {x!r} as an exact number")
 
 
 # ----- certified threshold enclosures -----
@@ -188,6 +174,7 @@ class DensityWitness:
     k: tuple[int, ...]
     residual: float
     eps_used: float
+    eps_constructive: float
 
 
 def witness(
@@ -264,6 +251,7 @@ def witness(
         k=tuple(k),
         residual=residual,
         eps_used=float(eps),
+        eps_constructive=fact.eps,
     )
 
 
@@ -393,7 +381,7 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     if poly.constant_coefficient == 0:
         raise DomainError("covering needs a nonzero constant coefficient")
     ell = m - d
-    half = _to_fraction(eps) / 2
+    half = coerce_rational(eps) / 2
     if half < 0:
         raise DomainError("eps must be nonnegative")
     if isinstance(v, (list, tuple)):
@@ -402,7 +390,7 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
         raw = [v]
     if len(raw) != ell:
         raise DomainError(f"v must have length m - deg A = {ell}")
-    vv = [_to_fraction(x) % 1 for x in raw]
+    vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
     return _covered_general(poly, m, half, vv)
@@ -449,7 +437,7 @@ def critical_epsilon(
             f"grid dimension {ell} exceeds the guard {GRID_DIMENSION_GUARD}; "
             "pass allow_large_grid=True to override"
         )
-    tol = _to_fraction(bisection_tol)
+    tol = coerce_rational(bisection_tol)
     if tol <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(epsilon_bound(poly, target_radius).eps_refined.hi)
@@ -521,7 +509,7 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     choosing p lattice rows contributes eps^(m-p) times the sum of absolute
     p x p minors over column choices.
     """
-    e = _to_fraction(eps)
+    e = coerce_rational(eps)
     if not 0 < e <= 1:
         raise DomainError("eps must lie in (0, 1]")
     d = poly.degree

@@ -1,9 +1,9 @@
 """Exact rational linear algebra on stdlib Fractions and ints.
 
 Matrices are plain lists of row lists.  Integer-lattice routines (hnf, snf,
-integer_kernel) validate integrality; determinant and solve accept Fraction
-entries, clear denominators row by row, and run fraction-free Bareiss
-elimination so intermediate values stay integral.
+integer_kernel) validate integrality; determinant, leading minors and solve
+accept Fraction entries, clear denominators row by row, and share one
+fraction-free Bareiss elimination so intermediate values stay integral.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced to absolute value at most the pivot.  Re-running hnf on its own
@@ -25,7 +25,9 @@ __all__ = [
     "hnf",
     "snf",
     "integer_kernel",
+    "coerce_rational",
     "det_exact",
+    "leading_minors",
     "solve_exact",
     "invert_exact",
     "identity_matrix",
@@ -258,6 +260,21 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 # ----- exact determinant and solve -----
 
 
+def coerce_rational(x) -> Fraction:
+    """Exact value of an int, Fraction, finite float (its binary value) or numeric string."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError("need a finite number")
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)
+    raise DomainError(f"cannot interpret {x!r} as an exact rational")
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -266,48 +283,89 @@ def _to_fraction(x) -> Fraction:
     raise DomainError(f"exact routines need int or Fraction entries, got {type(x).__name__}")
 
 
-def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], Fraction]:
-    """Scale each row by its denominator lcm; returns (integer matrix, product of scales)."""
+def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Scale each row by its denominator lcm; returns (integer matrix, row scales)."""
     out = []
-    scale = Fraction(1)
+    scales = []
     for r in rows:
+        if all(isinstance(x, int) for x in r):
+            out.append(list(r))
+            scales.append(1)
+            continue
         fr = [_to_fraction(x) for x in r]
-        l = 1
-        for x in fr:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        scale *= l
-        out.append([int(x * l) for x in fr])
-    return out, scale
+        l = math.lcm(*(x.denominator for x in fr))
+        scales.append(l)
+        out.append([x.numerator * (l // x.denominator) for x in fr])
+    return out, scales
+
+
+def _bareiss(a: list[list[int]], steps: int) -> int | None:
+    """Fraction-free elimination of the first `steps` columns of `a`, in place.
+
+    Each update divides exactly by the previous pivot, so entries stay
+    integral; while no rows are swapped, pivot a[k][k] is the (k+1)-th
+    leading principal minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot
+    is swapped for the first nonzero entry below it.  Entries left of the
+    diagonal are not cleared: callers read only the upper triangle.
+    Returns the number of row swaps, or None when a column has no pivot.
+    """
+    n = len(a)
+    swaps = 0
+    prev = 1
+    for k in range(steps):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return None
+            a[k], a[swap] = a[swap], a[k]
+            swaps += 1
+        pivot = a[k][k]
+        pivot_tail = a[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
+        prev = pivot
+    return swaps
 
 
 def det_exact(rows: Sequence[Sequence]) -> Fraction:
     """Determinant by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise DomainError("determinant needs a square matrix")
-    if n == 0:
+    a, scales = _clear_row_denominators(rows)
+    if not a:
         return Fraction(1)
-    a, scale = _clear_row_denominators(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    swaps = _bareiss(a, len(a) - 1)
+    if swaps is None:
+        return Fraction(0)
+    return Fraction((-1) ** swaps * a[-1][-1], math.prod(scales))
+
+
+def leading_minors(rows: Sequence[Sequence]) -> list[Fraction]:
+    """Leading principal minors D_1..D_n from the pivots of one Bareiss pass.
+
+    Rows are never swapped, so the pass stops with SingularMatrixError
+    when some D_k with k < n vanishes; D_n itself may be zero.
+    """
+    if any(len(r) != len(rows) for r in rows):
+        raise DomainError("leading minors need a square matrix")
+    a, scales = _clear_row_denominators(rows)
+    if a and _bareiss(a, len(a) - 1) != 0:
+        raise SingularMatrixError("a leading principal minor vanished")
+    minors = []
+    scale = 1
+    for k, row in enumerate(a):
+        scale *= scales[k]
+        minors.append(Fraction(row[k], scale))
+    return minors
 
 
 def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact solution X of A X = B; raises SingularMatrixError when A is singular."""
     n = len(a_rows)
+    if n == 0:
+        raise DomainError("solve needs a nonempty A")
     if any(len(r) != n for r in a_rows):
         raise DomainError("solve needs a square A")
     if len(b_rows) != n:
@@ -315,28 +373,15 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[
     width = len(b_rows[0])
     if any(len(r) != width for r in b_rows):
         raise DomainError("ragged B")
-    aug_input = [list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)]
-    a, _ = _clear_row_denominators(aug_input)
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                raise SingularMatrixError("singular matrix in solve_exact")
-            a[k], a[swap] = a[swap], a[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + width):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+    a, _ = _clear_row_denominators([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
+    if _bareiss(a, n) is None:
+        raise SingularMatrixError("singular matrix in solve_exact")
     x = [[Fraction(0)] * width for _ in range(n)]
     for col in range(width):
         for i in reversed(range(n)):
             s = Fraction(a[i][n + col])
             for j in range(i + 1, n):
                 s -= a[i][j] * x[j][col]
-            if a[i][i] == 0:
-                raise SingularMatrixError("singular matrix in solve_exact")
             x[i][col] = s / a[i][i]
     return x
 

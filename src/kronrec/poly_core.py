@@ -22,7 +22,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import DomainError, ParseError, RootCertificationError
-from .intervals import Interval, interval_min
+from .intervals import Interval
 
 __all__ = [
     "IntPolynomial",
@@ -583,7 +583,3 @@ def refined_product_interval(poly: IntPolynomial, target_radius: float = DEFAULT
         for _ in range(enc.multiplicity):
             acc = acc.mul(factor)
     return acc
-
-
-def min_interval(a: Interval, b: Interval) -> Interval:
-    return interval_min(a, b)

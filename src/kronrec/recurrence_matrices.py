@@ -16,14 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
+from .exact_linalg import mat_mul
 from .poly_core import IntPolynomial
 
 __all__ = [
-    "BandMatrix",
-    "TriMatrix",
     "RecurrenceVector",
-    "band_matrix",
-    "tri_matrix",
     "recurrence_extend",
     "verify_factorization",
     "band_rows",
@@ -61,39 +58,9 @@ def tri_rows(coeffs: Sequence, m: int) -> list[list]:
 
 
 @dataclass(frozen=True)
-class BandMatrix:
-    poly: IntPolynomial
-    ell: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.ell, self.ell + self.poly.degree)
-
-
-@dataclass(frozen=True)
-class TriMatrix:
-    poly: IntPolynomial
-    m: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class RecurrenceVector:
     poly: IntPolynomial
     entries: tuple[Fraction, ...]
-
-
-def band_matrix(poly: IntPolynomial, ell: int) -> BandMatrix:
-    """[A]_l over the integers; requires a nonzero constant coefficient."""
-    rows = band_rows(poly.coeffs, ell)
-    return BandMatrix(poly, ell, tuple(tuple(r) for r in rows))
-
-
-def tri_matrix(poly: IntPolynomial, m: int) -> TriMatrix:
-    """{A}_m over the integers; lower triangular with a_d on the diagonal."""
-    rows = tri_rows(poly.coeffs, m)
-    return TriMatrix(poly, m, tuple(tuple(r) for r in rows))
 
 
 def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> RecurrenceVector:
@@ -143,15 +110,11 @@ def verify_factorization(poly: IntPolynomial, b_coeffs: Sequence, c_coeffs: Sequ
     if _conv(b, c) != a:
         return False
 
-    def matmul(x, y):
-        yt = list(zip(*y))
-        return [[sum(p * q for p, q in zip(row, col)) for col in yt] for row in x]
-
     band_a = [[Fraction(v) for v in row] for row in band_rows(a, ell)]
-    band_bc = matmul(band_rows(b, ell), band_rows(c, ell + s))
+    band_bc = mat_mul(band_rows(b, ell), band_rows(c, ell + s))
     if band_bc != band_a:
         return False
     m = ell + d
     tri_a = [[Fraction(v) for v in row] for row in tri_rows(a, m)]
-    tri_bc = matmul(tri_rows(b, m), tri_rows(c, m))
+    tri_bc = mat_mul(tri_rows(b, m), tri_rows(c, m))
     return tri_bc == tri_a

@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 
-from .errors import CertificateError, DomainError, KronrecError
-from .exact_linalg import det_exact, mat_mul
+from .errors import CertificateError, DomainError, KronrecError, SingularMatrixError
+from .exact_linalg import coerce_rational, det_exact, leading_minors, mat_mul
 from .poly_core import (
     IntPolynomial,
     _rational_split,
@@ -52,24 +53,11 @@ __all__ = [
     "gram_det",
     "gram_growth",
     "lyons_ratio",
+    "lyons_ratios",
     "biorthonormal_check",
 ]
 
 _MAX_TRENCH_DPS = 1600
-
-
-def _coerce_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError("symbol coefficients must be finite")
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise DomainError(f"cannot interpret {x!r} as a rational coefficient")
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,7 @@ class LaurentSymbol:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coeffs", tuple(_coerce_rational(c) for c in self.coeffs)
+            self, "coeffs", tuple(coerce_rational(c) for c in self.coeffs)
         )
         if self.r < 0 or self.s < 0:
             raise DomainError("band widths must be nonnegative")
@@ -102,7 +90,7 @@ class LaurentSymbol:
         if isinstance(poly, IntPolynomial):
             b = [Fraction(c) for c in poly.coeffs]
         else:
-            b = [_coerce_rational(c) for c in poly]
+            b = [coerce_rational(c) for c in poly]
             if not b or b[-1] == 0:
                 raise DomainError("need a nonempty coefficient list, lead nonzero")
         d = len(b) - 1
@@ -126,12 +114,15 @@ class LaurentSymbol:
         return all(self.coefficient(-j) == self.coefficient(j) for j in range(self.s + 1))
 
 
+def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> list[list[Fraction]]:
+    return [[symbol.coefficient(k - j) for k in range(size)] for j in range(size)]
+
+
 def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
     """Exact determinant of the (n+1) x (n+1) matrix with entry (j,k) = c_{k-j}."""
     if n < 0:
         raise DomainError("matrix size index n must be >= 0")
-    rows = [[symbol.coefficient(k - j) for k in range(n + 1)] for j in range(n + 1)]
-    return det_exact(rows)
+    return det_exact(_toeplitz_rows(symbol, n + 1))
 
 
 # ----- Trench's closed form -----
@@ -286,50 +277,62 @@ class GramResult:
     count: int
 
 
+def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact <v_i, v_j>, with the dot products taken on integer multiples of each vector."""
+    scaled = []
+    for vec in vectors:
+        den = math.lcm(*(x.denominator for x in vec))
+        scaled.append(([x.numerator * (den // x.denominator) for x in vec], den))
+    n = len(scaled)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i, (u, du) in enumerate(scaled):
+        for j in range(i, n):
+            v, dv = scaled[j]
+            gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, u, v)), du * dv)
+    return gram
+
+
 def gram_det(vectors: Sequence[Sequence]) -> GramResult:
     """Exact Gram determinant det(<u_i, u_j>); the empty family gives 1."""
-    vs = [[_coerce_rational(x) for x in vec] for vec in vectors]
+    vs = [[coerce_rational(x) for x in vec] for vec in vectors]
     if not vs:
         return GramResult(Fraction(1), 0)
     width = len(vs[0])
     if any(len(vec) != width for vec in vs):
         raise DomainError("Gram vectors must share one length")
-    gram = [
-        [sum(a * b for a, b in zip(vs[i], vs[j])) for j in range(len(vs))]
-        for i in range(len(vs))
-    ]
-    return GramResult(det_exact(gram), len(vs))
+    return GramResult(det_exact(_gram_matrix(vs)), len(vs))
 
 
-def _monic_band_rows(poly: IntPolynomial, ell: int) -> list[list[Fraction]]:
-    lead = poly.leading_coefficient
-    monic = [Fraction(c, lead) for c in poly.coeffs]
-    return band_rows(monic, ell)
-
-
-def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
-    """det G(e_{s in S}, B_1..B_l) / det G(B_1..B_l) for monic B = A / a_d.
+def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
+    """det G(e_{s in S}, B_1..B_l) / det G(B_1..B_l) for l = 1..ell_max, monic B = A / a_d.
 
     Adjoining standard basis vectors perturbs finitely many entries of the
     Toeplitz Gram matrix, and the resulting ratio converges as l grows; the
-    limit is probed numerically, never asserted.
+    limit is probed numerically, never asserted.  With the e_S rows first,
+    every numerator is a leading principal minor of G(e_S, B_1..B_L) and
+    every denominator one of G(B_1..B_L), so two elimination passes give
+    all ell_max ratios.
     """
     d = poly.degree
     if d < 1:
         raise DomainError("the ratio needs deg A >= 1")
-    if ell < 1:
+    if ell_max < 1:
         raise DomainError("the ratio needs l >= 1")
     chosen = sorted(set(int(i) for i in indices))
     if any(i < 1 or i > d for i in chosen):
         raise DomainError(f"basis indices must sit in 1..{d}")
-    rows = _monic_band_rows(poly, ell)
-    width = ell + d
-    e_rows = [
-        [Fraction(int(c == i - 1)) for c in range(width)] for i in chosen
-    ]
-    denominator = gram_det(rows).determinant
-    numerator = gram_det(e_rows + rows).determinant
-    return numerator / denominator
+    lead = poly.leading_coefficient
+    rows = band_rows([Fraction(c, lead) for c in poly.coeffs], ell_max)
+    width = ell_max + d
+    e_rows = [[int(c == i - 1) for c in range(width)] for i in chosen]
+    numerators = leading_minors(_gram_matrix(e_rows + rows))[len(chosen) :]
+    denominators = leading_minors(_gram_matrix(rows))
+    return [num / den for num, den in zip(numerators, denominators)]
+
+
+def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
+    """The last of lyons_ratios(poly, indices, ell): the ratio at l = ell."""
+    return lyons_ratios(poly, indices, ell)[-1]
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,9 @@ class GrowthReport:
 def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
     """det G(B_1..B_l) for l = 1..ell_max and the successive ratios.
 
-    The ratios approach the squared Mahler measure of B when no root sits
+    The determinants are the leading principal minors of the ell_max-square
+    Toeplitz matrix of B(x)B(1/x), read off one elimination pass.  The
+    ratios approach the squared Mahler measure of B when no root sits
     on the unit circle; the certified enclosure of that limit rides along.
     """
     if poly.degree < 1:
@@ -352,9 +357,10 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
     if ell_max < 1:
         raise DomainError("growth study needs ell_max >= 1")
     symbol = LaurentSymbol.from_polynomial(poly)
-    dets = tuple(toeplitz_det_direct(symbol, ell - 1) for ell in range(1, ell_max + 1))
-    if any(det == 0 for det in dets[:-1]):
-        raise CertificateError("a Gram determinant of independent rows vanished")
+    try:
+        dets = tuple(leading_minors(_toeplitz_rows(symbol, ell_max)))
+    except SingularMatrixError as exc:
+        raise CertificateError("a Gram determinant of independent rows vanished") from exc
     ratios = tuple(dets[i + 1] / dets[i] for i in range(len(dets) - 1))
     m = mahler_measure(poly).interval
     return GrowthReport(
@@ -380,8 +386,8 @@ def biorthonormal_check(u: Sequence[Sequence], v: Sequence[Sequence]) -> bool:
     the det G(u) factor is 1 exactly when the u-parallelepiped has volume 1,
     which recovers the unscaled form of the identity.
     """
-    us = [[_coerce_rational(x) for x in row] for row in u]
-    vs = [[_coerce_rational(x) for x in row] for row in v]
+    us = [[coerce_rational(x) for x in row] for row in u]
+    vs = [[coerce_rational(x) for x in row] for row in v]
     n = len(us)
     if n == 0 or len(vs) != n:
         raise DomainError("need two equal-size nonempty families")
@@ -394,25 +400,20 @@ def biorthonormal_check(u: Sequence[Sequence], v: Sequence[Sequence]) -> bool:
                 raise DomainError(
                     f"families are not biorthonormal: <u_{i + 1}, v_{j + 1}> = {pairing}"
                 )
-    gram_u = [
-        [sum(a * b for a, b in zip(us[i], us[j])) for j in range(n)] for i in range(n)
-    ]
-    gram_v = [
-        [sum(a * b for a, b in zip(vs[i], vs[j])) for j in range(n)] for i in range(n)
-    ]
+    gram_u = _gram_matrix(us)
+    gram_v = _gram_matrix(vs)
     product = mat_mul(gram_u, gram_v)
     for i in range(n):
         for j in range(n):
             if product[i][j] != int(i == j):
                 raise CertificateError("G(u) G(v) = I failed in exact arithmetic")
-    det_u = det_exact(gram_u)
+    # head[k] = det G(u_1..u_k); tail[k] = det G(v_{k+1}..v_n), the trailing
+    # minors of G(v) read as leading minors of its row-and-column reversal
+    head = [Fraction(1)] + leading_minors(gram_u)
+    tail = leading_minors([row[::-1] for row in reversed(gram_v)])[::-1] + [Fraction(1)]
+    det_u = head[n]
     for k in range(n + 1):
-        head = det_exact([row[:k] for row in gram_u[:k]]) if k else Fraction(1)
-        tail_rows = [
-            [gram_v[i][j] for j in range(k, n)] for i in range(k, n)
-        ]
-        tail = det_exact(tail_rows) if k < n else Fraction(1)
-        if head != det_u * tail:
+        if head[k] != det_u * tail[k]:
             raise CertificateError(
                 f"complementary-minor identity failed at k = {k}"
             )

@@ -116,6 +116,13 @@ def test_lyons_report(capsys):
     assert doc["max_tail_fluctuation"] >= 0
 
 
+def test_lyons_rejects_empty_range_and_bad_index(capsys):
+    for argv in (("--s", "1", "--ell-max", "0"), ("--s", "5", "--ell-max", "0")):
+        code, out, _ = run(capsys, "lyons", *argv, "-2,1")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_gram_growth_report(capsys):
     doc = run_json(capsys, "gram-growth", "--ell-max", "3", "-2,1")
     assert doc["determinants"] == [5, 21, 85]

@@ -180,6 +180,7 @@ def test_witness_rejects():
 def test_witness_accepts_larger_eps():
     wit = witness(SHIFT2, 3, (0.3, 0.9, 0.1), eps=2.0)
     assert wit.eps_used == 2.0
+    assert wit.eps_constructive == factor_real(SHIFT2).eps
     assert max(abs(x) for x in wit.w) <= 0.25 + 1e-12
 
 

@@ -15,6 +15,7 @@ from kronrec.exact_linalg import (
     integer_kernel,
     invert_exact,
     is_prime,
+    leading_minors,
     mat_mul,
     p_adic_valuation,
     snf,
@@ -190,6 +191,11 @@ def test_solve_exact_round_trip():
         solve_exact([[1, 2], [2, 4]], b)
 
 
+def test_solve_exact_rejects_empty():
+    with pytest.raises(DomainError):
+        solve_exact([], [])
+
+
 def test_invert_exact():
     a = [[1, 2], [3, 4]]
     inv = invert_exact(a)
@@ -206,6 +212,40 @@ def test_solve_consistency_with_det(a):
     else:
         x = solve_exact(a, identity_matrix(3))
         assert mat_mul(a, x) == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+small_rationals = st.one_of(
+    small_ints, st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_leading_minors_match_det_of_leading_blocks(a):
+    n = len(a)
+    want = [det_exact([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+    if 0 in want[:-1]:
+        with pytest.raises(SingularMatrixError):
+            leading_minors(a)
+    else:
+        assert leading_minors(a) == want
+
+
+def test_leading_minors_hand_values():
+    assert leading_minors([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == [2, 3, 4]
+    assert leading_minors([[Fraction(1, 2), 1], [1, 2]]) == [Fraction(1, 2), 0]
+    assert leading_minors([]) == []
+    # D_1 = 0 stops the swap-free pass even though the matrix is invertible
+    with pytest.raises(SingularMatrixError):
+        leading_minors([[0, 1, 2], [1, 0, 3], [4, 5, 6]])
+    with pytest.raises(DomainError):
+        leading_minors([[1, 2]])
 
 
 def test_transpose_shape():

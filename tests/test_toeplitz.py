@@ -16,6 +16,7 @@ from kronrec.toeplitz import (
     gram_det,
     gram_growth,
     lyons_ratio,
+    lyons_ratios,
     toeplitz_det_direct,
     trench_data,
     trench_det,
@@ -199,6 +200,22 @@ def test_lyons_numerator_is_unimodular_for_full_set():
         assert lyons_ratio(SHIFT2, {1}, ell) == Fraction(1, 1) / denom
 
 
+def test_lyons_ratios_match_per_size_gram_quotients():
+    worked = IntPolynomial((3, -2, -9, -3, 9))
+    lead = worked.leading_coefficient
+    monic = [Fraction(c, lead) for c in worked.coeffs]
+    ell_max = 8
+    for chosen in ((), (1,), (1, 3)):
+        got = lyons_ratios(worked, chosen, ell_max)
+        assert len(got) == ell_max
+        for ell in range(1, ell_max + 1):
+            rows = band_rows(monic, ell)
+            e_rows = [[int(c == i - 1) for c in range(ell + 4)] for i in chosen]
+            want = gram_det(e_rows + rows).determinant / gram_det(rows).determinant
+            assert got[ell - 1] == want
+            assert lyons_ratio(worked, chosen, ell) == want
+
+
 def test_lyons_rejects():
     with pytest.raises(DomainError):
         lyons_ratio(SHIFT2, {2}, 1)
@@ -206,6 +223,8 @@ def test_lyons_rejects():
         lyons_ratio(SHIFT2, {0}, 1)
     with pytest.raises(DomainError):
         lyons_ratio(SHIFT2, {1}, 0)
+    with pytest.raises(DomainError):
+        lyons_ratios(SHIFT2, {5}, 0)
 
 
 def test_lyons_ratio_converges():
@@ -232,6 +251,16 @@ def test_growth_ratio_approaches_squared_measure():
     report = gram_growth(IntPolynomial((-3, 2)), 12)
     assert abs(float(report.ratios[-1]) - 9.0) < 0.09
     assert report.mahler_squared.contains(9.0)
+
+
+def test_growth_determinants_match_direct_at_every_size():
+    # (2x - 1)(x - 3) has only rational roots; x^2 - x - 1 has none
+    for poly in (IntPolynomial((3, -7, 2)), FIB):
+        sym = LaurentSymbol.from_polynomial(poly)
+        report = gram_growth(poly, 40)
+        assert report.determinants == tuple(
+            toeplitz_det_direct(sym, n) for n in range(40)
+        )
 
 
 def test_growth_rejects():
