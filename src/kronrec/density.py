@@ -34,8 +34,6 @@ from .poly_core import (
     DEFAULT_TARGET_RADIUS,
     IntPolynomial,
     conjugate,
-    mahler_measure,
-    refined_product_interval,
     roots,
 )
 
@@ -79,18 +77,20 @@ def epsilon_bound(
     the product of max(|alpha|, 1-|alpha|) and is evaluated on both the
     polynomial and its reversal (coordinate reversal preserves the orbit set
     and the cube), keeping the smaller.  eps_coarse = 2^floor(d/2) / M(A).
+    All five come from one certified root set of A and one of its reversal.
     """
     if poly.constant_coefficient == 0:
         raise DomainError("density bounds need a nonzero constant coefficient")
     if not poly.is_primitive:
         raise DomainError("density bounds need a primitive polynomial")
-    half = mahler_measure(poly, "half_scaled", target_radius).interval.recip()
-    dbl = mahler_measure(poly, "double_scaled", target_radius).interval.recip()
-    refined = interval_min(
-        refined_product_interval(poly, target_radius).recip(),
-        refined_product_interval(conjugate(poly), target_radius).recip(),
-    )
-    plain = mahler_measure(poly, "plain", target_radius).interval
+    if poly.degree < 1:
+        raise DomainError("Mahler measure variants need degree >= 1")
+    own = roots(poly, target_radius)
+    reversal = roots(conjugate(poly), target_radius)
+    half = own.mahler("half_scaled").interval.recip()
+    dbl = own.mahler("double_scaled").interval.recip()
+    refined = interval_min(own.refined_product().recip(), reversal.refined_product().recip())
+    plain = own.mahler("plain").interval
     coarse = plain.recip().scale(float(2 ** (poly.degree // 2)))
     return DensityBound(
         poly=poly,

@@ -1,14 +1,20 @@
 """Integer polynomials, certified complex roots, and Mahler measure variants.
 
-Roots are computed factor by factor after an exact square-free decomposition
-(Yun's algorithm over the rationals), so multiplicities are exact integers and
-only simple roots are ever iterated on.  Rational roots are split off exactly;
-the rest go through Aberth-Ehrlich simultaneous iteration in mpmath working
-precision.  Each returned root carries an a posteriori radius from the
-Weierstrass bound: for pairwise distinct test points z_1..z_n the disks
-D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero set, so
-pairwise disjoint disks isolate exactly one zero each.  Precision escalates
-until the requested radius is certified or the escalation cap is hit.
+This module is kronrec's only root finder.  One exact decomposition splits a
+polynomial into its zero multiplicity, its rational roots with exact
+multiplicities (Yun's square-free decomposition over the rationals, then the
+rational root test), and square-free leftover factors without rational
+roots, so only simple roots are ever iterated on.  One Aberth-Ehrlich
+iteration finds the leftovers' roots in mpmath working precision and encloses
+each in a Weierstrass disk: for pairwise distinct test points z_1..z_n the
+disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero
+set, so pairwise disjoint disks isolate exactly one zero each.
+
+Both serve two callers.  `roots` converts the disks to floats and escalates
+precision until the requested radius is certified or the cap is hit; every
+Mahler variant and the refined product are folds over that one root set.
+Trench's closed form in `toeplitz` takes the same decomposition and the
+iteration's mp-precision centres, warm-started from level to level.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 import mpmath as mp
@@ -59,6 +66,14 @@ def working_dps(floor: int = 30) -> int:
     return floor
 
 
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[i] x^i for ascending coeffs; works for int, Fraction, complex and mpmath types."""
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """A nonzero integer polynomial, coefficients ascending: a_0, a_1, ..., a_d."""
@@ -99,11 +114,7 @@ class IntPolynomial:
         return self.coeffs[0] != 0
 
     def evaluate(self, x):
-        """Horner evaluation; works for int, Fraction, complex, and mpmath types."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def coefficient_sum_abs(self) -> int:
         return sum(abs(c) for c in self.coeffs)
@@ -236,7 +247,7 @@ def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int]
         return ((_primitive_int(f), 1),)
     b, _ = _fdivmod(f, g)
     c, _ = _fdivmod(fp, g)
-    d = _fstrip([ci - bi for ci, bi in _zip_pad(c, _fderiv(b))])
+    d = _fstrip([ci - bi for ci, bi in zip_longest(c, _fderiv(b), fillvalue=Fraction(0))])
     out = []
     i = 1
     while _fdeg(b) > 0:
@@ -245,67 +256,48 @@ def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int]
             out.append((_primitive_int(a), i))
         b, _ = _fdivmod(b, a)
         cnext, _ = _fdivmod(d, a)
-        d = _fstrip([ci - bi for ci, bi in _zip_pad(cnext, _fderiv(b))])
+        d = _fstrip([ci - bi for ci, bi in zip_longest(cnext, _fderiv(b), fillvalue=Fraction(0))])
         i += 1
     return tuple(out)
 
 
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    za = list(a) + [Fraction(0)] * (n - len(a))
-    zb = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(za, zb)
-
-
-# ----- rational root extraction -----
+# ----- exact root structure -----
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, in no particular order."""
     n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in small]
 
 
-def _rational_split(cs: tuple[int, ...]):
-    """Split exact rational roots off a square-free integer polynomial.
+def _decompose(poly: IntPolynomial):
+    """Exact root structure of a nonzero integer polynomial of degree >= 1.
 
-    Returns (rational_roots, leftover_coeffs); leftover has no rational roots
-    unless the divisor search limit was exceeded, in which case nothing is
-    split (the numeric path handles everything).
+    Returns (zero_multiplicity, rationals, leftovers): the nonzero rational
+    roots as [(root, multiplicity)] and the square-free primitive factors that
+    carry the remaining roots as [(coeffs, multiplicity)].  A leftover has no
+    rational root unless its end coefficients exceed the divisor search
+    limit, in which case nothing is split from it.
     """
-    work = [Fraction(c) for c in cs]
-    found: list[Fraction] = []
-    if work[0] == 0:
-        # square-free, so x divides exactly once
-        found.append(Fraction(0))
-        work = work[1:]
-    if _fdeg(work) >= 1 and abs(work[0]) <= _DIVISOR_SEARCH_LIMIT and abs(work[-1]) <= _DIVISOR_SEARCH_LIMIT:
-        num_divs = _divisors(int(work[0]))
-        den_divs = _divisors(int(work[-1]))
-        candidates = sorted({Fraction(s * p, q) for p in num_divs for q in den_divs for s in (1, -1)})
-        for cand in candidates:
-            if _fdeg(work) < 1:
-                break
-            if _feval(work, cand) == 0:
-                work, _ = _fdivmod(work, [-cand, Fraction(1)])
-                found.append(cand)
-    if _fdeg(work) >= 1:
-        return found, _primitive_int(work)
-    return found, None
-
-
-def _feval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+    zero_mult = next(i for i, c in enumerate(poly.coeffs) if c != 0)
+    rationals: list[tuple[Fraction, int]] = []
+    leftovers: list[tuple[tuple[int, ...], int]] = []
+    for fac, mult in squarefree_factors(IntPolynomial(poly.coeffs[zero_mult:])):
+        work = [Fraction(c) for c in fac]
+        if abs(work[0]) <= _DIVISOR_SEARCH_LIMIT and abs(work[-1]) <= _DIVISOR_SEARCH_LIMIT:
+            num_divs = _divisors(int(work[0]))
+            den_divs = _divisors(int(work[-1]))
+            candidates = sorted({Fraction(s * p, q) for p in num_divs for q in den_divs for s in (1, -1)})
+            for cand in candidates:
+                if _fdeg(work) < 1:
+                    break
+                if _horner(work, cand) == 0:
+                    work, _ = _fdivmod(work, [-cand, Fraction(1)])
+                    rationals.append((cand, mult))
+        if _fdeg(work) >= 1:
+            leftovers.append((_primitive_int(work), mult))
+    return zero_mult, rationals, leftovers
 
 
 # ----- certified numeric roots -----
@@ -331,43 +323,65 @@ class ComplexRootSet:
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
 
+    def _product(self, factor) -> Interval:
+        """|a_d| * prod factor(|alpha|) over the roots, counted with multiplicity."""
+        acc = Interval.from_int(abs(self.poly.leading_coefficient))
+        for enc in self.roots:
+            f = factor(_modulus_interval(enc))
+            for _ in range(enc.multiplicity):
+                acc = acc.mul(f)
+        return acc
+
+    def mahler(self, variant: str = "plain") -> MahlerMeasure:
+        """A Mahler variant folded over these roots.
+
+        "conjugate" uses the plain factor: call it on the reversal's root set.
+        """
+        acc = self._product(_MAHLER_FACTORS[variant])
+        return MahlerMeasure(value=acc.mid, error=acc.halfwidth, variant=variant)
+
+    def refined_product(self) -> Interval:
+        """|a_d| * prod max(|alpha|, 1 - |alpha|) over the roots."""
+        return self._product(_refined_factor)
+
 
 def _conversion_slack(z: complex) -> float:
     return 2.0 * (math.ulp(abs(z.real)) + math.ulp(abs(z.imag))) + 1e-300
 
 
-def _aberth_attempt(cs: tuple[int, ...], target: float, dps: int):
-    """One Aberth pass at fixed precision; returns [(complex, radius)] or None."""
+def _aberth(cs: tuple[int, ...], dps: int, start=None):
+    """Aberth-Ehrlich iteration on a square-free integer polynomial at dps digits.
+
+    Starts from the points in start (e.g. a lower precision's centres) or, by
+    default, from a circle enclosing every root.  Returns (centres, radii,
+    strict) as mpmath numbers, with Weierstrass radii, points whose disk
+    touches the real axis snapped onto it, and complex centres paired into
+    exact conjugates; None when the radii cannot be formed or the pairing
+    fails.  Radii can fall below the rounding noise of converged centres
+    (even to 0 where p rounds to 0), so a pair may also match within the
+    iteration's own tolerance; strict says whether every pair matched within
+    the radii alone.
+    """
     n = len(cs) - 1
     with mp.workdps(dps):
         coeffs = [mp.mpf(c) for c in cs]
         dcoeffs = [mp.mpf(i * cs[i]) for i in range(1, n + 1)]
         lead = coeffs[-1]
-
-        def pval(z):
-            acc = mp.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * z + c
-            return acc
-
-        def pdval(z):
-            acc = mp.mpc(0)
-            for c in reversed(dcoeffs):
-                acc = acc * z + c
-            return acc
-
-        radius0 = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-        zs = [
-            mp.mpc(mp.cos(0.4 + 2 * mp.pi * k / n), mp.sin(0.4 + 2 * mp.pi * k / n)) * radius0 * 0.75
-            for k in range(n)
-        ]
+        if start is None:
+            radius0 = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
+            zs = [
+                mp.mpc(mp.cos(0.4 + 2 * mp.pi * k / n), mp.sin(0.4 + 2 * mp.pi * k / n)) * radius0 * 0.75
+                for k in range(n)
+            ]
+        else:
+            zs = [mp.mpc(z) for z in start]
         tol = mp.mpf(10) ** (-(dps - 6))
         for _ in range(40 + 12 * n):
             worst = mp.mpf(0)
             new = list(zs)
             for i, z in enumerate(zs):
-                pz = pval(z)
-                pdz = pdval(z)
+                pz = _horner(coeffs, z)
+                pdz = _horner(dcoeffs, z)
                 if pdz == 0:
                     new[i] = z + tol * (1 + abs(z))
                     worst = mp.mpf(1)
@@ -397,7 +411,7 @@ def _aberth_attempt(cs: tuple[int, ...], target: float, dps: int):
                         prod *= z - other
                 if prod == 0:
                     return None
-                rads.append(n * abs(pval(z) / prod))
+                rads.append(n * abs(_horner(coeffs, z) / prod))
             return rads
 
         rads = weierstrass_radii(zs)
@@ -423,6 +437,7 @@ def _aberth_attempt(cs: tuple[int, ...], target: float, dps: int):
         if len(uppers) != len(lowers):
             return None
         used = set()
+        strict = True
         for i in uppers:
             mirror = mp.conj(zs[i])
             best, best_dist = None, None
@@ -432,37 +447,40 @@ def _aberth_attempt(cs: tuple[int, ...], target: float, dps: int):
                 dist = abs(zs[j] - mirror)
                 if best is None or dist < best_dist:
                     best, best_dist = j, dist
-            if best is None or best_dist > rads[i] + rads[best]:
+            if best is None or best_dist > rads[i] + rads[best] + tol * (1 + abs(zs[i])):
                 return None
+            strict = strict and best_dist <= rads[i] + rads[best]
             used.add(best)
             zs[best] = mirror
             rads[best] = rads[i]
-
-        out = []
-        for z, r in zip(zs, rads):
-            zc = complex(float(z.real), float(z.imag))
-            rf = float(r) * (1 + 1e-9) + _conversion_slack(zc)
-            out.append((zc, rf))
-
-    for _, r in out:
-        if not (r <= target):
-            return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            zi, ri = out[i]
-            zj, rj = out[j]
-            if math.hypot(zi.real - zj.real, zi.imag - zj.imag) <= ri + rj:
-                return None
-    return out
+    return zs, rads, strict
 
 
 def _certified_simple_roots(cs: tuple[int, ...], target: float) -> list[tuple[complex, float]]:
+    """Float disks of at most target radius, pairwise disjoint, one per root.
+
+    Precision doubles until a level certifies with every conjugate pair
+    matched within its radii.  The first level that certifies only with the
+    iteration's tolerance is kept as a fallback, returned when no level up
+    to the ceiling certifies strictly.
+    """
     dps = working_dps()
+    fallback = None
     while dps <= _MAX_DPS:
-        got = _aberth_attempt(cs, target, dps)
+        got = _aberth(cs, dps)
         if got is not None:
-            return got
+            zs, rads, strict = got
+            out = []
+            for z, r in zip(zs, rads):
+                zc = complex(float(z.real), float(z.imag))
+                out.append((zc, float(r) * (1 + 1e-9) + _conversion_slack(zc)))
+            if all(r <= target for _, r in out) and _disks_disjoint(out):
+                if strict:
+                    return out
+                fallback = fallback or out
         dps *= 2
+    if fallback is not None:
+        return fallback
     raise RootCertificationError(
         f"could not certify roots of degree-{len(cs) - 1} factor to radius {target:g}"
     )
@@ -479,27 +497,20 @@ def roots(poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS) -> 
     if poly.degree == 0:
         return ComplexRootSet(poly, ())
 
-    zero_mult = 0
-    cs = list(poly.coeffs)
-    while cs[0] == 0:
-        zero_mult += 1
-        cs.pop(0)
-    body = IntPolynomial(tuple(cs))
-
+    zero_mult, rationals, leftovers = _decompose(poly)
+    exact: list[RootEnclosure] = []
+    if zero_mult:
+        exact.append(RootEnclosure(0j, 0.0, zero_mult))
+    for q, mult in rationals:
+        v = complex(float(q), 0.0)
+        exact.append(RootEnclosure(v, _conversion_slack(v), mult))
     target = target_radius
     for _ in range(4):
-        enclosures: list[RootEnclosure] = []
-        if zero_mult:
-            enclosures.append(RootEnclosure(0j, 0.0, zero_mult))
-        for fac, mult in squarefree_factors(body):
-            rationals, leftover = _rational_split(fac)
-            for q in rationals:
-                v = complex(float(q), 0.0)
-                enclosures.append(RootEnclosure(v, _conversion_slack(v), mult))
-            if leftover is not None:
-                for z, r in _certified_simple_roots(leftover, target):
-                    enclosures.append(RootEnclosure(z, r, mult))
-        if _pairwise_disjoint(enclosures):
+        enclosures = list(exact)
+        for fac, mult in leftovers:
+            for z, r in _certified_simple_roots(fac, target):
+                enclosures.append(RootEnclosure(z, r, mult))
+        if _disks_disjoint([(e.value, e.radius) for e in enclosures]):
             enclosures.sort(key=lambda e: (e.value.real, e.value.imag))
             return ComplexRootSet(poly, tuple(enclosures))
         target /= 100.0
@@ -508,12 +519,11 @@ def roots(poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS) -> 
     raise RootCertificationError("root enclosures from coprime factors kept overlapping")
 
 
-def _pairwise_disjoint(encl: list[RootEnclosure]) -> bool:
-    for i in range(len(encl)):
-        for j in range(i + 1, len(encl)):
-            a, b = encl[i], encl[j]
-            gap = math.hypot(a.value.real - b.value.real, a.value.imag - b.value.imag)
-            if gap <= a.radius + b.radius:
+def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            (zi, ri), (zj, rj) = disks[i], disks[j]
+            if math.hypot(zi.real - zj.real, zi.imag - zj.imag) <= ri + rj:
                 return False
     return True
 
@@ -537,6 +547,20 @@ def _modulus_interval(enc: RootEnclosure) -> Interval:
     return Interval.from_center(h, enc.radius + 4 * math.ulp(h)).clamp_nonnegative()
 
 
+def _refined_factor(modulus: Interval) -> Interval:
+    complement = Interval.point(1.0).add(modulus.scale(-1.0))
+    return Interval(max(modulus.lo, complement.lo), max(modulus.hi, complement.hi))
+
+
+# per-root factor of each variant, applied to the modulus enclosure
+_MAHLER_FACTORS = {
+    "plain": lambda modulus: modulus.max_with(1.0),
+    "half_scaled": lambda modulus: modulus.max_with(0.5),
+    "double_scaled": lambda modulus: modulus.scale(0.5).max_with(1.0),
+    "conjugate": lambda modulus: modulus.max_with(1.0),
+}
+
+
 def mahler_measure(
     poly: IntPolynomial,
     variant: str = "plain",
@@ -554,32 +578,11 @@ def mahler_measure(
     if poly.degree < 1:
         raise DomainError("Mahler measure variants need degree >= 1")
     base = conjugate(poly) if variant == "conjugate" else poly
-    rs = roots(base, target_radius)
-    acc = Interval.from_int(abs(base.leading_coefficient))
-    for enc in rs.roots:
-        modulus = _modulus_interval(enc)
-        if variant in ("plain", "conjugate"):
-            factor = modulus.max_with(1.0)
-        elif variant == "half_scaled":
-            factor = modulus.max_with(0.5)
-        else:  # double_scaled
-            factor = modulus.scale(0.5).max_with(1.0)
-        for _ in range(enc.multiplicity):
-            acc = acc.mul(factor)
-    return MahlerMeasure(value=acc.mid, error=acc.halfwidth, variant=variant)
+    return roots(base, target_radius).mahler(variant)
 
 
 def refined_product_interval(poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS) -> Interval:
     """Enclosure of |a_d| * prod max(|alpha|, 1 - |alpha|) over the roots."""
     if poly.degree < 1:
         raise DomainError("needs degree >= 1")
-    rs = roots(poly, target_radius)
-    acc = Interval.from_int(abs(poly.leading_coefficient))
-    one = Interval.point(1.0)
-    for enc in rs.roots:
-        modulus = _modulus_interval(enc)
-        complement = one.add(modulus.scale(-1.0))
-        factor = Interval(max(modulus.lo, complement.lo), max(modulus.hi, complement.hi))
-        for _ in range(enc.multiplicity):
-            acc = acc.mul(factor)
-    return acc
+    return roots(poly, target_radius).refined_product()

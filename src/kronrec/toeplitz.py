@@ -32,13 +32,7 @@ import mpmath
 
 from .errors import CertificateError, DomainError, KronrecError, SingularMatrixError
 from .exact_linalg import coerce_rational, det_exact, leading_minors, mat_mul
-from .poly_core import (
-    IntPolynomial,
-    _rational_split,
-    mahler_measure,
-    squarefree_factors,
-    working_dps,
-)
+from .poly_core import IntPolynomial, _aberth, _decompose, mahler_measure, working_dps
 from .intervals import Interval
 from .recurrence_matrices import band_rows
 
@@ -144,22 +138,6 @@ class TrenchData:
         return self.n
 
 
-def _symbol_root_split(symbol: LaurentSymbol):
-    """Roots of x^r C(x): exact rationals plus leftover square-free factors."""
-    cs = list(symbol.coeffs)
-    denom = math.lcm(*(c.denominator for c in cs))
-    ints = tuple(int(c * denom) for c in cs)
-    poly = IntPolynomial(ints)
-    rational: list[tuple[Fraction, int]] = []
-    leftover: list[tuple[tuple[int, ...], int]] = []
-    for fac, mult in squarefree_factors(poly):
-        found, rest = _rational_split(fac)
-        rational.extend((root, mult) for root in found)
-        if rest is not None:
-            leftover.append((rest, mult))
-    return rational, leftover
-
-
 def _derivative_row(exponents: Sequence[int], xi, j: int, one):
     row = []
     for e in exponents:
@@ -177,9 +155,13 @@ def _gamma_exponents(r: int, s: int, n: int) -> list[int]:
 def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
     """D_{n-1} via the closed form; exact when all symbol roots are rational.
 
+    The roots of x^r C(x) come from poly_core's exact decomposition: rational
+    roots exactly, the rest from its Aberth iteration at the working
+    precision, each level warm-started from the previous level's centres.
     The numeric path scales each root block by max(1, |xi|) powers so the
     two confluent Vandermonde determinants stay in range, and escalates the
-    working precision until two consecutive levels agree.
+    working precision when the Aberth step fails or G_0 vanishes, until two
+    consecutive levels agree.
     """
     if n < 1:
         raise DomainError("the closed form needs n >= 1")
@@ -187,7 +169,8 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
     if r + s == 0:
         return TrenchData(symbol, n, (), Fraction(1), Fraction(1),
                           symbol.coefficient(0) ** n, True, None)
-    rational, leftover = _symbol_root_split(symbol)
+    denom = math.lcm(*(c.denominator for c in symbol.coeffs))
+    _, rational, leftover = _decompose(IntPolynomial(tuple(int(c * denom) for c in symbol.coeffs)))
     exps_n = _gamma_exponents(r, s, n)
     exps_0 = _gamma_exponents(r, s, 0)
     c_s = symbol.coefficient(s)
@@ -209,19 +192,21 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
 
     dps = working_dps(60)
     previous = None
+    centres = [None] * len(leftover)
     while dps <= _MAX_TRENCH_DPS:
         with mpmath.workdps(dps):
+            found = [_aberth(fac, dps, start) for (fac, _), start in zip(leftover, centres)]
+            if any(got is None for got in found):
+                dps *= 2
+                previous = None
+                continue
+            centres = [got[0] for got in found]
             root_blocks: list[tuple[object, int]] = [
                 (mpmath.mpf(xi.numerator) / xi.denominator, mult)
                 for xi, mult in rational
             ]
-            for fac, mult in leftover:
-                found = mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(fac)],
-                    maxsteps=200,
-                    extraprec=dps,
-                )
-                root_blocks.extend((z, mult) for z in found)
+            for zs, (_, mult) in zip(centres, leftover):
+                root_blocks.extend((z, mult) for z in zs)
             rows_n, rows_0 = [], []
             scale_base = mpmath.mpf(c_s.numerator) / c_s.denominator
             for xi, mult in root_blocks:

@@ -148,6 +148,12 @@ def test_bound_subcommand(capsys):
     assert doc["eps_refined"]["hi"] < 0.5 + 1e-9
 
 
+def test_bound_certifies_imaginary_pair(capsys):
+    # 4x^4 - 2x^3 + 3x^2 - 2x - 1 has the roots +-i
+    doc = run_json(capsys, "bound", " -1,-2,3,-2,4")
+    assert doc["eps_stated"]["lo"] <= doc["eps_stated"]["hi"]
+
+
 def test_byte_determinism(capsys):
     args = ("basis", "--p", "3", "--m", "10", "3,-2,-9,-3,9")
     _, first, _ = run(capsys, *args)

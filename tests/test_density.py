@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kronrec import density, poly_core
 from kronrec.density import (
     _covered_general,
     _covered_linear,
@@ -18,7 +19,8 @@ from kronrec.density import (
     witness,
 )
 from kronrec.errors import DomainError, KronrecError
-from kronrec.poly_core import IntPolynomial, refined_product_interval
+from kronrec.intervals import interval_min
+from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
 from kronrec.recurrence_matrices import band_rows
 
 SHIFT2 = IntPolynomial((-2, 1))  # x - 2
@@ -79,11 +81,40 @@ def test_refined_bound_uses_coefficient_reversal():
     assert b.eps_refined.halfwidth < 1e-9
 
 
+@pytest.mark.parametrize(
+    "coeffs", [(-1, 2), (-1, -1, 1), (3, -2, -9, -3, 9), (-1, -2, 3, -2, 4), (1, 0, 2, 0, 1)]
+)
+def test_bound_takes_two_root_sets_and_matches_public_route(monkeypatch, coeffs):
+    poly = IntPolynomial(coeffs)
+    calls = []
+
+    def counting_roots(p, *args, **kwargs):
+        calls.append(p.coeffs)
+        return poly_core.roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(density, "roots", counting_roots)
+    b = epsilon_bound(poly)
+    assert calls == [poly.coeffs, conjugate(poly).coeffs]
+    monkeypatch.undo()
+
+    half = mahler_measure(poly, "half_scaled").interval.recip()
+    dbl = mahler_measure(poly, "double_scaled").interval.recip()
+    assert b.eps_half_scaled == half
+    assert b.eps_double_scaled == dbl
+    assert b.eps_stated == interval_min(half, dbl)
+    assert b.eps_refined == interval_min(
+        refined_product_interval(poly).recip(), refined_product_interval(conjugate(poly)).recip()
+    )
+    assert b.eps_coarse == mahler_measure(poly).interval.recip().scale(float(2 ** (poly.degree // 2)))
+
+
 def test_bounds_reject_bad_inputs():
     with pytest.raises(DomainError):
         epsilon_bound(IntPolynomial((0, 1)))
     with pytest.raises(DomainError):
         epsilon_bound(IntPolynomial((-2, 2)))
+    with pytest.raises(DomainError):
+        epsilon_bound(IntPolynomial((1,)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -159,6 +159,26 @@ def test_roots_tight_radius_request():
         roots(poly(-1, -1, 1), target_radius=1e-20)
 
 
+# each has the roots +-i; Aberth lands on them below working precision, where
+# the Weierstrass radii (0 where p rounds to 0) drop under the rounding noise
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, -1, -2, -1, -3), (2, 1, -3, 1, 2, -3, 4, -3, -3), (-1, -2, 3, -2, 4), (-2, -4, 3, -1, 4, 3, -1)],
+)
+def test_roots_certify_converged_imaginary_pair(coeffs):
+    p = IntPolynomial(coeffs)
+    assert p.evaluate(1j) == 0
+    rs = roots(p)
+    assert rs.total_multiplicity == p.degree
+    assert sum(abs(r.value - 1j) <= r.radius for r in rs.roots) == 1
+    values = sorted((r.value for r in rs.roots), key=lambda z: (z.real, z.imag))
+    assert values == sorted((r.value.conjugate() for r in rs.roots), key=lambda z: (z.real, z.imag))
+    for i, a in enumerate(rs.roots):
+        assert a.radius <= 1e-12
+        for b in rs.roots[i + 1 :]:
+            assert abs(a.value - b.value) > a.radius + b.radius
+
+
 @settings(deadline=None, max_examples=40)
 @given(small_polys())
 def test_roots_reconstruct_polynomial(p):

@@ -1,14 +1,16 @@
 """Oracle comparisons and hand values for the Toeplitz/Gram machinery."""
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import invert_exact, mat_mul, transpose
-from kronrec.poly_core import IntPolynomial
+from kronrec.poly_core import IntPolynomial, _aberth, _decompose
 from kronrec.recurrence_matrices import band_rows, tri_rows
 from kronrec.toeplitz import (
     LaurentSymbol,
@@ -122,6 +124,46 @@ def test_trench_numeric_path_agrees():
     assert data.exact is False
     assert data.dps_used is not None
     want = float(toeplitz_det_direct(sym, 4))
+    assert data.determinant == pytest.approx(want, rel=1e-10)
+
+
+# B = 1 + x^2 and 1 + x + x^2 put double symbol roots on the unit circle,
+# -1 - 2x + 3x^2 - 2x^3 + 4x^4 has the roots +-i; the last two have none there
+NUMERIC_B = [(1, 0, 1), (1, 1, 1), (-1, -2, 3, -2, 4), (-1, -1, 1), (3, -2, -9, -3, 9)]
+
+
+def _symbol_polynomial(sym):
+    denom = math.lcm(*(c.denominator for c in sym.coeffs))
+    return IntPolynomial(tuple(int(c * denom) for c in sym.coeffs))
+
+
+@pytest.mark.parametrize("coeffs", NUMERIC_B)
+def test_trench_aberth_centres_match_polyroots(coeffs):
+    """mpmath.polyroots, which the closed form no longer uses, as the root oracle."""
+    sym = LaurentSymbol.from_polynomial(IntPolynomial(coeffs))
+    _, _, leftover = _decompose(_symbol_polynomial(sym))
+    assert leftover
+    for fac, _ in leftover:
+        start = None
+        for dps in (60, 120):
+            centres, _, _ = _aberth(fac, dps, start)
+            start = centres
+            with mpmath.workdps(dps):
+                oracle = mpmath.polyroots(
+                    [mpmath.mpf(c) for c in reversed(fac)], maxsteps=200, extraprec=dps
+                )
+                assert len(centres) == len(oracle)
+                for z in centres:
+                    assert min(abs(z - w) for w in oracle) <= mpmath.mpf(10) ** (10 - dps)
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("coeffs", NUMERIC_B[:3])
+def test_trench_numeric_matches_direct_on_unit_circle_roots(coeffs, n):
+    sym = LaurentSymbol.from_polynomial(IntPolynomial(coeffs))
+    data = trench_data(sym, n)
+    assert data.exact is False
+    want = float(toeplitz_det_direct(sym, n - 1))
     assert data.determinant == pytest.approx(want, rel=1e-10)
 
 
