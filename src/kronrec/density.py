@@ -8,9 +8,9 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
                       product max(|alpha|, 1-|alpha|)
   factor_real/witness the constructive two-stage perturbation moving any
                       target into Q while staying inside the eps/2 cube
-  is_covered          exact rational decision of whether the eps-cube image
-                      covers one residue class (the grid probe behind
-                      critical_epsilon's bisection)
+  is_covered          exact decision, from the facet inequalities of the
+                      eps-cube's zonotope image, of whether it covers one
+                      residue class (the grid probe behind critical_epsilon)
   certify_non_density exact zonotope volume of the cube-plus-lattice
                       parallelepiped; below 1 it refutes eps-density
 
@@ -29,13 +29,8 @@ from typing import Sequence
 from .errors import CertificateError, DomainError, KronrecError
 from .exact_linalg import coerce_rational, det_exact
 from .intervals import Interval, interval_min
-from .lattice_structure import basis_N, integral_basis
-from .poly_core import (
-    DEFAULT_TARGET_RADIUS,
-    IntPolynomial,
-    conjugate,
-    roots,
-)
+from .lattice_structure import integral_basis
+from .poly_core import IntPolynomial, conjugate, roots
 
 __all__ = [
     "DensityBound",
@@ -52,6 +47,11 @@ __all__ = [
 ]
 
 GRID_DIMENSION_GUARD = 4
+WITNESS_RESIDUAL_TOL = 1e-6
+# integer offsets one covering probe may try; the test suite's largest tries ~5e4
+COVERING_OFFSET_GUARD = 10**6
+# minors certify_non_density may sum, sum_p C(d, p) C(m, p)
+MINOR_SUM_GUARD = 10**5
 
 
 # ----- certified threshold enclosures -----
@@ -67,9 +67,7 @@ class DensityBound:
     eps_coarse: Interval
 
 
-def epsilon_bound(
-    poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS
-) -> DensityBound:
+def epsilon_bound(poly: IntPolynomial) -> DensityBound:
     """Certified enclosures of the density thresholds.
 
     eps_half_scaled and eps_double_scaled are the reciprocals of the two
@@ -85,8 +83,8 @@ def epsilon_bound(
         raise DomainError("density bounds need a primitive polynomial")
     if poly.degree < 1:
         raise DomainError("Mahler measure variants need degree >= 1")
-    own = roots(poly, target_radius)
-    reversal = roots(conjugate(poly), target_radius)
+    own = roots(poly)
+    reversal = roots(conjugate(poly))
     half = own.mahler("half_scaled").interval.recip()
     dbl = own.mahler("double_scaled").interval.recip()
     refined = interval_min(own.refined_product().recip(), reversal.refined_product().recip())
@@ -133,9 +131,7 @@ def _expand_from_roots(lead: complex, root_list: list[complex]) -> list[complex]
     return cs
 
 
-def factor_real(
-    poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS
-) -> RealFactorization:
+def factor_real(poly: IntPolynomial) -> RealFactorization:
     """Split A = B * C by root size: |gamma| <= 1/2 goes to the monic C.
 
     A root whose certified enclosure straddles 1/2 is sent to B, which never
@@ -145,7 +141,7 @@ def factor_real(
         raise DomainError("factorization needs degree >= 1")
     if poly.constant_coefficient == 0:
         raise DomainError("factorization needs a nonzero constant coefficient")
-    rs = roots(poly, target_radius)
+    rs = roots(poly)
     b_roots: list[complex] = []
     c_roots: list[complex] = []
     for enc in rs.roots:
@@ -182,8 +178,6 @@ def witness(
     m: int,
     target: Sequence[float],
     eps: float | None = None,
-    target_radius: float = DEFAULT_TARGET_RADIUS,
-    residual_tol: float = 1e-6,
 ) -> DensityWitness:
     """Perturbation w with |w|_inf <= eps/2 carrying target into Q.
 
@@ -201,7 +195,7 @@ def witness(
     tvec = [float(x) for x in target]
     if len(tvec) != m:
         raise DomainError(f"target must have length m = {m}")
-    fact = factor_real(poly, target_radius)
+    fact = factor_real(poly)
     if eps is None:
         eps = fact.eps
     if eps < fact.eps - 1e-9:
@@ -239,9 +233,9 @@ def witness(
         ki = round(row_val)
         k.append(int(ki))
         residual = max(residual, abs(row_val - ki))
-    if residual > residual_tol:
+    if residual > WITNESS_RESIDUAL_TOL:
         raise KronrecError(
-            f"witness residual {residual:.3e} exceeds tolerance {residual_tol:.3e}"
+            f"witness residual {residual:.3e} exceeds tolerance {WITNESS_RESIDUAL_TOL:.3e}"
         )
     return DensityWitness(
         poly=poly,
@@ -294,50 +288,35 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
     return True
 
 
-def _normalize_constraint(
-    coef: tuple[Fraction, ...], rhs: Fraction
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    for x in coef:
-        if x != 0:
-            return tuple(y / abs(x) for y in coef), rhs / abs(x)
-    return coef, rhs
+def _zonotope_facets(poly: IntPolynomial, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
 
-
-def _fm_feasible(cons: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int) -> bool:
-    """Fourier-Motzkin feasibility of {x : coef . x <= rhs for all constraints}."""
-    for var in range(nvars - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coef, rhs in cons:
-            cv = coef[var]
-            if cv > 0:
-                pos.append((coef, rhs))
-            elif cv < 0:
-                neg.append((coef, rhs))
-            else:
-                rest.append((coef[:var], rhs))
-        combined = rest
-        for cp, rp in pos:
-            for cn, rn in neg:
-                sp, sn = cp[var], -cn[var]
-                coef = tuple(cp[i] * sn + cn[i] * sp for i in range(var))
-                combined.append((coef, rp * sn + rn * sp))
-        best: dict[tuple[Fraction, ...], Fraction] = {}
-        for coef, rhs in combined:
-            if all(x == 0 for x in coef):
-                if rhs < 0:
-                    return False
-                continue
-            key, val = _normalize_constraint(coef, rhs)
-            if key not in best or val < best[key]:
-                best[key] = val
-        cons = list(best.items())
-    return True
+    Each normal is the signed (l-1)-minor vector of l-1 columns g_j of the
+    band matrix (l = m - deg A), made primitive with a positive leading entry;
+    s_c = sum_j |c . g_j|, the coefficient 1-norm of C * A for C = sum c_i x^i.
+    """
+    a = poly.coeffs
+    ell = m - poly.degree
+    cols = [[a[j - i] if 0 <= j - i < len(a) else 0 for i in range(ell)] for j in range(m)]
+    facets: dict[tuple[int, ...], int] = {}
+    for chosen in itertools.combinations(cols, ell - 1):
+        c = [
+            (-1) ** i * int(det_exact([[col[r] for col in chosen] for r in range(ell) if r != i]))
+            for i in range(ell)
+        ]
+        g = math.gcd(*c)
+        if g == 0:
+            continue
+        if next(x for x in c if x != 0) < 0:
+            g = -g
+        c = tuple(x // g for x in c)
+        if c not in facets:
+            facets[c] = sum(abs(sum(x * y for x, y in zip(c, col))) for col in cols)
+    return list(facets.items())
 
 
 def _covered_general(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
-    a = poly.coeffs
-    d = poly.degree
-    ell = m - d
+    """Some offset k in the box has every |c . (vv + k)| <= half * s_c."""
     k_bound = half * poly.coefficient_sum_abs()
     ranges = []
     for vi in vv:
@@ -346,34 +325,36 @@ def _covered_general(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fract
         if k_lo > k_hi:
             return False
         ranges.append(range(k_lo, k_hi + 1))
-    nmat = basis_N(poly, m)
-    for k in itertools.product(*ranges):
-        rhs = [vv[i] + k[i] for i in range(ell)]
-        w0 = [Fraction(0)] * m
-        for i in range(ell - 1, -1, -1):
-            acc = rhs[i]
-            for j in range(i + 1, min(i + d, ell - 1) + 1):
-                acc -= a[j - i] * w0[j]
-            w0[i] = acc / a[0]
-        cons = []
-        for col in range(m):
-            coef = tuple(nmat[t][col] for t in range(d))
-            cons.append((coef, half - w0[col]))
-            cons.append((tuple(-x for x in coef), half + w0[col]))
-        if _fm_feasible(cons, d):
-            return True
-    return False
+    offsets = math.prod(len(r) for r in ranges)
+    if offsets > COVERING_OFFSET_GUARD:
+        raise DomainError(
+            f"covering would try {offsets} integer offsets, above the guard {COVERING_OFFSET_GUARD}"
+        )
+    # c . k is an integer, so each facet pins it to an integer interval
+    bounds = []
+    for c, s in _zonotope_facets(poly, m):
+        cv = sum(ci * vi for ci, vi in zip(c, vv))
+        lo, hi = math.ceil(-half * s - cv), math.floor(half * s - cv)
+        if lo > hi:
+            return False
+        bounds.append((c, lo, hi))
+    return any(
+        all(lo <= sum(ci * ki for ci, ki in zip(c, k)) <= hi for c, lo, hi in bounds)
+        for k in itertools.product(*ranges)
+    )
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     """Exact decision: does some w in [-eps/2, eps/2]^m give band(A) w = v + k?
 
-    All candidate integer offsets k with |k + v|_inf <= (eps/2) sum|a_i| are
-    tried; each reduces to rational linear feasibility of a box meeting an
-    affine subspace (particular solution from the triangular leading columns,
-    kernel directions from the rational recurrence basis).  Degree 1 instead
-    sweeps the levels directly, carrying a union of feasible intervals.  The
-    cube is closed, so boundary contact counts as covered.
+    The image of the cube is the zonotope (eps/2) Z with Z = band(A) [-1, 1]^m,
+    so v + k is reached exactly when |c . (v + k)| <= (eps/2) s_c for every
+    facet normal c of Z and its support s_c.  All integer offsets k with
+    |k + v|_inf <= (eps/2) sum|a_i| are tried against those inequalities in
+    exact integer and rational arithmetic.  Degree 1 instead sweeps the
+    levels directly, carrying a union of feasible intervals, which stays
+    polynomial in m.  The cube is closed, so boundary contact counts as
+    covered.  More than COVERING_OFFSET_GUARD offsets raise DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -417,7 +398,6 @@ def critical_epsilon(
     grid_n: int = 8,
     bisection_tol=Fraction(1, 1000),
     allow_large_grid: bool = False,
-    target_radius: float = DEFAULT_TARGET_RADIUS,
 ) -> CriticalEpsilonEstimate:
     """Bisect for the smallest eps covering a grid of residue classes.
 
@@ -440,7 +420,7 @@ def critical_epsilon(
     tol = coerce_rational(bisection_tol)
     if tol <= 0:
         raise DomainError("bisection_tol must be positive")
-    cap = Fraction(epsilon_bound(poly, target_radius).eps_refined.hi)
+    cap = Fraction(epsilon_bound(poly).eps_refined.hi)
 
     # far-from-integer targets first, so uncovered grids fail fast
     order = sorted(
@@ -507,7 +487,8 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     volume below 1 therefore refutes density.  The volume is the standard
     minor expansion over the m + d generators, computed as exact rationals:
     choosing p lattice rows contributes eps^(m-p) times the sum of absolute
-    p x p minors over column choices.
+    p x p minors over column choices.  More than MINOR_SUM_GUARD minors raise
+    DomainError before any is taken.
     """
     e = coerce_rational(eps)
     if not 0 < e <= 1:
@@ -515,6 +496,11 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     d = poly.degree
     if m <= d:
         raise DomainError("certification needs m > deg A")
+    minors = sum(math.comb(d, p) * math.comb(m, p) for p in range(d + 1))
+    if minors > MINOR_SUM_GUARD:
+        raise DomainError(
+            f"certification would sum {minors} minors, above the guard {MINOR_SUM_GUARD}"
+        )
     omega = integral_basis(poly, m).z_basis
     total = Fraction(0)
     for p_size in range(d + 1):

@@ -1,6 +1,6 @@
 """Exact rational linear algebra on stdlib Fractions and ints.
 
-Matrices are plain lists of row lists.  Integer-lattice routines (hnf, snf,
+Matrices are plain lists of row lists.  Integer-lattice routines (hnf,
 integer_kernel) validate integrality; determinant, leading minors and solve
 accept Fraction entries, clear denominators row by row, and share one
 fraction-free Bareiss elimination so intermediate values stay integral.
@@ -23,13 +23,11 @@ __all__ = [
     "is_prime",
     "p_adic_valuation",
     "hnf",
-    "snf",
     "integer_kernel",
     "coerce_rational",
     "det_exact",
     "leading_minors",
     "solve_exact",
-    "invert_exact",
     "identity_matrix",
     "mat_mul",
     "transpose",
@@ -182,61 +180,6 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     return h, u
 
 
-# ----- Smith normal form -----
-
-
-def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Elementary divisors d_1 | d_2 | ..., nonnegative, zeros trailing."""
-    a = _copy_int_matrix(rows)
-    nr, nc = len(a), len(a[0])
-    n = min(nr, nc)
-    k = 0
-    while k < n:
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-        dirty = False
-        for i in range(k + 1, nr):
-            q = a[i][k] // a[k][k]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            if a[i][k] != 0:
-                dirty = True
-        for j in range(k + 1, nc):
-            q = a[k][j] // a[k][k]
-            if q:
-                for row in a:
-                    row[j] -= q * row[k]
-            if a[k][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if a[i][j] % a[k][k] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[k] = [x + y for x, y in zip(a[k], a[offender])]
-            continue
-        k += 1
-    diag = [abs(a[i][i]) for i in range(k)] + [0] * (n - k)
-    return tuple(diag)
-
-
 # ----- saturated integer kernel -----
 
 
@@ -385,6 +328,3 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[
             x[i][col] = s / a[i][i]
     return x
 
-
-def invert_exact(a_rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return solve_exact(a_rows, identity_matrix(len(a_rows)))

@@ -561,11 +561,7 @@ _MAHLER_FACTORS = {
 }
 
 
-def mahler_measure(
-    poly: IntPolynomial,
-    variant: str = "plain",
-    target_radius: float = DEFAULT_TARGET_RADIUS,
-) -> MahlerMeasure:
+def mahler_measure(poly: IntPolynomial, variant: str = "plain") -> MahlerMeasure:
     """Certified enclosure of a Mahler measure variant.
 
     plain:          |a_d| * prod max(1, |alpha|)
@@ -578,11 +574,11 @@ def mahler_measure(
     if poly.degree < 1:
         raise DomainError("Mahler measure variants need degree >= 1")
     base = conjugate(poly) if variant == "conjugate" else poly
-    return roots(base, target_radius).mahler(variant)
+    return roots(base).mahler(variant)
 
 
-def refined_product_interval(poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS) -> Interval:
+def refined_product_interval(poly: IntPolynomial) -> Interval:
     """Enclosure of |a_d| * prod max(|alpha|, 1 - |alpha|) over the roots."""
     if poly.degree < 1:
         raise DomainError("needs degree >= 1")
-    return roots(poly, target_radius).refined_product()
+    return roots(poly).refined_product()

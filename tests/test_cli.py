@@ -200,6 +200,20 @@ def test_exit_code_domain_error(capsys):
     assert "primitive" in doc["error"]["message"]
 
 
+def test_precision_environment_variable(capsys, monkeypatch):
+    argv = ("trench", "--n", "20", "--autocorrelate", "1,1,-1")
+    monkeypatch.delenv("KRONREC_PRECISION", raising=False)
+    assert run_json(capsys, *argv)["dps_used"] == 120
+    monkeypatch.setenv("KRONREC_PRECISION", "240")
+    assert run_json(capsys, *argv)["dps_used"] == 480
+    monkeypatch.setenv("KRONREC_PRECISION", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "DomainError"
+    assert "KRONREC_PRECISION" in doc["error"]["message"]
+
+
 def test_exit_code_parse_error(capsys):
     code, out, err = run(capsys, "mahler", "xyz")
     assert code == 2

@@ -1,6 +1,8 @@
 """Hand-checked values and invariants for the torus density toolkit."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 
 from kronrec import density, poly_core
 from kronrec.density import (
+    COVERING_OFFSET_GUARD,
+    MINOR_SUM_GUARD,
     _covered_general,
     _covered_linear,
+    _zonotope_facets,
     certify_non_density,
     critical_epsilon,
     epsilon_bound,
@@ -20,6 +25,7 @@ from kronrec.density import (
 )
 from kronrec.errors import DomainError, KronrecError
 from kronrec.intervals import interval_min
+from kronrec.lattice_structure import basis_N
 from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
 from kronrec.recurrence_matrices import band_rows
 
@@ -29,8 +35,8 @@ CYCLO = IntPolynomial((1, 1))  # x + 1
 
 
 @st.composite
-def primitive_polys(draw, max_degree=3, bound=9):
-    degree = draw(st.integers(1, max_degree))
+def primitive_polys(draw, max_degree=3, bound=9, min_degree=1):
+    degree = draw(st.integers(min_degree, max_degree))
     while True:
         coeffs = [draw(st.integers(1, bound)) * draw(st.sampled_from((1, -1)))]
         coeffs += [draw(st.integers(-bound, bound)) for _ in range(degree - 1)]
@@ -321,6 +327,118 @@ def test_covered_at_certified_threshold(v):
     assert is_covered(SHIFT2, 3, cap, (v, v)) is True
 
 
+def _fm_feasible(cons, nvars):
+    """Fourier-Motzkin feasibility of {x : coef . x <= rhs for all constraints}."""
+    for var in range(nvars - 1, -1, -1):
+        pos, neg, rest = [], [], []
+        for coef, rhs in cons:
+            if coef[var] > 0:
+                pos.append((coef, rhs))
+            elif coef[var] < 0:
+                neg.append((coef, rhs))
+            else:
+                rest.append((coef[:var], rhs))
+        combined = rest
+        for cp, rp in pos:
+            for cn, rn in neg:
+                sp, sn = cp[var], -cn[var]
+                coef = tuple(cp[i] * sn + cn[i] * sp for i in range(var))
+                combined.append((coef, rp * sn + rn * sp))
+        best = {}
+        for coef, rhs in combined:
+            lead = next((x for x in coef if x != 0), None)
+            if lead is None:
+                if rhs < 0:
+                    return False
+                continue
+            key, val = tuple(y / abs(lead) for y in coef), rhs / abs(lead)
+            if key not in best or val < best[key]:
+                best[key] = val
+        cons = list(best.items())
+    return True
+
+
+def _covered_fm(poly, m, half, vv):
+    """The elimination route to is_covered, kept as the oracle for the facet test.
+
+    For each integer offset k: a particular solution w0 of band(A) w = vv + k
+    from the triangular leading columns, then Fourier-Motzkin feasibility of
+    |w0 + lambda N|_inf <= half over the rational recurrence basis N.
+    """
+    a = poly.coeffs
+    d = poly.degree
+    ell = m - d
+    k_bound = half * poly.coefficient_sum_abs()
+    ranges = [
+        range(math.ceil(-k_bound - vi), math.floor(k_bound - vi) + 1) for vi in vv
+    ]
+    nmat = basis_N(poly, m)
+    for k in itertools.product(*ranges):
+        w0 = [Fraction(0)] * m
+        for i in range(ell - 1, -1, -1):
+            acc = vv[i] + k[i]
+            for j in range(i + 1, min(i + d, ell - 1) + 1):
+                acc -= a[j - i] * w0[j]
+            w0[i] = acc / a[0]
+        cons = []
+        for col in range(m):
+            coef = tuple(nmat[t][col] for t in range(d))
+            cons.append((coef, half - w0[col]))
+            cons.append((tuple(-x for x in coef), half + w0[col]))
+        if _fm_feasible(cons, d):
+            return True
+    return False
+
+
+def _covering_case(poly, ell, draw_fraction):
+    """Targets and an eps up to 3/sum|a_i|, which straddles the covering threshold."""
+    vv = [draw_fraction(0, 1) % 1 for _ in range(ell)]
+    half = draw_fraction(0, 1) * Fraction(3, 2 * poly.coefficient_sum_abs())
+    return half, vv
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_polys(max_degree=4, bound=3, min_degree=2), st.integers(1, 3), st.data())
+def test_facet_test_agrees_with_fourier_motzkin(poly, ell, data):
+    half, vv = _covering_case(
+        poly, ell, lambda lo, hi: data.draw(st.fractions(lo, hi, max_denominator=12))
+    )
+    m = poly.degree + ell
+    assert _covered_general(poly, m, half, vv) == _covered_fm(poly, m, half, vv)
+
+
+def test_facet_and_fm_agree_on_both_sides():
+    rng = random.Random(4)
+    outcomes = []
+    for _ in range(60):
+        d = rng.randint(2, 4)
+        coeffs = [rng.choice((-2, -1, 1, 2))] + [rng.randint(-2, 2) for _ in range(d - 1)]
+        poly = IntPolynomial(tuple(coeffs) + (rng.choice((-1, 1)),))
+        ell = rng.randint(1, 3)
+        half, vv = _covering_case(poly, ell, lambda lo, hi: Fraction(rng.randint(0, 12), 12))
+        got = _covered_general(poly, poly.degree + ell, half, vv)
+        assert got == _covered_fm(poly, poly.degree + ell, half, vv)
+        outcomes.append(got)
+    assert True in outcomes and False in outcomes
+
+
+def test_facets_hand_values():
+    for poly in (SHIFT2, GOLDEN, IntPolynomial((3, -2, -9, -3, 9))):
+        assert _zonotope_facets(poly, poly.degree + 1) == [((1,), poly.coefficient_sum_abs())]
+    # band(x^2 - x - 1) at m = 4 has columns (-1,0), (-1,-1), (1,-1), (0,1);
+    # each normal is one column turned by a right angle, s_c = ||C A||_1
+    assert sorted(_zonotope_facets(GOLDEN, 4)) == [
+        ((0, 1), 3), ((1, -1), 4), ((1, 0), 3), ((1, 1), 4)
+    ]
+
+
+def test_covering_offset_guard():
+    # eps = 2 and v = 1/3 leave 6 offsets per level of x^2 - x - 1: 6^8 at m = 10
+    assert 6**7 <= COVERING_OFFSET_GUARD < 6**8
+    with pytest.raises(DomainError, match=str(6**8)):
+        is_covered(GOLDEN, 10, 2, [Fraction(1, 3)] * 8)
+
+
 # --- critical_epsilon ---
 
 
@@ -407,6 +525,13 @@ def test_certify_eventually_fires_degree_two():
     ]
     assert hits
     assert min(hits) > 3
+
+
+def test_certify_minor_guard():
+    # sum_p C(d, p) C(m, p) = C(m + d, d) minors: 101270 for degree 4 at m = 37
+    assert math.comb(40, 4) <= MINOR_SUM_GUARD < math.comb(41, 4) == 101270
+    with pytest.raises(DomainError, match="101270"):
+        certify_non_density(IntPolynomial((3, -2, -9, -3, 9)), 37, Fraction(1, 2))
 
 
 def test_certify_rejects():

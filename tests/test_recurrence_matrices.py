@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronrec.errors import DomainError
-from kronrec.exact_linalg import integer_kernel, invert_exact
+from kronrec.exact_linalg import identity_matrix, integer_kernel, solve_exact
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import (
     band_rows,
@@ -139,7 +139,7 @@ def test_tri_inverse_of_linear_factor_is_geometric():
         [Fraction(1) if i == j else (-gamma if j == i - 1 else Fraction(0)) for j in range(m)]
         for i in range(m)
     ]
-    inv = invert_exact(rows)
+    inv = solve_exact(rows, identity_matrix(m))
     for i in range(m):
         for j in range(m):
             want = gamma ** (i - j) if i >= j else Fraction(0)
