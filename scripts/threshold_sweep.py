@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the empirical density threshold of an orbit set in the length m.
 
-For each m the bisected grid threshold brackets the critical epsilon from
-below; the zonotope volume certificate refutes density from above.  The two
+For each m the exact grid threshold bounds the critical epsilon from below;
+the zonotope volume certificate refutes density from above.  The two
 columns sandwich where the covering transition happens.
 """
 
@@ -23,7 +23,6 @@ def main() -> int:
     )
     ap.add_argument("--m-max", type=int, default=6)
     ap.add_argument("--grid-n", type=int, default=4)
-    ap.add_argument("--tol", type=Fraction, default=Fraction(1, 1000))
     ap.add_argument(
         "--certify-eps",
         type=Fraction,
@@ -51,11 +50,7 @@ def main() -> int:
     for m in range(poly.degree + 1, args.m_max + 1):
         try:
             est = critical_epsilon(
-                poly,
-                m,
-                grid_n=args.grid_n,
-                bisection_tol=args.tol,
-                allow_large_grid=args.allow_large_grid,
+                poly, m, grid_n=args.grid_n, allow_large_grid=args.allow_large_grid
             )
         except DomainError as exc:
             print(f"{m:>3}  stopped: {exc}")

@@ -186,8 +186,8 @@ def _cmd_witness(args) -> dict:
 def _cmd_critical_eps(args) -> dict:
     poly = parse_polynomial(args.polynomial)
     print(
-        f"bisecting a {args.grid_n}^{args.m - poly.degree} residue grid "
-        f"to tolerance {args.tol}",
+        f"reading the exact threshold of a {args.grid_n}^{args.m - poly.degree} "
+        "residue grid from the zonotope facets",
         file=sys.stderr,
     )
     est = critical_epsilon(
@@ -396,10 +396,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", help="allowance; default: the constructive bound")
 
-    p = add("critical-eps", _cmd_critical_eps, help="bisect the covering threshold on a grid")
+    p = add("critical-eps", _cmd_critical_eps, help="exact covering threshold on a grid")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid-n", type=int, default=8, dest="grid_n")
-    p.add_argument("--tol", default="1/1000")
+    p.add_argument(
+        "--tol", default="1/1000", help="inert: validated and echoed, no longer affects the result"
+    )
     p.add_argument("--allow-large-grid", action="store_true")
 
     p = add("certify-nondense", _cmd_certify_nondense, help="exact volume refutation")

@@ -10,7 +10,8 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
                       target into Q while staying inside the eps/2 cube
   is_covered          exact decision, from the facet inequalities of the
                       eps-cube's zonotope image, of whether it covers one
-                      residue class (the grid probe behind critical_epsilon)
+                      residue class; critical_epsilon reads the exact grid
+                      threshold from the same facets
   certify_non_density exact zonotope volume of the cube-plus-lattice
                       parallelepiped; below 1 it refutes eps-density
 
@@ -50,7 +51,8 @@ GRID_DIMENSION_GUARD = 4
 WITNESS_RESIDUAL_TOL = 1e-6
 # integer offsets one covering probe may try; the test suite's largest tries ~5e4
 COVERING_OFFSET_GUARD = 10**6
-# minors certify_non_density may sum, sum_p C(d, p) C(m, p)
+# minors certify_non_density may sum, sum_p C(d, p) C(m, p), and minors the
+# zonotope facets may take, C(m, l-1) l
 MINOR_SUM_GUARD = 10**5
 
 
@@ -288,15 +290,26 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
     return True
 
 
-def _zonotope_facets(poly: IntPolynomial, m: int) -> list[tuple[tuple[int, ...], int]]:
+# (primitive facet normal c, support s_c) pairs of a zonotope
+_Facets = list[tuple[tuple[int, ...], int]]
+
+
+def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
     """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
 
     Each normal is the signed (l-1)-minor vector of l-1 columns g_j of the
     band matrix (l = m - deg A), made primitive with a positive leading entry;
     s_c = sum_j |c . g_j|, the coefficient 1-norm of C * A for C = sum c_i x^i.
+    More than MINOR_SUM_GUARD minors, C(m, l-1) * l, raise DomainError before
+    any is taken.
     """
     a = poly.coeffs
     ell = m - poly.degree
+    minors = math.comb(m, ell - 1) * ell
+    if minors > MINOR_SUM_GUARD:
+        raise DomainError(
+            f"the zonotope facets would take {minors} minors, above the guard {MINOR_SUM_GUARD}"
+        )
     cols = [[a[j - i] if 0 <= j - i < len(a) else 0 for i in range(ell)] for j in range(m)]
     facets: dict[tuple[int, ...], int] = {}
     for chosen in itertools.combinations(cols, ell - 1):
@@ -315,24 +328,27 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> list[tuple[tuple[int, ...],
     return list(facets.items())
 
 
-def _covered_general(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
-    """Some offset k in the box has every |c . (vv + k)| <= half * s_c."""
-    k_bound = half * poly.coefficient_sum_abs()
-    ranges = []
-    for vi in vv:
-        k_lo = math.ceil(-k_bound - vi)
-        k_hi = math.floor(k_bound - vi)
-        if k_lo > k_hi:
-            return False
-        ranges.append(range(k_lo, k_hi + 1))
+def _offset_box(vv: list[Fraction], reach: Fraction) -> list[range]:
+    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level."""
+    ranges = [range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv]
     offsets = math.prod(len(r) for r in ranges)
     if offsets > COVERING_OFFSET_GUARD:
         raise DomainError(
             f"covering would try {offsets} integer offsets, above the guard {COVERING_OFFSET_GUARD}"
         )
+    return ranges
+
+
+def _covered_general(facets: _Facets, width: int, half: Fraction, vv: list[Fraction]) -> bool:
+    """Some offset k has every |c . (vv + k)| <= half * s_c.
+
+    The zonotope lies in width [-1, 1]^l (width = sum |a_i|), so only offsets
+    with |vv + k|_inf <= half * width can.
+    """
+    ranges = _offset_box(vv, half * width)
     # c . k is an integer, so each facet pins it to an integer interval
     bounds = []
-    for c, s in _zonotope_facets(poly, m):
+    for c, s in facets:
         cv = sum(ci * vi for ci, vi in zip(c, vv))
         lo, hi = math.ceil(-half * s - cv), math.floor(half * s - cv)
         if lo > hi:
@@ -354,7 +370,8 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     exact integer and rational arithmetic.  Degree 1 instead sweeps the
     levels directly, carrying a union of feasible intervals, which stays
     polynomial in m.  The cube is closed, so boundary contact counts as
-    covered.  More than COVERING_OFFSET_GUARD offsets raise DomainError.
+    covered.  More than COVERING_OFFSET_GUARD offsets, or more than
+    MINOR_SUM_GUARD minors for the facets, raise DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -374,10 +391,10 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
-    return _covered_general(poly, m, half, vv)
+    return _covered_general(_zonotope_facets(poly, m), poly.coefficient_sum_abs(), half, vv)
 
 
-# ----- critical epsilon bisection -----
+# ----- exact grid threshold -----
 
 
 @dataclass(frozen=True)
@@ -392,6 +409,23 @@ class CriticalEpsilonEstimate:
     method_notes: str
 
 
+def _target_half_width(facets: _Facets, width: int, vv: list[Fraction]) -> Fraction:
+    """min over offsets k of max over facets c of |c . (vv + k)| / s_c.
+
+    The nearest offset gives a first value; any better k has v + k inside
+    that value times width [-1, 1]^l, so only that box is searched.
+    """
+    projections = [(c, sum(ci * vi for ci, vi in zip(c, vv)), s) for c, s in facets]
+
+    def gauge(k):
+        return max(abs(cv + sum(ci * ki for ci, ki in zip(c, k))) / s for c, cv, s in projections)
+
+    best = gauge([-round(vi) for vi in vv])
+    for k in itertools.product(*_offset_box(vv, best * width)):
+        best = min(best, gauge(k))
+    return best
+
+
 def critical_epsilon(
     poly: IntPolynomial,
     m: int,
@@ -399,12 +433,17 @@ def critical_epsilon(
     bisection_tol=Fraction(1, 1000),
     allow_large_grid: bool = False,
 ) -> CriticalEpsilonEstimate:
-    """Bisect for the smallest eps covering a grid of residue classes.
+    """Exact smallest eps covering a grid of residue classes.
 
-    Covering is exactly monotone in eps, so bisection brackets the grid
-    threshold to bisection_tol.  The reported upper bound adds the declared
-    grid margin (m - d)/grid_n for targets between grid points, capped at
-    the certified refined threshold which covers the whole torus.
+    The threshold is 2 max over grid targets v of min over integer offsets k
+    of max over the zonotope's facets c of |c . (v + k)| / s_c, read from one
+    facet list.  Targets far from an integer go first; one already covered at
+    the running threshold is skipped, and every other gets its exact minimum.
+    lower and estimate are that threshold.  The reported upper bound adds the
+    declared grid margin (m - d)/grid_n for targets between grid points,
+    capped at the certified refined threshold which covers the whole torus;
+    a grid threshold above that cap raises CertificateError.  bisection_tol
+    is validated and echoed but no longer affects the result.
     """
     d = poly.degree
     ell = m - d
@@ -421,46 +460,41 @@ def critical_epsilon(
     if tol <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(epsilon_bound(poly).eps_refined.hi)
+    facets = _zonotope_facets(poly, m)
+    width = poly.coefficient_sum_abs()
 
-    # far-from-integer targets first, so uncovered grids fail fast
+    # far-from-integer targets first, so the threshold rises early and most
+    # later targets are skipped
     order = sorted(
         itertools.product(range(grid_n), repeat=ell),
         key=lambda js: -sum(min(j, grid_n - j) for j in js),
     )
-    targets = [tuple(Fraction(j, grid_n) for j in js) for js in order]
-
-    def all_covered(e: Fraction) -> bool:
-        return all(is_covered(poly, m, e, t) for t in targets)
-
-    hi = cap + max(tol, Fraction(1, 10**9))
-    for attempt in range(5):
-        if all_covered(hi):
-            break
-        if attempt == 4:
-            raise CertificateError(
-                "grid covering failed above the certified threshold"
-            )
-        hi *= Fraction(5, 4)
-    lo = Fraction(0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if all_covered(mid):
-            hi = mid
+    tau = Fraction(0)
+    for js in order:
+        vv = [Fraction(j, grid_n) for j in js]
+        if d == 1:
+            covered = _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, tau / 2, vv)
         else:
-            lo = mid
+            covered = _covered_general(facets, width, tau / 2, vv)
+        if covered:
+            continue
+        tau = 2 * _target_half_width(facets, width, vv)
+        if tau > cap:
+            raise CertificateError(
+                f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"
+            )
     margin = Fraction(ell, grid_n)
-    upper = min(hi + margin, cap)
     notes = (
-        f"bisection to {tol} over a {grid_n}^{ell} residue grid; "
-        f"upper adds the grid margin {margin} and is capped at the certified "
-        f"torus-wide threshold {float(cap):.6g}"
+        f"exact threshold over a {grid_n}^{ell} residue grid from the zonotope "
+        f"facets; upper adds the grid margin {margin} and is capped at the "
+        f"certified torus-wide threshold {float(cap):.6g}"
     )
     return CriticalEpsilonEstimate(
         poly=poly,
         m=m,
-        lower=lo,
-        upper=upper,
-        estimate=max(lo, min((lo + hi) / 2, upper)),
+        lower=tau,
+        upper=min(tau + margin, cap),
+        estimate=tau,
         grid_resolution=grid_n,
         bisection_tol=tol,
         method_notes=notes,

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from typing import Sequence
+
+from kronrec.density import is_covered
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -59,3 +63,31 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         k += 1
     diag = [abs(a[i][i]) for i in range(k)] + [0] * (n - k)
     return tuple(diag)
+
+
+def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """Bracket (lo, hi] of the smallest eps covering every class of a residue grid.
+
+    The search route to density.critical_epsilon's exact threshold: covering
+    is monotone in eps and eps = 1 covers every class (the cube alone reaches
+    an integer point), so bisection on the public is_covered probe keeps some
+    class uncovered at lo and all of them covered at hi, until hi - lo <= tol.
+    """
+    targets = [
+        tuple(Fraction(j, grid_n) for j in js)
+        for js in itertools.product(range(grid_n), repeat=m - poly.degree)
+    ]
+
+    def all_covered(e: Fraction) -> bool:
+        return all(is_covered(poly, m, e, t) for t in targets)
+
+    lo, hi = Fraction(0), Fraction(1)
+    if not all_covered(hi):
+        raise AssertionError("eps = 1 must cover every residue class")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if all_covered(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -135,10 +135,10 @@ def test_critical_eps_report_and_stderr_progress(capsys):
         capsys, "critical-eps", "--m", "2", "--grid-n", "4", "--tol", "1/100", "-2,1"
     )
     assert code == 0
-    assert "bisecting" in err
+    assert "exact threshold of a 4^1 residue grid" in err
     doc = json.loads(out)  # stdout stays machine-clean
+    assert doc["estimate"] == "1/3"
     estimate = Fraction(str(doc["estimate"]))
-    assert abs(estimate - Fraction(1, 3)) < Fraction(1, 50)
     assert Fraction(str(doc["lower"])) <= estimate <= Fraction(str(doc["upper"]))
 
 

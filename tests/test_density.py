@@ -1,5 +1,6 @@
 """Hand-checked values and invariants for the torus density toolkit."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -23,15 +24,17 @@ from kronrec.density import (
     is_covered,
     witness,
 )
-from kronrec.errors import DomainError, KronrecError
-from kronrec.intervals import interval_min
+from kronrec.errors import CertificateError, DomainError, KronrecError
+from kronrec.intervals import Interval, interval_min
 from kronrec.lattice_structure import basis_N
 from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
 from kronrec.recurrence_matrices import band_rows
+from oracles import bisect_grid_threshold
 
 SHIFT2 = IntPolynomial((-2, 1))  # x - 2
 GOLDEN = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
 CYCLO = IntPolynomial((1, 1))  # x + 1
+WORKED = IntPolynomial((3, -2, -9, -3, 9))
 
 
 @st.composite
@@ -278,6 +281,11 @@ def test_covered_rejects():
         is_covered(IntPolynomial((0, 1, 1)), 3, Fraction(1, 2), Fraction(1, 2))
 
 
+def _covered_facets(poly, m, half, vv):
+    """The facet test on a freshly built facet list, whatever the degree."""
+    return _covered_general(_zonotope_facets(poly, m), poly.coefficient_sum_abs(), half, vv)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(1, 9),
@@ -296,7 +304,7 @@ def test_covered_linear_agrees_with_general(a0_mag, a1, sign, ell, eps, data):
     v = [data.draw(st.fractions(min_value=0, max_value=1)) for _ in range(ell)]
     half = eps / 2
     vv = [x % 1 for x in v]
-    assert _covered_linear(a0, a1, ell, half, vv) == _covered_general(
+    assert _covered_linear(a0, a1, ell, half, vv) == _covered_facets(
         poly, ell + 1, half, vv
     )
 
@@ -404,7 +412,7 @@ def test_facet_test_agrees_with_fourier_motzkin(poly, ell, data):
         poly, ell, lambda lo, hi: data.draw(st.fractions(lo, hi, max_denominator=12))
     )
     m = poly.degree + ell
-    assert _covered_general(poly, m, half, vv) == _covered_fm(poly, m, half, vv)
+    assert _covered_facets(poly, m, half, vv) == _covered_fm(poly, m, half, vv)
 
 
 def test_facet_and_fm_agree_on_both_sides():
@@ -416,7 +424,7 @@ def test_facet_and_fm_agree_on_both_sides():
         poly = IntPolynomial(tuple(coeffs) + (rng.choice((-1, 1)),))
         ell = rng.randint(1, 3)
         half, vv = _covering_case(poly, ell, lambda lo, hi: Fraction(rng.randint(0, 12), 12))
-        got = _covered_general(poly, poly.degree + ell, half, vv)
+        got = _covered_facets(poly, poly.degree + ell, half, vv)
         assert got == _covered_fm(poly, poly.degree + ell, half, vv)
         outcomes.append(got)
     assert True in outcomes and False in outcomes
@@ -437,6 +445,13 @@ def test_covering_offset_guard():
     assert 6**7 <= COVERING_OFFSET_GUARD < 6**8
     with pytest.raises(DomainError, match=str(6**8)):
         is_covered(GOLDEN, 10, 2, [Fraction(1, 3)] * 8)
+
+
+def test_facet_guard():
+    # C(m, l-1) l minors for x^2 - x - 1: 98658 at m = 29, 113680 at m = 30
+    assert math.comb(29, 26) * 27 <= MINOR_SUM_GUARD < math.comb(30, 27) * 28 == 113680
+    with pytest.raises(DomainError, match="113680 minors"):
+        is_covered(GOLDEN, 30, Fraction(1, 100), [0] * 28)
 
 
 # --- critical_epsilon ---
@@ -476,6 +491,62 @@ def test_critical_grid_guard():
         SHIFT2, 7, grid_n=2, bisection_tol=Fraction(1, 50), allow_large_grid=True
     )
     assert est.lower <= est.upper
+
+
+def test_grid_threshold_hand_values():
+    # x - 2 on a grid of 4: 2^(l-1) / (2^l + 1) for l = m - 1
+    for m in range(3, 7):
+        est = critical_epsilon(SHIFT2, m, grid_n=4, allow_large_grid=True)
+        assert est.lower == est.estimate == Fraction(2 ** (m - 2), 2 ** (m - 1) + 1)
+    for m, tau in ((4, Fraction(1, 2)), (5, Fraction(1, 2)), (6, Fraction(3, 5))):
+        assert critical_epsilon(GOLDEN, m, grid_n=4).estimate == tau
+    assert critical_epsilon(WORKED, 6).estimate == Fraction(2, 41)
+    est = critical_epsilon(IntPolynomial((1, 0, 0, 1)), 5, grid_n=2)
+    assert est.estimate == Fraction(1, 2)
+    assert est.upper == Fraction(epsilon_bound(IntPolynomial((1, 0, 0, 1))).eps_refined.hi)
+
+
+def test_grid_threshold_inside_bisection_bracket():
+    rng = random.Random(5)
+    tol = Fraction(1, 1000)
+    for d in range(1, 5):
+        for ell in range(1, 4):
+            while True:
+                ends = [rng.choice((-2, -1, 1, 2)) for _ in range(2)]
+                poly = IntPolynomial((ends[0], *(rng.randint(-2, 2) for _ in range(d - 1)), ends[1]))
+                if poly.is_primitive:
+                    break
+            m, grid_n = d + ell, rng.randint(2, 4)
+            tau = critical_epsilon(poly, m, grid_n=grid_n).estimate
+            lo, hi = bisect_grid_threshold(poly, m, grid_n, tol)
+            assert lo < tau <= hi
+            grid = [Fraction(j, grid_n) for j in range(grid_n)]
+            targets = list(itertools.product(grid, repeat=ell))
+            assert all(is_covered(poly, m, tau, t) for t in targets)
+            assert not all(is_covered(poly, m, tau - Fraction(1, 10**9), t) for t in targets)
+
+
+def test_critical_builds_facets_once(monkeypatch):
+    calls = []
+
+    def counted(poly, m):
+        calls.append((poly, m))
+        return _zonotope_facets(poly, m)
+
+    monkeypatch.setattr(density, "_zonotope_facets", counted)
+    for poly, m in ((GOLDEN, 5), (SHIFT2, 4)):
+        calls.clear()
+        critical_epsilon(poly, m, grid_n=4)
+        assert calls == [(poly, m)]
+
+
+def test_critical_threshold_above_cap_raises(monkeypatch):
+    real = epsilon_bound(GOLDEN)
+    low = dataclasses.replace(real, eps_refined=Interval.point(0.25))
+    monkeypatch.setattr(density, "epsilon_bound", lambda poly: low)
+    # the grid threshold of x^2 - x - 1 at m = 4 on a grid of 4 is 1/2
+    with pytest.raises(CertificateError):
+        critical_epsilon(GOLDEN, 4, grid_n=4)
 
 
 def test_critical_rejects():
