@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from .density import (
     epsilon_bound,
     witness,
 )
-from .errors import KronrecError, ParseError
+from .errors import CertificateError, KronrecError, ParseError
 from .intervals import Interval
 from .lattice_structure import (
     PIVOT_RULES,
@@ -45,6 +46,9 @@ from .toeplitz import (
 
 SCHEMA = "kronrec/1"
 FORMATS = ("json", "csv", "pretty")
+# largest relative difference trench accepts between Trench's numeric
+# determinant and the direct one
+TRENCH_TOL = 1e-9
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -305,12 +309,14 @@ def _cmd_trench(args) -> dict:
     data = trench_data(symbol, args.n)
     direct = toeplitz_det_direct(symbol, args.n - 1)
     closed = data.determinant
+    # the exact route must agree exactly, the numeric one to TRENCH_TOL
     if isinstance(closed, Fraction):
-        rel = 0.0 if closed == direct else float(abs(closed - direct) / max(1, abs(direct)))
-        closed_out = _rat(closed)
+        agree, rel, closed_out = closed == direct, 0.0, _rat(closed)
     else:
         rel = abs(closed - float(direct)) / max(1.0, abs(float(direct)))
-        closed_out = closed
+        agree, closed_out = rel <= TRENCH_TOL, closed
+    if not agree:
+        raise CertificateError(f"Trench determinant {closed_out} disagrees with the direct {direct}")
     return {
         "command": "trench",
         "symbol": [_rat(c) for c in symbol.coeffs],
@@ -370,6 +376,7 @@ def _cmd_lyons(args) -> dict:
 # ----- parser -----
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kronrec",
@@ -441,6 +448,7 @@ _NUMERIC_DATA = re.compile(r"^-[0-9.][0-9.,/-]*$")
 
 
 def main(argv=None) -> int:
+    # cached: built at the first call rather than at import, which stays cheap
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]

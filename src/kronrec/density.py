@@ -8,10 +8,12 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
                       product max(|alpha|, 1-|alpha|)
   factor_real/witness the constructive two-stage perturbation moving any
                       target into Q while staying inside the eps/2 cube
-  is_covered          exact decision, from the facet inequalities of the
-                      eps-cube's zonotope image, of whether it covers one
-                      residue class; critical_epsilon reads the exact grid
-                      threshold from the same facets
+  is_covered          exact decision of whether the eps-cube's image, the
+                      zonotope band(A) (eps/2) [-1, 1]^m, covers one residue
+                      class: its least gauge over integer offsets, searched
+                      from the zonotope's facets in integer arithmetic, is
+                      at most eps/2; critical_epsilon reads the exact grid
+                      threshold from the same search
   certify_non_density exact zonotope volume of the cube-plus-lattice
                       parallelepiped; below 1 it refutes eps-density
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CertificateError, DomainError, KronrecError
+from .errors import CertificateError, DomainError
 from .exact_linalg import coerce_rational, det_exact
 from .intervals import Interval, interval_min
 from .lattice_structure import integral_basis
@@ -189,7 +191,11 @@ def witness(
     coordinates pinned to 0).  Second, w solves the triangular system
     {C}_m w = (0,...,0, w') by forward substitution, which amplifies the
     sup-norm by at most prod 1/(1-|gamma|).  k is recovered by rounding,
-    and the residual reported from an independent matrix multiply.
+    and the residual reported from an independent matrix multiply.  Before
+    returning, the exact values of the returned floats are checked in
+    rationals: |w|_inf <= eps/2, and every row of band(A)(target + w) lies
+    within WITNESS_RESIDUAL_TOL of its k_i; a failure raises
+    CertificateError.
     """
     d = poly.degree
     if m <= d:
@@ -235,9 +241,21 @@ def witness(
         ki = round(row_val)
         k.append(int(ki))
         residual = max(residual, abs(row_val - ki))
-    if residual > WITNESS_RESIDUAL_TOL:
-        raise KronrecError(
-            f"witness residual {residual:.3e} exceeds tolerance {WITNESS_RESIDUAL_TOL:.3e}"
+
+    # the certificate, exact on the binary values of the floats returned:
+    # each is an integer over their common power-of-two denominator den
+    pairs = [x.as_integer_ratio() for x in (*tvec, *w)]
+    den = max(q for _, q in pairs)
+    tw = [n * (den // q) for n, q in pairs]
+    sup = Fraction(max(abs(x) for x in tw[m:]), den)
+    miss = max(
+        Fraction(abs(sum(a[j] * (tw[i + j] + tw[m + i + j]) for j in range(d + 1)) - ki * den), den)
+        for i, ki in enumerate(k)
+    )
+    if sup > Fraction(eps) / 2 or miss > WITNESS_RESIDUAL_TOL:
+        raise CertificateError(
+            f"witness fails its exact check: |w|_inf = {float(sup):.6g} against eps/2 = "
+            f"{eps / 2:.6g}, row residual {float(miss):.3e} against {WITNESS_RESIDUAL_TOL:.3e}"
         )
     return DensityWitness(
         poly=poly,
@@ -339,39 +357,52 @@ def _offset_box(vv: list[Fraction], reach: Fraction) -> list[range]:
     return ranges
 
 
-def _covered_general(facets: _Facets, width: int, half: Fraction, vv: list[Fraction]) -> bool:
-    """Some offset k has every |c . (vv + k)| <= half * s_c.
+def _least_gauge(facets: _Facets, vv: list[Fraction], stop: Fraction, box) -> Fraction:
+    """min over offsets k of the gauge max_c |c . (vv + k)| / s_c, down to stop.
 
-    The zonotope lies in width [-1, 1]^l (width = sum |a_i|), so only offsets
-    with |vv + k|_inf <= half * width can.
+    The nearest offset -round(vv) is scored first, then every offset of
+    box(g), g being the nearest one's gauge.  Scores are integers over the common denominator
+    q * lcm(s_c) (q that of vv); an offset is scored only while it beats the
+    best so far on every facet, and the search returns at the first score at
+    or below stop.  A result above stop is the least gauge over those
+    offsets; one at or below stop only bounds it.
     """
-    ranges = _offset_box(vv, half * width)
-    # c . k is an integer, so each facet pins it to an integer interval
-    bounds = []
-    for c, s in facets:
-        cv = sum(ci * vi for ci, vi in zip(c, vv))
-        lo, hi = math.ceil(-half * s - cv), math.floor(half * s - cv)
-        if lo > hi:
-            return False
-        bounds.append((c, lo, hi))
-    return any(
-        all(lo <= sum(ci * ki for ci, ki in zip(c, k)) <= hi for c, lo, hi in bounds)
-        for k in itertools.product(*ranges)
-    )
+    q = math.lcm(*(vi.denominator for vi in vv))
+    unit = math.lcm(*(s for _, s in facets))
+    qv = [vi.numerator * (q // vi.denominator) for vi in vv]
+    rows = [(c, sum(ci * x for ci, x in zip(c, qv)), unit // s) for c, s in facets]
+    goal = math.floor(stop * q * unit)
+
+    def score(k, best):
+        worst = 0
+        for c, cv, weight in rows:
+            x = abs(cv + q * sum(ci * ki for ci, ki in zip(c, k))) * weight
+            if x >= best:
+                return best
+            worst = max(worst, x)
+        return worst
+
+    best = score([-round(vi) for vi in vv], math.inf)
+    if best > goal:
+        for k in itertools.product(*box(Fraction(best, q * unit))):
+            best = score(k, best)
+            if best <= goal:
+                break
+    return Fraction(best, q * unit)
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     """Exact decision: does some w in [-eps/2, eps/2]^m give band(A) w = v + k?
 
     The image of the cube is the zonotope (eps/2) Z with Z = band(A) [-1, 1]^m,
-    so v + k is reached exactly when |c . (v + k)| <= (eps/2) s_c for every
-    facet normal c of Z and its support s_c.  All integer offsets k with
-    |k + v|_inf <= (eps/2) sum|a_i| are tried against those inequalities in
-    exact integer and rational arithmetic.  Degree 1 instead sweeps the
-    levels directly, carrying a union of feasible intervals, which stays
-    polynomial in m.  The cube is closed, so boundary contact counts as
-    covered.  More than COVERING_OFFSET_GUARD offsets, or more than
-    MINOR_SUM_GUARD minors for the facets, raise DomainError.
+    so v + k is reached exactly when its gauge max_c |c . (v + k)| / s_c over
+    the facet normals c of Z and their supports s_c is at most eps/2.  The
+    least gauge is searched, in integer arithmetic, over the offsets k with
+    |k + v|_inf <= (eps/2) sum|a_i|.  Degree 1 instead sweeps the levels
+    directly, carrying a union of feasible intervals, which stays polynomial
+    in m.  The cube is closed, so boundary contact counts as covered.  More
+    than COVERING_OFFSET_GUARD offsets, or more than MINOR_SUM_GUARD minors
+    for the facets, raise DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -382,16 +413,15 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     half = coerce_rational(eps) / 2
     if half < 0:
         raise DomainError("eps must be nonnegative")
-    if isinstance(v, (list, tuple)):
-        raw = list(v)
-    else:
-        raw = [v]
+    raw = list(v) if isinstance(v, (list, tuple)) else [v]
     if len(raw) != ell:
         raise DomainError(f"v must have length m - deg A = {ell}")
     vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
-    return _covered_general(_zonotope_facets(poly, m), poly.coefficient_sum_abs(), half, vv)
+    facets = _zonotope_facets(poly, m)
+    box = _offset_box(vv, half * poly.coefficient_sum_abs())
+    return _least_gauge(facets, vv, half, lambda g: box) <= half
 
 
 # ----- exact grid threshold -----
@@ -409,23 +439,6 @@ class CriticalEpsilonEstimate:
     method_notes: str
 
 
-def _target_half_width(facets: _Facets, width: int, vv: list[Fraction]) -> Fraction:
-    """min over offsets k of max over facets c of |c . (vv + k)| / s_c.
-
-    The nearest offset gives a first value; any better k has v + k inside
-    that value times width [-1, 1]^l, so only that box is searched.
-    """
-    projections = [(c, sum(ci * vi for ci, vi in zip(c, vv)), s) for c, s in facets]
-
-    def gauge(k):
-        return max(abs(cv + sum(ci * ki for ci, ki in zip(c, k))) / s for c, cv, s in projections)
-
-    best = gauge([-round(vi) for vi in vv])
-    for k in itertools.product(*_offset_box(vv, best * width)):
-        best = min(best, gauge(k))
-    return best
-
-
 def critical_epsilon(
     poly: IntPolynomial,
     m: int,
@@ -435,11 +448,13 @@ def critical_epsilon(
 ) -> CriticalEpsilonEstimate:
     """Exact smallest eps covering a grid of residue classes.
 
-    The threshold is 2 max over grid targets v of min over integer offsets k
-    of max over the zonotope's facets c of |c . (v + k)| / s_c, read from one
-    facet list.  Targets far from an integer go first; one already covered at
-    the running threshold is skipped, and every other gets its exact minimum.
-    lower and estimate are that threshold.  The reported upper bound adds the
+    The threshold is 2 max over grid targets v of the least gauge of v: the
+    min over integer offsets k of max over the zonotope's facets c of
+    |c . (v + k)| / s_c, read from one facet list for every degree.  Targets
+    far from an integer go first, and each target gets one gauge search
+    that stops as soon as it is covered at the running threshold, so only
+    targets that raise it are searched to their exact minimum.  lower and
+    estimate are that threshold.  The reported upper bound adds the
     declared grid margin (m - d)/grid_n for targets between grid points,
     capped at the certified refined threshold which covers the whole torus;
     a grid threshold above that cap raises CertificateError.  bisection_tol
@@ -472,13 +487,9 @@ def critical_epsilon(
     tau = Fraction(0)
     for js in order:
         vv = [Fraction(j, grid_n) for j in js]
-        if d == 1:
-            covered = _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, tau / 2, vv)
-        else:
-            covered = _covered_general(facets, width, tau / 2, vv)
-        if covered:
-            continue
-        tau = 2 * _target_half_width(facets, width, vv)
+        # an offset beating the nearest one's gauge g has |vv + k|_inf <= g * width
+        gauge = _least_gauge(facets, vv, tau / 2, lambda g: _offset_box(vv, g * width))
+        tau = max(tau, 2 * gauge)
         if tau > cap:
             raise CertificateError(
                 f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"

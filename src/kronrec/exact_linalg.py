@@ -207,13 +207,9 @@ def coerce_rational(x) -> Fraction:
     """Exact value of an int, Fraction, finite float (its binary value) or numeric string."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError("need a finite number")
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError("need a finite number")
+    if isinstance(x, (int, float, str)):
         return Fraction(x)
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 

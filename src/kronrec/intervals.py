@@ -86,9 +86,6 @@ class Interval:
     def max_with(self, c: float) -> "Interval":
         return Interval(max(self.lo, c), max(self.hi, c))
 
-    def clamp_nonnegative(self) -> "Interval":
-        return Interval(max(self.lo, 0.0), max(self.hi, 0.0))
-
 
 def interval_min(a: Interval, b: Interval) -> Interval:
     """Enclosure of min(x, y) for x in a, y in b."""

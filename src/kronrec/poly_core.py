@@ -37,7 +37,6 @@ __all__ = [
     "ComplexRootSet",
     "MahlerMeasure",
     "MAHLER_VARIANTS",
-    "DEFAULT_TARGET_RADIUS",
     "parse_polynomial",
     "conjugate",
     "roots",
@@ -46,9 +45,8 @@ __all__ = [
     "working_dps",
 ]
 
-DEFAULT_TARGET_RADIUS = 1e-12
-# below this the float64 values returned to callers cannot carry the claim
-MIN_TARGET_RADIUS = 5e-15
+# radius each certified root disk is first asked to reach
+_TARGET_RADIUS = 1e-12
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
 
 _MAX_DPS = 1600
@@ -109,10 +107,6 @@ class IntPolynomial:
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    @property
-    def constant_term_nonzero(self) -> bool:
-        return self.coeffs[0] != 0
-
     def evaluate(self, x):
         return _horner(self.coeffs, x)
 
@@ -133,8 +127,6 @@ class IntPolynomial:
                 xpow = "x" if i == 1 else f"x^{i}"
                 body = xpow if mag == 1 else f"{mag}{xpow}"
             parts.append((sign, body))
-        if not parts:
-            return "0"
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
@@ -309,10 +301,6 @@ class RootEnclosure:
     radius: float
     multiplicity: int
 
-    @property
-    def is_real(self) -> bool:
-        return self.value.imag == 0.0
-
 
 @dataclass(frozen=True)
 class ComplexRootSet:
@@ -486,14 +474,13 @@ def _certified_simple_roots(cs: tuple[int, ...], target: float) -> list[tuple[co
     )
 
 
-def roots(poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS) -> ComplexRootSet:
+def roots(poly: IntPolynomial) -> ComplexRootSet:
     """All complex roots with exact multiplicities and certified radii.
 
-    Radii are at most target_radius and the closed disks are pairwise
+    Radii are at most 1e-12, and a hundredfold smaller on each retry while
+    disks of coprime factors overlap; the closed disks are pairwise
     disjoint, so each contains exactly one distinct root of the polynomial.
     """
-    if target_radius < MIN_TARGET_RADIUS:
-        raise DomainError(f"target_radius below the certifiable floor {MIN_TARGET_RADIUS:g}")
     if poly.degree == 0:
         return ComplexRootSet(poly, ())
 
@@ -504,7 +491,7 @@ def roots(poly: IntPolynomial, target_radius: float = DEFAULT_TARGET_RADIUS) -> 
     for q, mult in rationals:
         v = complex(float(q), 0.0)
         exact.append(RootEnclosure(v, _conversion_slack(v), mult))
-    target = target_radius
+    target = _TARGET_RADIUS
     for _ in range(4):
         enclosures = list(exact)
         for fac, mult in leftovers:
@@ -544,7 +531,7 @@ class MahlerMeasure:
 
 def _modulus_interval(enc: RootEnclosure) -> Interval:
     h = math.hypot(enc.value.real, enc.value.imag)
-    return Interval.from_center(h, enc.radius + 4 * math.ulp(h)).clamp_nonnegative()
+    return Interval.from_center(h, enc.radius + 4 * math.ulp(h)).max_with(0.0)
 
 
 def _refined_factor(modulus: Interval) -> Interval:

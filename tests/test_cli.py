@@ -1,10 +1,12 @@
 """End-to-end command-line checks: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from kronrec import cli
 from kronrec.cli import main
 
 
@@ -95,6 +97,32 @@ def test_trench_autocorrelate(capsys):
     assert doc["relative_difference"] == 0.0
     assert doc["exact"] is True
     assert doc["matrix_size"] == 3
+
+
+def test_trench_rejects_disagreeing_closed_form(capsys, monkeypatch):
+    real = cli.trench_data
+
+    def off_by(delta):
+        def patched(symbol, n):
+            data = real(symbol, n)
+            return dataclasses.replace(data, determinant=data.determinant + delta)
+
+        return patched
+
+    # the exact path may not differ at all
+    monkeypatch.setattr(cli, "trench_data", off_by(Fraction(1, 10**30)))
+    code, out, err = run(capsys, "trench", "--n", "3", "--autocorrelate", "-2,1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CertificateError"
+    # the numeric path may differ by TRENCH_TOL relative to |direct|, no more
+    argv = ("trench", "--n", "20", "--autocorrelate", "1,1,-1")
+    direct = abs(run_json(capsys, *argv)["direct"])
+    monkeypatch.setattr(cli, "trench_data", off_by(direct * cli.TRENCH_TOL / 2))
+    assert run_json(capsys, *argv)["relative_difference"] > 0
+    monkeypatch.setattr(cli, "trench_data", off_by(direct * cli.TRENCH_TOL * 2))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CertificateError"
 
 
 def test_trench_raw_symbol(capsys):
@@ -233,3 +261,21 @@ def test_bad_target_is_usage_error(capsys):
     )
     assert code == 2
     assert out == ""
+
+
+def test_parser_built_once_and_reused(capsys):
+    commands = [
+        ("mahler", "--variant", "half_scaled", "-1,-1,1"),
+        ("--format", "csv", "bound", "3,-2,-9,-3,9"),
+        ("critical-eps", "--m", "4", "--grid-n", "4", "-1,-1,1"),
+        ("trench", "--n", "3", "--autocorrelate", "-2,1"),
+        ("basis", "1,1"),  # usage error: missing --p/--m
+        ("mahler", "--variant", "half_scaled", "-1,-1,1"),
+    ]
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in commands]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+    for argv, (code, out, err) in zip(commands, reused):
+        cli._build_parser.cache_clear()
+        assert run(capsys, *argv) == (code, out, err)

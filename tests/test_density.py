@@ -14,8 +14,9 @@ from kronrec import density, poly_core
 from kronrec.density import (
     COVERING_OFFSET_GUARD,
     MINOR_SUM_GUARD,
-    _covered_general,
     _covered_linear,
+    _least_gauge,
+    _offset_box,
     _zonotope_facets,
     certify_non_density,
     critical_epsilon,
@@ -224,6 +225,26 @@ def test_witness_accepts_larger_eps():
     assert max(abs(x) for x in wit.w) <= 0.25 + 1e-12
 
 
+def test_witness_checks_its_certificate_exactly(monkeypatch):
+    target = (0.3, 0.9, 0.1)
+    real = factor_real(SHIFT2)
+    sup = max(abs(x) for x in witness(SHIFT2, 3, target).w)  # 0.225, set by delta alone
+
+    def understate(eps):
+        monkeypatch.setattr(density, "factor_real", lambda poly: dataclasses.replace(real, eps=eps))
+
+    # an understated eps leaves the perturbation outside its cube
+    understate(real.eps / 4)
+    with pytest.raises(CertificateError, match="exact check"):
+        witness(SHIFT2, 3, target)
+    # the check is exact: the cube of 2 sup holds w, the next float below does not
+    understate(2 * sup)
+    assert witness(SHIFT2, 3, target).eps_used == 2 * sup
+    understate(math.nextafter(2 * sup, 0))
+    with pytest.raises(CertificateError):
+        witness(SHIFT2, 3, target)
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
 @given(
     primitive_polys(),
@@ -282,8 +303,9 @@ def test_covered_rejects():
 
 
 def _covered_facets(poly, m, half, vv):
-    """The facet test on a freshly built facet list, whatever the degree."""
-    return _covered_general(_zonotope_facets(poly, m), poly.coefficient_sum_abs(), half, vv)
+    """The least-gauge search on a freshly built facet list, whatever the degree."""
+    box = _offset_box(vv, half * poly.coefficient_sum_abs())
+    return _least_gauge(_zonotope_facets(poly, m), vv, half, lambda g: box) <= half
 
 
 @settings(max_examples=120, deadline=None)

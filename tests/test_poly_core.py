@@ -152,13 +152,6 @@ def test_roots_cubic_conjugate_symmetry():
     assert a.value == b.value.conjugate()
 
 
-def test_roots_tight_radius_request():
-    rs = roots(poly(-1, -1, 1), target_radius=1e-13)
-    assert all(r.radius <= 1e-13 for r in rs.roots)
-    with pytest.raises(DomainError):
-        roots(poly(-1, -1, 1), target_radius=1e-20)
-
-
 # each has the roots +-i; Aberth lands on them below working precision, where
 # the Weierstrass radii (0 where p rounds to 0) drop under the rounding noise
 @pytest.mark.parametrize(
