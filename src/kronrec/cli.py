@@ -46,9 +46,6 @@ from .toeplitz import (
 
 SCHEMA = "kronrec/1"
 FORMATS = ("json", "csv", "pretty")
-# largest relative difference trench accepts between Trench's numeric
-# determinant and the direct one
-TRENCH_TOL = 1e-9
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -308,15 +305,11 @@ def _cmd_trench(args) -> dict:
         symbol = LaurentSymbol.from_coefficients(coeffs, args.r)
     data = trench_data(symbol, args.n)
     direct = toeplitz_det_direct(symbol, args.n - 1)
-    closed = data.determinant
-    # the exact route must agree exactly, the numeric one to TRENCH_TOL
-    if isinstance(closed, Fraction):
-        agree, rel, closed_out = closed == direct, 0.0, _rat(closed)
-    else:
-        rel = abs(closed - float(direct)) / max(1.0, abs(float(direct)))
-        agree, closed_out = rel <= TRENCH_TOL, closed
-    if not agree:
-        raise CertificateError(f"Trench determinant {closed_out} disagrees with the direct {direct}")
+    if data.determinant != direct:
+        raise CertificateError(
+            f"Trench determinant {_rat(data.determinant)} disagrees with the direct {direct}"
+        )
+    # relative_difference and dps_used are fixed, kept for the kronrec/1 schema
     return {
         "command": "trench",
         "symbol": [_rat(c) for c in symbol.coeffs],
@@ -324,11 +317,11 @@ def _cmd_trench(args) -> dict:
         "s": symbol.s,
         "n": data.n,
         "matrix_size": data.matrix_size,
-        "trench": closed_out,
+        "trench": _rat(data.determinant),
         "direct": _rat(direct),
-        "relative_difference": rel,
+        "relative_difference": 0.0,
         "exact": data.exact,
-        "dps_used": data.dps_used,
+        "dps_used": None,
     }
 
 
@@ -427,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("index", _cmd_index, help="integral lattice basis and its index")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("trench", _cmd_trench, help="banded Toeplitz determinant, both routes")
+    p = add("trench", _cmd_trench,
+            help="banded Toeplitz determinant: exact closed form against direct expansion")
     p.add_argument("--n", type=int, required=True, help="matrix size (returns D_{n-1})")
     p.add_argument("--r", type=int, help="negative band width of the raw symbol")
     p.add_argument("--autocorrelate", action="store_true",

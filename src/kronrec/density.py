@@ -195,7 +195,8 @@ def witness(
     returning, the exact values of the returned floats are checked in
     rationals: |w|_inf <= eps/2, and every row of band(A)(target + w) lies
     within WITNESS_RESIDUAL_TOL of its k_i; a failure raises
-    CertificateError.
+    CertificateError.  A non-finite target entry, or a row of band(A) times
+    the target that overflows a float, raises DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -203,6 +204,8 @@ def witness(
     tvec = [float(x) for x in target]
     if len(tvec) != m:
         raise DomainError(f"target must have length m = {m}")
+    if not all(map(math.isfinite, tvec)):
+        raise DomainError("target entries must be finite")
     fact = factor_real(poly)
     if eps is None:
         eps = fact.eps
@@ -212,7 +215,10 @@ def witness(
         )
     a = poly.coeffs
     ell = m - d
-    v = [(-sum(a[j] * tvec[i + j] for j in range(d + 1))) % 1.0 for i in range(ell)]
+    rows = [sum(a[j] * tvec[i + j] for j in range(d + 1)) for i in range(ell)]
+    if not all(map(math.isfinite, rows)):
+        raise DomainError("a row of band(A) times the target overflows a float")
+    v = [-x % 1.0 for x in rows]
 
     b = fact.b_coeffs
     s = len(b) - 1

@@ -10,11 +10,10 @@ each in a Weierstrass disk: for pairwise distinct test points z_1..z_n the
 disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero
 set, so pairwise disjoint disks isolate exactly one zero each.
 
-Both serve two callers.  `roots` converts the disks to floats and escalates
-precision until the requested radius is certified or the cap is hit; every
-Mahler variant and the refined product are folds over that one root set.
-Trench's closed form in `toeplitz` takes the same decomposition and the
-iteration's mp-precision centres, warm-started from level to level.
+`roots` is the one caller of both.  It converts the disks to floats and
+escalates precision until the requested radius is certified or the cap is
+hit; every Mahler variant and the refined product are folds over that one
+root set.
 """
 
 from __future__ import annotations
@@ -337,11 +336,10 @@ def _conversion_slack(z: complex) -> float:
     return 2.0 * (math.ulp(abs(z.real)) + math.ulp(abs(z.imag))) + 1e-300
 
 
-def _aberth(cs: tuple[int, ...], dps: int, start=None):
+def _aberth(cs: tuple[int, ...], dps: int):
     """Aberth-Ehrlich iteration on a square-free integer polynomial at dps digits.
 
-    Starts from the points in start (e.g. a lower precision's centres) or, by
-    default, from a circle enclosing every root.  Returns (centres, radii,
+    Starts from a circle enclosing every root.  Returns (centres, radii,
     strict) as mpmath numbers, with Weierstrass radii, points whose disk
     touches the real axis snapped onto it, and complex centres paired into
     exact conjugates; None when the radii cannot be formed or the pairing
@@ -355,14 +353,11 @@ def _aberth(cs: tuple[int, ...], dps: int, start=None):
         coeffs = [mp.mpf(c) for c in cs]
         dcoeffs = [mp.mpf(i * cs[i]) for i in range(1, n + 1)]
         lead = coeffs[-1]
-        if start is None:
-            radius0 = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-            zs = [
-                mp.mpc(mp.cos(0.4 + 2 * mp.pi * k / n), mp.sin(0.4 + 2 * mp.pi * k / n)) * radius0 * 0.75
-                for k in range(n)
-            ]
-        else:
-            zs = [mp.mpc(z) for z in start]
+        radius0 = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
+        zs = [
+            mp.mpc(mp.cos(0.4 + 2 * mp.pi * k / n), mp.sin(0.4 + 2 * mp.pi * k / n)) * radius0 * 0.75
+            for k in range(n)
+        ]
         tol = mp.mpf(10) ** (-(dps - 6))
         for _ in range(40 + 12 * n):
             worst = mp.mpf(0)

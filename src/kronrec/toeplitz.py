@@ -3,13 +3,17 @@
 The Gram matrix of the rows of a band matrix [B]_l is the l x l Toeplitz
 matrix of the Laurent symbol B(x)B(1/x), which puts two independent
 evaluation routes side by side: a brute-force determinant of the Toeplitz
-matrix, and the closed form
+matrix, and Trench's closed form
 
-    D_{n-1}(C) = (-1)^(n s) c_s^n G_n / G_0
+    D_{n-1}(C) = (-1)^(n s) c_s^n G_n / G_0.
 
-driven by confluent Vandermonde determinants at the symbol's roots.  The
-closed form runs exactly over the rationals whenever every root is rational
-and otherwise in escalating multiprecision with per-root row scaling.  On
+G_n / G_0 is the Schur function s_{(n^s)} of the roots of x^r C(x) (the
+bialternant formula), which Jacobi-Trudi writes as an s x s determinant of
+complete homogeneous sums h_t.  Those sums obey a linear recurrence in the
+symbol's own coefficients, so the closed form runs in integer arithmetic for
+every rational symbol and never needs the roots (Macdonald, Symmetric
+Functions and Hall Polynomials, I.3; Boettcher and Grudsky, Spectral
+Properties of Banded Toeplitz Matrices, the Baxter-Schmidt formula).  On
 top of the determinants sit Gram-ratio convergence studies (growth of
 D_l / D_{l-1} toward the squared Mahler measure, and the bounded ratios
 obtained by adjoining standard basis vectors) and the biorthonormal-pair
@@ -28,11 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
-from .errors import CertificateError, DomainError, KronrecError, SingularMatrixError
+from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import coerce_rational, det_exact, leading_minors, mat_mul
-from .poly_core import IntPolynomial, _aberth, _decompose, mahler_measure, working_dps
+from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
 from .recurrence_matrices import band_rows
 
@@ -50,8 +52,6 @@ __all__ = [
     "lyons_ratios",
     "biorthonormal_check",
 ]
-
-_MAX_TRENCH_DPS = 1600
 
 
 @dataclass(frozen=True)
@@ -126,130 +126,45 @@ def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
 class TrenchData:
     symbol: LaurentSymbol
     n: int
-    roots: tuple[tuple[complex, int], ...]
-    g0: object
-    gn: object
-    determinant: object
-    exact: bool
-    dps_used: int | None
+    determinant: Fraction
 
     @property
     def matrix_size(self) -> int:
         return self.n
 
-
-def _derivative_row(exponents: Sequence[int], xi, j: int, one):
-    row = []
-    for e in exponents:
-        ff = 1
-        for t in range(j):
-            ff *= e - t
-        row.append(one * 0 if ff == 0 else ff * xi ** (e - j) * one)
-    return row
-
-
-def _gamma_exponents(r: int, s: int, n: int) -> list[int]:
-    return list(range(r)) + list(range(n + r, n + r + s))
+    @property
+    def exact(self) -> bool:
+        # the closed form has one route, in exact arithmetic
+        return True
 
 
 def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
-    """D_{n-1} via the closed form; exact when all symbol roots are rational.
+    """D_{n-1} from Trench's closed form, exactly, without the symbol's roots.
 
-    The roots of x^r C(x) come from poly_core's exact decomposition: rational
-    roots exactly, the rest from its Aberth iteration at the working
-    precision, each level warm-started from the previous level's centres.
-    The numeric path scales each root block by max(1, |xi|) powers so the
-    two confluent Vandermonde determinants stay in range, and escalates the
-    working precision when the Aberth step fails or G_0 vanishes, until two
-    consecutive levels agree.
+    With the symbol scaled to integers c_{-r}..c_s by den, the lcm of its
+    denominators, H_0 = 1 and H_t = -sum_{i=1}^{min(t, r+s)} c_{s-i} c_s^(i-1)
+    H_{t-i} give H_t = c_s^t h_t, the complete homogeneous sums of the roots
+    of x^r C(x).  Jacobi-Trudi writes G_n / G_0 = s_{(n^s)} = det[h_{n-i+j}],
+    so D_{n-1} = (-1)^(n s) c_s^(n (1-s)) det[H_{n-i+j}]_{i,j=1..s} / den^n,
+    with H_t = 0 for t < 0 and the empty determinant 1.
     """
     if n < 1:
         raise DomainError("the closed form needs n >= 1")
     r, s = symbol.r, symbol.s
-    if r + s == 0:
-        return TrenchData(symbol, n, (), Fraction(1), Fraction(1),
-                          symbol.coefficient(0) ** n, True, None)
-    denom = math.lcm(*(c.denominator for c in symbol.coeffs))
-    _, rational, leftover = _decompose(IntPolynomial(tuple(int(c * denom) for c in symbol.coeffs)))
-    exps_n = _gamma_exponents(r, s, n)
-    exps_0 = _gamma_exponents(r, s, 0)
-    c_s = symbol.coefficient(s)
-
-    if not leftover:
-        one = Fraction(1)
-        rows_n, rows_0 = [], []
-        for xi, mult in rational:
-            for j in range(mult):
-                rows_n.append(_derivative_row(exps_n, xi, j, one))
-                rows_0.append(_derivative_row(exps_0, xi, j, one))
-        g0 = det_exact(rows_0)
-        if g0 == 0:
-            raise CertificateError("confluent Vandermonde of distinct roots vanished")
-        gn = det_exact(rows_n)
-        det = (-1) ** (n * s) * c_s**n * gn / g0
-        roots = tuple((complex(xi), mult) for xi, mult in rational)
-        return TrenchData(symbol, n, roots, g0, gn, det, True, None)
-
-    dps = working_dps(60)
-    previous = None
-    centres = [None] * len(leftover)
-    while dps <= _MAX_TRENCH_DPS:
-        with mpmath.workdps(dps):
-            found = [_aberth(fac, dps, start) for (fac, _), start in zip(leftover, centres)]
-            if any(got is None for got in found):
-                dps *= 2
-                previous = None
-                continue
-            centres = [got[0] for got in found]
-            root_blocks: list[tuple[object, int]] = [
-                (mpmath.mpf(xi.numerator) / xi.denominator, mult)
-                for xi, mult in rational
-            ]
-            for zs, (_, mult) in zip(centres, leftover):
-                root_blocks.extend((z, mult) for z in zs)
-            rows_n, rows_0 = [], []
-            scale_base = mpmath.mpf(c_s.numerator) / c_s.denominator
-            for xi, mult in root_blocks:
-                sigma = max(mpmath.mpf(1), abs(xi))
-                scale_base *= sigma**mult
-                for j in range(mult):
-                    row_n = _derivative_row(exps_n, xi, j, mpmath.mpf(1))
-                    row_0 = _derivative_row(exps_0, xi, j, mpmath.mpf(1))
-                    rows_n.append([x / sigma ** (n + r + s - 1) for x in row_n])
-                    rows_0.append([x / sigma ** (r + s - 1) for x in row_0])
-            g0 = mpmath.det(mpmath.matrix(rows_0))
-            if abs(g0) < mpmath.mpf(10) ** (-(dps // 2)):
-                dps *= 2
-                previous = None
-                continue
-            gn = mpmath.det(mpmath.matrix(rows_n))
-            value = (-1) ** (n * s) * scale_base**n * gn / g0
-            if abs(value.imag) > mpmath.mpf(10) ** (-(dps // 3)) * (1 + abs(value.real)):
-                dps *= 2
-                previous = None
-                continue
-            value = value.real
-            if previous is not None:
-                agree = abs(value - previous) <= mpmath.mpf(10) ** (-13) * max(
-                    mpmath.mpf(1), abs(value)
-                )
-                if agree:
-                    roots = tuple(
-                        (complex(xi), mult) for xi, mult in root_blocks
-                    )
-                    return TrenchData(
-                        symbol, n, roots, complex(g0), complex(gn),
-                        float(value), False, dps,
-                    )
-            previous = value
-        dps *= 2
-    raise KronrecError(
-        "Trench evaluation did not stabilize below the precision ceiling"
-    )
+    den = math.lcm(*(c.denominator for c in symbol.coeffs))
+    c = [int(x * den) for x in symbol.coeffs]  # c[j + r] is den * c_j
+    c_s = c[-1]
+    weights = [c[-1 - i] * c_s ** (i - 1) for i in range(1, r + s + 1)]
+    h = [1]  # h[t] is H_t
+    for t in range(1, n + s):
+        h.append(-sum(w * h[t - i] for i, w in enumerate(weights[:t], 1)))
+    minor = det_exact([[h[n - i + j] if n - i + j >= 0 else 0 for j in range(s)] for i in range(s)])
+    det = (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
+    return TrenchData(symbol, n, det)
 
 
-def trench_det(symbol: LaurentSymbol, n: int):
-    """The value D_{n-1}(C) of the closed form (exact Fraction or float)."""
+def trench_det(symbol: LaurentSymbol, n: int) -> Fraction:
+    """The value D_{n-1}(C) of the closed form."""
     return trench_data(symbol, n).determinant
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from kronrec.density import is_covered
+from kronrec.exact_linalg import det_exact
+from kronrec.poly_core import IntPolynomial, _decompose
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -91,3 +94,33 @@ def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fra
         else:
             lo = mid
     return lo, hi
+
+
+def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, int], ...]]:
+    """D_{n-1} from Trench's closed form at the symbol's roots, which must be rational.
+
+    The root route to toeplitz.trench_data: D_{n-1} = (-1)^(n s) c_s^n G_n / G_0,
+    where G_k is the confluent Vandermonde determinant of the roots of
+    x^r C(x) at the exponents 0..r-1 and k+r..k+r+s-1, a root of multiplicity
+    mu contributing its value row and mu - 1 derivative rows.  Returns the
+    determinant and the roots with their multiplicities.
+    """
+    r, s = symbol.r, symbol.s
+    den = math.lcm(*(c.denominator for c in symbol.coeffs))
+    _, rational, leftover = _decompose(IntPolynomial(tuple(int(c * den) for c in symbol.coeffs)))
+    if leftover:
+        raise ValueError("the confluent Vandermonde route needs every root rational")
+
+    def confluent(k: int) -> Fraction:
+        exponents = list(range(r)) + list(range(k + r, k + r + s))
+        return det_exact([
+            [math.perm(e, j) * xi ** (e - j) if e >= j else 0 for e in exponents]
+            for xi, mult in rational
+            for j in range(mult)
+        ])
+
+    g0 = confluent(0)
+    if g0 == 0:
+        raise AssertionError("confluent Vandermonde of distinct roots vanished")
+    c_s = symbol.coefficient(s)
+    return (-1) ** (n * s) * c_s**n * confluent(n) / g0, tuple(rational)

@@ -90,6 +90,14 @@ def test_witness_seeded_target_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("target", ["nan,0,0", "inf,0,0", "1e308,0,0"])
+def test_witness_rejects_non_finite_target(capsys, target):
+    # 1e308 is finite, but its row -2 * 1e308 overflows a float
+    code, out, err = run(capsys, "witness", "--m", "3", "--target", target, "-2,1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_trench_autocorrelate(capsys):
     doc = run_json(capsys, "trench", "--n", "3", "--autocorrelate", "-2,1")
     assert doc["trench"] == 85
@@ -109,20 +117,13 @@ def test_trench_rejects_disagreeing_closed_form(capsys, monkeypatch):
 
         return patched
 
-    # the exact path may not differ at all
+    # the closed form is exact for every symbol, so it may not differ at all,
+    # whether the symbol's roots are rational or not
     monkeypatch.setattr(cli, "trench_data", off_by(Fraction(1, 10**30)))
-    code, out, err = run(capsys, "trench", "--n", "3", "--autocorrelate", "-2,1")
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "CertificateError"
-    # the numeric path may differ by TRENCH_TOL relative to |direct|, no more
-    argv = ("trench", "--n", "20", "--autocorrelate", "1,1,-1")
-    direct = abs(run_json(capsys, *argv)["direct"])
-    monkeypatch.setattr(cli, "trench_data", off_by(direct * cli.TRENCH_TOL / 2))
-    assert run_json(capsys, *argv)["relative_difference"] > 0
-    monkeypatch.setattr(cli, "trench_data", off_by(direct * cli.TRENCH_TOL * 2))
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "CertificateError"
+    for argv in (("--n", "3", "-2,1"), ("--n", "20", "1,1,-1")):
+        code, out, err = run(capsys, "trench", "--autocorrelate", *argv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "CertificateError"
 
 
 def test_trench_raw_symbol(capsys):
@@ -229,11 +230,24 @@ def test_exit_code_domain_error(capsys):
 
 
 def test_precision_environment_variable(capsys, monkeypatch):
-    argv = ("trench", "--n", "20", "--autocorrelate", "1,1,-1")
+    from kronrec import poly_core
+
+    real = poly_core._aberth
+    dps_seen = []
+
+    def recording(cs, dps):
+        dps_seen.append(dps)
+        return real(cs, dps)
+
+    monkeypatch.setattr(poly_core, "_aberth", recording)
+    argv = ("mahler", "-1,-1,1")
     monkeypatch.delenv("KRONREC_PRECISION", raising=False)
-    assert run_json(capsys, *argv)["dps_used"] == 120
+    run_json(capsys, *argv)
+    assert dps_seen[0] == 30
+    dps_seen.clear()
     monkeypatch.setenv("KRONREC_PRECISION", "240")
-    assert run_json(capsys, *argv)["dps_used"] == 480
+    run_json(capsys, *argv)
+    assert dps_seen[0] == 240
     monkeypatch.setenv("KRONREC_PRECISION", "abc")
     code, out, err = run(capsys, *argv)
     assert code == 1

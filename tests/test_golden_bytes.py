@@ -2,13 +2,16 @@
 
 Each entry pins the SHA-256 of the stdout that one invocation prints.  The
 digests were recorded before the root engine was merged (one certified root
-set per polynomial, Trench's numeric path on the Aberth iteration), so a
-change that moves a single output bit of a Mahler variant, a density bound, a
-seeded witness or a Trench determinant fails here.  A change that alters the
-mathematics on purpose re-records the affected digests and says why.
+set per polynomial), so a change that moves a single output bit of a Mahler
+variant, a density bound, a seeded witness or a Trench determinant fails
+here.  A change that alters the mathematics on purpose re-records the
+affected digests and says why: the Trench digests of the symbols with
+irrational roots were re-recorded when the closed form became exact for
+every symbol, so they print an exact integer where a float stood.
 """
 
 import hashlib
+import json
 import shlex
 
 import pytest
@@ -56,16 +59,16 @@ GOLDEN = [
     ("witness --m 9 --seed 2 1,3,-4,0,2,-1,5", "54bb752b6e6fbbc7dd846df1eced018803c227650a7175bef5352eb7d31f6552"),
     ("witness --m 4 --seed 5 -2,1", "c09058407a28303d8773b196633037cd3f7d6af54540e95fb9118a94ed2f87a8"),
     ("witness --m 8 --seed 1 1,0,2,0,1", "f5f552ec69bcdd05ca60e587c2baaeba4c8febd27dcd66478dfc7c71d067ad59"),
-    ("trench --autocorrelate --n 20 -1,-1,1", "e298d6b2871b4eadf17217c4a2b3e340f8c2375d93cd2bc429eff3ebc8d62da1"),
-    ("trench --autocorrelate --n 60 -1,-1,1", "3904c4a6907615df9bfc80e2fff58d1347ae6dcb08d92df9e357c89eb17c36ce"),
-    ("trench --autocorrelate --n 20 3,-2,-9,-3,9", "2a2929ec348f4663cec92bf6ca577b84dab7f8dee19b474997dccdc95a551c53"),
-    ("trench --autocorrelate --n 60 3,-2,-9,-3,9", "e4ded588cd45b7849b612f5cb20d13e8fe3d411c67db5d85176e275ed8ec307b"),
-    ("trench --autocorrelate --n 20 1,1,1", "e3bb459f83642c6e6dfb6d446b3adc05c6271b4a015f7207ef094674195fa436"),
-    ("trench --autocorrelate --n 60 1,1,1", "9d55caa2c1aaa5d138ba2577c4c0473b941e936619d8e199a286c43e7ba69e2d"),
-    ("trench --autocorrelate --n 20 1,0,1", "4e527031c42075933fd0219f11884a68eb33d6e5acd8d33329a88c509eaef5fe"),
-    ("trench --autocorrelate --n 60 1,0,1", "6ec4e7b14cdf4e6b5d75c1979aaa69bd2a6590050c4d14a128748f475a9745de"),
-    ("trench --autocorrelate --n 20 1,2,-1,3", "5c44cad4cb68ec311d932a5486ed0668a3960c2f5d3baee18f9e6ab2922315e7"),
-    ("trench --autocorrelate --n 60 1,2,-1,3", "2e73af97607c0f9327052500decf778326a9de191c993f3a3f82f3bf0d64d1fc"),
+    ("trench --autocorrelate --n 20 -1,-1,1", "d22c75abe9b36e20b27768e3640bccac0f7991d5f33b70120717c79c5aa94a0b"),
+    ("trench --autocorrelate --n 60 -1,-1,1", "438258b28ff28748095c56e9319de1e5c4dc6b3271fd6bb50ffdc89ea58fda41"),
+    ("trench --autocorrelate --n 20 3,-2,-9,-3,9", "254fa028c35ccdd4dafc9845c2880bb3a4f61e9b5adc4599ec2f3cf888137ed4"),
+    ("trench --autocorrelate --n 60 3,-2,-9,-3,9", "1c825a311a3280fd71cd125d984cabf51af1fcc367ed3663d6a581b9a5de73b5"),
+    ("trench --autocorrelate --n 20 1,1,1", "dc383bb116b10fd5a9b1bfc1b006e79abd1be3b65d3b33ab8c7da0db1749b248"),
+    ("trench --autocorrelate --n 60 1,1,1", "baf02d91178f1980ee95da418067378303e6bfef1698e04508920fbb884cf799"),
+    ("trench --autocorrelate --n 20 1,0,1", "e046731cac5d15e79ae8dbac9785faaecdf94c2a469471d833f000b06c4e2958"),
+    ("trench --autocorrelate --n 60 1,0,1", "90e0cf18d2ebf89fdb1a3c0ec05c83532aa2b49b1070cba8e2d567eaa9cba12a"),
+    ("trench --autocorrelate --n 20 1,2,-1,3", "3bd3da17338390d890937e5ec8d23d179a399e5dc10802f8d83bb44759be55e1"),
+    ("trench --autocorrelate --n 60 1,2,-1,3", "b09d96c4b1a1974f89c77b97d8e7435190c3b0b4e5d6189536e23f350a81812d"),
     ("trench --autocorrelate --n 20 -2,1", "3d1e8ee3870d8400b68c2f75356302701b6ef29502a6fd6ba298df5445f77517"),
     ("trench --autocorrelate --n 60 -2,1", "ce611b9773e32c7c046fae4f52980b93c6289f7e13eae9033abda8fdf7523e12"),
     ("trench --autocorrelate --n 20 6,-5,1", "f7023afbed68047f479c7adf72ed46cf3f20193591ea87a8a931582f80319819"),
@@ -83,3 +86,19 @@ def test_stdout_digest(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the autocorrelation symbols above whose roots are not all rational
+IRRATIONAL_TRENCH = [
+    command for command, _ in GOLDEN
+    if command.startswith("trench")
+    and command.split()[-1] in {"-1,-1,1", "3,-2,-9,-3,9", "1,1,1", "1,0,1", "1,2,-1,3"}
+]
+
+
+@pytest.mark.parametrize("command", IRRATIONAL_TRENCH)
+def test_irrational_trench_is_exact(capsys, command):
+    assert main(shlex.split(command)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trench"] == doc["direct"]
+    assert isinstance(doc["trench"], int) and doc["exact"] is True

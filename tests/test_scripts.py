@@ -22,3 +22,26 @@ def test_threshold_sweep_table(monkeypatch, capsys):
         "3": ["0.400000", "0.500000", "1.184000", "no"],
         "4": ["0.444444", "0.500000", "0.985600", "yes"],
     }
+
+
+def test_worked_example_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["worked_example.py"])
+    runpy.run_path(str(SCRIPTS / "worked_example.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "9x^4 - 3x^3 - 9x^2 - 2x + 3" in out.splitlines()[0]
+    # the lattice index is |a_d|^(m - d) = 9^(m - 4)
+    assert "m = 6: lattice index 81 = 9^2" in out
+
+
+def test_lyons_convergence_table(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["lyons_convergence.py", "-1,-1,1", "--ell-max", "12"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "lyons_convergence.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # two tables, each with a row at ell = 5 and ell = 10
+    growth, coords = (rows[i : i + 2] for i in (4, 8))
+    assert [row[0] for row in growth + coords] == ["5", "10", "5", "10"]
+    # D_l / D_{l-1} of x^2 - x - 1 closes in on M^2, the golden ratio squared
+    assert float(growth[1][2]) < float(growth[0][2]) < 1e-2
+    assert abs(float(coords[1][1]) - (5**0.5 - 1) / 2) < 1e-4

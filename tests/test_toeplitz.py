@@ -1,6 +1,7 @@
 """Oracle comparisons and hand values for the Toeplitz/Gram machinery."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,8 @@ from kronrec.toeplitz import (
     trench_data,
     trench_det,
 )
+
+from oracles import trench_vandermonde
 
 TRIDIAG = LaurentSymbol.from_coefficients((-2, 5, -2), 1)
 SHIFT2 = IntPolynomial((-2, 1))
@@ -107,24 +110,25 @@ def test_trench_matches_direct_hand_values():
     data = trench_data(TRIDIAG, 2)
     assert data.exact is True
     assert data.matrix_size == 2
-    assert sum(mult for _, mult in data.roots) == 2
+    det, roots = trench_vandermonde(TRIDIAG, 2)
+    assert det == 21
+    assert sum(mult for _, mult in roots) == 2
 
 
 def test_trench_double_roots_use_derivative_rows():
     sym = LaurentSymbol.from_polynomial(IntPolynomial((4, -4, 1)))  # (x-2)^2
-    data = trench_data(sym, 4)
-    assert data.exact is True
-    assert {mult for _, mult in data.roots} == {2}
-    assert data.determinant == toeplitz_det_direct(sym, 3)
+    det, roots = trench_vandermonde(sym, 4)
+    assert {mult for _, mult in roots} == {2}
+    assert det == toeplitz_det_direct(sym, 3)
+    assert trench_det(sym, 4) == det
 
 
 def test_trench_numeric_path_agrees():
+    """Irrational symbol roots, once evaluated numerically, are exact too."""
     sym = LaurentSymbol.from_polynomial(FIB)
     data = trench_data(sym, 5)
-    assert data.exact is False
-    assert data.dps_used is not None
-    want = float(toeplitz_det_direct(sym, 4))
-    assert data.determinant == pytest.approx(want, rel=1e-10)
+    assert data.exact is True
+    assert data.determinant == toeplitz_det_direct(sym, 4)
 
 
 # B = 1 + x^2 and 1 + x + x^2 put double symbol roots on the unit circle,
@@ -139,15 +143,13 @@ def _symbol_polynomial(sym):
 
 @pytest.mark.parametrize("coeffs", NUMERIC_B)
 def test_trench_aberth_centres_match_polyroots(coeffs):
-    """mpmath.polyroots, which the closed form no longer uses, as the root oracle."""
+    """The root engine on the irrational factors of Trench symbols, against mpmath.polyroots."""
     sym = LaurentSymbol.from_polynomial(IntPolynomial(coeffs))
     _, _, leftover = _decompose(_symbol_polynomial(sym))
     assert leftover
     for fac, _ in leftover:
-        start = None
         for dps in (60, 120):
-            centres, _, _ = _aberth(fac, dps, start)
-            start = centres
+            centres, _, _ = _aberth(fac, dps)
             with mpmath.workdps(dps):
                 oracle = mpmath.polyroots(
                     [mpmath.mpf(c) for c in reversed(fac)], maxsteps=200, extraprec=dps
@@ -161,10 +163,7 @@ def test_trench_aberth_centres_match_polyroots(coeffs):
 @pytest.mark.parametrize("coeffs", NUMERIC_B[:3])
 def test_trench_numeric_matches_direct_on_unit_circle_roots(coeffs, n):
     sym = LaurentSymbol.from_polynomial(IntPolynomial(coeffs))
-    data = trench_data(sym, n)
-    assert data.exact is False
-    want = float(toeplitz_det_direct(sym, n - 1))
-    assert data.determinant == pytest.approx(want, rel=1e-10)
+    assert trench_det(sym, n) == toeplitz_det_direct(sym, n - 1)
 
 
 def test_trench_scalar_symbol():
@@ -182,12 +181,62 @@ def test_trench_rejects_zero_size():
 @given(nonzero_lead_polys(), st.integers(1, 6))
 def test_trench_equals_direct(poly, n):
     sym = LaurentSymbol.from_polynomial(poly)
-    got = trench_det(sym, n)
-    want = toeplitz_det_direct(sym, n - 1)
-    if isinstance(got, Fraction):
-        assert got == want
-    else:
-        assert abs(got - float(want)) <= 1e-8 * max(1.0, abs(float(want)))
+    assert trench_det(sym, n) == toeplitz_det_direct(sym, n - 1)
+
+
+def _random_symbol(rng, r, s):
+    """Fraction coefficients c_{-r}..c_s with both ends nonzero."""
+    cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(r + s + 1)]
+    for end in (0, -1):
+        while cs[end] == 0:
+            cs[end] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return LaurentSymbol(tuple(cs), r, s)
+
+
+def _split_symbol(rng, r, roots):
+    """lead * prod (x - q) over the given nonzero rational roots, read as c_{-r}..c_s."""
+    cs = [Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))]
+    for q in roots:
+        cs = [a - q * b for a, b in zip([Fraction(0)] + cs, cs + [Fraction(0)])]
+    return LaurentSymbol.from_coefficients(cs, r)
+
+
+def test_trench_equals_direct_on_raw_symbols():
+    rng = random.Random(20091)
+    seen = set()
+    for _ in range(300):
+        r, s = rng.randint(0, 3), rng.randint(0, 3)
+        if rng.random() < 0.25 and r + s >= 2:
+            q = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            rest = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(r + s - 2)]
+            sym = _split_symbol(rng, r, [q, q, *rest])
+            seen.add("repeated root")
+        else:
+            sym = _random_symbol(rng, r, s)
+        if any(c.denominator > 1 for c in sym.coeffs):
+            seen.add("fraction")
+        seen.update(label for label, hit in (("r != s", r != s), ("r = 0", r == 0 < s),
+                                              ("s = 0", s == 0 < r)) if hit)
+        for n in range(1, 7):
+            assert trench_det(sym, n) == toeplitz_det_direct(sym, n - 1), (sym, n)
+            if n < s:
+                seen.add("n < s")
+    assert seen == {"repeated root", "fraction", "r != s", "r = 0", "s = 0", "n < s"}
+
+
+def test_trench_equals_confluent_vandermonde_on_split_symbols():
+    rng = random.Random(5)
+    doubles = 0
+    for _ in range(120):
+        distinct = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))]
+        roots = distinct + distinct[: rng.randint(0, len(distinct))]
+        sym = _split_symbol(rng, rng.randint(0, len(roots)), roots)
+        for n in (1, 2, 3, 7):
+            want, got_roots = trench_vandermonde(sym, n)
+            assert trench_det(sym, n) == want, (sym, n)
+        doubles += any(mult > 1 for _, mult in got_roots)
+    assert doubles > 10
 
 
 # --- Gram determinants ---
