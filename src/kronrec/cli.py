@@ -17,7 +17,6 @@ import io
 import json
 import math
 import random
-import re
 import sys
 from fractions import Fraction
 
@@ -438,17 +437,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_DATA = re.compile(r"^-[0-9.][0-9.,/-]*$")
-
-
 def main(argv=None) -> int:
     # cached: built at the first call rather than at import, which stays cheap
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # a leading space stops argparse from reading "-2,1" as a flag; every
-    # consumer of these values strips whitespace before parsing
-    argv = [f" {tok}" if _NUMERIC_DATA.match(tok) else tok for tok in argv]
+    # -h is the parser's only short option, so any other token with a single
+    # leading dash ("-2,1", "-1e-3,0.5", "-inf") is data; a leading space stops
+    # argparse from reading it as a flag, and every consumer strips whitespace
+    argv = [
+        f" {tok}" if tok.startswith("-") and not tok.startswith("--") and tok != "-h" else tok
+        for tok in argv
+    ]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

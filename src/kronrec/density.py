@@ -51,7 +51,8 @@ __all__ = [
 
 GRID_DIMENSION_GUARD = 4
 WITNESS_RESIDUAL_TOL = 1e-6
-# integer offsets one covering probe may try; the test suite's largest tries ~5e4
+# integer offsets one covering probe may try (the test suite's largest tries
+# ~5e4), and grid targets, grid_n^l, one critical_epsilon call may list
 COVERING_OFFSET_GUARD = 10**6
 # minors certify_non_density may sum, sum_p C(d, p) C(m, p), and minors the
 # zonotope facets may take, C(m, l-1) l
@@ -463,8 +464,9 @@ def critical_epsilon(
     estimate are that threshold.  The reported upper bound adds the
     declared grid margin (m - d)/grid_n for targets between grid points,
     capped at the certified refined threshold which covers the whole torus;
-    a grid threshold above that cap raises CertificateError.  bisection_tol
-    is validated and echoed but no longer affects the result.
+    a grid threshold above that cap raises CertificateError, and more than
+    COVERING_OFFSET_GUARD grid targets raise DomainError before any work.
+    bisection_tol is validated and echoed but no longer affects the result.
     """
     d = poly.degree
     ell = m - d
@@ -476,6 +478,11 @@ def critical_epsilon(
         raise DomainError(
             f"grid dimension {ell} exceeds the guard {GRID_DIMENSION_GUARD}; "
             "pass allow_large_grid=True to override"
+        )
+    targets = grid_n**ell
+    if targets > COVERING_OFFSET_GUARD:
+        raise DomainError(
+            f"the grid has {targets} targets, grid_n^{ell}, above the guard {COVERING_OFFSET_GUARD}"
         )
     tol = coerce_rational(bisection_tol)
     if tol <= 0:

@@ -11,15 +11,15 @@ disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero
 set, so pairwise disjoint disks isolate exactly one zero each.
 
 `roots` is the one caller of both.  It converts the disks to floats and
-escalates precision until the requested radius is certified or the cap is
-hit; every Mahler variant and the refined product are folds over that one
-root set.
+doubles the precision until a level certifies: every disk within the
+requested radius and the disks pairwise disjoint.  The first such level is
+the answer.  Every Mahler variant and the refined product are folds over
+that one root set.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -41,26 +41,16 @@ __all__ = [
     "roots",
     "mahler_measure",
     "squarefree_factors",
-    "working_dps",
 ]
 
 # radius each certified root disk is first asked to reach
 _TARGET_RADIUS = 1e-12
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
 
+# mpmath working precision in digits: the first level tried, and the ceiling
+_START_DPS = 30
 _MAX_DPS = 1600
 _DIVISOR_SEARCH_LIMIT = 10**7
-
-
-def working_dps(floor: int = 30) -> int:
-    """Starting mpmath precision in digits; KRONREC_PRECISION raises the floor."""
-    raw = os.environ.get("KRONREC_PRECISION")
-    if raw is not None and raw.strip():
-        try:
-            floor = max(floor, int(raw))
-        except ValueError as exc:
-            raise DomainError(f"KRONREC_PRECISION must be an integer, got {raw!r}") from exc
-    return floor
 
 
 def _horner(coeffs: Sequence, x):
@@ -339,14 +329,13 @@ def _conversion_slack(z: complex) -> float:
 def _aberth(cs: tuple[int, ...], dps: int):
     """Aberth-Ehrlich iteration on a square-free integer polynomial at dps digits.
 
-    Starts from a circle enclosing every root.  Returns (centres, radii,
-    strict) as mpmath numbers, with Weierstrass radii, points whose disk
-    touches the real axis snapped onto it, and complex centres paired into
-    exact conjugates; None when the radii cannot be formed or the pairing
-    fails.  Radii can fall below the rounding noise of converged centres
-    (even to 0 where p rounds to 0), so a pair may also match within the
-    iteration's own tolerance; strict says whether every pair matched within
-    the radii alone.
+    Starts from a circle enclosing every root.  Returns (centres, radii) as
+    mpmath numbers, with Weierstrass radii, points whose disk touches the
+    real axis snapped onto it, and complex centres paired into exact
+    conjugates; None when the radii cannot be formed or the pairing fails.
+    Radii can fall below the rounding noise of converged centres (even to 0
+    where p rounds to 0), so a mirror matches its partner within the sum of
+    their radii plus the iteration's own tolerance.
     """
     n = len(cs) - 1
     with mp.workdps(dps):
@@ -420,7 +409,6 @@ def _aberth(cs: tuple[int, ...], dps: int):
         if len(uppers) != len(lowers):
             return None
         used = set()
-        strict = True
         for i in uppers:
             mirror = mp.conj(zs[i])
             best, best_dist = None, None
@@ -432,38 +420,29 @@ def _aberth(cs: tuple[int, ...], dps: int):
                     best, best_dist = j, dist
             if best is None or best_dist > rads[i] + rads[best] + tol * (1 + abs(zs[i])):
                 return None
-            strict = strict and best_dist <= rads[i] + rads[best]
             used.add(best)
             zs[best] = mirror
             rads[best] = rads[i]
-    return zs, rads, strict
+    return zs, rads
 
 
 def _certified_simple_roots(cs: tuple[int, ...], target: float) -> list[tuple[complex, float]]:
     """Float disks of at most target radius, pairwise disjoint, one per root.
 
-    Precision doubles until a level certifies with every conjugate pair
-    matched within its radii.  The first level that certifies only with the
-    iteration's tolerance is kept as a fallback, returned when no level up
-    to the ceiling certifies strictly.
+    Precision doubles from _START_DPS; the first level whose float disks
+    all have radius at most target and are pairwise disjoint is returned.
     """
-    dps = working_dps()
-    fallback = None
+    dps = _START_DPS
     while dps <= _MAX_DPS:
         got = _aberth(cs, dps)
         if got is not None:
-            zs, rads, strict = got
             out = []
-            for z, r in zip(zs, rads):
+            for z, r in zip(*got):
                 zc = complex(float(z.real), float(z.imag))
                 out.append((zc, float(r) * (1 + 1e-9) + _conversion_slack(zc)))
             if all(r <= target for _, r in out) and _disks_disjoint(out):
-                if strict:
-                    return out
-                fallback = fallback or out
+                return out
         dps *= 2
-    if fallback is not None:
-        return fallback
     raise RootCertificationError(
         f"could not certify roots of degree-{len(cs) - 1} factor to radius {target:g}"
     )
@@ -496,8 +475,6 @@ def roots(poly: IntPolynomial) -> ComplexRootSet:
             enclosures.sort(key=lambda e: (e.value.real, e.value.imag))
             return ComplexRootSet(poly, tuple(enclosures))
         target /= 100.0
-        if target < 1e-60:
-            break
     raise RootCertificationError("root enclosures from coprime factors kept overlapping")
 
 

@@ -211,7 +211,9 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     limit is probed numerically, never asserted.  With the e_S rows first,
     every numerator is a leading principal minor of G(e_S, B_1..B_L) and
     every denominator one of G(B_1..B_L), so two elimination passes give
-    all ell_max ratios.
+    all ell_max ratios.  Both minors of a ratio hold l rows of B, so the
+    factor a_d^(-2l) cancels and the Gram matrices are built on A's
+    integer rows.
     """
     d = poly.degree
     if d < 1:
@@ -221,8 +223,7 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     chosen = sorted(set(int(i) for i in indices))
     if any(i < 1 or i > d for i in chosen):
         raise DomainError(f"basis indices must sit in 1..{d}")
-    lead = poly.leading_coefficient
-    rows = band_rows([Fraction(c, lead) for c in poly.coeffs], ell_max)
+    rows = band_rows(list(poly.coeffs), ell_max)
     width = ell_max + d
     e_rows = [[int(c == i - 1) for c in range(width)] for i in chosen]
     numerators = leading_minors(_gram_matrix(e_rows + rows))[len(chosen) :]

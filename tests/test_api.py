@@ -1,0 +1,45 @@
+"""Contract between kronrec's modules and the names others rely on.
+
+The benchmark tracer rebinds a fixed list of kronrec functions by name and
+fails on a missing one, so removing or renaming a traced function breaks
+the benchmark; every `__all__` entry must also resolve, so a removed
+function cannot leave a dangling export.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import kronrec
+
+TRACER = Path(__file__).resolve().parent.parent / "kronbench" / "tracer.py"
+MODULES = ["kronrec"] + [f"kronrec.{info.name}" for info in pkgutil.iter_modules(kronrec.__path__)]
+
+
+def _tracer_layers(monkeypatch):
+    # load without writing bytecode next to the benchmark's files
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_kronbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    layers = _tracer_layers(monkeypatch)
+    assert layers
+    for mod_name, fns in layers.items():
+        module = importlib.import_module(f"kronrec.{mod_name}")
+        for fn in fns:
+            assert callable(getattr(module, fn, None)), f"kronrec.{mod_name}.{fn}"
+
+
+@pytest.mark.parametrize("mod_name", MODULES)
+def test_every_export_resolves(mod_name):
+    module = importlib.import_module(mod_name)
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{mod_name}.{name}"

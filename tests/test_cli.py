@@ -229,31 +229,18 @@ def test_exit_code_domain_error(capsys):
     assert "primitive" in doc["error"]["message"]
 
 
-def test_precision_environment_variable(capsys, monkeypatch):
-    from kronrec import poly_core
-
-    real = poly_core._aberth
-    dps_seen = []
-
-    def recording(cs, dps):
-        dps_seen.append(dps)
-        return real(cs, dps)
-
-    monkeypatch.setattr(poly_core, "_aberth", recording)
-    argv = ("mahler", "-1,-1,1")
-    monkeypatch.delenv("KRONREC_PRECISION", raising=False)
-    run_json(capsys, *argv)
-    assert dps_seen[0] == 30
-    dps_seen.clear()
-    monkeypatch.setenv("KRONREC_PRECISION", "240")
-    run_json(capsys, *argv)
-    assert dps_seen[0] == 240
-    monkeypatch.setenv("KRONREC_PRECISION", "abc")
-    code, out, err = run(capsys, *argv)
+def test_negative_values_of_any_float_form_are_data(capsys):
+    doc = run_json(capsys, "witness", "--m", "3", "--target", "-1e-3,0.5,0.25", "-2,1")
+    assert doc["target"][0] == -0.001
+    code, out, err = run(capsys, "witness", "--m", "3", "--target", "-inf,0,0", "-2,1")
     assert code == 1
-    doc = json.loads(out)
-    assert doc["error"]["type"] == "DomainError"
-    assert "KRONREC_PRECISION" in doc["error"]["message"]
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_help_flag_still_prints_help(capsys):
+    code, out, err = run(capsys, "-h")
+    assert code == 0
+    assert out.startswith("usage: kronrec")
 
 
 def test_exit_code_parse_error(capsys):

@@ -515,6 +515,16 @@ def test_critical_grid_guard():
     assert est.lower <= est.upper
 
 
+def test_critical_target_count_guard(monkeypatch):
+    def unreachable(poly):
+        raise AssertionError("the guard must run before the root work")
+
+    monkeypatch.setattr(density, "epsilon_bound", unreachable)
+    # l = 4 passes the dimension guard, but 100^4 targets would be listed
+    with pytest.raises(DomainError, match="100000000"):
+        critical_epsilon(GOLDEN, 6, grid_n=100)
+
+
 def test_grid_threshold_hand_values():
     # x - 2 on a grid of 4: 2^(l-1) / (2^l + 1) for l = m - 1
     for m in range(3, 7):

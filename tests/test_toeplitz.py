@@ -149,7 +149,7 @@ def test_trench_aberth_centres_match_polyroots(coeffs):
     assert leftover
     for fac, _ in leftover:
         for dps in (60, 120):
-            centres, _, _ = _aberth(fac, dps)
+            centres, _ = _aberth(fac, dps)
             with mpmath.workdps(dps):
                 oracle = mpmath.polyroots(
                     [mpmath.mpf(c) for c in reversed(fac)], maxsteps=200, extraprec=dps
