@@ -442,15 +442,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # -h is the parser's only short option, so any other token with a single
-    # leading dash ("-2,1", "-1e-3,0.5", "-inf") is data; a leading space stops
-    # argparse from reading it as a flag, and every consumer strips whitespace
-    argv = [
-        f" {tok}" if tok.startswith("-") and not tok.startswith("--") and tok != "-h" else tok
-        for tok in argv
-    ]
+    # any token but -h and --flags is data; a leading space, which consumers strip, keeps
+    # argparse off "-2,1" or "-inf", and data after --output (or a prefix) joins it as typed
+    toks: list[str] = []
+    for tok in argv:
+        data = tok[:2] != "--" and tok != "-h"
+        if data and toks and len(toks[-1]) > 2 and "--output".startswith(toks[-1]):
+            toks[-1] = f"--output={tok}"
+        else:
+            toks.append(f" {tok}" if data and tok[:1] == "-" else tok)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(toks)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

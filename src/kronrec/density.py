@@ -11,9 +11,9 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
   is_covered          exact decision of whether the eps-cube's image, the
                       zonotope band(A) (eps/2) [-1, 1]^m, covers one residue
                       class: its least gauge over integer offsets, searched
-                      from the zonotope's facets in integer arithmetic, is
-                      at most eps/2; critical_epsilon reads the exact grid
-                      threshold from the same search
+                      from the facets the recurrence lattice's minors give
+                      by Gale duality, is at most eps/2; critical_epsilon
+                      reads the exact grid threshold from the same search
   certify_non_density exact zonotope volume of the cube-plus-lattice
                       parallelepiped; below 1 it refutes eps-density
 
@@ -55,7 +55,7 @@ WITNESS_RESIDUAL_TOL = 1e-6
 # ~5e4), and grid targets, grid_n^l, one critical_epsilon call may list
 COVERING_OFFSET_GUARD = 10**6
 # minors certify_non_density may sum, sum_p C(d, p) C(m, p), and minors the
-# zonotope facets may take, C(m, l-1) l
+# zonotope facets may take from the recurrence lattice, (m - d) C(m - 1, d)
 MINOR_SUM_GUARD = 10**5
 
 
@@ -322,34 +322,39 @@ _Facets = list[tuple[tuple[int, ...], int]]
 def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
     """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
 
-    Each normal is the signed (l-1)-minor vector of l-1 columns g_j of the
-    band matrix (l = m - deg A), made primitive with a positive leading entry;
-    s_c = sum_j |c . g_j|, the coefficient 1-norm of C * A for C = sum c_i x^i.
-    More than MINOR_SUM_GUARD minors, C(m, l-1) * l, raise DomainError before
-    any is taken.
+    By Gale duality (Ziegler, Lectures on Polytopes, Lecture 6) a facet's row
+    U = C A = c^T band(A) spans, on its d + 1 support columns S, the kernel of
+    the recurrence lattice basis basis_N (column j: x^j mod A, e_j for j < d).
+    On the k columns j >= d of S, U is the signed (k-1)-minor vector of their
+    rows outside S, and C = sum U_j (x^j div A), made primitive with a positive
+    leading entry; s_c = ||C A||_1.  The C(m, d + 1) sets S take l C(m - 1, d)
+    minors (l = m - d) of order below min(l, d + 1); more than MINOR_SUM_GUARD
+    raise DomainError before any is taken.
     """
-    a = poly.coeffs
-    ell = m - poly.degree
-    minors = math.comb(m, ell - 1) * ell
+    a, d = poly.coeffs, poly.degree
+    ell = m - d
+    minors = ell * math.comb(m - 1, d)
     if minors > MINOR_SUM_GUARD:
         raise DomainError(
             f"the zonotope facets would take {minors} minors, above the guard {MINOR_SUM_GUARD}"
         )
-    cols = [[a[j - i] if 0 <= j - i < len(a) else 0 for i in range(ell)] for j in range(m)]
+    # column j: a_d^l (x^j mod A), then a_d^l (x^j div A); both integral for j < m
+    lead = a[d] ** ell
+    cols = [[lead * (i == j) for i in range(m)] for j in range(d)]
+    for _ in range(ell):
+        q = cols[-1][d - 1] // a[d]
+        cols.append([x - q * y for x, y in zip([0] + cols[-1][: d - 1], a)] + [q] + cols[-1][d:-1])
     facets: dict[tuple[int, ...], int] = {}
-    for chosen in itertools.combinations(cols, ell - 1):
-        c = [
-            (-1) ** i * int(det_exact([[col[r] for col in chosen] for r in range(ell) if r != i]))
-            for i in range(ell)
-        ]
-        g = math.gcd(*c)
-        if g == 0:
-            continue
-        if next(x for x in c if x != 0) < 0:
-            g = -g
-        c = tuple(x // g for x in c)
-        if c not in facets:
-            facets[c] = sum(abs(sum(x * y for x, y in zip(c, col))) for col in cols)
+    for s in itertools.combinations(range(m), d + 1):
+        top = [j for j in s if j >= d]
+        block = [[cols[j][r] for j in top] for r in set(range(d)).difference(s)]
+        u = [(-1) ** i * int(det_exact([r[:i] + r[i + 1 :] for r in block])) for i in range(len(top))]
+        # z = sum u_j cols[j]: minus U below x^d, then C
+        z = [sum(t) for t in zip(*([uj * x for x in cols[j]] for j, uj in zip(top, u)))]
+        if any(z[d:]):
+            g = math.gcd(*z[d:]) if next(filter(None, z[d:])) > 0 else -math.gcd(*z[d:])
+            support = abs(lead) * sum(map(abs, u)) + sum(map(abs, z[:d]))
+            facets.setdefault(tuple(x // g for x in z[d:]), support // abs(g))
     return list(facets.items())
 
 
@@ -409,7 +414,7 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     directly, carrying a union of feasible intervals, which stays polynomial
     in m.  The cube is closed, so boundary contact counts as covered.  More
     than COVERING_OFFSET_GUARD offsets, or more than MINOR_SUM_GUARD minors
-    for the facets, raise DomainError.
+    for the facets, (m - d) C(m - 1, d), raise DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -560,17 +565,14 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
             f"certification would sum {minors} minors, above the guard {MINOR_SUM_GUARD}"
         )
     omega = integral_basis(poly, m).z_basis
-    total = Fraction(0)
-    for p_size in range(d + 1):
-        minor_sum = Fraction(0)
-        for rows in itertools.combinations(range(d), p_size):
-            for cols in itertools.combinations(range(m), p_size):
-                if p_size == 0:
-                    minor_sum += 1
-                    continue
-                sub = [[omega[r][c] for c in cols] for r in rows]
-                minor_sum += abs(det_exact(sub))
-        total += e ** (m - p_size) * minor_sum
+    total = sum(
+        e ** (m - p) * sum(
+            abs(det_exact([[omega[r][c] for c in cs] for r in rs]))
+            for rs in itertools.combinations(range(d), p)
+            for cs in itertools.combinations(range(m), p)
+        )
+        for p in range(d + 1)
+    )
     return NonDensityCertificate(
         poly=poly, m=m, eps=e, volume_bound=total, certified=total < 1
     )

@@ -96,6 +96,36 @@ def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fra
     return lo, hi
 
 
+def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
+
+    The column route to density._zonotope_facets, which reads the same facets
+    from the recurrence lattice's d x d minors.  Each normal is the signed
+    (l-1)-minor vector of l-1 columns g_j of the band matrix (l = m - deg A),
+    made primitive with a positive leading entry; s_c = sum_j |c . g_j|, the
+    coefficient 1-norm of C * A for C = sum c_i x^i.  It takes C(m, l-1) l
+    minors of order l - 1.
+    """
+    a = poly.coeffs
+    ell = m - poly.degree
+    cols = [[a[j - i] if 0 <= j - i < len(a) else 0 for i in range(ell)] for j in range(m)]
+    facets: dict[tuple[int, ...], int] = {}
+    for chosen in itertools.combinations(cols, ell - 1):
+        c = [
+            (-1) ** i * int(det_exact([[col[r] for col in chosen] for r in range(ell) if r != i]))
+            for i in range(ell)
+        ]
+        g = math.gcd(*c)
+        if g == 0:
+            continue
+        if next(x for x in c if x != 0) < 0:
+            g = -g
+        c = tuple(x // g for x in c)
+        if c not in facets:
+            facets[c] = sum(abs(sum(x * y for x, y in zip(c, col))) for col in cols)
+    return list(facets.items())
+
+
 def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, int], ...]]:
     """D_{n-1} from Trench's closed form at the symbol's roots, which must be rational.
 

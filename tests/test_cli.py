@@ -221,6 +221,22 @@ def test_output_file(tmp_path, capsys):
     assert doc["command"] == "mahler"
 
 
+def test_output_path_with_leading_dash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (("--output", "-r.json"), ("--output=-r.json",), ("--out", "-r.json")):
+        code, out, _ = run(capsys, *argv, "mahler", "1,1")
+        assert code == 0
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["-r.json"]
+        assert json.loads((tmp_path / "-r.json").read_text())["command"] == "mahler"
+        (tmp_path / "-r.json").unlink()
+    # an option after --output is not its path
+    code, _, err = run(capsys, "--output", "--format", "csv", "mahler", "1,1")
+    assert code == 2
+    assert "--output: expected one argument" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_domain_error(capsys):
     code, out, err = run(capsys, "bound", "-2,2")
     assert code == 1

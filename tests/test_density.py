@@ -30,7 +30,7 @@ from kronrec.intervals import Interval, interval_min
 from kronrec.lattice_structure import basis_N
 from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
 from kronrec.recurrence_matrices import band_rows
-from oracles import bisect_grid_threshold
+from oracles import bisect_grid_threshold, zonotope_facets_by_band_minors
 
 SHIFT2 = IntPolynomial((-2, 1))  # x - 2
 GOLDEN = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -469,11 +469,46 @@ def test_covering_offset_guard():
         is_covered(GOLDEN, 10, 2, [Fraction(1, 3)] * 8)
 
 
+def test_facets_equal_the_band_minor_route():
+    rng = random.Random(9)
+    seen = set()
+    for case in range(240):
+        d, ell = rng.randint(1, 4), 1 + case % 5
+        if case % 12 == 11:
+            d, ell = rng.randint(8, 20), 1 + case // 12 % 4
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(d - 1)]
+        coeffs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+        if case % 7 == 0:
+            coeffs = [2 * x for x in coeffs]
+        poly = IntPolynomial(tuple(coeffs))
+        kinds = {
+            "m = d + 1": ell == 1,
+            "non-monic": abs(coeffs[-1]) != 1,
+            "|a_0| > 1": abs(coeffs[0]) > 1,
+            "non-primitive": not poly.is_primitive,
+            "degree 8 and up": d >= 8,
+        }
+        seen.update(kind for kind, hit in kinds.items() if hit)
+        m = d + ell
+        assert sorted(_zonotope_facets(poly, m)) == sorted(zonotope_facets_by_band_minors(poly, m))
+    assert len(seen) == 5
+
+
 def test_facet_guard():
-    # C(m, l-1) l minors for x^2 - x - 1: 98658 at m = 29, 113680 at m = 30
-    assert math.comb(29, 26) * 27 <= MINOR_SUM_GUARD < math.comb(30, 27) * 28 == 113680
-    with pytest.raises(DomainError, match="113680 minors"):
-        is_covered(GOLDEN, 30, Fraction(1, 100), [0] * 28)
+    # (m - d) C(m - 1, d) minors for x^2 - x - 1: 99238 at m = 60, 104430 at m = 61
+    assert 58 * math.comb(59, 2) <= MINOR_SUM_GUARD < 59 * math.comb(60, 2) == 104430
+    with pytest.raises(DomainError, match="104430 minors"):
+        is_covered(GOLDEN, 61, Fraction(1, 100), [0] * 59)
+    # never more than the band-column route's (m - d) C(m, m - d - 1) minors of order
+    # m - d - 1, so degree 36 at m = 40 builds its facets (36556 minors, not 39520)
+    deg36 = IntPolynomial((2,) + (0,) * 34 + (-1, 1))
+    assert sorted(_zonotope_facets(deg36, 40)) == sorted(zonotope_facets_by_band_minors(deg36, 40))
+
+
+def test_facets_of_a_long_window():
+    # the band-column oracle pays 27 minors of order 26 per facet here, ~100 s
+    assert len(_zonotope_facets(GOLDEN, 29)) == 3654
+    assert is_covered(GOLDEN, 29, Fraction(1, 100), [0] * 27) is True
 
 
 # --- critical_epsilon ---
