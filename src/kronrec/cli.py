@@ -26,7 +26,7 @@ from .density import (
     epsilon_bound,
     witness,
 )
-from .errors import CertificateError, KronrecError, ParseError
+from .errors import CertificateError, DomainError, KronrecError, ParseError
 from .intervals import Interval
 from .lattice_structure import (
     PIVOT_RULES,
@@ -67,8 +67,18 @@ def _val(x):
     return "inf" if math.isinf(x) else int(x)
 
 
+def _float(x) -> float:
+    """float(x) for the report; DomainError beyond the float range, so never inf or nan."""
+    try:
+        if math.isfinite(f := float(x)):
+            return f
+    except OverflowError:
+        pass
+    raise DomainError("a value to report lies beyond the float range")
+
+
 def _interval(iv: Interval) -> dict:
-    return {"lo": iv.lo, "hi": iv.hi}
+    return {"lo": _float(iv.lo), "hi": _float(iv.hi)}
 
 
 def _poly_echo(poly) -> dict:
@@ -138,8 +148,8 @@ def _cmd_mahler(args) -> dict:
         "command": "mahler",
         "polynomial": _poly_echo(poly),
         "variant": args.variant,
-        "value": measure.value,
-        "error": measure.error,
+        "value": _float(measure.value),
+        "error": _float(measure.error),
     }
 
 
@@ -167,7 +177,7 @@ def _cmd_witness(args) -> dict:
     else:
         rng = random.Random(args.seed)
         target = tuple(rng.random() for _ in range(args.m))
-    eps = float(_parse_rational(args.eps, "--eps")) if args.eps is not None else None
+    eps = _float(_parse_rational(args.eps, "--eps")) if args.eps is not None else None
     wit = witness(poly, args.m, target, eps)
     return {
         "command": "witness",
@@ -204,7 +214,7 @@ def _cmd_critical_eps(args) -> dict:
         "lower": _rat(est.lower),
         "upper": _rat(est.upper),
         "estimate": _rat(est.estimate),
-        "estimate_float": float(est.estimate),
+        "estimate_float": _float(est.estimate),
         "grid_resolution": est.grid_resolution,
         "bisection_tol": _rat(est.bisection_tol),
         "method_notes": est.method_notes,
@@ -219,7 +229,7 @@ def _cmd_certify_nondense(args) -> dict:
         "polynomial": _poly_echo(poly),
         "m": cert.m,
         "eps": _rat(cert.eps),
-        "volume_bound": float(cert.volume_bound),
+        "volume_bound": _float(cert.volume_bound),
         "volume_bound_exact": _rat(cert.volume_bound),
         "certified": cert.certified,
     }
@@ -334,7 +344,7 @@ def _cmd_gram_growth(args) -> dict:
         "ell_max": report.ell_max,
         "determinants": [_rat(det) for det in report.determinants],
         "ratios": [_rat(ratio) for ratio in report.ratios],
-        "ratios_float": [float(ratio) for ratio in report.ratios],
+        "ratios_float": [_float(ratio) for ratio in report.ratios],
         "mahler_squared": _interval(report.mahler_squared),
     }
 
@@ -352,16 +362,15 @@ def _cmd_lyons(args) -> dict:
         f"lyons ratios for S={indices} up to ell = {args.ell_max}", file=sys.stderr
     )
     values = lyons_ratios(poly, indices, args.ell_max)
-    diffs = [abs(float(b - a)) for a, b in zip(values, values[1:])]
-    tail = diffs[-min(10, len(diffs)):] if diffs else []
+    diffs = [abs(_float(b - a)) for a, b in zip(values, values[1:])]
     return {
         "command": "lyons",
         "polynomial": _poly_echo(poly),
         "indices": indices,
         "ell_max": args.ell_max,
         "values": [_rat(v) for v in values],
-        "values_float": [float(v) for v in values],
-        "max_tail_fluctuation": max(tail) if tail else 0.0,
+        "values_float": [_float(v) for v in values],
+        "max_tail_fluctuation": max(diffs[-10:], default=0.0),
     }
 
 

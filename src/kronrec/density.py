@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateError, DomainError
-from .exact_linalg import coerce_rational, det_exact
+from .exact_linalg import clear_denominators, coerce_rational, det_exact
 from .intervals import Interval, interval_min
-from .lattice_structure import integral_basis
+from .lattice_structure import integral_basis, scaled_basis_N
 from .poly_core import IntPolynomial, conjugate, roots
 
 __all__ = [
@@ -251,9 +251,7 @@ def witness(
 
     # the certificate, exact on the binary values of the floats returned:
     # each is an integer over their common power-of-two denominator den
-    pairs = [x.as_integer_ratio() for x in (*tvec, *w)]
-    den = max(q for _, q in pairs)
-    tw = [n * (den // q) for n, q in pairs]
+    tw, den = clear_denominators([Fraction(x) for x in (*tvec, *w)])
     sup = Fraction(max(abs(x) for x in tw[m:]), den)
     miss = max(
         Fraction(abs(sum(a[j] * (tw[i + j] + tw[m + i + j]) for j in range(d + 1)) - ki * den), den)
@@ -338,12 +336,14 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
         raise DomainError(
             f"the zonotope facets would take {minors} minors, above the guard {MINOR_SUM_GUARD}"
         )
-    # column j: a_d^l (x^j mod A), then a_d^l (x^j div A); both integral for j < m
-    lead = a[d] ** ell
-    cols = [[lead * (i == j) for i in range(m)] for j in range(d)]
-    for _ in range(ell):
-        q = cols[-1][d - 1] // a[d]
-        cols.append([x - q * y for x, y in zip([0] + cols[-1][: d - 1], a)] + [q] + cols[-1][d:-1])
+    # column j: a_d^l (x^j mod A), which is column j of T = a_d^l basis_N, then
+    # a_d^l (x^j div A), whose x^i coefficient is T[d-1][j-1-i] / a_d; both integral for j < m
+    table, lead = scaled_basis_N(poly, m)
+    cols = [
+        [row[j] for row in table]
+        + [table[d - 1][j - 1 - i] // a[d] if j - i >= d else 0 for i in range(ell)]
+        for j in range(m)
+    ]
     facets: dict[tuple[int, ...], int] = {}
     for s in itertools.combinations(range(m), d + 1):
         top = [j for j in s if j >= d]
@@ -379,9 +379,8 @@ def _least_gauge(facets: _Facets, vv: list[Fraction], stop: Fraction, box) -> Fr
     or below stop.  A result above stop is the least gauge over those
     offsets; one at or below stop only bounds it.
     """
-    q = math.lcm(*(vi.denominator for vi in vv))
+    qv, q = clear_denominators(vv)
     unit = math.lcm(*(s for _, s in facets))
-    qv = [vi.numerator * (q // vi.denominator) for vi in vv]
     rows = [(c, sum(ci * x for ci, x in zip(c, qv)), unit // s) for c, s in facets]
     goal = math.floor(stop * q * unit)
 

@@ -1,9 +1,9 @@
 """Exact rational linear algebra on stdlib Fractions and ints.
 
 Matrices are plain lists of row lists.  Integer-lattice routines (hnf,
-integer_kernel) validate integrality; determinant, leading minors and solve
-accept Fraction entries, clear denominators row by row, and share one
-fraction-free Bareiss elimination so intermediate values stay integral.
+integer_kernel) validate integrality.  clear_denominators, the one rational
+coercer, turns exact rows into integers for every integer route; determinant,
+leading minors and solve share one fraction-free Bareiss elimination on them.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced to absolute value at most the pivot.  Re-running hnf on its own
@@ -12,7 +12,9 @@ output is the identity.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +27,7 @@ __all__ = [
     "hnf",
     "integer_kernel",
     "coerce_rational",
+    "clear_denominators",
     "det_exact",
     "leading_minors",
     "solve_exact",
@@ -99,23 +102,16 @@ def p_adic_valuation(x, p: int):
 # ----- matrix plumbing -----
 
 
-def _copy_int_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def _check_int_matrix(rows: Sequence[Sequence[int]]) -> None:
     if not rows:
         raise DomainError("matrix needs at least one row")
-    width = len(rows[0])
-    out = []
-    for r in rows:
-        if len(r) != width:
-            raise DomainError("ragged matrix")
-        row = []
-        for x in r:
-            if not isinstance(x, int):
-                raise DomainError(f"integer matrix expected, got {type(x).__name__}")
-            row.append(x)
-        out.append(row)
-    if width == 0:
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DomainError("ragged matrix")
+    for x in itertools.chain.from_iterable(rows):
+        if not isinstance(x, int):
+            raise DomainError(f"integer matrix expected, got {type(x).__name__}")
+    if not rows[0]:
         raise DomainError("matrix needs at least one column")
-    return out
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -138,7 +134,12 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style HNF with transform: returns (H, U) with U unimodular, U*A = H."""
-    h = _copy_int_matrix(rows)
+    _check_int_matrix(rows)
+    return _hnf([list(r) for r in rows])
+
+
+def _hnf(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """hnf on an integer matrix already checked, reducing the list h of rows in place."""
     nr, nc = len(h), len(h[0])
     u = identity_matrix(nr)
 
@@ -190,13 +191,12 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     is exactly ker(A) intersected with the integer lattice (saturation comes
     for free from the transform-of-HNF construction).
     """
-    a = _copy_int_matrix(rows)
-    at = transpose(a)
-    h, u = hnf(at)
+    _check_int_matrix(rows)
+    h, u = _hnf(transpose(rows))
     kernel_rows = [u[r] for r in range(len(h)) if all(x == 0 for x in h[r])]
     if not kernel_rows:
         return []
-    kh, _ = hnf(kernel_rows)
+    kh, _ = _hnf(kernel_rows)
     return [row for row in kh if any(x != 0 for x in row)]
 
 
@@ -214,28 +214,27 @@ def coerce_rational(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise DomainError(f"exact routines need int or Fraction entries, got {type(x).__name__}")
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(ints, den) for int or Fraction values: den their lcm denominator, ints = den * values."""
+    row = list(values)
+    if all(isinstance(x, int) for x in row):
+        return row, 1
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            raise DomainError(f"exact routines need int or Fraction, got {type(x).__name__}")
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by its denominator lcm; returns (integer matrix, row scales)."""
-    out = []
-    scales = []
-    for r in rows:
-        if all(isinstance(x, int) for x in r):
-            out.append(list(r))
-            scales.append(1)
-            continue
-        fr = [_to_fraction(x) for x in r]
-        l = math.lcm(*(x.denominator for x in fr))
-        scales.append(l)
-        out.append([x.numerator * (l // x.denominator) for x in fr])
-    return out, scales
+    """Scale each row by its denominator lcm; returns (integer matrix, row scales).
+
+    An integer matrix, the common case, skips the per-row calls.
+    """
+    if all(isinstance(x, int) for r in rows for x in r):
+        return [list(r) for r in rows], [1] * len(rows)
+    cleared = [clear_denominators(r) for r in rows]
+    return [ints for ints, _ in cleared], [den for _, den in cleared]
 
 
 def _bareiss(a: list[list[int]], steps: int) -> int | None:
@@ -292,12 +291,9 @@ def leading_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     a, scales = _clear_row_denominators(rows)
     if a and _bareiss(a, len(a) - 1) != 0:
         raise SingularMatrixError("a leading principal minor vanished")
-    minors = []
-    scale = 1
-    for k, row in enumerate(a):
-        scale *= scales[k]
-        minors.append(Fraction(row[k], scale))
-    return minors
+    # D_k is the k-th pivot over the product of the first k row scales
+    prefix = itertools.accumulate(scales, operator.mul)
+    return [Fraction(row[k], scale) for k, (row, scale) in enumerate(zip(a, prefix))]
 
 
 def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -315,12 +311,12 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[
     a, _ = _clear_row_denominators([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
     if _bareiss(a, n) is None:
         raise SingularMatrixError("singular matrix in solve_exact")
-    x = [[Fraction(0)] * width for _ in range(n)]
+    # dx = det * x is integral by Cramer's rule, so every step below divides exactly
+    det = a[n - 1][n - 1]
+    dx = [[0] * width for _ in range(n)]
     for col in range(width):
         for i in reversed(range(n)):
-            s = Fraction(a[i][n + col])
-            for j in range(i + 1, n):
-                s -= a[i][j] * x[j][col]
-            x[i][col] = s / a[i][i]
-    return x
+            tail = sum(a[i][j] * dx[j][col] for j in range(i + 1, n))
+            dx[i][col] = (det * a[i][n + col] - tail) // a[i][i]
+    return [[Fraction(v, det) for v in row] for row in dx]
 

@@ -50,7 +50,8 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        # halving first cannot overflow, and is exact away from the subnormals
+        return 0.5 * self.lo + 0.5 * self.hi
 
     @property
     def halfwidth(self) -> float:

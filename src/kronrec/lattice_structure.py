@@ -3,15 +3,17 @@
 Vectors of length m whose windows of width d+1 are annihilated by the
 coefficients of A form a rank-d lattice.  Over the rationals it is spanned by
 the rows of N (seeded with standard basis vectors and extended along the
-recurrence); over the integers by the saturated kernel of the band matrix;
-over the p-adic integers by a canonical basis M built segment by segment from
-the Newton polygon of A at p.  canonical_basis_M re-derives every clause of
-the block certificate (identity blocks, determinant valuations, row-walk
-valuation floors, p-integrality) and fails loudly if any clause breaks.
+recurrence, and read exactly from the integer table a_d^(m-d) N); over the
+integers by the saturated kernel of the band matrix; over the p-adic integers
+by a canonical basis M built segment by segment from the Newton polygon of A
+at p.  canonical_basis_M re-derives every clause of the block certificate
+(identity blocks, determinant valuations, row-walk valuation floors,
+p-integrality) and fails loudly if any clause breaks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,11 +24,12 @@ from .exact_linalg import (
     det_exact,
     integer_kernel,
     is_prime,
+    mat_mul,
     p_adic_valuation,
     solve_exact,
 )
 from .poly_core import IntPolynomial
-from .recurrence_matrices import band_rows, recurrence_extend
+from .recurrence_matrices import band_rows
 
 __all__ = [
     "NewtonPolygon",
@@ -37,6 +40,7 @@ __all__ = [
     "PIVOT_RULES",
     "newton_polygon",
     "basis_N",
+    "scaled_basis_N",
     "canonical_basis_M",
     "check_basis_certificate",
     "integral_basis",
@@ -111,16 +115,26 @@ def newton_polygon(poly: IntPolynomial, p: int) -> NewtonPolygon:
     return NewtonPolygon(p, tuple(pts), tuple(hull), slopes, lengths)
 
 
-def basis_N(poly: IntPolynomial, m: int) -> list[list[Fraction]]:
-    """Rational basis of the recurrence kernel: row i seeds e_i and extends."""
-    d = poly.degree
+def scaled_basis_N(poly: IntPolynomial, m: int) -> tuple[list[list[int]], int]:
+    """(T, lead): lead = a_d^(m-d) and T = lead * basis_N(poly, m), built in integers.
+
+    Entry t + d of N has a denominator dividing a_d^(t+1), so every division is exact.
+    """
+    a, d = poly.coeffs, poly.degree
     if d < 1 or m < d:
         raise DomainError("basis_N needs 1 <= deg A <= m")
-    rows = []
-    for i in range(d):
-        seed = [Fraction(int(j == i)) for j in range(d)]
-        rows.append(list(recurrence_extend(poly, seed, m).entries))
-    return rows
+    lead = a[d] ** (m - d)
+    table = [[lead * (i == j) for j in range(d)] for i in range(d)]
+    for row in table:
+        for t in range(m - d):
+            row.append(-sum(x * y for x, y in zip(a, row[t:])) // a[d])
+    return table, lead
+
+
+def basis_N(poly: IntPolynomial, m: int) -> list[list[Fraction]]:
+    """Rational basis of the recurrence kernel: row i seeds e_i and extends."""
+    table, lead = scaled_basis_N(poly, m)
+    return [[Fraction(x, lead) for x in row] for row in table]
 
 
 @dataclass(frozen=True)
@@ -267,19 +281,16 @@ def canonical_basis_M(
     s = polygon.pivot_index(pivot_rule)
     r = polygon.segment_count
     walls = [v[0] for v in polygon.vertices]  # w_0 = 0 < w_1 < ... < w_r = d
-    n_rows = basis_N(poly, m)
+    # N_xi^-1 N = T_xi^-1 T: the scale a_d^(m-d) cancels
+    table, _ = scaled_basis_N(poly, m)
 
-    q_cache: dict[int, list[list[Fraction]]] = {}
-
+    @functools.cache
     def q_for(w: int) -> list[list[Fraction]]:
-        if w not in q_cache:
-            cols = list(range(w)) + list(range(m - d + w, m))
-            n_xi = [[row[c] for c in cols] for row in n_rows]
-            try:
-                q_cache[w] = solve_exact(n_xi, n_rows)
-            except SingularMatrixError:
-                _fail(f"column selector at w={w} gives a singular minor")
-        return q_cache[w]
+        cols = list(range(w)) + list(range(m - d + w, m))
+        try:
+            return solve_exact([[row[c] for c in cols] for row in table], table)
+        except SingularMatrixError:
+            _fail(f"column selector at w={w} gives a singular minor")
 
     matrix: list[list[Fraction]] = []
     for k in range(1, r + 1):
@@ -316,7 +327,8 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
 
     The index of the Z-span of N's rows inside the integral lattice is the
     absolute determinant of the change-of-basis matrix, read off exactly from
-    the first d columns because N starts with an identity block.
+    the first d columns because N starts with an identity block; every row
+    z of the Z-basis is checked as a_d^(m-d) z = z[:d] T in integers.
     """
     d = poly.degree
     if poly.constant_coefficient == 0:
@@ -325,35 +337,21 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
         raise DomainError("integral basis needs a primitive polynomial")
     if d < 1 or m < d:
         raise DomainError("integral basis needs m >= deg A >= 1")
-    n_rows = basis_N(poly, m)
-    if m == d:
-        ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        return LatticeBases(
-            poly=poly,
-            m=m,
-            rational_basis=tuple(tuple(row) for row in n_rows),
-            z_basis=ident,
-            index=1,
-        )
-    z_rows = integer_kernel(band_rows(list(poly.coeffs), m - d))
+    table, lead = scaled_basis_N(poly, m)
+    # at m = d the lattice is all of Z^d and T the identity
+    z_rows = integer_kernel(band_rows(list(poly.coeffs), m - d)) if m > d else table
     if len(z_rows) != d:
         raise CertificateError("saturated kernel rank does not match the degree")
-    change = [[Fraction(z_rows[i][j]) for j in range(d)] for i in range(d)]
     # re-derive the full rows from the claimed coordinates; both routes must agree
-    for i in range(d):
-        for j in range(m):
-            got = sum(change[i][t] * n_rows[t][j] for t in range(d))
-            if got != z_rows[i][j]:
-                raise CertificateError("Z-basis rows are not integer combinations of N")
-    index = abs(det_exact(change))
-    if index.denominator != 1:
-        raise CertificateError("lattice index came out non-integral")
+    coords = [z[:d] for z in z_rows]
+    if mat_mul(coords, table) != [[lead * x for x in z] for z in z_rows]:
+        raise CertificateError("Z-basis rows are not integer combinations of N")
     return LatticeBases(
         poly=poly,
         m=m,
-        rational_basis=tuple(tuple(row) for row in n_rows),
+        rational_basis=tuple(tuple(Fraction(x, lead) for x in row) for row in table),
         z_basis=tuple(tuple(row) for row in z_rows),
-        index=int(index),
+        index=abs(int(det_exact(coords))),
     )
 
 
@@ -375,17 +373,13 @@ def minor_identity(poly: IntPolynomial, w: int, m: int) -> MinorIdentityResult:
         raise DomainError("minor identity needs 1 <= deg A <= m")
     if not 0 <= w <= d:
         raise DomainError("w must lie between 0 and deg A")
-    n_rows = basis_N(poly, m)
+    table, lead = scaled_basis_N(poly, m)
     cols = list(range(w)) + list(range(m - d + w, m))
-    n_xi = [[row[c] for c in cols] for row in n_rows]
-    det_n = det_exact(n_xi)
+    # det N_xi = det T_xi / (a_d^(m-d))^d
+    det_n = det_exact([[row[c] for c in cols] for row in table]) / lead**d
     size = m - d
     a = poly.coeffs
-    u = [
-        [a[w + i - j] if 0 <= w + i - j <= d else 0 for j in range(size)]
-        for i in range(size)
-    ]
-    det_u = int(det_exact(u)) if size else 1
-    lead_power = Fraction(abs(poly.leading_coefficient)) ** (m - d)
-    holds = abs(det_n) * lead_power == abs(det_u)
+    u = [[a[w + i - j] if 0 <= w + i - j <= d else 0 for j in range(size)] for i in range(size)]
+    det_u = int(det_exact(u))  # the empty determinant at m = d is 1
+    holds = abs(det_n * lead) == abs(det_u)
     return MinorIdentityResult(det_selector_minor=det_n, det_banded_minor=det_u, holds=holds)

@@ -20,6 +20,7 @@ that one root set.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -28,6 +29,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import DomainError, ParseError, RootCertificationError
+from .exact_linalg import clear_denominators
 from .intervals import Interval
 
 __all__ = [
@@ -202,15 +204,9 @@ def _fgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 def _primitive_int(cs: Sequence[Fraction]) -> tuple[int, ...]:
     """Clear denominators and content; normalize the leading coefficient positive."""
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in cs]
-    g = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    ints, _ = clear_denominators(cs)
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -301,12 +297,14 @@ class ComplexRootSet:
         return sum(r.multiplicity for r in self.roots)
 
     def _product(self, factor) -> Interval:
-        """|a_d| * prod factor(|alpha|) over the roots, counted with multiplicity."""
+        """|a_d| * prod factor(|alpha|) over the roots with multiplicity; finite or DomainError."""
         acc = Interval.from_int(abs(self.poly.leading_coefficient))
         for enc in self.roots:
             f = factor(_modulus_interval(enc))
             for _ in range(enc.multiplicity):
                 acc = acc.mul(f)
+        if not math.isfinite(acc.hi):
+            raise DomainError("the root product overflows a float")
         return acc
 
     def mahler(self, variant: str = "plain") -> MahlerMeasure:
@@ -454,9 +452,12 @@ def roots(poly: IntPolynomial) -> ComplexRootSet:
     Radii are at most 1e-12, and a hundredfold smaller on each retry while
     disks of coprime factors overlap; the closed disks are pairwise
     disjoint, so each contains exactly one distinct root of the polynomial.
+    A coefficient beyond the largest float raises DomainError.
     """
     if poly.degree == 0:
         return ComplexRootSet(poly, ())
+    if max(map(abs, poly.coeffs)) > sys.float_info.max:
+        raise DomainError("certified roots need coefficients within the float range")
 
     zero_mult, rationals, leftovers = _decompose(poly)
     exact: list[RootEnclosure] = []

@@ -110,11 +110,7 @@ def verify_factorization(poly: IntPolynomial, b_coeffs: Sequence, c_coeffs: Sequ
     if _conv(b, c) != a:
         return False
 
-    band_a = [[Fraction(v) for v in row] for row in band_rows(a, ell)]
-    band_bc = mat_mul(band_rows(b, ell), band_rows(c, ell + s))
-    if band_bc != band_a:
+    if mat_mul(band_rows(b, ell), band_rows(c, ell + s)) != band_rows(a, ell):
         return False
     m = ell + d
-    tri_a = [[Fraction(v) for v in row] for row in tri_rows(a, m)]
-    tri_bc = mat_mul(tri_rows(b, m), tri_rows(c, m))
-    return tri_bc == tri_a
+    return mat_mul(tri_rows(b, m), tri_rows(c, m)) == tri_rows(a, m)

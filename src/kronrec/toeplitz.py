@@ -20,20 +20,20 @@ obtained by adjoining standard basis vectors) and the biorthonormal-pair
 identities used to control them.
 
 Symbols are kept rational-real: every coefficient is stored as a Fraction,
-which covers all symbols of the form B(x)B(1/x) for rational B.
+which covers all symbols of the form B(x)B(1/x) for rational B; the exact
+routes scale them to integers once and slice every Toeplitz row from those.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateError, DomainError, SingularMatrixError
-from .exact_linalg import coerce_rational, det_exact, leading_minors, mat_mul
+from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors, mat_mul
 from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
 from .recurrence_matrices import band_rows
@@ -108,15 +108,20 @@ class LaurentSymbol:
         return all(self.coefficient(-j) == self.coefficient(j) for j in range(self.s + 1))
 
 
-def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> list[list[Fraction]]:
-    return [[symbol.coefficient(k - j) for k in range(size)] for j in range(size)]
+def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], int]:
+    """(rows, den): den the lcm of the symbol's denominators, rows[j][k] = den * c_{k-j}."""
+    c, den = clear_denominators(symbol.coeffs)
+    padded = [0] * (size - 1) + c + [0] * (size - 1)
+    start = size - 1 + symbol.r  # padded[start + k - j] is den * c_{k-j}
+    return [padded[start - j : start - j + size] for j in range(size)], den
 
 
 def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
     """Exact determinant of the (n+1) x (n+1) matrix with entry (j,k) = c_{k-j}."""
     if n < 0:
         raise DomainError("matrix size index n must be >= 0")
-    return det_exact(_toeplitz_rows(symbol, n + 1))
+    rows, den = _toeplitz_rows(symbol, n + 1)
+    return det_exact(rows) / den ** (n + 1)
 
 
 # ----- Trench's closed form -----
@@ -151,8 +156,7 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
     if n < 1:
         raise DomainError("the closed form needs n >= 1")
     r, s = symbol.r, symbol.s
-    den = math.lcm(*(c.denominator for c in symbol.coeffs))
-    c = [int(x * den) for x in symbol.coeffs]  # c[j + r] is den * c_j
+    c, den = clear_denominators(symbol.coeffs)  # c[j + r] is den * c_j
     c_s = c[-1]
     weights = [c[-1 - i] * c_s ** (i - 1) for i in range(1, r + s + 1)]
     h = [1]  # h[t] is H_t
@@ -179,10 +183,7 @@ class GramResult:
 
 def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact <v_i, v_j>, with the dot products taken on integer multiples of each vector."""
-    scaled = []
-    for vec in vectors:
-        den = math.lcm(*(x.denominator for x in vec))
-        scaled.append(([x.numerator * (den // x.denominator) for x in vec], den))
+    scaled = [clear_denominators(vec) for vec in vectors]
     n = len(scaled)
     gram = [[Fraction(0)] * n for _ in range(n)]
     for i, (u, du) in enumerate(scaled):
@@ -257,9 +258,10 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
         raise DomainError("growth study needs deg B >= 1")
     if ell_max < 1:
         raise DomainError("growth study needs ell_max >= 1")
-    symbol = LaurentSymbol.from_polynomial(poly)
+    # B is integral, so its symbol's rows need no scale: den = 1
+    rows, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
     try:
-        dets = tuple(leading_minors(_toeplitz_rows(symbol, ell_max)))
+        dets = tuple(leading_minors(rows))
     except SingularMatrixError as exc:
         raise CertificateError("a Gram determinant of independent rows vanished") from exc
     ratios = tuple(dets[i + 1] / dets[i] for i in range(len(dets) - 1))

@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
 
+import test_golden_bytes
+import test_golden_critical
+import test_golden_exact
+import test_golden_nondense
+import test_golden_roots
 from kronrec import cli
 from kronrec.cli import main
 
@@ -16,10 +22,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which strict JSON cannot spell."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, (out, err)
-    return json.loads(out)
+    return strict_json(out)
 
 
 def test_mahler_cyclotomic(capsys):
@@ -296,3 +311,65 @@ def test_parser_built_once_and_reused(capsys):
     for argv, (code, out, err) in zip(commands, reused):
         cli._build_parser.cache_clear()
         assert run(capsys, *argv) == (code, out, err)
+
+
+# ----- the float range at the command-line edge -----
+
+
+def test_mahler_near_the_top_of_the_float_range_is_finite(capsys):
+    # lo + hi of the enclosure overflows; the measure itself, 1e308, does not
+    doc = run_json(capsys, "mahler", f"1,{10**308}")
+    assert doc["value"] == pytest.approx(1e308, rel=1e-12)
+    assert 0 < doc["error"] <= 1e308 * 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mahler",),
+        ("bound",),
+        ("witness", "--m", "3"),
+        ("critical-eps", "--m", "3", "--grid-n", "2"),
+        ("gram-growth", "--ell-max", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("poly", [f"1,{2**1024}", f"{2**1024},1"], ids=["lead", "constant"])
+def test_coefficient_beyond_the_float_range_is_domain_error(capsys, argv, poly):
+    code, out, err = run(capsys, *argv, poly)
+    assert code == 1, (out, err)
+    assert strict_json(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "--m", "3", "--eps", "1e400", "-2,1"),
+        ("certify-nondense", "--m", "3", "--eps", "1/2", f"1,{10**400}"),
+        ("gram-growth", "--ell-max", "3", f"1,{10**308}"),
+    ],
+    ids=["witness-eps", "certify-nondense-volume", "gram-growth-mahler-squared"],
+)
+def test_value_beyond_the_float_range_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1, (out, err)
+    assert strict_json(out)["error"]["type"] == "DomainError"
+
+
+GOLDEN_COMMANDS = [
+    command
+    for module in (
+        test_golden_bytes,
+        test_golden_critical,
+        test_golden_exact,
+        test_golden_nondense,
+    )
+    for command, _ in module.GOLDEN
+] + [command for command, _ in test_golden_roots.GOLDEN_ROOTS]
+
+
+def test_every_golden_command_prints_strict_json(capsys):
+    for command in GOLDEN_COMMANDS:
+        code, out, err = run(capsys, *shlex.split(command))
+        assert code == 0, (command, out, err)
+        strict_json(out)

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from kronrec.errors import DomainError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
+    clear_denominators,
     det_exact,
     hnf,
     identity_matrix,
@@ -249,3 +250,40 @@ def test_leading_minors_hand_values():
 
 def test_transpose_shape():
     assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+
+
+# ----- clear_denominators -----
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_ints, max_size=8))
+def test_clear_denominators_returns_an_int_row_unchanged(row):
+    ints, den = clear_denominators(row)
+    assert ints == row and den == 1
+    assert ints is not row  # a copy: Bareiss eliminates in place
+
+
+exact_entries = st.one_of(small_ints, st.fractions(-30, 30, max_denominator=40))
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exact_entries, min_size=1, max_size=8))
+def test_clear_denominators_scales_by_the_least_common_denominator(row):
+    ints, den = clear_denominators(row)
+    assert den == math.lcm(*(Fraction(x).denominator for x in row))
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x, den) for x in ints] == row
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(exact_entries, max_size=6),
+    st.one_of(st.floats(allow_nan=True), st.text(max_size=4)),
+    st.integers(0, 6),
+)
+def test_clear_denominators_rejects_floats_and_strings(row, bad, at):
+    with pytest.raises(DomainError):
+        clear_denominators(row[:at] + [bad] + row[at:])

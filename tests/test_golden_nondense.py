@@ -1,13 +1,13 @@
 """Byte-level guard on `certify-nondense` reports.
 
 Each entry pins the SHA-256 of the stdout that one `certify-nondense`
-invocation prints.  The digests were recorded before the volume's minor sum
-moved onto the minor enumeration it shares with the zonotope facets, so a
-change that moves a single bit of the exact volume, its float or the verdict
-fails here.  They cover degrees 1 to 4, windows from m = d + 1 to m = 16,
-both verdicts, non-monic polynomials, |a_0| > 1 and a decimal --eps.  A
-change that alters the mathematics on purpose re-records the affected
-digests and says why.
+invocation prints.  The volume's minor sum runs over the minors of the
+integral lattice basis on its own; no enumeration is shared with the
+zonotope facets.  A change that moves a single bit of the exact volume, its
+float or the verdict fails here.  They cover degrees 1 to 4, windows from
+m = d + 1 to m = 16, both verdicts, non-monic polynomials, |a_0| > 1 and a
+decimal --eps.  A change that alters the mathematics on purpose re-records
+the affected digests and says why.
 """
 
 import hashlib

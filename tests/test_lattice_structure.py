@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from kronrec.errors import CertificateError, DomainError
 from kronrec.exact_linalg import PADIC_INFINITY, det_exact, p_adic_valuation
@@ -15,8 +15,10 @@ from kronrec.lattice_structure import (
     integral_basis,
     minor_identity,
     newton_polygon,
+    scaled_basis_N,
 )
 from kronrec.poly_core import IntPolynomial
+from kronrec.recurrence_matrices import recurrence_extend
 from oracles import snf
 
 WORKED = IntPolynomial((3, -2, -9, -3, 9))
@@ -151,6 +153,32 @@ def test_basis_n_denominators_divide_leading_power(a, extra):
     for row in basis_N(a, m):
         for x in row:
             assert lead_power % x.denominator == 0
+
+
+@st.composite
+def non_monic_polys(draw, max_degree=4, bound=9):
+    degree = draw(st.integers(1, max_degree))
+    coeffs = [draw(st.integers(1, bound)) * draw(st.sampled_from((1, -1)))]
+    coeffs += [draw(st.integers(-bound, bound)) for _ in range(degree - 1)]
+    coeffs.append(draw(st.integers(2, bound)) * draw(st.sampled_from((1, -1))))
+    return IntPolynomial(tuple(coeffs))
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(non_monic_polys(), st.integers(0, 6))
+def test_scaled_basis_is_the_lead_power_times_the_rational_recurrence(a, extra):
+    # the Fraction route of recurrence_extend is the oracle for the integer table
+    d = a.degree
+    m = d + extra
+    table, lead = scaled_basis_N(a, m)
+    assert lead == a.leading_coefficient ** (m - d)
+    for i, row in enumerate(table):
+        seed_row = [int(j == i) for j in range(d)]
+        expected = [lead * x for x in recurrence_extend(a, seed_row, m).entries]
+        assert all(type(x) is int for x in row)
+        assert row == expected
+    assert basis_N(a, m) == [[Fraction(x, lead) for x in row] for row in table]
 
 
 # --- canonical_basis_M ---

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kronrec.errors import DomainError
@@ -15,6 +15,7 @@ from kronrec.poly_core import IntPolynomial, _aberth, _decompose
 from kronrec.recurrence_matrices import band_rows, tri_rows
 from kronrec.toeplitz import (
     LaurentSymbol,
+    _toeplitz_rows,
     biorthonormal_check,
     gram_det,
     gram_growth,
@@ -30,6 +31,17 @@ from oracles import trench_vandermonde
 TRIDIAG = LaurentSymbol.from_coefficients((-2, 5, -2), 1)
 SHIFT2 = IntPolynomial((-2, 1))
 FIB = IntPolynomial((-1, -1, 1))
+
+
+@st.composite
+def raw_symbols(draw, max_width=6):
+    r = draw(st.integers(0, max_width))
+    s = draw(st.integers(0, max_width))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    ends = entry.filter(lambda x: x != 0)
+    inner = [draw(entry) for _ in range(r + s - 1)]
+    coeffs = [draw(ends)] + inner + [draw(ends)] if r + s else [draw(ends)]
+    return LaurentSymbol.from_coefficients(coeffs, r)
 
 
 @st.composite
@@ -406,3 +418,16 @@ def test_biorthonormal_random_unimodular(n, data):
     u = mat_mul(lower, upper)
     v = transpose(solve_exact(u, identity_matrix(len(u))))
     assert biorthonormal_check(u, v) is True
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(raw_symbols(), st.integers(1, 8))
+def test_integer_toeplitz_rows_over_den_are_the_symbol(symbol, size):
+    # r or s reaches the matrix size in a share of the draws
+    rows, den = _toeplitz_rows(symbol, size)
+    assert den == math.lcm(*(c.denominator for c in symbol.coeffs))
+    assert all(type(x) is int for row in rows for x in row)
+    assert [[Fraction(x, den) for x in row] for row in rows] == [
+        [symbol.coefficient(k - j) for k in range(size)] for j in range(size)
+    ]
