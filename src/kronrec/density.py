@@ -139,8 +139,10 @@ def _expand_from_roots(lead: complex, root_list: list[complex]) -> list[complex]
 def factor_real(poly: IntPolynomial) -> RealFactorization:
     """Split A = B * C by root size: |gamma| <= 1/2 goes to the monic C.
 
-    A root whose certified enclosure straddles 1/2 is sent to B, which never
-    needs smallness.  delta = 1/|b_0| and eps = delta * prod 1/(1-|gamma|).
+    A root goes to C iff its certified disk lies in |z| <= 1/2, decided
+    exactly on the binary values of its centre and radius; one whose disk
+    straddles 1/2 is sent to B, which never needs smallness.
+    delta = 1/|b_0| and eps = delta * prod 1/(1-|gamma|).
     """
     if poly.degree < 1:
         raise DomainError("factorization needs degree >= 1")
@@ -150,8 +152,9 @@ def factor_real(poly: IntPolynomial) -> RealFactorization:
     b_roots: list[complex] = []
     c_roots: list[complex] = []
     for enc in rs.roots:
-        modulus_hi = abs(enc.value) + enc.radius
-        bucket = c_roots if modulus_hi <= 0.5 else b_roots
+        slack = Fraction(1, 2) - Fraction(enc.radius)
+        x, y = Fraction(enc.value.real), Fraction(enc.value.imag)
+        bucket = c_roots if slack >= 0 and x * x + y * y <= slack * slack else b_roots
         bucket.extend([enc.value] * enc.multiplicity)
     b_cs = _expand_from_roots(complex(poly.leading_coefficient), b_roots)
     c_cs = _expand_from_roots(complex(1.0), c_roots)
@@ -547,8 +550,8 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     Q can only be eps-dense if lattice translates of the cube-lattice
     parallelepiped cover R^m, which forces its volume to be at least 1; a
     volume below 1 therefore refutes density.  The volume is the standard
-    minor expansion over the m + d generators, computed as exact rationals:
-    choosing p lattice rows contributes eps^(m-p) times the sum of absolute
+    minor expansion over the m + d generators, computed exactly: choosing p
+    lattice rows contributes eps^(m-p) times S_p, the integer sum of absolute
     p x p minors over column choices.  More than MINOR_SUM_GUARD minors raise
     DomainError before any is taken.
     """
@@ -564,14 +567,15 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
             f"certification would sum {minors} minors, above the guard {MINOR_SUM_GUARD}"
         )
     omega = integral_basis(poly, m).z_basis
-    total = sum(
-        e ** (m - p) * sum(
-            abs(det_exact([[omega[r][c] for c in cs] for r in rs]))
+    minor_sums = [
+        sum(
+            abs(int(det_exact([[omega[r][c] for c in cs] for r in rs])))
             for rs in itertools.combinations(range(d), p)
             for cs in itertools.combinations(range(m), p)
         )
         for p in range(d + 1)
-    )
+    ]
+    total = sum(e ** (m - p) * s for p, s in enumerate(minor_sums))
     return NonDensityCertificate(
         poly=poly, m=m, eps=e, volume_bound=total, certified=total < 1
     )

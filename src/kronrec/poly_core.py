@@ -5,28 +5,30 @@ polynomial into its zero multiplicity, its rational roots with exact
 multiplicities (Yun's square-free decomposition over the rationals, then the
 rational root test), and square-free leftover factors without rational
 roots, so only simple roots are ever iterated on.  One Aberth-Ehrlich
-iteration finds the leftovers' roots in mpmath working precision and encloses
-each in a Weierstrass disk: for pairwise distinct test points z_1..z_n the
-disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero
-set, so pairwise disjoint disks isolate exactly one zero each.
+iteration in doubles finds the leftovers' roots, first with p evaluated in
+doubles, then with p evaluated exactly at the float iterates until they
+settle.  Each centre is then enclosed in a Weierstrass disk: for pairwise
+distinct points z_1..z_n the disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|)
+jointly cover the zero set, so pairwise disjoint disks isolate exactly one
+zero each (Braess & Hadeler, Numer. Math. 21, 1973).  The centres are
+dyadic, so over one power of two every quantity in a radius is a Gaussian
+integer: the radii are exact values rounded up, and disjointness is decided
+exactly.  No working precision is involved.
 
-`roots` is the one caller of both.  It converts the disks to floats and
-doubles the precision until a level certifies: every disk within the
-requested radius and the disks pairwise disjoint.  The first such level is
-the answer.  Every Mahler variant and the refined product are folds over
-that one root set.
+`roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
+and all disks, rational ones included, are pairwise disjoint.  Every Mahler
+variant and the refined product are folds over that one root set.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
-
-import mpmath as mp
 
 from .errors import DomainError, ParseError, RootCertificationError
 from .exact_linalg import clear_denominators
@@ -45,18 +47,15 @@ __all__ = [
     "squarefree_factors",
 ]
 
-# radius each certified root disk is first asked to reach
+# largest radius of a certified root disk, relative to max(1, |z|)
 _TARGET_RADIUS = 1e-12
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
 
-# mpmath working precision in digits: the first level tried, and the ceiling
-_START_DPS = 30
-_MAX_DPS = 1600
 _DIVISOR_SEARCH_LIMIT = 10**7
 
 
 def _horner(coeffs: Sequence, x):
-    """sum coeffs[i] x^i for ascending coeffs; works for int, Fraction, complex and mpmath types."""
+    """sum coeffs[i] x^i for ascending coeffs; works for int, Fraction, float and complex."""
     acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -161,31 +160,21 @@ def _fstrip(cs: list[Fraction]) -> list[Fraction]:
     return cs
 
 
-def _fdeg(cs: Sequence[Fraction]) -> int:
-    return len(cs) - 1
-
-
 def _fderiv(cs: Sequence[Fraction]) -> list[Fraction]:
-    if len(cs) == 1:
-        return [Fraction(0)]
-    return _fstrip([Fraction(i) * cs[i] for i in range(1, len(cs))])
+    return _fstrip([i * c for i, c in enumerate(cs)][1:] or [Fraction(0)])
 
 
 def _fdivmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    den = list(den)
-    if den == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
+    """(quotient, remainder) of stripped polynomials; den = [0] raises ZeroDivisionError."""
     rem = list(num)
     q = [Fraction(0)] * max(1, len(rem) - len(den) + 1)
-    while _fdeg(rem) >= _fdeg(den) and _fstrip(rem) != [Fraction(0)]:
-        shift = _fdeg(rem) - _fdeg(den)
+    while len(rem) >= len(den) and rem != [0]:
+        shift = len(rem) - len(den)
         coef = rem[-1] / den[-1]
         q[shift] += coef
         for i, dc in enumerate(den):
             rem[shift + i] -= coef * dc
         rem = _fstrip(rem)
-        if rem == [Fraction(0)]:
-            break
     return _fstrip(q), rem
 
 
@@ -196,10 +185,7 @@ def _fgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     while b != [Fraction(0)]:
         _, r = _fdivmod(a, b)
         a, b = b, r
-    if a == [Fraction(0)]:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
+    return a if a == [0] else [c / a[-1] for c in a]
 
 
 def _primitive_int(cs: Sequence[Fraction]) -> tuple[int, ...]:
@@ -220,16 +206,16 @@ def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int]
     f = _fstrip([Fraction(c) for c in poly.coeffs])
     fp = _fderiv(f)
     g = _fgcd(f, fp)
-    if _fdeg(g) == 0:
+    if len(g) == 1:
         return ((_primitive_int(f), 1),)
     b, _ = _fdivmod(f, g)
     c, _ = _fdivmod(fp, g)
     d = _fstrip([ci - bi for ci, bi in zip_longest(c, _fderiv(b), fillvalue=Fraction(0))])
     out = []
     i = 1
-    while _fdeg(b) > 0:
+    while len(b) > 1:
         a = _fgcd(b, d)
-        if _fdeg(a) > 0:
+        if len(a) > 1:
             out.append((_primitive_int(a), i))
         b, _ = _fdivmod(b, a)
         cnext, _ = _fdivmod(d, a)
@@ -267,12 +253,12 @@ def _decompose(poly: IntPolynomial):
             den_divs = _divisors(int(work[-1]))
             candidates = sorted({Fraction(s * p, q) for p in num_divs for q in den_divs for s in (1, -1)})
             for cand in candidates:
-                if _fdeg(work) < 1:
+                if len(work) < 2:
                     break
                 if _horner(work, cand) == 0:
                     work, _ = _fdivmod(work, [-cand, Fraction(1)])
                     rationals.append((cand, mult))
-        if _fdeg(work) >= 1:
+        if len(work) > 1:
             leftovers.append((_primitive_int(work), mult))
     return zero_mult, rationals, leftovers
 
@@ -324,135 +310,145 @@ def _conversion_slack(z: complex) -> float:
     return 2.0 * (math.ulp(abs(z.real)) + math.ulp(abs(z.imag))) + 1e-300
 
 
-def _aberth(cs: tuple[int, ...], dps: int):
-    """Aberth-Ehrlich iteration on a square-free integer polynomial at dps digits.
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """(ints, S): S a power of two with ints = S * values exactly."""
+    if not all(map(math.isfinite, values)):
+        raise RootCertificationError("the root iteration left the float range")
+    return clear_denominators([Fraction(v) for v in values])
 
-    Starts from a circle enclosing every root.  Returns (centres, radii) as
-    mpmath numbers, with Weierstrass radii, points whose disk touches the
-    real axis snapped onto it, and complex centres paired into exact
-    conjugates; None when the radii cannot be formed or the pairing fails.
-    Radii can fall below the rounding noise of converged centres (even to 0
-    where p rounds to 0), so a mirror matches its partner within the sum of
-    their radii plus the iteration's own tolerance.
+
+def _exact_values(cs: tuple[int, ...], zs: Sequence[complex]):
+    """p at the float points zs exactly, and its Newton corrections rounded once.
+
+    Returns (S, ws, ps, newtons): S is one power of two over every part of
+    zs, ws[i] = S z_i and ps[i] = S^n p(z_i) are Gaussian integer pairs, and
+    newtons[i] = p(z_i)/p'(z_i) = ps[i] / (S * S^(n-1) p'(z_i)), or None where
+    it is infinite or overflows.
+    """
+    ints, s = _dyadic([x for z in zs for x in (z.real, z.imag)])
+    n = len(cs) - 1
+    scaled = [c * s ** (n - k) for k, c in enumerate(cs[:-1])]
+    ws, ps, newtons = list(zip(ints[::2], ints[1::2])), [], []
+    for x, y in ws:
+        pr, pi, dr, di = cs[-1], 0, 0, 0
+        for c in reversed(scaled):
+            dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        ps.append((pr, pi))
+        den = (dr * dr + di * di) * s
+        try:
+            newtons.append(complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den))
+        except (ZeroDivisionError, OverflowError):
+            newtons.append(None)
+    return s, ws, ps, newtons
+
+
+def _aberth_step(zs: Sequence[complex], newtons) -> tuple[list[complex], float]:
+    """One Aberth-Ehrlich sweep z_i - N_i / (1 - N_i sum_{j!=i} 1/(z_i - z_j)) in doubles.
+
+    N_i = p(z_i)/p'(z_i); None stands for an infinite N_i, whose limit step
+    is z_i + 1/sum.  A point whose step cannot be formed stays where it is.
+    Returns the new points and the largest move relative to |z_i|.
+    """
+    out, worst = [], 0.0
+    for i, (z, nw) in enumerate(zip(zs, newtons)):
+        try:
+            s = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            out.append(z + 1 / s if nw is None else z - nw / (1 - nw * s))
+        except ZeroDivisionError:
+            out.append(z)
+        worst = max(worst, abs(out[-1] - z) / abs(z) if z else math.inf)
+    return out, worst
+
+
+def _aberth(cs: tuple[int, ...]) -> list[complex]:
+    """Aberth-Ehrlich iteration on a square-free integer polynomial, in doubles.
+
+    Starts from a circle enclosing every root and runs up to 40 + 12n sweeps
+    with p evaluated in doubles (exactly where a double overflows) until no
+    point moves by 1e-12 relative.  Then up to 8 sweeps with p evaluated
+    exactly at the float points polish them until they settle to a few ulps.
     """
     n = len(cs) - 1
-    with mp.workdps(dps):
-        coeffs = [mp.mpf(c) for c in cs]
-        dcoeffs = [mp.mpf(i * cs[i]) for i in range(1, n + 1)]
-        lead = coeffs[-1]
-        radius0 = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-        zs = [
-            mp.mpc(mp.cos(0.4 + 2 * mp.pi * k / n), mp.sin(0.4 + 2 * mp.pi * k / n)) * radius0 * 0.75
-            for k in range(n)
-        ]
-        tol = mp.mpf(10) ** (-(dps - 6))
-        for _ in range(40 + 12 * n):
-            worst = mp.mpf(0)
-            new = list(zs)
-            for i, z in enumerate(zs):
-                pz = _horner(coeffs, z)
-                pdz = _horner(dcoeffs, z)
-                if pdz == 0:
-                    new[i] = z + tol * (1 + abs(z))
-                    worst = mp.mpf(1)
-                    continue
-                newton = pz / pdz
-                s = mp.mpc(0)
-                for j, other in enumerate(zs):
-                    if j != i:
-                        diff = z - other
-                        if diff == 0:
-                            diff = tol * (1 + abs(z))
-                        s += 1 / diff
-                denom = 1 - newton * s
-                step = newton if denom == 0 else newton / denom
-                new[i] = z - step
-                worst = max(worst, abs(step) / (1 + abs(z)))
-            zs = new
-            if worst < tol:
-                break
-
-        def weierstrass_radii(points):
-            rads = []
-            for i, z in enumerate(points):
-                prod = lead
-                for j, other in enumerate(points):
-                    if j != i:
-                        prod *= z - other
-                if prod == 0:
-                    return None
-                rads.append(n * abs(_horner(coeffs, z) / prod))
-            return rads
-
-        rads = weierstrass_radii(zs)
-        if rads is None:
-            return None
-        # snap points whose enclosure touches the real axis, then recertify
-        snapped = []
-        for z, r in zip(zs, rads):
-            snapped.append(mp.mpc(z.real, 0) if abs(z.imag) <= r else z)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if snapped[i] == snapped[j]:
-                    return None
-        zs = snapped
-        rads = weierstrass_radii(zs)
-        if rads is None:
-            return None
-
-        # enforce exact conjugate symmetry: copy each upper root onto a lower partner
-        order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
-        uppers = [i for i in order if zs[i].imag > 0]
-        lowers = [i for i in order if zs[i].imag < 0]
-        if len(uppers) != len(lowers):
-            return None
-        used = set()
-        for i in uppers:
-            mirror = mp.conj(zs[i])
-            best, best_dist = None, None
-            for j in lowers:
-                if j in used:
-                    continue
-                dist = abs(zs[j] - mirror)
-                if best is None or dist < best_dist:
-                    best, best_dist = j, dist
-            if best is None or best_dist > rads[i] + rads[best] + tol * (1 + abs(zs[i])):
-                return None
-            used.add(best)
-            zs[best] = mirror
-            rads[best] = rads[i]
-    return zs, rads
+    fcs = [float(c) for c in cs]
+    fdcs = [float(i * c) for i, c in enumerate(cs)][1:]
+    radius0 = 1.0 + max(abs(c) for c in fcs[:-1]) / abs(fcs[-1])
+    zs = [cmath.rect(0.75 * radius0, 0.4 + 2 * math.pi * k / n) for k in range(n)]
+    for _ in range(40 + 12 * n):
+        vals = [(_horner(fcs, z), _horner(fdcs, z)) for z in zs]
+        finite = all(cmath.isfinite(p) and cmath.isfinite(dp) for p, dp in vals)
+        newtons = [p / dp if dp else None for p, dp in vals] if finite else _exact_values(cs, zs)[3]
+        zs, move = _aberth_step(zs, newtons)
+        if move <= 1e-12:
+            break
+    for _ in range(8):
+        zs, move = _aberth_step(zs, _exact_values(cs, zs)[3])
+        if move <= 4 * sys.float_info.epsilon:
+            break
+    return zs
 
 
-def _certified_simple_roots(cs: tuple[int, ...], target: float) -> list[tuple[complex, float]]:
-    """Float disks of at most target radius, pairwise disjoint, one per root.
+def _sqrt_up(num: int, den: int) -> float:
+    """A float r, at most an ulp or two above the least, with r^2 >= num/den; inf for den = 0."""
+    if not num:
+        return 0.0
+    shift = max(0, (den.bit_length() - num.bit_length()) // 2 + 60)
+    try:
+        r = (math.isqrt((num << 2 * shift) // den) + 1) / (1 << shift)
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+    a, b = r.as_integer_ratio()
+    while a * a * den < num * b * b:
+        r = math.nextafter(r, math.inf)
+        a, b = r.as_integer_ratio()
+    return r
 
-    Precision doubles from _START_DPS; the first level whose float disks
-    all have radius at most target and are pairwise disjoint is returned.
+
+def _weierstrass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
+    """Weierstrass radii n |p(z_i)| / (|a_n| prod_{j!=i} |z_i - z_j|), rounded up.
+
+    Exact at the float points: with W = S z the radius is
+    n |S^n p(z_i)| / |a_n S prod_{j!=i} (W_i - W_j)|, all Gaussian integers.
+    Coinciding points get radius inf.
     """
-    dps = _START_DPS
-    while dps <= _MAX_DPS:
-        got = _aberth(cs, dps)
-        if got is not None:
-            out = []
-            for z, r in zip(*got):
-                zc = complex(float(z.real), float(z.imag))
-                out.append((zc, float(r) * (1 + 1e-9) + _conversion_slack(zc)))
-            if all(r <= target for _, r in out) and _disks_disjoint(out):
-                return out
-        dps *= 2
-    raise RootCertificationError(
-        f"could not certify roots of degree-{len(cs) - 1} factor to radius {target:g}"
-    )
+    s, ws, ps, _ = _exact_values(cs, zs)
+    n = len(cs) - 1
+    out = []
+    for i, ((pr, pi), (x, y)) in enumerate(zip(ps, ws)):
+        qr, qi = cs[-1] * s, 0
+        for j, (u, v) in enumerate(ws):
+            if j != i:
+                qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
+        out.append(_sqrt_up(n * n * (pr * pr + pi * pi), qr * qr + qi * qi))
+    return out
+
+
+def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
+    """Weierstrass disks, each within the target, at a square-free factor's Aberth centres.
+
+    Centres whose disk meets the real axis are snapped onto it and those
+    below it replaced by the mirrors of those above; the radii are taken at
+    these final centres.  `roots` checks that the disks are disjoint.
+    """
+    zs = _aberth(cs)
+    radii = _weierstrass_radii(cs, zs)
+    zs = [complex(z.real, 0.0) if abs(z.imag) <= r else z for z, r in zip(zs, radii)]
+    uppers = [z for z in zs if z.imag > 0]
+    reals = [z for z in zs if z.imag == 0]
+    zs = reals + uppers + [z.conjugate() for z in uppers]
+    disks = list(zip(zs, _weierstrass_radii(cs, zs)))
+    if len(zs) != len(cs) - 1 or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in disks):
+        raise RootCertificationError(f"could not certify the roots of a degree-{len(cs) - 1} factor")
+    return disks
 
 
 def roots(poly: IntPolynomial) -> ComplexRootSet:
     """All complex roots with exact multiplicities and certified radii.
 
-    Radii are at most 1e-12, and a hundredfold smaller on each retry while
-    disks of coprime factors overlap; the closed disks are pairwise
-    disjoint, so each contains exactly one distinct root of the polynomial.
-    A coefficient beyond the largest float raises DomainError.
+    Each radius is at most 1e-12 * max(1, |z|), and the closed disks are
+    pairwise disjoint (decided exactly), so each contains exactly one
+    distinct root.  A coefficient beyond the largest float raises
+    DomainError.
     """
     if poly.degree == 0:
         return ComplexRootSet(poly, ())
@@ -460,32 +456,29 @@ def roots(poly: IntPolynomial) -> ComplexRootSet:
         raise DomainError("certified roots need coefficients within the float range")
 
     zero_mult, rationals, leftovers = _decompose(poly)
-    exact: list[RootEnclosure] = []
+    enclosures: list[RootEnclosure] = []
     if zero_mult:
-        exact.append(RootEnclosure(0j, 0.0, zero_mult))
+        enclosures.append(RootEnclosure(0j, 0.0, zero_mult))
     for q, mult in rationals:
         v = complex(float(q), 0.0)
-        exact.append(RootEnclosure(v, _conversion_slack(v), mult))
-    target = _TARGET_RADIUS
-    for _ in range(4):
-        enclosures = list(exact)
-        for fac, mult in leftovers:
-            for z, r in _certified_simple_roots(fac, target):
-                enclosures.append(RootEnclosure(z, r, mult))
-        if _disks_disjoint([(e.value, e.radius) for e in enclosures]):
-            enclosures.sort(key=lambda e: (e.value.real, e.value.imag))
-            return ComplexRootSet(poly, tuple(enclosures))
-        target /= 100.0
-    raise RootCertificationError("root enclosures from coprime factors kept overlapping")
+        enclosures.append(RootEnclosure(v, _conversion_slack(v), mult))
+    for fac, mult in leftovers:
+        enclosures += [RootEnclosure(z, r, mult) for z, r in _certified_simple_roots(fac)]
+    if not _disks_disjoint([(e.value, e.radius) for e in enclosures]):
+        raise RootCertificationError("root enclosures overlap")
+    enclosures.sort(key=lambda e: (e.value.real, e.value.imag))
+    return ComplexRootSet(poly, tuple(enclosures))
 
 
 def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            (zi, ri), (zj, rj) = disks[i], disks[j]
-            if math.hypot(zi.real - zj.real, zi.imag - zj.imag) <= ri + rj:
-                return False
-    return True
+    """Whether the closed disks are pairwise disjoint, exactly on the binary values."""
+    ints, _ = _dyadic([x for z, r in disks for x in (z.real, z.imag, r)])
+    cells = list(zip(ints[::3], ints[1::3], ints[2::3]))
+    return all(
+        (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2
+        for i, (x, y, r) in enumerate(cells)
+        for u, v, t in cells[i + 1 :]
+    )
 
 
 # ----- Mahler measure -----

@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import mpmath as mp
+
 from kronrec.density import is_covered
 from kronrec.exact_linalg import det_exact
 from kronrec.poly_core import IntPolynomial, _decompose
@@ -154,3 +156,100 @@ def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, 
         raise AssertionError("confluent Vandermonde of distinct roots vanished")
     c_s = symbol.coefficient(s)
     return (-1) ** (n * s) * c_s**n * confluent(n) / g0, tuple(rational)
+
+
+def aberth_mp(cs: tuple[int, ...], dps: int):
+    """Aberth-Ehrlich iteration on a square-free integer polynomial at dps digits.
+
+    The mpmath route that poly_core's double-precision engine replaced.
+    Starts from the same circle and returns (centres, radii) as mpmath
+    numbers, with Weierstrass radii in rounded mp arithmetic, points whose
+    disk touches the real axis snapped onto it, and complex centres paired
+    into exact conjugates; None when the radii cannot be formed or the
+    pairing fails.
+    """
+    n = len(cs) - 1
+    with mp.workdps(dps):
+        coeffs = [mp.mpf(c) for c in reversed(cs)]
+        dcoeffs = [mp.mpf(i * cs[i]) for i in range(n, 0, -1)]
+        radius0 = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
+        zs = [
+            mp.mpc(mp.cos(0.4 + 2 * mp.pi * k / n), mp.sin(0.4 + 2 * mp.pi * k / n)) * radius0 * 0.75
+            for k in range(n)
+        ]
+        tol = mp.mpf(10) ** (-(dps - 6))
+        for _ in range(40 + 12 * n):
+            worst = mp.mpf(0)
+            new = list(zs)
+            for i, z in enumerate(zs):
+                pz, pdz = mp.polyval(coeffs, z), mp.polyval(dcoeffs, z)
+                if pdz == 0:
+                    new[i] = z + tol * (1 + abs(z))
+                    worst = mp.mpf(1)
+                    continue
+                newton = pz / pdz
+                s = sum((1 / ((z - w) or tol * (1 + abs(z))) for j, w in enumerate(zs) if j != i), mp.mpc(0))
+                denom = 1 - newton * s
+                step = newton if denom == 0 else newton / denom
+                new[i] = z - step
+                worst = max(worst, abs(step) / (1 + abs(z)))
+            zs = new
+            if worst < tol:
+                break
+
+        def weierstrass_radii(points):
+            rads = []
+            for i, z in enumerate(points):
+                prod = coeffs[0] * mp.fprod(z - w for j, w in enumerate(points) if j != i)
+                if prod == 0:
+                    return None
+                rads.append(n * abs(mp.polyval(coeffs, z) / prod))
+            return rads
+
+        rads = weierstrass_radii(zs)
+        if rads is None:
+            return None
+        zs = [mp.mpc(z.real, 0) if abs(z.imag) <= r else z for z, r in zip(zs, rads)]
+        if len(set(zs)) != n:
+            return None
+        rads = weierstrass_radii(zs)
+        if rads is None:
+            return None
+        # copy each upper root onto its nearest lower partner
+        order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
+        uppers = [i for i in order if zs[i].imag > 0]
+        lowers = [i for i in order if zs[i].imag < 0]
+        if len(uppers) != len(lowers):
+            return None
+        for i in uppers:
+            mirror = mp.conj(zs[i])
+            best = min(lowers, key=lambda j: abs(zs[j] - mirror))
+            if abs(zs[best] - mirror) > rads[i] + rads[best] + tol * (1 + abs(zs[i])):
+                return None
+            lowers.remove(best)
+            zs[best] = mirror
+            rads[best] = rads[i]
+    return zs, rads
+
+
+def ladder_roots(cs: tuple[int, ...], target: float = 1e-12) -> list[tuple[complex, float]]:
+    """Float disks from the first precision level, doubling from 30 digits, that certifies.
+
+    A level certifies when every float disk (mp radius plus conversion slack)
+    is within target and the disks are pairwise disjoint in floats.
+    """
+    dps = 30
+    while dps <= 1600:
+        got = aberth_mp(cs, dps)
+        if got is not None:
+            out = []
+            for z, r in zip(*got):
+                zc = complex(float(z.real), float(z.imag))
+                slack = 2.0 * (math.ulp(abs(zc.real)) + math.ulp(abs(zc.imag))) + 1e-300
+                out.append((zc, float(r) * (1 + 1e-9) + slack))
+            if all(r <= target for _, r in out) and all(
+                abs(zi - zj) > ri + rj for (zi, ri), (zj, rj) in itertools.combinations(out, 2)
+            ):
+                return out
+        dps *= 2
+    raise AssertionError(f"the precision ladder could not certify {cs}")

@@ -3,12 +3,15 @@
 The benchmark tracer rebinds a fixed list of kronrec functions by name and
 fails on a missing one, so removing or renaming a traced function breaks
 the benchmark; every `__all__` entry must also resolve, so a removed
-function cannot leave a dangling export.
+function cannot leave a dangling export.  The package has no runtime
+dependency: importing the command line loads no mpmath.
 """
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +46,10 @@ def test_every_export_resolves(mod_name):
     module = importlib.import_module(mod_name)
     for name in getattr(module, "__all__", ()):
         assert hasattr(module, name), f"{mod_name}.{name}"
+
+
+def test_command_line_imports_no_mpmath():
+    src = str(Path(kronrec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import kronrec.cli, sys; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -323,6 +323,15 @@ def test_mahler_near_the_top_of_the_float_range_is_finite(capsys):
     assert 0 < doc["error"] <= 1e308 * 1e-12
 
 
+@pytest.mark.parametrize("c", [20000000, 1000000000001])
+def test_mahler_of_a_large_irrational_root_pair(capsys, c):
+    # x^2 - c has the roots +-sqrt(c), so M = c; the radius target is relative
+    doc = run_json(capsys, "mahler", f"-{c},0,1")
+    value, error = Fraction(doc["value"]), Fraction(doc["error"])
+    assert value - error <= c <= value + error
+    assert doc["error"] <= 1e-12 * c
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -171,6 +171,22 @@ def test_factor_root_on_split_circle_goes_large():
     assert fact.eps == pytest.approx(1.0)
 
 
+def test_factor_irrational_roots_on_split_circle_go_large():
+    # 4x^2 - 3x + 1 has the roots (3 +- i sqrt 7)/8 of modulus exactly 1/2;
+    # their centres are irrational, so their disks have a positive radius
+    fact = factor_real(IntPolynomial((1, -3, 4)))
+    assert fact.c_coeffs == (1.0,)
+    assert fact.b_degree == 2
+
+
+def test_factor_exact_roots_on_split_circle_go_small():
+    # -1 - 4x^2 has the roots +-i/2, reached exactly with radius 0
+    fact = factor_real(IntPolynomial((-1, 0, -4)))
+    assert fact.b_coeffs == (-4.0,)
+    assert fact.c_coeffs == (0.25, 0.0, 1.0)
+    assert fact.delta == 0.25 and fact.eps == 1.0
+
+
 def test_factor_rejects():
     with pytest.raises(DomainError):
         factor_real(IntPolynomial((0, 1)))

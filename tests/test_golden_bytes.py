@@ -7,7 +7,10 @@ variant, a density bound, a seeded witness or a Trench determinant fails
 here.  A change that alters the mathematics on purpose re-records the
 affected digests and says why: the Trench digests of the symbols with
 irrational roots were re-recorded when the closed form became exact for
-every symbol, so they print an exact integer where a float stood.
+every symbol, so they print an exact integer where a float stood, and the
+mahler and bound digests of polynomials with irrational roots when the
+double-precision root engine with an exact certificate replaced the mpmath
+ladder, which moved their radii and the last bits of their enclosures.
 """
 
 import hashlib
@@ -19,41 +22,41 @@ import pytest
 from kronrec.cli import main
 
 GOLDEN = [
-    ("mahler --variant plain 3,-2,-9,-3,9", "6b599c2432fd746120079505bc1654dbdf85eeec7b1283c57392b69a2615a271"),
-    ("mahler --variant half_scaled 3,-2,-9,-3,9", "4b7a801d3bf8f182e3b2f62cc71dc10c89e932680892acdb3af97b04e485bb00"),
+    ("mahler --variant plain 3,-2,-9,-3,9", "53bbb1cb9234ed532e038e277aded17b2a63a0baabd35d2393a029348ce5a942"),
+    ("mahler --variant half_scaled 3,-2,-9,-3,9", "faa7af9484565c92b1ea5c000781a0268b137b0722e973b798bfa8aa64ff4793"),
     ("mahler --variant double_scaled 3,-2,-9,-3,9", "2b4f8f30d698e5c91e71fabe16bf2f1917ceaeb87f9da48b61e18fea10a211ee"),
-    ("mahler --variant conjugate 3,-2,-9,-3,9", "c11671f794142f8fdb5ae47c5aa76bb101da36ddac0740b4c808676ddd969c60"),
-    ("bound 3,-2,-9,-3,9", "843b5c4f70769e4d54b4dc8bfefb7387193453527850f36d7ec7cded7a2de642"),
-    ("mahler --variant plain -1,-1,1", "a2ca6de282f3bacf99d2f76b215bc2de53a3b4f30272c06c61d1ccedc6f0ee68"),
-    ("mahler --variant half_scaled -1,-1,1", "3e037318339744f6f7b703ae597aed8d7dfc38de1d7cf4895378815322f8824d"),
+    ("mahler --variant conjugate 3,-2,-9,-3,9", "7a4888a804e144c853f6530f80b6a15a74de4dd3cfe925a3314bc0acd7e23be4"),
+    ("bound 3,-2,-9,-3,9", "a0d95709126165f3002bd053caf4972992ffa94f48a8dc3d7456146fc0b400b3"),
+    ("mahler --variant plain -1,-1,1", "ff3b07b8ebcf24b1c4f85aee7e4ed6ace59b3b6baea9c916c7a0e798b98f2117"),
+    ("mahler --variant half_scaled -1,-1,1", "694011ee3cf2aeb4044cb4af88e3533b102e177c7fdb7a4f7c57510436e383f2"),
     ("mahler --variant double_scaled -1,-1,1", "ba856d1cee7f532b3815e43b1f3fd05ffb960b3266d99a94c3beb08e8207a936"),
-    ("mahler --variant conjugate -1,-1,1", "77fa919c7f53d76a4d324e209f1f6eed9edd6461b86698f193118ba7dd34a1ec"),
-    ("bound -1,-1,1", "b0c0b6819ec6362f3ac8f0803ad60efad50119e8854c140398d0b68f01db9a59"),
-    ("mahler --variant plain 1,0,2,0,1", "f8c22370bdacdb44e37797a5479f87a4e278d4c5c28a12e2eefd50b5b9be82c7"),
-    ("mahler --variant half_scaled 1,0,2,0,1", "2cff6a0b6aab6303221faf89280956992d7b7272a000637d9c576e85cd44d600"),
+    ("mahler --variant conjugate -1,-1,1", "dafb0b532916d1d906201ab04c1bbefd58e60f103d22fdf123a7fb8b3b0853a0"),
+    ("bound -1,-1,1", "f16e9242095e46572778e279d0468a5fadf3502db8905ffd03245d5db0fd3116"),
+    ("mahler --variant plain 1,0,2,0,1", "baf28dda8e805b46a2967179c6cd7d4e6e04a2dcced19ba4a12ddc9b2a374cc0"),
+    ("mahler --variant half_scaled 1,0,2,0,1", "3357f29093681f643d7a6db8643b99bb5152f0cb1dea02725705b624b21ef75d"),
     ("mahler --variant double_scaled 1,0,2,0,1", "bb2d8cdb5f2195f3e29682b9cc658818016cc79d5ea0bba0d3fb201c55e5817b"),
-    ("mahler --variant conjugate 1,0,2,0,1", "be6458fd1c3626149d95225a5a5c8ec1c55948bb2d4e465bed8af4f6da99c0e2"),
-    ("bound 1,0,2,0,1", "d05cfa9bf14b90c76f30ccea1fb64f88515f79374f6181f1a88461622653c296"),
+    ("mahler --variant conjugate 1,0,2,0,1", "4281a89e028166cfd036711278bdcb2b0f02cfa014cae1ff62ff54d54566b2f4"),
+    ("bound 1,0,2,0,1", "0be2aaf8b1375426004220394ec997044a34713d5e264d83314ad9463e26d5c0"),
     ("mahler --variant plain 2,-3,1", "696454a183a8a034fc29fa0a8d9e5b516870d05f4e18fc041654f618252536cc"),
     ("mahler --variant half_scaled 2,-3,1", "0f3db9915c6c5cd7f0e634e7446dcefc3cb7ddd0a16fc8d30f34f0fd3af00351"),
     ("mahler --variant double_scaled 2,-3,1", "66822bbd45c190e5c2c1d221ccc7af78a704e66eeb5282512c575209221aed47"),
     ("mahler --variant conjugate 2,-3,1", "159b3eff215d56b81b52b791e3c6d15dbaaeadea6115433a17d2598dd6c4fa01"),
     ("bound 2,-3,1", "d6f9f99fba94b88695b3d7997ee98de97a7a365eadf969c3459e005e7f04320f"),
-    ("mahler --variant plain 1,3,-4,0,2,-1,5", "dcb37911b1fae77f6d1f3a4cde1e1eaa4d947c986fdce56b2c35dc5843c16abf"),
-    ("mahler --variant half_scaled 1,3,-4,0,2,-1,5", "83ec7d9f5a07889e5973e81aa3da8ec994696bc8ebc2e739074bee2b0318bc2f"),
+    ("mahler --variant plain 1,3,-4,0,2,-1,5", "c12ce7b99d838d99f34083911c418fd9b845dd4aa81c20f4e017fceca2211489"),
+    ("mahler --variant half_scaled 1,3,-4,0,2,-1,5", "21bddfb8f1e6cfe2c6a7555205419da0e3ee330608262a282d219a841529ca1f"),
     ("mahler --variant double_scaled 1,3,-4,0,2,-1,5", "6c0031c5407ab2434b77033204de74b389ffb1e803ada6d525084426f586956e"),
-    ("mahler --variant conjugate 1,3,-4,0,2,-1,5", "6b60edc4f24d69c6bf02a6b75d2ac7e63f60a7f5db264cbb6ac1b35e4594c6cc"),
-    ("bound 1,3,-4,0,2,-1,5", "07a5f0a271e9a9148c53516bdf991564a7676217d289e835b67d1fc4df87d1b9"),
+    ("mahler --variant conjugate 1,3,-4,0,2,-1,5", "3867f50cc69f57aa39f53a628cf2aad5ca95db182899acc8f0fc8d2ccbff1282"),
+    ("bound 1,3,-4,0,2,-1,5", "6de469803fe14d873695633c2045c7c395b6d7131dca2065b751ede803d9af15"),
     ("mahler --variant plain -2,1", "cf944c1eb7fa952d3a85e7b1bab7a1cdc2ead70f1b551fc7fffe08436b988045"),
     ("mahler --variant half_scaled -2,1", "26ee4e20a90a153281fee412b3a5e9ef34b67f495fea23ac3c3f9e259c8a488c"),
     ("mahler --variant double_scaled -2,1", "b4cbd12826eff032f77e6d6630bad489add38c151338b715c84b3269eded26d4"),
     ("mahler --variant conjugate -2,1", "7b2b99431fa5246d11bd1c059bcd6747952cf885674a4188b024f02476609d01"),
     ("bound -2,1", "170707077736ee72084ae76522b6c98d1134b572e5f07f4fd18530f9cdb0dd50"),
-    ("mahler --variant plain 1,1,1", "b12e2ee41322be09c03f4431c931963399f1467c8d1c08be9d36b86fcc90fca7"),
-    ("mahler --variant half_scaled 1,1,1", "f423643051a935c82dc986a13ad6ae4b040f2f01ae96ebc0eba1d607447f5c50"),
+    ("mahler --variant plain 1,1,1", "4c7c43ff5641004d6c19a5a9bbba485ac040a543c6e6db94a2aa120363bfedc7"),
+    ("mahler --variant half_scaled 1,1,1", "f98458bbfc7bc18880e89a045ff528fce074cc1281c5b4542ec815fcb296cc5d"),
     ("mahler --variant double_scaled 1,1,1", "c560345a6497fdd55c0c9189825ccc03aeff9b07ee5f920d5cdd1b03c3a9831f"),
-    ("mahler --variant conjugate 1,1,1", "efae43b542a9d721fa1ae465361d80674847bb0695549a9179b5a1df7f3df2bc"),
-    ("bound 1,1,1", "1cf11ebdc2965e3ca7568e3cbe77bb885aa4cb08cf63f9148eef7de8d3ae952f"),
+    ("mahler --variant conjugate 1,1,1", "dbb7bffb2f544291c2825b2431c9e89859fef3a6cd429dd8e80abd02e86576b1"),
+    ("bound 1,1,1", "6a5ca98bbd8158f3fd2ccb5d456be98df991dd3c1d966a62a8354cd0f587db0f"),
     ("witness --m 7 --seed 3 3,-2,-9,-3,9", "f0a3b80688bc302ce930b225a2fbe9dd38fda58bcc1572f607831c524c400462"),
     ("witness --m 5 --seed 11 -1,-1,1", "51cda25167e3b7d635dc9382bc66c9cf1cd3e955b1ce55e37a67c39ca42c4fca"),
     ("witness --m 9 --seed 2 1,3,-4,0,2,-1,5", "54bb752b6e6fbbc7dd846df1eced018803c227650a7175bef5352eb7d31f6552"),

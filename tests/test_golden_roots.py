@@ -1,11 +1,13 @@
-"""Byte-level guard on the inputs whose roots certify at the first precision level.
+"""Byte-level guard on inputs with the roots +-i beside irrational ones.
 
-The digests were recorded before the root engine took the first certifying
-precision level as its answer.  The four witnesses and the quartic have a
-conjugate pair (+-i) that matches only within the Aberth tolerance.  The
-last two polynomials have root sets whose radii moved by an ulp with that
-rule while their printed bounds did not.  A change in which level the
-engine accepts shows here first.
+Every polynomial here has the factor x^2 + 1.  The root engine reaches +-i
+exactly, so their disks have radius 0.  The four witness digests were
+recorded under the mpmath precision ladder and held when the
+double-precision engine with an exact certificate replaced it.  The mahler
+and bound digests were re-recorded then, because the radii of the
+irrational roots and the last bits of the enclosures moved.  A change in
+where the engine's centres settle or how it rounds its radii shows here
+first.
 """
 
 import hashlib
@@ -13,7 +15,6 @@ import shlex
 
 import pytest
 
-from kronrec import poly_core
 from kronrec.cli import main
 
 GOLDEN_ROOTS = [
@@ -21,10 +22,10 @@ GOLDEN_ROOTS = [
     ("witness --m 13 --seed 664553 1,-1,-1,3,-2,4", "a5cf24dec9621ae1b6446522dfe37ae0702657887d65f8f8115c3b8cb03f1415"),
     ("witness --m 16 --seed 681978 -1,3,2,2,1,-1,-2", "18b1fa8b674836501e7079a1c500de484eec7aec7975faad91d2fa92439f6326"),
     ("witness --m 14 --seed 957655 2,-4,2,2,4,4,3,-2,-1", "c43287a40fa9884f1515c398c9304dad7937afdb080027ecd986a36609174e64"),
-    ("bound -1,-2,3,-2,4", "3ddda93944e889a817a767704efd6bb925691db876c0da055a4fc9fb10aea334"),
-    ("mahler -1,-2,3,-2,4", "fd959b53e536379bcd5f7e14c36c45e5c11738f2366127982ffa8e460ed96ec5"),
-    ("mahler 1,-4,2,-2,1,2", "42a9d4bda7746c7c3021951d93c8288b5739a34a43f3f51f4e189a7799e6b501"),
-    ("bound -1,-3,0,-3,1", "31e3647b8049da47509f86be5302426f33f7c10aaa477fcca9a3ff32906907a9"),
+    ("bound -1,-2,3,-2,4", "4c8a0d269237c80aeb6e0984811bcece6a6d1d85e2a72c29214a0f5ea0cc1adb"),
+    ("mahler -1,-2,3,-2,4", "3a232445ba4aea87bd0b74eb5fe6ca8056527c2d5fe0b97af997043bc2c67e72"),
+    ("mahler 1,-4,2,-2,1,2", "a9629277f76c407b004755971efeefd7f60b81fe0cd914f58bb1819b4b8b1fda"),
+    ("bound -1,-3,0,-3,1", "989cb67ad52beb45339c9d2923ec6d39c78fd719cc5616e94108f1306f145696"),
 ]
 
 
@@ -34,25 +35,3 @@ def test_stdout_digest(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "command, dps_expected",
-    [
-        ("witness --m 13 --seed 664553 1,-1,-1,3,-2,4", [30]),
-        ("bound -1,-2,3,-2,4", [30, 30]),
-    ],
-)
-def test_first_certifying_level_is_final(capsys, monkeypatch, command, dps_expected):
-    """A +-i pair that certifies at 30 digits runs no higher precision level."""
-    real = poly_core._aberth
-    dps_seen = []
-
-    def recording(cs, dps):
-        dps_seen.append(dps)
-        return real(cs, dps)
-
-    monkeypatch.setattr(poly_core, "_aberth", recording)
-    assert main(shlex.split(command)) == 0
-    capsys.readouterr()
-    assert dps_seen == dps_expected

@@ -3,18 +3,25 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from kronrec.errors import DomainError, ParseError
 from kronrec.poly_core import (
     IntPolynomial,
+    _aberth,
+    _decompose,
+    _disks_disjoint,
+    _sqrt_up,
+    _weierstrass_radii,
     conjugate,
     mahler_measure,
     parse_polynomial,
     roots,
     squarefree_factors,
 )
+from oracles import ladder_roots
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # classic numeric oracle for the degree-10 measure record holder
@@ -152,8 +159,8 @@ def test_roots_cubic_conjugate_symmetry():
     assert a.value == b.value.conjugate()
 
 
-# each has the roots +-i; Aberth lands on them below working precision, where
-# the Weierstrass radii (0 where p rounds to 0) drop under the rounding noise
+# each has the roots +-i, which the engine reaches exactly, so p vanishes at
+# the centres and the Weierstrass radii are exactly 0
 @pytest.mark.parametrize(
     "coeffs",
     [(1, -1, -2, -1, -3), (2, 1, -3, 1, 2, -3, 4, -3, -3), (-1, -2, 3, -2, 4), (-2, -4, 3, -1, 4, 3, -1)],
@@ -164,12 +171,92 @@ def test_roots_certify_converged_imaginary_pair(coeffs):
     rs = roots(p)
     assert rs.total_multiplicity == p.degree
     assert sum(abs(r.value - 1j) <= r.radius for r in rs.roots) == 1
+    assert {(r.value, r.radius) for r in rs.roots if abs(r.value.imag) == 1.0} == {(1j, 0.0), (-1j, 0.0)}
     values = sorted((r.value for r in rs.roots), key=lambda z: (z.real, z.imag))
     assert values == sorted((r.value.conjugate() for r in rs.roots), key=lambda z: (z.real, z.imag))
     for i, a in enumerate(rs.roots):
         assert a.radius <= 1e-12
         for b in rs.roots[i + 1 :]:
             assert abs(a.value - b.value) > a.radius + b.radius
+
+
+@pytest.mark.parametrize("c", [2 * 10**7, 10**12 + 1])
+def test_roots_certify_large_irrational_roots(c):
+    # the radius target is relative, so roots far beyond 2^12 certify
+    rs = roots(poly(-c, 0, 1))
+    for r in rs.roots:
+        assert 0 < r.radius <= 1e-12 * abs(r.value)
+        x, rad = Fraction(abs(r.value.real)), Fraction(r.radius)
+        assert r.value.imag == 0 and (x - rad) ** 2 <= c <= (x + rad) ** 2
+
+
+@seed(20240611)
+@settings(deadline=None, max_examples=40)
+@given(small_polys(max_degree=7))
+def test_root_disks_hold_one_polyroots_root_and_one_ladder_centre(p):
+    """Each disk holds exactly one root that mpmath.polyroots finds at 120
+    digits, and meets exactly one disk of the mpmath precision ladder."""
+    rs = roots(p).roots
+    ladder, reference = [], []
+    for fac, _ in squarefree_factors(p):
+        ladder += ladder_roots(fac) if len(fac) > 2 else [(complex(-fac[0] / fac[1]), 0.0)]
+        with mpmath.workdps(120):
+            coeffs = [mpmath.mpf(c) for c in reversed(fac)]
+            reference += mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
+    assert len(reference) == len(ladder) == len(rs)
+    tiny = mpmath.mpf(10) ** -100
+    for e in rs:
+        with mpmath.workdps(120):
+            assert sum(abs(mpmath.mpc(e.value) - w) <= e.radius + tiny for w in reference) == 1
+        assert sum(abs(e.value - z) <= e.radius + r for z, r in ladder) == 1
+
+
+def _exact_radius_squared(cs, zs, i):
+    """n^2 |p(z_i)|^2 / (a_n^2 prod_{j!=i} |z_i - z_j|^2) in Fractions, from the float centres."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    z = (Fraction(zs[i].real), Fraction(zs[i].imag))
+    val = (Fraction(0), Fraction(0))
+    for c in reversed(cs):
+        val = mul(val, z)
+        val = (val[0] + c, val[1])
+    prod = (Fraction(cs[-1]), Fraction(0))
+    for j, w in enumerate(zs):
+        if j != i:
+            prod = mul(prod, (z[0] - Fraction(w.real), z[1] - Fraction(w.imag)))
+    n = len(cs) - 1
+    return n * n * (val[0] ** 2 + val[1] ** 2) / (prod[0] ** 2 + prod[1] ** 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polys(max_degree=6))
+def test_weierstrass_radius_rounds_up_the_exact_value(p):
+    for fac, _ in _decompose(p)[2]:
+        zs = _aberth(fac)
+        for i, r in enumerate(_weierstrass_radii(fac, zs)):
+            exact = _exact_radius_squared(fac, zs, i)
+            assert Fraction(r) ** 2 >= exact
+            two_below = math.nextafter(math.nextafter(r, 0), 0)
+            assert r == 0.0 if exact == 0 else Fraction(two_below) ** 2 < exact
+
+
+@given(st.integers(0, 10**60), st.integers(1, 10**60), st.integers(-400, 400))
+def test_sqrt_up_is_a_tight_upper_bound(num, den, shift):
+    num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
+    r = _sqrt_up(num, den)
+    assert Fraction(r) ** 2 >= Fraction(num, den)
+    if num:
+        assert Fraction(math.nextafter(math.nextafter(r, 0), 0)) ** 2 < Fraction(num, den)
+
+
+def test_disks_disjoint_decides_on_the_binary_values():
+    # closed disks that touch are not disjoint
+    assert not _disks_disjoint([(0j, 0.5), (1 + 0j, 0.5)])
+    assert _disks_disjoint([(0j, 0.5), (1 + 0j, math.nextafter(0.5, 0))])
+    # the binary values of 0.3 + 0.4i lie just over 1/2 from 0, where hypot rounds to 0.5
+    assert math.hypot(0.3, 0.4) == 0.5
+    assert _disks_disjoint([(0j, 0.25), (0.3 + 0.4j, 0.25)])
 
 
 @settings(deadline=None, max_examples=40)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import identity_matrix, mat_mul, solve_exact, transpose
-from kronrec.poly_core import IntPolynomial, _aberth, _decompose
+from kronrec.poly_core import IntPolynomial, _decompose, roots
 from kronrec.recurrence_matrices import band_rows, tri_rows
 from kronrec.toeplitz import (
     LaurentSymbol,
@@ -26,7 +26,7 @@ from kronrec.toeplitz import (
     trench_det,
 )
 
-from oracles import trench_vandermonde
+from oracles import aberth_mp, trench_vandermonde
 
 TRIDIAG = LaurentSymbol.from_coefficients((-2, 5, -2), 1)
 SHIFT2 = IntPolynomial((-2, 1))
@@ -155,20 +155,25 @@ def _symbol_polynomial(sym):
 
 @pytest.mark.parametrize("coeffs", NUMERIC_B)
 def test_trench_aberth_centres_match_polyroots(coeffs):
-    """The root engine on the irrational factors of Trench symbols, against mpmath.polyroots."""
+    """The mpmath ladder oracle and the root engine on the irrational factors
+    of Trench symbols, both against mpmath.polyroots."""
     sym = LaurentSymbol.from_polynomial(IntPolynomial(coeffs))
     _, _, leftover = _decompose(_symbol_polynomial(sym))
     assert leftover
     for fac, _ in leftover:
+        disks = roots(IntPolynomial(fac)).roots
         for dps in (60, 120):
-            centres, _ = _aberth(fac, dps)
+            centres, _ = aberth_mp(fac, dps)
             with mpmath.workdps(dps):
                 oracle = mpmath.polyroots(
                     [mpmath.mpf(c) for c in reversed(fac)], maxsteps=200, extraprec=dps
                 )
-                assert len(centres) == len(oracle)
+                assert len(centres) == len(oracle) == len(disks)
+                tol = mpmath.mpf(10) ** (10 - dps)
                 for z in centres:
-                    assert min(abs(z - w) for w in oracle) <= mpmath.mpf(10) ** (10 - dps)
+                    assert min(abs(z - w) for w in oracle) <= tol
+                for w in oracle:
+                    assert sum(abs(mpmath.mpc(e.value) - w) <= e.radius + tol for e in disks) == 1
 
 
 @pytest.mark.parametrize("n", [20, 60])
