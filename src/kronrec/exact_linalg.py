@@ -135,22 +135,25 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style HNF with transform: returns (H, U) with U unimodular, U*A = H."""
     _check_int_matrix(rows)
-    return _hnf([list(r) for r in rows])
+    nc = len(rows[0])
+    h = _hnf([list(r) + e for r, e in zip(rows, identity_matrix(len(rows)))], nc)
+    return [r[:nc] for r in h], [r[nc:] for r in h]
 
 
-def _hnf(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """hnf on an integer matrix already checked, reducing the list h of rows in place."""
-    nr, nc = len(h), len(h[0])
-    u = identity_matrix(nr)
+def _hnf(h: list[list[int]], ncols: int) -> list[list[int]]:
+    """hnf of the first ncols columns of an integer matrix already checked, in place.
+
+    Row operations act on whole rows, so on [A | I] the appended columns
+    come out as the transform.
+    """
+    nr = len(h)
 
     def row_sub(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
+        if q:
+            h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
 
     pr = 0
-    for col in range(nc):
+    for col in range(ncols):
         if pr >= nr:
             break
         while True:
@@ -167,10 +170,8 @@ def _hnf(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
         r0 = nz[0]
         if r0 != pr:
             h[pr], h[r0] = h[r0], h[pr]
-            u[pr], u[r0] = u[r0], u[pr]
         if h[pr][col] < 0:
             h[pr] = [-x for x in h[pr]]
-            u[pr] = [-x for x in u[pr]]
         piv = h[pr][col]
         for r in range(pr):
             e = h[r][col]
@@ -178,7 +179,7 @@ def _hnf(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
                 q = (abs(e) - 1) // piv
                 row_sub(r, pr, q if e > 0 else -q)
         pr += 1
-    return h, u
+    return h
 
 
 # ----- saturated integer kernel -----
@@ -192,12 +193,12 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     for free from the transform-of-HNF construction).
     """
     _check_int_matrix(rows)
-    h, u = _hnf(transpose(rows))
-    kernel_rows = [u[r] for r in range(len(h)) if all(x == 0 for x in h[r])]
+    n = len(rows)
+    h = _hnf([col + e for col, e in zip(transpose(rows), identity_matrix(len(rows[0])))], n)
+    kernel_rows = [r[n:] for r in h if not any(r[:n])]
     if not kernel_rows:
         return []
-    kh, _ = _hnf(kernel_rows)
-    return [row for row in kh if any(x != 0 for x in row)]
+    return [row for row in _hnf(kernel_rows, len(kernel_rows[0])) if any(row)]
 
 
 # ----- exact determinant and solve -----

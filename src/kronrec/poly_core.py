@@ -1,23 +1,25 @@
 """Integer polynomials, certified complex roots, and Mahler measure variants.
 
-This module is kronrec's only root finder.  One exact decomposition splits a
-polynomial into its zero multiplicity, its rational roots with exact
-multiplicities (Yun's square-free decomposition over the rationals, then the
-rational root test), and square-free leftover factors without rational
-roots, so only simple roots are ever iterated on.  One Aberth-Ehrlich
-iteration in doubles finds the leftovers' roots, first with p evaluated in
-doubles, then with p evaluated exactly at the float iterates until they
-settle.  Each centre is then enclosed in a Weierstrass disk: for pairwise
-distinct points z_1..z_n the disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|)
-jointly cover the zero set, so pairwise disjoint disks isolate exactly one
-zero each (Braess & Hadeler, Numer. Math. 21, 1973).  The centres are
-dyadic, so over one power of two every quantity in a radius is a Gaussian
-integer: the radii are exact values rounded up, and disjointness is decided
-exactly.  No working precision is involved.
+This module is kronrec's only root finder, and every nonzero root takes one
+route.  The factor x^k is split off, so the root 0 keeps an exact disk of
+radius 0.  Yun's square-free decomposition, run on integer coefficient
+lists with primitive remainder sequences, splits the rest into pairwise
+coprime square-free factors with exact multiplicities, so only simple roots
+are ever iterated on; rational roots are not searched for.  One
+Aberth-Ehrlich iteration in doubles finds each factor's roots, first with p
+evaluated in doubles, then with p evaluated exactly at the float iterates
+until they settle.  Each centre is then enclosed in a Weierstrass disk: for
+pairwise distinct points z_1..z_n the disks
+D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero set,
+so pairwise disjoint disks isolate exactly one zero each (Braess & Hadeler,
+Numer. Math. 21, 1973).  The centres are dyadic, so over one power of two
+every quantity in a radius is a Gaussian integer: the radii are exact
+values rounded up, and a root that is itself a float gets radius 0.
+Disjointness is decided exactly.  No working precision is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
-and all disks, rational ones included, are pairwise disjoint.  Every Mahler
-variant and the refined product are folds over that one root set.
+and all disks are pairwise disjoint.  Every Mahler variant and the refined
+product are folds over that one root set.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ __all__ = [
 # largest radius of a certified root disk, relative to max(1, |z|)
 _TARGET_RADIUS = 1e-12
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
-
-_DIVISOR_SEARCH_LIMIT = 10**7
 
 
 def _horner(coeffs: Sequence, x):
@@ -151,116 +151,80 @@ def conjugate(poly: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(poly.coeffs)))
 
 
-# ----- exact polynomial helpers over Fraction -----
+# ----- exact polynomial helpers over the integers -----
 
 
-def _fstrip(cs: list[Fraction]) -> list[Fraction]:
+def _strip(cs: list[int]) -> list[int]:
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _fderiv(cs: Sequence[Fraction]) -> list[Fraction]:
-    return _fstrip([i * c for i, c in enumerate(cs)][1:] or [Fraction(0)])
+def _deriv(cs: Sequence[int]) -> list[int]:
+    return _strip([i * c for i, c in enumerate(cs)][1:] or [0])
 
 
-def _fdivmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    """(quotient, remainder) of stripped polynomials; den = [0] raises ZeroDivisionError."""
+def _primitive(cs: Sequence[int]) -> list[int]:
+    """cs over its content, with a positive leading coefficient; [0] stays [0]."""
+    g = math.gcd(*cs)
+    g = -g if cs[-1] < 0 else g
+    return [c // g for c in cs] if g else [0]
+
+
+def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den for a primitive den dividing num, which is exact in Z[x] by Gauss's lemma."""
     rem = list(num)
-    q = [Fraction(0)] * max(1, len(rem) - len(den) + 1)
-    while len(rem) >= len(den) and rem != [0]:
-        shift = len(rem) - len(den)
-        coef = rem[-1] / den[-1]
-        q[shift] += coef
+    q = [0] * max(1, len(rem) - len(den) + 1)
+    for shift in range(len(rem) - len(den), -1, -1):
+        coef = q[shift] = rem[shift + len(den) - 1] // den[-1]
         for i, dc in enumerate(den):
             rem[shift + i] -= coef * dc
-        rem = _fstrip(rem)
-    return _fstrip(q), rem
+    return q
 
 
-def _fgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd by the Euclidean algorithm."""
-    a = _fstrip(list(a))
-    b = _fstrip(list(b))
-    while b != [Fraction(0)]:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    return a if a == [0] else [c / a[-1] for c in a]
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by a primitive remainder sequence.
 
-
-def _primitive_int(cs: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators and content; normalize the leading coefficient positive."""
-    ints, _ = clear_denominators(cs)
-    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-    return tuple(v // g for v in ints)
+    Each pseudo-remainder is made primitive before it divides, which keeps
+    the coefficients from swelling (Knuth, TAOCP vol. 2, 4.6.1).
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b != [0]:
+        r = list(a)
+        while len(r) >= len(b) and any(r):
+            shift, top = len(r) - len(b), r[-1]
+            r = [b[-1] * x for x in r[:-1]]
+            for i, bc in enumerate(b[:-1]):
+                r[shift + i] -= top * bc
+            _strip(r)
+        a, b = b, _primitive(r or [0])
+    return a
 
 
 def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Yun decomposition: primitive square-free factors with exact multiplicities.
 
-    Returns ((coeffs, multiplicity), ...) with the factors pairwise coprime and
-    A equal to a nonzero constant times the product of factor^multiplicity.
+    Returns ((coeffs, multiplicity), ...) with the factors pairwise coprime,
+    each with a positive leading coefficient, and A equal to a nonzero
+    constant times the product of factor^multiplicity.  Every step stays in
+    Z[x]: the gcds are primitive, so the quotients by them are exact.
     """
     if poly.degree == 0:
         return ()
-    f = _fstrip([Fraction(c) for c in poly.coeffs])
-    fp = _fderiv(f)
-    g = _fgcd(f, fp)
-    if len(g) == 1:
-        return ((_primitive_int(f), 1),)
-    b, _ = _fdivmod(f, g)
-    c, _ = _fdivmod(fp, g)
-    d = _fstrip([ci - bi for ci, bi in zip_longest(c, _fderiv(b), fillvalue=Fraction(0))])
+    f = list(poly.coeffs)
+    fp = _deriv(f)
+    g = _gcd(f, fp)
+    b, c = _exact_quotient(f, g), _exact_quotient(fp, g)
     out = []
     i = 1
     while len(b) > 1:
-        a = _fgcd(b, d)
+        d = _strip([ci - bi for ci, bi in zip_longest(c, _deriv(b), fillvalue=0)])
+        a = _gcd(b, d)
         if len(a) > 1:
-            out.append((_primitive_int(a), i))
-        b, _ = _fdivmod(b, a)
-        cnext, _ = _fdivmod(d, a)
-        d = _fstrip([ci - bi for ci, bi in zip_longest(cnext, _fderiv(b), fillvalue=Fraction(0))])
+            out.append((tuple(a), i))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         i += 1
     return tuple(out)
-
-
-# ----- exact root structure -----
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, in no particular order."""
-    n = abs(n)
-    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in small]
-
-
-def _decompose(poly: IntPolynomial):
-    """Exact root structure of a nonzero integer polynomial of degree >= 1.
-
-    Returns (zero_multiplicity, rationals, leftovers): the nonzero rational
-    roots as [(root, multiplicity)] and the square-free primitive factors that
-    carry the remaining roots as [(coeffs, multiplicity)].  A leftover has no
-    rational root unless its end coefficients exceed the divisor search
-    limit, in which case nothing is split from it.
-    """
-    zero_mult = next(i for i, c in enumerate(poly.coeffs) if c != 0)
-    rationals: list[tuple[Fraction, int]] = []
-    leftovers: list[tuple[tuple[int, ...], int]] = []
-    for fac, mult in squarefree_factors(IntPolynomial(poly.coeffs[zero_mult:])):
-        work = [Fraction(c) for c in fac]
-        if abs(work[0]) <= _DIVISOR_SEARCH_LIMIT and abs(work[-1]) <= _DIVISOR_SEARCH_LIMIT:
-            num_divs = _divisors(int(work[0]))
-            den_divs = _divisors(int(work[-1]))
-            candidates = sorted({Fraction(s * p, q) for p in num_divs for q in den_divs for s in (1, -1)})
-            for cand in candidates:
-                if len(work) < 2:
-                    break
-                if _horner(work, cand) == 0:
-                    work, _ = _fdivmod(work, [-cand, Fraction(1)])
-                    rationals.append((cand, mult))
-        if len(work) > 1:
-            leftovers.append((_primitive_int(work), mult))
-    return zero_mult, rationals, leftovers
 
 
 # ----- certified numeric roots -----
@@ -304,10 +268,6 @@ class ComplexRootSet:
     def refined_product(self) -> Interval:
         """|a_d| * prod max(|alpha|, 1 - |alpha|) over the roots."""
         return self._product(_refined_factor)
-
-
-def _conversion_slack(z: complex) -> float:
-    return 2.0 * (math.ulp(abs(z.real)) + math.ulp(abs(z.imag))) + 1e-300
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -455,14 +415,9 @@ def roots(poly: IntPolynomial) -> ComplexRootSet:
     if max(map(abs, poly.coeffs)) > sys.float_info.max:
         raise DomainError("certified roots need coefficients within the float range")
 
-    zero_mult, rationals, leftovers = _decompose(poly)
-    enclosures: list[RootEnclosure] = []
-    if zero_mult:
-        enclosures.append(RootEnclosure(0j, 0.0, zero_mult))
-    for q, mult in rationals:
-        v = complex(float(q), 0.0)
-        enclosures.append(RootEnclosure(v, _conversion_slack(v), mult))
-    for fac, mult in leftovers:
+    zero_mult = next(i for i, c in enumerate(poly.coeffs) if c != 0)
+    enclosures = [RootEnclosure(0j, 0.0, zero_mult)] if zero_mult else []
+    for fac, mult in squarefree_factors(IntPolynomial(poly.coeffs[zero_mult:])):
         enclosures += [RootEnclosure(z, r, mult) for z, r in _certified_simple_roots(fac)]
     if not _disks_disjoint([(e.value, e.radius) for e in enclosures]):
         raise RootCertificationError("root enclosures overlap")

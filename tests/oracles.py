@@ -5,13 +5,121 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 import mpmath as mp
 
 from kronrec.density import is_covered
-from kronrec.exact_linalg import det_exact
-from kronrec.poly_core import IntPolynomial, _decompose
+from kronrec.exact_linalg import clear_denominators, det_exact, identity_matrix, transpose
+from kronrec.poly_core import IntPolynomial
+
+
+def _fstrip(cs: list[Fraction]) -> list[Fraction]:
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _fderiv(cs: Sequence[Fraction]) -> list[Fraction]:
+    return _fstrip([i * c for i, c in enumerate(cs)][1:] or [Fraction(0)])
+
+
+def _fdivmod(num: Sequence[Fraction], den: Sequence[Fraction]):
+    """(quotient, remainder) of stripped polynomials over the rationals."""
+    rem = list(num)
+    q = [Fraction(0)] * max(1, len(rem) - len(den) + 1)
+    while len(rem) >= len(den) and rem != [0]:
+        shift = len(rem) - len(den)
+        coef = rem[-1] / den[-1]
+        q[shift] += coef
+        for i, dc in enumerate(den):
+            rem[shift + i] -= coef * dc
+        rem = _fstrip(rem)
+    return _fstrip(q), rem
+
+
+def _fgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Monic gcd by the Euclidean algorithm."""
+    a = _fstrip(list(a))
+    b = _fstrip(list(b))
+    while b != [Fraction(0)]:
+        _, r = _fdivmod(a, b)
+        a, b = b, r
+    return a if a == [0] else [c / a[-1] for c in a]
+
+
+def _primitive_int(cs: Sequence[Fraction]) -> tuple[int, ...]:
+    """Clear denominators and content; normalize the leading coefficient positive."""
+    ints, _ = clear_denominators(cs)
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def fraction_squarefree(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Yun's square-free decomposition over the rationals, with monic Euclidean gcds.
+
+    The Fraction route to poly_core.squarefree_factors, which runs Yun's
+    algorithm on integer coefficient lists; both return primitive factors
+    with a positive leading coefficient in the same order.
+    """
+    if poly.degree == 0:
+        return ()
+    f = _fstrip([Fraction(c) for c in poly.coeffs])
+    fp = _fderiv(f)
+    g = _fgcd(f, fp)
+    if len(g) == 1:
+        return ((_primitive_int(f), 1),)
+    b, _ = _fdivmod(f, g)
+    c, _ = _fdivmod(fp, g)
+    d = _fstrip([ci - bi for ci, bi in zip_longest(c, _fderiv(b), fillvalue=Fraction(0))])
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _fgcd(b, d)
+        if len(a) > 1:
+            out.append((_primitive_int(a), i))
+        b, _ = _fdivmod(b, a)
+        cnext, _ = _fdivmod(d, a)
+        d = _fstrip([ci - bi for ci, bi in zip_longest(cnext, _fderiv(b), fillvalue=Fraction(0))])
+        i += 1
+    return tuple(out)
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, in no particular order."""
+    n = abs(n)
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in small]
+
+
+def rational_decompose(poly: IntPolynomial):
+    """Exact root structure of a nonzero integer polynomial of degree >= 1.
+
+    The rational root test that poly_core.roots dropped when every factor
+    went to the certified Aberth route.  Returns (zero_multiplicity,
+    rationals, leftovers): the nonzero rational roots as [(root,
+    multiplicity)], exact, and the square-free primitive factors without a
+    rational root that carry the others as [(coeffs, multiplicity)].  The
+    divisor search costs about sqrt(|a_0|) + sqrt(|a_d|) per factor.
+    """
+    zero_mult = next(i for i, c in enumerate(poly.coeffs) if c != 0)
+    rationals: list[tuple[Fraction, int]] = []
+    leftovers: list[tuple[tuple[int, ...], int]] = []
+    for fac, mult in fraction_squarefree(IntPolynomial(poly.coeffs[zero_mult:])):
+        work = [Fraction(c) for c in fac]
+        num_divs = _divisors(fac[0])
+        den_divs = _divisors(fac[-1])
+        candidates = sorted({Fraction(s * p, q) for p in num_divs for q in den_divs for s in (1, -1)})
+        for cand in candidates:
+            if len(work) < 2:
+                break
+            if sum(c * cand**i for i, c in enumerate(work)) == 0:
+                work, _ = _fdivmod(work, [-cand, Fraction(1)])
+                rationals.append((cand, mult))
+        if len(work) > 1:
+            leftovers.append((_primitive_int(work), mult))
+    return zero_mult, rationals, leftovers
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -68,6 +176,64 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         k += 1
     diag = [abs(a[i][i]) for i in range(k)] + [0] * (n - k)
     return tuple(diag)
+
+
+def hnf_two_matrices(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style HNF (H, U) with U*A = H, tracking U as a second matrix.
+
+    The bookkeeping route to exact_linalg.hnf, which carries U as identity
+    columns appended to A: every row operation here is applied to both
+    matrices, so the two routes must agree entry for entry.
+    """
+    h = [list(r) for r in rows]
+    nr, nc = len(h), len(h[0])
+    u = identity_matrix(nr)
+
+    def row_sub(dst: int, src: int, q: int) -> None:
+        if q == 0:
+            return
+        h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
+        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
+
+    pr = 0
+    for col in range(nc):
+        if pr >= nr:
+            break
+        while True:
+            nz = [r for r in range(pr, nr) if h[r][col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(h[r][col]))
+            base = nz[0]
+            for r in nz[1:]:
+                row_sub(r, base, h[r][col] // h[base][col])
+        nz = [r for r in range(pr, nr) if h[r][col] != 0]
+        if not nz:
+            continue
+        r0 = nz[0]
+        if r0 != pr:
+            h[pr], h[r0] = h[r0], h[pr]
+            u[pr], u[r0] = u[r0], u[pr]
+        if h[pr][col] < 0:
+            h[pr] = [-x for x in h[pr]]
+            u[pr] = [-x for x in u[pr]]
+        piv = h[pr][col]
+        for r in range(pr):
+            e = h[r][col]
+            if abs(e) > piv:
+                q = (abs(e) - 1) // piv
+                row_sub(r, pr, q if e > 0 else -q)
+        pr += 1
+    return h, u
+
+
+def kernel_two_matrices(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """exact_linalg.integer_kernel's construction on hnf_two_matrices."""
+    h, u = hnf_two_matrices(transpose(rows))
+    kernel_rows = [u[r] for r in range(len(h)) if not any(h[r])]
+    if not kernel_rows:
+        return []
+    return [row for row in hnf_two_matrices(kernel_rows)[0] if any(row)]
 
 
 def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -139,7 +305,7 @@ def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, 
     """
     r, s = symbol.r, symbol.s
     den = math.lcm(*(c.denominator for c in symbol.coeffs))
-    _, rational, leftover = _decompose(IntPolynomial(tuple(int(c * den) for c in symbol.coeffs)))
+    _, rational, leftover = rational_decompose(IntPolynomial(tuple(int(c * den) for c in symbol.coeffs)))
     if leftover:
         raise ValueError("the confluent Vandermonde route needs every root rational")
 

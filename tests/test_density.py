@@ -161,14 +161,14 @@ def test_factor_all_roots_small():
     assert fact.eps == pytest.approx((1 / 16) * (4 / 3) ** 2, abs=1e-10)
 
 
-def test_factor_root_on_split_circle_goes_large():
-    # the root of 2x - 1 sits exactly at 1/2; its enclosure pokes above,
-    # so it must land in B and C stays trivial
+def test_factor_rational_root_on_split_circle_goes_small():
+    # the root of 2x - 1 sits exactly at 1/2 and is reached exactly, so its
+    # disk has radius 0 and lies in |z| <= 1/2: C = x - 1/2 and B = 2; eps
+    # stays 1, as delta = 1/2 meets the factor 1/(1 - 1/2) = 2
     fact = factor_real(IntPolynomial((-1, 2)))
-    assert fact.c_coeffs == (1.0,)
-    assert fact.b_coeffs == pytest.approx((-1.0, 2.0), abs=1e-9)
-    assert fact.delta == pytest.approx(1.0)
-    assert fact.eps == pytest.approx(1.0)
+    assert fact.c_coeffs == (-0.5, 1.0)
+    assert fact.b_coeffs == (2.0,)
+    assert fact.delta == 0.5 and fact.eps == 1.0
 
 
 def test_factor_irrational_roots_on_split_circle_go_large():
@@ -180,11 +180,12 @@ def test_factor_irrational_roots_on_split_circle_go_large():
 
 
 def test_factor_exact_roots_on_split_circle_go_small():
-    # -1 - 4x^2 has the roots +-i/2, reached exactly with radius 0
-    fact = factor_real(IntPolynomial((-1, 0, -4)))
-    assert fact.b_coeffs == (-4.0,)
-    assert fact.c_coeffs == (0.25, 0.0, 1.0)
-    assert fact.delta == 0.25 and fact.eps == 1.0
+    # -1 - 4x^2 and 4x^2 + 1 have the roots +-i/2, reached exactly with radius 0
+    for lead in (-4, 4):
+        fact = factor_real(IntPolynomial((lead // 4, 0, lead)))
+        assert fact.b_coeffs == (float(lead),)
+        assert fact.c_coeffs == (0.25, 0.0, 1.0)
+        assert fact.delta == 0.25 and fact.eps == 1.0
 
 
 def test_factor_rejects():

@@ -21,7 +21,8 @@ from kronrec.exact_linalg import (
     solve_exact,
     transpose,
 )
-from oracles import snf
+from kronrec.recurrence_matrices import band_rows
+from oracles import hnf_two_matrices, kernel_two_matrices, snf
 
 small_ints = st.integers(-30, 30)
 
@@ -114,6 +115,19 @@ def test_hnf_properties(a):
     # canonicity: idempotent
     h2, _ = hnf(h)
     assert h2 == h
+
+
+@seed(20261020)
+@settings(deadline=None, max_examples=200)
+@given(int_matrices(max_dim=6))
+def test_hnf_and_kernel_match_the_two_matrix_route(a):
+    assert hnf(a) == hnf_two_matrices(a)
+    assert integer_kernel(a) == kernel_two_matrices(a)
+
+
+def test_band_kernel_matches_the_two_matrix_route():
+    rows = band_rows([-3, -1, -3], 58)
+    assert integer_kernel(rows) == kernel_two_matrices(rows)
 
 
 # ----- SNF -----

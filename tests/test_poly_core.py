@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kronrec.errors import DomainError, ParseError
 from kronrec.poly_core import (
     IntPolynomial,
     _aberth,
-    _decompose,
     _disks_disjoint,
     _sqrt_up,
     _weierstrass_radii,
@@ -21,7 +20,7 @@ from kronrec.poly_core import (
     roots,
     squarefree_factors,
 )
-from oracles import ladder_roots
+from oracles import fraction_squarefree, ladder_roots, rational_decompose
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # classic numeric oracle for the degree-10 measure record holder
@@ -112,6 +111,40 @@ def test_squarefree_total_degree():
     p = poly(-4, 12, -9, 2)  # (x-2)^2 (2x-1)
     fs = squarefree_factors(p)
     assert sum(len(f) - 1 for f, m in fs for _ in range(m)) == p.degree
+
+
+def poly_power_product(factors) -> IntPolynomial:
+    out = poly(1)
+    for f, mult in factors:
+        for _ in range(mult):
+            out = poly_mul(out, f)
+    return out
+
+
+@st.composite
+def repeated_factor_products(draw):
+    """A nonzero constant times 1-3 small factors, each raised to a power 1-4."""
+    factors = [(poly(draw(st.integers(-5, 5)) or 1), 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        factors.append((draw(small_polys(max_degree=3, max_coeff=5)), draw(st.integers(1, 4))))
+    return poly_power_product(factors)
+
+
+@seed(20261018)
+@settings(deadline=None, max_examples=150)
+@given(repeated_factor_products())
+@example(poly_power_product([(poly(-3), 1), (poly(1, -2), 3), (poly(1, 1, 1), 1)]))
+@example(poly_power_product([(poly(0, 1), 2), (poly(2, 0, -1), 4)]))
+def test_squarefree_matches_the_fraction_route(p):
+    assert squarefree_factors(p) == fraction_squarefree(p)
+
+
+def test_squarefree_wilkinson_is_its_own_factor():
+    # prod (x - k) for k = 1..20 has coefficients up to 20!; a remainder
+    # sequence that kept each remainder's content would swell them, and the
+    # gcd with the derivative would take seconds instead of a millisecond
+    w = poly_power_product([(poly(-k, 1), 1) for k in range(1, 21)])
+    assert squarefree_factors(w) == ((w.coeffs, 1),)
 
 
 # ----- certified roots -----
@@ -211,6 +244,48 @@ def test_root_disks_hold_one_polyroots_root_and_one_ladder_centre(p):
         assert sum(abs(e.value - z) <= e.radius + r for z, r in ladder) == 1
 
 
+@st.composite
+def rational_root_products(draw):
+    """Rational linear factors with multiplicities 1-3 beside a small factor;
+    one optional simple factor q x + p has |p| and q up to 10^9."""
+    linear = st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool))
+    factors = [(poly(*draw(linear)), draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        factors.append((poly(draw(st.integers(-(10**9), 10**9)), draw(st.integers(1, 10**9))), 1))
+    if draw(st.booleans()):
+        factors.append((draw(small_polys(max_degree=3, max_coeff=5, nonzero_constant=True)), 1))
+    return poly_power_product(factors)
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=80)
+@given(rational_root_products())
+@example(poly_power_product([(poly(-1, 10**8), 1), (poly(1, 1, 1), 1)]))
+@example(poly_power_product([(poly(-1, 2), 3), (poly(5, 4), 2), (poly(-7, 1), 1)]))
+def test_each_rational_root_lies_in_one_disk_with_its_multiplicity(p):
+    rs = roots(p).roots
+    zero_mult, rationals, _ = rational_decompose(p)
+    if zero_mult:
+        rationals = rationals + [(Fraction(0), zero_mult)]
+    for q, mult in rationals:
+        holding = [
+            e for e in rs
+            if (Fraction(e.value.real) - q) ** 2 + Fraction(e.value.imag) ** 2 <= Fraction(e.radius) ** 2
+        ]
+        assert len(holding) == 1 and holding[0].multiplicity == mult
+
+
+def test_rational_roots_get_weierstrass_radii():
+    # 1/2 is a float, so its centre is the root and its radius is 0;
+    # 10^-8 is not, and its radius is the distance to the float centre, rounded up
+    (half,) = roots(poly(-1, 2)).roots
+    assert (half.value, half.radius, half.multiplicity) == (0.5, 0.0, 1)
+    tiny_poly = poly_power_product([(poly(-1, 10**8), 1), (poly(1, 1, 1), 1)])
+    tiny = next(e for e in roots(tiny_poly).roots if e.value.imag == 0)
+    assert 0 < tiny.radius <= 1e-12
+    assert abs(Fraction(tiny.value.real) - Fraction(1, 10**8)) <= Fraction(tiny.radius)
+
+
 def _exact_radius_squared(cs, zs, i):
     """n^2 |p(z_i)|^2 / (a_n^2 prod_{j!=i} |z_i - z_j|^2) in Fractions, from the float centres."""
     def mul(a, b):
@@ -232,7 +307,7 @@ def _exact_radius_squared(cs, zs, i):
 @settings(deadline=None, max_examples=40)
 @given(small_polys(max_degree=6))
 def test_weierstrass_radius_rounds_up_the_exact_value(p):
-    for fac, _ in _decompose(p)[2]:
+    for fac, _ in squarefree_factors(p):
         zs = _aberth(fac)
         for i, r in enumerate(_weierstrass_radii(fac, zs)):
             exact = _exact_radius_squared(fac, zs, i)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import identity_matrix, mat_mul, solve_exact, transpose
-from kronrec.poly_core import IntPolynomial, _decompose, roots
+from kronrec.poly_core import IntPolynomial, roots
 from kronrec.recurrence_matrices import band_rows, tri_rows
 from kronrec.toeplitz import (
     LaurentSymbol,
@@ -26,7 +26,7 @@ from kronrec.toeplitz import (
     trench_det,
 )
 
-from oracles import aberth_mp, trench_vandermonde
+from oracles import aberth_mp, rational_decompose, trench_vandermonde
 
 TRIDIAG = LaurentSymbol.from_coefficients((-2, 5, -2), 1)
 SHIFT2 = IntPolynomial((-2, 1))
@@ -158,7 +158,7 @@ def test_trench_aberth_centres_match_polyroots(coeffs):
     """The mpmath ladder oracle and the root engine on the irrational factors
     of Trench symbols, both against mpmath.polyroots."""
     sym = LaurentSymbol.from_polynomial(IntPolynomial(coeffs))
-    _, _, leftover = _decompose(_symbol_polynomial(sym))
+    _, _, leftover = rational_decompose(_symbol_polynomial(sym))
     assert leftover
     for fac, _ in leftover:
         disks = roots(IntPolynomial(fac)).roots
