@@ -14,7 +14,7 @@ class DomainError(KronrecError):
 
 
 class RootCertificationError(DomainError):
-    """Root isolation failed within the precision escalation limit."""
+    """The double-precision root iteration gave no certified, disjoint root disks."""
 
 
 class SingularMatrixError(DomainError):

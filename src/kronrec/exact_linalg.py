@@ -6,8 +6,8 @@ coercer, turns exact rows into integers for every integer route; determinant,
 leading minors and solve share one fraction-free Bareiss elimination on them.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
-reduced to absolute value at most the pivot.  Re-running hnf on its own
-output is the identity.
+reduced into [0, pivot), so the form is unique: one lattice, one HNF.
+Re-running hnf on its own output is the identity.
 """
 
 from __future__ import annotations
@@ -172,12 +172,8 @@ def _hnf(h: list[list[int]], ncols: int) -> list[list[int]]:
             h[pr], h[r0] = h[r0], h[pr]
         if h[pr][col] < 0:
             h[pr] = [-x for x in h[pr]]
-        piv = h[pr][col]
         for r in range(pr):
-            e = h[r][col]
-            if abs(e) > piv:
-                q = (abs(e) - 1) // piv
-                row_sub(r, pr, q if e > 0 else -q)
+            row_sub(r, pr, h[r][col] // h[pr][col])
         pr += 1
     return h
 

@@ -3,17 +3,18 @@
 Vectors of length m whose windows of width d+1 are annihilated by the
 coefficients of A form a rank-d lattice.  Over the rationals it is spanned by
 the rows of N (seeded with standard basis vectors and extended along the
-recurrence, and read exactly from the integer table a_d^(m-d) N); over the
-integers by the saturated kernel of the band matrix; over the p-adic integers
-by a canonical basis M built segment by segment from the Newton polygon of A
-at p.  canonical_basis_M re-derives every clause of the block certificate
-(identity blocks, determinant valuations, row-walk valuation floors,
-p-integrality) and fails loudly if any clause breaks.
+recurrence, and read exactly from the integer table T = a_d^(m-d) N); over the
+integers by the HNF of {y : y T = 0 mod a_d^(m-d)} mapped through T and
+Gram-Toeplitz certified; over the p-adic integers by a canonical basis M built
+segment by segment from the Newton polygon of A at p.  canonical_basis_M
+re-derives every clause of its block certificate (identity blocks, determinant
+valuations, row-walk valuation floors, p-integrality) and fails if one breaks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,14 +23,15 @@ from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import (
     PADIC_INFINITY,
     det_exact,
-    integer_kernel,
+    hnf,
+    identity_matrix,
     is_prime,
     mat_mul,
     p_adic_valuation,
     solve_exact,
 )
 from .poly_core import IntPolynomial
-from .recurrence_matrices import band_rows
+from .toeplitz import LaurentSymbol, gram_det, trench_det
 
 __all__ = [
     "NewtonPolygon",
@@ -325,10 +327,12 @@ class LatticeBases:
 def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     """Q-basis N, HNF Z-basis of the saturated integral lattice, and their index.
 
-    The index of the Z-span of N's rows inside the integral lattice is the
-    absolute determinant of the change-of-basis matrix, read off exactly from
-    the first d columns because N starts with an identity block; every row
-    z of the Z-basis is checked as a_d^(m-d) z = z[:d] T in integers.
+    N starts with an identity block, so z -> z[:d] maps the integral lattice
+    onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF, built one
+    column congruence at a time, maps through T to the HNF Z-basis, and its
+    diagonal product is the index.  Certificate: each division by a_d^(m-d) is
+    exact, and the Gram determinant is the Toeplitz determinant of A(x)A(1/x)
+    (Trench's closed form), which a basis of a sublattice of index k misses by k^2.
     """
     d = poly.degree
     if poly.constant_coefficient == 0:
@@ -338,20 +342,29 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     if d < 1 or m < d:
         raise DomainError("integral basis needs m >= deg A >= 1")
     table, lead = scaled_basis_N(poly, m)
-    # at m = d the lattice is all of Z^d and T the identity
-    z_rows = integer_kernel(band_rows(list(poly.coeffs), m - d)) if m > d else table
-    if len(z_rows) != d:
-        raise CertificateError("saturated kernel rank does not match the degree")
-    # re-derive the full rows from the claimed coordinates; both routes must agree
-    coords = [z[:d] for z in z_rows]
-    if mat_mul(coords, table) != [[lead * x for x in z] for z in z_rows]:
+    # for each column t past T's identity block, rows 1..d of the HNF of
+    # [y t mod |lead| | y] and the fence [|lead| | 0] are the HNF of the y that also
+    # pass y t = 0 mod |lead|; each such lattice contains |lead| Z^d, so no y-fences
+    fence = [abs(lead)] + [0] * d
+    coords = identity_matrix(d)
+    for col in list(zip(*table))[d:]:
+        rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
+        coords = [row[1:] for row in hnf(rows + [fence])[0][1 : d + 1]]
+    scaled = mat_mul(coords, table)
+    if any(x % lead for row in scaled for x in row):
         raise CertificateError("Z-basis rows are not integer combinations of N")
+    z_rows = [[x // lead for x in row] for row in scaled]
+    # A is primitive, so the band rows [A]_(m-d) span the orthogonal lattice over
+    # Z, and a basis of the whole lattice has their Gram determinant
+    symbol = LaurentSymbol.from_polynomial(poly)
+    if m > d and gram_det(z_rows).determinant != trench_det(symbol, m - d):
+        raise CertificateError("Z-basis does not span the whole integral lattice")
     return LatticeBases(
         poly=poly,
         m=m,
         rational_basis=tuple(tuple(Fraction(x, lead) for x in row) for row in table),
         z_basis=tuple(tuple(row) for row in z_rows),
-        index=abs(int(det_exact(coords))),
+        index=math.prod(row[i] for i, row in enumerate(coords)),
     )
 
 

@@ -82,7 +82,7 @@ class LaurentSymbol:
     def from_polynomial(cls, poly) -> "LaurentSymbol":
         """Autocorrelation symbol B(x)B(1/x); r = s = deg B."""
         if isinstance(poly, IntPolynomial):
-            b = [Fraction(c) for c in poly.coeffs]
+            b = list(poly.coeffs)  # integer sums; __post_init__ makes them Fractions
         else:
             b = [coerce_rational(c) for c in poly]
             if not b or b[-1] == 0:

@@ -11,8 +11,15 @@ from typing import Sequence
 import mpmath as mp
 
 from kronrec.density import is_covered
-from kronrec.exact_linalg import clear_denominators, det_exact, identity_matrix, transpose
+from kronrec.exact_linalg import (
+    clear_denominators,
+    det_exact,
+    identity_matrix,
+    integer_kernel,
+    transpose,
+)
 from kronrec.poly_core import IntPolynomial
+from kronrec.recurrence_matrices import band_rows
 
 
 def _fstrip(cs: list[Fraction]) -> list[Fraction]:
@@ -217,12 +224,8 @@ def hnf_two_matrices(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
         if h[pr][col] < 0:
             h[pr] = [-x for x in h[pr]]
             u[pr] = [-x for x in u[pr]]
-        piv = h[pr][col]
         for r in range(pr):
-            e = h[r][col]
-            if abs(e) > piv:
-                q = (abs(e) - 1) // piv
-                row_sub(r, pr, q if e > 0 else -q)
+            row_sub(r, pr, h[r][col] // h[pr][col])
         pr += 1
     return h, u
 
@@ -234,6 +237,20 @@ def kernel_two_matrices(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     if not kernel_rows:
         return []
     return [row for row in hnf_two_matrices(kernel_rows)[0] if any(row)]
+
+
+def band_kernel_basis(poly: IntPolynomial, m: int) -> list[list[int]]:
+    """HNF Z-basis of the length-m integral recurrences as the band rows' saturated kernel.
+
+    The m-dimensional route to lattice_structure.integral_basis, which works
+    in dimension d on the congruences of a_d^(m-d) N: an HNF of the
+    m x (m - d) transpose of [A]_(m-d) with its m x m transform, then a
+    second HNF of the kernel rows.  At m = d the lattice is all of Z^d.
+    """
+    d = poly.degree
+    if m == d:
+        return identity_matrix(d)
+    return integer_kernel(band_rows(list(poly.coeffs), m - d))
 
 
 def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fraction, Fraction]:

@@ -91,6 +91,14 @@ def test_index_subcommand(capsys):
     assert doc["z_basis"] == [[4, 6, 9]]
 
 
+def test_index_subcommand_at_large_m(capsys):
+    # the lattice is computed in dimension d, so m = 200 stays cheap
+    doc = run_json(capsys, "index", "--m", "200", "-3,-1,-3")
+    assert doc["matches"] is True
+    assert doc["index"] == 3**198
+    assert len(doc["z_basis"]) == 2 and all(len(row) == 200 for row in doc["z_basis"])
+
+
 def test_witness_hand_target(capsys):
     doc = run_json(capsys, "witness", "--m", "3", "--target", "0.3,0.9,0.1", "-2,1")
     assert doc["k"] == [0, -2]

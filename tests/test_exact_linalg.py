@@ -78,7 +78,7 @@ def test_valuation_is_additive_and_ultrametric(x, y, p):
 
 def test_hnf_frozen_example():
     h, u = hnf([[2, 4], [6, 8]])
-    assert h == [[2, 4], [0, 4]]
+    assert h == [[2, 0], [0, 4]]
     assert mat_mul(u, [[2, 4], [6, 8]]) == h
     assert abs(det_exact(u)) == 1
 
@@ -86,7 +86,7 @@ def test_hnf_frozen_example():
 def test_hnf_band_example():
     a = [[-3, 2, 0], [0, -3, 2]]
     h, u = hnf(a)
-    assert h == [[3, -2, 0], [0, 3, -2]]
+    assert h == [[3, 1, -2], [0, 3, -2]]
     assert abs(det_exact([[h[0][0], h[0][1]], [h[1][0], h[1][1]]])) == 9
     assert mat_mul(u, a) == h
 
@@ -97,7 +97,7 @@ def test_hnf_properties(a):
     h, u = hnf(a)
     assert mat_mul(u, a) == h
     assert abs(det_exact(u)) == 1
-    # echelon with positive pivots, entries above bounded by the pivot
+    # echelon with positive pivots, entries above a pivot in [0, pivot)
     pivots = []
     for row in h:
         nz = [j for j, x in enumerate(row) if x != 0]
@@ -111,7 +111,7 @@ def test_hnf_properties(a):
         piv_col = nz[0]
         assert row[piv_col] > 0
         for above in range(r):
-            assert abs(h[above][piv_col]) <= row[piv_col]
+            assert 0 <= h[above][piv_col] < row[piv_col]
     # canonicity: idempotent
     h2, _ = hnf(h)
     assert h2 == h

@@ -4,10 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
+from kronrec import lattice_structure
 from kronrec.errors import CertificateError, DomainError
-from kronrec.exact_linalg import PADIC_INFINITY, det_exact, p_adic_valuation
+from kronrec.exact_linalg import (
+    PADIC_INFINITY,
+    det_exact,
+    identity_matrix,
+    mat_mul,
+    p_adic_valuation,
+)
 from kronrec.lattice_structure import (
     basis_N,
     canonical_basis_M,
@@ -19,7 +26,8 @@ from kronrec.lattice_structure import (
 )
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import recurrence_extend
-from oracles import snf
+from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
+from oracles import band_kernel_basis, snf
 
 WORKED = IntPolynomial((3, -2, -9, -3, 9))
 
@@ -356,6 +364,57 @@ def test_z_basis_is_saturated_worked_example():
     lattice = integral_basis(WORKED, 7)
     divisors = [x for x in snf([list(r) for r in lattice.z_basis]) if x != 0]
     assert divisors == [1, 1, 1, 1]
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(primitive_polys(max_degree=4), st.integers(0, 30))
+@example(poly(-2, 1), 0)  # monic, m = d
+@example(poly(-3, 2), 1)  # |a_d| > 1, m = d + 1
+@example(poly(5, 1, -3), 2)  # |a_0| > 1, negative a_d
+@example(poly(-3, -1, -3), 30)
+@example(WORKED, 9)
+@example(poly(2, -3, 0, -1, 4), 0)
+def test_integral_basis_equals_the_band_kernel(a, extra):
+    m = a.degree + extra
+    assert integral_basis(a, m).z_basis == tuple(map(tuple, band_kernel_basis(a, m)))
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(primitive_polys(max_degree=4), st.integers(1, 6))
+def test_z_basis_gram_determinant_is_the_toeplitz_determinant(a, extra):
+    m = a.degree + extra
+    symbol = LaurentSymbol.from_polynomial(a)
+    gram = gram_det(integral_basis(a, m).z_basis).determinant
+    assert gram == trench_det(symbol, extra) == toeplitz_det_direct(symbol, extra - 1)
+
+
+def _rows_rederive(a, m, z_rows):
+    """The per-row check integral_basis made before its Gram certificate."""
+    table, lead = scaled_basis_N(a, m)
+    coords = [z[: a.degree] for z in z_rows]
+    return mat_mul(coords, table) == [[lead * x for x in z] for z in z_rows]
+
+
+@pytest.mark.parametrize("a, m", [(WORKED, 9), (poly(-3, -1, -3), 12), (poly(-2, 1), 5)])
+def test_integral_basis_refuses_a_basis_with_a_row_doubled(monkeypatch, a, m):
+    def doubled_first_row(coords, table):
+        return mat_mul([[2 * x for x in coords[0]]] + coords[1:], table)
+
+    doubled = [list(r) for r in integral_basis(a, m).z_basis]
+    doubled[0] = [2 * x for x in doubled[0]]
+    assert _rows_rederive(a, m, doubled)  # the per-row check cannot see it
+    monkeypatch.setattr(lattice_structure, "mat_mul", doubled_first_row)
+    with pytest.raises(CertificateError, match="span"):
+        integral_basis(a, m)
+
+
+def test_integral_basis_refuses_rows_outside_the_lattice(monkeypatch):
+    # a route that skips the congruences keeps coords = I, and T / a_d^(m-d) is not integral
+    monkeypatch.setattr(lattice_structure, "hnf", lambda rows: (identity_matrix(len(rows[0])), None))
+    with pytest.raises(CertificateError, match="integer combinations"):
+        integral_basis(poly(-3, 2), 3)
 
 
 # --- minor_identity ---
