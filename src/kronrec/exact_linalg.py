@@ -4,6 +4,11 @@ Matrices are plain lists of row lists.  Integer-lattice routines (hnf,
 integer_kernel) validate integrality.  clear_denominators, the one rational
 coercer, turns exact rows into integers for every integer route; determinant,
 leading minors and solve share one fraction-free Bareiss elimination on them.
+The elimination skips zeros: a row with a zero in the pivot column is left
+alone and the factor it owes is paid exactly later, since every Bareiss
+intermediate is a minor, and updates stop where the rows' nonzeros end.  So
+the banded Toeplitz and Gram matrices of the symbol A(x)A(1/x) cost O(L d^2)
+operations at order L and half-bandwidth d, and dense ones O(L^3) as before.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced into [0, pivot), so the form is unique: one lattice, one HNF.
@@ -226,55 +231,100 @@ def clear_denominators(values: Sequence) -> tuple[list[int], int]:
 def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Scale each row by its denominator lcm; returns (integer matrix, row scales).
 
-    An integer matrix, the common case, skips the per-row calls.
+    An integer matrix, the common case, is recognised by one scan of the
+    entry types at C speed and skips the per-row calls; bools and Fractions
+    take the per-row route.
     """
-    if all(isinstance(x, int) for r in rows for x in r):
-        return [list(r) for r in rows], [1] * len(rows)
+    if {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        return list(map(list, rows)), [1] * len(rows)
     cleared = [clear_denominators(r) for r in rows]
     return [ints for ints, _ in cleared], [den for _, den in cleared]
+
+
+def _row_end(row: list[int]) -> int:
+    """One past the last nonzero entry of row; 0 for a zero row."""
+    return next(itertools.compress(range(len(row), 0, -1), reversed(row)), 0)
 
 
 def _bareiss(a: list[list[int]], steps: int) -> int | None:
     """Fraction-free elimination of the first `steps` columns of `a`, in place.
 
-    Each update divides exactly by the previous pivot, so entries stay
-    integral; while no rows are swapped, pivot a[k][k] is the (k+1)-th
-    leading principal minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot
-    is swapped for the first nonzero entry below it.  Entries left of the
-    diagonal are not cleared: callers read only the upper triangle.
-    Returns the number of row swaps, or None when a column has no pivot.
+    Step k replaces each row below the pivot p_k = a[k][k] by
+    (row * p_k - row[k] * pivot row) / p_{k-1}, with p_{-1} = 1; the
+    division is exact, since every intermediate entry is a minor of the
+    input.  While no rows are swapped, p_k is the (k+1)-th leading principal
+    minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot is swapped for the
+    first nonzero entry below it.  Entries left of the diagonal are not
+    cleared: callers read only the upper triangle.  Returns the number of
+    row swaps, or None when a column has no pivot.
+
+    The pass skips zeros, so a banded matrix of order L and half-bandwidth
+    d costs O(L d^2) operations, not O(L^3).  A row whose entry in the pivot
+    column is 0 is left as it is: the update would only scale it by
+    p_k / p_{k-1}, so a row last updated at step t holds the dense pass's
+    values divided by p_{k-1} / p_t.  Both are minors, so the owed factor is
+    paid exactly when it falls due: folded into the row's next update, which
+    divides by p_t in place of p_{k-1}; in one pass when the row becomes the
+    pivot row; and at the end for the rows past `steps`, since pivot rows
+    are final.  Each row also keeps the end of its nonzero entries, and an
+    update stops at the further of its own end and the pivot row's: zeros
+    past both stay zero.
     """
     n = len(a)
+    ends = [len(r) if r[-1] else _row_end(r) for r in a]  # row i is 0 from column ends[i] on
+    lags = [1] * n  # lags[i] = p_t, t the last step that updated row i (p_{-1} = 1)
     swaps = 0
     prev = 1
     for k in range(steps):
-        if a[k][k] == 0:
+        row = a[k]
+        if row[k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
                 return None
-            a[k], a[swap] = a[swap], a[k]
+            a[k], a[swap] = a[swap], row
+            ends[k], ends[swap] = ends[swap], ends[k]
+            lags[k], lags[swap] = lags[swap], lags[k]
             swaps += 1
-        pivot = a[k][k]
-        pivot_tail = a[k][k + 1 :]
+            row = a[k]
+        end = ends[k]
+        lag = lags[k]
+        if lag != prev:
+            row[k:end] = [x * prev // lag for x in row[k:end]]
+        pivot = row[k]
+        pivot_tail = row[k + 1 :]
         for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
+            r = a[i]
+            f = r[k]
+            if f:
+                hi = ends[i]
+                if hi < end:
+                    hi = ends[i] = end
+                lag = lags[i]
+                r[k + 1 : hi] = [(x * pivot - f * y) // lag for x, y in zip(r[k + 1 : hi], pivot_tail)]
+                lags[i] = pivot
         prev = pivot
+    for i in range(steps, n):
+        lag = lags[i]
+        if lag != prev:
+            r, end = a[i], ends[i]
+            r[steps:end] = [x * prev // lag for x in r[steps:end]]
     return swaps
 
 
 def det_exact(rows: Sequence[Sequence]) -> Fraction:
     """Determinant by fraction-free Bareiss elimination."""
-    if any(len(r) != len(rows) for r in rows):
+    n = len(rows)
+    if {*map(len, rows)} - {n}:
         raise DomainError("determinant needs a square matrix")
     a, scales = _clear_row_denominators(rows)
     if not a:
         return Fraction(1)
-    swaps = _bareiss(a, len(a) - 1)
+    swaps = _bareiss(a, n - 1)
     if swaps is None:
         return Fraction(0)
-    return Fraction((-1) ** swaps * a[-1][-1], math.prod(scales))
+    det = -a[-1][-1] if swaps % 2 else a[-1][-1]
+    den = math.prod(scales)
+    return Fraction(det) if den == 1 else Fraction(det, den)
 
 
 def leading_minors(rows: Sequence[Sequence]) -> list[Fraction]:

@@ -22,8 +22,8 @@ from typing import Sequence
 from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import (
     PADIC_INFINITY,
+    _hnf,
     det_exact,
-    hnf,
     identity_matrix,
     is_prime,
     mat_mul,
@@ -344,12 +344,13 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     table, lead = scaled_basis_N(poly, m)
     # for each column t past T's identity block, rows 1..d of the HNF of
     # [y t mod |lead| | y] and the fence [|lead| | 0] are the HNF of the y that also
-    # pass y t = 0 mod |lead|; each such lattice contains |lead| Z^d, so no y-fences
+    # pass y t = 0 mod |lead|; each such lattice contains |lead| Z^d, so no y-fences.
+    # The rows are integral by construction, and no transform is needed
     fence = [abs(lead)] + [0] * d
     coords = identity_matrix(d)
     for col in list(zip(*table))[d:]:
         rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
-        coords = [row[1:] for row in hnf(rows + [fence])[0][1 : d + 1]]
+        coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
     scaled = mat_mul(coords, table)
     if any(x % lead for row in scaled for x in row):
         raise CertificateError("Z-basis rows are not integer combinations of N")

@@ -129,6 +129,34 @@ def rational_decompose(poly: IntPolynomial):
     return zero_mult, rationals, leftovers
 
 
+def dense_bareiss(a: list[list[int]], steps: int) -> int | None:
+    """exact_linalg._bareiss before it skipped zeros: every row below the pivot, every step.
+
+    Fraction-free elimination of the first `steps` columns of `a`, in place,
+    updating each row below the pivot across its whole tail at every step:
+    O(n^3) work on every matrix, banded or not.  Returns the number of row
+    swaps, or None when a column has no pivot.
+    """
+    n = len(a)
+    swaps = 0
+    prev = 1
+    for k in range(steps):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return None
+            a[k], a[swap] = a[swap], a[k]
+            swaps += 1
+        pivot = a[k][k]
+        pivot_tail = a[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
+        prev = pivot
+    return swaps
+
+
 def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Smith normal form: elementary divisors d_1 | d_2 | ..., zeros trailing.
 

@@ -1,6 +1,8 @@
 """Exact rational linear algebra: valuations, HNF, SNF, kernels, solves."""
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, seed, settings, strategies as st
 from kronrec.errors import DomainError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
+    _bareiss,
     clear_denominators,
     det_exact,
     hnf,
@@ -22,7 +25,7 @@ from kronrec.exact_linalg import (
     transpose,
 )
 from kronrec.recurrence_matrices import band_rows
-from oracles import hnf_two_matrices, kernel_two_matrices, snf
+from oracles import dense_bareiss, hnf_two_matrices, kernel_two_matrices, snf
 
 small_ints = st.integers(-30, 30)
 
@@ -260,6 +263,120 @@ def test_leading_minors_hand_values():
         leading_minors([[0, 1, 2], [1, 0, 3], [4, 5, 6]])
     with pytest.raises(DomainError):
         leading_minors([[1, 2]])
+
+
+# ----- the zero-skipping elimination against the dense oracle -----
+
+
+@st.composite
+def banded_matrices(draw, entries=small_ints, max_n=12):
+    """Square, zero outside a band of independent lower and upper half-widths."""
+    n = draw(st.integers(1, max_n))
+    lower, upper = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return [[draw(entries) if -lower <= k - j <= upper else 0 for k in range(n)] for j in range(n)]
+
+
+@st.composite
+def bordered_band_grams(draw):
+    """Gram matrix of e_S above the band rows [B]_l: the shape lyons eliminates."""
+    d = draw(st.integers(1, 3))
+    ends = st.integers(-5, 5).filter(bool)
+    coeffs = [draw(ends)] + [draw(st.integers(-5, 5)) for _ in range(d - 1)] + [draw(ends)]
+    rows = band_rows(coeffs, draw(st.integers(1, 10)))
+    chosen = draw(st.lists(st.integers(1, d), min_size=1, max_size=d, unique=True))
+    e_rows = [[int(c == i - 1) for c in range(len(rows[0]))] for i in sorted(chosen)]
+    vectors = e_rows + rows
+    return [[sum(map(operator.mul, u, v)) for v in vectors] for u in vectors]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly zeros: zero pivots, swaps, and rows skipped for several steps."""
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3, 7))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def singular_matrices(draw):
+    """U V with U n x r and V r x n, r < n: every such matrix is singular."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n - 1))
+    entry = st.integers(-4, 4)
+    u = [[draw(entry) for _ in range(r)] for _ in range(n)]
+    v = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    return [[sum(map(operator.mul, row, col)) for col in zip(*v)] if r else [0] * n for row in u]
+
+
+def _echelon(engine, rows, steps):
+    """Swap count and the entries callers read: row i from column min(i, steps) on."""
+    a = [list(r) for r in rows]
+    swaps = engine(a, steps)
+    return swaps, None if swaps is None else [row[min(i, steps) :] for i, row in enumerate(a)]
+
+
+@seed(20261018)
+@settings(deadline=None, max_examples=400)
+@given(
+    st.one_of(
+        banded_matrices(),
+        bordered_band_grams(),
+        sparse_matrices(),
+        singular_matrices(),
+        banded_matrices(entries=small_rationals, max_n=7),
+    )
+)
+def test_elimination_agrees_with_the_dense_oracle(rows):
+    n = len(rows)
+    cleared = [clear_denominators(r) for r in rows]
+    ints, dens = [c for c, _ in cleared], [den for _, den in cleared]
+    rhs = [[i + 1, (-1) ** i] for i in range(n)]
+    # every pivot and every entry right of the diagonal, for det, minors and solve
+    for a, steps in ((ints, n - 1), (ints, n), ([r + b for r, b in zip(ints, rhs)], n)):
+        assert _echelon(_bareiss, a, steps) == _echelon(dense_bareiss, a, steps)
+    a = [list(r) for r in ints]
+    swaps = dense_bareiss(a, n - 1)
+    det = Fraction(0) if swaps is None else Fraction((-1) ** swaps * a[-1][-1], math.prod(dens))
+    assert det_exact(rows) == det
+    if swaps == 0:
+        prefix = itertools.accumulate(dens, operator.mul)
+        assert leading_minors(rows) == [Fraction(row[k], s) for k, (row, s) in enumerate(zip(a, prefix))]
+    else:
+        with pytest.raises(SingularMatrixError):
+            leading_minors(rows)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            solve_exact(rows, rhs)
+    else:
+        assert mat_mul(rows, solve_exact(rows, rhs)) == rhs
+
+
+def test_a_row_owing_its_scale_is_swapped_up_exactly():
+    # row 2 is skipped at step 0 and owes the pivot 2 when the zero pivot of
+    # step 1 swaps it up; row 1, then below it, is skipped at step 1 and pays
+    # 6 / 2 at the end of the pass
+    rows = [[2, 1, 1], [4, 2, 5], [0, 3, 7]]
+    want = (1, [[2, 1, 1], [6, 14], [18]])
+    assert _echelon(_bareiss, rows, 2) == _echelon(dense_bareiss, rows, 2) == want
+    assert det_exact(rows) == -18
+
+
+def test_band_updates_stop_at_the_band():
+    # tridiagonal Toeplitz rows of 2 - x - 1/x: D_k = k + 1, and the zeros
+    # right of the band stay zero
+    n = 30
+    rows = [[2 if j == k else -1 if abs(j - k) == 1 else 0 for k in range(n)] for j in range(n)]
+    a = [list(r) for r in rows]
+    assert _bareiss(a, n - 1) == 0
+    assert [a[k][k] for k in range(n)] == list(range(2, n + 2))
+    assert all(x == 0 for k in range(n) for x in a[k][k + 2 :])
+    assert leading_minors(rows) == list(range(2, n + 2))
+
+
+def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
+    assert det_exact([[True, False], [False, True]]) == 1
+    assert det_exact([[True, 2], [Fraction(1, 2), 3]]) == 2
+    assert leading_minors([[2, Fraction(1, 3)], [Fraction(3, 2), 1]]) == [2, Fraction(3, 2)]
 
 
 def test_transpose_shape():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kronrec.errors import DomainError
-from kronrec.exact_linalg import identity_matrix, mat_mul, solve_exact, transpose
+from kronrec import toeplitz
+from kronrec.errors import CertificateError, DomainError, SingularMatrixError
+from kronrec.exact_linalg import identity_matrix, leading_minors, mat_mul, solve_exact, transpose
 from kronrec.poly_core import IntPolynomial, roots
 from kronrec.recurrence_matrices import band_rows, tri_rows
 from kronrec.toeplitz import (
@@ -26,7 +27,7 @@ from kronrec.toeplitz import (
     trench_det,
 )
 
-from oracles import aberth_mp, rational_decompose, trench_vandermonde
+from oracles import aberth_mp, dense_bareiss, rational_decompose, trench_vandermonde
 
 TRIDIAG = LaurentSymbol.from_coefficients((-2, 5, -2), 1)
 SHIFT2 = IntPolynomial((-2, 1))
@@ -376,6 +377,42 @@ def test_growth_rejects():
         gram_growth(SHIFT2, 0)
     with pytest.raises(DomainError):
         gram_growth(IntPolynomial((7,)), 3)
+
+
+# --- vanishing leading minors of raw symbols ---
+
+# c_0 = 0, so D_1 = 0, and none is Hermitian; (1, 1, 1) has D_1 = 1 and D_2 = 0
+VANISHING_MINOR = [
+    LaurentSymbol.from_coefficients((2, 0, 3), 1),
+    LaurentSymbol.from_coefficients((1, -2, 0, 3, 5), 2),
+    LaurentSymbol.from_coefficients((3, 0, Fraction(1, 2), 2), 1),
+    LaurentSymbol.from_coefficients((1, 1, 1), 1),
+]
+
+
+def _symbol_id(symbol):
+    return ",".join(map(str, symbol.coeffs))
+
+
+@pytest.mark.parametrize("symbol", VANISHING_MINOR, ids=_symbol_id)
+def test_direct_swaps_past_a_vanishing_leading_minor(symbol):
+    for n in range(2, 40):
+        rows, den = _toeplitz_rows(symbol, n + 1)
+        with pytest.raises(SingularMatrixError):
+            leading_minors(rows)  # so the determinant's pass must swap rows
+        swaps = dense_bareiss(rows, n)
+        oracle = 0 if swaps is None else Fraction((-1) ** swaps * rows[-1][-1], den ** (n + 1))
+        assert toeplitz_det_direct(symbol, n) == trench_det(symbol, n + 1) == oracle, n
+
+
+@pytest.mark.parametrize("symbol", [VANISHING_MINOR[0], VANISHING_MINOR[-1]], ids=_symbol_id)
+def test_growth_turns_a_vanishing_minor_into_a_certificate_error(monkeypatch, symbol):
+    # Gram matrices of independent rows have no vanishing minor, so hand
+    # gram_growth the Toeplitz rows of a raw symbol that has one
+    rows_of = toeplitz._toeplitz_rows
+    monkeypatch.setattr(toeplitz, "_toeplitz_rows", lambda _, size: rows_of(symbol, size))
+    with pytest.raises(CertificateError, match="vanished"):
+        gram_growth(FIB, 12)
 
 
 # --- biorthonormal pairs ---
