@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateError, DomainError
-from .exact_linalg import clear_denominators, coerce_rational, det_exact
+from .exact_linalg import clear_denominators, coerce_rational
 from .intervals import Interval, interval_min
 from .lattice_structure import integral_basis, scaled_basis_N
 from .poly_core import IntPolynomial, conjugate, roots
@@ -54,8 +54,8 @@ WITNESS_RESIDUAL_TOL = 1e-6
 # integer offsets one covering probe may try (the test suite's largest tries
 # ~5e4), and grid targets, grid_n^l, one critical_epsilon call may list
 COVERING_OFFSET_GUARD = 10**6
-# minors certify_non_density may sum, sum_p C(d, p) C(m, p), and minors the
-# zonotope facets may take from the recurrence lattice, (m - d) C(m - 1, d)
+# entries of certify_non_density's minor table, sum_p C(d, p) C(m, p), and the count
+# (m - d) C(m - 1, d) for the facets, above both their minor table and their C(m, d + 1) supports
 MINOR_SUM_GUARD = 10**5
 
 
@@ -316,6 +316,25 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
     return True
 
 
+def _minor_levels(rows: Sequence[Sequence[int]], top: int):
+    """Levels p = 0..top of the p x p minors of an integer matrix, as dicts
+    {(row tuple, column tuple): minor}.  Level p expands each minor along its
+    last row over level p - 1 (Laplace): p products, no elimination.
+    """
+    level = {((), ()): 1}
+    yield level
+    for p in range(1, top + 1):
+        chosen = itertools.combinations(range(len(rows)), p)
+        row_sets = [(rs, rs[:-1], rows[rs[-1]]) for rs in chosen]
+        prev, level = level, {}
+        for cs in itertools.combinations(range(len(rows[0]) if rows else 0), p):
+            # the expansion's terms: column, sign, the other columns
+            terms = [(c, (-1) ** (p - 1 + i), cs[:i] + cs[i + 1 :]) for i, c in enumerate(cs)]
+            for rs, head, last in row_sets:
+                level[rs, cs] = sum(sign * last[c] * prev[head, rest] for c, sign, rest in terms)
+        yield level
+
+
 # (primitive facet normal c, support s_c) pairs of a zonotope
 _Facets = list[tuple[tuple[int, ...], int]]
 
@@ -328,9 +347,10 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
     the recurrence lattice basis basis_N (column j: x^j mod A, e_j for j < d).
     On the k columns j >= d of S, U is the signed (k-1)-minor vector of their
     rows outside S, and C = sum U_j (x^j div A), made primitive with a positive
-    leading entry; s_c = ||C A||_1.  The C(m, d + 1) sets S take l C(m - 1, d)
-    minors (l = m - d) of order below min(l, d + 1); more than MINOR_SUM_GUARD
-    raise DomainError before any is taken.
+    leading entry; s_c = ||C A||_1.  Those minors come from one _minor_levels
+    table of T = a_d^l basis_N's columns d.. (l = m - d), orders up to
+    min(d, l - 1); more than MINOR_SUM_GUARD, (m - d) C(m - 1, d), raise
+    DomainError first.
     """
     a, d = poly.coeffs, poly.degree
     ell = m - d
@@ -347,13 +367,14 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
         + [table[d - 1][j - 1 - i] // a[d] if j - i >= d else 0 for i in range(ell)]
         for j in range(m)
     ]
+    levels = _minor_levels([row[d:] for row in table], min(d, ell - 1))
+    tail = {key: x for level in levels for key, x in level.items()}
     facets: dict[tuple[int, ...], int] = {}
     for s in itertools.combinations(range(m), d + 1):
-        top = [j for j in s if j >= d]
-        block = [[cols[j][r] for j in top] for r in set(range(d)).difference(s)]
-        u = [(-1) ** i * int(det_exact([r[:i] + r[i + 1 :] for r in block])) for i in range(len(top))]
-        # z = sum u_j cols[j]: minus U below x^d, then C
-        z = [sum(t) for t in zip(*([uj * x for x in cols[j]] for j, uj in zip(top, u)))]
+        top, free = tuple(j - d for j in s if j >= d), tuple(r for r in range(d) if r not in s)
+        u = [(-1) ** i * tail[free, top[:i] + top[i + 1 :]] for i in range(len(top))]
+        # z = sum u_j cols[d + j]: minus U below x^d, then C
+        z = [sum(t) for t in zip(*([uj * x for x in cols[d + j]] for j, uj in zip(top, u)))]
         if any(z[d:]):
             g = math.gcd(*z[d:]) if next(filter(None, z[d:])) > 0 else -math.gcd(*z[d:])
             support = abs(lead) * sum(map(abs, u)) + sum(map(abs, z[:d]))
@@ -552,8 +573,8 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     volume below 1 therefore refutes density.  The volume is the standard
     minor expansion over the m + d generators, computed exactly: choosing p
     lattice rows contributes eps^(m-p) times S_p, the integer sum of absolute
-    p x p minors over column choices.  More than MINOR_SUM_GUARD minors raise
-    DomainError before any is taken.
+    p x p minors over column choices, level p of _minor_levels.  More than
+    MINOR_SUM_GUARD minors, C(m + d, d), raise DomainError before any is taken.
     """
     e = coerce_rational(eps)
     if not 0 < e <= 1:
@@ -567,15 +588,8 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
             f"certification would sum {minors} minors, above the guard {MINOR_SUM_GUARD}"
         )
     omega = integral_basis(poly, m).z_basis
-    minor_sums = [
-        sum(
-            abs(int(det_exact([[omega[r][c] for c in cs] for r in rs])))
-            for rs in itertools.combinations(range(d), p)
-            for cs in itertools.combinations(range(m), p)
-        )
-        for p in range(d + 1)
-    ]
-    total = sum(e ** (m - p) * s for p, s in enumerate(minor_sums))
+    levels = enumerate(_minor_levels(omega, d))
+    total = sum(e ** (m - p) * sum(map(abs, level.values())) for p, level in levels)
     return NonDensityCertificate(
         poly=poly, m=m, eps=e, volume_bound=total, certified=total < 1
     )

@@ -181,15 +181,16 @@ class GramResult:
     count: int
 
 
-def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact <v_i, v_j>, with the dot products taken on integer multiples of each vector."""
+def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[int | Fraction]]:
+    """Exact <v_i, v_j> from integer multiples of each vector; an int when both are integral."""
     scaled = [clear_denominators(vec) for vec in vectors]
     n = len(scaled)
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
     for i, (u, du) in enumerate(scaled):
         for j in range(i, n):
             v, dv = scaled[j]
-            gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, u, v)), du * dv)
+            dot = sum(map(operator.mul, u, v))
+            gram[i][j] = gram[j][i] = dot if du * dv == 1 else Fraction(dot, du * dv)
     return gram
 
 

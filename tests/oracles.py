@@ -339,6 +339,24 @@ def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], 
     return list(facets.items())
 
 
+def minors_by_elimination(rows: Sequence[Sequence[int]], top: int) -> list[dict]:
+    """Every p x p minor of an integer matrix for p = 0..top, one det_exact call each.
+
+    The elimination route to density._minor_levels, which expands each minor
+    along its last row from the level below: levels of
+    {(row tuple, column tuple): minor}, level 0 being {((), ()): 1}.
+    """
+    width = len(rows[0]) if rows else 0
+    return [
+        {
+            (rs, cs): int(det_exact([[rows[r][c] for c in cs] for r in rs]))
+            for rs in itertools.combinations(range(len(rows)), p)
+            for cs in itertools.combinations(range(width), p)
+        }
+        for p in range(top + 1)
+    ]
+
+
 def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, int], ...]]:
     """D_{n-1} from Trench's closed form at the symbol's roots, which must be rational.
 

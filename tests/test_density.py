@@ -7,15 +7,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from kronrec import density, poly_core
+from kronrec import density, exact_linalg, poly_core
 from kronrec.density import (
     COVERING_OFFSET_GUARD,
     MINOR_SUM_GUARD,
     _covered_linear,
     _least_gauge,
+    _minor_levels,
     _offset_box,
     _zonotope_facets,
     certify_non_density,
@@ -27,10 +28,10 @@ from kronrec.density import (
 )
 from kronrec.errors import CertificateError, DomainError, KronrecError
 from kronrec.intervals import Interval, interval_min
-from kronrec.lattice_structure import basis_N
+from kronrec.lattice_structure import basis_N, integral_basis
 from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
 from kronrec.recurrence_matrices import band_rows
-from oracles import bisect_grid_threshold, zonotope_facets_by_band_minors
+from oracles import bisect_grid_threshold, minors_by_elimination, zonotope_facets_by_band_minors
 
 SHIFT2 = IntPolynomial((-2, 1))  # x - 2
 GOLDEN = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -467,6 +468,58 @@ def test_facet_and_fm_agree_on_both_sides():
         assert got == _covered_fm(poly, poly.degree + ell, half, vv)
         outcomes.append(got)
     assert True in outcomes and False in outcomes
+
+
+# --- the Laplace minor table ---
+
+
+def test_minor_levels_hand_shapes():
+    assert list(_minor_levels([], 2)) == [{((), ()): 1}, {}, {}]
+    assert list(_minor_levels([[5, -7]], 0)) == [{((), ()): 1}]
+    big = 2**64 + 1
+    for rows in ([[2, -1, 0, 5]], [[3], [0], [-7]], [[big, 1], [0, 0], [2, big]]):
+        assert list(_minor_levels(rows, 3)) == minors_by_elimination(rows, 3)
+    levels = list(_minor_levels([[big, 1], [0, 0], [2, big]], 3))
+    assert levels[1][(2,), (1,)] == big
+    assert levels[2] == {((0, 1), (0, 1)): 0, ((0, 2), (0, 1)): big * big - 2, ((1, 2), (0, 1)): 0}
+    assert levels[3] == {}
+
+
+@st.composite
+def minor_matrices(draw):
+    """1 to 5 rows of 1 to 5 columns: small entries with zeros, some above 2^64, zero rows."""
+    width = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3) | st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+    row = st.lists(entry, min_size=width, max_size=width) | st.just([0] * width)
+    return draw(st.lists(row, min_size=1, max_size=5))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(minor_matrices(), st.integers(0, 6))
+def test_minor_levels_equal_the_elimination_route(rows, top):
+    assert list(_minor_levels(rows, top)) == minors_by_elimination(rows, top)
+
+
+def test_facets_and_volume_take_no_elimination(monkeypatch):
+    calls = []
+    real = exact_linalg._bareiss
+
+    def counted(a, steps):
+        calls.append(len(a))
+        return real(a, steps)
+
+    monkeypatch.setattr(exact_linalg, "_bareiss", counted)
+    for poly, m in ((GOLDEN, 12), (WORKED, 9), (IntPolynomial((2, -3, 1, 4)), 10)):
+        calls.clear()
+        _zonotope_facets(poly, m)
+        assert calls == []
+        integral_basis(poly, m)
+        alone = len(calls)
+        assert alone > 0
+        calls.clear()
+        certify_non_density(poly, m, Fraction(1, 2))
+        assert len(calls) == alone
 
 
 def test_facets_hand_values():

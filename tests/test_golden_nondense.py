@@ -1,17 +1,17 @@
 """Byte-level guard on `certify-nondense` reports.
 
 Each entry pins the SHA-256 of the stdout that one `certify-nondense`
-invocation prints.  The volume's minor sum runs over the minors of the
-integral lattice basis on its own; no enumeration is shared with the
-zonotope facets.  A change that moves a single bit of the exact volume, its
-float or the verdict fails here.  They cover degrees 1 to 4, windows from
-m = d + 1 to m = 16, both verdicts, non-monic polynomials, |a_0| > 1 and a
-decimal --eps.  A change that alters the mathematics on purpose re-records
-the affected digests and says why.  Seven digests were re-recorded when the
-integral basis became the unique Hermite normal form: for 0 < p < d the
-sum of |p x p minors| depends on the basis, so `volume_bound` moved (larger for
-`-1,-1,1` at m = 12 and `2,-3,5`, smaller for the other five) and no
-verdict changed.
+invocation prints.  The volume's minor sums read the minors of the integral
+lattice basis from density._minor_levels, the one Laplace enumeration that
+also gives the zonotope facets their minors.  A change that moves a single
+bit of the exact volume, its float or the verdict fails here.  They cover
+degrees 1 to 4, windows from m = d + 1 to m = 16, both verdicts, non-monic
+polynomials, |a_0| > 1 and a decimal --eps.  A change that alters the
+mathematics on purpose re-records the affected digests and says why.  Seven
+digests were re-recorded when the integral basis became the unique Hermite
+normal form: for 0 < p < d the sum of |p x p minors| depends on the basis,
+so `volume_bound` moved (larger for `-1,-1,1` at m = 12 and `2,-3,5`,
+smaller for the other five) and no verdict changed.
 """
 
 import hashlib

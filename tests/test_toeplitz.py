@@ -267,6 +267,15 @@ def test_gram_hand_values():
     assert empty.determinant == 1 and empty.count == 0
 
 
+def test_gram_matrix_of_integral_vectors_is_integral():
+    gram = toeplitz._gram_matrix(band_rows([2, -1, 3], 4))
+    assert {type(x) for row in gram for x in row} == {int}
+    assert gram[0][:3] == [14, -5, 6]
+    mixed = toeplitz._gram_matrix([[1, 2], [Fraction(1, 2), 1]])
+    assert mixed == [[5, Fraction(5, 2)], [Fraction(5, 2), Fraction(5, 4)]]
+    assert [[type(x) for x in row] for row in mixed] == [[int, Fraction], [Fraction, Fraction]]
+
+
 def test_gram_rejects_ragged():
     with pytest.raises(DomainError):
         gram_det([(1, 2), (1, 2, 3)])
