@@ -96,7 +96,7 @@ def p_adic_valuation(x, p: int):
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"p must be a prime integer, got {p!r}")
     if isinstance(x, int):
-        x = Fraction(x)
+        return _int_valuation(abs(x), p) if x else PADIC_INFINITY
     if not isinstance(x, Fraction):
         raise DomainError(f"valuation needs int or Fraction, got {type(x).__name__}")
     if x == 0:

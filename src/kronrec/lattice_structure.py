@@ -8,13 +8,16 @@ integers by the HNF of {y : y T = 0 mod a_d^(m-d)} mapped through T and
 Gram-Toeplitz certified; over the p-adic integers by a canonical basis M built
 segment by segment from the Newton polygon of A at p.  canonical_basis_M
 re-derives every clause of its block certificate (identity blocks, determinant
-valuations, row-walk valuation floors, p-integrality) and fails if one breaks.
+valuations, row-walk valuation floors, p-integrality) and fails if one breaks;
+the check clears each row's denominators once and tests every clause in
+integers, with determinants from the fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,6 +26,8 @@ from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import (
     PADIC_INFINITY,
     _hnf,
+    _int_valuation,
+    clear_denominators,
     det_exact,
     identity_matrix,
     is_prime,
@@ -169,6 +174,13 @@ def _fail(clause: str) -> None:
     raise CertificateError(f"canonical basis certificate violated: {clause}")
 
 
+def _is_scaled_identity(block: Sequence[Sequence[int]], dens: Sequence[int]) -> bool:
+    """Whether row i of the block is dens[i] times e_i."""
+    return all(
+        x == den * (i == j) for i, (row, den) in enumerate(zip(block, dens)) for j, x in enumerate(row)
+    )
+
+
 def check_basis_certificate(
     poly: IntPolynomial,
     polygon: NewtonPolygon,
@@ -182,66 +194,83 @@ def check_basis_certificate(
     valuation table and the per-segment block report when all clauses hold.
     Exposed separately so the uniqueness of the basis can be probed: any
     p-unit row perturbation must break at least one clause.
+
+    Each row is cleared once to (ints, den), den > 0, and every clause is
+    checked in integers: a window sum scales by den; an entry's valuation is
+    v_p(n) - v_p(den); an identity block reads ints[j] == den [i == j]; a
+    block determinant scales by the product of its rows' den; and a floor
+    val >= sigma t reads val * sigma.den >= sigma.num * t.
     """
     p = polygon.p
+    if not is_prime(p):
+        raise DomainError(f"p must be a prime integer, got {p!r}")
     d = poly.degree
     r = polygon.segment_count
     walls = [v[0] for v in polygon.vertices]
-    vals = tuple(tuple(p_adic_valuation(x, p) for x in row) for row in matrix)
+    cleared = [clear_denominators(row) for row in matrix]
+    rows = [row for row, _ in cleared]
+    dens = [den for _, den in cleared]
+    den_vals = [_int_valuation(den, p) for den in dens]
+    vals = tuple(
+        tuple(_int_valuation(abs(x), p) - dv if x else PADIC_INFINITY for x in row)
+        for row, dv in zip(rows, den_vals)
+    )
 
     a = poly.coeffs
-    for i, row in enumerate(matrix):
+    for i, row in enumerate(rows):
         for t in range(m - d):
-            if sum(a[j] * row[t + j] for j in range(d + 1)) != 0:
+            if sum(map(operator.mul, a, row[t : t + d + 1])) != 0:
                 _fail(f"row {i + 1} is not a recurrence vector")
-    for i, vrow in enumerate(vals):
-        for j, v in enumerate(vrow):
-            if v is not PADIC_INFINITY and v < 0:
-                _fail(f"entry ({i + 1},{j + 1}) is not p-integral")
+    for i, (vrow, dv) in enumerate(zip(vals, den_vals)):
+        # no valuation in a row falls below -v_p(den)
+        if dv:
+            for j, v in enumerate(vrow):
+                if v < 0:
+                    _fail(f"entry ({i + 1},{j + 1}) is not p-integral")
 
     segments = []
     for k in range(1, r + 1):
         lo, hi = walls[k - 1], walls[k]
         sigma = polygon.slopes[k - 1]
+        num, q = sigma.numerator, sigma.denominator
         length = polygon.lengths[k - 1]
         # block triangularity of the two d-column flanks
         for i in range(lo, hi):
-            for j in range(walls[k - 1]):
-                if matrix[i][j] != 0:
-                    _fail(f"left block below the diagonal is nonzero in segment {k}")
-            for j in range(m - d + walls[k], m):
-                if matrix[i][j] != 0:
-                    _fail(f"right block above the diagonal is nonzero in segment {k}")
-        b_block = [[matrix[i][j] for j in range(lo, hi)] for i in range(lo, hi)]
-        c_block = [[matrix[i][m - d + j] for j in range(lo, hi)] for i in range(lo, hi)]
-        ident = [[Fraction(int(x == y)) for y in range(hi - lo)] for x in range(hi - lo)]
-        b_is_id = b_block == ident
-        c_is_id = c_block == ident
+            if any(rows[i][:lo]):
+                _fail(f"left block below the diagonal is nonzero in segment {k}")
+            if any(rows[i][m - d + hi : m]):
+                _fail(f"right block above the diagonal is nonzero in segment {k}")
+        b_block = [rows[i][lo:hi] for i in range(lo, hi)]
+        c_block = [rows[i][m - d + lo : m - d + hi] for i in range(lo, hi)]
+        b_is_id = _is_scaled_identity(b_block, dens[lo:hi])
+        c_is_id = _is_scaled_identity(c_block, dens[lo:hi])
         expected = int(sigma * length * (m - d)) if k >= s else int(-sigma * length * (m - d))
         if k < s:
             if not b_is_id:
                 _fail(f"segment {k} before the pivot must have an identity left block")
-            det_val = p_adic_valuation(det_exact(c_block), p)
+            det = det_exact(c_block).numerator
         else:
             if not c_is_id:
                 _fail(f"segment {k} at or after the pivot must have an identity right block")
-            det_val = p_adic_valuation(det_exact(b_block), p)
+            det = det_exact(b_block).numerator
+        det_val = _int_valuation(abs(det), p) - sum(den_vals[lo:hi]) if det else PADIC_INFINITY
         if det_val != expected:
             _fail(
                 f"segment {k} determinant valuation {det_val} differs from expected {expected}"
             )
         # row-walk valuation floors away from the anchored identity diagonal
         for i in range(lo, hi):
+            vrow = vals[i]
             if k < s:
                 for t in range(1, m - i):
-                    floor_needed = -sigma * t
-                    if vals[i][i + t] < floor_needed:
+                    v = vrow[i + t]
+                    if v is not PADIC_INFINITY and v * q < -num * t:
                         _fail(f"row {i + 1} violates the rightward valuation floor at offset {t}")
             else:
                 anchor = m - d + i
                 for t in range(1, anchor + 1):
-                    floor_needed = sigma * t
-                    if vals[i][anchor - t] < floor_needed:
+                    v = vrow[anchor - t]
+                    if v is not PADIC_INFINITY and v * q < num * t:
                         _fail(f"row {i + 1} violates the leftward valuation floor at offset {t}")
         segments.append(
             SegmentCertificate(
@@ -252,7 +281,7 @@ def check_basis_certificate(
                 row_stop=hi,
                 left_is_identity=b_is_id,
                 right_is_identity=c_is_id,
-                det_valuation=int(det_val),
+                det_valuation=det_val,
                 expected_det_valuation=expected,
             )
         )
@@ -319,13 +348,12 @@ def canonical_basis_M(
 class LatticeBases:
     poly: IntPolynomial
     m: int
-    rational_basis: tuple[tuple[Fraction, ...], ...]
     z_basis: tuple[tuple[int, ...], ...]
     index: int
 
 
 def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
-    """Q-basis N, HNF Z-basis of the saturated integral lattice, and their index.
+    """HNF Z-basis of the saturated integral lattice, and its index in the Z-span of N.
 
     N starts with an identity block, so z -> z[:d] maps the integral lattice
     onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF, built one
@@ -363,7 +391,6 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     return LatticeBases(
         poly=poly,
         m=m,
-        rational_basis=tuple(tuple(Fraction(x, lead) for x in row) for row in table),
         z_basis=tuple(tuple(row) for row in z_rows),
         index=math.prod(row[i] for i, row in enumerate(coords)),
     )

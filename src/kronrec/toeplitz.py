@@ -195,8 +195,11 @@ def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[int | Fract
 
 
 def gram_det(vectors: Sequence[Sequence]) -> GramResult:
-    """Exact Gram determinant det(<u_i, u_j>); the empty family gives 1."""
-    vs = [[coerce_rational(x) for x in vec] for vec in vectors]
+    """Exact Gram determinant det(<u_i, u_j>); the empty family gives 1.
+
+    Int entries stay ints, so an integer family is eliminated in integers.
+    """
+    vs = [[x if type(x) is int else coerce_rational(x) for x in vec] for vec in vectors]
     if not vs:
         return GramResult(Fraction(1), 0)
     width = len(vs[0])

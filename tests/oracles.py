@@ -11,15 +11,20 @@ from typing import Sequence
 import mpmath as mp
 
 from kronrec.density import is_covered
+from kronrec.errors import CertificateError, DomainError
 from kronrec.exact_linalg import (
+    PADIC_INFINITY,
     clear_denominators,
     det_exact,
     identity_matrix,
     integer_kernel,
+    mat_mul,
+    p_adic_valuation,
     transpose,
 )
+from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate
 from kronrec.poly_core import IntPolynomial
-from kronrec.recurrence_matrices import band_rows
+from kronrec.recurrence_matrices import _check_coeffs, band_rows
 
 
 def _fstrip(cs: list[Fraction]) -> list[Fraction]:
@@ -482,3 +487,137 @@ def ladder_roots(cs: tuple[int, ...], target: float = 1e-12) -> list[tuple[compl
                 return out
         dps *= 2
     raise AssertionError(f"the precision ladder could not certify {cs}")
+
+
+def _fail(clause: str) -> None:
+    raise CertificateError(f"canonical basis certificate violated: {clause}")
+
+
+def check_basis_certificate_fractions(
+    poly: IntPolynomial,
+    polygon: NewtonPolygon,
+    s: int,
+    m: int,
+    matrix: Sequence[Sequence[Fraction]],
+) -> tuple[tuple[tuple, ...], tuple[SegmentCertificate, ...]]:
+    """lattice_structure.check_basis_certificate on Fractions, clause by clause.
+
+    Re-derives every certificate clause on the rational entries: one
+    p_adic_valuation per entry, Fraction window sums and Fraction floors.
+    Raises the same CertificateError messages on the same first clause.
+    """
+    p = polygon.p
+    d = poly.degree
+    r = polygon.segment_count
+    walls = [v[0] for v in polygon.vertices]
+    vals = tuple(tuple(p_adic_valuation(x, p) for x in row) for row in matrix)
+
+    a = poly.coeffs
+    for i, row in enumerate(matrix):
+        for t in range(m - d):
+            if sum(a[j] * row[t + j] for j in range(d + 1)) != 0:
+                _fail(f"row {i + 1} is not a recurrence vector")
+    for i, vrow in enumerate(vals):
+        for j, v in enumerate(vrow):
+            if v is not PADIC_INFINITY and v < 0:
+                _fail(f"entry ({i + 1},{j + 1}) is not p-integral")
+
+    segments = []
+    for k in range(1, r + 1):
+        lo, hi = walls[k - 1], walls[k]
+        sigma = polygon.slopes[k - 1]
+        length = polygon.lengths[k - 1]
+        # block triangularity of the two d-column flanks
+        for i in range(lo, hi):
+            for j in range(walls[k - 1]):
+                if matrix[i][j] != 0:
+                    _fail(f"left block below the diagonal is nonzero in segment {k}")
+            for j in range(m - d + walls[k], m):
+                if matrix[i][j] != 0:
+                    _fail(f"right block above the diagonal is nonzero in segment {k}")
+        b_block = [[matrix[i][j] for j in range(lo, hi)] for i in range(lo, hi)]
+        c_block = [[matrix[i][m - d + j] for j in range(lo, hi)] for i in range(lo, hi)]
+        ident = [[Fraction(int(x == y)) for y in range(hi - lo)] for x in range(hi - lo)]
+        b_is_id = b_block == ident
+        c_is_id = c_block == ident
+        expected = int(sigma * length * (m - d)) if k >= s else int(-sigma * length * (m - d))
+        if k < s:
+            if not b_is_id:
+                _fail(f"segment {k} before the pivot must have an identity left block")
+            det_val = p_adic_valuation(det_exact(c_block), p)
+        else:
+            if not c_is_id:
+                _fail(f"segment {k} at or after the pivot must have an identity right block")
+            det_val = p_adic_valuation(det_exact(b_block), p)
+        if det_val != expected:
+            _fail(
+                f"segment {k} determinant valuation {det_val} differs from expected {expected}"
+            )
+        # row-walk valuation floors away from the anchored identity diagonal
+        for i in range(lo, hi):
+            if k < s:
+                for t in range(1, m - i):
+                    floor_needed = -sigma * t
+                    if vals[i][i + t] < floor_needed:
+                        _fail(f"row {i + 1} violates the rightward valuation floor at offset {t}")
+            else:
+                anchor = m - d + i
+                for t in range(1, anchor + 1):
+                    floor_needed = sigma * t
+                    if vals[i][anchor - t] < floor_needed:
+                        _fail(f"row {i + 1} violates the leftward valuation floor at offset {t}")
+        segments.append(
+            SegmentCertificate(
+                index=k,
+                slope=sigma,
+                length=length,
+                row_start=lo + 1,
+                row_stop=hi,
+                left_is_identity=b_is_id,
+                right_is_identity=c_is_id,
+                det_valuation=int(det_val),
+                expected_det_valuation=expected,
+            )
+        )
+    return vals, tuple(segments)
+
+
+def tri_rows(coeffs: Sequence, m: int) -> list[list]:
+    """Rows of {A}_m: m x m lower triangular, a_d on the diagonal."""
+    cs = _check_coeffs(coeffs)
+    d = len(cs) - 1
+    if m < d:
+        raise DomainError("tri matrix needs m >= deg A")
+    zero = cs[0] * 0
+    return [[cs[d - i + j] if 0 <= d - i + j <= d and j <= i else zero for j in range(m)] for i in range(m)]
+
+
+def _conv(b: Sequence[Fraction], c: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(b) + len(c) - 1)
+    for i, xb in enumerate(b):
+        for j, xc in enumerate(c):
+            out[i + j] += xb * xc
+    return out
+
+
+def verify_factorization(poly: IntPolynomial, b_coeffs: Sequence, c_coeffs: Sequence, ell: int) -> bool:
+    """Check A = B*C together with both banded matrix identities.
+
+    Verifies the coefficient identity, [A]_l = [B]_l [C]_{l+s}, and
+    {A}_m = {B}_m {C}_m at m = l + d.  The three checks are independent
+    routes and all must agree.
+    """
+    if ell < 1:
+        raise DomainError("ell must be >= 1")
+    b = [Fraction(x) for x in _check_coeffs(b_coeffs)]
+    c = [Fraction(x) for x in _check_coeffs(c_coeffs)]
+    a = [Fraction(x) for x in poly.coeffs]
+    s = len(b) - 1
+    d = poly.degree
+    if _conv(b, c) != a:
+        return False
+
+    if mat_mul(band_rows(b, ell), band_rows(c, ell + s)) != band_rows(a, ell):
+        return False
+    m = ell + d
+    return mat_mul(tri_rows(b, m), tri_rows(c, m)) == tri_rows(a, m)

@@ -59,6 +59,12 @@ def test_valuation_hand_values():
     assert p_adic_valuation(Fraction(0), 2) == PADIC_INFINITY
 
 
+def test_valuation_of_int_equals_valuation_of_its_fraction():
+    for p in (2, 3, 5, 7):
+        for x in (0, 1, -1, 12, -729, 1078, 2**40 * 3**7, -(5**9)):
+            assert p_adic_valuation(x, p) == p_adic_valuation(Fraction(x), p)
+
+
 def test_valuation_requires_prime():
     with pytest.raises(DomainError):
         p_adic_valuation(8, 6)

@@ -1,6 +1,8 @@
 """Newton polygons, the canonical p-adic basis, lattice index, minor identity."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from kronrec.exact_linalg import (
     p_adic_valuation,
 )
 from kronrec.lattice_structure import (
+    PIVOT_RULES,
     basis_N,
     canonical_basis_M,
     check_basis_certificate,
@@ -27,7 +30,7 @@ from kronrec.lattice_structure import (
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import recurrence_extend
 from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
-from oracles import band_kernel_basis, snf
+from oracles import band_kernel_basis, check_basis_certificate_fractions, snf
 
 WORKED = IntPolynomial((3, -2, -9, -3, 9))
 
@@ -263,6 +266,124 @@ def test_certificate_rejects_unit_row_scaling():
             check_basis_certificate(WORKED, basis.polygon, 2, 10, scaled)
 
 
+def _both_certificates(poly, polygon, s, m, matrix):
+    """The integer certificate and the Fraction oracle on one matrix: results or messages."""
+    verdicts = []
+    for check in (check_basis_certificate, check_basis_certificate_fractions):
+        try:
+            verdicts.append(check(poly, polygon, s, m, matrix))
+        except CertificateError as exc:
+            verdicts.append(str(exc))
+    return verdicts
+
+
+def _random_primitive(rng, degree, p):
+    """A primitive polynomial with |a_i| <= 12; p divides a_0, a_d, both or neither."""
+    while True:
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(degree + 1)]
+        coeffs[1:-1] = [rng.randint(-12, 12) for _ in range(degree - 1)]
+        divides = rng.choice(((), (0,), (degree,), (0, degree)))
+        for i in divides:
+            coeffs[i] = rng.choice((-1, 1)) * p * rng.randint(1, 12 // p)
+        cand = IntPolynomial(tuple(coeffs))
+        if cand.is_primitive:
+            return cand
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+def test_integer_certificate_matches_fraction_oracle_on_worked(p, rule):
+    basis = canonical_basis_M(WORKED, p, 10, pivot_rule=rule)
+    s = basis.pivot_segment
+    ours, oracle = _both_certificates(WORKED, basis.polygon, s, 10, basis.matrix)
+    assert ours == oracle == (basis.valuations, basis.segments)
+
+
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+def test_integer_certificate_matches_fraction_oracle_on_random(rule):
+    rng = random.Random(16)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        a = _random_primitive(rng, rng.randint(2, 5), p)
+        m = a.degree + rng.randint(1, 4)
+        basis = canonical_basis_M(a, p, m, pivot_rule=rule)
+        args = (a, basis.polygon, basis.pivot_segment, m)
+        ours, oracle = _both_certificates(*args, basis.matrix)
+        assert ours == oracle == (basis.valuations, basis.segments)
+        # a perturbed matrix fails the same clause with the same message on both routes
+        rows = [list(r) for r in basis.matrix]
+        i, j = rng.randrange(a.degree), rng.randrange(a.degree)
+        rows[i] = [x + y * rng.choice((1, p, Fraction(1, p))) for x, y in zip(rows[i], rows[j])]
+        ours, oracle = _both_certificates(*args, rows)
+        assert ours == oracle
+
+
+def test_integer_certificate_matches_fraction_oracle_on_shifted_slopes():
+    # the floors hold for the true polygon's slopes, so reach them by claiming
+    # slopes a little off the true ones, some too small to move the determinant clause
+    messages = set()
+    for p in (2, 3, 5):
+        for rule in PIVOT_RULES:
+            basis = canonical_basis_M(WORKED, p, 10, pivot_rule=rule)
+            polygon = basis.polygon
+            for k, length in enumerate(polygon.lengths):
+                for delta in (Fraction(1, 12 * length), Fraction(-1, 12 * length), Fraction(1, 7)):
+                    slopes = list(polygon.slopes)
+                    slopes[k] += delta
+                    claimed = dataclasses.replace(polygon, slopes=tuple(slopes))
+                    args = (WORKED, claimed, basis.pivot_segment, 10, basis.matrix)
+                    ours, oracle = _both_certificates(*args)
+                    assert ours == oracle
+                    if isinstance(ours, str):
+                        messages.add(ours.split(" valuation floor")[0].rsplit(" ", 1)[-1])
+    assert {"rightward", "leftward"} <= messages
+
+
+class _NoArithmetic(Fraction):
+    """A Fraction entry that refuses every arithmetic operation and comparison."""
+
+    def _refuse(self, *args):
+        raise AssertionError("Fraction arithmetic on a matrix entry")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __neg__ = __abs__ = __bool__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __hash__ = Fraction.__hash__
+
+
+def test_integer_certificate_makes_no_fraction_arithmetic():
+    basis = canonical_basis_M(WORKED, 3, 10)
+    rows = [[_NoArithmetic(x) for x in row] for row in basis.matrix]
+    assert check_basis_certificate(WORKED, basis.polygon, 2, 10, rows) == (
+        basis.valuations,
+        basis.segments,
+    )
+
+
+def test_certificate_rejects_entry_with_p_in_denominator():
+    basis = canonical_basis_M(WORKED, 3, 10)
+    rows = [list(r) for r in basis.matrix]
+    rows[0] = [x / 3 for x in rows[0]]
+    ours, oracle = _both_certificates(WORKED, basis.polygon, 2, 10, rows)
+    assert ours == oracle == "canonical basis certificate violated: entry (1,1) is not p-integral"
+
+
+def test_certificate_rejects_float_entry():
+    basis = canonical_basis_M(WORKED, 3, 10)
+    rows = [list(r) for r in basis.matrix]
+    rows[1][3] = float(rows[1][3])
+    with pytest.raises(DomainError):
+        check_basis_certificate(WORKED, basis.polygon, 2, 10, rows)
+
+
+def test_certificate_rejects_one_unit_off_recurrence():
+    basis = canonical_basis_M(WORKED, 3, 10)
+    rows = [list(r) for r in basis.matrix]
+    rows[2][5] += 1
+    ours, oracle = _both_certificates(WORKED, basis.polygon, 2, 10, rows)
+    assert ours == oracle == "canonical basis certificate violated: row 3 is not a recurrence vector"
+
+
 def test_golden_rows_span_sublattice_of_index_prime_to_p():
     basis = canonical_basis_M(WORKED, 3, 10)
     lattice = integral_basis(WORKED, 10)
@@ -325,7 +446,7 @@ def test_integral_basis_hand_example():
     lattice = integral_basis(poly(-3, 2), 3)
     assert lattice.z_basis == ((4, 6, 9),)
     assert lattice.index == 4
-    assert lattice.rational_basis == ((1, Fraction(3, 2), Fraction(9, 4)),)
+    assert basis_N(poly(-3, 2), 3) == [[1, Fraction(3, 2), Fraction(9, 4)]]
 
 
 def test_integral_basis_worked_example_index():

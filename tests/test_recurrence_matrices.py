@@ -8,12 +8,8 @@ from hypothesis import given, settings, strategies as st
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import identity_matrix, integer_kernel, solve_exact
 from kronrec.poly_core import IntPolynomial
-from kronrec.recurrence_matrices import (
-    band_rows,
-    recurrence_extend,
-    tri_rows,
-    verify_factorization,
-)
+from kronrec.recurrence_matrices import band_rows, recurrence_extend
+from oracles import tri_rows, verify_factorization
 
 
 def poly(*cs: int) -> IntPolynomial:

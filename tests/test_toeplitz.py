@@ -13,7 +13,7 @@ from kronrec import toeplitz
 from kronrec.errors import CertificateError, DomainError, SingularMatrixError
 from kronrec.exact_linalg import identity_matrix, leading_minors, mat_mul, solve_exact, transpose
 from kronrec.poly_core import IntPolynomial, roots
-from kronrec.recurrence_matrices import band_rows, tri_rows
+from kronrec.recurrence_matrices import band_rows
 from kronrec.toeplitz import (
     LaurentSymbol,
     _toeplitz_rows,
@@ -27,7 +27,7 @@ from kronrec.toeplitz import (
     trench_det,
 )
 
-from oracles import aberth_mp, dense_bareiss, rational_decompose, trench_vandermonde
+from oracles import aberth_mp, dense_bareiss, rational_decompose, trench_vandermonde, tri_rows
 
 TRIDIAG = LaurentSymbol.from_coefficients((-2, 5, -2), 1)
 SHIFT2 = IntPolynomial((-2, 1))
@@ -288,6 +288,15 @@ def test_gram_toeplitz_bridge_for_band_rows():
         for ell in range(1, 9):
             g = gram_det(band_rows(poly.coeffs, ell)).determinant
             assert g == toeplitz_det_direct(sym, ell - 1)
+
+
+def test_gram_det_of_integer_family_equals_its_fraction_family():
+    rng = random.Random(16)
+    for _ in range(20):
+        n, width = rng.randint(1, 5), rng.randint(1, 7)
+        ints = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        assert gram_det(ints) == gram_det(fracs)
 
 
 @settings(max_examples=60, deadline=None)
