@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateError, DomainError
-from .exact_linalg import clear_denominators, coerce_rational
+from .exact_linalg import clear_denominators, clear_floats, coerce_rational
 from .intervals import Interval, interval_min
 from .lattice_structure import integral_basis, scaled_basis_N
 from .poly_core import IntPolynomial, conjugate, roots
@@ -152,9 +152,10 @@ def factor_real(poly: IntPolynomial) -> RealFactorization:
     b_roots: list[complex] = []
     c_roots: list[complex] = []
     for enc in rs.roots:
-        slack = Fraction(1, 2) - Fraction(enc.radius)
-        x, y = Fraction(enc.value.real), Fraction(enc.value.imag)
-        bucket = c_roots if slack >= 0 and x * x + y * y <= slack * slack else b_roots
+        # over 2 den: |z| <= 1/2 - r  iff  den - 2 r >= 0 and |2 z|^2 <= (den - 2 r)^2
+        (x, y, r), den = clear_floats((enc.value.real, enc.value.imag, enc.radius))
+        slack = den - 2 * r
+        bucket = c_roots if slack >= 0 and 4 * (x * x + y * y) <= slack * slack else b_roots
         bucket.extend([enc.value] * enc.multiplicity)
     b_cs = _expand_from_roots(complex(poly.leading_coefficient), b_roots)
     c_cs = _expand_from_roots(complex(1.0), c_roots)
@@ -254,7 +255,7 @@ def witness(
 
     # the certificate, exact on the binary values of the floats returned:
     # each is an integer over their common power-of-two denominator den
-    tw, den = clear_denominators([Fraction(x) for x in (*tvec, *w)])
+    tw, den = clear_floats((*tvec, *w))
     sup = Fraction(max(abs(x) for x in tw[m:]), den)
     miss = max(
         Fraction(abs(sum(a[j] * (tw[i + j] + tw[m + i + j]) for j in range(d + 1)) - ki * den), den)

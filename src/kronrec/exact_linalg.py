@@ -2,7 +2,8 @@
 
 Matrices are plain lists of row lists.  Integer-lattice routines (hnf,
 integer_kernel) validate integrality.  clear_denominators, the one rational
-coercer, turns exact rows into integers for every integer route; determinant,
+coercer, turns exact rows into integers for every integer route, and
+clear_floats does the same for the binary values of floats; determinant,
 leading minors and solve share one fraction-free Bareiss elimination on them.
 The elimination skips zeros: a row with a zero in the pivot column is left
 alone and the factor it owes is paid exactly later, since every Bareiss
@@ -33,6 +34,7 @@ __all__ = [
     "integer_kernel",
     "coerce_rational",
     "clear_denominators",
+    "clear_floats",
     "det_exact",
     "leading_minors",
     "solve_exact",
@@ -226,6 +228,21 @@ def clear_denominators(values: Sequence) -> tuple[list[int], int]:
             raise DomainError(f"exact routines need int or Fraction, got {type(x).__name__}")
     den = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def clear_floats(values: Sequence[float]) -> tuple[list[int], int]:
+    """(ints, den) for floats: den a power of two, ints = den * values exactly.
+
+    Every float is an integer over a power of two, so the lcm of the
+    denominators is the largest of them, read from `as_integer_ratio` with
+    no Fraction built.  A non-finite value raises DomainError.
+    """
+    try:
+        ratios = [x.as_integer_ratio() for x in values]
+    except (OverflowError, ValueError) as exc:
+        raise DomainError("exact clearing needs finite floats") from exc
+    den = max((q for _, q in ratios), default=1)
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:

@@ -14,7 +14,9 @@ D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero set,
 so pairwise disjoint disks isolate exactly one zero each (Braess & Hadeler,
 Numer. Math. 21, 1973).  The centres are dyadic, so over one power of two
 every quantity in a radius is a Gaussian integer: the radii are exact
-values rounded up, and a root that is itself a float gets radius 0.
+values rounded up, and a root that is itself a float gets radius 0.  p is
+evaluated exactly once at the centres, and the centres snapped onto the
+real axis or mirrored into conjugates reuse those values.
 Disjointness is decided exactly.  No working precision is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
@@ -28,12 +30,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
 from .errors import DomainError, ParseError, RootCertificationError
-from .exact_linalg import clear_denominators
+from .exact_linalg import clear_floats
 from .intervals import Interval
 
 __all__ = [
@@ -271,24 +272,38 @@ class ComplexRootSet:
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
-    """(ints, S): S a power of two with ints = S * values exactly."""
-    if not all(map(math.isfinite, values)):
-        raise RootCertificationError("the root iteration left the float range")
-    return clear_denominators([Fraction(v) for v in values])
+    """(ints, S): S the largest power-of-two denominator of the values, ints = S * values exactly.
+
+    One clearing route with the density checks (`clear_floats`); a
+    non-finite value raises RootCertificationError.
+    """
+    try:
+        return clear_floats(values)
+    except DomainError:
+        raise RootCertificationError("the root iteration left the float range") from None
 
 
-def _exact_values(cs: tuple[int, ...], zs: Sequence[complex]):
+def _exact_values(cs: tuple[int, ...], zs: Sequence[complex], newton: bool = True):
     """p at the float points zs exactly, and its Newton corrections rounded once.
 
     Returns (S, ws, ps, newtons): S is one power of two over every part of
     zs, ws[i] = S z_i and ps[i] = S^n p(z_i) are Gaussian integer pairs, and
     newtons[i] = p(z_i)/p'(z_i) = ps[i] / (S * S^(n-1) p'(z_i)), or None where
-    it is infinite or overflows.
+    it is infinite or overflows.  With newton False, newtons is None and
+    neither p' nor the division is computed: the radii need only p.
     """
     ints, s = _dyadic([x for z in zs for x in (z.real, z.imag)])
     n = len(cs) - 1
     scaled = [c * s ** (n - k) for k, c in enumerate(cs[:-1])]
-    ws, ps, newtons = list(zip(ints[::2], ints[1::2])), [], []
+    ws, ps = list(zip(ints[::2], ints[1::2])), []
+    if not newton:
+        for x, y in ws:
+            pr, pi = cs[-1], 0
+            for c in reversed(scaled):
+                pr, pi = pr * x - pi * y + c, pr * y + pi * x
+            ps.append((pr, pi))
+        return s, ws, ps, None
+    newtons = []
     for x, y in ws:
         pr, pi, dr, di = cs[-1], 0, 0, 0
         for c in reversed(scaled):
@@ -313,7 +328,7 @@ def _aberth_step(zs: Sequence[complex], newtons) -> tuple[list[complex], float]:
     out, worst = [], 0.0
     for i, (z, nw) in enumerate(zip(zs, newtons)):
         try:
-            s = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            s = sum(1 / (z - w) for w in zs[:i] + zs[i + 1 :])
             out.append(z + 1 / s if nw is None else z - nw / (1 - nw * s))
         except ZeroDivisionError:
             out.append(z)
@@ -364,6 +379,28 @@ def _sqrt_up(num: int, den: int) -> float:
     return r
 
 
+def _radii(cs: tuple[int, ...], s: int, ws, ps, count: int) -> list[float]:
+    """Weierstrass radii at the first `count` points, from their exact values.
+
+    ws are the points scaled by the power of two s and ps = s^n p at them,
+    Gaussian integer pairs; the radius at W_i is
+    n |P_i| / |a_n s prod_{j!=i} (W_i - W_j)|, rounded up.  Scaling s, ws
+    and ps by a further power of two leaves every radius bit-identical:
+    both sides of the quotient gain the same power of four, which `_sqrt_up`
+    ignores.  Coinciding points get radius inf.
+    """
+    n = len(cs) - 1
+    out = []
+    for i in range(count):
+        (x, y), (pr, pi) = ws[i], ps[i]
+        qr, qi = cs[-1] * s, 0
+        for u, v in ws[:i] + ws[i + 1 :]:
+            du, dv = x - u, y - v
+            qr, qi = qr * du - qi * dv, qr * dv + qi * du
+        out.append(_sqrt_up(n * n * (pr * pr + pi * pi), qr * qr + qi * qi))
+    return out
+
+
 def _weierstrass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
     """Weierstrass radii n |p(z_i)| / (|a_n| prod_{j!=i} |z_i - z_j|), rounded up.
 
@@ -371,16 +408,8 @@ def _weierstrass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float
     n |S^n p(z_i)| / |a_n S prod_{j!=i} (W_i - W_j)|, all Gaussian integers.
     Coinciding points get radius inf.
     """
-    s, ws, ps, _ = _exact_values(cs, zs)
-    n = len(cs) - 1
-    out = []
-    for i, ((pr, pi), (x, y)) in enumerate(zip(ps, ws)):
-        qr, qi = cs[-1] * s, 0
-        for j, (u, v) in enumerate(ws):
-            if j != i:
-                qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
-        out.append(_sqrt_up(n * n * (pr * pr + pi * pi), qr * qr + qi * qi))
-    return out
+    s, ws, ps, _ = _exact_values(cs, zs, newton=False)
+    return _radii(cs, s, ws, ps, len(ws))
 
 
 def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
@@ -388,17 +417,36 @@ def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
 
     Centres whose disk meets the real axis are snapped onto it and those
     below it replaced by the mirrors of those above; the radii are taken at
-    these final centres.  `roots` checks that the disks are disjoint.
+    these final centres.  p is evaluated exactly once, at the Aberth
+    centres, and the final centres reuse those values at the same scale S,
+    which every final coordinate's denominator divides: a centre left alone
+    keeps its S^n p, and only a centre moved onto the axis is evaluated
+    again, by a real Horner pass.  A mirror's value is the conjugate of its
+    upper centre's (the coefficients are real), and since the final centres
+    are closed under conjugation its radius is the upper centre's too, so
+    only the products of differences are recomputed, for the reals and the
+    uppers.  The radii are bit-identical to a fresh evaluation at the final
+    centres (see `_radii`).  `roots` checks that the disks are disjoint.
     """
+    n = len(cs) - 1
     zs = _aberth(cs)
-    radii = _weierstrass_radii(cs, zs)
-    zs = [complex(z.real, 0.0) if abs(z.imag) <= r else z for z, r in zip(zs, radii)]
-    uppers = [z for z in zs if z.imag > 0]
-    reals = [z for z in zs if z.imag == 0]
-    zs = reals + uppers + [z.conjugate() for z in uppers]
-    disks = list(zip(zs, _weierstrass_radii(cs, zs)))
-    if len(zs) != len(cs) - 1 or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in disks):
-        raise RootCertificationError(f"could not certify the roots of a degree-{len(cs) - 1} factor")
+    s, ws, ps, _ = _exact_values(cs, zs, newton=False)
+    reals, uppers = [], []
+    for z, w, p, r in zip(zs, ws, ps, _radii(cs, s, ws, ps, n)):
+        if abs(z.imag) <= r:
+            x = w[0]
+            if w[1]:
+                p = (_horner([c * s ** (n - k) for k, c in enumerate(cs)], x), 0)
+            reals.append((complex(z.real, 0.0), (x, 0), p))
+        elif z.imag > 0:
+            uppers.append((z, w, p))
+    kept = reals + uppers
+    ws = [w for _, w, _ in kept] + [(x, -y) for _, (x, y), _ in uppers]
+    radii = _radii(cs, s, ws, [p for _, _, p in kept], len(kept))
+    disks = [(z, r) for (z, _, _), r in zip(kept, radii)]
+    disks += [(z.conjugate(), r) for (z, _, _), r in zip(uppers, radii[len(reals) :])]
+    if len(disks) != n or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in disks):
+        raise RootCertificationError(f"could not certify the roots of a degree-{n} factor")
     return disks
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import mpmath as mp
 
 from kronrec.density import is_covered
-from kronrec.errors import CertificateError, DomainError
+from kronrec.errors import CertificateError, DomainError, RootCertificationError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
     clear_denominators,
@@ -23,7 +23,7 @@ from kronrec.exact_linalg import (
     transpose,
 )
 from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate
-from kronrec.poly_core import IntPolynomial
+from kronrec.poly_core import IntPolynomial, _aberth, _exact_values, _sqrt_up
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
 
 
@@ -487,6 +487,39 @@ def ladder_roots(cs: tuple[int, ...], target: float = 1e-12) -> list[tuple[compl
                 return out
         dps *= 2
     raise AssertionError(f"the precision ladder could not certify {cs}")
+
+
+def _two_pass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
+    """Weierstrass radii from a fresh exact evaluation, with p' computed and discarded."""
+    s, ws, ps, _ = _exact_values(cs, zs)
+    n = len(cs) - 1
+    out = []
+    for i, ((pr, pi), (x, y)) in enumerate(zip(ps, ws)):
+        qr, qi = cs[-1] * s, 0
+        for j, (u, v) in enumerate(ws):
+            if j != i:
+                qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
+        out.append(_sqrt_up(n * n * (pr * pr + pi * pi), qr * qr + qi * qi))
+    return out
+
+
+def certified_simple_roots_two_pass(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
+    """The two-pass route that `poly_core._certified_simple_roots` replaced.
+
+    Radii are evaluated exactly at the Aberth centres, the centres are
+    snapped and mirrored, and p is evaluated afresh at the final centres,
+    at their own power-of-two scale, for the final radii.
+    """
+    zs = _aberth(cs)
+    radii = _two_pass_radii(cs, zs)
+    zs = [complex(z.real, 0.0) if abs(z.imag) <= r else z for z, r in zip(zs, radii)]
+    uppers = [z for z in zs if z.imag > 0]
+    reals = [z for z in zs if z.imag == 0]
+    zs = reals + uppers + [z.conjugate() for z in uppers]
+    disks = list(zip(zs, _two_pass_radii(cs, zs)))
+    if len(zs) != len(cs) - 1 or any(r > 1e-12 * max(1.0, abs(z)) for z, r in disks):
+        raise RootCertificationError(f"could not certify the roots of a degree-{len(cs) - 1} factor")
+    return disks
 
 
 def _fail(clause: str) -> None:

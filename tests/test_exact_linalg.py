@@ -13,6 +13,7 @@ from kronrec.exact_linalg import (
     PADIC_INFINITY,
     _bareiss,
     clear_denominators,
+    clear_floats,
     det_exact,
     hnf,
     identity_matrix,
@@ -424,3 +425,28 @@ def test_clear_denominators_scales_by_the_least_common_denominator(row):
 def test_clear_denominators_rejects_floats_and_strings(row, bad, at):
     with pytest.raises(DomainError):
         clear_denominators(row[:at] + [bad] + row[at:])
+
+
+# ----- clear_floats -----
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite_floats, max_size=8))
+def test_clear_floats_agrees_with_the_fraction_route(row):
+    assert clear_floats(row) == clear_denominators([Fraction(x) for x in row])
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(finite_floats, max_size=6),
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+    st.integers(0, 6),
+)
+def test_clear_floats_rejects_non_finite_values(row, bad, at):
+    with pytest.raises(DomainError):
+        clear_floats(row[:at] + [bad] + row[at:])

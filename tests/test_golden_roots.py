@@ -1,6 +1,6 @@
 """Byte-level guard on inputs with the roots +-i beside irrational ones.
 
-Every polynomial here has the factor x^2 + 1.  The root engine reaches +-i
+Every CLI polynomial here has the factor x^2 + 1.  The root engine reaches +-i
 exactly, so their disks have radius 0.  The four witness digests were
 recorded under the mpmath precision ladder and held when the
 double-precision engine with an exact certificate replaced it.  The mahler
@@ -10,14 +10,22 @@ where the engine's centres settle or how it rounds its radii shows here
 first.  `mahler 1,-4,2,-2,1,2` has the rational root 1 too; its digest
 was re-recorded again when rational roots joined the engine and that root's
 radius went from a two-ulp conversion slack to 0.
+
+`test_roots_digest` pins `roots` itself, bit for bit, on seeded random
+polynomials shaped like the benchmark's witness and mahler inputs, some
+with repeated factors or the root 0.
 """
 
 import hashlib
+import math
+import random
 import shlex
 
 import pytest
 
 from kronrec.cli import main
+from kronrec.errors import RootCertificationError
+from kronrec.poly_core import IntPolynomial, roots
 
 GOLDEN_ROOTS = [
     ("witness --m 14 --seed 72241 -2,4,-3,-1,-2,-2,2,3,3", "af5c8f6e9f71a495e170a95332c0715a48f64979889f69b91f62891f3cc46947"),
@@ -37,3 +45,50 @@ def test_stdout_digest(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_poly(rng, degree, bound):
+    """Primitive, nonzero constant and leading coefficients, as in the witness workload."""
+    while True:
+        cs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+        if cs[0] and cs[-1] and math.gcd(*cs) == 1:
+            return cs
+
+
+def _golden_polys():
+    """Six random polynomials of each degree 2-12 with |a_i| <= 4, then
+    sixteen f^2 g of degree up to 12, half with the root 0 once or twice."""
+    rng = random.Random("golden-roots")
+    out = [_random_poly(rng, degree, 4) for degree in range(2, 13) for _ in range(6)]
+    for _ in range(16):
+        f = _random_poly(rng, rng.randint(1, 3), 4)
+        g = _random_poly(rng, rng.randint(1, 4), 4)
+        cs = _mul(_mul(f, f), g)
+        if rng.random() < 0.5:
+            cs = [0] * rng.randint(1, 2) + cs
+        out.append(cs)
+    return out
+
+
+def test_roots_digest():
+    """Every bit of each centre and radius, and each multiplicity, of `roots`
+    on 82 seeded polynomials; a failure would be pinned by its message."""
+    h = hashlib.sha256()
+    for cs in _golden_polys():
+        h.update(repr(cs).encode())
+        try:
+            rs = roots(IntPolynomial(tuple(cs))).roots
+        except RootCertificationError as exc:
+            h.update(f"error {exc}".encode())
+            continue
+        for e in rs:
+            h.update(f"{e.value.real.hex()} {e.value.imag.hex()} {e.radius.hex()} {e.multiplicity};".encode())
+    assert h.hexdigest() == "e0b68a58bb97cdcd607ada9093ac0e5adf2de6b8edb1aa8dce686af2455d56ab"

@@ -7,11 +7,14 @@ import mpmath
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from kronrec.errors import DomainError, ParseError
+from kronrec import poly_core
+from kronrec.errors import DomainError, ParseError, RootCertificationError
 from kronrec.poly_core import (
     IntPolynomial,
     _aberth,
+    _certified_simple_roots,
     _disks_disjoint,
+    _exact_values,
     _sqrt_up,
     _weierstrass_radii,
     conjugate,
@@ -20,7 +23,7 @@ from kronrec.poly_core import (
     roots,
     squarefree_factors,
 )
-from oracles import fraction_squarefree, ladder_roots, rational_decompose
+from oracles import certified_simple_roots_two_pass, fraction_squarefree, ladder_roots, rational_decompose
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # classic numeric oracle for the degree-10 measure record holder
@@ -323,6 +326,90 @@ def test_sqrt_up_is_a_tight_upper_bound(num, den, shift):
     assert Fraction(r) ** 2 >= Fraction(num, den)
     if num:
         assert Fraction(math.nextafter(math.nextafter(r, 0), 0)) ** 2 < Fraction(num, den)
+
+
+@given(st.integers(0, 10**60), st.integers(0, 10**60), st.integers(0, 400))
+def test_sqrt_up_ignores_a_common_power_of_two(num, den, k):
+    # the radii reuse the Aberth centres' scale S for the final centres,
+    # whose own scale may be smaller; both sides then gain the same 2^k
+    assert _sqrt_up(num << k, den << k) == _sqrt_up(num, den)
+
+
+@st.composite
+def float_points(draw):
+    parts = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) | st.sampled_from((0.0, -0.0, 1e-300))
+    return complex(draw(parts), draw(parts))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_polys(max_degree=8), st.lists(float_points(), min_size=1, max_size=4))
+def test_exact_value_at_the_conjugate_is_the_conjugate(p, zs):
+    pts = zs + [z.conjugate() for z in zs]
+    s, ws, ps, newtons = _exact_values(p.coeffs, pts)
+    assert _exact_values(p.coeffs, pts, newton=False) == (s, ws, ps, None)
+    k = len(zs)
+    for (x, y), (u, v) in zip(ws, ws[k:]):
+        assert (u, v) == (x, -y)
+    for (pr, pi), (qr, qi) in zip(ps, ps[k:]):
+        assert (qr, qi) == (pr, -pi)
+    for nw, mw in zip(newtons, newtons[k:]):
+        assert mw == (None if nw is None else nw.conjugate())
+
+
+def _disk_bits(disks):
+    return [(z.real.hex(), z.imag.hex(), r.hex()) for z, r in disks]
+
+
+def _outcome(route, cs):
+    try:
+        return _disk_bits(route(cs))
+    except RootCertificationError as exc:
+        return str(exc)
+
+
+WILKINSON = poly_power_product([(poly(-k, 1), 1) for k in range(1, 21)])
+
+
+@seed(20261018)
+@settings(deadline=None, max_examples=60)
+@given(small_polys(max_degree=12, max_coeff=9))
+# +-i and 1/2 are floats: their disks have radius 0
+@example(poly_power_product([(poly(1, 0, 1), 1), (poly(-1, 2), 1)]))
+# real roots whose Aberth centres leave the axis by ~1e-46 and are snapped
+@example(poly_power_product([(poly(-2, 0, 1), 1), (poly(-1, -1, 1), 1), (poly(1, -3, 0, 1), 1)]))
+@example(poly(-2, 0, 0, 1))
+# a factor the engine cannot certify
+@example(WILKINSON)
+def test_one_radius_pass_matches_the_two_pass_route(p):
+    """Bit-identical disks, or the same failure, with and without the second exact evaluation."""
+    for fac, _ in squarefree_factors(p):
+        assert _outcome(_certified_simple_roots, fac) == _outcome(certified_simple_roots_two_pass, fac)
+
+
+def test_certified_roots_evaluate_p_once_beyond_the_polish_sweeps(monkeypatch):
+    """The radius pass evaluates p exactly once, at the Aberth centres; the
+    snapped, mirrored and untouched final centres reuse those values."""
+    calls = {"all": 0, "aberth": 0}
+    exact_values, aberth = poly_core._exact_values, poly_core._aberth
+
+    def counted_exact_values(*args, **kwargs):
+        calls["all"] += 1
+        return exact_values(*args, **kwargs)
+
+    def counted_aberth(cs):
+        before = calls["all"]
+        zs = aberth(cs)
+        calls["aberth"] += calls["all"] - before
+        return zs
+
+    monkeypatch.setattr(poly_core, "_exact_values", counted_exact_values)
+    monkeypatch.setattr(poly_core, "_aberth", counted_aberth)
+    # a snapped real pair, an exact pair +-i and 1/2, and a real root beside a complex pair
+    for cs in [(-2, 0, 1), (1, 0, 1), (-1, 2), (-2, 0, 0, 1), (1, -3, 0, 1)]:
+        calls.update(all=0, aberth=0)
+        disks = poly_core._certified_simple_roots(cs)
+        assert len(disks) == len(cs) - 1
+        assert calls["aberth"] >= 1 and calls["all"] == calls["aberth"] + 1
 
 
 def test_disks_disjoint_decides_on_the_binary_values():
