@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,7 +34,7 @@ from .errors import CertificateError, DomainError
 from .exact_linalg import clear_denominators, clear_floats, coerce_rational
 from .intervals import Interval, interval_min
 from .lattice_structure import integral_basis, scaled_basis_N
-from .poly_core import IntPolynomial, conjugate, roots
+from .poly_core import ComplexRootSet, IntPolynomial, conjugate, roots
 
 __all__ = [
     "DensityBound",
@@ -72,15 +73,12 @@ class DensityBound:
     eps_coarse: Interval
 
 
-def epsilon_bound(poly: IntPolynomial) -> DensityBound:
-    """Certified enclosures of the density thresholds.
+def _refined_threshold(poly: IntPolynomial) -> tuple[ComplexRootSet, Interval]:
+    """A's certified root set and eps_refined, after the density bounds' input checks.
 
-    eps_half_scaled and eps_double_scaled are the reciprocals of the two
-    scaled measures; eps_stated is their minimum.  eps_refined reciprocates
-    the product of max(|alpha|, 1-|alpha|) and is evaluated on both the
-    polynomial and its reversal (coordinate reversal preserves the orbit set
-    and the cube), keeping the smaller.  eps_coarse = 2^floor(d/2) / M(A).
-    All five come from one certified root set of A and one of its reversal.
+    eps_refined reciprocates the product of max(|alpha|, 1-|alpha|) over the
+    roots of A and over those of its reversal (coordinate reversal preserves
+    the orbit set and the cube), keeping the smaller.
     """
     if poly.constant_coefficient == 0:
         raise DomainError("density bounds need a nonzero constant coefficient")
@@ -90,9 +88,22 @@ def epsilon_bound(poly: IntPolynomial) -> DensityBound:
         raise DomainError("Mahler measure variants need degree >= 1")
     own = roots(poly)
     reversal = roots(conjugate(poly))
+    return own, interval_min(own.refined_product().recip(), reversal.refined_product().recip())
+
+
+def epsilon_bound(poly: IntPolynomial) -> DensityBound:
+    """Certified enclosures of the density thresholds.
+
+    eps_half_scaled and eps_double_scaled are the reciprocals of the two
+    scaled measures; eps_stated is their minimum.  eps_refined reciprocates
+    the product of max(|alpha|, 1-|alpha|) over A or its reversal, keeping
+    the smaller (_refined_threshold, which critical_epsilon reads alone).
+    eps_coarse = 2^floor(d/2) / M(A).  All five come from one certified root
+    set of A and one of its reversal.
+    """
+    own, refined = _refined_threshold(poly)
     half = own.mahler("half_scaled").interval.recip()
     dbl = own.mahler("double_scaled").interval.recip()
-    refined = interval_min(own.refined_product().recip(), reversal.refined_product().recip())
     plain = own.mahler("plain").interval
     coarse = plain.recip().scale(float(2 ** (poly.degree // 2)))
     return DensityBound(
@@ -383,10 +394,8 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
     return list(facets.items())
 
 
-def _offset_box(vv: list[Fraction], reach: Fraction) -> list[range]:
-    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level."""
-    ranges = [range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv]
-    offsets = math.prod(len(r) for r in ranges)
+def _guard_offsets(ranges: list[range]) -> list[range]:
+    offsets = math.prod(map(len, ranges))
     if offsets > COVERING_OFFSET_GUARD:
         raise DomainError(
             f"covering would try {offsets} integer offsets, above the guard {COVERING_OFFSET_GUARD}"
@@ -394,37 +403,65 @@ def _offset_box(vv: list[Fraction], reach: Fraction) -> list[range]:
     return ranges
 
 
+def _offset_box(vv: list[Fraction], reach: Fraction) -> list[range]:
+    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level."""
+    return _guard_offsets([range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv])
+
+
+def _gauge_rows(facets: _Facets) -> tuple[int, _Facets]:
+    """unit = lcm(s_c) and rows (c, unit // s_c): |c . x| / s_c = |c . x| (unit // s_c) / unit."""
+    unit = math.lcm(*(s for _, s in facets))
+    return unit, [(c, unit // s) for c, s in facets]
+
+
+def _gauge_search(
+    rows: _Facets, qv: Sequence[int], q: int, near: Sequence[int], goal: int, box
+) -> int:
+    """Numerator over q unit of the least gauge of the target qv / q, down to goal.
+
+    The nearest offset near is scored first, then every offset k of
+    box(best), best being the nearest one's score; the score of k is
+    max_c |c . (qv + q k)| (unit // s_c).  An offset is scored only while it
+    beats the best so far on every facet, and the search returns at the first
+    score at or below goal.  The facet that rejects an offset is tried first
+    on the next, which tends to fail on the same facet; no score depends on
+    that order.
+    """
+    t = [x + q * k for x, k in zip(qv, near)]
+    best = max((abs(sum(map(operator.mul, c, t))) * w for c, w in rows), default=0)
+    if best > goal:
+        scored = [(c, sum(map(operator.mul, c, qv)), w) for c, w in rows]
+        for k in itertools.product(*box(best)):
+            worst = 0
+            for i, (c, cv, w) in enumerate(scored):
+                x = abs(cv + q * sum(map(operator.mul, c, k))) * w
+                if x >= best:
+                    scored[0], scored[i] = scored[i], scored[0]
+                    break
+                if x > worst:
+                    worst = x
+            else:
+                best = worst
+                if best <= goal:
+                    break
+    return best
+
+
 def _least_gauge(facets: _Facets, vv: list[Fraction], stop: Fraction, box) -> Fraction:
     """min over offsets k of the gauge max_c |c . (vv + k)| / s_c, down to stop.
 
     The nearest offset -round(vv) is scored first, then every offset of
-    box(g), g being the nearest one's gauge.  Scores are integers over the common denominator
-    q * lcm(s_c) (q that of vv); an offset is scored only while it beats the
-    best so far on every facet, and the search returns at the first score at
-    or below stop.  A result above stop is the least gauge over those
-    offsets; one at or below stop only bounds it.
+    box(g), g being the nearest one's gauge.  vv is cleared once to integers
+    over q and _gauge_search scores over the common denominator q lcm(s_c),
+    returning at the first score at or below stop.  A result above stop is
+    the least gauge over those offsets; one at or below stop only bounds it.
     """
     qv, q = clear_denominators(vv)
-    unit = math.lcm(*(s for _, s in facets))
-    rows = [(c, sum(ci * x for ci, x in zip(c, qv)), unit // s) for c, s in facets]
-    goal = math.floor(stop * q * unit)
-
-    def score(k, best):
-        worst = 0
-        for c, cv, weight in rows:
-            x = abs(cv + q * sum(ci * ki for ci, ki in zip(c, k))) * weight
-            if x >= best:
-                return best
-            worst = max(worst, x)
-        return worst
-
-    best = score([-round(vi) for vi in vv], math.inf)
-    if best > goal:
-        for k in itertools.product(*box(Fraction(best, q * unit))):
-            best = score(k, best)
-            if best <= goal:
-                break
-    return Fraction(best, q * unit)
+    unit, rows = _gauge_rows(facets)
+    den = q * unit
+    near = [-round(vi) for vi in vv]
+    best = _gauge_search(rows, qv, q, near, math.floor(stop * den), lambda b: box(Fraction(b, den)))
+    return Fraction(best, den)
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
@@ -489,7 +526,12 @@ def critical_epsilon(
     |c . (v + k)| / s_c, read from one facet list for every degree.  Targets
     far from an integer go first, and each target gets one gauge search
     that stops as soon as it is covered at the running threshold, so only
-    targets that raise it are searched to their exact minimum.  lower and
+    targets that raise it are searched to their exact minimum.  Every score
+    is an integer over one denominator grid_n lcm(s_c), so target js / grid_n
+    costs c . js per facet: its nearest offset -round(j / grid_n) (half to
+    even) is read from a table per residue j, its offset box is cut by
+    integer floor division, and its stop is the numerator of half the running
+    threshold; a Fraction is built only when the threshold rises.  lower and
     estimate are that threshold.  The reported upper bound adds the
     declared grid margin (m - d)/grid_n for targets between grid points,
     capped at the certified refined threshold which covers the whole torus;
@@ -516,9 +558,12 @@ def critical_epsilon(
     tol = coerce_rational(bisection_tol)
     if tol <= 0:
         raise DomainError("bisection_tol must be positive")
-    cap = Fraction(epsilon_bound(poly).eps_refined.hi)
-    facets = _zonotope_facets(poly, m)
+    cap = Fraction(_refined_threshold(poly)[1].hi)
+    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
+    # every gauge is an integer over den; target js is the integer vector js over grid_n
+    den = grid_n * unit
     width = poly.coefficient_sum_abs()
+    near = [-round(Fraction(j, grid_n)) for j in range(grid_n)]
 
     # far-from-integer targets first, so the threshold rises early and most
     # later targets are skipped
@@ -526,16 +571,24 @@ def critical_epsilon(
         itertools.product(range(grid_n), repeat=ell),
         key=lambda js: -sum(min(j, grid_n - j) for j in js),
     )
-    tau = Fraction(0)
+    best = 0
     for js in order:
-        vv = [Fraction(j, grid_n) for j in js]
-        # an offset beating the nearest one's gauge g has |vv + k|_inf <= g * width
-        gauge = _least_gauge(facets, vv, tau / 2, lambda g: _offset_box(vv, g * width))
-        tau = max(tau, 2 * gauge)
-        if tau > cap:
-            raise CertificateError(
-                f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"
+        # an offset beating the nearest one's score b has |js / grid_n + k|_inf <= b width / den
+        def box(b, js=js):
+            reach = b * width
+            return _guard_offsets(
+                [range(-((reach + j * unit) // den), (reach - j * unit) // den + 1) for j in js]
             )
+
+        score = _gauge_search(rows, js, grid_n, [near[j] for j in js], best, box)
+        if score > best:
+            best = score
+            tau = Fraction(2 * best, den)
+            if tau > cap:
+                raise CertificateError(
+                    f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"
+                )
+    tau = Fraction(2 * best, den)
     margin = Fraction(ell, grid_n)
     notes = (
         f"exact threshold over a {grid_n}^{ell} residue grid from the zonotope "

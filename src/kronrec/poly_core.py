@@ -401,17 +401,6 @@ def _radii(cs: tuple[int, ...], s: int, ws, ps, count: int) -> list[float]:
     return out
 
 
-def _weierstrass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
-    """Weierstrass radii n |p(z_i)| / (|a_n| prod_{j!=i} |z_i - z_j|), rounded up.
-
-    Exact at the float points: with W = S z the radius is
-    n |S^n p(z_i)| / |a_n S prod_{j!=i} (W_i - W_j)|, all Gaussian integers.
-    Coinciding points get radius inf.
-    """
-    s, ws, ps, _ = _exact_values(cs, zs, newton=False)
-    return _radii(cs, s, ws, ps, len(ws))
-
-
 def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
     """Weierstrass disks, each within the target, at a square-free factor's Aberth centres.
 

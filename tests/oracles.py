@@ -10,11 +10,20 @@ from typing import Sequence
 
 import mpmath as mp
 
-from kronrec.density import is_covered
+from kronrec.density import (
+    COVERING_OFFSET_GUARD,
+    GRID_DIMENSION_GUARD,
+    CriticalEpsilonEstimate,
+    _offset_box,
+    _zonotope_facets,
+    epsilon_bound,
+    is_covered,
+)
 from kronrec.errors import CertificateError, DomainError, RootCertificationError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
     clear_denominators,
+    coerce_rational,
     det_exact,
     identity_matrix,
     integer_kernel,
@@ -23,7 +32,7 @@ from kronrec.exact_linalg import (
     transpose,
 )
 from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate
-from kronrec.poly_core import IntPolynomial, _aberth, _exact_values, _sqrt_up
+from kronrec.poly_core import IntPolynomial, _aberth, _exact_values, _radii, _sqrt_up
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
 
 
@@ -314,6 +323,84 @@ def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fra
     return lo, hi
 
 
+def critical_epsilon_per_target(
+    poly: IntPolynomial,
+    m: int,
+    grid_n: int = 8,
+    bisection_tol=Fraction(1, 1000),
+    allow_large_grid: bool = False,
+) -> CriticalEpsilonEstimate:
+    """density.critical_epsilon by its Fraction route, one gauge search per target.
+
+    Each grid target is a vector v of Fractions.  Its nearest offset -round(v)
+    is scored first; unless that gauge g is covered at the running threshold,
+    every offset of the box |v + k|_inf <= g sum|a_i| is scored in turn, until
+    one is covered.  Every gauge max_c |c . (v + k)| / s_c is a Fraction, and
+    the cap is the public epsilon_bound's eps_refined.hi.  The guards, the
+    error messages and the report fields are density.critical_epsilon's.
+    """
+    d = poly.degree
+    ell = m - d
+    if ell < 1:
+        raise DomainError("critical epsilon needs m > deg A")
+    if grid_n < 1:
+        raise DomainError("grid_n must be positive")
+    if ell > GRID_DIMENSION_GUARD and not allow_large_grid:
+        raise DomainError(
+            f"grid dimension {ell} exceeds the guard {GRID_DIMENSION_GUARD}; "
+            "pass allow_large_grid=True to override"
+        )
+    targets = grid_n**ell
+    if targets > COVERING_OFFSET_GUARD:
+        raise DomainError(
+            f"the grid has {targets} targets, grid_n^{ell}, above the guard {COVERING_OFFSET_GUARD}"
+        )
+    tol = coerce_rational(bisection_tol)
+    if tol <= 0:
+        raise DomainError("bisection_tol must be positive")
+    cap = Fraction(epsilon_bound(poly).eps_refined.hi)
+    facets = _zonotope_facets(poly, m)
+    width = poly.coefficient_sum_abs()
+
+    def gauge(v, k):
+        return max(abs(sum(ci * (vi + ki) for ci, vi, ki in zip(c, v, k))) / s for c, s in facets)
+
+    order = sorted(
+        itertools.product(range(grid_n), repeat=ell),
+        key=lambda js: -sum(min(j, grid_n - j) for j in js),
+    )
+    tau = Fraction(0)
+    for js in order:
+        v = [Fraction(j, grid_n) for j in js]
+        g = gauge(v, [-round(vi) for vi in v])
+        if g > tau / 2:
+            for k in itertools.product(*_offset_box(v, g * width)):
+                g = min(g, gauge(v, k))
+                if g <= tau / 2:
+                    break
+        tau = max(tau, 2 * g)
+        if tau > cap:
+            raise CertificateError(
+                f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"
+            )
+    margin = Fraction(ell, grid_n)
+    notes = (
+        f"exact threshold over a {grid_n}^{ell} residue grid from the zonotope "
+        f"facets; upper adds the grid margin {margin} and is capped at the "
+        f"certified torus-wide threshold {float(cap):.6g}"
+    )
+    return CriticalEpsilonEstimate(
+        poly=poly,
+        m=m,
+        lower=tau,
+        upper=min(tau + margin, cap),
+        estimate=tau,
+        grid_resolution=grid_n,
+        bisection_tol=tol,
+        method_notes=notes,
+    )
+
+
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:
     """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
 
@@ -487,6 +574,17 @@ def ladder_roots(cs: tuple[int, ...], target: float = 1e-12) -> list[tuple[compl
                 return out
         dps *= 2
     raise AssertionError(f"the precision ladder could not certify {cs}")
+
+
+def weierstrass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
+    """Weierstrass radii n |p(z_i)| / (|a_n| prod_{j!=i} |z_i - z_j|), rounded up.
+
+    poly_core's exact radius route taken alone: with W = S z the radius is
+    n |S^n p(z_i)| / |a_n S prod_{j!=i} (W_i - W_j)|, all Gaussian integers.
+    Coinciding points get radius inf.
+    """
+    s, ws, ps, _ = _exact_values(cs, zs, newton=False)
+    return _radii(cs, s, ws, ps, len(ws))
 
 
 def _two_pass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:

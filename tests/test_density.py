@@ -5,9 +5,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from kronrec import density, exact_linalg, poly_core
@@ -31,7 +32,12 @@ from kronrec.intervals import Interval, interval_min
 from kronrec.lattice_structure import basis_N, integral_basis
 from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
 from kronrec.recurrence_matrices import band_rows
-from oracles import bisect_grid_threshold, minors_by_elimination, zonotope_facets_by_band_minors
+from oracles import (
+    bisect_grid_threshold,
+    critical_epsilon_per_target,
+    minors_by_elimination,
+    zonotope_facets_by_band_minors,
+)
 
 SHIFT2 = IntPolynomial((-2, 1))  # x - 2
 GOLDEN = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -624,10 +630,13 @@ def test_critical_target_count_guard(monkeypatch):
     def unreachable(poly):
         raise AssertionError("the guard must run before the root work")
 
-    monkeypatch.setattr(density, "epsilon_bound", unreachable)
+    monkeypatch.setattr(density, "_refined_threshold", unreachable)
     # l = 4 passes the dimension guard, but 100^4 targets would be listed
     with pytest.raises(DomainError, match="100000000"):
         critical_epsilon(GOLDEN, 6, grid_n=100)
+    # the patch is on the root work's route: a grid inside the guard reaches it
+    with pytest.raises(AssertionError, match="root work"):
+        critical_epsilon(GOLDEN, 6, grid_n=2)
 
 
 def test_grid_threshold_hand_values():
@@ -663,6 +672,71 @@ def test_grid_threshold_inside_bisection_bracket():
             assert not all(is_covered(poly, m, tau - Fraction(1, 10**9), t) for t in targets)
 
 
+def _outcome(run):
+    """run()'s result, or its error's type and message, and the offset boxes it built."""
+    boxes = []
+    real = density._guard_offsets
+
+    def recorded(ranges):
+        boxes.append([(r.start, r.stop) for r in ranges])
+        return real(ranges)
+
+    with mock.patch.object(density, "_guard_offsets", recorded):
+        try:
+            return run(), boxes
+        except KronrecError as exc:
+            return (type(exc), str(exc)), boxes
+
+
+@st.composite
+def grid_inputs(draw):
+    """Degree 1-4 and l = 1-4 with at most ~64 grid targets, even grids included;
+    one in eight polynomials is made non-primitive or given a zero constant."""
+    poly = draw(primitive_polys(max_degree=4, bound=4))
+    spoil = draw(st.sampled_from(("double", "zero") + ("keep",) * 14))
+    if spoil == "double":
+        poly = IntPolynomial(tuple(2 * c for c in poly.coeffs))
+    elif spoil == "zero":
+        poly = IntPolynomial((0,) + poly.coeffs[1:])
+    ell = draw(st.integers(1, 4))
+    grid_n = draw(st.integers(1, round(64 ** (1 / ell))))
+    return poly, poly.degree + ell, grid_n
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(grid_inputs())
+# x - 1 at l = 7: the first target's offset box holds 8^7 offsets
+@example((IntPolynomial((-1, 1)), 8, 2))
+@example((IntPolynomial((-1, -1, 1)), 6, 4))
+def test_critical_epsilon_equals_the_per_target_route(case):
+    poly, m, grid_n = case
+    large = m - poly.degree > 4
+    got = _outcome(lambda: critical_epsilon(poly, m, grid_n=grid_n, allow_large_grid=large))
+    want = _outcome(lambda: critical_epsilon_per_target(poly, m, grid_n=grid_n, allow_large_grid=large))
+    # the same report or error, and the same offset boxes in the same order, which
+    # pins the nearest offsets (half to even) and the stop each box search starts from
+    assert got == want
+    if (poly.coeffs, m) == ((-1, 1), 8):
+        assert got[0] == (DomainError, "covering would try 2097152 integer offsets, above the guard 1000000")
+
+
+def test_critical_clears_no_denominators(monkeypatch):
+    calls = []
+    real = density.clear_denominators
+
+    def counted(row):
+        calls.append(len(row))
+        return real(row)
+
+    monkeypatch.setattr(density, "clear_denominators", counted)
+    assert critical_epsilon(GOLDEN, 5, grid_n=4).estimate == Fraction(1, 2)
+    assert calls == []
+    # the single-eps decision still clears its target once
+    assert is_covered(GOLDEN, 5, Fraction(1, 2), [Fraction(1, 2)] * 3)
+    assert calls == [3]
+
+
 def test_critical_builds_facets_once(monkeypatch):
     calls = []
 
@@ -678,12 +752,17 @@ def test_critical_builds_facets_once(monkeypatch):
 
 
 def test_critical_threshold_above_cap_raises(monkeypatch):
-    real = epsilon_bound(GOLDEN)
-    low = dataclasses.replace(real, eps_refined=Interval.point(0.25))
-    monkeypatch.setattr(density, "epsilon_bound", lambda poly: low)
+    calls = []
+
+    def low(poly):
+        calls.append(poly)
+        return poly_core.roots(poly), Interval.point(0.25)
+
+    monkeypatch.setattr(density, "_refined_threshold", low)
     # the grid threshold of x^2 - x - 1 at m = 4 on a grid of 4 is 1/2
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="exceeds the certified threshold 0.25"):
         critical_epsilon(GOLDEN, 4, grid_n=4)
+    assert calls == [GOLDEN]
 
 
 def test_critical_rejects():

@@ -15,6 +15,13 @@ Mahler-theorem cap that `upper` reads.  The seven on 1,3, -1,3, 3,-2, -2,5,
 root, were re-recorded when rational roots joined that engine: a root
 reached exactly has radius 0 instead of a two-ulp conversion slack, so only
 `upper` moved, down by a few ulps.
+
+DECIDE_SHAPED pins invocations shaped like the benchmark's decide slots,
+recorded before the grid search moved to integer scores over one common
+denominator: degree 1 at m = 4 with sum |a_i| = 13 (the costliest slot),
+degrees 2 and 3 at m = 4 and degree 2 at m = 3, all on a grid of 4, and the
+DomainError report of a grid whose first target's offset box exceeds
+COVERING_OFFSET_GUARD (x - 1 at l = 7, grid of 2).
 """
 
 import hashlib
@@ -39,10 +46,26 @@ GOLDEN = [
     ("critical-eps --m 4 --grid-n 8 --tol 1/10 2,1,-1", "91fda48ec7dc54f113c602b567cff5f02bd9274c399090b09b83abe3b922e7d7"),
 ]
 
+DECIDE_SHAPED = [
+    ("critical-eps --m 4 --grid-n 4 --tol 1/1000 -2,11", 0, "2d9abc59a9bfe6c9a4ac65f684d6b6bf019442448d147c72b1d53925ec7656ae"),
+    ("critical-eps --m 4 --grid-n 4 --tol 1/1000 5,-8", 0, "9aeb2f73734097f52173c6096459bb5d4187840e916d85479d0366cb03f6d600"),
+    ("critical-eps --m 4 --grid-n 4 --tol 1/1000 -4,2,1", 0, "5ab9f434d58091b70fc5f3bf3c020b5d1781b89fe0b6990bf7789d13f94b9dcb"),
+    ("critical-eps --m 3 --grid-n 4 --tol 1/1000 -2,5,-1", 0, "6cd8f7138a957b1332a65211d31e45498c5ce0af629fbb77d2e3bfed44e87fb8"),
+    ("critical-eps --m 4 --grid-n 4 --tol 1/1000 -2,3,-1,-1", 0, "1590955cf041985043d1ca494353ba9b6533dda72397a104d669f8df6a72a04c"),
+    ("critical-eps --m 8 --grid-n 2 --allow-large-grid -1,1", 1, "bbde6eefd4c46e6e824f704bbe5861adef9a4ff9a62391e6731de5d588211034"),
+]
+
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_critical_eps_stdout_digest(capsys, command, digest):
     code = main(shlex.split(command))
     out = capsys.readouterr().out
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, code, digest", DECIDE_SHAPED, ids=[c for c, _, _ in DECIDE_SHAPED])
+def test_decide_shaped_stdout_digest(capsys, command, code, digest):
+    assert main(shlex.split(command)) == code
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

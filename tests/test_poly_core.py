@@ -16,14 +16,19 @@ from kronrec.poly_core import (
     _disks_disjoint,
     _exact_values,
     _sqrt_up,
-    _weierstrass_radii,
     conjugate,
     mahler_measure,
     parse_polynomial,
     roots,
     squarefree_factors,
 )
-from oracles import certified_simple_roots_two_pass, fraction_squarefree, ladder_roots, rational_decompose
+from oracles import (
+    certified_simple_roots_two_pass,
+    fraction_squarefree,
+    ladder_roots,
+    rational_decompose,
+    weierstrass_radii,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # classic numeric oracle for the degree-10 measure record holder
@@ -312,7 +317,7 @@ def _exact_radius_squared(cs, zs, i):
 def test_weierstrass_radius_rounds_up_the_exact_value(p):
     for fac, _ in squarefree_factors(p):
         zs = _aberth(fac)
-        for i, r in enumerate(_weierstrass_radii(fac, zs)):
+        for i, r in enumerate(weierstrass_radii(fac, zs)):
             exact = _exact_radius_squared(fac, zs, i)
             assert Fraction(r) ** 2 >= exact
             two_below = math.nextafter(math.nextafter(r, 0), 0)
