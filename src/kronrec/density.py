@@ -5,7 +5,7 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
 
   epsilon_bound       certified enclosures of the eps thresholds obtained
                       from scaled Mahler measures and the refined root
-                      product max(|alpha|, 1-|alpha|)
+                      product max(|alpha|, 1-|alpha|), all from one root set
   factor_real/witness the constructive two-stage perturbation moving any
                       target into Q while staying inside the eps/2 cube
   is_covered          exact decision of whether the eps-cube's image, the
@@ -34,7 +34,7 @@ from .errors import CertificateError, DomainError
 from .exact_linalg import clear_denominators, clear_floats, coerce_rational
 from .intervals import Interval, interval_min
 from .lattice_structure import integral_basis, scaled_basis_N
-from .poly_core import ComplexRootSet, IntPolynomial, conjugate, roots
+from .poly_core import ComplexRootSet, IntPolynomial, roots
 
 __all__ = [
     "DensityBound",
@@ -76,9 +76,9 @@ class DensityBound:
 def _refined_threshold(poly: IntPolynomial) -> tuple[ComplexRootSet, Interval]:
     """A's certified root set and eps_refined, after the density bounds' input checks.
 
-    eps_refined reciprocates the product of max(|alpha|, 1-|alpha|) over the
-    roots of A and over those of its reversal (coordinate reversal preserves
-    the orbit set and the cube), keeping the smaller.
+    eps_refined reciprocates A's refined product and its reversal's
+    (coordinate reversal preserves the orbit set and the cube), keeping the
+    smaller; both are folds over the one root set of A.
     """
     if poly.constant_coefficient == 0:
         raise DomainError("density bounds need a nonzero constant coefficient")
@@ -87,8 +87,7 @@ def _refined_threshold(poly: IntPolynomial) -> tuple[ComplexRootSet, Interval]:
     if poly.degree < 1:
         raise DomainError("Mahler measure variants need degree >= 1")
     own = roots(poly)
-    reversal = roots(conjugate(poly))
-    return own, interval_min(own.refined_product().recip(), reversal.refined_product().recip())
+    return own, interval_min(own.refined_product().recip(), own.reversal_refined_product().recip())
 
 
 def epsilon_bound(poly: IntPolynomial) -> DensityBound:
@@ -99,7 +98,7 @@ def epsilon_bound(poly: IntPolynomial) -> DensityBound:
     the product of max(|alpha|, 1-|alpha|) over A or its reversal, keeping
     the smaller (_refined_threshold, which critical_epsilon reads alone).
     eps_coarse = 2^floor(d/2) / M(A).  All five come from one certified root
-    set of A and one of its reversal.
+    set of A: the reversal's product is |a_d| * prod max(1, |alpha| - 1).
     """
     own, refined = _refined_threshold(poly)
     half = own.mahler("half_scaled").interval.recip()

@@ -45,9 +45,8 @@ __all__ = [
 
 PADIC_INFINITY = math.inf
 
+# trial divisors, and the Miller-Rabin witness set that is deterministic below 3.3e24
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# deterministic Miller-Rabin witness set, valid below 3.3e24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
@@ -68,7 +67,7 @@ def is_prime(n: int) -> bool:
 
         bases = [random.Random(n).randrange(2, n - 1) for _ in range(24)]
     else:
-        bases = _MR_BASES
+        bases = _SMALL_PRIMES
     for a in bases:
         a %= n
         if a < 2:

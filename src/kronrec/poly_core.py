@@ -21,7 +21,7 @@ Disjointness is decided exactly.  No working precision is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
 and all disks are pairwise disjoint.  Every Mahler variant and the refined
-product are folds over that one root set.
+products of A and of its reversal x^d A(1/x) are folds over that one root set.
 """
 
 from __future__ import annotations
@@ -259,16 +259,17 @@ class ComplexRootSet:
         return acc
 
     def mahler(self, variant: str = "plain") -> MahlerMeasure:
-        """A Mahler variant folded over these roots.
-
-        "conjugate" uses the plain factor: call it on the reversal's root set.
-        """
+        """A Mahler variant folded over these roots; "conjugate" is "plain": M(reversal) = M(A)."""
         acc = self._product(_MAHLER_FACTORS[variant])
         return MahlerMeasure(value=acc.mid, error=acc.halfwidth, variant=variant)
 
     def refined_product(self) -> Interval:
         """|a_d| * prod max(|alpha|, 1 - |alpha|) over the roots."""
         return self._product(_refined_factor)
+
+    def reversal_refined_product(self) -> Interval:
+        """|a_d| * prod max(1, |alpha| - 1), the refined product of x^d A(1/x), roots 1/alpha."""
+        return self._product(lambda modulus: modulus.add(Interval.point(-1.0)).max_with(1.0))
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -346,7 +347,10 @@ def _aberth(cs: tuple[int, ...]) -> list[complex]:
     """
     n = len(cs) - 1
     fcs = [float(c) for c in cs]
-    fdcs = [float(i * c) for i, c in enumerate(cs)][1:]
+    try:
+        fdcs = [float(i * c) for i, c in enumerate(cs)][1:]
+    except OverflowError:  # an i*c past the floats: no double p' is finite, so sweep exactly
+        fdcs = [math.inf]
     radius0 = 1.0 + max(abs(c) for c in fcs[:-1]) / abs(fcs[-1])
     zs = [cmath.rect(0.75 * radius0, 0.4 + 2 * math.pi * k / n) for k in range(n)]
     for _ in range(40 + 12 * n):
@@ -512,14 +516,15 @@ def mahler_measure(poly: IntPolynomial, variant: str = "plain") -> MahlerMeasure
     plain:          |a_d| * prod max(1, |alpha|)
     half_scaled:    |a_d| * prod max(1/2, |alpha|), the measure of A(x/2)
     double_scaled:  |a_d| * prod max(1, |alpha|/2), equal to 2^-d M(A(2x))
-    conjugate:      plain measure of the reversed polynomial
+    conjugate:      M(x^d A(1/x)) = M(A), folded over A's roots; needs a_0 != 0
     """
     if variant not in MAHLER_VARIANTS:
         raise DomainError(f"unknown Mahler variant {variant!r}")
     if poly.degree < 1:
         raise DomainError("Mahler measure variants need degree >= 1")
-    base = conjugate(poly) if variant == "conjugate" else poly
-    return roots(base).mahler(variant)
+    if variant == "conjugate" and poly.constant_coefficient == 0:
+        raise DomainError("conjugate needs a nonzero constant coefficient")
+    return roots(poly).mahler(variant)
 
 
 def refined_product_interval(poly: IntPolynomial) -> Interval:

@@ -32,7 +32,17 @@ from kronrec.exact_linalg import (
     transpose,
 )
 from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate
-from kronrec.poly_core import IntPolynomial, _aberth, _exact_values, _radii, _sqrt_up
+from kronrec.intervals import Interval, interval_min
+from kronrec.poly_core import (
+    IntPolynomial,
+    MahlerMeasure,
+    _aberth,
+    _exact_values,
+    _radii,
+    _sqrt_up,
+    conjugate,
+    roots,
+)
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
 
 
@@ -399,6 +409,22 @@ def critical_epsilon_per_target(
         bisection_tol=tol,
         method_notes=notes,
     )
+
+
+def refined_threshold_two_root_sets(poly: IntPolynomial) -> Interval:
+    """eps_refined by the route `density._refined_threshold` replaced.
+
+    The reversal x^d A(1/x) gets a certified root set of its own, and its
+    refined product max(|beta|, 1 - |beta|) is folded over those roots beta
+    instead of being read as |a_d| prod max(1, |alpha| - 1) from A's.
+    """
+    own = roots(poly).refined_product().recip()
+    return interval_min(own, roots(conjugate(poly)).refined_product().recip())
+
+
+def mahler_conjugate_two_root_sets(poly: IntPolynomial) -> MahlerMeasure:
+    """The "conjugate" Mahler variant as the plain measure folded over the reversal's own roots."""
+    return roots(conjugate(poly)).mahler("conjugate")
 
 
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:

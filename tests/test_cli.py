@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import shlex
+import sys
 from fractions import Fraction
 
 import pytest
@@ -340,6 +341,15 @@ def test_mahler_of_a_large_irrational_root_pair(capsys, c):
     assert doc["error"] <= 1e-12 * c
 
 
+def test_mahler_whose_derivative_coefficients_overflow(capsys):
+    # every coefficient is a float, but the derivative's 3 * 16k is past the largest one
+    k = int(sys.float_info.max) // 40 // 2 * 2
+    code, out, err = run(capsys, "mahler", f"{-9 * k - 1},{36 * k},{-4 * k},{16 * k}")
+    doc = strict_json(out)
+    assert code in (0, 1), (out, err)
+    assert doc["value"] > 0 if code == 0 else set(doc["error"]) == {"type", "message"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,3 +400,13 @@ def test_every_golden_command_prints_strict_json(capsys):
         code, out, err = run(capsys, *shlex.split(command))
         assert code == 0, (command, out, err)
         strict_json(out)
+
+
+@pytest.mark.parametrize(
+    "command", [c for c, _ in test_golden_bytes.GOLDEN if c.startswith("mahler --variant plain")]
+)
+def test_conjugate_measure_prints_the_plain_report(capsys, command):
+    plain = run_json(capsys, *shlex.split(command))
+    conj = run_json(capsys, *shlex.split(command.replace("plain", "conjugate")))
+    assert (plain.pop("variant"), conj.pop("variant")) == ("plain", "conjugate")
+    assert conj == plain

@@ -30,12 +30,14 @@ from kronrec.density import (
 from kronrec.errors import CertificateError, DomainError, KronrecError
 from kronrec.intervals import Interval, interval_min
 from kronrec.lattice_structure import basis_N, integral_basis
-from kronrec.poly_core import IntPolynomial, conjugate, mahler_measure, refined_product_interval
+from kronrec.poly_core import IntPolynomial, mahler_measure, refined_product_interval, roots
 from kronrec.recurrence_matrices import band_rows
 from oracles import (
     bisect_grid_threshold,
     critical_epsilon_per_target,
+    mahler_conjugate_two_root_sets,
     minors_by_elimination,
+    refined_threshold_two_root_sets,
     zonotope_facets_by_band_minors,
 )
 
@@ -101,28 +103,88 @@ def test_refined_bound_uses_coefficient_reversal():
 @pytest.mark.parametrize(
     "coeffs", [(-1, 2), (-1, -1, 1), (3, -2, -9, -3, 9), (-1, -2, 3, -2, 4), (1, 0, 2, 0, 1)]
 )
-def test_bound_takes_two_root_sets_and_matches_public_route(monkeypatch, coeffs):
+def test_bound_takes_one_root_set_and_matches_public_route(monkeypatch, coeffs):
+    """bound, critical-eps and the conjugate measure each certify the roots of A alone."""
     poly = IntPolynomial(coeffs)
     calls = []
 
     def counting_roots(p, *args, **kwargs):
         calls.append(p.coeffs)
-        return poly_core.roots(p, *args, **kwargs)
+        return roots(p, *args, **kwargs)
 
     monkeypatch.setattr(density, "roots", counting_roots)
-    b = epsilon_bound(poly)
-    assert calls == [poly.coeffs, conjugate(poly).coeffs]
+    monkeypatch.setattr(poly_core, "roots", counting_roots)
+    for run in (
+        lambda: epsilon_bound(poly),
+        lambda: critical_epsilon(poly, poly.degree + 1, grid_n=2),
+        lambda: mahler_measure(poly, "conjugate"),
+    ):
+        calls.clear()
+        run()
+        assert calls == [poly.coeffs]
     monkeypatch.undo()
 
+    b = epsilon_bound(poly)
     half = mahler_measure(poly, "half_scaled").interval.recip()
     dbl = mahler_measure(poly, "double_scaled").interval.recip()
     assert b.eps_half_scaled == half
     assert b.eps_double_scaled == dbl
     assert b.eps_stated == interval_min(half, dbl)
     assert b.eps_refined == interval_min(
-        refined_product_interval(poly).recip(), refined_product_interval(conjugate(poly)).recip()
+        refined_product_interval(poly).recip(), roots(poly).reversal_refined_product().recip()
     )
     assert b.eps_coarse == mahler_measure(poly).interval.recip().scale(float(2 ** (poly.degree // 2)))
+
+
+# factors whose roots lie on |z| = 1, at |z| = 1/2 or 2, or are rational
+_SPECIAL_FACTORS = [
+    (-1, 1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1), (-1, 2), (1, 2), (-2, 1), (2, 1),
+    (1, 0, 4), (4, 0, 1), (-3, 2), (2, -3), (-1, 0, 2), (1, 0, 0, 1),
+]
+
+
+def _reversal_sample(count=320):
+    """Seeded primitive polynomials of degree 1-10 with a nonzero constant coefficient.
+
+    Each multiplies one to four factors, drawn from `_SPECIAL_FACTORS` or
+    with random nonzero coefficients, and one in three repeats its first
+    factor.  Non-primitive products and degrees above 10 are drawn again.
+    """
+    rng = random.Random("reversal-refined")
+    out = []
+    while len(out) < count:
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                factors.append(rng.choice(_SPECIAL_FACTORS))
+            else:
+                degree = rng.randint(1, 3)
+                factors.append(tuple(rng.randint(-5, 5) or 1 for _ in range(degree + 1)))
+        if rng.random() < 1 / 3:
+            factors.append(factors[0])
+        cs = (1,)
+        for f in factors:
+            cs = tuple(
+                sum(cs[j] * f[i - j] for j in range(len(cs)) if 0 <= i - j < len(f))
+                for i in range(len(cs) + len(f) - 1)
+            )
+        poly = IntPolynomial(cs)
+        if 1 <= poly.degree <= 10 and poly.is_primitive:
+            out.append(poly)
+    return out
+
+
+def test_reversal_refined_product_meets_the_two_root_set_route():
+    """eps_refined and the conjugate measure from A's roots meet the reversal-root oracle's."""
+    sample = _reversal_sample()
+    assert len(sample) >= 300
+    assert {p.degree for p in sample} == set(range(1, 11))
+    for poly in sample:
+        new, old = epsilon_bound(poly).eps_refined, refined_threshold_two_root_sets(poly)
+        assert max(new.lo, old.lo) <= min(new.hi, old.hi), (poly.coeffs, new, old)
+        new = mahler_measure(poly, "conjugate").interval
+        old = mahler_conjugate_two_root_sets(poly).interval
+        assert max(new.lo, old.lo) <= min(new.hi, old.hi), (poly.coeffs, new, old)
 
 
 def test_bounds_reject_bad_inputs():

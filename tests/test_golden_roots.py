@@ -9,7 +9,11 @@ irrational roots and the last bits of the enclosures moved.  A change in
 where the engine's centres settle or how it rounds its radii shows here
 first.  `mahler 1,-4,2,-2,1,2` has the rational root 1 too; its digest
 was re-recorded again when rational roots joined the engine and that root's
-radius went from a two-ulp conversion slack to 0.
+radius went from a two-ulp conversion slack to 0.  The two bound digests
+were re-recorded when eps_refined began to read the reversal's refined
+product |a_d| * prod max(1, |alpha| - 1) from A's own roots instead of
+certifying the reversal's: only eps_refined moved, in its last bits.  A
+failing digest prints the report it hashed.
 
 `test_roots_digest` pins `roots` itself, bit for bit, on seeded random
 polynomials shaped like the benchmark's witness and mahler inputs, some
@@ -32,10 +36,10 @@ GOLDEN_ROOTS = [
     ("witness --m 13 --seed 664553 1,-1,-1,3,-2,4", "a5cf24dec9621ae1b6446522dfe37ae0702657887d65f8f8115c3b8cb03f1415"),
     ("witness --m 16 --seed 681978 -1,3,2,2,1,-1,-2", "18b1fa8b674836501e7079a1c500de484eec7aec7975faad91d2fa92439f6326"),
     ("witness --m 14 --seed 957655 2,-4,2,2,4,4,3,-2,-1", "c43287a40fa9884f1515c398c9304dad7937afdb080027ecd986a36609174e64"),
-    ("bound -1,-2,3,-2,4", "4c8a0d269237c80aeb6e0984811bcece6a6d1d85e2a72c29214a0f5ea0cc1adb"),
+    ("bound -1,-2,3,-2,4", "3a669b9ffef10c34bbe0497e188c1908b23e4275688f297c2f4b3ed5d1bf82df"),
     ("mahler -1,-2,3,-2,4", "3a232445ba4aea87bd0b74eb5fe6ca8056527c2d5fe0b97af997043bc2c67e72"),
     ("mahler 1,-4,2,-2,1,2", "e4b5ee23fb661d6ae51c474eaf00c196b577e5aeac1d315fe5df4a92cba0c177"),
-    ("bound -1,-3,0,-3,1", "989cb67ad52beb45339c9d2923ec6d39c78fd719cc5616e94108f1306f145696"),
+    ("bound -1,-3,0,-3,1", "a0f7529db763e2ecda9335324dd9482497aa28f5ab1d6a3933d11689efbbdf4a"),
 ]
 
 
@@ -44,7 +48,7 @@ def test_stdout_digest(capsys, command, digest):
     code = main(shlex.split(command))
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def _mul(a, b):

@@ -466,11 +466,11 @@ def test_mahler_variant_hand_values():
 
 
 def test_mahler_conjugate_variant_matches_plain():
-    # the measure is invariant under coefficient reversal
+    # the measure is invariant under coefficient reversal, so both fold A's roots alike
     for cs in [(-2, 1), (-1, -1, 1), (3, -2, -9, -3, 9)]:
         a = mahler_measure(poly(*cs), "plain")
         b = mahler_measure(poly(*cs), "conjugate")
-        assert abs(a.value - b.value) <= a.error + b.error + 1e-12
+        assert (b.value, b.error, b.variant) == (a.value, a.error, "conjugate")
 
 
 def test_mahler_cyclotomic_is_one():
