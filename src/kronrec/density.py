@@ -402,9 +402,11 @@ def _guard_offsets(ranges: list[range]) -> list[range]:
     return ranges
 
 
-def _offset_box(vv: list[Fraction], reach: Fraction) -> list[range]:
-    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level."""
-    return _guard_offsets([range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv])
+def _offset_box(qv: Sequence[int], unit: int, den: int, reach: int) -> list[range]:
+    """Integer offsets k with every |qv_i unit / den + k_i| <= reach / den, one range per level."""
+    return _guard_offsets(
+        [range(-((reach + x * unit) // den), (reach - x * unit) // den + 1) for x in qv]
+    )
 
 
 def _gauge_rows(facets: _Facets) -> tuple[int, _Facets]:
@@ -416,15 +418,15 @@ def _gauge_rows(facets: _Facets) -> tuple[int, _Facets]:
 def _gauge_search(
     rows: _Facets, qv: Sequence[int], q: int, near: Sequence[int], goal: int, box
 ) -> int:
-    """Numerator over q unit of the least gauge of the target qv / q, down to goal.
+    """Numerator over den = q unit of the least gauge of the target qv / q, down to goal.
 
-    The nearest offset near is scored first, then every offset k of
-    box(best), best being the nearest one's score; the score of k is
-    max_c |c . (qv + q k)| (unit // s_c).  An offset is scored only while it
-    beats the best so far on every facet, and the search returns at the first
-    score at or below goal.  The facet that rejects an offset is tried first
-    on the next, which tends to fail on the same facet; no score depends on
-    that order.
+    With rows (c, unit // s_c) from _gauge_rows, the score of an offset k is
+    den times its gauge, max_c |c . (qv + q k)| (unit // s_c).  The nearest
+    offset near is scored first, then every offset of box(best), best being
+    the nearest one's score; an offset is scored only while it beats the best
+    so far on every facet, and the search returns at the first score at or
+    below goal.  The facet that rejects an offset is tried first on the next,
+    which tends to fail on the same facet; no score depends on that order.
     """
     t = [x + q * k for x, k in zip(qv, near)]
     best = max((abs(sum(map(operator.mul, c, t))) * w for c, w in rows), default=0)
@@ -446,35 +448,18 @@ def _gauge_search(
     return best
 
 
-def _least_gauge(facets: _Facets, vv: list[Fraction], stop: Fraction, box) -> Fraction:
-    """min over offsets k of the gauge max_c |c . (vv + k)| / s_c, down to stop.
-
-    The nearest offset -round(vv) is scored first, then every offset of
-    box(g), g being the nearest one's gauge.  vv is cleared once to integers
-    over q and _gauge_search scores over the common denominator q lcm(s_c),
-    returning at the first score at or below stop.  A result above stop is
-    the least gauge over those offsets; one at or below stop only bounds it.
-    """
-    qv, q = clear_denominators(vv)
-    unit, rows = _gauge_rows(facets)
-    den = q * unit
-    near = [-round(vi) for vi in vv]
-    best = _gauge_search(rows, qv, q, near, math.floor(stop * den), lambda b: box(Fraction(b, den)))
-    return Fraction(best, den)
-
-
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     """Exact decision: does some w in [-eps/2, eps/2]^m give band(A) w = v + k?
 
     The image of the cube is the zonotope (eps/2) Z with Z = band(A) [-1, 1]^m,
     so v + k is reached exactly when its gauge max_c |c . (v + k)| / s_c over
-    the facet normals c of Z and their supports s_c is at most eps/2.  The
-    least gauge is searched, in integer arithmetic, over the offsets k with
-    |k + v|_inf <= (eps/2) sum|a_i|.  Degree 1 instead sweeps the levels
-    directly, carrying a union of feasible intervals, which stays polynomial
-    in m.  The cube is closed, so boundary contact counts as covered.  More
-    than COVERING_OFFSET_GUARD offsets, or more than MINOR_SUM_GUARD minors
-    for the facets, (m - d) C(m - 1, d), raise DomainError.
+    the facet normals c of Z and their supports s_c is at most eps/2.  As in
+    critical_epsilon, _gauge_search seeks the least gauge in integers over the
+    offsets k of one box, |k + v|_inf <= (eps/2) sum|a_i|.  Degree 1 sweeps
+    the levels instead, carrying a union of feasible intervals, which stays
+    polynomial in m.  The cube is closed, so boundary contact counts as
+    covered.  More than COVERING_OFFSET_GUARD offsets, or more than
+    MINOR_SUM_GUARD minors for the facets, (m - d) C(m - 1, d), raise DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -491,9 +476,12 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
-    facets = _zonotope_facets(poly, m)
-    box = _offset_box(vv, half * poly.coefficient_sum_abs())
-    return _least_gauge(facets, vv, half, lambda g: box) <= half
+    qv, q = clear_denominators(vv)
+    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
+    den = q * unit
+    box = _offset_box(qv, unit, den, math.floor(half * den * poly.coefficient_sum_abs()))
+    goal = math.floor(half * den)
+    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, lambda b: box) <= goal
 
 
 # ----- exact grid threshold -----
@@ -528,8 +516,8 @@ def critical_epsilon(
     targets that raise it are searched to their exact minimum.  Every score
     is an integer over one denominator grid_n lcm(s_c), so target js / grid_n
     costs c . js per facet: its nearest offset -round(j / grid_n) (half to
-    even) is read from a table per residue j, its offset box is cut by
-    integer floor division, and its stop is the numerator of half the running
+    even) is read from a table per residue j, its offset box comes from the
+    integer _offset_box, and its stop is the numerator of half the running
     threshold; a Fraction is built only when the threshold rises.  lower and
     estimate are that threshold.  The reported upper bound adds the
     declared grid margin (m - d)/grid_n for targets between grid points,
@@ -574,10 +562,7 @@ def critical_epsilon(
     for js in order:
         # an offset beating the nearest one's score b has |js / grid_n + k|_inf <= b width / den
         def box(b, js=js):
-            reach = b * width
-            return _guard_offsets(
-                [range(-((reach + j * unit) // den), (reach - j * unit) // den + 1) for j in js]
-            )
+            return _offset_box(js, unit, den, b * width)
 
         score = _gauge_search(rows, js, grid_n, [near[j] for j in js], best, box)
         if score > best:

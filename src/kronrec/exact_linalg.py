@@ -207,13 +207,19 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def coerce_rational(x) -> Fraction:
-    """Exact value of an int, Fraction, finite float (its binary value) or numeric string."""
+    """Exact value of an int, Fraction, finite float (its binary value) or numeric string.
+
+    Anything else, a string like "abc", "nan" or "1/0" included, raises DomainError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float) and not math.isfinite(x):
         raise DomainError("need a finite number")
     if isinstance(x, (int, float, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "MahlerMeasure",
     "MAHLER_VARIANTS",
     "parse_polynomial",
-    "conjugate",
     "roots",
     "mahler_measure",
     "squarefree_factors",
@@ -143,13 +142,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
     if values == [0]:
         raise ParseError("the zero polynomial is not allowed")
     return IntPolynomial(tuple(values))
-
-
-def conjugate(poly: IntPolynomial) -> IntPolynomial:
-    """Coefficient reversal x^d * A(1/x); needs a nonzero constant term."""
-    if poly.constant_coefficient == 0:
-        raise DomainError("conjugate needs a nonzero constant coefficient")
-    return IntPolynomial(tuple(reversed(poly.coeffs)))
 
 
 # ----- exact polynomial helpers over the integers -----

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
+from .exact_linalg import coerce_rational
 from .poly_core import IntPolynomial
 
 __all__ = [
@@ -51,7 +52,8 @@ class RecurrenceVector:
 def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> RecurrenceVector:
     """Extend d seed values to length m along sum_j a_j v_{i+j} = 0.
 
-    Denominators of the exact rational entries divide a_d^(m-d).
+    Seeds are read by coerce_rational, so a non-finite or non-numeric one
+    raises DomainError.  Denominators of the exact rational entries divide a_d^(m-d).
     """
     d = poly.degree
     if d < 1:
@@ -60,7 +62,7 @@ def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> Recurrence
         raise DomainError(f"need exactly {d} seed values, got {len(init)}")
     if m < d:
         raise DomainError("m must be at least the degree")
-    entries = [Fraction(x) for x in init]
+    entries = [coerce_rational(x) for x in init]
     a = poly.coeffs
     for i in range(m - d):
         acc = Fraction(0)

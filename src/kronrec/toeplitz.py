@@ -231,8 +231,10 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     rows = band_rows(list(poly.coeffs), ell_max)
     width = ell_max + d
     e_rows = [[int(c == i - 1) for c in range(width)] for i in chosen]
-    numerators = leading_minors(_gram_matrix(e_rows + rows))[len(chosen) :]
-    denominators = leading_minors(_gram_matrix(rows))
+    gram, k = _gram_matrix(e_rows + rows), len(chosen)
+    numerators = leading_minors(gram)[k:]
+    # G(B_1..B_L) is the trailing block of the bordered matrix
+    denominators = leading_minors([row[k:] for row in gram[k:]])
     return [num / den for num, den in zip(numerators, denominators)]
 
 

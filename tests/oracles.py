@@ -10,11 +10,14 @@ from typing import Sequence
 
 import mpmath as mp
 
+from kronrec import density
 from kronrec.density import (
     COVERING_OFFSET_GUARD,
     GRID_DIMENSION_GUARD,
     CriticalEpsilonEstimate,
-    _offset_box,
+    _covered_linear,
+    _gauge_rows,
+    _gauge_search,
     _zonotope_facets,
     epsilon_bound,
     is_covered,
@@ -40,7 +43,6 @@ from kronrec.poly_core import (
     _exact_values,
     _radii,
     _sqrt_up,
-    conjugate,
     roots,
 )
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
@@ -333,6 +335,51 @@ def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fra
     return lo, hi
 
 
+def _fraction_offset_box(vv: Sequence[Fraction], reach: Fraction) -> list[range]:
+    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level, in Fractions.
+
+    The box density._offset_box now builds in integers.  It is guarded through
+    the module attribute density._guard_offsets, so a test that patches the
+    guard records these boxes too.
+    """
+    return density._guard_offsets(
+        [range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv]
+    )
+
+
+def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
+    """density.is_covered by its Fraction route: a Fraction offset box and stop.
+
+    The input checks and the degree-1 sweep are is_covered's.  Otherwise the
+    box |v + k|_inf <= (eps/2) sum|a_i| is built in Fractions before the
+    search, and the least gauge is read back as a Fraction over q lcm(s_c)
+    from density._gauge_search, stopped at the first gauge at or below eps/2.
+    """
+    d = poly.degree
+    if m <= d:
+        raise DomainError("covering needs m > deg A")
+    if poly.constant_coefficient == 0:
+        raise DomainError("covering needs a nonzero constant coefficient")
+    ell = m - d
+    half = coerce_rational(eps) / 2
+    if half < 0:
+        raise DomainError("eps must be nonnegative")
+    raw = list(v) if isinstance(v, (list, tuple)) else [v]
+    if len(raw) != ell:
+        raise DomainError(f"v must have length m - deg A = {ell}")
+    vv = [coerce_rational(x) % 1 for x in raw]
+    if d == 1:
+        return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
+    facets = _zonotope_facets(poly, m)
+    box = _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
+    qv, q = clear_denominators(vv)
+    unit, rows = _gauge_rows(facets)
+    den = q * unit
+    near = [-round(vi) for vi in vv]
+    best = _gauge_search(rows, qv, q, near, math.floor(half * den), lambda b: box)
+    return Fraction(best, den) <= half
+
+
 def critical_epsilon_per_target(
     poly: IntPolynomial,
     m: int,
@@ -384,7 +431,7 @@ def critical_epsilon_per_target(
         v = [Fraction(j, grid_n) for j in js]
         g = gauge(v, [-round(vi) for vi in v])
         if g > tau / 2:
-            for k in itertools.product(*_offset_box(v, g * width)):
+            for k in itertools.product(*_fraction_offset_box(v, g * width)):
                 g = min(g, gauge(v, k))
                 if g <= tau / 2:
                     break
@@ -419,12 +466,12 @@ def refined_threshold_two_root_sets(poly: IntPolynomial) -> Interval:
     instead of being read as |a_d| prod max(1, |alpha| - 1) from A's.
     """
     own = roots(poly).refined_product().recip()
-    return interval_min(own, roots(conjugate(poly)).refined_product().recip())
+    return interval_min(own, roots(IntPolynomial(poly.coeffs[::-1])).refined_product().recip())
 
 
 def mahler_conjugate_two_root_sets(poly: IntPolynomial) -> MahlerMeasure:
     """The "conjugate" Mahler variant as the plain measure folded over the reversal's own roots."""
-    return roots(conjugate(poly)).mahler("conjugate")
+    return roots(IntPolynomial(poly.coeffs[::-1])).mahler("conjugate")
 
 
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:

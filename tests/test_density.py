@@ -16,7 +16,8 @@ from kronrec.density import (
     COVERING_OFFSET_GUARD,
     MINOR_SUM_GUARD,
     _covered_linear,
-    _least_gauge,
+    _gauge_rows,
+    _gauge_search,
     _minor_levels,
     _offset_box,
     _zonotope_facets,
@@ -34,6 +35,7 @@ from kronrec.poly_core import IntPolynomial, mahler_measure, refined_product_int
 from kronrec.recurrence_matrices import band_rows
 from oracles import (
     bisect_grid_threshold,
+    covered_by_fraction_gauge,
     critical_epsilon_per_target,
     mahler_conjugate_two_root_sets,
     minors_by_elimination,
@@ -380,6 +382,10 @@ def test_covered_degree_two_paths():
 def test_covered_rejects():
     with pytest.raises(DomainError):
         is_covered(SHIFT2, 1, Fraction(1, 2), ())
+    with pytest.raises(DomainError, match="cannot interpret"):
+        is_covered(GOLDEN, 4, "abc", (0, 0))
+    with pytest.raises(DomainError, match="cannot interpret"):
+        certify_non_density(GOLDEN, 4, "1/0")
     with pytest.raises(DomainError):
         is_covered(SHIFT2, 3, Fraction(1, 2), (Fraction(1, 2),))  # length
     with pytest.raises(DomainError):
@@ -389,9 +395,13 @@ def test_covered_rejects():
 
 
 def _covered_facets(poly, m, half, vv):
-    """The least-gauge search on a freshly built facet list, whatever the degree."""
-    box = _offset_box(vv, half * poly.coefficient_sum_abs())
-    return _least_gauge(_zonotope_facets(poly, m), vv, half, lambda g: box) <= half
+    """The integer least-gauge search on a freshly built facet list, whatever the degree."""
+    qv, q = exact_linalg.clear_denominators(vv)
+    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
+    den = q * unit
+    box = _offset_box(qv, unit, den, math.floor(half * den * poly.coefficient_sum_abs()))
+    goal = math.floor(half * den)
+    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, lambda b: box) <= goal
 
 
 @settings(max_examples=120, deadline=None)
@@ -781,6 +791,37 @@ def test_critical_epsilon_equals_the_per_target_route(case):
     assert got == want
     if (poly.coeffs, m) == ((-1, 1), 8):
         assert got[0] == (DomainError, "covering would try 2097152 integer offsets, above the guard 1000000")
+
+
+@st.composite
+def covering_inputs(draw):
+    """Degree 2-4, l = 1-3, eps in [0, 2] and Fraction or float targets, eps = 0
+    and a zero constant coefficient each drawn about one time in eight."""
+    poly = draw(primitive_polys(max_degree=4, bound=3, min_degree=2))
+    if draw(st.integers(0, 7)) == 7:
+        poly = IntPolynomial((0,) + poly.coeffs[1:])
+    ell = draw(st.integers(1, 3))
+    eps = draw(
+        st.one_of(st.just(0), *[st.fractions(0, 2, max_denominator=12)] * 4, *[st.floats(0, 2)] * 3)
+    )
+    target = st.one_of(st.fractions(-1, 2, max_denominator=20), st.floats(-1, 2))
+    return poly, poly.degree + ell, eps, draw(st.lists(target, min_size=ell, max_size=ell))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(covering_inputs())
+# 5x^2 - 2x + 3 at l = 3, eps = 12: the box holds 121^3 offsets
+@example((IntPolynomial((3, -2, 5)), 5, 12, [0, 0, 0]))
+@example((GOLDEN, 4, 0, [Fraction(1, 2), 0.25]))
+def test_is_covered_equals_the_fraction_route(case):
+    poly, m, eps, v = case
+    got = _outcome(lambda: is_covered(poly, m, eps, v))
+    want = _outcome(lambda: covered_by_fraction_gauge(poly, m, eps, v))
+    # the same decision or error, and the same guarded offset box
+    assert got == want
+    if (poly.coeffs, eps) == ((3, -2, 5), 12):
+        assert got[0] == (DomainError, "covering would try 1771561 integer offsets, above the guard 1000000")
 
 
 def test_critical_clears_no_denominators(monkeypatch):

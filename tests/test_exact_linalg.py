@@ -14,6 +14,7 @@ from kronrec.exact_linalg import (
     _bareiss,
     clear_denominators,
     clear_floats,
+    coerce_rational,
     det_exact,
     hnf,
     identity_matrix,
@@ -197,6 +198,12 @@ def test_integer_kernel_annihilates_and_is_saturated(a):
 
 
 # ----- determinants and solves -----
+
+
+@pytest.mark.parametrize("text", ["abc", "inf", "nan", "1/0"])
+def test_coerce_rational_rejects_bad_strings_with_domain_error(text):
+    with pytest.raises(DomainError, match="cannot interpret"):
+        coerce_rational(text)
 
 
 def test_det_hand_values():

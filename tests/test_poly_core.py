@@ -16,7 +16,6 @@ from kronrec.poly_core import (
     _disks_disjoint,
     _exact_values,
     _sqrt_up,
-    conjugate,
     mahler_measure,
     parse_polynomial,
     roots,
@@ -91,14 +90,6 @@ def test_primitivity_and_content():
     assert poly(3, -2, -9, -3, 9).is_primitive
     assert not poly(2, 4, 6).is_primitive
     assert poly(2, 4, 6).content == 2
-
-
-def test_conjugate_reverses_and_involutes():
-    p = poly(3, -2, -9, -3, 9)
-    assert conjugate(p).coeffs == (9, -3, -9, -2, 3)
-    assert conjugate(conjugate(p)) == p
-    with pytest.raises(DomainError):
-        conjugate(poly(0, 1))
 
 
 def test_string_rendering():
@@ -497,7 +488,7 @@ def test_mahler_errors():
 @given(small_polys(max_degree=3, nonzero_constant=True))
 def test_mahler_double_scaled_equals_half_scaled_of_conjugate(p):
     a = mahler_measure(p, "double_scaled")
-    b = mahler_measure(conjugate(p), "half_scaled")
+    b = mahler_measure(IntPolynomial(p.coeffs[::-1]), "half_scaled")
     assert abs(a.value - b.value) <= a.error + b.error + 1e-10
 
 

@@ -65,6 +65,14 @@ def test_recurrence_extend_validates_seed_length():
         recurrence_extend(poly(-2, 1), (1, 0), 4)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "abc", "1/0"])
+def test_recurrence_extend_rejects_bad_seeds_with_domain_error(bad):
+    with pytest.raises(DomainError):
+        recurrence_extend(poly(-1, -1, 1), (1, bad), 4)
+    # a numeric string is read exactly, like any other coerced rational
+    assert recurrence_extend(poly(-2, 1), ("1/3",), 2).entries == (Fraction(1, 3), Fraction(2, 3))
+
+
 @settings(deadline=None, max_examples=50)
 @given(recurrence_polys(), st.integers(0, 4))
 def test_recurrence_rows_annihilated_by_band(a, extra):
