@@ -296,8 +296,7 @@ def _merge_intervals(parts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
     merged = [parts[0]]
     for lo, hi in parts[1:]:
         if lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
             merged.append((lo, hi))
     return merged
@@ -310,11 +309,8 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
         nxt: list[tuple[Fraction, Fraction]] = []
         for lo, hi in feasible:
             img_lo, img_hi = sorted((a0 * lo, a0 * hi))
-            img_lo -= abs(a1) * half
-            img_hi += abs(a1) * half
-            k_lo = math.ceil(img_lo - v[i])
-            k_hi = math.floor(img_hi - v[i])
-            for k in range(k_lo, k_hi + 1):
+            reach = abs(a1) * half
+            for k in range(math.ceil(img_lo - reach - v[i]), math.floor(img_hi + reach - v[i]) + 1):
                 c1 = (v[i] + k - a0 * lo) / a1
                 c2 = (v[i] + k - a0 * hi) / a1
                 n_lo = max(min(c1, c2), -half)
@@ -448,18 +444,27 @@ def _gauge_search(
     return best
 
 
+def _covered_by_facets(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
+    """is_covered past degree 1: the integer least-gauge search over one box of offsets."""
+    qv, q = clear_denominators(vv)
+    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
+    den = q * unit
+    box = _offset_box(qv, unit, den, math.floor(half * den * poly.coefficient_sum_abs()))
+    goal = math.floor(half * den)
+    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, lambda b: box) <= goal
+
+
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     """Exact decision: does some w in [-eps/2, eps/2]^m give band(A) w = v + k?
 
     The image of the cube is the zonotope (eps/2) Z with Z = band(A) [-1, 1]^m,
     so v + k is reached exactly when its gauge max_c |c . (v + k)| / s_c over
-    the facet normals c of Z and their supports s_c is at most eps/2.  As in
-    critical_epsilon, _gauge_search seeks the least gauge in integers over the
-    offsets k of one box, |k + v|_inf <= (eps/2) sum|a_i|.  Degree 1 sweeps
-    the levels instead, carrying a union of feasible intervals, which stays
-    polynomial in m.  The cube is closed, so boundary contact counts as
-    covered.  More than COVERING_OFFSET_GUARD offsets, or more than
-    MINOR_SUM_GUARD minors for the facets, (m - d) C(m - 1, d), raise DomainError.
+    the facet normals c of Z and their supports s_c is at most eps/2
+    (_covered_by_facets).  Degree 1 sweeps the levels instead, carrying a
+    union of feasible intervals, which stays polynomial in m.  The cube is
+    closed, so boundary contact counts as covered.  More than
+    COVERING_OFFSET_GUARD offsets, or more than MINOR_SUM_GUARD minors for
+    the facets, (m - d) C(m - 1, d), raise DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -476,12 +481,7 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
-    qv, q = clear_denominators(vv)
-    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
-    den = q * unit
-    box = _offset_box(qv, unit, den, math.floor(half * den * poly.coefficient_sum_abs()))
-    goal = math.floor(half * den)
-    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, lambda b: box) <= goal
+    return _covered_by_facets(poly, m, half, vv)
 
 
 # ----- exact grid threshold -----

@@ -15,11 +15,9 @@ from kronrec import density, exact_linalg, poly_core
 from kronrec.density import (
     COVERING_OFFSET_GUARD,
     MINOR_SUM_GUARD,
+    _covered_by_facets,
     _covered_linear,
-    _gauge_rows,
-    _gauge_search,
     _minor_levels,
-    _offset_box,
     _zonotope_facets,
     certify_non_density,
     critical_epsilon,
@@ -394,16 +392,6 @@ def test_covered_rejects():
         is_covered(IntPolynomial((0, 1, 1)), 3, Fraction(1, 2), Fraction(1, 2))
 
 
-def _covered_facets(poly, m, half, vv):
-    """The integer least-gauge search on a freshly built facet list, whatever the degree."""
-    qv, q = exact_linalg.clear_denominators(vv)
-    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
-    den = q * unit
-    box = _offset_box(qv, unit, den, math.floor(half * den * poly.coefficient_sum_abs()))
-    goal = math.floor(half * den)
-    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, lambda b: box) <= goal
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(1, 9),
@@ -422,9 +410,7 @@ def test_covered_linear_agrees_with_general(a0_mag, a1, sign, ell, eps, data):
     v = [data.draw(st.fractions(min_value=0, max_value=1)) for _ in range(ell)]
     half = eps / 2
     vv = [x % 1 for x in v]
-    assert _covered_linear(a0, a1, ell, half, vv) == _covered_facets(
-        poly, ell + 1, half, vv
-    )
+    assert _covered_linear(a0, a1, ell, half, vv) == _covered_by_facets(poly, ell + 1, half, vv)
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,7 +516,7 @@ def test_facet_test_agrees_with_fourier_motzkin(poly, ell, data):
         poly, ell, lambda lo, hi: data.draw(st.fractions(lo, hi, max_denominator=12))
     )
     m = poly.degree + ell
-    assert _covered_facets(poly, m, half, vv) == _covered_fm(poly, m, half, vv)
+    assert _covered_by_facets(poly, m, half, vv) == _covered_fm(poly, m, half, vv)
 
 
 def test_facet_and_fm_agree_on_both_sides():
@@ -542,7 +528,7 @@ def test_facet_and_fm_agree_on_both_sides():
         poly = IntPolynomial(tuple(coeffs) + (rng.choice((-1, 1)),))
         ell = rng.randint(1, 3)
         half, vv = _covering_case(poly, ell, lambda lo, hi: Fraction(rng.randint(0, 12), 12))
-        got = _covered_facets(poly, poly.degree + ell, half, vv)
+        got = _covered_by_facets(poly, poly.degree + ell, half, vv)
         assert got == _covered_fm(poly, poly.degree + ell, half, vv)
         outcomes.append(got)
     assert True in outcomes and False in outcomes
