@@ -5,7 +5,8 @@ Polynomials are ascending comma-separated integer coefficient lists
 schema key, stable key order, and exact rationals rendered as integers or
 "p/q" strings; --format csv flattens the same payload to key,value rows and
 --format pretty prints an indented view.  Exit codes: 0 success, 1 domain
-error (structured error JSON on stdout), 2 usage or parse error.
+error (structured error JSON on stdout), 2 usage or parse error, or an
+--output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -479,8 +480,12 @@ def main(argv=None) -> int:
         return 1
     text = _render(payload, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"kronrec: cannot write the report to {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -126,14 +126,6 @@ class RealFactorization:
     delta: float
     eps: float
 
-    @property
-    def b_degree(self) -> int:
-        return len(self.b_coeffs) - 1
-
-    @property
-    def c_degree(self) -> int:
-        return len(self.c_coeffs) - 1
-
 
 def _expand_from_roots(lead: complex, root_list: list[complex]) -> list[complex]:
     cs = [lead]
@@ -445,13 +437,17 @@ def _gauge_search(
 
 
 def _covered_by_facets(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
-    """is_covered past degree 1: the integer least-gauge search over one box of offsets."""
+    """is_covered past degree 1: the integer least-gauge search, its box built on a miss."""
     qv, q = clear_denominators(vv)
     unit, rows = _gauge_rows(_zonotope_facets(poly, m))
     den = q * unit
-    box = _offset_box(qv, unit, den, math.floor(half * den * poly.coefficient_sum_abs()))
+    reach = math.floor(half * den * poly.coefficient_sum_abs())
     goal = math.floor(half * den)
-    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, lambda b: box) <= goal
+
+    def box(b):
+        return _offset_box(qv, unit, den, reach)
+
+    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, box) <= goal
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
@@ -462,9 +458,12 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     the facet normals c of Z and their supports s_c is at most eps/2
     (_covered_by_facets).  Degree 1 sweeps the levels instead, carrying a
     union of feasible intervals, which stays polynomial in m.  The cube is
-    closed, so boundary contact counts as covered.  More than
-    COVERING_OFFSET_GUARD offsets, or more than MINOR_SUM_GUARD minors for
-    the facets, (m - d) C(m - 1, d), raise DomainError.
+    closed, so boundary contact counts as covered.  The nearest offset
+    -round(v) is scored first, and a target it covers returns True at once.
+    Otherwise every offset with |v + k|_inf <= (eps/2) sum|a_i| is a
+    candidate, and more than COVERING_OFFSET_GUARD of them raise DomainError.
+    More than MINOR_SUM_GUARD minors for the facets, (m - d) C(m - 1, d),
+    raise DomainError before any offset is scored.
     """
     d = poly.degree
     if m <= d:

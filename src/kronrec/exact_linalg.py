@@ -40,7 +40,6 @@ __all__ = [
     "solve_exact",
     "identity_matrix",
     "mat_mul",
-    "transpose",
 ]
 
 PADIC_INFINITY = math.inf
@@ -124,10 +123,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(rows: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*rows)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     if len(a[0]) != len(b):
         raise DomainError("dimension mismatch in mat_mul")
@@ -196,7 +191,7 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """
     _check_int_matrix(rows)
     n = len(rows)
-    h = _hnf([col + e for col, e in zip(transpose(rows), identity_matrix(len(rows[0])))], n)
+    h = _hnf([[*col, *e] for col, e in zip(zip(*rows), identity_matrix(len(rows[0])))], n)
     kernel_rows = [r[n:] for r in h if not any(r[:n])]
     if not kernel_rows:
         return []

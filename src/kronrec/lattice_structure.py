@@ -43,7 +43,6 @@ __all__ = [
     "SegmentCertificate",
     "CanonicalBasisM",
     "LatticeBases",
-    "MinorIdentityResult",
     "PIVOT_RULES",
     "newton_polygon",
     "basis_N",
@@ -51,7 +50,6 @@ __all__ = [
     "canonical_basis_M",
     "check_basis_certificate",
     "integral_basis",
-    "minor_identity",
 ]
 
 PIVOT_RULES = ("nonnegative", "positive")
@@ -72,10 +70,6 @@ class NewtonPolygon:
     @property
     def s(self) -> int:
         return self.pivot_index("nonnegative")
-
-    @property
-    def s_strict(self) -> int:
-        return self.pivot_index("positive")
 
     def pivot_index(self, rule: str = "nonnegative") -> int:
         """First segment index k (1-based) whose slope passes the rule; r+1 if none."""
@@ -394,33 +388,3 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
         z_basis=tuple(tuple(row) for row in z_rows),
         index=math.prod(row[i] for i, row in enumerate(coords)),
     )
-
-
-@dataclass(frozen=True)
-class MinorIdentityResult:
-    det_selector_minor: Fraction
-    det_banded_minor: int
-    holds: bool
-
-
-def minor_identity(poly: IntPolynomial, w: int, m: int) -> MinorIdentityResult:
-    """Compare det N_xi against the banded coefficient minor det(a_{w+i-j}).
-
-    The identity is det N_xi = +- a_d^{-(m-d)} det U with U the (m-d) x (m-d)
-    banded matrix U_{ij} = a_{w+i-j}; holds reports the unsigned comparison.
-    """
-    d = poly.degree
-    if d < 1 or m < d:
-        raise DomainError("minor identity needs 1 <= deg A <= m")
-    if not 0 <= w <= d:
-        raise DomainError("w must lie between 0 and deg A")
-    table, lead = scaled_basis_N(poly, m)
-    cols = list(range(w)) + list(range(m - d + w, m))
-    # det N_xi = det T_xi / (a_d^(m-d))^d
-    det_n = det_exact([[row[c] for c in cols] for row in table]) / lead**d
-    size = m - d
-    a = poly.coeffs
-    u = [[a[w + i - j] if 0 <= w + i - j <= d else 0 for j in range(size)] for i in range(size)]
-    det_u = int(det_exact(u))  # the empty determinant at m = d is 1
-    holds = abs(det_n * lead) == abs(det_u)
-    return MinorIdentityResult(det_selector_minor=det_n, det_banded_minor=det_u, holds=holds)

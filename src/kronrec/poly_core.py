@@ -97,9 +97,6 @@ class IntPolynomial:
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    def evaluate(self, x):
-        return _horner(self.coeffs, x)
-
     def coefficient_sum_abs(self) -> int:
         return sum(abs(c) for c in self.coeffs)
 
@@ -234,10 +231,6 @@ class RootEnclosure:
 class ComplexRootSet:
     poly: IntPolynomial
     roots: tuple[RootEnclosure, ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
 
     def _product(self, factor) -> Interval:
         """|a_d| * prod factor(|alpha|) over the roots with multiplicity; finite or DomainError."""

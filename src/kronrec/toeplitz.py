@@ -16,8 +16,7 @@ Functions and Hall Polynomials, I.3; Boettcher and Grudsky, Spectral
 Properties of Banded Toeplitz Matrices, the Baxter-Schmidt formula).  On
 top of the determinants sit Gram-ratio convergence studies (growth of
 D_l / D_{l-1} toward the squared Mahler measure, and the bounded ratios
-obtained by adjoining standard basis vectors) and the biorthonormal-pair
-identities used to control them.
+obtained by adjoining standard basis vectors).
 
 Symbols are kept rational-real: every coefficient is stored as a Fraction,
 which covers all symbols of the form B(x)B(1/x) for rational B; the exact
@@ -26,14 +25,13 @@ routes scale them to integers once and slice every Toeplitz row from those.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateError, DomainError, SingularMatrixError
-from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors, mat_mul
+from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors
 from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
 from .recurrence_matrices import band_rows
@@ -50,7 +48,6 @@ __all__ = [
     "gram_growth",
     "lyons_ratio",
     "lyons_ratios",
-    "biorthonormal_check",
 ]
 
 
@@ -102,10 +99,6 @@ class LaurentSymbol:
         if -self.r <= j <= self.s:
             return self.coeffs[j + self.r]
         return Fraction(0)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return all(self.coefficient(-j) == self.coefficient(j) for j in range(self.s + 1))
 
 
 def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], int]:
@@ -279,51 +272,3 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
         ratios=ratios,
         mahler_squared=m.mul(m),
     )
-
-
-# ----- biorthonormal pairs -----
-
-
-def biorthonormal_check(u: Sequence[Sequence], v: Sequence[Sequence]) -> bool:
-    """Verify the two Gram identities for a biorthonormal pair, exactly.
-
-    Requires <u_i, v_j> = delta_ij (raises otherwise).  Then checks
-    G(u) G(v) = I and the complementary-minor identity
-
-        det G(u_1..u_k) = det G(u) * det G(v_{k+1}..v_n)   for all k;
-
-    the det G(u) factor is 1 exactly when the u-parallelepiped has volume 1,
-    which recovers the unscaled form of the identity.
-    """
-    us = [[coerce_rational(x) for x in row] for row in u]
-    vs = [[coerce_rational(x) for x in row] for row in v]
-    n = len(us)
-    if n == 0 or len(vs) != n:
-        raise DomainError("need two equal-size nonempty families")
-    if any(len(row) != n for row in itertools.chain(us, vs)):
-        raise DomainError("biorthonormal families must be bases, so n vectors of length n")
-    for i in range(n):
-        for j in range(n):
-            pairing = sum(a * b for a, b in zip(us[i], vs[j]))
-            if pairing != int(i == j):
-                raise DomainError(
-                    f"families are not biorthonormal: <u_{i + 1}, v_{j + 1}> = {pairing}"
-                )
-    gram_u = _gram_matrix(us)
-    gram_v = _gram_matrix(vs)
-    product = mat_mul(gram_u, gram_v)
-    for i in range(n):
-        for j in range(n):
-            if product[i][j] != int(i == j):
-                raise CertificateError("G(u) G(v) = I failed in exact arithmetic")
-    # head[k] = det G(u_1..u_k); tail[k] = det G(v_{k+1}..v_n), the trailing
-    # minors of G(v) read as leading minors of its row-and-column reversal
-    head = [Fraction(1)] + leading_minors(gram_u)
-    tail = leading_minors([row[::-1] for row in reversed(gram_v)])[::-1] + [Fraction(1)]
-    det_u = head[n]
-    for k in range(n + 1):
-        if head[k] != det_u * tail[k]:
-            raise CertificateError(
-                f"complementary-minor identity failed at k = {k}"
-            )
-    return True

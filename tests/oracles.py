@@ -1,9 +1,11 @@
-"""Slow independent routes kept as test oracles for the package's fast ones."""
+"""Slow independent routes kept as test oracles for the package's fast ones,
+and exact checkers of the paper's minor and biorthonormal identities."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
@@ -30,11 +32,11 @@ from kronrec.exact_linalg import (
     det_exact,
     identity_matrix,
     integer_kernel,
+    leading_minors,
     mat_mul,
     p_adic_valuation,
-    transpose,
 )
-from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate
+from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate, scaled_basis_N
 from kronrec.intervals import Interval, interval_min
 from kronrec.poly_core import (
     IntPolynomial,
@@ -46,6 +48,7 @@ from kronrec.poly_core import (
     roots,
 )
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
+from kronrec.toeplitz import _gram_matrix
 
 
 def _fstrip(cs: list[Fraction]) -> list[Fraction]:
@@ -286,7 +289,7 @@ def hnf_two_matrices(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
 
 def kernel_two_matrices(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """exact_linalg.integer_kernel's construction on hnf_two_matrices."""
-    h, u = hnf_two_matrices(transpose(rows))
+    h, u = hnf_two_matrices(list(zip(*rows)))
     kernel_rows = [u[r] for r in range(len(h)) if not any(h[r])]
     if not kernel_rows:
         return []
@@ -351,9 +354,10 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
     """density.is_covered by its Fraction route: a Fraction offset box and stop.
 
     The input checks and the degree-1 sweep are is_covered's.  Otherwise the
-    box |v + k|_inf <= (eps/2) sum|a_i| is built in Fractions before the
-    search, and the least gauge is read back as a Fraction over q lcm(s_c)
-    from density._gauge_search, stopped at the first gauge at or below eps/2.
+    box |v + k|_inf <= (eps/2) sum|a_i| is built in Fractions once the nearest
+    offset misses, and the least gauge is read back as a Fraction over
+    q lcm(s_c) from density._gauge_search, stopped at the first gauge at or
+    below eps/2.
     """
     d = poly.degree
     if m <= d:
@@ -371,12 +375,15 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
     facets = _zonotope_facets(poly, m)
-    box = _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
     qv, q = clear_denominators(vv)
     unit, rows = _gauge_rows(facets)
     den = q * unit
     near = [-round(vi) for vi in vv]
-    best = _gauge_search(rows, qv, q, near, math.floor(half * den), lambda b: box)
+
+    def box(b):
+        return _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
+
+    best = _gauge_search(rows, qv, q, near, math.floor(half * den), box)
     return Fraction(best, den) <= half
 
 
@@ -825,3 +832,81 @@ def verify_factorization(poly: IntPolynomial, b_coeffs: Sequence, c_coeffs: Sequ
         return False
     m = ell + d
     return mat_mul(tri_rows(b, m), tri_rows(c, m)) == tri_rows(a, m)
+
+
+# ----- the paper's lemma identities -----
+
+
+@dataclass(frozen=True)
+class MinorIdentityResult:
+    det_selector_minor: Fraction
+    det_banded_minor: int
+    holds: bool
+
+
+def minor_identity(poly: IntPolynomial, w: int, m: int) -> MinorIdentityResult:
+    """Compare det N_xi against the banded coefficient minor det(a_{w+i-j}).
+
+    The identity is det N_xi = +- a_d^{-(m-d)} det U with U the (m-d) x (m-d)
+    banded matrix U_{ij} = a_{w+i-j}; holds reports the unsigned comparison.
+    """
+    d = poly.degree
+    if d < 1 or m < d:
+        raise DomainError("minor identity needs 1 <= deg A <= m")
+    if not 0 <= w <= d:
+        raise DomainError("w must lie between 0 and deg A")
+    table, lead = scaled_basis_N(poly, m)
+    cols = list(range(w)) + list(range(m - d + w, m))
+    # det N_xi = det T_xi / (a_d^(m-d))^d
+    det_n = det_exact([[row[c] for c in cols] for row in table]) / lead**d
+    size = m - d
+    a = poly.coeffs
+    u = [[a[w + i - j] if 0 <= w + i - j <= d else 0 for j in range(size)] for i in range(size)]
+    det_u = int(det_exact(u))  # the empty determinant at m = d is 1
+    holds = abs(det_n * lead) == abs(det_u)
+    return MinorIdentityResult(det_selector_minor=det_n, det_banded_minor=det_u, holds=holds)
+
+
+def biorthonormal_check(u: Sequence[Sequence], v: Sequence[Sequence]) -> bool:
+    """Verify the two Gram identities for a biorthonormal pair, exactly.
+
+    Requires <u_i, v_j> = delta_ij (raises otherwise).  Then checks
+    G(u) G(v) = I and the complementary-minor identity
+
+        det G(u_1..u_k) = det G(u) * det G(v_{k+1}..v_n)   for all k;
+
+    the det G(u) factor is 1 exactly when the u-parallelepiped has volume 1,
+    which recovers the unscaled form of the identity.
+    """
+    us = [[coerce_rational(x) for x in row] for row in u]
+    vs = [[coerce_rational(x) for x in row] for row in v]
+    n = len(us)
+    if n == 0 or len(vs) != n:
+        raise DomainError("need two equal-size nonempty families")
+    if any(len(row) != n for row in itertools.chain(us, vs)):
+        raise DomainError("biorthonormal families must be bases, so n vectors of length n")
+    for i in range(n):
+        for j in range(n):
+            pairing = sum(a * b for a, b in zip(us[i], vs[j]))
+            if pairing != int(i == j):
+                raise DomainError(
+                    f"families are not biorthonormal: <u_{i + 1}, v_{j + 1}> = {pairing}"
+                )
+    gram_u = _gram_matrix(us)
+    gram_v = _gram_matrix(vs)
+    product = mat_mul(gram_u, gram_v)
+    for i in range(n):
+        for j in range(n):
+            if product[i][j] != int(i == j):
+                raise CertificateError("G(u) G(v) = I failed in exact arithmetic")
+    # head[k] = det G(u_1..u_k); tail[k] = det G(v_{k+1}..v_n), the trailing
+    # minors of G(v) read as leading minors of its row-and-column reversal
+    head = [Fraction(1)] + leading_minors(gram_u)
+    tail = leading_minors([row[::-1] for row in reversed(gram_v)])[::-1] + [Fraction(1)]
+    det_u = head[n]
+    for k in range(n + 1):
+        if head[k] != det_u * tail[k]:
+            raise CertificateError(
+                f"complementary-minor identity failed at k = {k}"
+            )
+    return True

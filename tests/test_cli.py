@@ -261,6 +261,17 @@ def test_output_path_with_leading_dash(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", [".", "missing/report.json"], ids=["directory", "missing-parent"])
+def test_output_path_that_cannot_be_written(tmp_path, capsys, name):
+    path = tmp_path / name
+    code, out, err = run(capsys, "--output", str(path), "mahler", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"kronrec: cannot write the report to {path}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_domain_error(capsys):
     code, out, err = run(capsys, "bound", "-2,2")
     assert code == 1

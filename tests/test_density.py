@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from kronrec import density, exact_linalg, poly_core
 from kronrec.density import (
-    COVERING_OFFSET_GUARD,
     MINOR_SUM_GUARD,
     _covered_by_facets,
     _covered_linear,
@@ -217,13 +216,13 @@ def test_factor_hand_example():
     assert fact.c_coeffs == pytest.approx((-0.25, 1.0), abs=1e-9)
     assert fact.delta == pytest.approx(0.125, abs=1e-12)
     assert fact.eps == pytest.approx(1 / 6, abs=1e-12)
-    assert fact.b_degree == 1 and fact.c_degree == 1
+    assert len(fact.b_coeffs) - 1 == 1 and len(fact.c_coeffs) - 1 == 1
 
 
 def test_factor_all_roots_small():
     # (4x - 1)^2: both roots at 1/4, so B degenerates to the constant 16
     fact = factor_real(IntPolynomial((1, -8, 16)))
-    assert fact.b_degree == 0
+    assert len(fact.b_coeffs) - 1 == 0
     assert fact.b_coeffs == pytest.approx((16.0,), abs=1e-8)
     assert fact.c_coeffs == pytest.approx((0.0625, -0.5, 1.0), abs=1e-8)
     assert fact.delta == pytest.approx(1 / 16, abs=1e-12)
@@ -245,7 +244,7 @@ def test_factor_irrational_roots_on_split_circle_go_large():
     # their centres are irrational, so their disks have a positive radius
     fact = factor_real(IntPolynomial((1, -3, 4)))
     assert fact.c_coeffs == (1.0,)
-    assert fact.b_degree == 2
+    assert len(fact.b_coeffs) - 1 == 2
 
 
 def test_factor_exact_roots_on_split_circle_go_small():
@@ -268,7 +267,7 @@ def test_factor_rejects():
 @given(primitive_polys())
 def test_factor_product_reconstructs(poly):
     fact = factor_real(poly)
-    prod = [0.0] * (fact.b_degree + fact.c_degree + 1)
+    prod = [0.0] * (len(fact.b_coeffs) + len(fact.c_coeffs) - 1)
     for i, bi in enumerate(fact.b_coeffs):
         for j, cj in enumerate(fact.c_coeffs):
             prod[i + j] += bi * cj
@@ -597,10 +596,11 @@ def test_facets_hand_values():
 
 
 def test_covering_offset_guard():
-    # eps = 2 and v = 1/3 leave 6 offsets per level of x^2 - x - 1: 6^8 at m = 10
-    assert 6**7 <= COVERING_OFFSET_GUARD < 6**8
-    with pytest.raises(DomainError, match=str(6**8)):
-        is_covered(GOLDEN, 10, 2, [Fraction(1, 3)] * 8)
+    # the nearest offset of this target misses at eps = 3/2 on (x - 1)^2, so the
+    # box |v + k|_inf <= 3 is built: 7 offsets at v = 0 and 6 elsewhere, 6^7 7
+    v = [Fraction(x, 8) for x in (5, 2, 0, 4, 2, 2, 6, 4)]
+    with pytest.raises(DomainError, match="covering would try 1959552 integer offsets"):
+        is_covered(IntPolynomial((1, -2, 1)), 10, Fraction(3, 2), v)
 
 
 def test_facets_equal_the_band_minor_route():
@@ -797,7 +797,8 @@ def covering_inputs(draw):
 @seed(20261020)
 @settings(max_examples=150, deadline=None)
 @given(covering_inputs())
-# 5x^2 - 2x + 3 at l = 3, eps = 12: the box holds 121^3 offsets
+# 5x^2 - 2x + 3 at l = 3, eps = 12: the box would hold 121^3 offsets, but
+# the nearest offset already covers, so neither route builds it
 @example((IntPolynomial((3, -2, 5)), 5, 12, [0, 0, 0]))
 @example((GOLDEN, 4, 0, [Fraction(1, 2), 0.25]))
 def test_is_covered_equals_the_fraction_route(case):
@@ -807,7 +808,7 @@ def test_is_covered_equals_the_fraction_route(case):
     # the same decision or error, and the same guarded offset box
     assert got == want
     if (poly.coeffs, eps) == ((3, -2, 5), 12):
-        assert got[0] == (DomainError, "covering would try 1771561 integer offsets, above the guard 1000000")
+        assert got == (True, [])
 
 
 def test_critical_clears_no_denominators(monkeypatch):

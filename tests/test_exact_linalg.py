@@ -24,7 +24,6 @@ from kronrec.exact_linalg import (
     mat_mul,
     p_adic_valuation,
     solve_exact,
-    transpose,
 )
 from kronrec.recurrence_matrices import band_rows
 from oracles import dense_bareiss, hnf_two_matrices, kernel_two_matrices, snf
@@ -391,10 +390,6 @@ def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
     assert det_exact([[True, False], [False, True]]) == 1
     assert det_exact([[True, 2], [Fraction(1, 2), 3]]) == 2
     assert leading_minors([[2, Fraction(1, 3)], [Fraction(3, 2), 1]]) == [2, Fraction(3, 2)]
-
-
-def test_transpose_shape():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
 
 
 # ----- clear_denominators -----

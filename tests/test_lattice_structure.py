@@ -23,14 +23,13 @@ from kronrec.lattice_structure import (
     canonical_basis_M,
     check_basis_certificate,
     integral_basis,
-    minor_identity,
     newton_polygon,
     scaled_basis_N,
 )
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import recurrence_extend
 from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
-from oracles import band_kernel_basis, check_basis_certificate_fractions, snf
+from oracles import band_kernel_basis, check_basis_certificate_fractions, minor_identity, snf
 
 WORKED = IntPolynomial((3, -2, -9, -3, 9))
 
@@ -88,7 +87,7 @@ def test_newton_polygon_worked_example():
     assert np.lengths == (1, 2, 1)
     assert np.segment_count == 3
     assert np.s == 2
-    assert np.s_strict == 2
+    assert np.pivot_index("positive") == 2
 
 
 def test_newton_polygon_unit_coefficients():
@@ -98,7 +97,7 @@ def test_newton_polygon_unit_coefficients():
     assert np.segment_count == 1
     assert np.s == 1
     # a zero slope is skipped only by the strict rule
-    assert np.s_strict == 2
+    assert np.pivot_index("positive") == 2
 
 
 def test_newton_polygon_collinear_points_merge():
@@ -393,13 +392,12 @@ def test_golden_rows_span_sublattice_of_index_prime_to_p():
             denom_lcm = math.lcm(denom_lcm, x.denominator)
     cleared = [[x * denom_lcm for x in row] for row in basis.matrix]
     assert all(x.denominator == 1 for row in cleared for x in row)
-    # coordinates with respect to the Z-basis, via the leading d x d blocks
-    w_block = [[Fraction(lattice.z_basis[i][j]) for j in range(4)] for i in range(4)]
-    from kronrec.exact_linalg import solve_exact, transpose
+    # coordinates with respect to the Z-basis, via the leading d x d blocks:
+    # coords W = cleared, solved as W^T coords^T = cleared^T
+    w_cols = [[Fraction(lattice.z_basis[i][j]) for i in range(4)] for j in range(4)]
+    from kronrec.exact_linalg import solve_exact
 
-    coords = transpose(
-        solve_exact(transpose(w_block), transpose([[r[j] for j in range(4)] for r in cleared]))
-    )
+    coords = list(zip(*solve_exact(w_cols, [[r[j] for r in cleared] for j in range(4)])))
     for i in range(4):
         for j in range(10):
             rebuilt = sum(coords[i][t] * lattice.z_basis[t][j] for t in range(4))
