@@ -316,22 +316,29 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
 
 
 def _minor_levels(rows: Sequence[Sequence[int]], top: int):
-    """Levels p = 0..top of the p x p minors of an integer matrix, as dicts
-    {(row tuple, column tuple): minor}.  Level p expands each minor along its
-    last row over level p - 1 (Laplace): p products, no elimination.
+    """Levels p = 0..top of the p x p minors of an integer matrix, as pairs
+    (cols, {row tuple: [minor for each column tuple in cols]}), cols being the
+    p-column tuples in itertools.combinations order.  Level p expands each minor
+    along its last row over level p - 1 (Laplace): p products, no elimination.
+    Each term's smaller minor is found by position once per column tuple and
+    read at that position for every row set.
     """
-    level = {((), ()): 1}
-    yield level
+    cols, level = [()], {(): [1]}
+    yield cols, level
     for p in range(1, top + 1):
-        chosen = itertools.combinations(range(len(rows)), p)
-        row_sets = [(rs, rs[:-1], rows[rs[-1]]) for rs in chosen]
-        prev, level = level, {}
-        for cs in itertools.combinations(range(len(rows[0]) if rows else 0), p):
-            # the expansion's terms: column, sign, the other columns
-            terms = [(c, (-1) ** (p - 1 + i), cs[:i] + cs[i + 1 :]) for i, c in enumerate(cs)]
-            for rs, head, last in row_sets:
-                level[rs, cs] = sum(sign * last[c] * prev[head, rest] for c, sign, rest in terms)
-        yield level
+        where = {cs: k for k, cs in enumerate(cols)}
+        cols = list(itertools.combinations(range(len(rows[0]) if rows else 0), p))
+        prev = level
+        level = {rs: [0] * len(cols) for rs in itertools.combinations(range(len(rows)), p)}
+        row_sets = [(out, prev[rs[:-1]], rows[rs[-1]]) for rs, out in level.items()]
+        for k, cs in enumerate(cols):
+            # the expansion's terms: column, sign, position of the other columns
+            terms = [
+                (c, (-1) ** (p - 1 + i), where[cs[:i] + cs[i + 1 :]]) for i, c in enumerate(cs)
+            ]
+            for out, head, last in row_sets:
+                out[k] = sum(sign * last[c] * head[j] for c, sign, j in terms)
+        yield cols, level
 
 
 # (primitive facet normal c, support s_c) pairs of a zonotope
@@ -366,12 +373,13 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
         + [table[d - 1][j - 1 - i] // a[d] if j - i >= d else 0 for i in range(ell)]
         for j in range(m)
     ]
-    levels = _minor_levels([row[d:] for row in table], min(d, ell - 1))
-    tail = {key: x for level in levels for key, x in level.items()}
+    levels = list(_minor_levels([row[d:] for row in table], min(d, ell - 1)))
+    where = [{cs: k for k, cs in enumerate(level[0])} for level in levels]
     facets: dict[tuple[int, ...], int] = {}
     for s in itertools.combinations(range(m), d + 1):
         top, free = tuple(j - d for j in s if j >= d), tuple(r for r in range(d) if r not in s)
-        u = [(-1) ** i * tail[free, top[:i] + top[i + 1 :]] for i in range(len(top))]
+        below, at = levels[len(free)][1][free], where[len(free)]
+        u = [(-1) ** i * below[at[top[:i] + top[i + 1 :]]] for i in range(len(top))]
         # z = sum u_j cols[d + j]: minus U below x^d, then C
         z = [sum(t) for t in zip(*([uj * x for x in cols[d + j]] for j, uj in zip(top, u)))]
         if any(z[d:]):
@@ -626,7 +634,10 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
         )
     omega = integral_basis(poly, m).z_basis
     levels = enumerate(_minor_levels(omega, d))
-    total = sum(e ** (m - p) * sum(map(abs, level.values())) for p, level in levels)
+    total = sum(
+        e ** (m - p) * sum(map(abs, itertools.chain.from_iterable(level.values())))
+        for p, (_, level) in levels
+    )
     return NonDensityCertificate(
         poly=poly, m=m, eps=e, volume_bound=total, certified=total < 1
     )

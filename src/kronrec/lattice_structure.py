@@ -5,7 +5,8 @@ coefficients of A form a rank-d lattice.  Over the rationals it is spanned by
 the rows of N (seeded with standard basis vectors and extended along the
 recurrence, and read exactly from the integer table T = a_d^(m-d) N); over the
 integers by the HNF of {y : y T = 0 mod a_d^(m-d)} mapped through T and
-Gram-Toeplitz certified; over the p-adic integers by a canonical basis M built
+Gram-Toeplitz certified, where by Gauss's lemma only T's last d columns need
+the congruence; over the p-adic integers by a canonical basis M built
 segment by segment from the Newton polygon of A at p.  canonical_basis_M
 re-derives every clause of its block certificate (identity blocks, determinant
 valuations, row-walk valuation floors, p-integrality) and fails if one breaks;
@@ -355,6 +356,15 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     diagonal product is the index.  Certificate: each division by a_d^(m-d) is
     exact, and the Gram determinant is the Toeplitz determinant of A(x)A(1/x)
     (Trench's closed form), which a basis of a sublattice of index k misses by k^2.
+
+    Only the columns max(d, m - d) .. m - 1 need their congruence, min(d, m - d)
+    HNF steps: a rational recurrence vector z whose first d and last d entries
+    are integers is integral.  Proof: with Z = sum z_k x^k and A~ = x^d A(1/x),
+    the x^(t+d) coefficient of A~ Z is the window sum at t, which vanishes, so
+    A~ Z = P + x^m Q with deg P, deg Q < d; P uses only z_0 .. z_(d-1) and Q
+    only z_(m-d) .. z_(m-1), with integer weights, so A~ Z is integral, and A~
+    is primitive, so Z is integral by Gauss's lemma.  The check that every
+    entry of y T divides by a_d^(m-d) re-derives this at run time.
     """
     d = poly.degree
     if poly.constant_coefficient == 0:
@@ -364,13 +374,13 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     if d < 1 or m < d:
         raise DomainError("integral basis needs m >= deg A >= 1")
     table, lead = scaled_basis_N(poly, m)
-    # for each column t past T's identity block, rows 1..d of the HNF of
-    # [y t mod |lead| | y] and the fence [|lead| | 0] are the HNF of the y that also
-    # pass y t = 0 mod |lead|; each such lattice contains |lead| Z^d, so no y-fences.
-    # The rows are integral by construction, and no transform is needed
+    # for each column t of the last window past T's identity block, rows 1..d of
+    # the HNF of [y t mod |lead| | y] and the fence [|lead| | 0] are the HNF of the y
+    # that also pass y t = 0 mod |lead|; each such lattice contains |lead| Z^d, so
+    # no y-fences.  The rows are integral by construction, and no transform is needed
     fence = [abs(lead)] + [0] * d
     coords = identity_matrix(d)
-    for col in list(zip(*table))[d:]:
+    for col in zip(*(row[max(d, m - d) :] for row in table)):
         rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
         coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
     scaled = mat_mul(coords, table)

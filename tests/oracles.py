@@ -27,6 +27,7 @@ from kronrec.density import (
 from kronrec.errors import CertificateError, DomainError, RootCertificationError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
+    _hnf,
     clear_denominators,
     coerce_rational,
     det_exact,
@@ -481,6 +482,24 @@ def mahler_conjugate_two_root_sets(poly: IntPolynomial) -> MahlerMeasure:
     return roots(IntPolynomial(poly.coeffs[::-1])).mahler("conjugate")
 
 
+def integral_basis_by_columns(poly: IntPolynomial, m: int) -> tuple[tuple, int]:
+    """(z_basis, index) of the length-m integral recurrences, one congruence per column.
+
+    The column-by-column route to lattice_structure.integral_basis, which
+    imposes only the last window's congruences: here every column t >= d of
+    T = a_d^(m-d) N adds the HNF step {y : y t = 0 mod a_d^(m-d)}, m - d steps.
+    """
+    d = poly.degree
+    table, lead = scaled_basis_N(poly, m)
+    fence = [abs(lead)] + [0] * d
+    coords = identity_matrix(d)
+    for col in list(zip(*table))[d:]:
+        rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
+        coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
+    z_basis = tuple(tuple(x // lead for x in row) for row in mat_mul(coords, table))
+    return z_basis, math.prod(row[i] for i, row in enumerate(coords))
+
+
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:
     """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
 
@@ -515,8 +534,8 @@ def minors_by_elimination(rows: Sequence[Sequence[int]], top: int) -> list[dict]
     """Every p x p minor of an integer matrix for p = 0..top, one det_exact call each.
 
     The elimination route to density._minor_levels, which expands each minor
-    along its last row from the level below: levels of
-    {(row tuple, column tuple): minor}, level 0 being {((), ()): 1}.
+    along its last row from the level below and keeps them by position.  Here
+    each level is {(row tuple, column tuple): minor}, level 0 being {((), ()): 1}.
     """
     width = len(rows[0]) if rows else 0
     return [

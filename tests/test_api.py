@@ -4,19 +4,21 @@ The benchmark tracer rebinds a fixed list of kronrec functions by name and
 fails on a missing one, so removing or renaming a traced function breaks
 the benchmark; every `__all__` entry must also resolve, so a removed
 function cannot leave a dangling export, and must have a caller in the
-program, its scripts or its benchmark, so the public surface holds no member
-that only the tests use.  The package has no runtime dependency: importing
-the command line loads no mpmath.
+program, its scripts or its benchmark (code, not a comment or docstring), so
+the public surface holds no member that only the tests use.  The package has
+no runtime dependency: importing the command line loads no mpmath.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import pkgutil
-import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -53,32 +55,44 @@ def test_every_export_resolves(mod_name):
         assert hasattr(module, name), f"{mod_name}.{name}"
 
 
-def _caller_lines() -> list[str]:
-    """Lines of every program, script and benchmark file, less each `__all__` list."""
+def _caller_names() -> set[str]:
+    """Names that the program, its scripts and its benchmark use, outside each `__all__` list.
+
+    A use is a NAME token other than the one right after `def` or `class`, or a
+    string literal whose whole value is the name (the tracer's `LAYERS`); a
+    name that only a comment or a docstring mentions is not used.
+    """
     files = [p for p in sorted((ROOT / "src" / "kronrec").glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "kronbench").glob("*.py"))
-    found = []
+    used = set()
     for path in files:
         text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
+        exports = set()
         for node in ast.parse(text).body:
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in getattr(node, "targets", ())):
-                lines[node.lineno - 1 : node.end_lineno] = []
-        found += lines
-    return found
+                exports.update(range(node.lineno, node.end_lineno + 1))
+        before = None
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.start[0] in exports:
+                continue
+            if tok.type == tokenize.NAME and before not in ("def", "class"):
+                used.add(tok.string)
+            elif tok.type == tokenize.STRING:
+                with contextlib.suppress(ValueError):  # an f-string is no literal
+                    used.add(ast.literal_eval(tok.string))
+            before = tok.string
+    return used
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    lines = _caller_lines()
-    unused = []
-    for mod_name in MODULES:
-        for name in getattr(importlib.import_module(mod_name), "__all__", ()):
-            if name.startswith("__"):  # __version__ is package metadata, not a member
-                continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            own = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")
-            if not any(word.search(line) and not own.match(line) for line in lines):
-                unused.append(f"{mod_name}.{name}")
+    used = _caller_names()
+    unused = [
+        f"{mod_name}.{name}"
+        for mod_name in MODULES
+        for name in getattr(importlib.import_module(mod_name), "__all__", ())
+        # __version__ is package metadata, not a member
+        if not name.startswith("__") and name not in used
+    ]
     assert unused == []
 
 

@@ -536,13 +536,26 @@ def test_facet_and_fm_agree_on_both_sides():
 # --- the Laplace minor table ---
 
 
+def _keyed_minors(rows, top):
+    """_minor_levels' positional levels as {(row tuple, column tuple): minor} dicts."""
+    return [
+        {(rs, cs): x for rs, minors in level.items() for cs, x in zip(cols, minors, strict=True)}
+        for cols, level in _minor_levels(rows, top)
+    ]
+
+
 def test_minor_levels_hand_shapes():
-    assert list(_minor_levels([], 2)) == [{((), ()): 1}, {}, {}]
-    assert list(_minor_levels([[5, -7]], 0)) == [{((), ()): 1}]
+    assert list(_minor_levels([], 2)) == [([()], {(): [1]}), ([], {}), ([], {})]
+    assert list(_minor_levels([[5, -7]], 0)) == [([()], {(): [1]})]
+    assert list(_minor_levels([[5, -7]], 2)) == [
+        ([()], {(): [1]}),
+        ([(0,), (1,)], {(0,): [5, -7]}),
+        ([(0, 1)], {}),
+    ]
     big = 2**64 + 1
     for rows in ([[2, -1, 0, 5]], [[3], [0], [-7]], [[big, 1], [0, 0], [2, big]]):
-        assert list(_minor_levels(rows, 3)) == minors_by_elimination(rows, 3)
-    levels = list(_minor_levels([[big, 1], [0, 0], [2, big]], 3))
+        assert _keyed_minors(rows, 3) == minors_by_elimination(rows, 3)
+    levels = _keyed_minors([[big, 1], [0, 0], [2, big]], 3)
     assert levels[1][(2,), (1,)] == big
     assert levels[2] == {((0, 1), (0, 1)): 0, ((0, 2), (0, 1)): big * big - 2, ((1, 2), (0, 1)): 0}
     assert levels[3] == {}
@@ -561,7 +574,7 @@ def minor_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(minor_matrices(), st.integers(0, 6))
 def test_minor_levels_equal_the_elimination_route(rows, top):
-    assert list(_minor_levels(rows, top)) == minors_by_elimination(rows, top)
+    assert _keyed_minors(rows, top) == minors_by_elimination(rows, top)
 
 
 def test_facets_and_volume_take_no_elimination(monkeypatch):

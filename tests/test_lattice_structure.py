@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from kronrec import lattice_structure
+from kronrec.cli import main
 from kronrec.errors import CertificateError, DomainError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
+    _hnf,
     det_exact,
     identity_matrix,
     mat_mul,
@@ -29,7 +31,13 @@ from kronrec.lattice_structure import (
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import recurrence_extend
 from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
-from oracles import band_kernel_basis, check_basis_certificate_fractions, minor_identity, snf
+from oracles import (
+    band_kernel_basis,
+    check_basis_certificate_fractions,
+    integral_basis_by_columns,
+    minor_identity,
+    snf,
+)
 
 WORKED = IntPolynomial((3, -2, -9, -3, 9))
 
@@ -497,6 +505,52 @@ def test_z_basis_is_saturated_worked_example():
 def test_integral_basis_equals_the_band_kernel(a, extra):
     m = a.degree + extra
     assert integral_basis(a, m).z_basis == tuple(map(tuple, band_kernel_basis(a, m)))
+
+
+@st.composite
+def window_shapes(draw):
+    """Primitive A with |a_0| > 1 and |a_d| > 1 half the time, and m = d, overlapping
+    windows (d < m < 2d) or m up to 3d + 20."""
+    a = draw(primitive_polys(max_degree=5))
+    if draw(st.booleans()):
+        cs = list(a.coeffs)
+        cs[0] *= draw(st.sampled_from((2, 3, -5)))
+        cs[-1] *= draw(st.sampled_from((2, -3, 7)))
+        a = IntPolynomial(tuple(cs))
+        assume(a.is_primitive)
+    d = a.degree
+    m = draw(st.integers(d, 2 * d) | st.integers(d, 3 * d + 20))
+    return a, m
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(window_shapes())
+@example((poly(-3, 2), 2))  # m = 2d, the windows touch
+@example((poly(6, 1, -4), 3))  # |a_0|, |a_d| > 1, the windows overlap
+@example((poly(4, -3, 0, -1, 9), 4))  # m = d
+@example((poly(-10, 3, 5, 6), 5))
+def test_integral_basis_equals_the_column_by_column_route(shape):
+    a, m = shape
+    lattice = integral_basis(a, m)
+    assert (lattice.z_basis, lattice.index) == integral_basis_by_columns(a, m)
+
+
+@pytest.mark.parametrize(
+    "a, m",
+    [(poly(-1, -1, 2), 60), (poly(-3, 2), 40), (WORKED, 4), (WORKED, 6), (WORKED, 8), (WORKED, 30)],
+)
+def test_index_takes_one_hnf_step_per_last_window_column(monkeypatch, capsys, a, m):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return _hnf(rows, ncols)
+
+    monkeypatch.setattr(lattice_structure, "_hnf", counted)
+    assert main(["index", "--m", str(m), ",".join(map(str, a.coeffs))]) == 0
+    assert '"matches": true' in capsys.readouterr().out
+    assert len(calls) == min(a.degree, m - a.degree)  # 2, not 58, for the quadratic
 
 
 @seed(20261019)
