@@ -4,9 +4,12 @@ Polynomials are ascending comma-separated integer coefficient lists
 ("-2,1" is x - 2).  Reports are JSON by default with a versioned top-level
 schema key, stable key order, and exact rationals rendered as integers or
 "p/q" strings; --format csv flattens the same payload to key,value rows and
---format pretty prints an indented view.  Exit codes: 0 success, 1 domain
-error (structured error JSON on stdout), 2 usage or parse error, or an
---output path that cannot be written.
+--format pretty prints an indented view.  `main` writes every report's
+envelope once: the schema, the command, the echo of the parsed polynomial
+(every subcommand but trench, which may take a raw symbol) and the inputs
+named in ECHOED; each `_cmd_*` handler returns only the fields it computes.
+Exit codes: 0 success, 1 domain error (structured error JSON on stdout),
+2 usage or parse error, or an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from .toeplitz import (
 
 SCHEMA = "kronrec/1"
 FORMATS = ("json", "csv", "pretty")
+# inputs a report echoes unchanged, wherever its subcommand defines them
+ECHOED = ("m", "n", "p", "ell_max", "variant", "pivot_rule")
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -80,14 +85,6 @@ def _float(x) -> float:
 
 def _interval(iv: Interval) -> dict:
     return {"lo": _float(iv.lo), "hi": _float(iv.hi)}
-
-
-def _poly_echo(poly) -> dict:
-    return {
-        "coefficients": list(poly.coeffs),
-        "degree": poly.degree,
-        "display": str(poly),
-    }
 
 
 def _flatten(obj, prefix=""):
@@ -140,26 +137,17 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 # ----- subcommand handlers -----
+# each returns only what it computes; main writes the envelope and the echo
 
 
-def _cmd_mahler(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_mahler(args, poly) -> dict:
     measure = mahler_measure(poly, args.variant)
-    return {
-        "command": "mahler",
-        "polynomial": _poly_echo(poly),
-        "variant": args.variant,
-        "value": _float(measure.value),
-        "error": _float(measure.error),
-    }
+    return {"value": _float(measure.value), "error": _float(measure.error)}
 
 
-def _cmd_bound(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_bound(args, poly) -> dict:
     bound = epsilon_bound(poly)
     return {
-        "command": "bound",
-        "polynomial": _poly_echo(poly),
         "eps_half_scaled": _interval(bound.eps_half_scaled),
         "eps_double_scaled": _interval(bound.eps_double_scaled),
         "eps_stated": _interval(bound.eps_stated),
@@ -168,8 +156,7 @@ def _cmd_bound(args) -> dict:
     }
 
 
-def _cmd_witness(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_witness(args, poly) -> dict:
     if args.target is not None:
         try:
             target = tuple(float(tok) for tok in args.target.split(","))
@@ -181,9 +168,6 @@ def _cmd_witness(args) -> dict:
     eps = _float(_parse_rational(args.eps, "--eps")) if args.eps is not None else None
     wit = witness(poly, args.m, target, eps)
     return {
-        "command": "witness",
-        "polynomial": _poly_echo(poly),
-        "m": args.m,
         "target": list(wit.target),
         "w": list(wit.w),
         "k": list(wit.k),
@@ -194,8 +178,7 @@ def _cmd_witness(args) -> dict:
     }
 
 
-def _cmd_critical_eps(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_critical_eps(args, poly) -> dict:
     print(
         f"reading the exact threshold of a {args.grid_n}^{args.m - poly.degree} "
         "residue grid from the zonotope facets",
@@ -209,9 +192,6 @@ def _cmd_critical_eps(args) -> dict:
         allow_large_grid=args.allow_large_grid,
     )
     return {
-        "command": "critical-eps",
-        "polynomial": _poly_echo(poly),
-        "m": est.m,
         "lower": _rat(est.lower),
         "upper": _rat(est.upper),
         "estimate": _rat(est.estimate),
@@ -222,13 +202,9 @@ def _cmd_critical_eps(args) -> dict:
     }
 
 
-def _cmd_certify_nondense(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_certify_nondense(args, poly) -> dict:
     cert = certify_non_density(poly, args.m, _parse_rational(args.eps, "--eps"))
     return {
-        "command": "certify-nondense",
-        "polynomial": _poly_echo(poly),
-        "m": cert.m,
         "eps": _rat(cert.eps),
         "volume_bound": _float(cert.volume_bound),
         "volume_bound_exact": _rat(cert.volume_bound),
@@ -236,13 +212,9 @@ def _cmd_certify_nondense(args) -> dict:
     }
 
 
-def _cmd_newton(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_newton(args, poly) -> dict:
     polygon = newton_polygon(poly, args.p)
     return {
-        "command": "newton",
-        "polynomial": _poly_echo(poly),
-        "p": polygon.p,
         "points": [[i, _val(v)] for i, v in polygon.points],
         "vertices": [[x, _val(y)] for x, y in polygon.vertices],
         "slopes": [_rat(slope) for slope in polygon.slopes],
@@ -252,15 +224,9 @@ def _cmd_newton(args) -> dict:
     }
 
 
-def _cmd_basis(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_basis(args, poly) -> dict:
     basis = canonical_basis_M(poly, args.p, args.m, pivot_rule=args.pivot_rule)
     return {
-        "command": "basis",
-        "polynomial": _poly_echo(poly),
-        "p": basis.p,
-        "m": basis.m,
-        "pivot_rule": basis.pivot_rule,
         "pivot_segment": basis.pivot_segment,
         "matrix": [[_rat(entry) for entry in row] for row in basis.matrix],
         "valuations": [[_val(v) for v in row] for row in basis.valuations],
@@ -286,14 +252,10 @@ def _cmd_basis(args) -> dict:
     }
 
 
-def _cmd_index(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_index(args, poly) -> dict:
     lattice = integral_basis(poly, args.m)
     predicted = abs(poly.leading_coefficient) ** (args.m - poly.degree)
     return {
-        "command": "index",
-        "polynomial": _poly_echo(poly),
-        "m": lattice.m,
         "z_basis": [list(row) for row in lattice.z_basis],
         "index": lattice.index,
         "leading_power": predicted,
@@ -301,10 +263,10 @@ def _cmd_index(args) -> dict:
     }
 
 
-def _cmd_trench(args) -> dict:
+def _cmd_trench(args, poly) -> dict:
+    # the positional argument is B under --autocorrelate, else the raw symbol
     if args.autocorrelate:
-        poly = parse_polynomial(args.polynomial)
-        symbol = LaurentSymbol.from_polynomial(poly)
+        symbol = LaurentSymbol.from_polynomial(parse_polynomial(args.polynomial))
     else:
         if args.r is None:
             raise ParseError("trench needs --r for a raw symbol (or --autocorrelate)")
@@ -321,11 +283,9 @@ def _cmd_trench(args) -> dict:
         )
     # relative_difference and dps_used are fixed, kept for the kronrec/1 schema
     return {
-        "command": "trench",
         "symbol": [_rat(c) for c in symbol.coeffs],
         "r": symbol.r,
         "s": symbol.s,
-        "n": data.n,
         "matrix_size": data.matrix_size,
         "trench": _rat(data.determinant),
         "direct": _rat(direct),
@@ -335,14 +295,10 @@ def _cmd_trench(args) -> dict:
     }
 
 
-def _cmd_gram_growth(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_gram_growth(args, poly) -> dict:
     print(f"gram determinants up to ell = {args.ell_max}", file=sys.stderr)
     report = gram_growth(poly, args.ell_max)
     return {
-        "command": "gram-growth",
-        "polynomial": _poly_echo(poly),
-        "ell_max": report.ell_max,
         "determinants": [_rat(det) for det in report.determinants],
         "ratios": [_rat(ratio) for ratio in report.ratios],
         "ratios_float": [_float(ratio) for ratio in report.ratios],
@@ -350,8 +306,7 @@ def _cmd_gram_growth(args) -> dict:
     }
 
 
-def _cmd_lyons(args) -> dict:
-    poly = parse_polynomial(args.polynomial)
+def _cmd_lyons(args, poly) -> dict:
     if args.indices.strip():
         try:
             indices = sorted({int(tok) for tok in args.indices.split(",")})
@@ -365,10 +320,7 @@ def _cmd_lyons(args) -> dict:
     values = lyons_ratios(poly, indices, args.ell_max)
     diffs = [abs(_float(b - a)) for a, b in zip(values, values[1:])]
     return {
-        "command": "lyons",
-        "polynomial": _poly_echo(poly),
         "indices": indices,
-        "ell_max": args.ell_max,
         "values": [_rat(v) for v in values],
         "values_float": [_float(v) for v in values],
         "max_tail_fluctuation": max(diffs[-10:], default=0.0),
@@ -388,9 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, takes_polynomial=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, takes_polynomial=takes_polynomial)
         p.add_argument("polynomial", help="ascending comma-separated coefficients")
         return p
 
@@ -429,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("index", _cmd_index, help="integral lattice basis and its index")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("trench", _cmd_trench,
+    p = add("trench", _cmd_trench, takes_polynomial=False,
             help="banded Toeplitz determinant: exact closed form against direct expansion")
     p.add_argument("--n", type=int, required=True, help="matrix size (returns D_{n-1})")
     p.add_argument("--r", type=int, help="negative band width of the raw symbol")
@@ -465,18 +417,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(toks)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    payload = {"schema": SCHEMA, "command": args.subcommand}
+    payload.update((key, getattr(args, key)) for key in ECHOED if hasattr(args, key))
     try:
-        payload = {"schema": SCHEMA}
-        payload.update(args.handler(args))
+        poly = None
+        if args.takes_polynomial:
+            poly = parse_polynomial(args.polynomial)
+            payload["polynomial"] = {
+                "coefficients": list(poly.coeffs),
+                "degree": poly.degree,
+                "display": str(poly),
+            }
+        payload.update(args.handler(args, poly))
     except ParseError as exc:
         print(f"kronrec: {exc}", file=sys.stderr)
         return 2
     except KronrecError as exc:
-        error = {
-            "schema": SCHEMA,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(error, sort_keys=True, indent=2))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        sys.stdout.write(_render({"schema": SCHEMA, "error": error}, "json"))
         return 1
     text = _render(payload, args.format)
     if args.output:

@@ -123,7 +123,6 @@ class RealFactorization:
     poly: IntPolynomial
     b_coeffs: tuple[float, ...]
     c_coeffs: tuple[float, ...]
-    delta: float
     eps: float
 
 
@@ -163,13 +162,10 @@ def factor_real(poly: IntPolynomial) -> RealFactorization:
     c_cs = _expand_from_roots(complex(1.0), c_roots)
     b_coeffs = tuple(z.real for z in b_cs)
     c_coeffs = tuple(z.real for z in c_cs)
-    delta = 1.0 / abs(b_coeffs[0])
-    eps = delta
+    eps = 1.0 / abs(b_coeffs[0])
     for gamma in c_roots:
         eps /= 1.0 - abs(gamma)
-    return RealFactorization(
-        poly=poly, b_coeffs=b_coeffs, c_coeffs=c_coeffs, delta=delta, eps=eps
-    )
+    return RealFactorization(poly=poly, b_coeffs=b_coeffs, c_coeffs=c_coeffs, eps=eps)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .errors import DomainError, SingularMatrixError
 __all__ = [
     "PADIC_INFINITY",
     "is_prime",
-    "p_adic_valuation",
     "hnf",
     "integer_kernel",
     "coerce_rational",
@@ -89,19 +88,6 @@ def _int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def p_adic_valuation(x, p: int):
-    """v_p of an int or Fraction; v_p(0) is PADIC_INFINITY."""
-    if not isinstance(p, int) or not is_prime(p):
-        raise DomainError(f"p must be a prime integer, got {p!r}")
-    if isinstance(x, int):
-        return _int_valuation(abs(x), p) if x else PADIC_INFINITY
-    if not isinstance(x, Fraction):
-        raise DomainError(f"valuation needs int or Fraction, got {type(x).__name__}")
-    if x == 0:
-        return PADIC_INFINITY
-    return _int_valuation(abs(x.numerator), p) - _int_valuation(x.denominator, p)
 
 
 # ----- matrix plumbing -----

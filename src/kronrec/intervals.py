@@ -58,9 +58,6 @@ class Interval:
         m = self.mid
         return _up(max(self.hi - m, m - self.lo, 0.0))
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def add(self, other: "Interval") -> "Interval":
         return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 

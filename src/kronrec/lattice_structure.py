@@ -33,7 +33,6 @@ from .exact_linalg import (
     identity_matrix,
     is_prime,
     mat_mul,
-    p_adic_valuation,
     solve_exact,
 )
 from .poly_core import IntPolynomial
@@ -89,13 +88,13 @@ def newton_polygon(poly: IntPolynomial, p: int) -> NewtonPolygon:
     Slopes are strictly increasing; vertices are the extreme points only
     (points interior to a segment are not vertices).
     """
-    if not is_prime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"p must be prime, got {p!r}")
     if poly.degree < 1:
         raise DomainError("Newton polygon needs degree >= 1")
     if poly.constant_coefficient == 0:
         raise DomainError("Newton polygon here needs a nonzero constant coefficient")
-    pts = [(i, p_adic_valuation(c, p)) for i, c in enumerate(poly.coeffs) if c != 0]
+    pts = [(i, _int_valuation(abs(c), p)) for i, c in enumerate(poly.coeffs) if c != 0]
     hull: list[tuple[int, int]] = []
     for pt in pts:
         while len(hull) >= 2:

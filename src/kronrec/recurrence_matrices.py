@@ -9,7 +9,6 @@ seed values exactly along the recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,7 +17,6 @@ from .exact_linalg import coerce_rational
 from .poly_core import IntPolynomial
 
 __all__ = [
-    "RecurrenceVector",
     "recurrence_extend",
     "band_rows",
 ]
@@ -43,14 +41,8 @@ def band_rows(coeffs: Sequence, ell: int) -> list[list]:
     return [[cs[j - i] if 0 <= j - i <= d else zero for j in range(ell + d)] for i in range(ell)]
 
 
-@dataclass(frozen=True)
-class RecurrenceVector:
-    poly: IntPolynomial
-    entries: tuple[Fraction, ...]
-
-
-def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> RecurrenceVector:
-    """Extend d seed values to length m along sum_j a_j v_{i+j} = 0.
+def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> tuple[Fraction, ...]:
+    """The d seed values extended to m entries along sum_j a_j v_{i+j} = 0.
 
     Seeds are read by coerce_rational, so a non-finite or non-numeric one
     raises DomainError.  Denominators of the exact rational entries divide a_d^(m-d).
@@ -69,4 +61,4 @@ def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> Recurrence
         for j in range(d):
             acc += a[j] * entries[i + j]
         entries.append(-acc / a[d])
-    return RecurrenceVector(poly, tuple(entries))
+    return tuple(entries)

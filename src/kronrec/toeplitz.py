@@ -76,14 +76,9 @@ class LaurentSymbol:
         return cls(cs, r, len(cs) - 1 - r)
 
     @classmethod
-    def from_polynomial(cls, poly) -> "LaurentSymbol":
+    def from_polynomial(cls, poly: IntPolynomial) -> "LaurentSymbol":
         """Autocorrelation symbol B(x)B(1/x); r = s = deg B."""
-        if isinstance(poly, IntPolynomial):
-            b = list(poly.coeffs)  # integer sums; __post_init__ makes them Fractions
-        else:
-            b = [coerce_rational(c) for c in poly]
-            if not b or b[-1] == 0:
-                raise DomainError("need a nonempty coefficient list, lead nonzero")
+        b = poly.coeffs  # integer sums; __post_init__ makes them Fractions
         d = len(b) - 1
         cs = []
         for j in range(-d, d + 1):
@@ -94,11 +89,6 @@ class LaurentSymbol:
             cs = cs[1:-1]
             width -= 1
         return cls(tuple(cs), width, width)
-
-    def coefficient(self, j: int) -> Fraction:
-        if -self.r <= j <= self.s:
-            return self.coeffs[j + self.r]
-        return Fraction(0)
 
 
 def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], int]:
@@ -122,7 +112,6 @@ def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TrenchData:
-    symbol: LaurentSymbol
     n: int
     determinant: Fraction
 
@@ -157,7 +146,7 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
         h.append(-sum(w * h[t - i] for i, w in enumerate(weights[:t], 1)))
     minor = det_exact([[h[n - i + j] if n - i + j >= 0 else 0 for j in range(s)] for i in range(s)])
     det = (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
-    return TrenchData(symbol, n, det)
+    return TrenchData(n, det)
 
 
 def trench_det(symbol: LaurentSymbol, n: int) -> Fraction:
@@ -171,7 +160,6 @@ def trench_det(symbol: LaurentSymbol, n: int) -> Fraction:
 @dataclass(frozen=True)
 class GramResult:
     determinant: Fraction
-    count: int
 
 
 def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[int | Fraction]]:
@@ -194,11 +182,11 @@ def gram_det(vectors: Sequence[Sequence]) -> GramResult:
     """
     vs = [[x if type(x) is int else coerce_rational(x) for x in vec] for vec in vectors]
     if not vs:
-        return GramResult(Fraction(1), 0)
+        return GramResult(Fraction(1))
     width = len(vs[0])
     if any(len(vec) != width for vec in vs):
         raise DomainError("Gram vectors must share one length")
-    return GramResult(det_exact(_gram_matrix(vs)), len(vs))
+    return GramResult(det_exact(_gram_matrix(vs)))
 
 
 def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:

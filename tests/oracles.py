@@ -28,14 +28,15 @@ from kronrec.errors import CertificateError, DomainError, RootCertificationError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
     _hnf,
+    _int_valuation,
     clear_denominators,
     coerce_rational,
     det_exact,
     identity_matrix,
     integer_kernel,
     leading_minors,
+    is_prime,
     mat_mul,
-    p_adic_valuation,
 )
 from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate, scaled_basis_N
 from kronrec.intervals import Interval, interval_min
@@ -50,6 +51,23 @@ from kronrec.poly_core import (
 )
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
 from kronrec.toeplitz import _gram_matrix
+
+
+def p_adic_valuation(x, p: int):
+    """v_p of an int or Fraction; v_p(0) is PADIC_INFINITY.
+
+    It checks p for primality on every call, so the program's Newton polygon
+    and basis certificate check p once and take _int_valuation per entry.
+    """
+    if not isinstance(p, int) or not is_prime(p):
+        raise DomainError(f"p must be a prime integer, got {p!r}")
+    if isinstance(x, int):
+        return _int_valuation(abs(x), p) if x else PADIC_INFINITY
+    if not isinstance(x, Fraction):
+        raise DomainError(f"valuation needs int or Fraction, got {type(x).__name__}")
+    if x == 0:
+        return PADIC_INFINITY
+    return _int_valuation(abs(x.numerator), p) - _int_valuation(x.denominator, p)
 
 
 def _fstrip(cs: list[Fraction]) -> list[Fraction]:
@@ -574,7 +592,7 @@ def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, 
     g0 = confluent(0)
     if g0 == 0:
         raise AssertionError("confluent Vandermonde of distinct roots vanished")
-    c_s = symbol.coefficient(s)
+    c_s = symbol.coeffs[-1]
     return (-1) ** (n * s) * c_s**n * confluent(n) / g0, tuple(rational)
 
 

@@ -5,8 +5,10 @@ fails on a missing one, so removing or renaming a traced function breaks
 the benchmark; every `__all__` entry must also resolve, so a removed
 function cannot leave a dangling export, and must have a caller in the
 program, its scripts or its benchmark (code, not a comment or docstring), so
-the public surface holds no member that only the tests use.  The package has
-no runtime dependency: importing the command line loads no mpmath.
+the public surface holds no member that only the tests use.  The same holds
+one level down: every public method, property and dataclass field of a
+public class must be read as an attribute there.  The package has no runtime
+dependency: importing the command line loads no mpmath.
 """
 
 import ast
@@ -84,6 +86,39 @@ def _caller_names() -> set[str]:
     return used
 
 
+def _read_attributes() -> set[str]:
+    """Attribute names that the program, its scripts and its benchmark read (`x.name`).
+
+    The match is by name alone, so a result field such as `.m` counts as read
+    wherever any object's `.m` is, `args.m` included.
+    """
+    files = sorted((ROOT / "src" / "kronrec").glob("*.py"))
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "kronbench").glob("*.py"))
+    return {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _public_members():
+    """(module.Class.member, member) per public method, property and field of a public class."""
+    for path in sorted((ROOT / "src" / "kronrec").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{name}", name
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     used = _caller_names()
     unused = [
@@ -93,6 +128,8 @@ def test_every_export_has_a_caller_outside_the_tests():
         # __version__ is package metadata, not a member
         if not name.startswith("__") and name not in used
     ]
+    read = _read_attributes()
+    unused += [member for member, name in _public_members() if name not in read]
     assert unused == []
 
 

@@ -63,11 +63,11 @@ def primitive_polys(draw, max_degree=3, bound=9, min_degree=1):
 
 def test_bounds_shift_by_two():
     b = epsilon_bound(SHIFT2)
-    assert b.eps_half_scaled.contains(0.5)
-    assert b.eps_double_scaled.contains(1.0)
-    assert b.eps_stated.contains(0.5)
-    assert b.eps_refined.contains(0.5)
-    assert b.eps_coarse.contains(0.5)
+    assert b.eps_half_scaled.lo <= 0.5 <= b.eps_half_scaled.hi
+    assert b.eps_double_scaled.lo <= 1.0 <= b.eps_double_scaled.hi
+    assert b.eps_stated.lo <= 0.5 <= b.eps_stated.hi
+    assert b.eps_refined.lo <= 0.5 <= b.eps_refined.hi
+    assert b.eps_coarse.lo <= 0.5 <= b.eps_coarse.hi
     for iv in (b.eps_stated, b.eps_refined, b.eps_coarse):
         assert iv.halfwidth < 1e-9
 
@@ -75,16 +75,16 @@ def test_bounds_shift_by_two():
 def test_bounds_fibonacci_polynomial():
     b = epsilon_bound(GOLDEN)
     phi = (1 + math.sqrt(5)) / 2
-    assert b.eps_stated.contains(1.0)
-    assert b.eps_refined.contains(1.0)
-    assert b.eps_coarse.contains(2 / phi)
+    assert b.eps_stated.lo <= 1.0 <= b.eps_stated.hi
+    assert b.eps_refined.lo <= 1.0 <= b.eps_refined.hi
+    assert b.eps_coarse.lo <= 2 / phi <= b.eps_coarse.hi
 
 
 def test_bounds_at_root_of_unity():
     b = epsilon_bound(CYCLO)
     for iv in (b.eps_half_scaled, b.eps_double_scaled, b.eps_stated,
                b.eps_refined, b.eps_coarse):
-        assert iv.contains(1.0)
+        assert iv.lo <= 1.0 <= iv.hi
         assert iv.halfwidth < 1e-9
 
 
@@ -94,8 +94,8 @@ def test_refined_bound_uses_coefficient_reversal():
     poly = IntPolynomial((-1, 2))
     direct = refined_product_interval(poly).recip()
     b = epsilon_bound(poly)
-    assert direct.contains(1.0)
-    assert b.eps_refined.contains(0.5)
+    assert direct.lo <= 1.0 <= direct.hi
+    assert b.eps_refined.lo <= 0.5 <= b.eps_refined.hi
     assert b.eps_refined.halfwidth < 1e-9
 
 
@@ -214,7 +214,7 @@ def test_factor_hand_example():
     fact = factor_real(IntPolynomial((2, -9, 4)))
     assert fact.b_coeffs == pytest.approx((-8.0, 4.0), abs=1e-9)
     assert fact.c_coeffs == pytest.approx((-0.25, 1.0), abs=1e-9)
-    assert fact.delta == pytest.approx(0.125, abs=1e-12)
+    assert 1 / abs(fact.b_coeffs[0]) == pytest.approx(0.125, abs=1e-12)
     assert fact.eps == pytest.approx(1 / 6, abs=1e-12)
     assert len(fact.b_coeffs) - 1 == 1 and len(fact.c_coeffs) - 1 == 1
 
@@ -225,7 +225,7 @@ def test_factor_all_roots_small():
     assert len(fact.b_coeffs) - 1 == 0
     assert fact.b_coeffs == pytest.approx((16.0,), abs=1e-8)
     assert fact.c_coeffs == pytest.approx((0.0625, -0.5, 1.0), abs=1e-8)
-    assert fact.delta == pytest.approx(1 / 16, abs=1e-12)
+    assert 1 / abs(fact.b_coeffs[0]) == pytest.approx(1 / 16, abs=1e-12)
     assert fact.eps == pytest.approx((1 / 16) * (4 / 3) ** 2, abs=1e-10)
 
 
@@ -236,7 +236,7 @@ def test_factor_rational_root_on_split_circle_goes_small():
     fact = factor_real(IntPolynomial((-1, 2)))
     assert fact.c_coeffs == (-0.5, 1.0)
     assert fact.b_coeffs == (2.0,)
-    assert fact.delta == 0.5 and fact.eps == 1.0
+    assert 1 / abs(fact.b_coeffs[0]) == 0.5 and fact.eps == 1.0
 
 
 def test_factor_irrational_roots_on_split_circle_go_large():
@@ -253,7 +253,7 @@ def test_factor_exact_roots_on_split_circle_go_small():
         fact = factor_real(IntPolynomial((lead // 4, 0, lead)))
         assert fact.b_coeffs == (float(lead),)
         assert fact.c_coeffs == (0.25, 0.0, 1.0)
-        assert fact.delta == 0.25 and fact.eps == 1.0
+        assert 1 / abs(fact.b_coeffs[0]) == 0.25 and fact.eps == 1.0
 
 
 def test_factor_rejects():

@@ -22,11 +22,10 @@ from kronrec.exact_linalg import (
     is_prime,
     leading_minors,
     mat_mul,
-    p_adic_valuation,
     solve_exact,
 )
 from kronrec.recurrence_matrices import band_rows
-from oracles import dense_bareiss, hnf_two_matrices, kernel_two_matrices, snf
+from oracles import dense_bareiss, hnf_two_matrices, kernel_two_matrices, p_adic_valuation, snf
 
 small_ints = st.integers(-30, 30)
 
