@@ -8,15 +8,24 @@ coprime square-free factors with exact multiplicities, so only simple roots
 are ever iterated on; rational roots are not searched for.  One
 Aberth-Ehrlich iteration in doubles finds each factor's roots, first with p
 evaluated in doubles, then with p evaluated exactly at the float iterates
-until they settle.  Each centre is then enclosed in a Weierstrass disk: for
-pairwise distinct points z_1..z_n the disks
-D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly cover the zero set,
-so pairwise disjoint disks isolate exactly one zero each (Braess & Hadeler,
-Numer. Math. 21, 1973).  The centres are dyadic, so over one power of two
-every quantity in a radius is a Gaussian integer: the radii are exact
-values rounded up, and a root that is itself a float gets radius 0.  p is
-evaluated exactly once at the centres, and the centres snapped onto the
-real axis or mirrored into conjugates reuse those values.
+until they settle.  Before each exact sweep a centre z with
+|Im z| <= eps^2 |Re z| (eps the double epsilon) is put on the real axis.  An
+imaginary part that small reaches the real part of a double operation only
+through a product of two imaginary parts, far below half an ulp, so the
+iterates keep their real parts, and the exact values at a real root's
+centre are taken at its real part's scale.  The certificate below does not
+rely on this: a disk centred on the axis that isolates one root isolates a
+real one, so a centre wrongly put there can only fail it.  Each centre is
+then enclosed in a Weierstrass disk: for pairwise distinct points
+z_1..z_n the disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly
+cover the zero set, so pairwise disjoint disks isolate exactly one zero
+each (Braess & Hadeler, Numer. Math. 21, 1973).  The centres are dyadic, so
+over one power of two every quantity in a radius is a Gaussian integer:
+the radii are exact values rounded up, and a root that is itself a float
+gets radius 0.  p is evaluated exactly once at the centres, and the centres
+snapped onto the real axis or mirrored into conjugates reuse those values;
+a centre already on the axis is real whatever its radius, so radii at the
+Aberth centres are taken only off it.
 Disjointness is decided exactly.  No working precision is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
@@ -314,7 +323,7 @@ def _aberth_step(zs: Sequence[complex], newtons) -> tuple[list[complex], float]:
     out, worst = [], 0.0
     for i, (z, nw) in enumerate(zip(zs, newtons)):
         try:
-            s = sum(1 / (z - w) for w in zs[:i] + zs[i + 1 :])
+            s = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
             out.append(z + 1 / s if nw is None else z - nw / (1 - nw * s))
         except ZeroDivisionError:
             out.append(z)
@@ -327,29 +336,45 @@ def _aberth(cs: tuple[int, ...]) -> list[complex]:
 
     Starts from a circle enclosing every root and runs up to 40 + 12n sweeps
     with p evaluated in doubles (exactly where a double overflows) until no
-    point moves by 1e-12 relative.  Then up to 8 sweeps with p evaluated
-    exactly at the float points polish them until they settle to a few ulps.
+    point moves by 1e-12 relative; p and p' come from one Horner loop over
+    the pairs (a_k, k a_k), each accumulator in its own Horner pass's order.
+    Then up to 8 sweeps with p evaluated exactly at the float points polish
+    them until they settle to a few ulps.  Before each exact sweep and after
+    the last, a centre with |Im z| <= eps^2 |Re z| is put on the real axis.
+    That leaves every real part as it was (see the module docstring) and
+    takes a real root's exact values at its real part's scale, about 2^53,
+    not at the 2^150 to 2^300 of an imaginary part of 1e-46 to 1e-77.  The
+    bound is relative to Re z: eps^2 max(1, |z|) would put both roots
+    +-10^-32 i of 10^64 x^2 + 1 on 0, and eps^2 |z| a centre whose
+    imaginary part overflowed.
     """
     n = len(cs) - 1
     fcs = [float(c) for c in cs]
     try:
         fdcs = [float(i * c) for i, c in enumerate(cs)][1:]
     except OverflowError:  # an i*c past the floats: no double p' is finite, so sweep exactly
-        fdcs = [math.inf]
+        fdcs = [math.inf] * n
+    pairs = list(zip(reversed(fcs[1:]), reversed(fdcs)))
     radius0 = 1.0 + max(abs(c) for c in fcs[:-1]) / abs(fcs[-1])
     zs = [cmath.rect(0.75 * radius0, 0.4 + 2 * math.pi * k / n) for k in range(n)]
     for _ in range(40 + 12 * n):
-        vals = [(_horner(fcs, z), _horner(fdcs, z)) for z in zs]
+        vals = []
+        for z in zs:
+            p = dp = z * 0
+            for c, dc in pairs:
+                p, dp = p * z + c, dp * z + dc
+            vals.append((p * z + fcs[0], dp))
         finite = all(cmath.isfinite(p) and cmath.isfinite(dp) for p, dp in vals)
         newtons = [p / dp if dp else None for p, dp in vals] if finite else _exact_values(cs, zs)[3]
         zs, move = _aberth_step(zs, newtons)
         if move <= 1e-12:
             break
-    for _ in range(8):
+    eps, move = sys.float_info.epsilon, math.inf
+    for sweep in range(9):
+        zs = [complex(z.real, 0.0) if abs(z.imag) <= eps * eps * abs(z.real) else z for z in zs]
+        if sweep == 8 or move <= 4 * eps:
+            return zs
         zs, move = _aberth_step(zs, _exact_values(cs, zs)[3])
-        if move <= 4 * sys.float_info.epsilon:
-            break
-    return zs
 
 
 def _sqrt_up(num: int, den: int) -> float:
@@ -368,8 +393,8 @@ def _sqrt_up(num: int, den: int) -> float:
     return r
 
 
-def _radii(cs: tuple[int, ...], s: int, ws, ps, count: int) -> list[float]:
-    """Weierstrass radii at the first `count` points, from their exact values.
+def _radii(cs: tuple[int, ...], s: int, ws, ps, at) -> list[float]:
+    """Weierstrass radii at the points indexed by `at`, from their exact values.
 
     ws are the points scaled by the power of two s and ps = s^n p at them,
     Gaussian integer pairs; the radius at W_i is
@@ -380,7 +405,7 @@ def _radii(cs: tuple[int, ...], s: int, ws, ps, count: int) -> list[float]:
     """
     n = len(cs) - 1
     out = []
-    for i in range(count):
+    for i in at:
         (x, y), (pr, pi) = ws[i], ps[i]
         qr, qi = cs[-1] * s, 0
         for u, v in ws[:i] + ws[i + 1 :]:
@@ -393,25 +418,30 @@ def _radii(cs: tuple[int, ...], s: int, ws, ps, count: int) -> list[float]:
 def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
     """Weierstrass disks, each within the target, at a square-free factor's Aberth centres.
 
-    Centres whose disk meets the real axis are snapped onto it and those
-    below it replaced by the mirrors of those above; the radii are taken at
-    these final centres.  p is evaluated exactly once, at the Aberth
-    centres, and the final centres reuse those values at the same scale S,
-    which every final coordinate's denominator divides: a centre left alone
-    keeps its S^n p, and only a centre moved onto the axis is evaluated
-    again, by a real Horner pass.  A mirror's value is the conjugate of its
-    upper centre's (the coefficients are real), and since the final centres
-    are closed under conjugation its radius is the upper centre's too, so
-    only the products of differences are recomputed, for the reals and the
-    uppers.  The radii are bit-identical to a fresh evaluation at the final
-    centres (see `_radii`).  `roots` checks that the disks are disjoint.
+    `_aberth` has already put every centre within eps^2 |Re z| of the real
+    axis on it, and such a centre is real whatever its radius, so radii
+    at the Aberth centres are taken only off the axis.  Centres whose disk
+    meets the axis are snapped onto it and those below it replaced by the
+    mirrors of those above; the radii are taken at these final centres.  p
+    is evaluated exactly once, at the Aberth centres, and the final centres
+    reuse those values at the same scale S, which every final coordinate's
+    denominator divides: a centre left alone keeps its S^n p, and only a
+    centre moved onto the axis here is evaluated again, by a real Horner
+    pass.  A mirror's value is the conjugate of its upper centre's (the
+    coefficients are real), and since the final centres are closed under
+    conjugation its radius is the upper centre's too, so only the products
+    of differences are recomputed, for the reals and the uppers.  The radii
+    are bit-identical to a fresh evaluation at the final centres (see
+    `_radii`).  `roots` checks that the disks are disjoint.
     """
     n = len(cs) - 1
     zs = _aberth(cs)
     s, ws, ps, _ = _exact_values(cs, zs, newton=False)
+    off_axis = [i for i, z in enumerate(zs) if z.imag]
+    radii = dict(zip(off_axis, _radii(cs, s, ws, ps, off_axis)))
     reals, uppers = [], []
-    for z, w, p, r in zip(zs, ws, ps, _radii(cs, s, ws, ps, n)):
-        if abs(z.imag) <= r:
+    for i, (z, w, p) in enumerate(zip(zs, ws, ps)):
+        if abs(z.imag) <= radii.get(i, 0.0):
             x = w[0]
             if w[1]:
                 p = (_horner([c * s ** (n - k) for k, c in enumerate(cs)], x), 0)
@@ -420,7 +450,7 @@ def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
             uppers.append((z, w, p))
     kept = reals + uppers
     ws = [w for _, w, _ in kept] + [(x, -y) for _, (x, y), _ in uppers]
-    radii = _radii(cs, s, ws, [p for _, _, p in kept], len(kept))
+    radii = _radii(cs, s, ws, [p for _, _, p in kept], range(len(kept)))
     disks = [(z, r) for (z, _, _), r in zip(kept, radii)]
     disks += [(z.conjugate(), r) for (z, _, _), r in zip(uppers, radii[len(reals) :])]
     if len(disks) != n or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in disks):

@@ -3,8 +3,10 @@ and exact checkers of the paper's minor and biorthonormal identities."""
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -45,6 +47,7 @@ from kronrec.poly_core import (
     MahlerMeasure,
     _aberth,
     _exact_values,
+    _horner,
     _radii,
     _sqrt_up,
     roots,
@@ -701,7 +704,7 @@ def weierstrass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]
     Coinciding points get radius inf.
     """
     s, ws, ps, _ = _exact_values(cs, zs, newton=False)
-    return _radii(cs, s, ws, ps, len(ws))
+    return _radii(cs, s, ws, ps, range(len(ws)))
 
 
 def _two_pass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
@@ -718,14 +721,60 @@ def _two_pass_radii(cs: tuple[int, ...], zs: Sequence[complex]) -> list[float]:
     return out
 
 
-def certified_simple_roots_two_pass(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
+def _aberth_step_sliced(zs: Sequence[complex], newtons) -> tuple[list[complex], float]:
+    """`poly_core._aberth_step` with each point's sum over a fresh list of the others."""
+    out, worst = [], 0.0
+    for i, (z, nw) in enumerate(zip(zs, newtons)):
+        try:
+            s = sum(1 / (z - w) for w in zs[:i] + zs[i + 1 :])
+            out.append(z + 1 / s if nw is None else z - nw / (1 - nw * s))
+        except ZeroDivisionError:
+            out.append(z)
+        worst = max(worst, abs(out[-1] - z) / abs(z) if z else math.inf)
+    return out, worst
+
+
+def aberth_off_axis_polish(cs: tuple[int, ...]) -> list[complex]:
+    """The Aberth iteration that `poly_core._aberth` replaced.
+
+    The same start, sweeps and stop rules, but p and p' come from two
+    separate double Horner passes, and the exact polish sweeps run at the
+    iterates as they are: a real root's centre stays off the axis by about
+    1e-46 to 1e-77, so the exact values are taken over a power of two up to
+    2^300.  `_certified_simple_roots` snaps such centres only afterwards.
+    """
+    n = len(cs) - 1
+    fcs = [float(c) for c in cs]
+    try:
+        fdcs = [float(i * c) for i, c in enumerate(cs)][1:]
+    except OverflowError:
+        fdcs = [math.inf]
+    radius0 = 1.0 + max(abs(c) for c in fcs[:-1]) / abs(fcs[-1])
+    zs = [cmath.rect(0.75 * radius0, 0.4 + 2 * math.pi * k / n) for k in range(n)]
+    for _ in range(40 + 12 * n):
+        vals = [(_horner(fcs, z), _horner(fdcs, z)) for z in zs]
+        finite = all(cmath.isfinite(p) and cmath.isfinite(dp) for p, dp in vals)
+        newtons = [p / dp if dp else None for p, dp in vals] if finite else _exact_values(cs, zs)[3]
+        zs, move = _aberth_step_sliced(zs, newtons)
+        if move <= 1e-12:
+            break
+    for _ in range(8):
+        zs, move = _aberth_step_sliced(zs, _exact_values(cs, zs)[3])
+        if move <= 4 * sys.float_info.epsilon:
+            break
+    return zs
+
+
+def certified_simple_roots_two_pass(cs: tuple[int, ...], aberth=_aberth) -> list[tuple[complex, float]]:
     """The two-pass route that `poly_core._certified_simple_roots` replaced.
 
-    Radii are evaluated exactly at the Aberth centres, the centres are
-    snapped and mirrored, and p is evaluated afresh at the final centres,
-    at their own power-of-two scale, for the final radii.
+    Radii are evaluated exactly at the centres from `aberth`, the centres
+    are snapped and mirrored, and p is evaluated afresh at the final
+    centres, at their own power-of-two scale, for the final radii.  With
+    `aberth_off_axis_polish` this is the whole route before the real-axis
+    polish.
     """
-    zs = _aberth(cs)
+    zs = aberth(cs)
     radii = _two_pass_radii(cs, zs)
     zs = [complex(z.real, 0.0) if abs(z.imag) <= r else z for z, r in zip(zs, radii)]
     uppers = [z for z in zs if z.imag > 0]

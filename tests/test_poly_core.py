@@ -1,7 +1,9 @@
 """Polynomial parsing, certified roots, and Mahler measure variants."""
 
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -22,6 +24,7 @@ from kronrec.poly_core import (
     squarefree_factors,
 )
 from oracles import (
+    aberth_off_axis_polish,
     certified_simple_roots_two_pass,
     fraction_squarefree,
     ladder_roots,
@@ -371,7 +374,7 @@ WILKINSON = poly_power_product([(poly(-k, 1), 1) for k in range(1, 21)])
 @given(small_polys(max_degree=12, max_coeff=9))
 # +-i and 1/2 are floats: their disks have radius 0
 @example(poly_power_product([(poly(1, 0, 1), 1), (poly(-1, 2), 1)]))
-# real roots whose Aberth centres leave the axis by ~1e-46 and are snapped
+# real roots whose double sweeps leave the axis by ~1e-46, put on it by the polish
 @example(poly_power_product([(poly(-2, 0, 1), 1), (poly(-1, -1, 1), 1), (poly(1, -3, 0, 1), 1)]))
 @example(poly(-2, 0, 0, 1))
 # a factor the engine cannot certify
@@ -406,6 +409,80 @@ def test_certified_roots_evaluate_p_once_beyond_the_polish_sweeps(monkeypatch):
         disks = poly_core._certified_simple_roots(cs)
         assert len(disks) == len(cs) - 1
         assert calls["aberth"] >= 1 and calls["all"] == calls["aberth"] + 1
+
+
+def _roots_outcome(p):
+    try:
+        rs = roots(p).roots
+    except (DomainError, RootCertificationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return _disk_bits((e.value, e.radius) for e in rs), [e.multiplicity for e in rs]
+
+
+def _off_axis_route(cs):
+    return certified_simple_roots_two_pass(cs, aberth_off_axis_polish)
+
+
+@st.composite
+def polys_with_near_real_pairs(draw):
+    """Degree 1-14 with coefficients up to 10^12, or a pair t +- i with t up to 10^8 beside one."""
+    if draw(st.booleans()):
+        return draw(small_polys(max_degree=14, max_coeff=10**12))
+    t = draw(st.integers(-(10**8), 10**8))
+    return poly_mul(poly(t * t + 1, -2 * t, 1), draw(small_polys(max_degree=6, max_coeff=10**6)))
+
+
+_OVERFLOW_K = int(sys.float_info.max) // 40 // 2 * 2
+
+
+@seed(20261021)
+@settings(deadline=None, max_examples=60)
+@given(polys_with_near_real_pairs())
+@example(poly(-2, 0, 1))
+@example(poly(1, -3, 0, 1))
+# +-i and 1/2 are floats: their disks have radius 0
+@example(poly_power_product([(poly(1, 0, 1), 1), (poly(-1, 2), 1)]))
+@example(WILKINSON)
+# roots 10^8 +- i
+@example(poly(10**16 + 1, -2 * 10**8, 1))
+# every coefficient is a float, but the derivative's 3 * 16k is not
+@example(poly(-9 * _OVERFLOW_K - 1, 36 * _OVERFLOW_K, -4 * _OVERFLOW_K, 16 * _OVERFLOW_K))
+# roots +-10^-32 i: a bound of eps^2 max(1, |z|) would put both on 0
+@example(poly(1, 0, 10**64))
+def test_roots_match_the_off_axis_polish_bit_for_bit(p):
+    """`roots` gives the disks of the route whose exact polish leaves real
+    centres off the axis and snaps them only after it, or the same error."""
+    got = _roots_outcome(p)
+    with mock.patch.object(poly_core, "_certified_simple_roots", _off_axis_route):
+        assert _roots_outcome(p) == got
+
+
+@pytest.mark.parametrize("cs", [(-2, 0, 1), (1, -3, 0, 1)])
+def test_real_roots_come_out_of_aberth_on_the_axis(cs):
+    zs = _aberth(cs)
+    assert [z.imag for z in zs] == [0.0] * (len(cs) - 1)
+    # the exact values are taken at the real parts' scale, not at 2^150 or 2^300
+    s, _, _, _ = _exact_values(cs, zs, newton=False)
+    assert s <= 2**64
+
+
+def test_first_radius_pass_skips_centres_on_the_axis(monkeypatch):
+    taken = []
+    radii = poly_core._radii
+
+    def counted_radii(*args):
+        out = radii(*args)
+        taken.append(len(out))
+        return out
+
+    monkeypatch.setattr(poly_core, "_radii", counted_radii)
+    for cs in [(-2, 0, 1), (1, -3, 0, 1)]:
+        taken.clear()
+        assert len(poly_core._certified_simple_roots(cs)) == len(cs) - 1
+        assert taken == [0, len(cs) - 1]
+    taken.clear()
+    poly_core._certified_simple_roots((1, 0, 1))  # +-i: one radius each, then the upper's again
+    assert taken == [2, 1]
 
 
 def test_disks_disjoint_decides_on_the_binary_values():
