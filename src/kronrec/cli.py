@@ -286,7 +286,7 @@ def _cmd_trench(args, poly) -> dict:
         "symbol": [_rat(c) for c in symbol.coeffs],
         "r": symbol.r,
         "s": symbol.s,
-        "matrix_size": data.matrix_size,
+        "matrix_size": args.n,
         "trench": _rat(data.determinant),
         "direct": _rat(direct),
         "relative_difference": 0.0,

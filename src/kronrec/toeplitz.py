@@ -14,9 +14,13 @@ symbol's own coefficients, so the closed form runs in integer arithmetic for
 every rational symbol and never needs the roots (Macdonald, Symmetric
 Functions and Hall Polynomials, I.3; Boettcher and Grudsky, Spectral
 Properties of Banded Toeplitz Matrices, the Baxter-Schmidt formula).  On
-top of the determinants sit Gram-ratio convergence studies (growth of
-D_l / D_{l-1} toward the squared Mahler measure, and the bounded ratios
-obtained by adjoining standard basis vectors).
+top of the determinants sit Gram-ratio convergence studies, both read off
+the Toeplitz matrix G_l of B(x)B(1/x): growth of D_l / D_{l-1} toward the
+squared Mahler measure, and the bounded ratios obtained by adjoining
+standard basis vectors e_S to the rows B_r.  Adjoining them leaves the
+Schur complement G_l - E_l^T E_l of the identity block, where E_l holds
+<e_i, B_r> = b_{i-1-r}; that vanishes for r >= i, and i <= deg B, so only
+the leading deg B x deg B corner of G_l changes.
 
 Symbols are kept rational-real: every coefficient is stored as a Fraction,
 which covers all symbols of the form B(x)B(1/x) for rational B; the exact
@@ -34,7 +38,6 @@ from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors
 from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
-from .recurrence_matrices import band_rows
 
 __all__ = [
     "LaurentSymbol",
@@ -116,10 +119,6 @@ class TrenchData:
     determinant: Fraction
 
     @property
-    def matrix_size(self) -> int:
-        return self.n
-
-    @property
     def exact(self) -> bool:
         # the closed form has one route, in exact arithmetic
         return True
@@ -162,19 +161,6 @@ class GramResult:
     determinant: Fraction
 
 
-def _gram_matrix(vectors: Sequence[Sequence[Fraction]]) -> list[list[int | Fraction]]:
-    """Exact <v_i, v_j> from integer multiples of each vector; an int when both are integral."""
-    scaled = [clear_denominators(vec) for vec in vectors]
-    n = len(scaled)
-    gram = [[0] * n for _ in range(n)]
-    for i, (u, du) in enumerate(scaled):
-        for j in range(i, n):
-            v, dv = scaled[j]
-            dot = sum(map(operator.mul, u, v))
-            gram[i][j] = gram[j][i] = dot if du * dv == 1 else Fraction(dot, du * dv)
-    return gram
-
-
 def gram_det(vectors: Sequence[Sequence]) -> GramResult:
     """Exact Gram determinant det(<u_i, u_j>); the empty family gives 1.
 
@@ -186,20 +172,27 @@ def gram_det(vectors: Sequence[Sequence]) -> GramResult:
     width = len(vs[0])
     if any(len(vec) != width for vec in vs):
         raise DomainError("Gram vectors must share one length")
-    return GramResult(det_exact(_gram_matrix(vs)))
+    return GramResult(det_exact([[sum(map(operator.mul, u, v)) for v in vs] for u in vs]))
 
 
 def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     """det G(e_{s in S}, B_1..B_l) / det G(B_1..B_l) for l = 1..ell_max, monic B = A / a_d.
 
     Adjoining standard basis vectors perturbs finitely many entries of the
-    Toeplitz Gram matrix, and the resulting ratio converges as l grows; the
-    limit is probed numerically, never asserted.  With the e_S rows first,
-    every numerator is a leading principal minor of G(e_S, B_1..B_L) and
-    every denominator one of G(B_1..B_L), so two elimination passes give
-    all ell_max ratios.  Both minors of a ratio hold l rows of B, so the
-    factor a_d^(-2l) cancels and the Gram matrices are built on A's
-    integer rows.
+    Toeplitz Gram matrix, and the ratio converges as l grows; the limit is
+    probed numerically, never asserted.  Both minors hold l rows of B, so
+    a_d^(-2l) cancels and both are taken on A's integer rows A_0..A_{l-1}.
+    Their Gram matrix G_l is the Toeplitz matrix of A(x)A(1/x) that
+    gram_growth eliminates, and its leading minors are the denominators.
+    With the e_S rows first, a numerator is the Schur complement
+
+        det [[I_k, E_l], [E_l^T, G_l]] = det(G_l - E_l^T E_l),
+
+    with E_l[i][r] = <e_i, A_r> = a_{i-1-r}.  That vanishes for r >= i, and
+    i <= d, so E_l^T E_l lives in the leading d x d corner: one more pass
+    over G_L with that corner corrected gives every numerator.  No minor
+    vanishes, so no row is swapped: the rows projected off e_S stay
+    independent, their last l columns a triangle with diagonal a_d.
     """
     d = poly.degree
     if d < 1:
@@ -209,14 +202,17 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     chosen = sorted(set(int(i) for i in indices))
     if any(i < 1 or i > d for i in chosen):
         raise DomainError(f"basis indices must sit in 1..{d}")
-    rows = band_rows(list(poly.coeffs), ell_max)
-    width = ell_max + d
-    e_rows = [[int(c == i - 1) for c in range(width)] for i in chosen]
-    gram, k = _gram_matrix(e_rows + rows), len(chosen)
-    numerators = leading_minors(gram)[k:]
-    # G(B_1..B_L) is the trailing block of the bordered matrix
-    denominators = leading_minors([row[k:] for row in gram[k:]])
-    return [num / den for num, den in zip(numerators, denominators)]
+    a = poly.coeffs
+    if a[0] == 0:
+        raise DomainError("coefficient sequence needs a nonzero constant entry")
+    # A is integral, so its symbol's rows need no scale: den = 1
+    rows, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
+    denominators = leading_minors(rows)  # eliminates a copy: rows stays as built
+    corner = min(d, ell_max)
+    for r in range(corner):
+        for c in range(corner):
+            rows[r][c] -= sum(a[i - 1 - r] * a[i - 1 - c] for i in chosen if i > max(r, c))
+    return [num / den for num, den in zip(leading_minors(rows), denominators)]
 
 
 def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:

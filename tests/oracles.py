@@ -53,7 +53,6 @@ from kronrec.poly_core import (
     roots,
 )
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
-from kronrec.toeplitz import _gram_matrix
 
 
 def p_adic_valuation(x, p: int):
@@ -599,6 +598,24 @@ def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, 
     return (-1) ** (n * s) * c_s**n * confluent(n) / g0, tuple(rational)
 
 
+def lyons_ratios_bordered(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
+    """The bordered route to toeplitz.lyons_ratios: Gram matrices of order k + L.
+
+    The Gram matrix of e_S above the band rows [A]_L, from its dot products:
+    its leading minors past the first k are the numerators, and its trailing
+    L x L block, G(A_0..A_{L-1}), gives the denominators.
+    """
+    chosen = sorted(set(indices))
+    rows = band_rows(list(poly.coeffs), ell_max)
+    e_rows = [[int(c == i - 1) for c in range(len(rows[0]))] for i in chosen]
+    vectors = e_rows + rows
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+    k = len(chosen)
+    numerators = leading_minors(gram)[k:]
+    denominators = leading_minors([row[k:] for row in gram[k:]])
+    return [num / den for num, den in zip(numerators, denominators)]
+
+
 def aberth_mp(cs: tuple[int, ...], dps: int):
     """Aberth-Ehrlich iteration on a square-free integer polynomial at dps digits.
 
@@ -978,8 +995,8 @@ def biorthonormal_check(u: Sequence[Sequence], v: Sequence[Sequence]) -> bool:
                 raise DomainError(
                     f"families are not biorthonormal: <u_{i + 1}, v_{j + 1}> = {pairing}"
                 )
-    gram_u = _gram_matrix(us)
-    gram_v = _gram_matrix(vs)
+    gram_u = [[sum(a * b for a, b in zip(x, y)) for y in us] for x in us]
+    gram_v = [[sum(a * b for a, b in zip(x, y)) for y in vs] for x in vs]
     product = mat_mul(gram_u, gram_v)
     for i in range(n):
         for j in range(n):

@@ -133,6 +133,15 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_command_line_loads_every_traced_module(monkeypatch):
+    """The tracer rebinds its layers in the modules that `import kronrec.cli` loaded."""
+    names = [f"kronrec.{mod_name}" for mod_name in _tracer_layers(monkeypatch)]
+    src = str(Path(kronrec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"import kronrec.cli, sys; missing = set({names!r}) - set(sys.modules); assert not missing, missing"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_command_line_imports_no_mpmath():
     src = str(Path(kronrec.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

@@ -290,7 +290,7 @@ def banded_matrices(draw, entries=small_ints, max_n=12):
 
 @st.composite
 def bordered_band_grams(draw):
-    """Gram matrix of e_S above the band rows [B]_l: the shape lyons eliminates."""
+    """Gram matrix of e_S above the band rows [B]_l: the bordered shape of the lyons oracle."""
     d = draw(st.integers(1, 3))
     ends = st.integers(-5, 5).filter(bool)
     coeffs = [draw(ends)] + [draw(st.integers(-5, 5)) for _ in range(d - 1)] + [draw(ends)]

@@ -367,6 +367,8 @@ def _outcome(route, cs):
 
 
 WILKINSON = poly_power_product([(poly(-k, 1), 1) for k in range(1, 21)])
+# roots 10 +- 10^-10, whose Aberth centres stay about 4e-15 off the axis
+CLOSE_REAL_PAIR = poly(10**22 - 1, -2 * 10**21, 10**20)
 
 
 @seed(20261018)
@@ -379,6 +381,7 @@ WILKINSON = poly_power_product([(poly(-k, 1), 1) for k in range(1, 21)])
 @example(poly(-2, 0, 0, 1))
 # a factor the engine cannot certify
 @example(WILKINSON)
+@example(CLOSE_REAL_PAIR)
 def test_one_radius_pass_matches_the_two_pass_route(p):
     """Bit-identical disks, or the same failure, with and without the second exact evaluation."""
     for fac, _ in squarefree_factors(p):
@@ -449,6 +452,7 @@ _OVERFLOW_K = int(sys.float_info.max) // 40 // 2 * 2
 @example(poly(-9 * _OVERFLOW_K - 1, 36 * _OVERFLOW_K, -4 * _OVERFLOW_K, 16 * _OVERFLOW_K))
 # roots +-10^-32 i: a bound of eps^2 max(1, |z|) would put both on 0
 @example(poly(1, 0, 10**64))
+@example(CLOSE_REAL_PAIR)
 def test_roots_match_the_off_axis_polish_bit_for_bit(p):
     """`roots` gives the disks of the route whose exact polish leaves real
     centres off the axis and snaps them only after it, or the same error."""
@@ -483,6 +487,31 @@ def test_first_radius_pass_skips_centres_on_the_axis(monkeypatch):
     taken.clear()
     poly_core._certified_simple_roots((1, 0, 1))  # +-i: one radius each, then the upper's again
     assert taken == [2, 1]
+
+
+def test_close_real_pair_is_snapped_by_the_first_radius_pass(monkeypatch):
+    """Centres off the axis by less than their first radius certify as two real disks."""
+    cs = CLOSE_REAL_PAIR.coeffs
+    zs = _aberth(cs)
+    assert all(z.imag for z in zs)
+    taken = []
+    radii = poly_core._radii
+
+    def recorded_radii(*args):
+        out = radii(*args)
+        taken.append(out)
+        return out
+
+    monkeypatch.setattr(poly_core, "_radii", recorded_radii)
+    disks = poly_core._certified_simple_roots(cs)
+    assert len(taken) == 2 and all(abs(z.imag) <= r for z, r in zip(zs, taken[0]))
+    assert [z.imag for z, _ in disks] == [0.0, 0.0]
+    monkeypatch.undo()
+    rs = roots(CLOSE_REAL_PAIR).roots
+    assert [e.value.imag for e in rs] == [0.0, 0.0]
+    assert [e.multiplicity for e in rs] == [1, 1]
+    for e, x in zip(rs, (10 - 1e-10, 10 + 1e-10)):
+        assert abs(e.value - x) <= e.radius + 1e-15
 
 
 def test_disks_disjoint_decides_on_the_binary_values():

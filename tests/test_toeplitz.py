@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from kronrec import toeplitz
@@ -30,6 +30,7 @@ from oracles import (
     aberth_mp,
     biorthonormal_check,
     dense_bareiss,
+    lyons_ratios_bordered,
     rational_decompose,
     trench_vandermonde,
     tri_rows,
@@ -125,7 +126,7 @@ def test_trench_matches_direct_hand_values():
     assert trench_det(TRIDIAG, 3) == Fraction(85)
     data = trench_data(TRIDIAG, 2)
     assert data.exact is True
-    assert data.matrix_size == 2
+    assert data.n == 2
     det, roots = trench_vandermonde(TRIDIAG, 2)
     assert det == 21
     assert sum(mult for _, mult in roots) == 2
@@ -269,11 +270,16 @@ def test_gram_hand_values():
     assert gram_det([]).determinant == 1
 
 
-def test_gram_matrix_of_integral_vectors_is_integral():
-    gram = toeplitz._gram_matrix(band_rows([2, -1, 3], 4))
+def test_gram_matrix_of_integral_vectors_is_integral(monkeypatch):
+    seen = []
+    det_exact = toeplitz.det_exact
+    monkeypatch.setattr(toeplitz, "det_exact", lambda rows: seen.append(rows) or det_exact(rows))
+    gram_det(band_rows([2, -1, 3], 4))
+    gram = seen.pop()
     assert {type(x) for row in gram for x in row} == {int}
     assert gram[0][:3] == [14, -5, 6]
-    mixed = toeplitz._gram_matrix([[1, 2], [Fraction(1, 2), 1]])
+    assert gram_det([[1, 2], [Fraction(1, 2), 1]]).determinant == 0
+    mixed = seen.pop()
     assert mixed == [[5, Fraction(5, 2)], [Fraction(5, 2), Fraction(5, 4)]]
     assert [[type(x) for x in row] for row in mixed] == [[int, Fraction], [Fraction, Fraction]]
 
@@ -354,6 +360,55 @@ def test_lyons_rejects():
         lyons_ratio(SHIFT2, {1}, 0)
     with pytest.raises(DomainError):
         lyons_ratios(SHIFT2, {5}, 0)
+
+
+def test_lyons_rejects_a_zero_constant_coefficient():
+    with pytest.raises(DomainError, match="^coefficient sequence needs a nonzero constant entry$"):
+        lyons_ratios(IntPolynomial((0, 1, 1)), {1}, 3)
+
+
+@st.composite
+def lyons_cases(draw):
+    """Non-monic A of degree 1-5, l <= 40, and S empty, {1}, {d}, {1..d} or random."""
+    d = draw(st.integers(1, 5))
+    lead = draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1)))
+    constant = draw(st.integers(-9, 9).filter(bool))
+    coeffs = (constant, *(draw(st.integers(-9, 9)) for _ in range(d - 1)), lead)
+    chosen = draw(
+        st.sampled_from([(), (1,), (d,), tuple(range(1, d + 1))])
+        | st.lists(st.integers(1, d), max_size=d, unique=True).map(tuple)
+    )
+    return IntPolynomial(coeffs), chosen, draw(st.integers(1, 40))
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=50)
+@given(lyons_cases())
+# l_max < d: the corrected corner is l_max x l_max
+@example((IntPolynomial((3, -2, -9, -3, 9)), (1, 2, 3, 4), 2))
+@example((IntPolynomial((3, -2, -9, -3, 9)), (4,), 3))
+@example((IntPolynomial((-1, 4, 0, 0, 2, -5)), (1, 3, 5), 1))
+@example((IntPolynomial((1, 2, 3)), (2,), 1))
+def test_lyons_ratios_match_the_bordered_route(case):
+    poly, chosen, ell_max = case
+    assert lyons_ratios(poly, chosen, ell_max) == lyons_ratios_bordered(poly, chosen, ell_max)
+
+
+def test_lyons_hand_value_below_the_degree():
+    # G(A_0) = 1 + 4 + 9 and e_1, e_2 take a_0^2 + a_1^2 off it
+    assert lyons_ratios(IntPolynomial((1, 2, 3)), {1, 2}, 1) == [Fraction(9, 14)]
+
+
+def test_lyons_eliminates_two_matrices_of_order_ell_max(monkeypatch):
+    orders = []
+
+    def counted(rows):
+        orders.append(len(rows))
+        return leading_minors(rows)
+
+    monkeypatch.setattr(toeplitz, "leading_minors", counted)
+    lyons_ratios(IntPolynomial((3, -2, -9, -3, 9)), {1, 2, 3, 4}, 12)
+    assert orders == [12, 12]
 
 
 def test_lyons_ratio_converges():
