@@ -7,9 +7,11 @@ schema key, stable key order, and exact rationals rendered as integers or
 --format pretty prints an indented view.  `main` writes every report's
 envelope once: the schema, the command, the echo of the parsed polynomial
 (every subcommand but trench, which may take a raw symbol) and the inputs
-named in ECHOED; each `_cmd_*` handler returns only the fields it computes.
-Exit codes: 0 success, 1 domain error (structured error JSON on stdout),
-2 usage or parse error, or an --output path that cannot be written.
+named in ECHOED; each `_cmd_*` handler returns the fields it computes and
+the inputs that the schema renders under another name or as a rational
+(grid_resolution, bisection_tol, eps and matrix_size).  Exit codes: 0
+success, 1 domain error (structured error JSON on stdout), 2 usage or parse
+error, or an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 # ----- subcommand handlers -----
-# each returns only what it computes; main writes the envelope and the echo
+# each returns what it computes; main writes the envelope and the echo
 
 
 def _cmd_mahler(args, poly) -> dict:
@@ -184,28 +186,31 @@ def _cmd_critical_eps(args, poly) -> dict:
         "residue grid from the zonotope facets",
         file=sys.stderr,
     )
+    tol = _parse_rational(args.tol, "--tol")
     est = critical_epsilon(
         poly,
         args.m,
         grid_n=args.grid_n,
-        bisection_tol=_parse_rational(args.tol, "--tol"),
+        bisection_tol=tol,
         allow_large_grid=args.allow_large_grid,
     )
+    # lower equals estimate; it and the two echoed inputs are kept for the kronrec/1 schema
     return {
-        "lower": _rat(est.lower),
+        "lower": _rat(est.estimate),
         "upper": _rat(est.upper),
         "estimate": _rat(est.estimate),
         "estimate_float": _float(est.estimate),
-        "grid_resolution": est.grid_resolution,
-        "bisection_tol": _rat(est.bisection_tol),
+        "grid_resolution": args.grid_n,
+        "bisection_tol": _rat(tol),
         "method_notes": est.method_notes,
     }
 
 
 def _cmd_certify_nondense(args, poly) -> dict:
-    cert = certify_non_density(poly, args.m, _parse_rational(args.eps, "--eps"))
+    eps = _parse_rational(args.eps, "--eps")
+    cert = certify_non_density(poly, args.m, eps)
     return {
-        "eps": _rat(cert.eps),
+        "eps": _rat(eps),
         "volume_bound": _float(cert.volume_bound),
         "volume_bound_exact": _rat(cert.volume_bound),
         "certified": cert.certified,

@@ -65,7 +65,6 @@ MINOR_SUM_GUARD = 10**5
 
 @dataclass(frozen=True)
 class DensityBound:
-    poly: IntPolynomial
     eps_half_scaled: Interval
     eps_double_scaled: Interval
     eps_stated: Interval
@@ -106,7 +105,6 @@ def epsilon_bound(poly: IntPolynomial) -> DensityBound:
     plain = own.mahler("plain").interval
     coarse = plain.recip().scale(float(2 ** (poly.degree // 2)))
     return DensityBound(
-        poly=poly,
         eps_half_scaled=half,
         eps_double_scaled=dbl,
         eps_stated=interval_min(half, dbl),
@@ -120,7 +118,6 @@ def epsilon_bound(poly: IntPolynomial) -> DensityBound:
 
 @dataclass(frozen=True)
 class RealFactorization:
-    poly: IntPolynomial
     b_coeffs: tuple[float, ...]
     c_coeffs: tuple[float, ...]
     eps: float
@@ -165,13 +162,11 @@ def factor_real(poly: IntPolynomial) -> RealFactorization:
     eps = 1.0 / abs(b_coeffs[0])
     for gamma in c_roots:
         eps /= 1.0 - abs(gamma)
-    return RealFactorization(poly=poly, b_coeffs=b_coeffs, c_coeffs=c_coeffs, eps=eps)
+    return RealFactorization(b_coeffs=b_coeffs, c_coeffs=c_coeffs, eps=eps)
 
 
 @dataclass(frozen=True)
 class DensityWitness:
-    poly: IntPolynomial
-    m: int
     target: tuple[float, ...]
     w: tuple[float, ...]
     k: tuple[int, ...]
@@ -265,8 +260,6 @@ def witness(
             f"{eps / 2:.6g}, row residual {float(miss):.3e} against {WITNESS_RESIDUAL_TOL:.3e}"
         )
     return DensityWitness(
-        poly=poly,
-        m=m,
         target=tuple(tvec),
         w=tuple(w),
         k=tuple(k),
@@ -492,13 +485,8 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
 
 @dataclass(frozen=True)
 class CriticalEpsilonEstimate:
-    poly: IntPolynomial
-    m: int
-    lower: Fraction
     upper: Fraction
     estimate: Fraction
-    grid_resolution: int
-    bisection_tol: Fraction
     method_notes: str
 
 
@@ -521,13 +509,13 @@ def critical_epsilon(
     costs c . js per facet: its nearest offset -round(j / grid_n) (half to
     even) is read from a table per residue j, its offset box comes from the
     integer _offset_box, and its stop is the numerator of half the running
-    threshold; a Fraction is built only when the threshold rises.  lower and
-    estimate are that threshold.  The reported upper bound adds the
-    declared grid margin (m - d)/grid_n for targets between grid points,
-    capped at the certified refined threshold which covers the whole torus;
-    a grid threshold above that cap raises CertificateError, and more than
+    threshold; a Fraction is built only when the threshold rises.  estimate
+    is that threshold.  The reported upper bound adds the declared grid
+    margin (m - d)/grid_n for targets between grid points, capped at the
+    certified refined threshold which covers the whole torus; a grid
+    threshold above that cap raises CertificateError, and more than
     COVERING_OFFSET_GUARD grid targets raise DomainError before any work.
-    bisection_tol is validated and echoed but no longer affects the result.
+    bisection_tol is validated only and no longer affects the result.
     """
     d = poly.degree
     ell = m - d
@@ -545,8 +533,7 @@ def critical_epsilon(
         raise DomainError(
             f"the grid has {targets} targets, grid_n^{ell}, above the guard {COVERING_OFFSET_GUARD}"
         )
-    tol = coerce_rational(bisection_tol)
-    if tol <= 0:
+    if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(_refined_threshold(poly)[1].hi)
     unit, rows = _gauge_rows(_zonotope_facets(poly, m))
@@ -583,13 +570,8 @@ def critical_epsilon(
         f"certified torus-wide threshold {float(cap):.6g}"
     )
     return CriticalEpsilonEstimate(
-        poly=poly,
-        m=m,
-        lower=tau,
         upper=min(tau + margin, cap),
         estimate=tau,
-        grid_resolution=grid_n,
-        bisection_tol=tol,
         method_notes=notes,
     )
 
@@ -599,9 +581,6 @@ def critical_epsilon(
 
 @dataclass(frozen=True)
 class NonDensityCertificate:
-    poly: IntPolynomial
-    m: int
-    eps: Fraction
     volume_bound: Fraction
     certified: bool
 
@@ -634,6 +613,4 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
         e ** (m - p) * sum(map(abs, itertools.chain.from_iterable(level.values())))
         for p, (_, level) in levels
     )
-    return NonDensityCertificate(
-        poly=poly, m=m, eps=e, volume_bound=total, certified=total < 1
-    )
+    return NonDensityCertificate(volume_bound=total, certified=total < 1)

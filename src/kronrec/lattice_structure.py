@@ -153,10 +153,6 @@ class SegmentCertificate:
 
 @dataclass(frozen=True)
 class CanonicalBasisM:
-    poly: IntPolynomial
-    p: int
-    m: int
-    pivot_rule: str
     pivot_segment: int
     polygon: NewtonPolygon
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -326,10 +322,6 @@ def canonical_basis_M(
     vals, segments = check_basis_certificate(poly, polygon, s, m, matrix)
 
     return CanonicalBasisM(
-        poly=poly,
-        p=p,
-        m=m,
-        pivot_rule=pivot_rule,
         pivot_segment=s,
         polygon=polygon,
         matrix=tuple(tuple(row) for row in matrix),
@@ -340,8 +332,6 @@ def canonical_basis_M(
 
 @dataclass(frozen=True)
 class LatticeBases:
-    poly: IntPolynomial
-    m: int
     z_basis: tuple[tuple[int, ...], ...]
     index: int
 
@@ -392,8 +382,6 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     if m > d and gram_det(z_rows).determinant != trench_det(symbol, m - d):
         raise CertificateError("Z-basis does not span the whole integral lattice")
     return LatticeBases(
-        poly=poly,
-        m=m,
         z_basis=tuple(tuple(row) for row in z_rows),
         index=math.prod(row[i] for i, row in enumerate(coords)),
     )

@@ -255,7 +255,7 @@ class ComplexRootSet:
     def mahler(self, variant: str = "plain") -> MahlerMeasure:
         """A Mahler variant folded over these roots; "conjugate" is "plain": M(reversal) = M(A)."""
         acc = self._product(_MAHLER_FACTORS[variant])
-        return MahlerMeasure(value=acc.mid, error=acc.halfwidth, variant=variant)
+        return MahlerMeasure(value=acc.mid, error=acc.halfwidth)
 
     def refined_product(self) -> Interval:
         """|a_d| * prod max(|alpha|, 1 - |alpha|) over the roots."""
@@ -499,7 +499,6 @@ def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
 class MahlerMeasure:
     value: float
     error: float
-    variant: str
 
     @property
     def interval(self) -> Interval:

@@ -115,7 +115,6 @@ def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TrenchData:
-    n: int
     determinant: Fraction
 
     @property
@@ -145,7 +144,7 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
         h.append(-sum(w * h[t - i] for i, w in enumerate(weights[:t], 1)))
     minor = det_exact([[h[n - i + j] if n - i + j >= 0 else 0 for j in range(s)] for i in range(s)])
     det = (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
-    return TrenchData(n, det)
+    return TrenchData(det)
 
 
 def trench_det(symbol: LaurentSymbol, n: int) -> Fraction:
@@ -222,8 +221,6 @@ def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    poly: IntPolynomial
-    ell_max: int
     determinants: tuple[Fraction, ...]
     ratios: tuple[Fraction, ...]
     mahler_squared: Interval
@@ -250,8 +247,6 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
     ratios = tuple(dets[i + 1] / dets[i] for i in range(len(dets) - 1))
     m = mahler_measure(poly).interval
     return GrowthReport(
-        poly=poly,
-        ell_max=ell_max,
         determinants=dets,
         ratios=ratios,
         mahler_squared=m.mul(m),

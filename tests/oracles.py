@@ -440,8 +440,7 @@ def critical_epsilon_per_target(
         raise DomainError(
             f"the grid has {targets} targets, grid_n^{ell}, above the guard {COVERING_OFFSET_GUARD}"
         )
-    tol = coerce_rational(bisection_tol)
-    if tol <= 0:
+    if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(epsilon_bound(poly).eps_refined.hi)
     facets = _zonotope_facets(poly, m)
@@ -475,13 +474,8 @@ def critical_epsilon_per_target(
         f"certified torus-wide threshold {float(cap):.6g}"
     )
     return CriticalEpsilonEstimate(
-        poly=poly,
-        m=m,
-        lower=tau,
         upper=min(tau + margin, cap),
         estimate=tau,
-        grid_resolution=grid_n,
-        bisection_tol=tol,
         method_notes=notes,
     )
 

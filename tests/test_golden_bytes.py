@@ -26,7 +26,12 @@ of eps_refined in the bound reports of 3,-2,-9,-3,9, -1,-1,1, 1,0,2,0,1,
 digests and the csv and pretty RENDERINGS were recorded before the report
 envelope (schema, command, the polynomial and the echoed inputs) moved out
 of the handlers into `main`, so they pin the report shapes that no other
-digest covers.  A failing digest prints the report it hashed.
+digest covers.  The basis, index and gram-growth digests after the newton
+pair, and the critical-eps and certify-nondense renderings, were recorded
+before the result records stopped echoing their inputs (`--tol 1/7`, the
+decimal `--eps 0.4`, the positive pivot rule), so they pin the values that
+`main` and the handlers now write from the parsed arguments.  A failing
+digest prints the report it hashed.
 """
 
 import hashlib
@@ -98,12 +103,17 @@ GOLDEN = [
     ("trench --autocorrelate --n 60 -6,1,1", "29017fc4800b37f1fe98ee396d93733f247943d172fba39cb325f9fe1094738f"),
     ("newton --p 3 3,-2,-9,-3,9", "91dc5e743c9250f2fe626d65b469669152b72cb86ce7954ede73750101aa0a6a"),
     ("newton --p 2 4,-6,1,2", "df6da24f4a8728e22c7d75b1e57bc4a43f968b6633fa3406b40d85c05f27670c"),
+    ("basis --p 2 --m 7 --pivot-rule positive 6,-5,1,4", "1bbe194241d865eed40a678907d51bd9de0158f4aac2716521b5d0429a8f3ed4"),
+    ("index --m 6 2,0,-3,5", "15617fda9e72094fe020abf67d693d6a9af001dd46f1b98a093d5510d8372c72"),
+    ("gram-growth --ell-max 20 1,3,-4,0,2,-1,5", "a4f492c5ec33a4cae0d978c1ef44f1bf7f9caa6030814a856f07061d6f84542a"),
 ]
 
 # the non-JSON renderings of the same payloads
 RENDERINGS = [
     ("--format csv index --m 3 -3,2", "b67f1eb51cbc8bf03bb7b1dd5bd0616a6d5465e5c8118fe74c21673d6d4f8c30"),
     ("--format pretty bound -2,1", "b69e1599e9e87ff593fada5249488b83d2c0059ef734afd61ded165bdcc2612d"),
+    ("--format csv critical-eps --m 4 --tol 1/7 -1,-1,1", "b8de55ab15d42a531f4a1a1f7030ee7fcfc9e87eaba50423a640c8da47d4d9a5"),
+    ("--format pretty certify-nondense --m 6 --eps 0.4 3,-2,-9,-3,9", "8936bb4871e3b369b669c97f1e84615d689bcc63d33666dca6e451fb092665ac"),
 ]
 
 

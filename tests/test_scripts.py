@@ -1,4 +1,4 @@
-"""In-process smoke runs of the experiment scripts."""
+"""In-process smoke runs of the experiment scripts and of the README's library example."""
 
 import runpy
 import sys
@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_threshold_sweep_table(monkeypatch, capsys):
@@ -45,3 +46,11 @@ def test_lyons_convergence_table(monkeypatch, capsys):
     # D_l / D_{l-1} of x^2 - x - 1 closes in on M^2, the golden ratio squared
     assert float(growth[1][2]) < float(growth[0][2]) < 1e-2
     assert abs(float(coords[1][1]) - (5**0.5 - 1) / 2) < 1e-4
+
+
+def test_readme_library_example_runs(capsys):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    # the value the block's last comment states
+    assert capsys.readouterr().out.splitlines()[-1] == "True 163456/390625"

@@ -126,7 +126,6 @@ def test_trench_matches_direct_hand_values():
     assert trench_det(TRIDIAG, 3) == Fraction(85)
     data = trench_data(TRIDIAG, 2)
     assert data.exact is True
-    assert data.n == 2
     det, roots = trench_vandermonde(TRIDIAG, 2)
     assert det == 21
     assert sum(mult for _, mult in roots) == 2
