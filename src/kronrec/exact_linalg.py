@@ -5,11 +5,15 @@ integer_kernel) validate integrality.  clear_denominators, the one rational
 coercer, turns exact rows into integers for every integer route, and
 clear_floats does the same for the binary values of floats; determinant,
 leading minors and solve share one fraction-free Bareiss elimination on them.
-The elimination skips zeros: a row with a zero in the pivot column is left
-alone and the factor it owes is paid exactly later, since every Bareiss
-intermediate is a minor, and updates stop where the rows' nonzeros end.  So
-the banded Toeplitz and Gram matrices of the symbol A(x)A(1/x) cost O(L d^2)
-operations at order L and half-bandwidth d, and dense ones O(L^3) as before.
+The elimination works on row spans: a row is stored from a start column to
+its last entry, a dense matrix being rows that start at column 0, and
+det_exact and leading_minors take the starts as an optional argument.  A row
+joins the pass at the step that reaches its start, a row with a zero in the
+pivot column is left alone and pays the factor it owes exactly later, since
+every Bareiss intermediate is a minor, and updates stop where the spans end.
+So the banded Toeplitz and Gram matrices of the symbol A(x)A(1/x) cost
+O(L d^2) at order L and half-bandwidth d, bookkeeping included, and dense
+ones O(L^3).
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced into [0, pivot), so the form is unique: one lattice, one HNF.
@@ -18,6 +22,7 @@ Re-running hnf on its own output is the identity.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -231,119 +236,161 @@ def clear_floats(values: Sequence[float]) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by its denominator lcm; returns (integer matrix, row scales).
+def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
+    """Scale each row by its denominator lcm; returns (integer rows, row scales).
 
     An integer matrix, the common case, is recognised by one scan of the
-    entry types at C speed and skips the per-row calls; bools and Fractions
-    take the per-row route.
+    entry types at C speed and skips the per-row calls, and its rows are not
+    copied, since the elimination never writes into them; bools and
+    Fractions take the per-row route.
     """
     if {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-        return list(map(list, rows)), [1] * len(rows)
+        return list(rows), [1] * len(rows)
     cleared = [clear_denominators(r) for r in rows]
     return [ints for ints, _ in cleared], [den for _, den in cleared]
 
 
-def _row_end(row: list[int]) -> int:
-    """One past the last nonzero entry of row; 0 for a zero row."""
-    return next(itertools.compress(range(len(row), 0, -1), reversed(row)), 0)
+def _square_spans(rows: Sequence[Sequence], starts: Sequence[int] | None, message: str) -> list[int]:
+    """The start column of each row of a square matrix; None means column 0 for every row."""
+    n = len(rows)
+    if starts is None:
+        if {*map(len, rows)} - {n}:
+            raise DomainError(message)
+        return [0] * n
+    ends = map(operator.add, starts, map(len, rows))
+    if len(starts) != n or (n and (min(starts) < 0 or max(ends) > n)):
+        raise DomainError(message)
+    return list(starts)
 
 
-def _bareiss(a: list[list[int]], steps: int) -> int | None:
-    """Fraction-free elimination of the first `steps` columns of `a`, in place.
+def _entry(row: Sequence[int], start: int, col: int) -> int:
+    """The entry in column col of a row span that starts at column `start`."""
+    j = col - start
+    return row[j] if 0 <= j < len(row) else 0
 
-    Step k replaces each row below the pivot p_k = a[k][k] by
-    (row * p_k - row[k] * pivot row) / p_{k-1}, with p_{-1} = 1; the
-    division is exact, since every intermediate entry is a minor of the
-    input.  While no rows are swapped, p_k is the (k+1)-th leading principal
-    minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot is swapped for the
-    first nonzero entry below it.  Entries left of the diagonal are not
-    cleared: callers read only the upper triangle.  Returns the number of
-    row swaps, or None when a column has no pivot.
 
-    The pass skips zeros, so a banded matrix of order L and half-bandwidth
-    d costs O(L d^2) operations, not O(L^3).  A row whose entry in the pivot
-    column is 0 is left as it is: the update would only scale it by
-    p_k / p_{k-1}, so a row last updated at step t holds the dense pass's
-    values divided by p_{k-1} / p_t.  Both are minors, so the owed factor is
-    paid exactly when it falls due: folded into the row's next update, which
-    divides by p_t in place of p_{k-1}; in one pass when the row becomes the
-    pivot row; and at the end for the rows past `steps`, since pivot rows
-    are final.  Each row also keeps the end of its nonzero entries, and an
-    update stops at the further of its own end and the pivot row's: zeros
-    past both stay zero.
+def _bareiss(rows: list[Sequence[int]], starts: list[int], steps: int) -> int | None:
+    """Fraction-free elimination of the first `steps` columns of row spans, in place.
+
+    rows[i] holds the entries of row i from column starts[i] on; the rest
+    of the row is 0.  Step k replaces each row below the pivot p_k, the
+    entry in column k of row k, by (row * p_k - row[k] * pivot row) / p_{k-1},
+    with p_{-1} = 1; the division is exact, since every intermediate entry
+    is a minor of the input.  While no rows are swapped, p_k is the (k+1)-th
+    leading principal minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot
+    is swapped for the first nonzero entry below it.  An updated row is
+    stored from column k + 1, since callers read only the upper triangle,
+    to the further of its own end and the pivot row's: zeros past both stay
+    zero.  Rows are replaced, never written into, so the input's survive.
+    Returns the number of row swaps, or None when a column has no pivot.
+
+    A row joins the rows below the pivot at the step that reaches its
+    start, and one whose entry in the pivot column is 0 is left as it is:
+    the update would only scale it by p_k / p_{k-1}, so a row last updated
+    at step t holds the dense pass's values divided by p_{k-1} / p_t.  Both
+    are minors, so the owed factor is paid exactly when it falls due: folded
+    into the row's next update, which divides by p_t in place of p_{k-1}; in
+    one pass when the row becomes the pivot row; and at the end for the rows
+    past `steps`, since pivot rows are final.  No step visits a row that has
+    not joined and no row is scanned for its end, so a band of order L and
+    half-bandwidth d costs O(L d^2) in bookkeeping as in arithmetic.
     """
-    n = len(a)
-    ends = [len(r) if r[-1] else _row_end(r) for r in a]  # row i is 0 from column ends[i] on
+    n = len(rows)
     lags = [1] * n  # lags[i] = p_t, t the last step that updated row i (p_{-1} = 1)
+    # rows yet to join, the latest start first; the joined ones in row order
+    if any(starts):
+        waiting = sorted([i for i in range(n) if starts[i]], key=starts.__getitem__, reverse=True)
+        active = [i for i in range(n) if not starts[i]]
+    else:
+        waiting, active = [], list(range(n))
     swaps = 0
     prev = 1
     for k in range(steps):
-        row = a[k]
-        if row[k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+        while waiting and starts[waiting[-1]] <= k:
+            bisect.insort(active, waiting.pop())
+        row = rows[k]
+        at = k - starts[k]
+        if at >= 0:
+            del active[0]  # row k leaves the rows below the pivot
+        if at < 0 or at >= len(row) or not row[at]:
+            swap = next((i for i in active if _entry(rows[i], starts[i], k)), None)
             if swap is None:
                 return None
-            a[k], a[swap] = a[swap], row
-            ends[k], ends[swap] = ends[swap], ends[k]
+            rows[k], rows[swap] = rows[swap], row
+            starts[k], starts[swap] = starts[swap], starts[k]
             lags[k], lags[swap] = lags[swap], lags[k]
             swaps += 1
-            row = a[k]
-        end = ends[k]
+            if at < 0:  # the row moved down has not joined: it waits in its new place
+                active.remove(swap)
+                waiting[waiting.index(k)] = swap
+            row = rows[k]
+            at = k - starts[k]
         lag = lags[k]
         if lag != prev:
-            row[k:end] = [x * prev // lag for x in row[k:end]]
-        pivot = row[k]
-        pivot_tail = row[k + 1 :]
-        for i in range(k + 1, n):
-            r = a[i]
-            f = r[k]
-            if f:
-                hi = ends[i]
-                if hi < end:
-                    hi = ends[i] = end
+            row = rows[k] = [x * prev // lag for x in row[at:]]
+            starts[k] = k
+            at = 0
+        pivot = row[at]
+        pivot_tail = row[at + 1 :]
+        width = len(pivot_tail)
+        for i in active:
+            r = rows[i]
+            j = k + 1 - starts[i]  # r[j - 1] is the entry in column k
+            if j <= len(r) and (f := r[j - 1]):
                 lag = lags[i]
-                r[k + 1 : hi] = [(x * pivot - f * y) // lag for x, y in zip(r[k + 1 : hi], pivot_tail)]
+                tail = r[j:]
+                if len(tail) == width:
+                    pairs = zip(tail, pivot_tail)
+                else:
+                    pairs = itertools.zip_longest(tail, pivot_tail, fillvalue=0)
+                rows[i] = [(x * pivot - f * y) // lag for x, y in pairs]
+                starts[i] = k + 1
                 lags[i] = pivot
         prev = pivot
     for i in range(steps, n):
         lag = lags[i]
         if lag != prev:
-            r, end = a[i], ends[i]
-            r[steps:end] = [x * prev // lag for x in r[steps:end]]
+            at = max(steps - starts[i], 0)
+            rows[i] = [x * prev // lag for x in rows[i][at:]]
+            starts[i] += at
     return swaps
 
 
-def det_exact(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if {*map(len, rows)} - {n}:
-        raise DomainError("determinant needs a square matrix")
+def det_exact(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> Fraction:
+    """Determinant by fraction-free Bareiss elimination.
+
+    With `starts`, rows[i] holds row i from column starts[i] to the row's
+    last stored entry, and the rest of the row is 0.
+    """
+    starts = _square_spans(rows, starts, "determinant needs a square matrix")
     a, scales = _clear_row_denominators(rows)
     if not a:
         return Fraction(1)
-    swaps = _bareiss(a, n - 1)
+    n = len(a)
+    swaps = _bareiss(a, starts, n - 1)
     if swaps is None:
         return Fraction(0)
-    det = -a[-1][-1] if swaps % 2 else a[-1][-1]
+    det = _entry(a[-1], starts[-1], n - 1)
+    det = -det if swaps % 2 else det
     den = math.prod(scales)
     return Fraction(det) if den == 1 else Fraction(det, den)
 
 
-def leading_minors(rows: Sequence[Sequence]) -> list[Fraction]:
+def leading_minors(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> list[Fraction]:
     """Leading principal minors D_1..D_n from the pivots of one Bareiss pass.
 
     Rows are never swapped, so the pass stops with SingularMatrixError
-    when some D_k with k < n vanishes; D_n itself may be zero.
+    when some D_k with k < n vanishes; D_n itself may be zero.  `starts`
+    gives row spans, as for det_exact.
     """
-    if any(len(r) != len(rows) for r in rows):
-        raise DomainError("leading minors need a square matrix")
+    starts = _square_spans(rows, starts, "leading minors need a square matrix")
     a, scales = _clear_row_denominators(rows)
-    if a and _bareiss(a, len(a) - 1) != 0:
+    if a and _bareiss(a, starts, len(a) - 1) != 0:
         raise SingularMatrixError("a leading principal minor vanished")
     # D_k is the k-th pivot over the product of the first k row scales
     prefix = itertools.accumulate(scales, operator.mul)
-    return [Fraction(row[k], scale) for k, (row, scale) in enumerate(zip(a, prefix))]
+    pivots = map(_entry, a, starts, itertools.count())
+    return [Fraction(p) if scale == 1 else Fraction(p, scale) for p, scale in zip(pivots, prefix)]
 
 
 def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -359,14 +406,21 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[
     if any(len(r) != width for r in b_rows):
         raise DomainError("ragged B")
     a, _ = _clear_row_denominators([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
-    if _bareiss(a, n) is None:
+    starts = [0] * n
+    if _bareiss(a, starts, n) is None:
         raise SingularMatrixError("singular matrix in solve_exact")
-    # dx = det * x is integral by Cramer's rule, so every step below divides exactly
-    det = a[n - 1][n - 1]
-    dx = [[0] * width for _ in range(n)]
-    for col in range(width):
-        for i in reversed(range(n)):
-            tail = sum(a[i][j] * dx[j][col] for j in range(i + 1, n))
-            dx[i][col] = (det * a[i][n + col] - tail) // a[i][i]
+    # every row runs to the last column of [A | B], so row i from column i on
+    # is a[i][i - starts[i]:]; and dx = det * x is integral by Cramer's rule,
+    # so the division that ends each row of dx is exact
+    det = _entry(a[n - 1], starts[n - 1], n - 1)
+    dx = [None] * n
+    for i in reversed(range(n)):
+        row = a[i][i - starts[i] :]
+        acc = [det * y for y in row[n - i :]]
+        for j in range(i + 1, n):
+            c = row[j - i]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, dx[j])]
+        pivot = row[0]
+        dx[i] = [x // pivot for x in acc]
     return [[Fraction(v, det) for v in row] for row in dx]
-

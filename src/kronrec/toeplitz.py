@@ -25,6 +25,10 @@ the leading deg B x deg B corner of G_l changes.
 Symbols are kept rational-real: every coefficient is stored as a Fraction,
 which covers all symbols of the form B(x)B(1/x) for rational B; the exact
 routes scale them to integers once and slice every Toeplitz row from those.
+A row is a band slice: the at most r + s + 1 entries from its first band
+column to its last, with its start column beside it, and the elimination
+runs on those spans, so a matrix of order L is built and eliminated in
+O(L (r + s)^2) steps with no zero outside the band ever stored.
 """
 
 from __future__ import annotations
@@ -94,20 +98,25 @@ class LaurentSymbol:
         return cls(tuple(cs), width, width)
 
 
-def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], int]:
-    """(rows, den): den the lcm of the symbol's denominators, rows[j][k] = den * c_{k-j}."""
-    c, den = clear_denominators(symbol.coeffs)
-    padded = [0] * (size - 1) + c + [0] * (size - 1)
-    start = size - 1 + symbol.r  # padded[start + k - j] is den * c_{k-j}
-    return [padded[start - j : start - j + size] for j in range(size)], den
+def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], list[int], int]:
+    """(rows, starts, den) of the size x size matrix with entry (j, k) = den * c_{k-j}.
+
+    den is the lcm of the symbol's denominators.  Row j is its band slice:
+    the columns k from starts[j] = max(j - r, 0) up to min(j + s, size - 1),
+    the only ones where c_{k-j} can be nonzero.
+    """
+    c, den = clear_denominators(symbol.coeffs)  # c[i] is den * c_{i-r}
+    r = symbol.r
+    starts = [max(j - r, 0) for j in range(size)]
+    return [c[s - j + r : size - j + r] for j, s in enumerate(starts)], starts, den
 
 
 def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
     """Exact determinant of the (n+1) x (n+1) matrix with entry (j,k) = c_{k-j}."""
     if n < 0:
         raise DomainError("matrix size index n must be >= 0")
-    rows, den = _toeplitz_rows(symbol, n + 1)
-    return det_exact(rows) / den ** (n + 1)
+    rows, starts, den = _toeplitz_rows(symbol, n + 1)
+    return det_exact(rows, starts) / den ** (n + 1)
 
 
 # ----- Trench's closed form -----
@@ -205,13 +214,18 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     if a[0] == 0:
         raise DomainError("coefficient sequence needs a nonzero constant entry")
     # A is integral, so its symbol's rows need no scale: den = 1
-    rows, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
-    denominators = leading_minors(rows)  # eliminates a copy: rows stays as built
+    rows, starts, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
+    denominators = leading_minors(rows, starts)  # the pass leaves rows as built
+    # r = s = d, so each row of the corner starts at column 0 and covers its columns
     corner = min(d, ell_max)
     for r in range(corner):
         for c in range(corner):
             rows[r][c] -= sum(a[i - 1 - r] * a[i - 1 - c] for i in chosen if i > max(r, c))
-    return [num / den for num, den in zip(leading_minors(rows), denominators)]
+    # every minor is an integer: one normalisation per ratio
+    return [
+        Fraction(num.numerator, den.numerator)
+        for num, den in zip(leading_minors(rows, starts), denominators)
+    ]
 
 
 def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
@@ -239,12 +253,14 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
     if ell_max < 1:
         raise DomainError("growth study needs ell_max >= 1")
     # B is integral, so its symbol's rows need no scale: den = 1
-    rows, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
+    rows, starts, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
     try:
-        dets = tuple(leading_minors(rows))
+        dets = tuple(leading_minors(rows, starts))
     except SingularMatrixError as exc:
         raise CertificateError("a Gram determinant of independent rows vanished") from exc
-    ratios = tuple(dets[i + 1] / dets[i] for i in range(len(dets) - 1))
+    # every D_l is an integer: Fraction(D_{l+1}, D_l) normalises once
+    pivots = [det.numerator for det in dets]
+    ratios = tuple(map(Fraction, pivots[1:], pivots))
     m = mahler_measure(poly).interval
     return GrowthReport(
         determinants=dets,

@@ -207,6 +207,80 @@ def dense_bareiss(a: list[list[int]], steps: int) -> int | None:
     return swaps
 
 
+def _row_end(row: list[int]) -> int:
+    """One past the last nonzero entry of row; 0 for a zero row."""
+    return next(itertools.compress(range(len(row), 0, -1), reversed(row)), 0)
+
+
+def zero_skipping_bareiss(a: list[list[int]], steps: int) -> int | None:
+    """exact_linalg._bareiss before it stored row spans: dense rows, zeros skipped.
+
+    Fraction-free elimination of the first `steps` columns of `a`, in place.
+
+    Step k replaces each row below the pivot p_k = a[k][k] by
+    (row * p_k - row[k] * pivot row) / p_{k-1}, with p_{-1} = 1; the
+    division is exact, since every intermediate entry is a minor of the
+    input.  While no rows are swapped, p_k is the (k+1)-th leading principal
+    minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot is swapped for the
+    first nonzero entry below it.  Entries left of the diagonal are not
+    cleared: callers read only the upper triangle.  Returns the number of
+    row swaps, or None when a column has no pivot.
+
+    The pass skips zeros, so a banded matrix of order L and half-bandwidth
+    d costs O(L d^2) arithmetic operations, not O(L^3); but every step still
+    visits every row below the pivot, and every row's end is found by a scan
+    of the dense row, so the bookkeeping stays O(L^2).  A row whose entry in the pivot
+    column is 0 is left as it is: the update would only scale it by
+    p_k / p_{k-1}, so a row last updated at step t holds the dense pass's
+    values divided by p_{k-1} / p_t.  Both are minors, so the owed factor is
+    paid exactly when it falls due: folded into the row's next update, which
+    divides by p_t in place of p_{k-1}; in one pass when the row becomes the
+    pivot row; and at the end for the rows past `steps`, since pivot rows
+    are final.  Each row also keeps the end of its nonzero entries, and an
+    update stops at the further of its own end and the pivot row's: zeros
+    past both stay zero.
+    """
+    n = len(a)
+    ends = [len(r) if r[-1] else _row_end(r) for r in a]  # row i is 0 from column ends[i] on
+    lags = [1] * n  # lags[i] = p_t, t the last step that updated row i (p_{-1} = 1)
+    swaps = 0
+    prev = 1
+    for k in range(steps):
+        row = a[k]
+        if row[k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return None
+            a[k], a[swap] = a[swap], row
+            ends[k], ends[swap] = ends[swap], ends[k]
+            lags[k], lags[swap] = lags[swap], lags[k]
+            swaps += 1
+            row = a[k]
+        end = ends[k]
+        lag = lags[k]
+        if lag != prev:
+            row[k:end] = [x * prev // lag for x in row[k:end]]
+        pivot = row[k]
+        pivot_tail = row[k + 1 :]
+        for i in range(k + 1, n):
+            r = a[i]
+            f = r[k]
+            if f:
+                hi = ends[i]
+                if hi < end:
+                    hi = ends[i] = end
+                lag = lags[i]
+                r[k + 1 : hi] = [(x * pivot - f * y) // lag for x, y in zip(r[k + 1 : hi], pivot_tail)]
+                lags[i] = pivot
+        prev = pivot
+    for i in range(steps, n):
+        lag = lags[i]
+        if lag != prev:
+            r, end = a[i], ends[i]
+            r[steps:end] = [x * prev // lag for x in r[steps:end]]
+    return swaps
+
+
 def snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Smith normal form: elementary divisors d_1 | d_2 | ..., zeros trailing.
 

@@ -581,9 +581,9 @@ def test_facets_and_volume_take_no_elimination(monkeypatch):
     calls = []
     real = exact_linalg._bareiss
 
-    def counted(a, steps):
-        calls.append(len(a))
-        return real(a, steps)
+    def counted(rows, starts, steps):
+        calls.append(len(rows))
+        return real(rows, starts, steps)
 
     monkeypatch.setattr(exact_linalg, "_bareiss", counted)
     for poly, m in ((GOLDEN, 12), (WORKED, 9), (IntPolynomial((2, -3, 1, 4)), 10)):

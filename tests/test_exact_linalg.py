@@ -25,7 +25,14 @@ from kronrec.exact_linalg import (
     solve_exact,
 )
 from kronrec.recurrence_matrices import band_rows
-from oracles import dense_bareiss, hnf_two_matrices, kernel_two_matrices, p_adic_valuation, snf
+from oracles import (
+    dense_bareiss,
+    hnf_two_matrices,
+    kernel_two_matrices,
+    p_adic_valuation,
+    snf,
+    zero_skipping_bareiss,
+)
 
 small_ints = st.integers(-30, 30)
 
@@ -277,7 +284,7 @@ def test_leading_minors_hand_values():
         leading_minors([[1, 2]])
 
 
-# ----- the zero-skipping elimination against the dense oracle -----
+# ----- the span elimination against the dense oracles -----
 
 
 @st.composite
@@ -320,11 +327,71 @@ def singular_matrices(draw):
     return [[sum(map(operator.mul, row, col)) for col in zip(*v)] if r else [0] * n for row in u]
 
 
-def _echelon(engine, rows, steps):
-    """Swap count and the entries callers read: row i from column min(i, steps) on."""
+@st.composite
+def late_start_matrices(draw):
+    """Rows in any order, each from a drawn first nonzero column on, some right of the diagonal.
+
+    A row that starts right of its own diagonal has not joined when its step
+    comes, so the swap must bring up a row that joined late, or one that
+    joined early and waited.
+    """
+    n = draw(st.integers(2, 8))
+    entry = st.sampled_from((0, 0, 1, -1, 2, -3, 5))
+    rows = []
+    for _ in range(n):
+        first = draw(st.integers(0, n - 1))
+        lead = draw(st.sampled_from((1, -1, 2, -3)))
+        rows.append([0] * first + [lead] + [draw(entry) for _ in range(n - 1 - first)])
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def zero_row_matrices(draw):
+    """A banded or sparse matrix with some of its rows zeroed."""
+    rows = draw(st.one_of(banded_matrices(max_n=8), sparse_matrices()))
+    zeroed = draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+    return [[0] * len(row) if i in zeroed else row for i, row in enumerate(rows)]
+
+
+def _spans(rows):
+    """(rows, starts) storing each row from its first nonzero to its last; a zero row is empty."""
+    starts, spans = [], []
+    for row in rows:
+        nz = [k for k, x in enumerate(row) if x]
+        first, last = (nz[0], nz[-1] + 1) if nz else (len(row), len(row))
+        starts.append(first)
+        spans.append(row[first:last])
+    return spans, starts
+
+
+def _echelon(rows, steps):
+    """Swap count and the entries callers read, row i from column min(i, steps) on.
+
+    The span engine runs on the rows' spans, and its rows are densified
+    again to be read.
+    """
+    width = len(rows[0])
+    spans, starts = _spans(rows)
+    swaps = _bareiss(spans, starts, steps)
+    if swaps is None:
+        return None, None
+    for start, span in zip(starts, spans):
+        assert 0 <= start and start + len(span) <= width
+    dense = [[0] * s + list(r) + [0] * (width - s - len(r)) for s, r in zip(starts, spans)]
+    return swaps, [row[min(i, steps) :] for i, row in enumerate(dense)]
+
+
+def _oracle_echelon(engine, rows, steps):
+    """_echelon for a dense engine of the oracles."""
     a = [list(r) for r in rows]
     swaps = engine(a, steps)
     return swaps, None if swaps is None else [row[min(i, steps) :] for i, row in enumerate(a)]
+
+
+def _agrees(rows, steps):
+    want = _oracle_echelon(dense_bareiss, rows, steps)
+    assert _echelon(rows, steps) == want
+    assert _oracle_echelon(zero_skipping_bareiss, rows, steps) == want
 
 
 @seed(20261018)
@@ -336,6 +403,8 @@ def _echelon(engine, rows, steps):
         sparse_matrices(),
         singular_matrices(),
         banded_matrices(entries=small_rationals, max_n=7),
+        late_start_matrices(),
+        zero_row_matrices(),
     )
 )
 def test_elimination_agrees_with_the_dense_oracle(rows):
@@ -345,14 +414,18 @@ def test_elimination_agrees_with_the_dense_oracle(rows):
     rhs = [[i + 1, (-1) ** i] for i in range(n)]
     # every pivot and every entry right of the diagonal, for det, minors and solve
     for a, steps in ((ints, n - 1), (ints, n), ([r + b for r, b in zip(ints, rhs)], n)):
-        assert _echelon(_bareiss, a, steps) == _echelon(dense_bareiss, a, steps)
+        _agrees(a, steps)
     a = [list(r) for r in ints]
     swaps = dense_bareiss(a, n - 1)
     det = Fraction(0) if swaps is None else Fraction((-1) ** swaps * a[-1][-1], math.prod(dens))
+    spans, starts = _spans(rows)
     assert det_exact(rows) == det
+    assert det_exact(spans, starts) == det
     if swaps == 0:
         prefix = itertools.accumulate(dens, operator.mul)
-        assert leading_minors(rows) == [Fraction(row[k], s) for k, (row, s) in enumerate(zip(a, prefix))]
+        want = [Fraction(row[k], s) for k, (row, s) in enumerate(zip(a, prefix))]
+        assert leading_minors(rows) == want
+        assert leading_minors(spans, starts) == want
     else:
         with pytest.raises(SingularMatrixError):
             leading_minors(rows)
@@ -363,32 +436,89 @@ def test_elimination_agrees_with_the_dense_oracle(rows):
         assert mat_mul(rows, solve_exact(rows, rhs)) == rhs
 
 
+@st.composite
+def augmented_systems(draw):
+    """(A, B): A from the square strategies, B of 1 to 5 columns, often sparse."""
+    a = draw(
+        st.one_of(sparse_matrices(), late_start_matrices(), zero_row_matrices(), banded_matrices(max_n=8))
+    )
+    width = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 4, -9))
+    return a, [[draw(entry) for _ in range(width)] for _ in a]
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=300)
+@given(augmented_systems())
+def test_augmented_elimination_agrees_with_the_dense_oracle(system):
+    # solve_exact's pass: n steps over the rows of [A | B], whose spans end
+    # anywhere in B or before it
+    a, b = system
+    n = len(a)
+    _agrees([ra + rb for ra, rb in zip(a, b)], n)
+    if det_exact(a) == 0:
+        with pytest.raises(SingularMatrixError):
+            solve_exact(a, b)
+    else:
+        assert mat_mul(a, solve_exact(a, b)) == b
+
+
 def test_a_row_owing_its_scale_is_swapped_up_exactly():
     # row 2 is skipped at step 0 and owes the pivot 2 when the zero pivot of
     # step 1 swaps it up; row 1, then below it, is skipped at step 1 and pays
     # 6 / 2 at the end of the pass
     rows = [[2, 1, 1], [4, 2, 5], [0, 3, 7]]
     want = (1, [[2, 1, 1], [6, 14], [18]])
-    assert _echelon(_bareiss, rows, 2) == _echelon(dense_bareiss, rows, 2) == want
+    assert _echelon(rows, 2) == _oracle_echelon(dense_bareiss, rows, 2) == want
     assert det_exact(rows) == -18
 
 
+def test_a_pivot_slot_row_that_has_not_joined_waits_below():
+    # row 0 starts at column 2, so step 0 swaps row 1 up; the row moved down
+    # joins only at step 2, from its new place
+    rows = [[0, 0, 3], [2, 1, 1], [4, 5, 6]]
+    assert _echelon(rows, 2) == _oracle_echelon(dense_bareiss, rows, 2)
+    assert det_exact([[3], [2, 1, 1], [4, 5, 6]], [2, 0, 0]) == det_exact(rows) == 18
+
+
 def test_band_updates_stop_at_the_band():
-    # tridiagonal Toeplitz rows of 2 - x - 1/x: D_k = k + 1, and the zeros
-    # right of the band stay zero
+    # tridiagonal Toeplitz rows of 2 - x - 1/x, stored as their band: D_k = k + 1,
+    # and no row grows past the band
     n = 30
-    rows = [[2 if j == k else -1 if abs(j - k) == 1 else 0 for k in range(n)] for j in range(n)]
-    a = [list(r) for r in rows]
-    assert _bareiss(a, n - 1) == 0
-    assert [a[k][k] for k in range(n)] == list(range(2, n + 2))
-    assert all(x == 0 for k in range(n) for x in a[k][k + 2 :])
-    assert leading_minors(rows) == list(range(2, n + 2))
+    starts = [max(j - 1, 0) for j in range(n)]
+    rows = [[-1, 2, -1][1 - j + s : n - j + 1] for j, s in enumerate(starts)]
+    spans, at = list(rows), list(starts)
+    assert _bareiss(spans, at, n - 1) == 0
+    assert [span[k - s] for k, (span, s) in enumerate(zip(spans, at))] == list(range(2, n + 2))
+    assert all(s + len(span) <= k + 2 for k, (span, s) in enumerate(zip(spans, at)))
+    assert leading_minors(rows, starts) == list(range(2, n + 2))
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(banded_matrices(), late_start_matrices(), zero_row_matrices()))
+def test_the_pass_never_writes_into_its_input_rows(rows):
+    spans, starts = _spans(rows)
+    before = [list(r) for r in spans]
+    kept = list(spans)
+    _bareiss(spans, starts, len(rows) - 1)
+    assert kept == before
+
+
+def test_span_inputs_are_checked():
+    with pytest.raises(DomainError):
+        det_exact([[1, 2], [3]], [0, 1, 0])
+    with pytest.raises(DomainError):
+        det_exact([[1, 2], [3, 4]], [0, 1])  # the second row would end past the last column
+    with pytest.raises(DomainError):
+        leading_minors([[1], [2]], [-1, 1])
 
 
 def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
     assert det_exact([[True, False], [False, True]]) == 1
     assert det_exact([[True, 2], [Fraction(1, 2), 3]]) == 2
     assert leading_minors([[2, Fraction(1, 3)], [Fraction(3, 2), 1]]) == [2, Fraction(3, 2)]
+    assert det_exact([[Fraction(1, 2)], [2, Fraction(1, 3)]], [0, 0]) == Fraction(1, 6)
 
 
 # ----- clear_denominators -----

@@ -30,7 +30,10 @@ digest covers.  The basis, index and gram-growth digests after the newton
 pair, and the critical-eps and certify-nondense renderings, were recorded
 before the result records stopped echoing their inputs (`--tol 1/7`, the
 decimal `--eps 0.4`, the positive pivot rule), so they pin the values that
-`main` and the handlers now write from the parsed arguments.  A failing
+`main` and the handlers now write from the parsed arguments.  The two
+stress-size digests (order 400) were recorded while the elimination still
+ran on dense rows, before it moved to row spans and the Toeplitz rows to
+band slices, so they pin every Gram and Toeplitz pivot at that size.  A failing
 digest prints the report it hashed.
 """
 
@@ -106,6 +109,8 @@ GOLDEN = [
     ("basis --p 2 --m 7 --pivot-rule positive 6,-5,1,4", "1bbe194241d865eed40a678907d51bd9de0158f4aac2716521b5d0429a8f3ed4"),
     ("index --m 6 2,0,-3,5", "15617fda9e72094fe020abf67d693d6a9af001dd46f1b98a093d5510d8372c72"),
     ("gram-growth --ell-max 20 1,3,-4,0,2,-1,5", "a4f492c5ec33a4cae0d978c1ef44f1bf7f9caa6030814a856f07061d6f84542a"),
+    ("gram-growth --ell-max 400 -1,-1,1", "d8cdbdefc2384352566ddc1c06a895b203b46378f51450847482bab2292505fd"),
+    ("trench --autocorrelate --n 400 -1,-1,1", "89c21d8133d14396a6c901586c7b040af4014ff917eb3dc86d3b362245ebf137"),
 ]
 
 # the non-JSON renderings of the same payloads

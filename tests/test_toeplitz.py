@@ -401,9 +401,9 @@ def test_lyons_hand_value_below_the_degree():
 def test_lyons_eliminates_two_matrices_of_order_ell_max(monkeypatch):
     orders = []
 
-    def counted(rows):
+    def counted(rows, starts):
         orders.append(len(rows))
-        return leading_minors(rows)
+        return leading_minors(rows, starts)
 
     monkeypatch.setattr(toeplitz, "leading_minors", counted)
     lyons_ratios(IntPolynomial((3, -2, -9, -3, 9)), {1, 2, 3, 4}, 12)
@@ -446,6 +446,20 @@ def test_growth_determinants_match_direct_at_every_size():
         )
 
 
+def test_growth_closed_form_for_shift_at_the_stress_size():
+    # G(B_1..B_l) for B = x - 2 is the tridiagonal Toeplitz matrix of 5 - 2x - 2/x
+    report = gram_growth(SHIFT2, 400)
+    assert report.determinants == tuple(Fraction(4 ** (ell + 1) - 1, 3) for ell in range(1, 401))
+
+
+def test_toeplitz_rows_store_only_the_band_at_the_stress_size():
+    for symbol in (TRIDIAG, LaurentSymbol.from_polynomial(IntPolynomial((3, -2, -9, -3, 9)))):
+        rows, starts, _ = _toeplitz_rows(symbol, 400)
+        r, s = symbol.r, symbol.s
+        assert max(map(len, rows)) == r + s + 1
+        assert starts == [max(j - r, 0) for j in range(400)]
+
+
 def test_growth_rejects():
     with pytest.raises(DomainError):
         gram_growth(SHIFT2, 0)
@@ -471,9 +485,10 @@ def _symbol_id(symbol):
 @pytest.mark.parametrize("symbol", VANISHING_MINOR, ids=_symbol_id)
 def test_direct_swaps_past_a_vanishing_leading_minor(symbol):
     for n in range(2, 40):
-        rows, den = _toeplitz_rows(symbol, n + 1)
+        rows, starts, den = _toeplitz_rows(symbol, n + 1)
         with pytest.raises(SingularMatrixError):
-            leading_minors(rows)  # so the determinant's pass must swap rows
+            leading_minors(rows, starts)  # so the determinant's pass must swap rows
+        rows = [[0] * s + row + [0] * (n + 1 - s - len(row)) for row, s in zip(rows, starts)]
         swaps = dense_bareiss(rows, n)
         oracle = 0 if swaps is None else Fraction((-1) ** swaps * rows[-1][-1], den ** (n + 1))
         assert toeplitz_det_direct(symbol, n) == trench_det(symbol, n + 1) == oracle, n
@@ -541,11 +556,13 @@ def test_biorthonormal_random_unimodular(n, data):
 @given(raw_symbols(), st.integers(1, 8))
 def test_integer_toeplitz_rows_over_den_are_the_symbol(symbol, size):
     # r or s reaches the matrix size in a share of the draws
-    rows, den = _toeplitz_rows(symbol, size)
+    rows, starts, den = _toeplitz_rows(symbol, size)
     assert den == math.lcm(*(c.denominator for c in symbol.coeffs))
     assert all(type(x) is int for row in rows for x in row)
     r, s = symbol.r, symbol.s
-    assert [[Fraction(x, den) for x in row] for row in rows] == [
+    assert all(len(row) <= r + s + 1 and start + len(row) <= size for row, start in zip(rows, starts))
+    dense = [[0] * start + row + [0] * (size - start - len(row)) for row, start in zip(rows, starts)]
+    assert [[Fraction(x, den) for x in row] for row in dense] == [
         [symbol.coeffs[k - j + r] if -r <= k - j <= s else 0 for k in range(size)]
         for j in range(size)
     ]
