@@ -33,8 +33,12 @@ decimal `--eps 0.4`, the positive pivot rule), so they pin the values that
 `main` and the handlers now write from the parsed arguments.  The two
 stress-size digests (order 400) were recorded while the elimination still
 ran on dense rows, before it moved to row spans and the Toeplitz rows to
-band slices, so they pin every Gram and Toeplitz pivot at that size.  A failing
-digest prints the report it hashed.
+band slices, so they pin every Gram and Toeplitz pivot at that size.  The
+certify-nondense digest at its degree-4 guard edge (m = 36) and the index
+digest of a non-monic quadratic at m = 60 were recorded while the minor table
+still expanded each minor along its last row and the integral basis still
+multiplied its HNF coordinates into T, so they pin every zonotope minor and
+Z-basis row those two routes gave.  A failing digest prints the report it hashed.
 """
 
 import hashlib
@@ -111,6 +115,8 @@ GOLDEN = [
     ("gram-growth --ell-max 20 1,3,-4,0,2,-1,5", "a4f492c5ec33a4cae0d978c1ef44f1bf7f9caa6030814a856f07061d6f84542a"),
     ("gram-growth --ell-max 400 -1,-1,1", "d8cdbdefc2384352566ddc1c06a895b203b46378f51450847482bab2292505fd"),
     ("trench --autocorrelate --n 400 -1,-1,1", "89c21d8133d14396a6c901586c7b040af4014ff917eb3dc86d3b362245ebf137"),
+    ("certify-nondense --m 36 --eps 1/2 3,-2,-9,-3,9", "8b1693fc3f47821df103909ec6df155e1b725978b84fb821c949554a8f3b8bee"),
+    ("index --m 60 -3,-1,-3", "c73ce1d9cdea188ad115ab462cd980dc91555c62c12f78f65349f25ad91340dc"),
 ]
 
 # the non-JSON renderings of the same payloads
