@@ -139,7 +139,9 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 # ----- subcommand handlers -----
-# each returns what it computes; main writes the envelope and the echo
+# each returns what it computes; main writes the envelope and the echo.  A
+# handler's stderr line is written once its report is built, so a refused input
+# writes none
 
 
 def _cmd_mahler(args, poly) -> dict:
@@ -181,11 +183,6 @@ def _cmd_witness(args, poly) -> dict:
 
 
 def _cmd_critical_eps(args, poly) -> dict:
-    print(
-        f"reading the exact threshold of a {args.grid_n}^{args.m - poly.degree} "
-        "residue grid from the zonotope facets",
-        file=sys.stderr,
-    )
     tol = _parse_rational(args.tol, "--tol")
     est = critical_epsilon(
         poly,
@@ -195,7 +192,7 @@ def _cmd_critical_eps(args, poly) -> dict:
         allow_large_grid=args.allow_large_grid,
     )
     # lower equals estimate; it and the two echoed inputs are kept for the kronrec/1 schema
-    return {
+    result = {
         "lower": _rat(est.estimate),
         "upper": _rat(est.upper),
         "estimate": _rat(est.estimate),
@@ -204,6 +201,12 @@ def _cmd_critical_eps(args, poly) -> dict:
         "bisection_tol": _rat(tol),
         "method_notes": est.method_notes,
     }
+    print(
+        f"reading the exact threshold of a {args.grid_n}^{args.m - poly.degree} "
+        "residue grid from the zonotope facets",
+        file=sys.stderr,
+    )
+    return result
 
 
 def _cmd_certify_nondense(args, poly) -> dict:
@@ -301,14 +304,15 @@ def _cmd_trench(args, poly) -> dict:
 
 
 def _cmd_gram_growth(args, poly) -> dict:
-    print(f"gram determinants up to ell = {args.ell_max}", file=sys.stderr)
     report = gram_growth(poly, args.ell_max)
-    return {
+    result = {
         "determinants": [_rat(det) for det in report.determinants],
         "ratios": [_rat(ratio) for ratio in report.ratios],
         "ratios_float": [_float(ratio) for ratio in report.ratios],
         "mahler_squared": _interval(report.mahler_squared),
     }
+    print(f"gram determinants up to ell = {args.ell_max}", file=sys.stderr)
+    return result
 
 
 def _cmd_lyons(args, poly) -> dict:
@@ -319,17 +323,16 @@ def _cmd_lyons(args, poly) -> dict:
             raise ParseError(f"bad --s index list: {exc}") from exc
     else:
         indices = []
-    print(
-        f"lyons ratios for S={indices} up to ell = {args.ell_max}", file=sys.stderr
-    )
     values = lyons_ratios(poly, indices, args.ell_max)
     diffs = [abs(_float(b - a)) for a, b in zip(values, values[1:])]
-    return {
+    result = {
         "indices": indices,
         "values": [_rat(v) for v in values],
         "values_float": [_float(v) for v in values],
         "max_tail_fluctuation": max(diffs[-10:], default=0.0),
     }
+    print(f"lyons ratios for S={indices} up to ell = {args.ell_max}", file=sys.stderr)
+    return result
 
 
 # ----- parser -----

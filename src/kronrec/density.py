@@ -307,26 +307,40 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
 def _minor_levels(rows: Sequence[Sequence[int]], top: int):
     """Levels p = 0..top of the p x p minors of an integer matrix, as pairs
     (cols, {row tuple: [minor for each column tuple in cols]}), cols being the
-    p-column tuples in itertools.combinations order.  Level p expands each minor
-    along its last row over level p - 1 (Laplace): p products, no elimination.
-    Each term's smaller minor is found by position once per column tuple and
-    read at that position for every row set.
+    p-column tuples in itertools.combinations order.  That order lists level p
+    as each level p - 1 tuple C in turn, extended by every column c past its
+    end, and level p expands along that last column (Laplace):
+
+        minor(R, C + (c,)) = sum_i (-1)^(p-1+i) rows[r_i][c] minor(R - r_i, C).
+
+    Two flat index arrays give, for each entry of level p, the position of its
+    C in level p - 1 and its column c, so a row set's whole list is p map
+    passes over them: no elimination and no Python loop per minor.
     """
+    width = len(rows[0]) if rows else 0
     cols, level = [()], {(): [1]}
     yield cols, level
     for p in range(1, top + 1):
-        where = {cs: k for k, cs in enumerate(cols)}
-        cols = list(itertools.combinations(range(len(rows[0]) if rows else 0), p))
-        prev = level
-        level = {rs: [0] * len(cols) for rs in itertools.combinations(range(len(rows)), p)}
-        row_sets = [(out, prev[rs[:-1]], rows[rs[-1]]) for rs, out in level.items()]
-        for k, cs in enumerate(cols):
-            # the expansion's terms: column, sign, position of the other columns
-            terms = [
-                (c, (-1) ** (p - 1 + i), where[cs[:i] + cs[i + 1 :]]) for i, c in enumerate(cs)
-            ]
-            for out, head, last in row_sets:
-                out[k] = sum(sign * last[c] * head[j] for c, sign, j in terms)
+        # entry e extends the tuple at position prefix[e] of level p - 1 by column added[e]
+        starts = [cs[-1] + 1 if cs else 0 for cs in cols]
+        counts = [width - s for s in starts]
+        prefix = list(
+            itertools.chain.from_iterable(map(itertools.repeat, range(len(cols)), counts))
+        )
+        added = list(itertools.chain.from_iterable(map(range, starts, itertools.repeat(width))))
+        cols = list(itertools.combinations(range(width), p))
+        prev, level = level, {}
+        for rs in itertools.combinations(range(len(rows)), p):
+            # the last row's term has sign +, and the signs alternate going up
+            last, below = rows[rs[-1]], prev[rs[:-1]]
+            acc = map(operator.mul, map(last.__getitem__, added), map(below.__getitem__, prefix))
+            for i in range(p - 2, -1, -1):
+                row, below = rows[rs[i]], prev[rs[:i] + rs[i + 1 :]]
+                term = map(
+                    operator.mul, map(row.__getitem__, added), map(below.__getitem__, prefix)
+                )
+                acc = map(operator.sub if (p - 1 - i) % 2 else operator.add, acc, term)
+            level[rs] = list(acc)
         yield cols, level
 
 
@@ -344,8 +358,9 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
     rows outside S, and C = sum U_j (x^j div A), made primitive with a positive
     leading entry; s_c = ||C A||_1.  Those minors come from one _minor_levels
     table of T = a_d^l basis_N's columns d.. (l = m - d), orders up to
-    min(d, l - 1); more than MINOR_SUM_GUARD, (m - d) C(m - 1, d), raise
-    DomainError first.
+    min(d, l - 1), each order a few map passes per row set; a support reads
+    its minors at their column tuples' positions.  More than MINOR_SUM_GUARD,
+    (m - d) C(m - 1, d), raise DomainError first.
     """
     a, d = poly.coeffs, poly.degree
     ell = m - d
@@ -593,8 +608,10 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     volume below 1 therefore refutes density.  The volume is the standard
     minor expansion over the m + d generators, computed exactly: choosing p
     lattice rows contributes eps^(m-p) times S_p, the integer sum of absolute
-    p x p minors over column choices, level p of _minor_levels.  More than
-    MINOR_SUM_GUARD minors, C(m + d, d), raise DomainError before any is taken.
+    p x p minors over column choices: level p of _minor_levels on the integral
+    basis, which extends each level p - 1 column tuple by one column and
+    expands along it.  More than MINOR_SUM_GUARD minors, C(m + d, d), raise
+    DomainError before any is taken.
     """
     e = coerce_rational(eps)
     if not 0 < e <= 1:

@@ -43,7 +43,6 @@ __all__ = [
     "leading_minors",
     "solve_exact",
     "identity_matrix",
-    "mat_mul",
 ]
 
 PADIC_INFINITY = math.inf
@@ -112,13 +111,6 @@ def _check_int_matrix(rows: Sequence[Sequence[int]]) -> None:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    if len(a[0]) != len(b):
-        raise DomainError("dimension mismatch in mat_mul")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 # ----- Hermite normal form -----

@@ -32,7 +32,6 @@ from .exact_linalg import (
     det_exact,
     identity_matrix,
     is_prime,
-    mat_mul,
     solve_exact,
 )
 from .poly_core import IntPolynomial
@@ -341,10 +340,12 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
 
     N starts with an identity block, so z -> z[:d] maps the integral lattice
     onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF, built one
-    column congruence at a time, maps through T to the HNF Z-basis, and its
-    diagonal product is the index.  Certificate: each division by a_d^(m-d) is
-    exact, and the Gram determinant is the Toeplitz determinant of A(x)A(1/x)
-    (Trench's closed form), which a basis of a sublattice of index k misses by k^2.
+    column congruence at a time, gives the HNF Z-basis rows z = y N, each read
+    off its y along the recurrence z_(t+d) = -(a_0 z_t + ... + a_(d-1) z_(t+d-1)) / a_d,
+    and its diagonal product is the index.  Certificate: every such division by
+    a_d is exact, and the Gram determinant is the Toeplitz determinant of
+    A(x)A(1/x) (Trench's closed form), which a basis of a sublattice of index k
+    misses by k^2.
 
     Only the columns max(d, m - d) .. m - 1 need their congruence, min(d, m - d)
     HNF steps: a rational recurrence vector z whose first d and last d entries
@@ -352,8 +353,8 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     the x^(t+d) coefficient of A~ Z is the window sum at t, which vanishes, so
     A~ Z = P + x^m Q with deg P, deg Q < d; P uses only z_0 .. z_(d-1) and Q
     only z_(m-d) .. z_(m-1), with integer weights, so A~ Z is integral, and A~
-    is primitive, so Z is integral by Gauss's lemma.  The check that every
-    entry of y T divides by a_d^(m-d) re-derives this at run time.
+    is primitive, so Z is integral by Gauss's lemma.  The exact divisions by a_d
+    along the recurrence re-derive this at run time.
     """
     d = poly.degree
     if poly.constant_coefficient == 0:
@@ -372,10 +373,16 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     for col in zip(*(row[max(d, m - d) :] for row in table)):
         rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
         coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
-    scaled = mat_mul(coords, table)
-    if any(x % lead for row in scaled for x in row):
-        raise CertificateError("Z-basis rows are not integer combinations of N")
-    z_rows = [[x // lead for x in row] for row in scaled]
+    # z = y N starts with y and follows the recurrence; a step that leaves a
+    # remainder mod a_d makes z non-integral, so y was not in L_y
+    a = poly.coeffs
+    z_rows = [list(y) for y in coords]
+    for z in z_rows:
+        for t in range(m - d):
+            q, r = divmod(-sum(map(operator.mul, a, z[t : t + d])), a[d])
+            if r:
+                raise CertificateError("Z-basis rows are not integer combinations of N")
+            z.append(q)
     # A is primitive, so the band rows [A]_(m-d) span the orthogonal lattice over
     # Z, and a basis of the whole lattice has their Gram determinant
     symbol = LaurentSymbol.from_polynomial(poly)

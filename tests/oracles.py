@@ -38,7 +38,6 @@ from kronrec.exact_linalg import (
     integer_kernel,
     leading_minors,
     is_prime,
-    mat_mul,
 )
 from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate, scaled_basis_N
 from kronrec.intervals import Interval, interval_min
@@ -53,6 +52,13 @@ from kronrec.poly_core import (
     roots,
 )
 from kronrec.recurrence_matrices import _check_coeffs, band_rows
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    if len(a[0]) != len(b):
+        raise DomainError("dimension mismatch in mat_mul")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def p_adic_valuation(x, p: int):
@@ -570,6 +576,25 @@ def mahler_conjugate_two_root_sets(poly: IntPolynomial) -> MahlerMeasure:
     return roots(IntPolynomial(poly.coeffs[::-1])).mahler("conjugate")
 
 
+def _congruence_coordinates(columns, lead: int, d: int) -> list[list[int]]:
+    """HNF rows of {y in Z^d : y t = 0 mod lead for each column t}, one step per column."""
+    fence = [abs(lead)] + [0] * d
+    coords = identity_matrix(d)
+    for col in columns:
+        rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
+        coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
+    return coords
+
+
+def _z_basis_by_product(coords, table, lead: int) -> tuple[tuple, int]:
+    """(z_basis, index) with the rows y T / lead: one product, each entry divided exactly."""
+    scaled = mat_mul(coords, table)
+    if any(x % lead for row in scaled for x in row):
+        raise CertificateError("Z-basis rows are not integer combinations of N")
+    z_basis = tuple(tuple(x // lead for x in row) for row in scaled)
+    return z_basis, math.prod(row[i] for i, row in enumerate(coords))
+
+
 def integral_basis_by_columns(poly: IntPolynomial, m: int) -> tuple[tuple, int]:
     """(z_basis, index) of the length-m integral recurrences, one congruence per column.
 
@@ -579,13 +604,24 @@ def integral_basis_by_columns(poly: IntPolynomial, m: int) -> tuple[tuple, int]:
     """
     d = poly.degree
     table, lead = scaled_basis_N(poly, m)
-    fence = [abs(lead)] + [0] * d
-    coords = identity_matrix(d)
-    for col in list(zip(*table))[d:]:
-        rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
-        coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
-    z_basis = tuple(tuple(x // lead for x in row) for row in mat_mul(coords, table))
-    return z_basis, math.prod(row[i] for i, row in enumerate(coords))
+    return _z_basis_by_product(
+        _congruence_coordinates(list(zip(*table))[d:], lead, d), table, lead
+    )
+
+
+def integral_basis_by_product(poly: IntPolynomial, m: int) -> tuple[tuple, int]:
+    """(z_basis, index) of the length-m integral recurrences, the rows read off y T.
+
+    The product route to lattice_structure.integral_basis, which extends each
+    HNF coordinate row y along the recurrence, dividing by a_d once per step.
+    Here the same last-window congruences give the y, and the rows are
+    y T / a_d^(m-d): one d x m product with T = a_d^(m-d) N, each entry
+    divided exactly.
+    """
+    d = poly.degree
+    table, lead = scaled_basis_N(poly, m)
+    window = zip(*(row[max(d, m - d) :] for row in table))
+    return _z_basis_by_product(_congruence_coordinates(window, lead, d), table, lead)
 
 
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:
@@ -621,8 +657,8 @@ def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], 
 def minors_by_elimination(rows: Sequence[Sequence[int]], top: int) -> list[dict]:
     """Every p x p minor of an integer matrix for p = 0..top, one det_exact call each.
 
-    The elimination route to density._minor_levels, which expands each minor
-    along its last row from the level below and keeps them by position.  Here
+    The elimination route to density._minor_levels, which extends each column
+    tuple by one column and expands along it from the level below.  Here
     each level is {(row tuple, column tuple): minor}, level 0 being {((), ()): 1}.
     """
     width = len(rows[0]) if rows else 0
@@ -634,6 +670,32 @@ def minors_by_elimination(rows: Sequence[Sequence[int]], top: int) -> list[dict]
         }
         for p in range(top + 1)
     ]
+
+
+def minor_levels_by_rows(rows: Sequence[Sequence[int]], top: int):
+    """density._minor_levels' levels, each minor expanded along its last row.
+
+    The row route to density._minor_levels, which expands along the last
+    column instead, a row set's list at a time.  Here each column tuple finds
+    its p smaller minors' positions in level p - 1 once, and every row set
+    sums its p signed products for that tuple in a Python generator.
+    """
+    cols, level = [()], {(): [1]}
+    yield cols, level
+    for p in range(1, top + 1):
+        where = {cs: k for k, cs in enumerate(cols)}
+        cols = list(itertools.combinations(range(len(rows[0]) if rows else 0), p))
+        prev = level
+        level = {rs: [0] * len(cols) for rs in itertools.combinations(range(len(rows)), p)}
+        row_sets = [(out, prev[rs[:-1]], rows[rs[-1]]) for rs, out in level.items()]
+        for k, cs in enumerate(cols):
+            # the expansion's terms: column, sign, position of the other columns
+            terms = [
+                (c, (-1) ** (p - 1 + i), where[cs[:i] + cs[i + 1 :]]) for i, c in enumerate(cs)
+            ]
+            for out, head, last in row_sets:
+                out[k] = sum(sign * last[c] * head[j] for c, sign, j in terms)
+        yield cols, level
 
 
 def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, int], ...]]:

@@ -195,6 +195,33 @@ def test_critical_eps_report_and_stderr_progress(capsys):
     assert Fraction(str(doc["lower"])) <= estimate <= Fraction(str(doc["upper"]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("critical-eps", "--m", "1", "-1,-1,1"),
+        ("critical-eps", "--m", "2", "-1,-1,1"),
+        ("gram-growth", "--ell-max", "0", "-1,-1,1"),
+        ("lyons", "--ell-max", "0", "-1,-1,1"),
+    ],
+    ids=["critical-eps-m1", "critical-eps-m2", "gram-growth", "lyons"],
+)
+def test_refused_input_writes_no_stderr_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert err == ""
+
+
+def test_accepted_input_writes_its_stderr_line(capsys):
+    for argv, line in (
+        (("gram-growth", "--ell-max", "2", "-1,-1,1"), "gram determinants up to ell = 2\n"),
+        (("lyons", "--ell-max", "2", "-1,-1,1"), "lyons ratios for S=[1] up to ell = 2\n"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err == line
+
+
 def test_bound_subcommand(capsys):
     doc = run_json(capsys, "bound", "-2,1")
     assert doc["eps_stated"]["lo"] <= 0.5 <= doc["eps_stated"]["hi"]

@@ -35,6 +35,7 @@ from oracles import (
     covered_by_fraction_gauge,
     critical_epsilon_per_target,
     mahler_conjugate_two_root_sets,
+    minor_levels_by_rows,
     minors_by_elimination,
     refined_threshold_two_root_sets,
     zonotope_facets_by_band_minors,
@@ -562,12 +563,12 @@ def test_minor_levels_hand_shapes():
 
 
 @st.composite
-def minor_matrices(draw):
-    """1 to 5 rows of 1 to 5 columns: small entries with zeros, some above 2^64, zero rows."""
-    width = draw(st.integers(1, 5))
+def minor_matrices(draw, least=1):
+    """least..5 rows of least..5 columns: small entries with zeros, some above 2^64, zero rows."""
+    width = draw(st.integers(least, 5))
     entry = st.integers(-3, 3) | st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
     row = st.lists(entry, min_size=width, max_size=width) | st.just([0] * width)
-    return draw(st.lists(row, min_size=1, max_size=5))
+    return draw(st.lists(row, min_size=least, max_size=5))
 
 
 @seed(20261018)
@@ -575,6 +576,23 @@ def minor_matrices(draw):
 @given(minor_matrices(), st.integers(0, 6))
 def test_minor_levels_equal_the_elimination_route(rows, top):
     assert _keyed_minors(rows, top) == minors_by_elimination(rows, top)
+
+
+def _ordered_levels(levels):
+    """Each level as (column tuples, [(row tuple, minors)]), keeping the dict's order."""
+    return [(cols, list(level.items())) for cols, level in levels]
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(minor_matrices(least=0), st.integers(0, 6))
+@example([], 3)
+@example([[], [], []], 2)  # rows of no columns
+@example([[0, 0, 0], [1, -2, 3]], 4)  # a zero row; top above the rows and the columns
+@example([[2**70, -3, 2**64], [3, 2**66, -1], [0, 1, 2], [-2**65, 2, 0]], 6)
+def test_minor_levels_equal_the_row_expansion(rows, top):
+    got = _ordered_levels(_minor_levels(rows, top))
+    assert got == _ordered_levels(minor_levels_by_rows(rows, top))
 
 
 def test_facets_and_volume_take_no_elimination(monkeypatch):

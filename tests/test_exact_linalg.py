@@ -21,7 +21,6 @@ from kronrec.exact_linalg import (
     integer_kernel,
     is_prime,
     leading_minors,
-    mat_mul,
     solve_exact,
 )
 from kronrec.recurrence_matrices import band_rows
@@ -29,6 +28,7 @@ from oracles import (
     dense_bareiss,
     hnf_two_matrices,
     kernel_two_matrices,
+    mat_mul,
     p_adic_valuation,
     snf,
     zero_skipping_bareiss,

@@ -16,7 +16,6 @@ from kronrec.exact_linalg import (
     _hnf,
     det_exact,
     identity_matrix,
-    mat_mul,
 )
 from kronrec.lattice_structure import (
     PIVOT_RULES,
@@ -34,6 +33,8 @@ from oracles import (
     band_kernel_basis,
     check_basis_certificate_fractions,
     integral_basis_by_columns,
+    integral_basis_by_product,
+    mat_mul,
     minor_identity,
     p_adic_valuation,
     snf,
@@ -536,6 +537,25 @@ def test_integral_basis_equals_the_column_by_column_route(shape):
     assert (lattice.z_basis, lattice.index) == integral_basis_by_columns(a, m)
 
 
+@st.composite
+def product_shapes(draw):
+    """Primitive A of degree 1 to 5 with |a_d| up to 12, and m from d to 60."""
+    a = draw(primitive_polys(max_degree=5, bound=12))
+    return a, draw(st.integers(a.degree, 60))
+
+
+@seed(20261021)
+@settings(max_examples=120, deadline=None)
+@given(product_shapes())
+@example((poly(-3, -1, -3), 60))
+@example((poly(1, 2, -1, 3, 0, 12), 5))  # m = d: no recurrence step
+@example((poly(7, -5, 2, 9, -4, -12), 60))
+def test_integral_basis_equals_the_product_route(shape):
+    a, m = shape
+    lattice = integral_basis(a, m)
+    assert (lattice.z_basis, lattice.index) == integral_basis_by_product(a, m)
+
+
 @pytest.mark.parametrize(
     "a, m",
     [(poly(-1, -1, 2), 60), (poly(-3, 2), 40), (WORKED, 4), (WORKED, 6), (WORKED, 8), (WORKED, 30)],
@@ -572,13 +592,15 @@ def _rows_rederive(a, m, z_rows):
 
 @pytest.mark.parametrize("a, m", [(WORKED, 9), (poly(-3, -1, -3), 12), (poly(-2, 1), 5)])
 def test_integral_basis_refuses_a_basis_with_a_row_doubled(monkeypatch, a, m):
-    def doubled_first_row(coords, table):
-        return mat_mul([[2 * x for x in coords[0]]] + coords[1:], table)
+    def doubled_first_row(rows, ncols):
+        h = _hnf(rows, ncols)
+        h[1] = [2 * x for x in h[1]]  # the first coordinate row y
+        return h
 
     doubled = [list(r) for r in integral_basis(a, m).z_basis]
     doubled[0] = [2 * x for x in doubled[0]]
     assert _rows_rederive(a, m, doubled)  # the per-row check cannot see it
-    monkeypatch.setattr(lattice_structure, "mat_mul", doubled_first_row)
+    monkeypatch.setattr(lattice_structure, "_hnf", doubled_first_row)
     with pytest.raises(CertificateError, match="span"):
         integral_basis(a, m)
 

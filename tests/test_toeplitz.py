@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kronrec import toeplitz
 from kronrec.errors import CertificateError, DomainError, SingularMatrixError
-from kronrec.exact_linalg import identity_matrix, leading_minors, mat_mul, solve_exact
+from kronrec.exact_linalg import identity_matrix, leading_minors, solve_exact
 from kronrec.poly_core import IntPolynomial, roots
 from kronrec.recurrence_matrices import band_rows
 from kronrec.toeplitz import (
@@ -31,6 +31,7 @@ from oracles import (
     biorthonormal_check,
     dense_bareiss,
     lyons_ratios_bordered,
+    mat_mul,
     rational_decompose,
     trench_vandermonde,
     tri_rows,
