@@ -38,7 +38,13 @@ certify-nondense digest at its degree-4 guard edge (m = 36) and the index
 digest of a non-monic quadratic at m = 60 were recorded while the minor table
 still expanded each minor along its last row and the integral basis still
 multiplied its HNF coordinates into T, so they pin every zonotope minor and
-Z-basis row those two routes gave.  A failing digest prints the report it hashed.
+Z-basis row those two routes gave.  The two trench digests of rational symbols
+given by hand (s = 0, and H_t run well past its seeds) and the two basis
+digests at m = 30 and 40 (one with p | a_d, one under the positive pivot rule)
+were recorded while Trench's H_t, the recurrence tables and the canonical
+basis's selector solve each still ran their own loop over the recurrence, so
+they pin every H_t and every canonical row those routes gave.  A failing digest
+prints the report it hashed.
 """
 
 import hashlib
@@ -117,6 +123,10 @@ GOLDEN = [
     ("trench --autocorrelate --n 400 -1,-1,1", "89c21d8133d14396a6c901586c7b040af4014ff917eb3dc86d3b362245ebf137"),
     ("certify-nondense --m 36 --eps 1/2 3,-2,-9,-3,9", "8b1693fc3f47821df103909ec6df155e1b725978b84fb821c949554a8f3b8bee"),
     ("index --m 60 -3,-1,-3", "c73ce1d9cdea188ad115ab462cd980dc91555c62c12f78f65349f25ad91340dc"),
+    ("trench --n 12 --r 2 1/2,0,3", "eb0294b37fb51763b0630367402d6974740490de88d3dd8de908b11d262d7e43"),
+    ("trench --n 40 --r 2 1/2,-1,3,2/3", "495ac3ca70ec599bd1a6e1ebab29e36b5bb8e4d5f77e0b861b2fa28ab9b75f74"),
+    ("basis --p 3 --m 40 3,-2,-9,-3,9", "61a72a87b5a883cf204ad856ad466282ecffd3566cd656ea0dc7940bd4629c34"),
+    ("basis --p 2 --m 30 --pivot-rule positive 6,-5,1,4", "20c3cf7f6f45285151f1ad7b9cc39971413a716ff27fb926e6fc0ee29941a9dc"),
 ]
 
 # the non-JSON renderings of the same payloads
