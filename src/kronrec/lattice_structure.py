@@ -1,17 +1,17 @@
 """The lattice of fixed-length integral recurrences and its canonical p-adic basis.
 
 Vectors of length m whose windows of width d+1 are annihilated by the
-coefficients of A form a rank-d lattice.  Over the rationals it is spanned by
-the rows of N (seeded with standard basis vectors and extended along the
-recurrence, and read exactly from the integer table T = a_d^(m-d) N); over the
-integers by the HNF of {y : y T = 0 mod a_d^(m-d)} mapped through T and
+coefficients of A form a rank-d lattice, each vector its first d entries
+extended by recurrence_matrices.extend_rows.  Over the rationals it is spanned
+by the rows of N (seeded with e_i, read from the integer table T = a_d^(m-d) N);
+over the integers by the HNF of {y : y T = 0 mod a_d^(m-d)}, rows extended and
 Gram-Toeplitz certified, where by Gauss's lemma only T's last d columns need
-the congruence; over the p-adic integers by a canonical basis M built
-segment by segment from the Newton polygon of A at p.  canonical_basis_M
-re-derives every clause of its block certificate (identity blocks, determinant
-valuations, row-walk valuation floors, p-integrality) and fails if one breaks;
-the check clears each row's denominators once and tests every clause in
-integers, with determinants from the fraction-free elimination.
+the congruence; over the p-adic integers by a canonical basis M built segment
+by segment from the Newton polygon of A at p, each selector solved for d seeds
+per row.  canonical_basis_M re-derives every clause of its block certificate
+(shape, identity blocks, determinant valuations, row-walk valuation floors,
+p-integrality) and fails if one breaks; the check shares no code with the
+extension and tests every clause on integer rows, each cleared once.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .exact_linalg import (
     solve_exact,
 )
 from .poly_core import IntPolynomial
+from .recurrence_matrices import extend_rows, recurrence_extend
 from .toeplitz import LaurentSymbol, gram_det, trench_det
 
 __all__ = [
@@ -125,9 +126,7 @@ def scaled_basis_N(poly: IntPolynomial, m: int) -> tuple[list[list[int]], int]:
         raise DomainError("basis_N needs 1 <= deg A <= m")
     lead = a[d] ** (m - d)
     table = [[lead * (i == j) for j in range(d)] for i in range(d)]
-    for row in table:
-        for t in range(m - d):
-            row.append(-sum(x * y for x, y in zip(a, row[t:])) // a[d])
+    extend_rows(a, table, m)
     return table, lead
 
 
@@ -179,8 +178,8 @@ def check_basis_certificate(
 ) -> tuple[tuple[tuple, ...], tuple[SegmentCertificate, ...]]:
     """Re-derive every certificate clause for a claimed canonical basis matrix.
 
-    Raises CertificateError on the first violated clause; returns the
-    valuation table and the per-segment block report when all clauses hold.
+    Raises CertificateError on the first violated clause, shape first; returns
+    the valuation table and the per-segment block report when all clauses hold.
     Exposed separately so the uniqueness of the basis can be probed: any
     p-unit row perturbation must break at least one clause.
 
@@ -194,6 +193,8 @@ def check_basis_certificate(
     if not is_prime(p):
         raise DomainError(f"p must be a prime integer, got {p!r}")
     d = poly.degree
+    if len(matrix) != d or any(len(row) != m for row in matrix):
+        _fail("deg A rows of m entries")
     r = polygon.segment_count
     walls = [v[0] for v in polygon.vertices]
     cleared = [clear_denominators(row) for row in matrix]
@@ -305,14 +306,16 @@ def canonical_basis_M(
     table, _ = scaled_basis_N(poly, m)
 
     @functools.cache
-    def q_for(w: int) -> list[list[Fraction]]:
+    def q_for(w: int) -> list[tuple[Fraction, ...]]:
+        # row i of T_xi^-1 T is a recurrence vector seeded by row i of T_xi^-1 (lead I)
         cols = list(range(w)) + list(range(m - d + w, m))
         try:
-            return solve_exact([[row[c] for c in cols] for row in table], table)
+            seeds = solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
         except SingularMatrixError:
             _fail(f"column selector at w={w} gives a singular minor")
+        return [recurrence_extend(poly, row, m) for row in seeds]
 
-    matrix: list[list[Fraction]] = []
+    matrix: list[tuple[Fraction, ...]] = []
     for k in range(1, r + 1):
         w = walls[k] if k < s else walls[k - 1]
         q = q_for(w)
@@ -323,7 +326,7 @@ def canonical_basis_M(
     return CanonicalBasisM(
         pivot_segment=s,
         polygon=polygon,
-        matrix=tuple(tuple(row) for row in matrix),
+        matrix=tuple(matrix),
         valuations=vals,
         segments=tuple(segments),
     )
@@ -340,12 +343,11 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
 
     N starts with an identity block, so z -> z[:d] maps the integral lattice
     onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF, built one
-    column congruence at a time, gives the HNF Z-basis rows z = y N, each read
-    off its y along the recurrence z_(t+d) = -(a_0 z_t + ... + a_(d-1) z_(t+d-1)) / a_d,
-    and its diagonal product is the index.  Certificate: every such division by
-    a_d is exact, and the Gram determinant is the Toeplitz determinant of
-    A(x)A(1/x) (Trench's closed form), which a basis of a sublattice of index k
-    misses by k^2.
+    column congruence at a time, gives the HNF Z-basis rows z = y N, each y
+    extended along the recurrence, and its diagonal product is the index.
+    Certificate: every division by a_d along the way is exact, and the Gram
+    determinant is the Toeplitz determinant of A(x)A(1/x) (Trench's closed
+    form), which a basis of a sublattice of index k misses by k^2.
 
     Only the columns max(d, m - d) .. m - 1 need their congruence, min(d, m - d)
     HNF steps: a rational recurrence vector z whose first d and last d entries
@@ -373,16 +375,10 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     for col in zip(*(row[max(d, m - d) :] for row in table)):
         rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
         coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
-    # z = y N starts with y and follows the recurrence; a step that leaves a
-    # remainder mod a_d makes z non-integral, so y was not in L_y
-    a = poly.coeffs
+    # a remainder mod a_d makes z = y N non-integral, so y was not in L_y
     z_rows = [list(y) for y in coords]
-    for z in z_rows:
-        for t in range(m - d):
-            q, r = divmod(-sum(map(operator.mul, a, z[t : t + d])), a[d])
-            if r:
-                raise CertificateError("Z-basis rows are not integer combinations of N")
-            z.append(q)
+    if not extend_rows(poly.coeffs, z_rows, m):
+        raise CertificateError("Z-basis rows are not integer combinations of N")
     # A is primitive, so the band rows [A]_(m-d) span the orthogonal lattice over
     # Z, and a basis of the whole lattice has their Gram determinant
     symbol = LaurentSymbol.from_polynomial(poly)

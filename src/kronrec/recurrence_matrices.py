@@ -1,25 +1,24 @@
-"""Band matrices and recurrence vectors attached to a linear recurrence.
+"""Band matrices and the one integer extender of a linear recurrence.
 
 For A = a_0 + a_1 x + ... + a_d x^d the band matrix [A]_l is the l x (l+d)
 matrix whose row i carries a_0..a_d starting at column i; its rows express
 the recurrence applied at shifts 0..l-1, and the construction runs on any
-coefficient sequence, rational ones included.  recurrence_extend extends d
-seed values exactly along the recurrence.
+coefficient sequence, rational ones included.  extend_rows is the one loop
+that runs the recurrence: z_(t+d) = -(a_0 z_t + ... + a_(d-1) z_(t+d-1)) / a_d,
+divided exactly, for the package's tables, bases, Trench sums and recurrence_extend.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .exact_linalg import coerce_rational
+from .exact_linalg import clear_denominators, coerce_rational
 from .poly_core import IntPolynomial
 
-__all__ = [
-    "recurrence_extend",
-    "band_rows",
-]
+__all__ = ["extend_rows", "recurrence_extend", "band_rows"]
 
 
 def _check_coeffs(coeffs: Sequence) -> list:
@@ -41,24 +40,36 @@ def band_rows(coeffs: Sequence, ell: int) -> list[list]:
     return [[cs[j - i] if 0 <= j - i <= d else zero for j in range(ell + d)] for i in range(ell)]
 
 
-def recurrence_extend(poly: IntPolynomial, init: Sequence, m: int) -> tuple[Fraction, ...]:
+def extend_rows(coeffs: Sequence[int], rows: list[list[int]], m: int) -> bool:
+    """Extend integer rows of d seeds in place to m entries; False at the first inexact step."""
+    *low, lead = coeffs
+    d = len(low)
+    for z in rows:
+        for t in range(m - d):
+            q, r = divmod(-sum(map(operator.mul, low, z[t : t + d])), lead)
+            if r:
+                return False
+            z.append(q)
+    return True
+
+
+def recurrence_extend(poly: IntPolynomial, init: Iterable, m: int) -> tuple[Fraction, ...]:
     """The d seed values extended to m entries along sum_j a_j v_{i+j} = 0.
 
-    Seeds are read by coerce_rational, so a non-finite or non-numeric one
-    raises DomainError.  Denominators of the exact rational entries divide a_d^(m-d).
+    Seeds are read once from any iterable by coerce_rational, so a non-finite
+    or non-numeric one raises DomainError.  For seeds over den, denominators
+    of the entries divide den * a_d^(m-d), which scales the seeds for extend_rows.
     """
     d = poly.degree
     if d < 1:
         raise DomainError("recurrence extension needs degree >= 1")
-    if len(init) != d:
-        raise DomainError(f"need exactly {d} seed values, got {len(init)}")
+    seeds = list(init)
+    if len(seeds) != d:
+        raise DomainError(f"need exactly {d} seed values, got {len(seeds)}")
     if m < d:
         raise DomainError("m must be at least the degree")
-    entries = [coerce_rational(x) for x in init]
-    a = poly.coeffs
-    for i in range(m - d):
-        acc = Fraction(0)
-        for j in range(d):
-            acc += a[j] * entries[i + j]
-        entries.append(-acc / a[d])
-    return tuple(entries)
+    ints, den = clear_denominators([coerce_rational(x) for x in seeds])
+    scale = poly.leading_coefficient ** (m - d)
+    row = [x * scale for x in ints]
+    extend_rows(poly.coeffs, [row], m)  # v_(t+d) has a denominator dividing den * a_d^(t+1)
+    return tuple(Fraction(x, den * scale) for x in row)

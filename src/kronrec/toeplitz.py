@@ -42,6 +42,7 @@ from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors
 from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
+from .recurrence_matrices import extend_rows
 
 __all__ = [
     "LaurentSymbol",
@@ -136,22 +137,21 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
     """D_{n-1} from Trench's closed form, exactly, without the symbol's roots.
 
     With the symbol scaled to integers c_{-r}..c_s by den, the lcm of its
-    denominators, H_0 = 1 and H_t = -sum_{i=1}^{min(t, r+s)} c_{s-i} c_s^(i-1)
-    H_{t-i} give H_t = c_s^t h_t, the complete homogeneous sums of the roots
-    of x^r C(x).  Jacobi-Trudi writes G_n / G_0 = s_{(n^s)} = det[h_{n-i+j}],
-    so D_{n-1} = (-1)^(n s) c_s^(n (1-s)) det[H_{n-i+j}]_{i,j=1..s} / den^n,
-    with H_t = 0 for t < 0 and the empty determinant 1.
+    denominators, extend_rows runs H_t = -sum_{i=1}^{r+s} c_{s-i} c_s^(i-1)
+    H_{t-i} from the seeds H_(1-r-s)..H_0 = 0, ..., 0, 1 to H_t = c_s^t h_t, the
+    complete homogeneous sums of the roots of x^r C(x).  Jacobi-Trudi writes
+    G_n / G_0 = s_{(n^s)} = det[h_{n-i+j}], so D_{n-1} = (-1)^(n s)
+    c_s^(n (1-s)) det[H_{n-i+j}]_{i,j=1..s} / den^n, the empty determinant 1.
     """
     if n < 1:
         raise DomainError("the closed form needs n >= 1")
     r, s = symbol.r, symbol.s
     c, den = clear_denominators(symbol.coeffs)  # c[j + r] is den * c_j
     c_s = c[-1]
-    weights = [c[-1 - i] * c_s ** (i - 1) for i in range(1, r + s + 1)]
-    h = [1]  # h[t] is H_t
-    for t in range(1, n + s):
-        h.append(-sum(w * h[t - i] for i, w in enumerate(weights[:t], 1)))
-    minor = det_exact([[h[n - i + j] if n - i + j >= 0 else 0 for j in range(s)] for i in range(s)])
+    weights = [x * c_s ** (r + s - 1 - j) for j, x in enumerate(c[:-1])] + [1]
+    h = [0] * (r + s - 1) + [1]  # h[t + r + s - 1] is H_t
+    extend_rows(weights, [h], n + r + 2 * s - 1)
+    minor = det_exact([[h[n - i + j + r + s - 1] for j in range(s)] for i in range(s)])
     det = (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
     return TrenchData(det)
 
@@ -207,9 +207,10 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
         raise DomainError("the ratio needs deg A >= 1")
     if ell_max < 1:
         raise DomainError("the ratio needs l >= 1")
-    chosen = sorted(set(int(i) for i in indices))
-    if any(i < 1 or i > d for i in chosen):
-        raise DomainError(f"basis indices must sit in 1..{d}")
+    picked = set(indices)
+    if not all(isinstance(i, int) and 1 <= i <= d for i in picked):
+        raise DomainError(f"basis indices must be integers in 1..{d}")
+    chosen = sorted(map(int, picked))
     a = poly.coeffs
     if a[0] == 0:
         raise DomainError("coefficient sequence needs a nonzero constant entry")

@@ -38,8 +38,9 @@ from kronrec.exact_linalg import (
     integer_kernel,
     leading_minors,
     is_prime,
+    solve_exact,
 )
-from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate, scaled_basis_N
+from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate, newton_polygon, scaled_basis_N
 from kronrec.intervals import Interval, interval_min
 from kronrec.poly_core import (
     IntPolynomial,
@@ -622,6 +623,48 @@ def integral_basis_by_product(poly: IntPolynomial, m: int) -> tuple[tuple, int]:
     table, lead = scaled_basis_N(poly, m)
     window = zip(*(row[max(d, m - d) :] for row in table))
     return _z_basis_by_product(_congruence_coordinates(window, lead, d), table, lead)
+
+
+def recurrence_extend_fractions(poly: IntPolynomial, init: Sequence, m: int) -> tuple[Fraction, ...]:
+    """The d seed values extended to m entries along sum_j a_j v_{i+j} = 0, one Fraction per step.
+
+    The Fraction route to recurrence_matrices.recurrence_extend, which clears
+    the seeds' denominators once and extends in integers: here each entry is
+    -(a_0 v_i + ... + a_(d-1) v_(i+d-1)) / a_d in Fractions.
+    """
+    d = poly.degree
+    if d < 1 or len(init) != d or m < d:
+        raise DomainError("recurrence extension needs 1 <= deg A = len(init) <= m")
+    entries = [coerce_rational(x) for x in init]
+    a = poly.coeffs
+    for i in range(m - d):
+        acc = Fraction(0)
+        for j in range(d):
+            acc += a[j] * entries[i + j]
+        entries.append(-acc / a[d])
+    return tuple(entries)
+
+
+def canonical_rows_by_solve(poly: IntPolynomial, p: int, m: int, pivot_rule: str = "nonnegative"):
+    """The rows of lattice_structure.canonical_basis_M, each selector solved against all of N.
+
+    The full-solve route to canonical_basis_M, which solves each selector
+    T_xi against T's first d columns only and extends the rows along the
+    recurrence: here N_xi^-1 N is solved with all m columns of N on the right,
+    and N's rows come from recurrence_extend_fractions.
+    """
+    d = poly.degree
+    polygon = newton_polygon(poly, p)
+    s = polygon.pivot_index(pivot_rule)
+    walls = [v[0] for v in polygon.vertices]
+    basis = [recurrence_extend_fractions(poly, [int(i == j) for j in range(d)], m) for i in range(d)]
+    rows = []
+    for k in range(1, polygon.segment_count + 1):
+        w = walls[k] if k < s else walls[k - 1]
+        cols = list(range(w)) + list(range(m - d + w, m))
+        q = solve_exact([[row[c] for c in cols] for row in basis], basis)
+        rows.extend(tuple(row) for row in q[walls[k - 1] : walls[k]])
+    return tuple(rows)
 
 
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:

@@ -27,16 +27,17 @@ from kronrec.lattice_structure import (
     scaled_basis_N,
 )
 from kronrec.poly_core import IntPolynomial
-from kronrec.recurrence_matrices import recurrence_extend
 from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
 from oracles import (
     band_kernel_basis,
+    canonical_rows_by_solve,
     check_basis_certificate_fractions,
     integral_basis_by_columns,
     integral_basis_by_product,
     mat_mul,
     minor_identity,
     p_adic_valuation,
+    recurrence_extend_fractions,
     snf,
 )
 
@@ -187,14 +188,14 @@ def non_monic_polys(draw, max_degree=4, bound=9):
 @settings(max_examples=120, deadline=None)
 @given(non_monic_polys(), st.integers(0, 6))
 def test_scaled_basis_is_the_lead_power_times_the_rational_recurrence(a, extra):
-    # the Fraction route of recurrence_extend is the oracle for the integer table
+    # the Fraction route to recurrence_extend is the oracle for the integer table
     d = a.degree
     m = d + extra
     table, lead = scaled_basis_N(a, m)
     assert lead == a.leading_coefficient ** (m - d)
     for i, row in enumerate(table):
         seed_row = [int(j == i) for j in range(d)]
-        expected = [lead * x for x in recurrence_extend(a, seed_row, m)]
+        expected = [lead * x for x in recurrence_extend_fractions(a, seed_row, m)]
         assert all(type(x) is int for x in row)
         assert row == expected
     assert basis_N(a, m) == [[Fraction(x, lead) for x in row] for row in table]
@@ -345,6 +346,38 @@ def test_integer_certificate_matches_fraction_oracle_on_shifted_slopes():
                     if isinstance(ours, str):
                         messages.add(ours.split(" valuation floor")[0].rsplit(" ", 1)[-1])
     assert {"rightward", "leftward"} <= messages
+
+
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+def test_canonical_basis_equals_the_full_solve_route(rule):
+    # p divides a_0, a_d, both or neither, and m runs from d to 40
+    rng = random.Random(30)
+    cases = [(WORKED, 3, 40), (poly(-1, -1, 2), 2, 30), (poly(7, 0, -3, 5, 0, 14), 7, 25)]
+    for _ in range(80):
+        p = rng.choice((2, 3, 5, 7))
+        a = _random_primitive(rng, rng.randint(1, 5), p)
+        cases.append((a, p, rng.randint(a.degree, 40)))
+    for a, p, m in cases:
+        assert canonical_basis_M(a, p, m, pivot_rule=rule).matrix == canonical_rows_by_solve(a, p, m, rule)
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda rows: rows + [rows[0]],
+        lambda rows: rows + [[0] * len(rows[0])],
+        lambda rows: rows[:-1],
+        lambda rows: [rows[0], rows[1][:-1], *rows[2:]],
+        lambda rows: [rows[0], rows[1] + [0], *rows[2:]],
+        lambda rows: [row + [7] for row in rows],
+    ],
+    ids=["row 1 again", "zero row", "row dropped", "short row", "long row", "every row long"],
+)
+def test_certificate_rejects_a_matrix_of_the_wrong_shape(reshape):
+    basis = canonical_basis_M(WORKED, 3, 10)
+    rows = reshape([list(r) for r in basis.matrix])
+    with pytest.raises(CertificateError, match="deg A rows of m entries$"):
+        check_basis_certificate(WORKED, basis.polygon, basis.pivot_segment, 10, rows)
 
 
 class _NoArithmetic(Fraction):

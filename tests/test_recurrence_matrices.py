@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import identity_matrix, integer_kernel, solve_exact
 from kronrec.poly_core import IntPolynomial
-from kronrec.recurrence_matrices import band_rows, recurrence_extend
-from oracles import tri_rows, verify_factorization
+from kronrec.recurrence_matrices import band_rows, extend_rows, recurrence_extend
+from oracles import recurrence_extend_fractions, tri_rows, verify_factorization
 
 
 def poly(*cs: int) -> IntPolynomial:
@@ -71,6 +71,49 @@ def test_recurrence_extend_rejects_bad_seeds_with_domain_error(bad):
         recurrence_extend(poly(-1, -1, 1), (1, bad), 4)
     # a numeric string is read exactly, like any other coerced rational
     assert recurrence_extend(poly(-2, 1), ("1/3",), 2) == (Fraction(1, 3), Fraction(2, 3))
+
+
+def test_recurrence_extend_reads_any_iterable_once():
+    seeds = (Fraction(1, 3), 2, "-5/7")
+    a = poly(3, -2, -9, 9)
+    assert recurrence_extend(a, iter(seeds), 8) == recurrence_extend(a, seeds, 8)
+    with pytest.raises(DomainError):
+        recurrence_extend(a, iter(seeds[:2]), 8)
+    with pytest.raises(DomainError):
+        recurrence_extend(a, (x for x in (1, None, 0)), 8)
+
+
+@st.composite
+def extension_cases(draw):
+    """A of degree 1-5 with |a_d| <= 12, seeds with denominators up to 12, and m = d..60."""
+    a = draw(recurrence_polys(max_degree=5))
+    lead = draw(st.integers(1, 12)) * draw(st.sampled_from((1, -1)))
+    a = IntPolynomial(a.coeffs[:-1] + (lead,))
+    seeds = [Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 12))) for _ in range(a.degree)]
+    return a, seeds, draw(st.integers(a.degree, 60))
+
+
+@seed(20261030)
+@settings(deadline=None, max_examples=150)
+@given(extension_cases())
+@example((poly(-1, 2), [Fraction(1)], 60))  # 2x - 1: every step halves
+@example((poly(5, 0, 0, 0, 0, -12), [Fraction(1, 11)] * 5, 5))  # m = d: no step
+def test_recurrence_extend_equals_the_fraction_route(case):
+    a, seeds, m = case
+    assert recurrence_extend(a, seeds, m) == recurrence_extend_fractions(a, seeds, m)
+
+
+def test_extend_rows_stops_at_the_first_remainder():
+    # 2x - 1 from seed 1: z_1 = 1/2 is no integer
+    row = [1]
+    assert extend_rows((-1, 2), [row], 4) is False
+    assert row == [1]
+    rows = [[4], [2]]
+    assert extend_rows((-1, 2), rows, 3) is False
+    assert rows[0] == [4, 2, 1]  # the first row ends; the second stops at 1/2
+    rows = [[1, 0], [0, 1]]
+    assert extend_rows((-1, -1, 1), rows, 6) is True
+    assert rows == [[1, 0, 1, 1, 2, 3], [0, 1, 1, 2, 3, 5]]
 
 
 @settings(deadline=None, max_examples=50)

@@ -362,6 +362,15 @@ def test_lyons_rejects():
         lyons_ratios(SHIFT2, {5}, 0)
 
 
+def test_lyons_rejects_a_non_integral_index():
+    with pytest.raises(DomainError, match="integers"):
+        lyons_ratios(SHIFT2, [1.5], 3)
+    with pytest.raises(DomainError, match="integers"):
+        lyons_ratios(SHIFT2, ["1"], 3)
+    # ints and bools are accepted
+    assert lyons_ratios(SHIFT2, [True], 3) == lyons_ratios(SHIFT2, [1], 3)
+
+
 def test_lyons_rejects_a_zero_constant_coefficient():
     with pytest.raises(DomainError, match="^coefficient sequence needs a nonzero constant entry$"):
         lyons_ratios(IntPolynomial((0, 1, 1)), {1}, 3)
