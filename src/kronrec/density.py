@@ -247,13 +247,13 @@ def witness(
         residual = max(residual, abs(row_val - ki))
 
     # the certificate, exact on the binary values of the floats returned:
-    # each is an integer over their common power-of-two denominator den
+    # each is an integer over their common power-of-two denominator den, so
+    # |w|_inf and the largest row miss are taken in integers, then one
+    # Fraction each
     tw, den = clear_floats((*tvec, *w))
     sup = Fraction(max(abs(x) for x in tw[m:]), den)
-    miss = max(
-        Fraction(abs(sum(a[j] * (tw[i + j] + tw[m + i + j]) for j in range(d + 1)) - ki * den), den)
-        for i, ki in enumerate(k)
-    )
+    rows_den = (sum(a[j] * (tw[i + j] + tw[m + i + j]) for j in range(d + 1)) for i in range(ell))
+    miss = Fraction(max(abs(row - ki * den) for row, ki in zip(rows_den, k)), den)
     if sup > Fraction(eps) / 2 or miss > WITNESS_RESIDUAL_TOL:
         raise CertificateError(
             f"witness fails its exact check: |w|_inf = {float(sup):.6g} against eps/2 = "

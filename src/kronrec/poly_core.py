@@ -25,8 +25,12 @@ the radii are exact values rounded up, and a root that is itself a float
 gets radius 0.  p is evaluated exactly once at the centres, and the centres
 snapped onto the real axis or mirrored into conjugates reuse those values;
 a centre already on the axis is real whatever its radius, so radii at the
-Aberth centres are taken only off it.
-Disjointness is decided exactly.  No working precision is involved.
+Aberth centres are taken only off it.  Each pairwise and each conjugate
+quantity is formed once: an Aberth sweep forms 1/(z_i - z_j) once for both
+points, and when the centres are closed under conjugation p and the radii
+are taken at the real and upper centres only.  Disjointness is decided
+exactly, after a float screen with a proven margin.  No working precision
+is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
 and all disks are pairwise disjoint.  Every Mahler variant and the refined
@@ -39,6 +43,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Sequence
 
@@ -241,12 +246,17 @@ class ComplexRootSet:
     poly: IntPolynomial
     roots: tuple[RootEnclosure, ...]
 
+    @cached_property
+    def _moduli(self) -> list[tuple[Interval, int]]:
+        """Each root's modulus enclosure and multiplicity, taken once for every fold."""
+        return [(_modulus_interval(enc), enc.multiplicity) for enc in self.roots]
+
     def _product(self, factor) -> Interval:
         """|a_d| * prod factor(|alpha|) over the roots with multiplicity; finite or DomainError."""
         acc = Interval.from_int(abs(self.poly.leading_coefficient))
-        for enc in self.roots:
-            f = factor(_modulus_interval(enc))
-            for _ in range(enc.multiplicity):
+        for modulus, multiplicity in self._moduli:
+            f = factor(modulus)
+            for _ in range(multiplicity):
                 acc = acc.mul(f)
         if not math.isfinite(acc.hi):
             raise DomainError("the root product overflows a float")
@@ -285,31 +295,36 @@ def _exact_values(cs: tuple[int, ...], zs: Sequence[complex], newton: bool = Tru
     zs, ws[i] = S z_i and ps[i] = S^n p(z_i) are Gaussian integer pairs, and
     newtons[i] = p(z_i)/p'(z_i) = ps[i] / (S * S^(n-1) p'(z_i)), or None where
     it is infinite or overflows.  With newton False, newtons is None and
-    neither p' nor the division is computed: the radii need only p.
+    neither p' nor the division is computed: the radii need only p.  A point
+    on the real axis takes a real Horner pass; its imaginary parts would
+    stay 0 in the complex one, so the values are the same integers.
     """
     ints, s = _dyadic([x for z in zs for x in (z.real, z.imag)])
-    n = len(cs) - 1
-    scaled = [c * s ** (n - k) for k, c in enumerate(cs[:-1])]
-    ws, ps = list(zip(ints[::2], ints[1::2])), []
-    if not newton:
-        for x, y in ws:
-            pr, pi = cs[-1], 0
-            for c in reversed(scaled):
-                pr, pi = pr * x - pi * y + c, pr * y + pi * x
-            ps.append((pr, pi))
-        return s, ws, ps, None
-    newtons = []
+    n, e = len(cs) - 1, s.bit_length() - 1
+    scaled = [c << e * (n - k) for k, c in enumerate(cs[:-1])][::-1]
+    ws, ps, newtons = list(zip(ints[::2], ints[1::2])), [], [] if newton else None
     for x, y in ws:
         pr, pi, dr, di = cs[-1], 0, 0, 0
-        for c in reversed(scaled):
-            dr, di = dr * x - di * y + pr, dr * y + di * x + pi
-            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        if y and newton:
+            for c in scaled:
+                dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+                pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        elif y:
+            for c in scaled:
+                pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        elif newton:
+            for c in scaled:
+                dr, pr = dr * x + pr, pr * x + c
+        else:
+            for c in scaled:
+                pr = pr * x + c
         ps.append((pr, pi))
-        den = (dr * dr + di * di) * s
-        try:
-            newtons.append(complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den))
-        except (ZeroDivisionError, OverflowError):
-            newtons.append(None)
+        if newton:
+            den = (dr * dr + di * di) * s
+            try:
+                newtons.append(complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den))
+            except (ZeroDivisionError, OverflowError):
+                newtons.append(None)
     return s, ws, ps, newtons
 
 
@@ -318,12 +333,30 @@ def _aberth_step(zs: Sequence[complex], newtons) -> tuple[list[complex], float]:
 
     N_i = p(z_i)/p'(z_i); None stands for an infinite N_i, whose limit step
     is z_i + 1/sum.  A point whose step cannot be formed stays where it is.
+    Each reciprocal q = 1/(z_i - z_j), i < j, is formed once and -q serves
+    for (j, i): IEEE subtraction and Python's complex division round
+    symmetrically under a change of sign, so -q equals 1/(z_j - z_i) but
+    for the signs of zero and NaN parts: a sum started at 0 drops the
+    first, and a NaN point fails the exact evaluation whatever its sign.
+    Each sum runs over j in order, so it is the double the direct sum gives.
     Returns the new points and the largest move relative to |z_i|.
     """
+    rows, stuck = [[] for _ in zs], set()
+    for i, z in enumerate(zs):
+        for j in range(i + 1, len(zs)):
+            try:
+                q = 1 / (z - zs[j])
+            except ZeroDivisionError:
+                stuck.update((i, j))
+                q = 0j
+            rows[i].append(q)
+            rows[j].append(-q)
     out, worst = [], 0.0
-    for i, (z, nw) in enumerate(zip(zs, newtons)):
+    for i, (z, nw, row) in enumerate(zip(zs, newtons, rows)):
         try:
-            s = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            if i in stuck:
+                raise ZeroDivisionError
+            s = sum(row)
             out.append(z + 1 / s if nw is None else z - nw / (1 - nw * s))
         except ZeroDivisionError:
             out.append(z)
@@ -337,15 +370,17 @@ def _aberth(cs: tuple[int, ...]) -> list[complex]:
     Starts from a circle enclosing every root and runs up to 40 + 12n sweeps
     with p evaluated in doubles (exactly where a double overflows) until no
     point moves by 1e-12 relative; p and p' come from one Horner loop over
-    the pairs (a_k, k a_k), each accumulator in its own Horner pass's order.
-    Then up to 8 sweeps with p evaluated exactly at the float points polish
-    them until they settle to a few ulps.  Before each exact sweep and after
-    the last, a centre with |Im z| <= eps^2 |Re z| is put on the real axis.
-    That leaves every real part as it was (see the module docstring) and
-    takes a real root's exact values at its real part's scale, about 2^53,
-    not at the 2^150 to 2^300 of an imaginary part of 1e-46 to 1e-77.  The
-    bound is relative to Re z: eps^2 max(1, |z|) would put both roots
-    +-10^-32 i of 10^64 x^2 + 1 on 0, and eps^2 |z| a centre whose
+    the pairs (a_k, k a_k), each accumulator in its own Horner pass's order,
+    and the pass forms each Newton correction as it goes, leaving for the
+    exact values at the first non-finite p or p'.  Then up to 8 sweeps with
+    p evaluated exactly at the float points polish them until they settle
+    to a few ulps.  Before each exact sweep and after the last, a centre
+    with |Im z| <= eps^2 |Re z| is put on the real axis.  That leaves every
+    real part as it was (see the module docstring) and takes a real root's
+    exact values at its real part's scale, about 2^53, by a real Horner
+    pass, not at the 2^150 to 2^300 of an imaginary part of 1e-46 to
+    1e-77.  The bound is relative to Re z: eps^2 max(1, |z|) would put both
+    roots +-10^-32 i of 10^64 x^2 + 1 on 0, and eps^2 |z| a centre whose
     imaginary part overflowed.
     """
     n = len(cs) - 1
@@ -358,14 +393,16 @@ def _aberth(cs: tuple[int, ...]) -> list[complex]:
     radius0 = 1.0 + max(abs(c) for c in fcs[:-1]) / abs(fcs[-1])
     zs = [cmath.rect(0.75 * radius0, 0.4 + 2 * math.pi * k / n) for k in range(n)]
     for _ in range(40 + 12 * n):
-        vals = []
+        newtons = []
         for z in zs:
             p = dp = z * 0
             for c, dc in pairs:
                 p, dp = p * z + c, dp * z + dc
-            vals.append((p * z + fcs[0], dp))
-        finite = all(cmath.isfinite(p) and cmath.isfinite(dp) for p, dp in vals)
-        newtons = [p / dp if dp else None for p, dp in vals] if finite else _exact_values(cs, zs)[3]
+            p = p * z + fcs[0]
+            if not (cmath.isfinite(p) and cmath.isfinite(dp)):
+                newtons = _exact_values(cs, zs)[3]
+                break
+            newtons.append(p / dp if dp else None)
         zs, move = _aberth_step(zs, newtons)
         if move <= 1e-12:
             break
@@ -419,23 +456,38 @@ def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
     """Weierstrass disks, each within the target, at a square-free factor's Aberth centres.
 
     `_aberth` has already put every centre within eps^2 |Re z| of the real
-    axis on it, and such a centre is real whatever its radius, so radii
-    at the Aberth centres are taken only off the axis.  Centres whose disk
-    meets the axis are snapped onto it and those below it replaced by the
-    mirrors of those above; the radii are taken at these final centres.  p
-    is evaluated exactly once, at the Aberth centres, and the final centres
-    reuse those values at the same scale S, which every final coordinate's
-    denominator divides: a centre left alone keeps its S^n p, and only a
-    centre moved onto the axis here is evaluated again, by a real Horner
-    pass.  A mirror's value is the conjugate of its upper centre's (the
-    coefficients are real), and since the final centres are closed under
-    conjugation its radius is the upper centre's too, so only the products
-    of differences are recomputed, for the reals and the uppers.  The radii
+    axis on it, and such a centre is real whatever its radius.  Centres
+    whose disk meets the axis are snapped onto it and those below it
+    replaced by the mirrors of those above; the radii are taken at these
+    final centres.  Almost always the centres below the axis are exactly
+    the conjugates of those above.  Conjugation then permutes the centres,
+    so a lower centre's value and radius are its mirror's conjugate value
+    and radius: p is evaluated exactly only at the real and upper centres,
+    and the first radii are taken at the uppers alone.  If no upper snaps,
+    the final centres are the Aberth centres reordered, and only the real
+    centres' radii are left to take.  Otherwise (a snapped pair lands on
+    one point, so `roots` fails), and for centres not closed under
+    conjugation, p is evaluated once at every Aberth centre and radii are
+    taken off the axis.  The final centres reuse those values at the same
+    scale S, which every final coordinate's denominator divides; only a
+    centre snapped here is evaluated again, by a real Horner pass, and a
+    mirror takes its upper centre's conjugate value and radius.  The radii
     are bit-identical to a fresh evaluation at the final centres (see
     `_radii`).  `roots` checks that the disks are disjoint.
     """
     n = len(cs) - 1
     zs = _aberth(cs)
+    reals = [z for z in zs if not z.imag]
+    ups = [z for z in zs if z.imag > 0]
+    mirrored = sorted((z.real, -z.imag) for z in zs if z.imag < 0)
+    if len(reals) + 2 * len(ups) == n and sorted((z.real, z.imag) for z in ups) == mirrored:
+        k = len(reals)
+        s, ws, ps, _ = _exact_values(cs, reals + ups, newton=False)
+        ws += [(x, -y) for x, y in ws[k:]]
+        radii = _radii(cs, s, ws, ps, range(k, n - len(ups)))
+        if all(z.imag > r for z, r in zip(ups, radii)):
+            zs = [complex(z.real, 0.0) for z in reals] + ups + [z.conjugate() for z in ups]
+            return _checked_disks(n, zs, _radii(cs, s, ws, ps, range(k)) + radii * 2)
     s, ws, ps, _ = _exact_values(cs, zs, newton=False)
     off_axis = [i for i, z in enumerate(zs) if z.imag]
     radii = dict(zip(off_axis, _radii(cs, s, ws, ps, off_axis)))
@@ -451,11 +503,15 @@ def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
     kept = reals + uppers
     ws = [w for _, w, _ in kept] + [(x, -y) for _, (x, y), _ in uppers]
     radii = _radii(cs, s, ws, [p for _, _, p in kept], range(len(kept)))
-    disks = [(z, r) for (z, _, _), r in zip(kept, radii)]
-    disks += [(z.conjugate(), r) for (z, _, _), r in zip(uppers, radii[len(reals) :])]
-    if len(disks) != n or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in disks):
+    zs = [z for z, _, _ in kept] + [z.conjugate() for z, _, _ in uppers]
+    return _checked_disks(n, zs, radii + radii[len(reals) :])
+
+
+def _checked_disks(n: int, zs: list[complex], radii: list[float]) -> list[tuple[complex, float]]:
+    """The n disks (z, r) of a degree-n factor, or RootCertificationError if one is missing or too wide."""
+    if len(zs) != n or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in zip(zs, radii)):
         raise RootCertificationError(f"could not certify the roots of a degree-{n} factor")
-    return disks
+    return list(zip(zs, radii))
 
 
 def roots(poly: IntPolynomial) -> ComplexRootSet:
@@ -482,14 +538,29 @@ def roots(poly: IntPolynomial) -> ComplexRootSet:
 
 
 def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
-    """Whether the closed disks are pairwise disjoint, exactly on the binary values."""
-    ints, _ = _dyadic([x for z, r in disks for x in (z.real, z.imag, r)])
-    cells = list(zip(ints[::3], ints[1::3], ints[2::3]))
-    return all(
-        (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2
-        for i, (x, y, r) in enumerate(cells)
-        for u, v, t in cells[i + 1 :]
-    )
+    """Whether the closed finite disks are pairwise disjoint, exactly on the binary values.
+
+    Each pair (z, r), (w, t) is screened in doubles first.  With u = 2^-53,
+    each operation errs by at most u relative plus, for a product below the
+    normal range, tau = 2^-1075; a sum or difference there is exact.  So
+    g = fl(dx^2 + dy^2) <= (1 + u)^4 D + 3 tau for D = |z - w|^2, and
+    h = fl((r + t)^2) >= (1 - u)^3 R - tau for R = (r + t)^2.  A finite g
+    at least 2^-1000, so 3 tau < 2^-73 g, and above fl(K h), K = 1 + 2^-32,
+    gives R < (g + 3 tau) / (K (1 - u)^4) and D >= (g - 3 tau) / (1 + u)^4,
+    and D > R since K > 1 + 2^-49 > (1 + u)^4 (1 + 2^-73) / ((1 - u)^4
+    (1 - 2^-73)).  Every other pair is near, overflows or underflows, and is
+    decided on its own exact Gaussian integers.
+    """
+    for i, (z, r) in enumerate(disks):
+        for w, t in disks[i + 1 :]:
+            dx, dy, rt = z.real - w.real, z.imag - w.imag, r + t
+            g = dx * dx + dy * dy
+            if 2.0**-1000 <= g < math.inf and g > (1 + 2.0**-32) * (rt * rt):
+                continue
+            (x, y, a, u, v, b), _ = _dyadic([z.real, z.imag, r, w.real, w.imag, t])
+            if (x - u) ** 2 + (y - v) ** 2 <= (a + b) ** 2:
+                return False
+    return True
 
 
 # ----- Mahler measure -----

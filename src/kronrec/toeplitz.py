@@ -147,11 +147,12 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
         raise DomainError("the closed form needs n >= 1")
     r, s = symbol.r, symbol.s
     c, den = clear_denominators(symbol.coeffs)  # c[j + r] is den * c_j
-    c_s = c[-1]
-    weights = [x * c_s ** (r + s - 1 - j) for j, x in enumerate(c[:-1])] + [1]
-    h = [0] * (r + s - 1) + [1]  # h[t + r + s - 1] is H_t
-    extend_rows(weights, [h], n + r + 2 * s - 1)
-    minor = det_exact([[h[n - i + j + r + s - 1] for j in range(s)] for i in range(s)])
+    c_s, minor = c[-1], 1
+    if s:  # for s = 0 the minor is empty and no H_t is read
+        weights = [x * c_s ** (r + s - 1 - j) for j, x in enumerate(c[:-1])] + [1]
+        h = [0] * (r + s - 1) + [1]  # h[t + r + s - 1] is H_t
+        extend_rows(weights, [h], n + r + 2 * s - 1)
+        minor = det_exact([[h[n - i + j + r + s - 1] for j in range(s)] for i in range(s)])
     det = (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
     return TrenchData(det)
 

@@ -46,6 +46,7 @@ from kronrec.poly_core import (
     IntPolynomial,
     MahlerMeasure,
     _aberth,
+    _dyadic,
     _exact_values,
     _horner,
     _radii,
@@ -922,6 +923,17 @@ def _aberth_step_sliced(zs: Sequence[complex], newtons) -> tuple[list[complex], 
             out.append(z)
         worst = max(worst, abs(out[-1] - z) / abs(z) if z else math.inf)
     return out, worst
+
+
+def disks_disjoint_all_pairs(disks: Sequence[tuple[complex, float]]) -> bool:
+    """The test that `poly_core._disks_disjoint` replaced: every pair exactly, over one power of two."""
+    ints, _ = _dyadic([x for z, r in disks for x in (z.real, z.imag, r)])
+    cells = list(zip(ints[::3], ints[1::3], ints[2::3]))
+    return all(
+        (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2
+        for i, (x, y, r) in enumerate(cells)
+        for u, v, t in cells[i + 1 :]
+    )
 
 
 def aberth_off_axis_polish(cs: tuple[int, ...]) -> list[complex]:

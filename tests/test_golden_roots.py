@@ -17,19 +17,27 @@ failing digest prints the report it hashed.
 
 `test_roots_digest` pins `roots` itself, bit for bit, on seeded random
 polynomials shaped like the benchmark's witness and mahler inputs, some
-with repeated factors or the root 0.
+with repeated factors or the root 0.  `test_benchmark_roots_digest` pins it
+on every polynomial the benchmark's three workloads draw at seed 1; the
+benchmark's `workloads.py` is loaded from its file without writing bytecode
+next to it.
 """
 
 import hashlib
+import importlib.util
 import math
 import random
 import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from kronrec.cli import main
-from kronrec.errors import RootCertificationError
-from kronrec.poly_core import IntPolynomial, roots
+from kronrec.errors import DomainError, RootCertificationError
+from kronrec.poly_core import IntPolynomial, parse_polynomial, roots
+
+KRONBENCH = Path(__file__).resolve().parent.parent / "kronbench"
 
 GOLDEN_ROOTS = [
     ("witness --m 14 --seed 72241 -2,4,-3,-1,-2,-2,2,3,3", "af5c8f6e9f71a495e170a95332c0715a48f64979889f69b91f62891f3cc46947"),
@@ -82,17 +90,51 @@ def _golden_polys():
     return out
 
 
-def test_roots_digest():
-    """Every bit of each centre and radius, and each multiplicity, of `roots`
-    on 82 seeded polynomials; a failure would be pinned by its message."""
+def _roots_digest(polys):
+    """SHA-256 over each polynomial and the hex of each centre, radius and
+    multiplicity of its roots, or the error it raised."""
     h = hashlib.sha256()
-    for cs in _golden_polys():
+    for cs in polys:
         h.update(repr(cs).encode())
         try:
             rs = roots(IntPolynomial(tuple(cs))).roots
-        except RootCertificationError as exc:
+        except (DomainError, RootCertificationError) as exc:
             h.update(f"error {exc}".encode())
             continue
         for e in rs:
             h.update(f"{e.value.real.hex()} {e.value.imag.hex()} {e.radius.hex()} {e.multiplicity};".encode())
-    assert h.hexdigest() == "e0b68a58bb97cdcd607ada9093ac0e5adf2de6b8edb1aa8dce686af2455d56ab"
+    return h.hexdigest()
+
+
+def test_roots_digest():
+    """Every bit of each centre and radius, and each multiplicity, of `roots`
+    on 82 seeded polynomials; a failure would be pinned by its message."""
+    assert _roots_digest(_golden_polys()) == "e0b68a58bb97cdcd607ada9093ac0e5adf2de6b8edb1aa8dce686af2455d56ab"
+
+
+def benchmark_polys(workload):
+    """The polynomial of each task in the first eight cycles of the
+    workload's seed-1 task stream.  Eight cycles hold the task list of the
+    shortest benchmark run of each workload: the warm-up cycle and the
+    fewest cycles that leave ten tasks beyond the 90th percentile."""
+    spec = importlib.util.spec_from_file_location("_kronbench_workloads", KRONBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return [list(parse_polynomial(argv[-1]).coeffs) for _, argv in module.tasks(workload, 1, 8)]
+
+
+BENCHMARK_ROOTS = {
+    "gram": "b770190485cb450123794bfd54cef99460be73bd6839a1f44411c099e007a99b",
+    "witness": "9da170c4b3aabee40c1685ab5e150f97746688f971a953e275050f1ea6e82b69",
+    "decide": "4a38805c6d0204d608cce3eaa25f8175626c32db3583d6fb1f03bca43ab7ab99",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_ROOTS))
+def test_benchmark_roots_digest(workload):
+    """`roots` bit for bit on the 120 to 144 polynomials of one benchmark workload."""
+    assert _roots_digest(benchmark_polys(workload)) == BENCHMARK_ROOTS[workload]

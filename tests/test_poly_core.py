@@ -1,5 +1,6 @@
 """Polynomial parsing, certified roots, and Mahler measure variants."""
 
+import collections
 import math
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from kronrec.errors import DomainError, ParseError, RootCertificationError
 from kronrec.poly_core import (
     IntPolynomial,
     _aberth,
+    _aberth_step,
     _certified_simple_roots,
     _disks_disjoint,
     _exact_values,
@@ -24,13 +26,16 @@ from kronrec.poly_core import (
     squarefree_factors,
 )
 from oracles import (
+    _aberth_step_sliced,
     aberth_off_axis_polish,
     certified_simple_roots_two_pass,
+    disks_disjoint_all_pairs,
     fraction_squarefree,
     ladder_roots,
     rational_decompose,
     weierstrass_radii,
 )
+from test_golden_roots import benchmark_polys
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # classic numeric oracle for the degree-10 measure record holder
@@ -381,11 +386,70 @@ CLOSE_REAL_PAIR = poly(10**22 - 1, -2 * 10**21, 10**20)
 @example(poly(-2, 0, 0, 1))
 # a factor the engine cannot certify
 @example(WILKINSON)
+# a pair snapped onto the axis, from centres that are not each other's conjugates
 @example(CLOSE_REAL_PAIR)
+# (x^2 + 2)(x^2 - 2x - 2), the one benchmark witness factor at seed 1 whose
+# centres are not closed under conjugation: those of +-i sqrt 2 have real
+# parts +-6e-33
+@example(poly(-4, -4, 0, -2, 1))
 def test_one_radius_pass_matches_the_two_pass_route(p):
     """Bit-identical disks, or the same failure, with and without the second exact evaluation."""
     for fac, _ in squarefree_factors(p):
         assert _outcome(_certified_simple_roots, fac) == _outcome(certified_simple_roots_two_pass, fac)
+
+
+# 10^30 (x - 1)^2 - 1, roots 1 +- 10^-15, and 2^40 (x - 1)(x - 1 - 2^-40), roots 1 and
+# 1 + 2^-40: given the centres 1 +- 10^-20 i, closed under conjugation, the pair snaps onto 1
+# and has radius inf, or 0 where p vanishes; beside a conjugate pair, a centre with a NaN
+# imaginary part is neither real nor paired, and is evaluated
+_NEAR_ONE = [1 + 1e-20j, 1 - 1e-20j]
+
+
+@pytest.mark.parametrize(
+    "cs, zs, want",
+    [
+        ((10**30 - 1, -(2 * 10**30), 10**30), _NEAR_ONE, "could not certify the roots of a degree-2 factor"),
+        ((2**40 + 1, -(2**41 + 1), 2**40), _NEAR_ONE, [("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")] * 2),
+        ((1, 0, 0, 1), [1 + 1j, 1 - 1j, complex(0, math.nan)], "the root iteration left the float range"),
+    ],
+)
+def test_injected_centres_take_the_general_route(monkeypatch, cs, zs, want):
+    """No input found gives Aberth centres that are closed under conjugation
+    and snap, or that leave the float range, so the centres are injected;
+    both routes agree."""
+
+    def centres(_):
+        return list(zs)
+
+    assert _outcome(lambda c: certified_simple_roots_two_pass(c, centres), cs) == want
+    monkeypatch.setattr(poly_core, "_aberth", centres)
+    assert _outcome(_certified_simple_roots, cs) == want
+
+
+def _hex_points(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+@st.composite
+def aberth_sweeps(draw):
+    """Up to 12 points, often coinciding or at 0, and a Newton correction or None for each."""
+    points = st.sampled_from((0j, 1 + 1j, 1 - 1j, -2.5 + 0j, 1e-300j)) | float_points()
+    zs = draw(st.lists(points, min_size=1, max_size=12))
+    return zs, draw(st.lists(st.none() | float_points(), min_size=len(zs), max_size=len(zs)))
+
+
+@seed(20261022)
+@settings(deadline=None, max_examples=300)
+@given(aberth_sweeps())
+# coinciding points stay where they are, and so does a point whose step divides by 0
+@example(([1 + 1j, 2 + 0j, 1 + 1j], [0.5j, None, 1 + 0j]))
+@example(([0j, 1 + 0j, -1 + 0j], [None, 1e-3 + 0j, None]))
+def test_aberth_step_equals_the_direct_sums(sweep):
+    """One reciprocal per pair gives every new point and the move bit for bit."""
+    got, got_move = _aberth_step(*sweep)
+    want, want_move = _aberth_step_sliced(*sweep)
+    assert _hex_points(got) == _hex_points(want)
+    assert got_move.hex() == want_move.hex()
 
 
 def test_certified_roots_evaluate_p_once_beyond_the_polish_sweeps(monkeypatch):
@@ -485,8 +549,9 @@ def test_first_radius_pass_skips_centres_on_the_axis(monkeypatch):
         assert len(poly_core._certified_simple_roots(cs)) == len(cs) - 1
         assert taken == [0, len(cs) - 1]
     taken.clear()
-    poly_core._certified_simple_roots((1, 0, 1))  # +-i: one radius each, then the upper's again
-    assert taken == [2, 1]
+    # +-i: one radius for the pair, taken at i, and no real centre left to take
+    poly_core._certified_simple_roots((1, 0, 1))
+    assert taken == [1, 0]
 
 
 def test_close_real_pair_is_snapped_by_the_first_radius_pass(monkeypatch):
@@ -521,6 +586,95 @@ def test_disks_disjoint_decides_on_the_binary_values():
     # the binary values of 0.3 + 0.4i lie just over 1/2 from 0, where hypot rounds to 0.5
     assert math.hypot(0.3, 0.4) == 0.5
     assert _disks_disjoint([(0j, 0.25), (0.3 + 0.4j, 0.25)])
+
+
+_TINY = 5e-324
+_NEAR_MAX = sys.float_info.max / 2
+_SUB_GAP = math.sqrt(0.6) * 2.0**-537
+
+
+@pytest.mark.parametrize(
+    "disks",
+    [
+        # touching closed disks, and the same just apart
+        [(0j, 0.5), (1 + 0j, 0.5)],
+        [(0j, 0.5), (1 + 0j, math.nextafter(0.5, 0))],
+        # fl(x^2 + y^2) rounds above fl(t^2) though t^2 >= x^2 + y^2 exactly: only the
+        # margin keeps the screen from calling these disks apart
+        [
+            (0j, 0.0),
+            (
+                complex(float.fromhex("0x1.308b24d8d35c6p+0"), float.fromhex("0x1.42351e64663bfp+0")),
+                float.fromhex("0x1.bb5b1aa399b91p+0"),
+            ),
+        ],
+        # radius 0: coinciding and distinct centres
+        [(1 + 1j, 0.0), (1 + 1j, 0.0), (3 + 0j, 1.0)],
+        [(1 + 1j, 0.0), (complex(1, math.nextafter(1, 2)), 0.0)],
+        # gaps in the subnormal range, where the squares underflow
+        [(0j, 0.0), (complex(_TINY, 0), 0.0)],
+        [(0j, _TINY), (complex(2 * _TINY, 0), _TINY)],
+        [(0j, _TINY), (complex(3 * _TINY, 0), _TINY)],
+        [(complex(1e-310, 0), 1e-311), (complex(1e-310, 3e-311), 1e-311)],
+        [(complex(1e-310, 0), 1e-311), (complex(1e-310, 2e-311), 1e-311)],
+        # squares below the normal range: dx^2 and dy^2 of 0.6 * 2^-1074 each round up to
+        # 2^-1074 and (r + t)^2 = 1.35 * 2^-1074 rounds down to it, so the doubles alone
+        # would call overlapping disks apart
+        [(0j, 0.0), (complex(_SUB_GAP, _SUB_GAP), math.sqrt(1.35) * 2.0**-537)],
+        # centres near 1e300, where the squares overflow
+        [(1e300 + 0j, 1e300), (-1e300 + 0j, 1e300)],
+        [(1e300 + 0j, math.nextafter(1e300, 0)), (-1e300 + 0j, 1e300)],
+        [(complex(_NEAR_MAX, 1e300), 1e299), (complex(-_NEAR_MAX, -1e300), 1e299)],
+        [(complex(_NEAR_MAX, 0), _NEAR_MAX), (complex(-_NEAR_MAX, 0), _NEAR_MAX)],
+    ],
+)
+def test_disks_disjoint_equals_the_exact_all_pairs_test(disks):
+    assert _disks_disjoint(disks) == disks_disjoint_all_pairs(disks)
+    assert _disks_disjoint(disks[::-1]) == disks_disjoint_all_pairs(disks)
+
+
+@st.composite
+def disk_lists(draw):
+    """2-6 disks on a grid of one scale, touching or overlapping as often as apart."""
+    scale = draw(st.sampled_from((1.0, 0.1, 2.0**-1070, 2.0**-1000, 1e-160, 1e300, 2.0**1020)))
+    part = st.integers(-6, 6).map(lambda k: k * scale)
+    centre = st.builds(complex, part, part)
+    radius = st.integers(0, 6).map(lambda k: k * scale / 2) | st.just(0.0)
+    disks = draw(st.lists(st.tuples(centre, radius), min_size=2, max_size=6))
+    nudge = st.sampled_from((0.0, math.inf, -math.inf))
+    return [(z, math.nextafter(r, draw(nudge)) if r else r) for z, r in disks]
+
+
+@seed(20261023)
+@settings(deadline=None, max_examples=300)
+@given(disk_lists())
+def test_disks_disjoint_screen_equals_the_exact_test(disks):
+    assert _disks_disjoint(disks) == disks_disjoint_all_pairs(disks)
+
+
+def test_witness_roots_take_one_radius_per_pair_and_per_real_root(monkeypatch):
+    """A timing-free guard on the work of `roots` over the 120 benchmark
+    witness polynomials at seed 1: a radius at each conjugate pair's upper
+    centre and at each real centre, 429 in all, where radii at the lower
+    centres and the uppers' second radii made 883; and one exact evaluation
+    of p alone per factor beside the polish's 121 with p'."""
+    counts = collections.Counter()
+    sqrt_up, exact_values = poly_core._sqrt_up, poly_core._exact_values
+
+    def counted_sqrt_up(*args):
+        counts["radii"] += 1
+        return sqrt_up(*args)
+
+    def counted_exact_values(cs, zs, newton=True):
+        counts["with p'" if newton else "p alone"] += 1
+        return exact_values(cs, zs, newton)
+
+    monkeypatch.setattr(poly_core, "_sqrt_up", counted_sqrt_up)
+    monkeypatch.setattr(poly_core, "_exact_values", counted_exact_values)
+    for cs in benchmark_polys("witness"):
+        roots(IntPolynomial(tuple(cs)))
+    assert counts["radii"] <= 430
+    assert (counts["with p'"], counts["p alone"]) == (121, 120)
 
 
 @settings(deadline=None, max_examples=40)

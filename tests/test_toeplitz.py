@@ -246,6 +246,24 @@ def test_trench_equals_direct_on_raw_symbols():
     assert seen == {"repeated root", "fraction", "r != s", "r = 0", "s = 0", "n < s"}
 
 
+@pytest.mark.parametrize(
+    "coeffs, r",
+    [((Fraction(1, 2), 0, 3), 2), ((5,), 0), ((-2, Fraction(1, 3)), 1), ((1, -1, 0, Fraction(-7, 2)), 3)],
+)
+def test_trench_builds_no_recurrence_when_s_is_0(monkeypatch, coeffs, r):
+    """With s = 0 the Jacobi-Trudi minor is empty and no H_t is read, so none
+    is built; the Toeplitz matrix is triangular, with c_0 on its diagonal."""
+
+    def no_extension(*args):
+        raise AssertionError("H_t extended for s = 0")
+
+    sym = LaurentSymbol.from_coefficients(coeffs, r)
+    assert sym.s == 0
+    monkeypatch.setattr(toeplitz, "extend_rows", no_extension)
+    for n in (1, 2, 3, 7, 16):
+        assert trench_det(sym, n) == toeplitz_det_direct(sym, n - 1) == Fraction(coeffs[-1]) ** n
+
+
 def test_trench_equals_confluent_vandermonde_on_split_symbols():
     rng = random.Random(5)
     doubles = 0
