@@ -47,12 +47,15 @@ __all__ = [
 
 PADIC_INFINITY = math.inf
 
-# trial divisors, and the Miller-Rabin witness set that is deterministic below 3.3e24
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# trial divisors, and the Miller-Rabin bases 2..41, deterministic below
+# psi_13 = 3317044064679887385961981 (Sorenson & Webster, Math. Comp. 86, 2017)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, decided exactly; DomainError for an n with no factor
+    up to 41 at or above the bound where the bases stop being deterministic."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -60,20 +63,13 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n >= _MR_DETERMINISTIC_BOUND:
+        raise DomainError(f"primality is decided only below {_MR_DETERMINISTIC_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n >= _MR_DETERMINISTIC_BOUND:
-        import random
-
-        bases = [random.Random(n).randrange(2, n - 1) for _ in range(24)]
-    else:
-        bases = _SMALL_PRIMES
-    for a in bases:
-        a %= n
-        if a < 2:
-            continue
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

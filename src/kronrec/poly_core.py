@@ -22,15 +22,16 @@ cover the zero set, so pairwise disjoint disks isolate exactly one zero
 each (Braess & Hadeler, Numer. Math. 21, 1973).  The centres are dyadic, so
 over one power of two every quantity in a radius is a Gaussian integer:
 the radii are exact values rounded up, and a root that is itself a float
-gets radius 0.  p is evaluated exactly once at the centres, and the centres
-snapped onto the real axis or mirrored into conjugates reuse those values;
-a centre already on the axis is real whatever its radius, so radii at the
-Aberth centres are taken only off it.  Each pairwise and each conjugate
-quantity is formed once: an Aberth sweep forms 1/(z_i - z_j) once for both
-points, and when the centres are closed under conjugation p and the radii
-are taken at the real and upper centres only.  Disjointness is decided
-exactly, after a float screen with a proven margin.  No working precision
-is involved.
+gets radius 0.  Each pairwise and each conjugate quantity is formed once:
+an Aberth sweep forms 1/(z_i - z_j) once for both points, and the final
+centres are the real ones, the upper ones and their mirrors, so p and the
+radii are taken at the real and upper centres only, by one tail for every
+factor.  Almost always the Aberth centres are already closed under
+conjugation and are the final centres; otherwise p is first evaluated at
+every Aberth centre to snap onto the axis each centre whose disk meets it
+(a centre already on the axis is real whatever its radius, so these radii
+are taken only off it).  Disjointness is decided exactly, after a float
+screen with a proven margin.  No working precision is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
 and all disks are pairwise disjoint.  Every Mahler variant and the refined
@@ -66,14 +67,6 @@ __all__ = [
 # largest radius of a certified root disk, relative to max(1, |z|)
 _TARGET_RADIUS = 1e-12
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
-
-
-def _horner(coeffs: Sequence, x):
-    """sum coeffs[i] x^i for ascending coeffs; works for int, Fraction, float and complex."""
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -456,62 +449,65 @@ def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
     """Weierstrass disks, each within the target, at a square-free factor's Aberth centres.
 
     `_aberth` has already put every centre within eps^2 |Re z| of the real
-    axis on it, and such a centre is real whatever its radius.  Centres
-    whose disk meets the axis are snapped onto it and those below it
-    replaced by the mirrors of those above; the radii are taken at these
-    final centres.  Almost always the centres below the axis are exactly
-    the conjugates of those above.  Conjugation then permutes the centres,
-    so a lower centre's value and radius are its mirror's conjugate value
-    and radius: p is evaluated exactly only at the real and upper centres,
-    and the first radii are taken at the uppers alone.  If no upper snaps,
-    the final centres are the Aberth centres reordered, and only the real
-    centres' radii are left to take.  Otherwise (a snapped pair lands on
-    one point, so `roots` fails), and for centres not closed under
-    conjugation, p is evaluated once at every Aberth centre and radii are
-    taken off the axis.  The final centres reuse those values at the same
-    scale S, which every final coordinate's denominator divides; only a
-    centre snapped here is evaluated again, by a real Horner pass, and a
-    mirror takes its upper centre's conjugate value and radius.  The radii
-    are bit-identical to a fresh evaluation at the final centres (see
-    `_radii`).  `roots` checks that the disks are disjoint.
+    axis on it, and such a centre is real whatever its radius.  Almost
+    always the centres below the axis are exactly the conjugates of those
+    above, so the real centres, the upper ones and their mirrors are the
+    Aberth centres as they stand.  Otherwise, or when an upper centre's disk
+    meets the axis (its pair then snaps onto one point and `roots` fails),
+    `_snapped_centres` gives the final real and upper centres.  Either way
+    `_mirrored_disks` takes the radii, and `roots` checks that the disks
+    are disjoint.
     """
     n = len(cs) - 1
     zs = _aberth(cs)
-    reals = [z for z in zs if not z.imag]
+    reals = [complex(z.real, 0.0) for z in zs if not z.imag]
     ups = [z for z in zs if z.imag > 0]
     mirrored = sorted((z.real, -z.imag) for z in zs if z.imag < 0)
     if len(reals) + 2 * len(ups) == n and sorted((z.real, z.imag) for z in ups) == mirrored:
-        k = len(reals)
-        s, ws, ps, _ = _exact_values(cs, reals + ups, newton=False)
-        ws += [(x, -y) for x, y in ws[k:]]
-        radii = _radii(cs, s, ws, ps, range(k, n - len(ups)))
-        if all(z.imag > r for z, r in zip(ups, radii)):
-            zs = [complex(z.real, 0.0) for z in reals] + ups + [z.conjugate() for z in ups]
-            return _checked_disks(n, zs, _radii(cs, s, ws, ps, range(k)) + radii * 2)
+        disks = _mirrored_disks(cs, reals, ups)
+        if all(z.imag > r for z, r in disks[len(reals) : n - len(ups)]):
+            return _checked_disks(n, disks)
+    return _checked_disks(n, _mirrored_disks(cs, *_snapped_centres(cs, zs)))
+
+
+def _snapped_centres(cs: tuple[int, ...], zs: list[complex]) -> tuple[list[complex], list[complex]]:
+    """The real and upper centres left when every disk at zs that meets the axis is snapped onto it.
+
+    p is evaluated exactly once at every centre, and radii are taken off
+    the axis.  A centre whose disk meets the axis keeps its real part; the
+    rest of those below it are dropped, to be replaced by the mirrors of
+    those above.
+    """
     s, ws, ps, _ = _exact_values(cs, zs, newton=False)
     off_axis = [i for i, z in enumerate(zs) if z.imag]
     radii = dict(zip(off_axis, _radii(cs, s, ws, ps, off_axis)))
-    reals, uppers = [], []
-    for i, (z, w, p) in enumerate(zip(zs, ws, ps)):
-        if abs(z.imag) <= radii.get(i, 0.0):
-            x = w[0]
-            if w[1]:
-                p = (_horner([c * s ** (n - k) for k, c in enumerate(cs)], x), 0)
-            reals.append((complex(z.real, 0.0), (x, 0), p))
-        elif z.imag > 0:
-            uppers.append((z, w, p))
-    kept = reals + uppers
-    ws = [w for _, w, _ in kept] + [(x, -y) for _, (x, y), _ in uppers]
-    radii = _radii(cs, s, ws, [p for _, _, p in kept], range(len(kept)))
-    zs = [z for z, _, _ in kept] + [z.conjugate() for z, _, _ in uppers]
-    return _checked_disks(n, zs, radii + radii[len(reals) :])
+    reals = [complex(z.real, 0.0) for i, z in enumerate(zs) if abs(z.imag) <= radii.get(i, 0.0)]
+    return reals, [z for i, z in enumerate(zs) if z.imag > radii.get(i, 0.0)]
 
 
-def _checked_disks(n: int, zs: list[complex], radii: list[float]) -> list[tuple[complex, float]]:
+def _mirrored_disks(
+    cs: tuple[int, ...], reals: list[complex], ups: list[complex]
+) -> list[tuple[complex, float]]:
+    """The disks at reals, ups and the mirrors of ups, in that order.
+
+    p is evaluated exactly only at reals and ups: a mirror's value is its
+    upper centre's conjugate value, and conjugation permutes the points, so
+    a mirror's radius is its upper centre's.  The radii at ups are taken
+    first, then those at reals.
+    """
+    k = len(reals)
+    s, ws, ps, _ = _exact_values(cs, reals + ups, newton=False)
+    ws += [(x, -y) for x, y in ws[k:]]
+    radii = _radii(cs, s, ws, ps, range(k, len(ps)))
+    radii = _radii(cs, s, ws, ps, range(k)) + radii * 2
+    return list(zip(reals + ups + [z.conjugate() for z in ups], radii))
+
+
+def _checked_disks(n: int, disks: list[tuple[complex, float]]) -> list[tuple[complex, float]]:
     """The n disks (z, r) of a degree-n factor, or RootCertificationError if one is missing or too wide."""
-    if len(zs) != n or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in zip(zs, radii)):
+    if len(disks) != n or any(r > _TARGET_RADIUS * max(1.0, abs(z)) for z, r in disks):
         raise RootCertificationError(f"could not certify the roots of a degree-{n} factor")
-    return list(zip(zs, radii))
+    return disks
 
 
 def roots(poly: IntPolynomial) -> ComplexRootSet:

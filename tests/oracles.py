@@ -48,7 +48,6 @@ from kronrec.poly_core import (
     _aberth,
     _dyadic,
     _exact_values,
-    _horner,
     _radii,
     _sqrt_up,
     roots,
@@ -934,6 +933,14 @@ def disks_disjoint_all_pairs(disks: Sequence[tuple[complex, float]]) -> bool:
         for i, (x, y, r) in enumerate(cells)
         for u, v, t in cells[i + 1 :]
     )
+
+
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[i] x^i for ascending coeffs; works for int, Fraction, float and complex."""
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def aberth_off_axis_polish(cs: tuple[int, ...]) -> list[complex]:

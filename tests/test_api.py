@@ -7,8 +7,10 @@ function cannot leave a dangling export, and must have a caller in the
 program, its scripts or its benchmark (code, not a comment or docstring), so
 the public surface holds no member that only the tests use.  The same holds
 one level down: every public method, property and dataclass field of a
-public class must be read as an attribute there.  The package has no runtime
-dependency: importing the command line loads no mpmath.
+public class must be read as an attribute there, and every module-level
+private function and class must be used by the program outside its own
+definition.  The package has no runtime dependency: importing the command
+line loads no mpmath.
 """
 
 import ast
@@ -57,16 +59,13 @@ def test_every_export_resolves(mod_name):
         assert hasattr(module, name), f"{mod_name}.{name}"
 
 
-def _caller_names() -> set[str]:
-    """Names that the program, its scripts and its benchmark use, outside each `__all__` list.
+def _name_uses(files):
+    """(path, line, name) for each use of a name in files, outside each `__all__` list.
 
     A use is a NAME token other than the one right after `def` or `class`, or a
     string literal whose whole value is the name (the tracer's `LAYERS`); a
     name that only a comment or a docstring mentions is not used.
     """
-    files = [p for p in sorted((ROOT / "src" / "kronrec").glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "kronbench").glob("*.py"))
-    used = set()
     for path in files:
         text = path.read_text(encoding="utf-8")
         exports = set()
@@ -78,12 +77,18 @@ def _caller_names() -> set[str]:
             if tok.start[0] in exports:
                 continue
             if tok.type == tokenize.NAME and before not in ("def", "class"):
-                used.add(tok.string)
+                yield path, tok.start[0], tok.string
             elif tok.type == tokenize.STRING:
                 with contextlib.suppress(ValueError):  # an f-string is no literal
-                    used.add(ast.literal_eval(tok.string))
+                    yield path, tok.start[0], ast.literal_eval(tok.string)
             before = tok.string
-    return used
+
+
+def _caller_names() -> set[str]:
+    """Names that the program, its scripts and its benchmark use (see `_name_uses`)."""
+    files = [p for p in sorted((ROOT / "src" / "kronrec").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "kronbench").glob("*.py"))
+    return {name for _, _, name in _name_uses(files)}
 
 
 def _read_attributes() -> set[str]:
@@ -143,6 +148,26 @@ def test_every_export_has_a_caller_outside_the_tests():
     ]
     read = _read_attributes()
     unused += [member for member, name in _public_members() if not {name, member} & read]
+    assert unused == []
+
+
+def test_every_private_helper_has_a_caller_in_the_program():
+    """A module-level private function or class that only the tests use belongs in the tests."""
+    files = sorted((ROOT / "src" / "kronrec").glob("*.py"))
+    uses = {}
+    for path, line, name in _name_uses(files):
+        uses.setdefault(name, []).append((path, line))
+    unused = []
+    for path in files:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(where == path and line in own for where, line in uses.get(name, ())):
+                unused.append(f"{path.stem}.{name}")
     assert unused == []
 
 

@@ -66,6 +66,14 @@ def test_basis_golden_rows(capsys):
     assert [seg["det_valuation"] for seg in doc["segments"]] == [6, 6, 6]
 
 
+@pytest.mark.parametrize("subcommand", [("newton",), ("basis", "--m", "4")])
+def test_strong_pseudoprime_p_is_refused(capsys, subcommand):
+    # 399165290221 * 798330580441, a strong pseudoprime to every prime base up to 37
+    code, out, _ = run(capsys, *subcommand, "--p", "318665857834031151167461", "3,1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_basis_matrix_round_trips(capsys):
     from kronrec.lattice_structure import canonical_basis_M
     from kronrec.poly_core import IntPolynomial

@@ -57,6 +57,26 @@ def test_is_prime_small():
     assert not any(is_prime(c) for c in composites)
 
 
+# psi_12 and psi_9: the least strong pseudoprimes to the prime bases up to 37 and up to 23
+PSI_12 = 318665857834031151167461
+PSI_9 = 3825123056546413051
+
+
+def test_is_prime_strong_pseudoprimes_are_composite():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12) and not is_prime(PSI_9)
+    assert all(is_prime(p) for p in (41, 43, 2**61 - 1, 2**31 - 1))
+
+
+def test_is_prime_refuses_what_its_bases_cannot_decide():
+    psi_13 = 3317044064679887385961981
+    for n in (psi_13, psi_13 + 6, 2**89 - 1):
+        with pytest.raises(DomainError, match=str(psi_13)):
+            is_prime(n)
+    # a factor up to 41 still decides a large n
+    assert not is_prime(psi_13 + 2) and not is_prime(41 * (2**89 - 1))
+
+
 def test_valuation_hand_values():
     assert p_adic_valuation(729, 3) == 6
     assert p_adic_valuation(Fraction(729, 1078), 3) == 6

@@ -426,6 +426,69 @@ def test_injected_centres_take_the_general_route(monkeypatch, cs, zs, want):
     assert _outcome(_certified_simple_roots, cs) == want
 
 
+@st.composite
+def polys_with_near_real_pairs(draw):
+    """Degree 1-14 with coefficients up to 10^12, or a pair t +- i with t up to 10^8 beside one."""
+    if draw(st.booleans()):
+        return draw(small_polys(max_degree=14, max_coeff=10**12))
+    t = draw(st.integers(-(10**8), 10**8))
+    return poly_mul(poly(t * t + 1, -2 * t, 1), draw(small_polys(max_degree=6, max_coeff=10**6)))
+
+
+class _TookTheSnap(Exception):
+    pass
+
+
+def _no_snap(cs, zs):
+    raise _TookTheSnap
+
+
+def _general_snap(cs):
+    """The general snap and the shared tail, whatever the symmetry of the Aberth centres."""
+    reals, ups = poly_core._snapped_centres(cs, _aberth(cs))
+    return poly_core._checked_disks(len(cs) - 1, poly_core._mirrored_disks(cs, reals, ups))
+
+
+def _conjugate_and_general_disks(cs):
+    """Both routes' disks where the Aberth centres are closed under conjugation
+    and certify without the snap, else None."""
+    with mock.patch.object(poly_core, "_snapped_centres", _no_snap):
+        try:
+            want = _disk_bits(_certified_simple_roots(cs))
+        except (_TookTheSnap, RootCertificationError):
+            return None
+    return want, _outcome(_general_snap, cs)
+
+
+def test_general_snap_gives_the_conjugate_disks_on_the_witness_factors():
+    """On closed centres no upper disk meets the axis, and the final centres
+    are the Aberth centres, so the general snap changes nothing: 119 of the
+    120 seed-1 benchmark witness factors are closed, and each gives the
+    conjugate route's disks bit for bit."""
+    closed = 0
+    for cs in benchmark_polys("witness"):
+        for fac, _ in squarefree_factors(IntPolynomial(tuple(cs))):
+            both = _conjugate_and_general_disks(fac)
+            if both is not None:
+                closed += 1
+                assert both[1] == both[0]
+    assert closed == 119
+
+
+@seed(20261024)
+@settings(deadline=None, max_examples=150)
+@given(small_polys(max_degree=12, max_coeff=10**8) | polys_with_near_real_pairs())
+# +-i and 1/2 are floats: their disks have radius 0
+@example(poly_power_product([(poly(1, 0, 1), 1), (poly(-1, 2), 1)]))
+@example(poly(10**16 + 1, -2 * 10**8, 1))
+@example(poly(1, 0, 10**64))
+def test_general_snap_gives_the_conjugate_disks_on_closed_centres(p):
+    for fac, _ in squarefree_factors(p):
+        both = _conjugate_and_general_disks(fac)
+        if both is not None:
+            assert both[1] == both[0]
+
+
 def _hex_points(zs):
     return [(z.real.hex(), z.imag.hex()) for z in zs]
 
@@ -453,8 +516,9 @@ def test_aberth_step_equals_the_direct_sums(sweep):
 
 
 def test_certified_roots_evaluate_p_once_beyond_the_polish_sweeps(monkeypatch):
-    """The radius pass evaluates p exactly once, at the Aberth centres; the
-    snapped, mirrored and untouched final centres reuse those values."""
+    """Centres closed under conjugation take one exact evaluation of p beyond
+    the polish, at the real and upper centres; each mirror reuses its upper
+    centre's value."""
     calls = {"all": 0, "aberth": 0}
     exact_values, aberth = poly_core._exact_values, poly_core._aberth
 
@@ -470,7 +534,7 @@ def test_certified_roots_evaluate_p_once_beyond_the_polish_sweeps(monkeypatch):
 
     monkeypatch.setattr(poly_core, "_exact_values", counted_exact_values)
     monkeypatch.setattr(poly_core, "_aberth", counted_aberth)
-    # a snapped real pair, an exact pair +-i and 1/2, and a real root beside a complex pair
+    # a real pair, an exact pair +-i and 1/2, and a real root beside a complex pair
     for cs in [(-2, 0, 1), (1, 0, 1), (-1, 2), (-2, 0, 0, 1), (1, -3, 0, 1)]:
         calls.update(all=0, aberth=0)
         disks = poly_core._certified_simple_roots(cs)
@@ -488,15 +552,6 @@ def _roots_outcome(p):
 
 def _off_axis_route(cs):
     return certified_simple_roots_two_pass(cs, aberth_off_axis_polish)
-
-
-@st.composite
-def polys_with_near_real_pairs(draw):
-    """Degree 1-14 with coefficients up to 10^12, or a pair t +- i with t up to 10^8 beside one."""
-    if draw(st.booleans()):
-        return draw(small_polys(max_degree=14, max_coeff=10**12))
-    t = draw(st.integers(-(10**8), 10**8))
-    return poly_mul(poly(t * t + 1, -2 * t, 1), draw(small_polys(max_degree=6, max_coeff=10**6)))
 
 
 _OVERFLOW_K = int(sys.float_info.max) // 40 // 2 * 2
@@ -555,7 +610,10 @@ def test_first_radius_pass_skips_centres_on_the_axis(monkeypatch):
 
 
 def test_close_real_pair_is_snapped_by_the_first_radius_pass(monkeypatch):
-    """Centres off the axis by less than their first radius certify as two real disks."""
+    """Centres off the axis by less than their first radius certify as two real disks.
+
+    The first radius pass is the snap's, off the axis; the tail then takes
+    the radii at the upper centres, of which there are none, and at the reals."""
     cs = CLOSE_REAL_PAIR.coeffs
     zs = _aberth(cs)
     assert all(z.imag for z in zs)
@@ -569,7 +627,7 @@ def test_close_real_pair_is_snapped_by_the_first_radius_pass(monkeypatch):
 
     monkeypatch.setattr(poly_core, "_radii", recorded_radii)
     disks = poly_core._certified_simple_roots(cs)
-    assert len(taken) == 2 and all(abs(z.imag) <= r for z, r in zip(zs, taken[0]))
+    assert len(taken) == 3 and taken[1] == [] and all(abs(z.imag) <= r for z, r in zip(zs, taken[0]))
     assert [z.imag for z, _ in disks] == [0.0, 0.0]
     monkeypatch.undo()
     rs = roots(CLOSE_REAL_PAIR).roots
@@ -657,7 +715,10 @@ def test_witness_roots_take_one_radius_per_pair_and_per_real_root(monkeypatch):
     witness polynomials at seed 1: a radius at each conjugate pair's upper
     centre and at each real centre, 429 in all, where radii at the lower
     centres and the uppers' second radii made 883; and one exact evaluation
-    of p alone per factor beside the polish's 121 with p'."""
+    of p alone per factor beside the polish's 121 with p', 120 in all, and
+    one more for the one factor whose centres are not closed under
+    conjugation, (x^2 + 2)(x^2 - 2x - 2): its snap evaluates p at every
+    Aberth centre before the final centres are evaluated afresh."""
     counts = collections.Counter()
     sqrt_up, exact_values = poly_core._sqrt_up, poly_core._exact_values
 
@@ -674,7 +735,7 @@ def test_witness_roots_take_one_radius_per_pair_and_per_real_root(monkeypatch):
     for cs in benchmark_polys("witness"):
         roots(IntPolynomial(tuple(cs)))
     assert counts["radii"] <= 430
-    assert (counts["with p'"], counts["p alone"]) == (121, 120)
+    assert (counts["with p'"], counts["p alone"]) == (121, 121)
 
 
 @settings(deadline=None, max_examples=40)
