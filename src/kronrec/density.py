@@ -26,9 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, DomainError
 from .exact_linalg import clear_denominators, clear_floats, coerce_rational
@@ -63,8 +62,7 @@ MINOR_SUM_GUARD = 10**5
 # ----- certified threshold enclosures -----
 
 
-@dataclass(frozen=True)
-class DensityBound:
+class DensityBound(NamedTuple):
     eps_half_scaled: Interval
     eps_double_scaled: Interval
     eps_stated: Interval
@@ -116,8 +114,7 @@ def epsilon_bound(poly: IntPolynomial) -> DensityBound:
 # ----- constructive factorization and witness -----
 
 
-@dataclass(frozen=True)
-class RealFactorization:
+class RealFactorization(NamedTuple):
     b_coeffs: tuple[float, ...]
     c_coeffs: tuple[float, ...]
     eps: float
@@ -165,8 +162,7 @@ def factor_real(poly: IntPolynomial) -> RealFactorization:
     return RealFactorization(b_coeffs=b_coeffs, c_coeffs=c_coeffs, eps=eps)
 
 
-@dataclass(frozen=True)
-class DensityWitness:
+class DensityWitness(NamedTuple):
     target: tuple[float, ...]
     w: tuple[float, ...]
     k: tuple[int, ...]
@@ -498,8 +494,7 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
 # ----- exact grid threshold -----
 
 
-@dataclass(frozen=True)
-class CriticalEpsilonEstimate:
+class CriticalEpsilonEstimate(NamedTuple):
     upper: Fraction
     estimate: Fraction
     method_notes: str
@@ -594,8 +589,7 @@ def critical_epsilon(
 # ----- volume-based refutation -----
 
 
-@dataclass(frozen=True)
-class NonDensityCertificate:
+class NonDensityCertificate(NamedTuple):
     volume_bound: Fraction
     certified: bool
 

@@ -10,7 +10,7 @@ sharp, only sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _down(x: float) -> float:
@@ -21,14 +21,18 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _IntervalFields(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+
+class Interval(_IntervalFields):
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @staticmethod
     def point(x: float) -> "Interval":

@@ -19,9 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import (
@@ -55,8 +54,7 @@ __all__ = [
 PIVOT_RULES = ("nonnegative", "positive")
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     p: int
     points: tuple[tuple[int, int], ...]
     vertices: tuple[tuple[int, int], ...]
@@ -136,8 +134,7 @@ def basis_N(poly: IntPolynomial, m: int) -> list[list[Fraction]]:
     return [[Fraction(x, lead) for x in row] for row in table]
 
 
-@dataclass(frozen=True)
-class SegmentCertificate:
+class SegmentCertificate(NamedTuple):
     index: int
     slope: Fraction
     length: int
@@ -149,8 +146,7 @@ class SegmentCertificate:
     expected_det_valuation: int
 
 
-@dataclass(frozen=True)
-class CanonicalBasisM:
+class CanonicalBasisM(NamedTuple):
     pivot_segment: int
     polygon: NewtonPolygon
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -332,8 +328,7 @@ def canonical_basis_M(
     )
 
 
-@dataclass(frozen=True)
-class LatticeBases:
+class LatticeBases(NamedTuple):
     z_basis: tuple[tuple[int, ...], ...]
     index: int
 

@@ -43,10 +43,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, RootCertificationError
 from .exact_linalg import clear_floats
@@ -69,20 +68,24 @@ _TARGET_RADIUS = 1e-12
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """A nonzero integer polynomial, coefficients ascending: a_0, a_1, ..., a_d."""
-
+class _IntPolynomialFields(NamedTuple):
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+
+class IntPolynomial(_IntPolynomialFields):
+    """A nonzero integer polynomial, coefficients ascending: a_0, a_1, ..., a_d."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        if not coeffs:
             raise DomainError("a polynomial needs at least one coefficient")
-        for c in self.coeffs:
+        for c in coeffs:
             if not isinstance(c, int):
                 raise DomainError(f"coefficients must be int, got {type(c).__name__}")
-        if self.coeffs[-1] == 0:
+        if coeffs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero (strip trailing zeros)")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -227,18 +230,19 @@ def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int]
 # ----- certified numeric roots -----
 
 
-@dataclass(frozen=True)
-class RootEnclosure:
+class RootEnclosure(NamedTuple):
     value: complex
     radius: float
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class ComplexRootSet:
+class _ComplexRootSetFields(NamedTuple):
     poly: IntPolynomial
     roots: tuple[RootEnclosure, ...]
 
+
+class ComplexRootSet(_ComplexRootSetFields):
+    # no __slots__: the cached moduli live in the instance __dict__
     @cached_property
     def _moduli(self) -> list[tuple[Interval, int]]:
         """Each root's modulus enclosure and multiplicity, taken once for every fold."""
@@ -562,8 +566,7 @@ def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
 # ----- Mahler measure -----
 
 
-@dataclass(frozen=True)
-class MahlerMeasure:
+class MahlerMeasure(NamedTuple):
     value: float
     error: float
 

@@ -34,9 +34,8 @@ O(L (r + s)^2) steps with no zero outside the band ever stored.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, DomainError, SingularMatrixError
 from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors
@@ -59,24 +58,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaurentSymbol:
-    """c_{-r} .. c_s of sum c_j x^j, ascending, with both ends nonzero."""
-
+class _LaurentSymbolFields(NamedTuple):
     coeffs: tuple[Fraction, ...]
     r: int
     s: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", tuple(coerce_rational(c) for c in self.coeffs)
-        )
-        if self.r < 0 or self.s < 0:
+
+class LaurentSymbol(_LaurentSymbolFields):
+    """c_{-r} .. c_s of sum c_j x^j, ascending, with both ends nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Sequence, r: int, s: int) -> "LaurentSymbol":
+        coeffs = tuple(coerce_rational(c) for c in coeffs)
+        if r < 0 or s < 0:
             raise DomainError("band widths must be nonnegative")
-        if len(self.coeffs) != self.r + self.s + 1:
+        if len(coeffs) != r + s + 1:
             raise DomainError("coefficient count must equal r + s + 1")
-        if self.coeffs[0] == 0 or self.coeffs[-1] == 0:
+        if coeffs[0] == 0 or coeffs[-1] == 0:
             raise DomainError("outermost symbol coefficients must be nonzero")
+        return super().__new__(cls, coeffs, r, s)
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence, r: int) -> "LaurentSymbol":
@@ -86,7 +87,7 @@ class LaurentSymbol:
     @classmethod
     def from_polynomial(cls, poly: IntPolynomial) -> "LaurentSymbol":
         """Autocorrelation symbol B(x)B(1/x); r = s = deg B."""
-        b = poly.coeffs  # integer sums; __post_init__ makes them Fractions
+        b = poly.coeffs  # integer sums; __new__ makes them Fractions
         d = len(b) - 1
         cs = []
         for j in range(-d, d + 1):
@@ -123,8 +124,7 @@ def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
 # ----- Trench's closed form -----
 
 
-@dataclass(frozen=True)
-class TrenchData:
+class TrenchData(NamedTuple):
     determinant: Fraction
 
     @property
@@ -165,8 +165,7 @@ def trench_det(symbol: LaurentSymbol, n: int) -> Fraction:
 # ----- Gram determinants and their ratios -----
 
 
-@dataclass(frozen=True)
-class GramResult:
+class GramResult(NamedTuple):
     determinant: Fraction
 
 
@@ -235,8 +234,7 @@ def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
     return lyons_ratios(poly, indices, ell)[-1]
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     determinants: tuple[Fraction, ...]
     ratios: tuple[Fraction, ...]
     mahler_squared: Interval

@@ -6,7 +6,7 @@ the benchmark; every `__all__` entry must also resolve, so a removed
 function cannot leave a dangling export, and must have a caller in the
 program, its scripts or its benchmark (code, not a comment or docstring), so
 the public surface holds no member that only the tests use.  The same holds
-one level down: every public method, property and dataclass field of a
+one level down: every public method, property and record field of a
 public class must be read as an attribute there, and every module-level
 private function and class must be used by the program outside its own
 definition.  The package has no runtime dependency: importing the command
@@ -121,12 +121,20 @@ def _read_attributes() -> set[str]:
 
 
 def _public_members():
-    """(module.Class.member, member) per public method, property and field of a public class."""
+    """(module.Class.member, member) per public method, property and field of a public class.
+
+    A record that checks its fields in `__new__` declares them on a private
+    named-tuple base in its own module; that base's members count as the
+    public class's.
+    """
     for path in sorted((ROOT / "src" / "kronrec").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        private = {node.name: node for node in body if isinstance(node, ast.ClassDef) and node.name.startswith("_")}
+        for node in body:
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
-            for item in node.body:
+            bases = [private[base.id] for base in node.bases if isinstance(base, ast.Name) and base.id in private]
+            for item in [item for base in bases for item in base.body] + node.body:
                 if isinstance(item, ast.FunctionDef):
                     name = item.name
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
@@ -184,4 +192,12 @@ def test_command_line_imports_no_mpmath():
     src = str(Path(kronrec.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = "import kronrec.cli, sys; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_command_line_imports_no_dataclasses():
+    """The result records are named tuples, so starting the command line skips dataclasses' imports."""
+    src = str(Path(kronrec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import kronrec.cli, sys; loaded = {'dataclasses', 'inspect'} & set(sys.modules); assert not loaded, loaded"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,6 +1,5 @@
 """End-to-end command-line checks: formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import shlex
 import sys
@@ -145,7 +144,7 @@ def test_trench_rejects_disagreeing_closed_form(capsys, monkeypatch):
     def off_by(delta):
         def patched(symbol, n):
             data = real(symbol, n)
-            return dataclasses.replace(data, determinant=data.determinant + delta)
+            return data._replace(determinant=data.determinant + delta)
 
         return patched
 

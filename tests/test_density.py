@@ -1,6 +1,5 @@
 """Hand-checked values and invariants for the torus density toolkit."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -134,6 +133,23 @@ def test_bound_takes_one_root_set_and_matches_public_route(monkeypatch, coeffs):
         refined_product_interval(poly).recip(), roots(poly).reversal_refined_product().recip()
     )
     assert b.eps_coarse == mahler_measure(poly).interval.recip().scale(float(2 ** (poly.degree // 2)))
+
+
+def test_bound_takes_each_root_modulus_once(monkeypatch):
+    """The five folds of epsilon_bound share one modulus enclosure per root disk."""
+    # (x^2 + x + 1)(x - 2)^2: a conjugate pair and a double root, three disks
+    poly = IntPolynomial((4, 0, 1, -3, 1))
+    assert sorted(enc.multiplicity for enc in roots(poly).roots) == [1, 1, 2]
+    calls, modulus_interval = [], poly_core._modulus_interval
+
+    def counting_modulus(enc):
+        calls.append(enc)
+        return modulus_interval(enc)
+
+    monkeypatch.setattr(poly_core, "_modulus_interval", counting_modulus)
+    epsilon_bound(poly)
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
 
 
 # factors whose roots lie on |z| = 1, at |z| = 1/2 or 2, or are rational
@@ -317,7 +333,7 @@ def test_witness_checks_its_certificate_exactly(monkeypatch):
     sup = max(abs(x) for x in witness(SHIFT2, 3, target).w)  # 0.225, set by delta alone
 
     def understate(eps):
-        monkeypatch.setattr(density, "factor_real", lambda poly: dataclasses.replace(real, eps=eps))
+        monkeypatch.setattr(density, "factor_real", lambda poly: real._replace(eps=eps))
 
     # an understated eps leaves the perturbation outside its cube
     understate(real.eps / 4)

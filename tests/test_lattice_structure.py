@@ -1,6 +1,5 @@
 """Newton polygons, the canonical p-adic basis, lattice index, minor identity."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -339,7 +338,7 @@ def test_integer_certificate_matches_fraction_oracle_on_shifted_slopes():
                 for delta in (Fraction(1, 12 * length), Fraction(-1, 12 * length), Fraction(1, 7)):
                     slopes = list(polygon.slopes)
                     slopes[k] += delta
-                    claimed = dataclasses.replace(polygon, slopes=tuple(slopes))
+                    claimed = polygon._replace(slopes=tuple(slopes))
                     args = (WORKED, claimed, basis.pivot_segment, 10, basis.matrix)
                     ours, oracle = _both_certificates(*args)
                     assert ours == oracle
