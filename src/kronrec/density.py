@@ -280,7 +280,14 @@ def _merge_intervals(parts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
 
 
 def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction]) -> bool:
-    """Degree-1 covering by a sweep of feasible w-interval unions."""
+    """Degree-1 covering by a sweep of feasible w-interval unions.
+
+    Each step maps the union by -a0/a1, so where |a1| > |a0| the pieces would
+    shrink and multiply; the sweep then runs on the reversal w_i -> w_(m-1-i),
+    which takes the band of a0 + a1 x to that of a1 + a0 x, rows reversed.
+    """
+    if abs(a1) > abs(a0):
+        a0, a1, v = a1, a0, v[::-1]
     feasible = [(-half, half)]
     for i in range(ell):
         nxt: list[tuple[Fraction, Fraction]] = []
@@ -464,8 +471,8 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     The image of the cube is the zonotope (eps/2) Z with Z = band(A) [-1, 1]^m,
     so v + k is reached exactly when its gauge max_c |c . (v + k)| / s_c over
     the facet normals c of Z and their supports s_c is at most eps/2
-    (_covered_by_facets).  Degree 1 sweeps the levels instead, carrying a
-    union of feasible intervals, which stays polynomial in m.  The cube is
+    (_covered_by_facets).  Degree 1 sweeps feasible interval unions instead,
+    w_1 to w_m, or w_m to w_1 when |a_1| > |a_0| (_covered_linear).  The cube is
     closed, so boundary contact counts as covered.  The nearest offset
     -round(v) is scored first, and a target it covers returns True at once.
     Otherwise every offset with |v + k|_inf <= (eps/2) sum|a_i| is a

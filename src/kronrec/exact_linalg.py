@@ -286,11 +286,8 @@ def _bareiss(rows: list[Sequence[int]], starts: list[int], steps: int) -> int | 
     n = len(rows)
     lags = [1] * n  # lags[i] = p_t, t the last step that updated row i (p_{-1} = 1)
     # rows yet to join, the latest start first; the joined ones in row order
-    if any(starts):
-        waiting = sorted([i for i in range(n) if starts[i]], key=starts.__getitem__, reverse=True)
-        active = [i for i in range(n) if not starts[i]]
-    else:
-        waiting, active = [], list(range(n))
+    waiting = sorted([i for i in range(n) if starts[i]], key=starts.__getitem__, reverse=True)
+    active = [i for i in range(n) if not starts[i]]
     swaps = 0
     prev = 1
     for k in range(steps):

@@ -293,8 +293,8 @@ def _exact_values(cs: tuple[int, ...], zs: Sequence[complex], newton: bool = Tru
     newtons[i] = p(z_i)/p'(z_i) = ps[i] / (S * S^(n-1) p'(z_i)), or None where
     it is infinite or overflows.  With newton False, newtons is None and
     neither p' nor the division is computed: the radii need only p.  A point
-    on the real axis takes a real Horner pass; its imaginary parts would
-    stay 0 in the complex one, so the values are the same integers.
+    on the real axis takes the same complex Horner pass with y = 0, where
+    the imaginary parts stay 0.
     """
     ints, s = _dyadic([x for z in zs for x in (z.real, z.imag)])
     n, e = len(cs) - 1, s.bit_length() - 1
@@ -302,19 +302,13 @@ def _exact_values(cs: tuple[int, ...], zs: Sequence[complex], newton: bool = Tru
     ws, ps, newtons = list(zip(ints[::2], ints[1::2])), [], [] if newton else None
     for x, y in ws:
         pr, pi, dr, di = cs[-1], 0, 0, 0
-        if y and newton:
+        if newton:
             for c in scaled:
                 dr, di = dr * x - di * y + pr, dr * y + di * x + pi
                 pr, pi = pr * x - pi * y + c, pr * y + pi * x
-        elif y:
-            for c in scaled:
-                pr, pi = pr * x - pi * y + c, pr * y + pi * x
-        elif newton:
-            for c in scaled:
-                dr, pr = dr * x + pr, pr * x + c
         else:
             for c in scaled:
-                pr = pr * x + c
+                pr, pi = pr * x - pi * y + c, pr * y + pi * x
         ps.append((pr, pi))
         if newton:
             den = (dr * dr + di * di) * s
@@ -374,11 +368,11 @@ def _aberth(cs: tuple[int, ...]) -> list[complex]:
     to a few ulps.  Before each exact sweep and after the last, a centre
     with |Im z| <= eps^2 |Re z| is put on the real axis.  That leaves every
     real part as it was (see the module docstring) and takes a real root's
-    exact values at its real part's scale, about 2^53, by a real Horner
-    pass, not at the 2^150 to 2^300 of an imaginary part of 1e-46 to
-    1e-77.  The bound is relative to Re z: eps^2 max(1, |z|) would put both
-    roots +-10^-32 i of 10^64 x^2 + 1 on 0, and eps^2 |z| a centre whose
-    imaginary part overflowed.
+    exact values at its real part's scale, about 2^53, by the complex Horner
+    pass with a zero imaginary part, not at the 2^150 to 2^300 of an
+    imaginary part of 1e-46 to 1e-77.  The bound is relative to Re z:
+    eps^2 max(1, |z|) would put both roots +-10^-32 i of 10^64 x^2 + 1 on 0,
+    and eps^2 |z| a centre whose imaginary part overflowed.
     """
     n = len(cs) - 1
     fcs = [float(c) for c in cs]

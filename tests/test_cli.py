@@ -1,5 +1,6 @@
 """End-to-end command-line checks: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import shlex
 import sys
@@ -14,6 +15,8 @@ import test_golden_nondense
 import test_golden_roots
 from kronrec import cli
 from kronrec.cli import main
+
+OVERLAPPING_ROOTS = "10239999999999999999999999,-640000000000000000000000,10000000000000000000000"
 
 
 def run(capsys, *argv):
@@ -169,6 +172,13 @@ def test_trench_raw_symbol_needs_r(capsys):
     assert "--r" in err
 
 
+def test_trench_rejects_a_bad_symbol(capsys):
+    code, out, err = run(capsys, "trench", "--r", "1", "--n", "3", "1,x,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kronrec: bad symbol coefficient list: ")
+
+
 def test_lyons_report(capsys):
     doc = run_json(capsys, "lyons", "--s", "1", "--ell-max", "2", "-2,1")
     assert doc["values"] == ["1/5", "1/21"]
@@ -181,6 +191,20 @@ def test_lyons_rejects_empty_range_and_bad_index(capsys):
         code, out, _ = run(capsys, "lyons", *argv, "-2,1")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_lyons_rejects_a_bad_index_list(capsys):
+    code, out, err = run(capsys, "lyons", "--s", "1,a", "--ell-max", "4", "-1,-1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kronrec: bad --s index list: ")
+
+
+def test_lyons_with_no_index_reports_ones(capsys):
+    doc = run_json(capsys, "lyons", "--s", "", "--ell-max", "3", "-1,-1,1")
+    assert doc["indices"] == []
+    assert doc["values"] == [1, 1, 1]
+    assert doc["values_float"] == [1.0, 1.0, 1.0]
 
 
 def test_gram_growth_report(capsys):
@@ -266,6 +290,15 @@ def test_pretty_format(capsys):
     assert code == 0
     assert "eps_stated:" in out
     assert "schema: kronrec/1" in out
+
+
+def test_pretty_format_walks_a_list_of_records(capsys):
+    """`segments` is a list of records: each is walked at the list's indent, with no separator."""
+    code, out, _ = run(capsys, "--format", "pretty", "basis", "--p", "3", "--m", "6", "3,-2,-9,-3,9")
+    assert code == 0
+    assert out.count("  det_valuation: 2\n") == 3
+    digest = "ed4f3e4e948cae1e785b10969ffe3d733cab6ac34ce27614329a1959f58223aa"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_output_file(tmp_path, capsys):
@@ -384,6 +417,16 @@ def test_mahler_of_a_large_irrational_root_pair(capsys, c):
     value, error = Fraction(doc["value"]), Fraction(doc["error"])
     assert value - error <= c <= value + error
     assert doc["error"] <= 1e-12 * c
+
+
+def test_mahler_of_overlapping_root_enclosures_is_refused(capsys):
+    """10^22 (x - 32)^2 - 1 has the roots 32 +- 10^-11, whose disks are not certified apart."""
+    code, out, _ = run(capsys, "mahler", OVERLAPPING_ROOTS)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "message": "root enclosures overlap",
+        "type": "RootCertificationError",
+    }
 
 
 def test_mahler_whose_derivative_coefficients_overflow(capsys):

@@ -429,6 +429,27 @@ def test_covered_linear_agrees_with_general(a0_mag, a1, sign, ell, eps, data):
     assert _covered_linear(a0, a1, ell, half, vv) == _covered_by_facets(poly, ell + 1, half, vv)
 
 
+def test_covered_linear_sweeps_away_from_the_larger_coefficient(monkeypatch):
+    """With |a_1| > |a_0| the sweep runs on the reversal, so its unions stay small.
+
+    Swept from w_1, the union for 1 + 3x reaches 55489 intervals here.
+    """
+    sizes = []
+    merge = density._merge_intervals
+
+    def recording(parts):
+        merged = merge(parts)
+        sizes.append(len(merged))
+        return merged
+
+    monkeypatch.setattr(density, "_merge_intervals", recording)
+    poly = IntPolynomial((1, 3))
+    v = [Fraction(x, 16) for x in (2, 9, 10, 9, 5, 2, 4, 9, 15, 5)]
+    covered = is_covered(poly, 11, Fraction(47, 50), v)
+    assert sizes and max(sizes) <= 4
+    assert covered == _covered_by_facets(poly, 11, Fraction(47, 100), v)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     primitive_polys(max_degree=2, bound=4),

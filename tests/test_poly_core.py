@@ -184,6 +184,17 @@ def test_roots_zero_root_multiplicity():
     assert zero.multiplicity == 2 and zero.radius == 0.0
 
 
+def test_roots_refuses_overlapping_enclosures():
+    """The roots 32 +- 10^-11 of 10^22 (x - 32)^2 - 1 get disks that meet.
+
+    Among the quadratics 10^(2k) (x - t)^2 - 1, k = 5..11 and t = 1..39, this
+    is the one whose refusal is the overlap check's rather than a radius's.
+    """
+    poly = IntPolynomial((10**22 * 32**2 - 1, -64 * 10**22, 10**22))
+    with pytest.raises(RootCertificationError, match="^root enclosures overlap$"):
+        roots(poly)
+
+
 def test_roots_irrational_enclosure():
     rs = roots(poly(-2, 0, 1))
     for r in rs.roots:
