@@ -130,7 +130,11 @@ def _render(payload: dict, fmt: str) -> str:
                 lines.append(pad + "  ".join(str(x) for x in obj))
             else:
                 for item in obj:
-                    walk(item, indent)
+                    if isinstance(item, dict):
+                        lines.append(f"{pad}-")
+                        walk(item, indent + 1)
+                    else:
+                        walk(item, indent)
         else:
             lines.append(f"{pad}{obj}")
 
@@ -316,13 +320,10 @@ def _cmd_gram_growth(args, poly) -> dict:
 
 
 def _cmd_lyons(args, poly) -> dict:
-    if args.indices.strip():
-        try:
-            indices = sorted({int(tok) for tok in args.indices.split(",")})
-        except ValueError as exc:
-            raise ParseError(f"bad --s index list: {exc}") from exc
-    else:
-        indices = []
+    try:
+        indices = sorted({int(tok) for tok in args.indices.split(",")})
+    except ValueError as exc:
+        raise ParseError(f"bad --s index list: {exc}") from exc
     values = lyons_ratios(poly, indices, args.ell_max)
     diffs = [abs(_float(b - a)) for a, b in zip(values, values[1:])]
     result = {
@@ -401,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("lyons", _cmd_lyons, help="Gram ratio convergence report")
     p.add_argument("--s", default="1", dest="indices",
-                   help="comma-separated basis indices, empty for none")
+                   help="comma-separated basis indices")
     p.add_argument("--ell-max", type=int, required=True, dest="ell_max")
 
     return parser

@@ -12,8 +12,9 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
                       zonotope band(A) (eps/2) [-1, 1]^m, covers one residue
                       class: its least gauge over integer offsets, searched
                       from the facets the recurrence lattice's minors give
-                      by Gale duality, is at most eps/2; critical_epsilon
-                      reads the exact grid threshold from the same search
+                      by Gale duality in a box capped by the caller's
+                      ceiling, is at most eps/2; critical_epsilon reads the
+                      exact grid threshold from the same search
   certify_non_density exact zonotope volume of the cube-plus-lattice
                       parallelepiped; below 1 it refutes eps-density
 
@@ -23,6 +24,7 @@ command line converts decimal text like "0.4" to 2/5 before calling in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -171,6 +173,15 @@ class DensityWitness(NamedTuple):
     eps_constructive: float
 
 
+def _band_times(a: Sequence[int], x: Sequence[float], ell: int) -> list[float]:
+    """The ell rows of band(A) x, each summed left to right from 0, as sum() did
+    before Python 3.12 compensated float sums: the witness's bytes stay put."""
+    rows = [0] * ell
+    for j, aj in enumerate(a):
+        rows = [r + aj * xj for r, xj in zip(rows, x[j:])]
+    return rows
+
+
 def witness(
     poly: IntPolynomial,
     m: int,
@@ -209,7 +220,7 @@ def witness(
         )
     a = poly.coeffs
     ell = m - d
-    rows = [sum(a[j] * tvec[i + j] for j in range(d + 1)) for i in range(ell)]
+    rows = _band_times(a, tvec, ell)
     if not all(map(math.isfinite, rows)):
         raise DomainError("a row of band(A) times the target overflows a float")
     v = [-x % 1.0 for x in rows]
@@ -218,7 +229,8 @@ def witness(
     s = len(b) - 1
     wprime = [0.0] * (ell + s)
     for i in range(ell - 1, -1, -1):
-        y = v[i] - sum(b[kk] * wprime[i + kk] for kk in range(1, s + 1))
+        tail = map(operator.mul, b[1:], wprime[i + 1 : i + s + 1])
+        y = v[i] - functools.reduce(operator.add, tail, 0)
         y -= math.floor(y)
         if y >= 0.5:
             y -= 1.0
@@ -236,8 +248,7 @@ def witness(
 
     k = []
     residual = 0.0
-    for i in range(ell):
-        row_val = sum(a[j] * (tvec[i + j] + w[i + j]) for j in range(d + 1))
+    for row_val in _band_times(a, [x + y for x, y in zip(tvec, w)], ell):
         ki = round(row_val)
         k.append(int(ki))
         residual = max(residual, abs(row_val - ki))
@@ -405,37 +416,36 @@ def _guard_offsets(ranges: list[range]) -> list[range]:
     return ranges
 
 
-def _offset_box(qv: Sequence[int], unit: int, den: int, reach: int) -> list[range]:
-    """Integer offsets k with every |qv_i unit / den + k_i| <= reach / den, one range per level."""
-    return _guard_offsets(
-        [range(-((reach + x * unit) // den), (reach - x * unit) // den + 1) for x in qv]
-    )
-
-
-def _gauge_rows(facets: _Facets) -> tuple[int, _Facets]:
-    """unit = lcm(s_c) and rows (c, unit // s_c): |c . x| / s_c = |c . x| (unit // s_c) / unit."""
+def _gauge(poly: IntPolynomial, m: int) -> tuple[int, _Facets, int]:
+    """(unit, rows, width): unit = lcm(s_c), rows (c, unit // s_c), so |c . x| / s_c is
+    |c . x| (unit // s_c) / unit, and width = sum |a_i|, so |x|_inf <= width gauge(x)."""
+    facets = _zonotope_facets(poly, m)
     unit = math.lcm(*(s for _, s in facets))
-    return unit, [(c, unit // s) for c, s in facets]
+    return unit, [(c, unit // s) for c, s in facets], poly.coefficient_sum_abs()
 
 
-def _gauge_search(
-    rows: _Facets, qv: Sequence[int], q: int, near: Sequence[int], goal: int, box
-) -> int:
+def _gauge_search(gauge, qv: Sequence[int], q: int, near: Sequence[int], goal: int, ceiling) -> int:
     """Numerator over den = q unit of the least gauge of the target qv / q, down to goal.
 
-    With rows (c, unit // s_c) from _gauge_rows, the score of an offset k is
+    With gauge (unit, rows, width) from _gauge, the score of an offset k is
     den times its gauge, max_c |c . (qv + q k)| (unit // s_c).  The nearest
-    offset near is scored first, then every offset of box(best), best being
-    the nearest one's score; an offset is scored only while it beats the best
-    so far on every facet, and the search returns at the first score at or
-    below goal.  The facet that rejects an offset is tried first on the next,
-    which tends to fail on the same facet; no score depends on that order.
+    offset near is scored first, best being its score; then every offset that
+    could score at most min(best, ceiling), ceiling being the caller's bound
+    on any score it needs: the box |qv / q + k|_inf <= min(best, ceiling)
+    width / den, guarded and walked in lexicographic order.  An offset is
+    scored only while it beats the best so far on every facet, and the search
+    returns at the first score at or below goal.  The facet that rejects an
+    offset is tried first on the next, which tends to fail on the same facet;
+    no score depends on that order.
     """
+    unit, rows, width = gauge
     t = [x + q * k for x, k in zip(qv, near)]
     best = max((abs(sum(map(operator.mul, c, t))) * w for c, w in rows), default=0)
     if best > goal:
+        den, reach = q * unit, math.floor(min(best, ceiling) * width)
+        box = [range(-((reach + x * unit) // den), (reach - x * unit) // den + 1) for x in qv]
         scored = [(c, sum(map(operator.mul, c, qv)), w) for c, w in rows]
-        for k in itertools.product(*box(best)):
+        for k in itertools.product(*_guard_offsets(box)):
             worst = 0
             for i, (c, cv, w) in enumerate(scored):
                 x = abs(cv + q * sum(map(operator.mul, c, k))) * w
@@ -452,17 +462,12 @@ def _gauge_search(
 
 
 def _covered_by_facets(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
-    """is_covered past degree 1: the integer least-gauge search, its box built on a miss."""
+    """is_covered past degree 1: the integer least-gauge search, eps/2 its ceiling and stop."""
     qv, q = clear_denominators(vv)
-    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
-    den = q * unit
-    reach = math.floor(half * den * poly.coefficient_sum_abs())
-    goal = math.floor(half * den)
-
-    def box(b):
-        return _offset_box(qv, unit, den, reach)
-
-    return _gauge_search(rows, qv, q, [-round(x) for x in vv], goal, box) <= goal
+    gauge = _gauge(poly, m)
+    ceiling = half * q * gauge[0]
+    goal = math.floor(ceiling)
+    return _gauge_search(gauge, qv, q, [-round(x) for x in vv], goal, ceiling) <= goal
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
@@ -524,14 +529,15 @@ def critical_epsilon(
     targets that raise it are searched to their exact minimum.  Every score
     is an integer over one denominator grid_n lcm(s_c), so target js / grid_n
     costs c . js per facet: its nearest offset -round(j / grid_n) (half to
-    even) is read from a table per residue j, its offset box comes from the
-    integer _offset_box, and its stop is the numerator of half the running
-    threshold; a Fraction is built only when the threshold rises.  estimate
-    is that threshold.  The reported upper bound adds the declared grid
-    margin (m - d)/grid_n for targets between grid points, capped at the
-    certified refined threshold which covers the whole torus; a grid
-    threshold above that cap raises CertificateError, and more than
-    COVERING_OFFSET_GUARD grid targets raise DomainError before any work.
+    even) is read from a table per residue j, and its stop is the numerator
+    of half the running threshold; no Fraction is built in the loop.
+    estimate is that threshold.  The reported upper bound adds the declared
+    grid margin (m - d)/grid_n for targets between grid points, capped at
+    the certified refined threshold cap which covers the whole torus.  A grid
+    threshold above cap raises CertificateError, so each offset box stops at
+    the score floor(cap grid_n lcm(s_c) / 2) (_gauge_search), and a score
+    above it raises.  More than COVERING_OFFSET_GUARD grid targets raise
+    DomainError first.
     bisection_tol is validated only and no longer affects the result.
     """
     d = poly.degree
@@ -553,10 +559,10 @@ def critical_epsilon(
     if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(_refined_threshold(poly)[1].hi)
-    unit, rows = _gauge_rows(_zonotope_facets(poly, m))
+    gauge = _gauge(poly, m)
     # every gauge is an integer over den; target js is the integer vector js over grid_n
-    den = grid_n * unit
-    width = poly.coefficient_sum_abs()
+    den = grid_n * gauge[0]
+    ceiling = cap.numerator * den // (2 * cap.denominator)
     near = [-round(Fraction(j, grid_n)) for j in range(grid_n)]
 
     # far-from-integer targets first, so the threshold rises early and most
@@ -567,18 +573,11 @@ def critical_epsilon(
     )
     best = 0
     for js in order:
-        # an offset beating the nearest one's score b has |js / grid_n + k|_inf <= b width / den
-        def box(b, js=js):
-            return _offset_box(js, unit, den, b * width)
-
-        score = _gauge_search(rows, js, grid_n, [near[j] for j in js], best, box)
-        if score > best:
-            best = score
-            tau = Fraction(2 * best, den)
-            if tau > cap:
-                raise CertificateError(
-                    f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"
-                )
+        score = _gauge_search(gauge, js, grid_n, [near[j] for j in js], best, ceiling)
+        if score > ceiling:
+            # the box stops at the ceiling, so score need not be this target's least
+            raise CertificateError(f"grid threshold exceeds the certified threshold {float(cap):.6g}")
+        best = max(best, score)
     tau = Fraction(2 * best, den)
     margin = Fraction(ell, grid_n)
     notes = (

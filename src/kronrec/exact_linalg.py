@@ -200,8 +200,6 @@ def coerce_rational(x) -> Fraction:
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
     """(ints, den) for int or Fraction values: den their lcm denominator, ints = den * values."""
     row = list(values)
-    if all(isinstance(x, int) for x in row):
-        return row, 1
     for x in row:
         if not isinstance(x, (int, Fraction)):
             raise DomainError(f"exact routines need int or Fraction, got {type(x).__name__}")
@@ -317,17 +315,12 @@ def _bareiss(rows: list[Sequence[int]], starts: list[int], steps: int) -> int | 
             at = 0
         pivot = row[at]
         pivot_tail = row[at + 1 :]
-        width = len(pivot_tail)
         for i in active:
             r = rows[i]
             j = k + 1 - starts[i]  # r[j - 1] is the entry in column k
             if j <= len(r) and (f := r[j - 1]):
                 lag = lags[i]
-                tail = r[j:]
-                if len(tail) == width:
-                    pairs = zip(tail, pivot_tail)
-                else:
-                    pairs = itertools.zip_longest(tail, pivot_tail, fillvalue=0)
+                pairs = itertools.zip_longest(r[j:], pivot_tail, fillvalue=0)
                 rows[i] = [(x * pivot - f * y) // lag for x, y in pairs]
                 starts[i] = k + 1
                 lags[i] = pivot

@@ -200,7 +200,8 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     i <= d, so E_l^T E_l lives in the leading d x d corner: one more pass
     over G_L with that corner corrected gives every numerator.  No minor
     vanishes, so no row is swapped: the rows projected off e_S stay
-    independent, their last l columns a triangle with diagonal a_d.
+    independent, their last l columns a triangle with diagonal a_d.  An empty
+    S, whose ratio is 1 for every A, is refused like an index outside 1..d.
     """
     d = poly.degree
     if d < 1:
@@ -208,6 +209,8 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     if ell_max < 1:
         raise DomainError("the ratio needs l >= 1")
     picked = set(indices)
+    if not picked:
+        raise DomainError("the ratio needs a nonempty basis index set")
     if not all(isinstance(i, int) and 1 <= i <= d for i in picked):
         raise DomainError(f"basis indices must be integers in 1..{d}")
     chosen = sorted(map(int, picked))

@@ -20,8 +20,6 @@ from kronrec.density import (
     GRID_DIMENSION_GUARD,
     CriticalEpsilonEstimate,
     _covered_linear,
-    _gauge_rows,
-    _gauge_search,
     _zonotope_facets,
     epsilon_bound,
     is_covered,
@@ -443,7 +441,7 @@ def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fra
 def _fraction_offset_box(vv: Sequence[Fraction], reach: Fraction) -> list[range]:
     """Integer offsets k with every |vv_i + k_i| <= reach, one range per level, in Fractions.
 
-    The box density._offset_box now builds in integers.  It is guarded through
+    The box density._gauge_search builds in integers.  It is guarded through
     the module attribute density._guard_offsets, so a test that patches the
     guard records these boxes too.
     """
@@ -452,14 +450,18 @@ def _fraction_offset_box(vv: Sequence[Fraction], reach: Fraction) -> list[range]
     )
 
 
+def _fraction_gauge(facets, v: Sequence[Fraction], k: Sequence[int]) -> Fraction:
+    """max_c |c . (v + k)| / s_c over the facets (c, s_c), as a Fraction."""
+    return max(abs(sum(ci * (vi + ki) for ci, vi, ki in zip(c, v, k))) / s for c, s in facets)
+
+
 def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
-    """density.is_covered by its Fraction route: a Fraction offset box and stop.
+    """density.is_covered by its Fraction route: every offset scored in Fractions.
 
     The input checks and the degree-1 sweep are is_covered's.  Otherwise the
-    box |v + k|_inf <= (eps/2) sum|a_i| is built in Fractions once the nearest
-    offset misses, and the least gauge is read back as a Fraction over
-    q lcm(s_c) from density._gauge_search, stopped at the first gauge at or
-    below eps/2.
+    nearest offset -round(v) is scored first; unless its gauge is at most
+    eps/2, every offset of the box |v + k|_inf <= (eps/2) sum|a_i| is scored
+    in turn, until one is covered.
     """
     d = poly.degree
     if m <= d:
@@ -477,16 +479,10 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
     facets = _zonotope_facets(poly, m)
-    qv, q = clear_denominators(vv)
-    unit, rows = _gauge_rows(facets)
-    den = q * unit
-    near = [-round(vi) for vi in vv]
-
-    def box(b):
-        return _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
-
-    best = _gauge_search(rows, qv, q, near, math.floor(half * den), box)
-    return Fraction(best, den) <= half
+    if _fraction_gauge(facets, vv, [-round(vi) for vi in vv]) <= half:
+        return True
+    box = _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
+    return any(_fraction_gauge(facets, vv, k) <= half for k in itertools.product(*box))
 
 
 def critical_epsilon_per_target(
@@ -500,10 +496,12 @@ def critical_epsilon_per_target(
 
     Each grid target is a vector v of Fractions.  Its nearest offset -round(v)
     is scored first; unless that gauge g is covered at the running threshold,
-    every offset of the box |v + k|_inf <= g sum|a_i| is scored in turn, until
-    one is covered.  Every gauge max_c |c . (v + k)| / s_c is a Fraction, and
-    the cap is the public epsilon_bound's eps_refined.hi.  The guards, the
-    error messages and the report fields are density.critical_epsilon's.
+    every offset of the box |v + k|_inf <= min(g, ceiling) sum|a_i| is scored
+    in turn, until one is covered.  Every gauge max_c |c . (v + k)| / s_c is a
+    Fraction, and the cap is the public epsilon_bound's eps_refined.hi; a
+    gauge above cap/2 raises, so ceiling is cap/2 rounded down to the gauges'
+    denominator grid_n lcm(s_c).  The guards, the error messages and the
+    report fields are density.critical_epsilon's.
     """
     d = poly.degree
     ell = m - d
@@ -526,9 +524,8 @@ def critical_epsilon_per_target(
     cap = Fraction(epsilon_bound(poly).eps_refined.hi)
     facets = _zonotope_facets(poly, m)
     width = poly.coefficient_sum_abs()
-
-    def gauge(v, k):
-        return max(abs(sum(ci * (vi + ki) for ci, vi, ki in zip(c, v, k))) / s for c, s in facets)
+    den = grid_n * math.lcm(*(s for _, s in facets))
+    ceiling = Fraction(math.floor(cap * den / 2), den)
 
     order = sorted(
         itertools.product(range(grid_n), repeat=ell),
@@ -537,16 +534,16 @@ def critical_epsilon_per_target(
     tau = Fraction(0)
     for js in order:
         v = [Fraction(j, grid_n) for j in js]
-        g = gauge(v, [-round(vi) for vi in v])
+        g = _fraction_gauge(facets, v, [-round(vi) for vi in v])
         if g > tau / 2:
-            for k in itertools.product(*_fraction_offset_box(v, g * width)):
-                g = min(g, gauge(v, k))
+            for k in itertools.product(*_fraction_offset_box(v, min(g, ceiling) * width)):
+                g = min(g, _fraction_gauge(facets, v, k))
                 if g <= tau / 2:
                     break
         tau = max(tau, 2 * g)
         if tau > cap:
             raise CertificateError(
-                f"grid threshold {tau} exceeds the certified threshold {float(cap):.6g}"
+                f"grid threshold exceeds the certified threshold {float(cap):.6g}"
             )
     margin = Fraction(ell, grid_n)
     notes = (

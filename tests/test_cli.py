@@ -200,11 +200,13 @@ def test_lyons_rejects_a_bad_index_list(capsys):
     assert err.startswith("kronrec: bad --s index list: ")
 
 
-def test_lyons_with_no_index_reports_ones(capsys):
-    doc = run_json(capsys, "lyons", "--s", "", "--ell-max", "3", "-1,-1,1")
-    assert doc["indices"] == []
-    assert doc["values"] == [1, 1, 1]
-    assert doc["values_float"] == [1.0, 1.0, 1.0]
+def test_lyons_refuses_an_empty_index_list(capsys):
+    # the ratio of an empty index set is 1 for every A, so it says nothing about A
+    for indices in ("", " "):
+        code, out, err = run(capsys, "lyons", "--s", indices, "--ell-max", "4", "-1,-1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kronrec: bad --s index list: ")
 
 
 def test_gram_growth_report(capsys):
@@ -293,11 +295,14 @@ def test_pretty_format(capsys):
 
 
 def test_pretty_format_walks_a_list_of_records(capsys):
-    """`segments` is a list of records: each is walked at the list's indent, with no separator."""
+    """`segments` is a list of records: each opens with a "-" line at the list's
+    indent and its keys go one level deeper; `matrix`'s rows keep one line each."""
     code, out, _ = run(capsys, "--format", "pretty", "basis", "--p", "3", "--m", "6", "3,-2,-9,-3,9")
     assert code == 0
-    assert out.count("  det_valuation: 2\n") == 3
-    digest = "ed4f3e4e948cae1e785b10969ffe3d733cab6ac34ce27614329a1959f58223aa"
+    assert out.count("segments:\n  -\n    det_valuation: 2\n") == 1
+    assert out.count("\n  -\n    det_valuation: 2\n") == 3
+    assert "matrix:\n  1  6/31  9/31  0  0  0\n" in out
+    digest = "f5b2e85c589ab3556d9490b4ca6001a8f7b066ecaef2b4156edc8ecca9693549"
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 

@@ -42,6 +42,8 @@ REFUSALS = [
      DomainError, "Newton polygon needs degree >= 1"),
     ("lyons_ratios degree 0", lambda: lyons_ratios(CONSTANT, [1], 3),
      DomainError, "the ratio needs deg A >= 1"),
+    ("lyons_ratios empty index set", lambda: lyons_ratios(QUARTIC, [], 3),
+     DomainError, "the ratio needs a nonempty basis index set"),
     ("scaled_basis_N m < d", lambda: scaled_basis_N(QUARTIC, 3),
      DomainError, "basis_N needs 1 <= deg A <= m"),
     ("basis_N m < d", lambda: basis_N(QUARTIC, 3),
