@@ -3,15 +3,17 @@
 Polynomials are ascending comma-separated integer coefficient lists
 ("-2,1" is x - 2).  Reports are JSON by default with a versioned top-level
 schema key, stable key order, and exact rationals rendered as integers or
-"p/q" strings; --format csv flattens the same payload to key,value rows and
---format pretty prints an indented view.  `main` writes every report's
-envelope once: the schema, the command, the echo of the parsed polynomial
-(every subcommand but trench, which may take a raw symbol) and the inputs
-named in ECHOED; each `_cmd_*` handler returns the fields it computes and
-the inputs that the schema renders under another name or as a rational
-(grid_resolution, bisection_tol, eps and matrix_size).  Exit codes: 0
-success, 1 domain error (structured error JSON on stdout), 2 usage or parse
-error, or an --output path that cannot be written.
+"p/q" strings; `_json` writes the same bytes as json.dumps(report,
+sort_keys=True, indent=2), with each list of plain ints, strs or finite
+floats joined at C speed.  --format csv flattens the same payload to
+key,value rows and --format pretty prints an indented view.  `main` writes
+every report's envelope once: the schema, the command, the echo of the
+parsed polynomial (every subcommand but trench, which may take a raw symbol)
+and the inputs named in ECHOED; each `_cmd_*` handler returns the fields it
+computes and the inputs that the schema renders under another name or as a
+rational (grid_resolution, bisection_tol, eps and matrix_size).  Exit codes:
+0 success, 1 domain error (structured error JSON on stdout), 2 usage or
+parse error, or an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -76,9 +78,14 @@ def _val(x):
 
 
 def _float(x) -> float:
-    """float(x) for the report; DomainError beyond the float range, so never inf or nan."""
+    """float(x) for the report; DomainError beyond the float range, so never inf or nan.
+
+    A Fraction's float is its numerator / denominator, the correctly rounded
+    true division that Fraction.__float__ makes.
+    """
     try:
-        if math.isfinite(f := float(x)):
+        f = x.numerator / x.denominator if type(x) is Fraction else float(x)
+        if math.isfinite(f):
             return f
     except OverflowError:
         pass
@@ -103,9 +110,55 @@ def _flatten(obj, prefix=""):
         yield prefix, obj
 
 
+_escape = json.encoder.encode_basestring_ascii
+# lists of one of these exact types are written by one C-speed join
+_SCALAR_RUNS = {int: int.__repr__, str: _escape, float: float.__repr__}
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for str-keyed payloads, byte for byte.
+
+    The type tests, their order and the non-finite spellings are json.encoder's.
+    A list of all ints (not bools), all strs or all finite floats is written
+    as one join over int.__repr__, the C string escaper or float.__repr__;
+    other lists and dicts recurse one level deeper, `pad` being the newline
+    and indent of the current level.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = {*map(type, obj)}
+        run = _SCALAR_RUNS.get(kinds.pop()) if len(kinds) == 1 else None
+        if run is float.__repr__ and not all(map(math.isfinite, obj)):
+            run = None
+        items = map(run, obj) if run else [_json(x, inner) for x in obj]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_escape(key)}: {_json(value, inner)}" for key, value in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -310,7 +363,7 @@ def _cmd_trench(args, poly) -> dict:
 def _cmd_gram_growth(args, poly) -> dict:
     report = gram_growth(poly, args.ell_max)
     result = {
-        "determinants": [_rat(det) for det in report.determinants],
+        "determinants": list(report.determinants),
         "ratios": [_rat(ratio) for ratio in report.ratios],
         "ratios_float": [_float(ratio) for ratio in report.ratios],
         "mahler_squared": _interval(report.mahler_squared),
@@ -325,12 +378,14 @@ def _cmd_lyons(args, poly) -> dict:
     except ValueError as exc:
         raise ParseError(f"bad --s index list: {exc}") from exc
     values = lyons_ratios(poly, indices, args.ell_max)
-    diffs = [abs(_float(b - a)) for a, b in zip(values, values[1:])]
+    tail = values[-11:]
     result = {
         "indices": indices,
         "values": [_rat(v) for v in values],
         "values_float": [_float(v) for v in values],
-        "max_tail_fluctuation": max(diffs[-10:], default=0.0),
+        "max_tail_fluctuation": max(
+            (abs(_float(b - a)) for a, b in zip(tail, tail[1:])), default=0.0
+        ),
     }
     print(f"lyons ratios for S={indices} up to ell = {args.ell_max}", file=sys.stderr)
     return result

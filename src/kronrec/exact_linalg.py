@@ -354,20 +354,26 @@ def det_exact(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> 
     return Fraction(det) if den == 1 else Fraction(det, den)
 
 
-def leading_minors(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> list[Fraction]:
+def leading_minors(
+    rows: Sequence[Sequence], starts: Sequence[int] | None = None
+) -> list[int] | list[Fraction]:
     """Leading principal minors D_1..D_n from the pivots of one Bareiss pass.
 
-    Rows are never swapped, so the pass stops with SingularMatrixError
-    when some D_k with k < n vanishes; D_n itself may be zero.  `starts`
-    gives row spans, as for det_exact.
+    Each D_k is an int when every row is integral (each minor of an integer
+    matrix is an integer, read straight off its pivot), and a Fraction
+    otherwise.  Rows are never swapped, so the pass stops with
+    SingularMatrixError when some D_k with k < n vanishes; D_n itself may be
+    zero.  `starts` gives row spans, as for det_exact.
     """
     starts = _square_spans(rows, starts, "leading minors need a square matrix")
     a, scales = _clear_row_denominators(rows)
     if a and _bareiss(a, starts, len(a) - 1) != 0:
         raise SingularMatrixError("a leading principal minor vanished")
+    pivots = list(map(_entry, a, starts, itertools.count()))
+    if {*scales} <= {1}:
+        return pivots
     # D_k is the k-th pivot over the product of the first k row scales
     prefix = itertools.accumulate(scales, operator.mul)
-    pivots = map(_entry, a, starts, itertools.count())
     return [Fraction(p) if scale == 1 else Fraction(p, scale) for p, scale in zip(pivots, prefix)]
 
 

@@ -225,11 +225,8 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     for r in range(corner):
         for c in range(corner):
             rows[r][c] -= sum(a[i - 1 - r] * a[i - 1 - c] for i in chosen if i > max(r, c))
-    # every minor is an integer: one normalisation per ratio
-    return [
-        Fraction(num.numerator, den.numerator)
-        for num, den in zip(leading_minors(rows, starts), denominators)
-    ]
+    # every minor is an int: one normalisation per ratio
+    return list(map(Fraction, leading_minors(rows, starts), denominators))
 
 
 def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
@@ -238,7 +235,7 @@ def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
 
 
 class GrowthReport(NamedTuple):
-    determinants: tuple[Fraction, ...]
+    determinants: tuple[int, ...]
     ratios: tuple[Fraction, ...]
     mahler_squared: Interval
 
@@ -246,10 +243,11 @@ class GrowthReport(NamedTuple):
 def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
     """det G(B_1..B_l) for l = 1..ell_max and the successive ratios.
 
-    The determinants are the leading principal minors of the ell_max-square
-    Toeplitz matrix of B(x)B(1/x), read off one elimination pass.  The
-    ratios approach the squared Mahler measure of B when no root sits
-    on the unit circle; the certified enclosure of that limit rides along.
+    The determinants are ints, the leading principal minors of the
+    ell_max-square Toeplitz matrix of B(x)B(1/x), read off one elimination
+    pass; the ratios D_{l+1}/D_l are Fractions.  The ratios approach the
+    squared Mahler measure of B when no root sits on the unit circle; the
+    certified enclosure of that limit rides along.
     """
     if poly.degree < 1:
         raise DomainError("growth study needs deg B >= 1")
@@ -261,9 +259,8 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
         dets = tuple(leading_minors(rows, starts))
     except SingularMatrixError as exc:
         raise CertificateError("a Gram determinant of independent rows vanished") from exc
-    # every D_l is an integer: Fraction(D_{l+1}, D_l) normalises once
-    pivots = [det.numerator for det in dets]
-    ratios = tuple(map(Fraction, pivots[1:], pivots))
+    # every D_l is an int: Fraction(D_{l+1}, D_l) normalises once
+    ratios = tuple(map(Fraction, dets[1:], dets))
     m = mahler_measure(poly).interval
     return GrowthReport(
         determinants=dets,

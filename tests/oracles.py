@@ -455,6 +455,16 @@ def _fraction_gauge(facets, v: Sequence[Fraction], k: Sequence[int]) -> Fraction
     return max(abs(sum(ci * (vi + ki) for ci, vi, ki in zip(c, v, k))) / s for c, s in facets)
 
 
+def _fraction_gauge_below(facets, v: Sequence[Fraction], k: Sequence[int], g) -> Fraction:
+    """min(g, _fraction_gauge(facets, v, k)), scoring the facets in order until one reaches g."""
+    worst = Fraction(0)
+    for c, s in facets:
+        worst = max(worst, abs(sum(ci * (vi + ki) for ci, vi, ki in zip(c, v, k))) / s)
+        if worst >= g:
+            return g
+    return worst
+
+
 def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
     """density.is_covered by its Fraction route: every offset scored in Fractions.
 
@@ -497,11 +507,13 @@ def critical_epsilon_per_target(
     Each grid target is a vector v of Fractions.  Its nearest offset -round(v)
     is scored first; unless that gauge g is covered at the running threshold,
     every offset of the box |v + k|_inf <= min(g, ceiling) sum|a_i| is scored
-    in turn, until one is covered.  Every gauge max_c |c . (v + k)| / s_c is a
-    Fraction, and the cap is the public epsilon_bound's eps_refined.hi; a
-    gauge above cap/2 raises, so ceiling is cap/2 rounded down to the gauges'
-    denominator grid_n lcm(s_c).  The guards, the error messages and the
-    report fields are density.critical_epsilon's.
+    in turn, until one is covered; an offset's facets are scored in their
+    given order only until one reaches the least gauge g found so far.  Every
+    gauge max_c |c . (v + k)| / s_c is a Fraction, and the cap is the public
+    epsilon_bound's eps_refined.hi; a gauge above cap/2 raises, so ceiling is
+    cap/2 rounded down to the gauges' denominator grid_n lcm(s_c).  The
+    guards, the error messages and the report fields are
+    density.critical_epsilon's.
     """
     d = poly.degree
     ell = m - d
@@ -537,7 +549,7 @@ def critical_epsilon_per_target(
         g = _fraction_gauge(facets, v, [-round(vi) for vi in v])
         if g > tau / 2:
             for k in itertools.product(*_fraction_offset_box(v, min(g, ceiling) * width)):
-                g = min(g, _fraction_gauge(facets, v, k))
+                g = _fraction_gauge_below(facets, v, k, g)
                 if g <= tau / 2:
                     break
         tau = max(tau, 2 * g)
@@ -783,7 +795,7 @@ def lyons_ratios_bordered(poly: IntPolynomial, indices, ell_max: int) -> list[Fr
     k = len(chosen)
     numerators = leading_minors(gram)[k:]
     denominators = leading_minors([row[k:] for row in gram[k:]])
-    return [num / den for num, den in zip(numerators, denominators)]
+    return list(map(Fraction, numerators, denominators))
 
 
 def aberth_mp(cs: tuple[int, ...], dps: int):

@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import math
 import shlex
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import test_golden_bytes
 import test_golden_critical
 import test_golden_exact
+import test_golden_gram
 import test_golden_nondense
 import test_golden_roots
 from kronrec import cli
@@ -503,3 +507,81 @@ def test_conjugate_measure_prints_the_plain_report(capsys, command):
     conj = run_json(capsys, *shlex.split(command.replace("plain", "conjugate")))
     assert (plain.pop("variant"), conj.pop("variant")) == ("plain", "conjugate")
     assert conj == plain
+
+
+# ----- the JSON writer -----
+
+# brackets, quotes, backslashes, control and non-ASCII characters, with plain text
+tricky_text = st.text(st.sampled_from('az[]{}"\\\x00\x1f\x7f\n\té€\U0001f600 ')) | st.text()
+special_floats = st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.floats()
+    | special_floats
+    | tricky_text
+)
+# runs of one type, which the writer joins in one call, and bools mixed with ints
+runs = (
+    st.lists(st.integers(-(2**70), 2**70))
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+    | st.lists(st.floats() | special_floats)
+    | st.lists(tricky_text)
+    | st.lists(st.integers(-3, 3) | st.booleans())
+)
+documents = st.recursive(
+    scalars | runs,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(tricky_text, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(documents)
+@example({})
+@example({"": [], "a": {}, "b": ((), [[]], {"c": {}})})
+@example([True, 1, False, 0, 2**64 + 1, None])
+@example([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
+@example({'[]{}"\\\x01é': ["\u20ac\x00", '"', "\\"]})
+def test_writer_equals_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+EVERY_GOLDEN_COMMAND = [
+    pin[0]
+    for pins in (
+        test_golden_bytes.GOLDEN,
+        test_golden_bytes.RENDERINGS,
+        test_golden_critical.GOLDEN,
+        test_golden_critical.DECIDE_SHAPED,
+        test_golden_exact.GOLDEN,
+        test_golden_gram.GOLDEN,
+        test_golden_nondense.GOLDEN,
+        test_golden_roots.GOLDEN_ROOTS,
+    )
+    for pin in pins
+]
+
+
+def test_writer_equals_json_dumps_on_every_golden_payload(monkeypatch, capsys):
+    payloads = []
+    render = cli._render
+
+    def recording(payload, fmt):
+        payloads.append(payload)
+        return render(payload, fmt)
+
+    monkeypatch.setattr(cli, "_render", recording)
+    for command in EVERY_GOLDEN_COMMAND:
+        main(shlex.split(command))
+    capsys.readouterr()
+    assert len(payloads) == len(EVERY_GOLDEN_COMMAND)
+    for payload in payloads:
+        assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)

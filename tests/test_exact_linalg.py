@@ -534,6 +534,16 @@ def test_span_inputs_are_checked():
         leading_minors([[1], [2]], [-1, 1])
 
 
+def test_leading_minors_are_ints_for_integral_rows_and_fractions_for_rational_rows():
+    dense = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    for starts, rows in ((None, dense), ([0, 0, 1], [[2, 1], [1, 2, 1], [1, 2]])):
+        minors = leading_minors(rows, starts)
+        assert minors == [2, 3, 4] and {*map(type, minors)} == {int}
+    # an integral first row still gives a Fraction once any row is rational
+    minors = leading_minors([[2, 1], [Fraction(1, 2), 1]])
+    assert minors == [2, Fraction(3, 2)] and {*map(type, minors)} == {Fraction}
+
+
 def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
     assert det_exact([[True, False], [False, True]]) == 1
     assert det_exact([[True, 2], [Fraction(1, 2), 3]]) == 2
