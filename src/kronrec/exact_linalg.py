@@ -3,17 +3,19 @@
 Matrices are plain lists of row lists.  Integer-lattice routines (hnf,
 integer_kernel) validate integrality.  clear_denominators, the one rational
 coercer, turns exact rows into integers for every integer route, and
-clear_floats does the same for the binary values of floats; determinant,
-leading minors and solve share one fraction-free Bareiss elimination on them.
-The elimination works on row spans: a row is stored from a start column to
-its last entry, a dense matrix being rows that start at column 0, and
-det_exact and leading_minors take the starts as an optional argument.  A row
-joins the pass at the step that reaches its start, a row with a zero in the
-pivot column is left alone and pays the factor it owes exactly later, since
-every Bareiss intermediate is a minor, and updates stop where the spans end.
-So the banded Toeplitz and Gram matrices of the symbol A(x)A(1/x) cost
+clear_floats does the same for the binary values of floats; determinant and
+solve share one fraction-free Bareiss elimination on them.  The elimination
+works on row spans: a row is stored from a start column to its last entry,
+a dense matrix being rows that start at column 0, and det_exact takes the
+starts as an optional argument.  A row joins the pass at the step that
+reaches its start, a row with a zero in the pivot column is left alone and
+pays the factor it owes exactly later, since every Bareiss intermediate is a
+minor, and updates stop where the spans end.  So banded matrices cost
 O(L d^2) at order L and half-bandwidth d, bookkeeping included, and dense
-ones O(L^3).
+ones O(L^3).  The symmetric Toeplitz and Gram matrices of A(x)A(1/x) take a
+second pass, the same elimination restricted to the upper band: the minor
+at (i, j) equals the one at (j, i), so the lower triangle is never formed,
+and the pivots are the leading principal minors D_1..D_L.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced into [0, pivot), so the form is unique: one lattice, one HNF.
@@ -40,7 +42,6 @@ __all__ = [
     "clear_denominators",
     "clear_floats",
     "det_exact",
-    "leading_minors",
     "solve_exact",
     "identity_matrix",
 ]
@@ -354,27 +355,49 @@ def det_exact(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> 
     return Fraction(det) if den == 1 else Fraction(det, den)
 
 
-def leading_minors(
-    rows: Sequence[Sequence], starts: Sequence[int] | None = None
-) -> list[int] | list[Fraction]:
-    """Leading principal minors D_1..D_n from the pivots of one Bareiss pass.
+def _symmetric_band_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Leading principal minors D_1..D_n of a symmetric integer band matrix.
 
-    Each D_k is an int when every row is integral (each minor of an integer
-    matrix is an integer, read straight off its pivot), and a Fraction
-    otherwise.  Rows are never swapped, so the pass stops with
-    SingularMatrixError when some D_k with k < n vanishes; D_n itself may be
-    zero.  `starts` gives row spans, as for det_exact.
+    rows[i] holds the upper band of row i, the entries (i, i), (i, i + 1),
+    .., (i, i + w), every row of one length w + 1; entries in columns n and
+    beyond are ignored, so a Toeplitz band may pass one list n times.  This
+    is _bareiss's dense pass restricted to the upper band.  The step-k
+    matrix is symmetric, each entry being a minor, so the multiplier of row
+    k + t is the pivot row's own entry (k, k + t).  Entry (i, j) is only
+    scaled by p_k / p_(k-1) before step j - w, so it enters the pass at that
+    step as its input value times the factor it owes, p_(j-w-1) (p_(-1) = 1).
+    Each step updates w (w + 1) / 2 entries, and no row is swapped: the pass
+    raises SingularMatrixError when some D_k with k < n vanishes, while D_n
+    itself may be 0.
     """
-    starts = _square_spans(rows, starts, "leading minors need a square matrix")
-    a, scales = _clear_row_denominators(rows)
-    if a and _bareiss(a, starts, len(a) - 1) != 0:
-        raise SingularMatrixError("a leading principal minor vanished")
-    pivots = list(map(_entry, a, starts, itertools.count()))
-    if {*scales} <= {1}:
-        return pivots
-    # D_k is the k-th pivot over the product of the first k row scales
-    prefix = itertools.accumulate(scales, operator.mul)
-    return [Fraction(p) if scale == 1 else Fraction(p, scale) for p, scale in zip(pivots, prefix)]
+    n = len(rows)
+    if not n:
+        return []
+    w = len(rows[0]) - 1
+    top = min(w + 1, n)
+    # window[t] is row k + t of the step-k matrix, columns k + t .. k + w
+    window = [list(rows[t][: top - t]) for t in range(top)]
+    minors = []
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = window[0]
+        pivot = pivot_row[0]
+        if not pivot:
+            raise SingularMatrixError("a leading principal minor vanished")
+        minors.append(pivot)
+        j = k + w + 1  # the column that step k + 1 reaches first
+        last, window = window, []
+        for t in range(1, len(pivot_row)):
+            f = pivot_row[t]
+            row = [(x * pivot - f * y) // prev for x, y in zip(last[t], pivot_row[t:])]
+            if j < n:
+                row.append(rows[k + t][w + 1 - t] * pivot)
+            window.append(row)
+        if j < n:
+            window.append([rows[j][0] * pivot])
+        prev = pivot
+    minors.append(window[0][0])
+    return minors
 
 
 def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[list[Fraction]]:

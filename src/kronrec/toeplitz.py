@@ -28,7 +28,14 @@ routes scale them to integers once and slice every Toeplitz row from those.
 A row is a band slice: the at most r + s + 1 entries from its first band
 column to its last, with its start column beside it, and the elimination
 runs on those spans, so a matrix of order L is built and eliminated in
-O(L (r + s)^2) steps with no zero outside the band ever stored.
+O(L (r + s)^2) steps with no zero outside the band ever stored.  A
+palindromic symbol, B(x)B(1/x) among them, gives a symmetric matrix, whose
+leading minors come from the upper band alone: the Gram studies pass the
+integer autocorrelation c_0..c_d of B once for every row, and the direct
+determinant does the same unless a leading minor vanishes, when it hands
+over to the swapping elimination.  Both Gram studies check, in integers,
+that their ratios never increase, and gram_growth that the certified
+M(B)^2 lies below its last ratio.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, DomainError, SingularMatrixError
-from .exact_linalg import clear_denominators, coerce_rational, det_exact, leading_minors
+from .exact_linalg import _symmetric_band_minors, clear_denominators, coerce_rational, det_exact
 from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
 from .recurrence_matrices import extend_rows
@@ -87,17 +94,21 @@ class LaurentSymbol(_LaurentSymbolFields):
     @classmethod
     def from_polynomial(cls, poly: IntPolynomial) -> "LaurentSymbol":
         """Autocorrelation symbol B(x)B(1/x); r = s = deg B."""
-        b = poly.coeffs  # integer sums; __new__ makes them Fractions
-        d = len(b) - 1
-        cs = []
-        for j in range(-d, d + 1):
-            cs.append(sum(b[j + k] * b[k] for k in range(max(0, -j), min(d, d - j) + 1)))
-        # powers of x in B do not change B(x)B(1/x); trim the zero fringe
-        width = d
-        while width > 0 and cs[0] == 0:
-            cs = cs[1:-1]
-            width -= 1
-        return cls(tuple(cs), width, width)
+        c = _autocorrelation(poly)  # integer sums; __new__ makes them Fractions
+        return cls((*c[:0:-1], *c), len(c) - 1, len(c) - 1)
+
+
+def _autocorrelation(poly: IntPolynomial) -> list[int]:
+    """c_0..c_w of B(x)B(1/x) = sum_t c_|t| x^t, with c_t = sum_k b_k b_(k+t).
+
+    Powers of x in B do not change the symbol, so the list stops at its
+    last nonzero entry: w is deg B less the order of B at 0.
+    """
+    b = poly.coeffs
+    c = [sum(map(operator.mul, b, b[t:])) for t in range(len(b))]
+    while not c[-1]:
+        c.pop()
+    return c
 
 
 def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], list[int], int]:
@@ -114,9 +125,20 @@ def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], l
 
 
 def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
-    """Exact determinant of the (n+1) x (n+1) matrix with entry (j,k) = c_{k-j}."""
+    """Exact determinant of the (n+1) x (n+1) matrix with entry (j,k) = c_{k-j}.
+
+    A palindromic symbol gives a symmetric matrix, eliminated on its upper
+    band; if a leading minor vanishes there, the swapping pass takes over.
+    """
     if n < 0:
         raise DomainError("matrix size index n must be >= 0")
+    c, den = clear_denominators(symbol.coeffs)
+    r = symbol.r
+    if r == symbol.s and c == c[::-1]:
+        try:
+            return Fraction(_symmetric_band_minors([c[r:]] * (n + 1))[-1], den ** (n + 1))
+        except SingularMatrixError:
+            pass
     rows, starts, den = _toeplitz_rows(symbol, n + 1)
     return det_exact(rows, starts) / den ** (n + 1)
 
@@ -198,10 +220,13 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
 
     with E_l[i][r] = <e_i, A_r> = a_{i-1-r}.  That vanishes for r >= i, and
     i <= d, so E_l^T E_l lives in the leading d x d corner: one more pass
-    over G_L with that corner corrected gives every numerator.  No minor
-    vanishes, so no row is swapped: the rows projected off e_S stay
-    independent, their last l columns a triangle with diagonal a_d.  An empty
-    S, whose ratio is 1 for every A, is refused like an index outside 1..d.
+    over G_L with the upper triangle of that corner corrected gives every
+    numerator.  No minor vanishes, so no row is swapped: the rows projected
+    off e_S stay independent, their last l columns a triangle with diagonal
+    a_d.  Each ratio is the squared volume of e_S projected off a growing
+    span, so the ratios never increase; that is checked in integers.  An
+    empty S, whose ratio is 1 for every A, is refused like an index outside
+    1..d.
     """
     d = poly.degree
     if d < 1:
@@ -217,16 +242,22 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     a = poly.coeffs
     if a[0] == 0:
         raise DomainError("coefficient sequence needs a nonzero constant entry")
-    # A is integral, so its symbol's rows need no scale: den = 1
-    rows, starts, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
-    denominators = leading_minors(rows, starts)  # the pass leaves rows as built
-    # r = s = d, so each row of the corner starts at column 0 and covers its columns
+    # a_0 != 0, so the band is d wide and row r holds columns r..r + d
+    band = _autocorrelation(poly)
+    rows = [band] * ell_max
+    denominators = _symmetric_band_minors(rows)
     corner = min(d, ell_max)
     for r in range(corner):
-        for c in range(corner):
-            rows[r][c] -= sum(a[i - 1 - r] * a[i - 1 - c] for i in chosen if i > max(r, c))
+        row = rows[r] = list(band)
+        for c in range(r, corner):
+            row[c - r] -= sum(a[i - 1 - r] * a[i - 1 - c] for i in chosen if i > c)
+    numerators = _symmetric_band_minors(rows)
+    # num_{l+1} / den_{l+1} <= num_l / den_l, the denominators being positive
+    steps = zip(numerators, denominators, numerators[1:], denominators[1:])
+    if any(n1 * d0 > n0 * d1 for n0, d0, n1, d1 in steps):
+        raise CertificateError("a Lyons ratio rose above the one before it")
     # every minor is an int: one normalisation per ratio
-    return list(map(Fraction, leading_minors(rows, starts), denominators))
+    return list(map(Fraction, numerators, denominators))
 
 
 def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
@@ -245,25 +276,33 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
 
     The determinants are ints, the leading principal minors of the
     ell_max-square Toeplitz matrix of B(x)B(1/x), read off one elimination
-    pass; the ratios D_{l+1}/D_l are Fractions.  The ratios approach the
-    squared Mahler measure of B when no root sits on the unit circle; the
-    certified enclosure of that limit rides along.
+    pass over its upper band; the ratios D_{l+1}/D_l are Fractions.  Each
+    ratio is the squared distance of B_{l+1} from span(B_1..B_l), which
+    only falls as the span grows, and Szego's first limit theorem makes the
+    limit the squared Mahler measure of B; the certified enclosure of that
+    limit rides along.  Both facts are checked in integers:
+    D_{l-1} D_{l+1} <= D_l^2 with D_0 = 1, and the enclosure's lower end is
+    at most the last ratio D_L / D_{L-1}.
     """
     if poly.degree < 1:
         raise DomainError("growth study needs deg B >= 1")
     if ell_max < 1:
         raise DomainError("growth study needs ell_max >= 1")
-    # B is integral, so its symbol's rows need no scale: den = 1
-    rows, starts, _ = _toeplitz_rows(LaurentSymbol.from_polynomial(poly), ell_max)
     try:
-        dets = tuple(leading_minors(rows, starts))
+        dets = tuple(_symmetric_band_minors([_autocorrelation(poly)] * ell_max))
     except SingularMatrixError as exc:
         raise CertificateError("a Gram determinant of independent rows vanished") from exc
+    minors = (1, *dets)
+    if any(a * c > b * b for a, b, c in zip(minors, dets, dets[1:])):
+        raise CertificateError("a Gram ratio D_{l+1}/D_l rose above the one before it")
+    m = mahler_measure(poly).interval
+    squared = m.mul(m)
+    if squared.lo > Fraction(dets[-1], minors[-2]):  # float against Fraction: exact
+        raise CertificateError("the certified M(B)^2 exceeds the last Gram ratio")
     # every D_l is an int: Fraction(D_{l+1}, D_l) normalises once
     ratios = tuple(map(Fraction, dets[1:], dets))
-    m = mahler_measure(poly).interval
     return GrowthReport(
         determinants=dets,
         ratios=ratios,
-        mahler_squared=m.mul(m),
+        mahler_squared=squared,
     )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,17 +25,20 @@ from kronrec.density import (
     epsilon_bound,
     is_covered,
 )
-from kronrec.errors import CertificateError, DomainError, RootCertificationError
+from kronrec.errors import CertificateError, DomainError, RootCertificationError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
+    _bareiss,
+    _clear_row_denominators,
+    _entry,
     _hnf,
     _int_valuation,
+    _square_spans,
     clear_denominators,
     coerce_rational,
     det_exact,
     identity_matrix,
     integer_kernel,
-    leading_minors,
     is_prime,
     solve_exact,
 )
@@ -210,6 +214,31 @@ def dense_bareiss(a: list[list[int]], steps: int) -> int | None:
             row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
         prev = pivot
     return swaps
+
+
+def leading_minors(
+    rows: Sequence[Sequence], starts: Sequence[int] | None = None
+) -> list[int] | list[Fraction]:
+    """Leading principal minors D_1..D_n from the pivots of one general Bareiss pass.
+
+    The reference route to exact_linalg._symmetric_band_minors: the span
+    elimination of det_exact, both triangles of any square matrix, with no
+    symmetry assumed.  Each D_k is an int when every row is integral (each
+    minor of an integer matrix is an integer, read straight off its pivot),
+    and a Fraction otherwise.  Rows are never swapped, so the pass stops with
+    SingularMatrixError when some D_k with k < n vanishes; D_n itself may be
+    zero.  `starts` gives row spans, as for det_exact.
+    """
+    starts = _square_spans(rows, starts, "leading minors need a square matrix")
+    a, scales = _clear_row_denominators(rows)
+    if a and _bareiss(a, starts, len(a) - 1) != 0:
+        raise SingularMatrixError("a leading principal minor vanished")
+    pivots = list(map(_entry, a, starts, itertools.count()))
+    if {*scales} <= {1}:
+        return pivots
+    # D_k is the k-th pivot over the product of the first k row scales
+    prefix = itertools.accumulate(scales, operator.mul)
+    return [Fraction(p) if scale == 1 else Fraction(p, scale) for p, scale in zip(pivots, prefix)]
 
 
 def _row_end(row: list[int]) -> int:

@@ -60,21 +60,24 @@ def test_every_export_resolves(mod_name):
 
 
 def _name_uses(files):
-    """(path, line, name) for each use of a name in files, outside each `__all__` list.
+    """(path, line, name) for each use of a name in files, outside each `__all__`
+    list and each import statement.
 
     A use is a NAME token other than the one right after `def` or `class`, or a
     string literal whose whole value is the name (the tracer's `LAYERS`); a
-    name that only a comment or a docstring mentions is not used.
+    name that only a comment, a docstring or an import mentions is not used.
     """
     for path in files:
         text = path.read_text(encoding="utf-8")
-        exports = set()
-        for node in ast.parse(text).body:
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in getattr(node, "targets", ())):
-                exports.update(range(node.lineno, node.end_lineno + 1))
+        skipped = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in getattr(node, "targets", ())
+            ):
+                skipped.update(range(node.lineno, node.end_lineno + 1))
         before = None
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.start[0] in exports:
+            if tok.start[0] in skipped:
                 continue
             if tok.type == tokenize.NAME and before not in ("def", "class"):
                 yield path, tok.start[0], tok.string

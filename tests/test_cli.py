@@ -486,10 +486,12 @@ GOLDEN_COMMANDS = [
         test_golden_bytes,
         test_golden_critical,
         test_golden_exact,
+        test_golden_gram,
         test_golden_nondense,
     )
     for command, _ in module.GOLDEN
 ] + [command for command, _ in test_golden_roots.GOLDEN_ROOTS]
+GOLDEN_COMMANDS += [command for command, _, _ in test_golden_critical.DECIDE_SHAPED]
 
 
 def test_every_golden_command_prints_strict_json(capsys):

@@ -6,12 +6,13 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kronrec.errors import DomainError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
     _bareiss,
+    _symmetric_band_minors,
     clear_denominators,
     clear_floats,
     coerce_rational,
@@ -20,7 +21,6 @@ from kronrec.exact_linalg import (
     identity_matrix,
     integer_kernel,
     is_prime,
-    leading_minors,
     solve_exact,
 )
 from kronrec.recurrence_matrices import band_rows
@@ -28,6 +28,7 @@ from oracles import (
     dense_bareiss,
     hnf_two_matrices,
     kernel_two_matrices,
+    leading_minors,
     mat_mul,
     p_adic_valuation,
     snf,
@@ -302,6 +303,52 @@ def test_leading_minors_hand_values():
         leading_minors([[0, 1, 2], [1, 0, 3], [4, 5, 6]])
     with pytest.raises(DomainError):
         leading_minors([[1, 2]])
+
+
+@st.composite
+def symmetric_bands(draw):
+    """(upper band rows, dense matrix) of a symmetric integer band matrix.
+
+    Half-bandwidth 0..4, order 1..40, zeros inside the band, so multipliers
+    of 0 occur, and zeros on the diagonal, so leading minors vanish.
+    """
+    w = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 40))
+    diagonal = st.sampled_from((0, 1, 2, 5, 9, -4))
+    off = st.sampled_from((0, 0, 1, -1, 2, -3))
+    rows = [[draw(diagonal)] + [draw(off) for _ in range(w)] for _ in range(n)]
+    dense = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row[: n - i], i):
+            dense[i][j] = dense[j][i] = x
+    return rows, dense
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=300)
+@given(symmetric_bands())
+@example(([[2, -1]] * 30, [[2 if i == j else -(abs(i - j) == 1) for j in range(30)] for i in range(30)]))
+@example(([[1, 1]] * 3, [[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+@example(([[3]] * 2, [[3, 0], [0, 3]]))
+def test_symmetric_band_pass_matches_the_general_pass(band):
+    rows, dense = band
+    before = [list(r) for r in rows]
+    try:
+        want = leading_minors(dense)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            _symmetric_band_minors(rows)
+    else:
+        assert _symmetric_band_minors(rows) == want
+    assert rows == before
+
+
+def test_symmetric_band_pass_takes_one_list_for_every_row():
+    # the band of 5 - 2x - 2/x: D_l = (4^(l+1) - 1) / 3, columns past n ignored
+    assert _symmetric_band_minors([[5, -2]] * 6) == [(4 ** (k + 1) - 1) // 3 for k in range(1, 7)]
+    assert _symmetric_band_minors([[5, -2, 0, 0]] * 2) == [5, 21]
+    assert _symmetric_band_minors([]) == []
+    assert _symmetric_band_minors([[0, 1]]) == [0]  # D_n may vanish
 
 
 # ----- the span elimination against the dense oracles -----

@@ -29,6 +29,10 @@ GOLDEN = [
     ("trench --n 6 --r 2 1/2,-1,3,2/3", "8c9535df6337b1ca3267a6149affc5e8c6fbf66d3487b5ec0ffdc411bbe0326d"),
     ("trench --n 2 --r 3 1,2,3,4,5", "294d372dda60d989b1669834b7ddff470a07a012055a66512d32cdcb080f91a5"),
     ("trench --n 7 --r 0 3,1/2,-2", "4f71565f34873126a62a8c45c094c2a04cbd6e3137ee869d255332233c82d239"),
+    # a leading minor vanishes: symmetric symbols hand over to the swapping determinant
+    ("trench --r 1 --n 6 1,1,1", "35094e40756c7608838538671d2a577938df8610b734d5561c6c6244d68e40b1"),
+    ("trench --r 1 --n 7 1,0,1", "98aa9a17dfb6bc81f1b634537305ddaff8f59225256a55bd0725ecbbe799c92d"),
+    ("trench --r 1 --n 5 2,0,3", "66fc1c92f8de7b887403a2098966b0ed53699ce9296bcf771039d0000481e57e"),
 ]
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from kronrec import toeplitz
 from kronrec.errors import CertificateError, DomainError, SingularMatrixError
-from kronrec.exact_linalg import identity_matrix, leading_minors, solve_exact
-from kronrec.poly_core import IntPolynomial, roots
+from kronrec.exact_linalg import _symmetric_band_minors, identity_matrix, solve_exact
+from kronrec.poly_core import IntPolynomial, MahlerMeasure, roots
 from kronrec.recurrence_matrices import band_rows
 from kronrec.toeplitz import (
     LaurentSymbol,
@@ -30,6 +30,7 @@ from oracles import (
     aberth_mp,
     biorthonormal_check,
     dense_bareiss,
+    leading_minors,
     lyons_ratios_bordered,
     mat_mul,
     rational_decompose,
@@ -431,11 +432,11 @@ def test_lyons_hand_value_below_the_degree():
 def test_lyons_eliminates_two_matrices_of_order_ell_max(monkeypatch):
     orders = []
 
-    def counted(rows, starts):
+    def counted(rows):
         orders.append(len(rows))
-        return leading_minors(rows, starts)
+        return _symmetric_band_minors(rows)
 
-    monkeypatch.setattr(toeplitz, "leading_minors", counted)
+    monkeypatch.setattr(toeplitz, "_symmetric_band_minors", counted)
     lyons_ratios(IntPolynomial((3, -2, -9, -3, 9)), {1, 2, 3, 4}, 12)
     assert orders == [12, 12]
 
@@ -490,6 +491,27 @@ def test_toeplitz_rows_store_only_the_band_at_the_stress_size():
         assert starts == [max(j - r, 0) for j in range(400)]
 
 
+def test_growth_certifies_falling_ratios_above_the_measure(monkeypatch):
+    minors = toeplitz._symmetric_band_minors
+    # D_0 D_2 = 21 < 25 = D_1^2, but D_1 D_3 = 500 > 441 = D_2^2
+    monkeypatch.setattr(toeplitz, "_symmetric_band_minors", lambda rows: [5, 21, 100])
+    with pytest.raises(CertificateError, match="rose"):
+        gram_growth(SHIFT2, 3)
+    monkeypatch.setattr(toeplitz, "_symmetric_band_minors", minors)
+    # M(x - 2) = 2 claimed as 3 +- 0: 9 lies above the last ratio 85/21
+    monkeypatch.setattr(toeplitz, "mahler_measure", lambda poly: MahlerMeasure(3.0, 0.0))
+    with pytest.raises(CertificateError, match="M\\(B\\)\\^2"):
+        gram_growth(SHIFT2, 3)
+
+
+def test_lyons_certifies_falling_ratios(monkeypatch):
+    # denominators 1, 1 and numerators 1, 2: the ratio rises from 1 to 2
+    passes = iter([[1, 1], [1, 2]])
+    monkeypatch.setattr(toeplitz, "_symmetric_band_minors", lambda rows: next(passes))
+    with pytest.raises(CertificateError, match="rose"):
+        lyons_ratios(FIB, {1}, 2)
+
+
 def test_growth_rejects():
     with pytest.raises(DomainError):
         gram_growth(SHIFT2, 0)
@@ -499,17 +521,34 @@ def test_growth_rejects():
 
 # --- vanishing leading minors of raw symbols ---
 
-# c_0 = 0, so D_1 = 0, and none is Hermitian; (1, 1, 1) has D_1 = 1 and D_2 = 0
+# c_0 = 0, so D_1 = 0, and the first three are not symmetric; (1, 1, 1) has
+# D_1 = 1 and D_2 = 0, and it and (1, 0, 1) are, so their direct determinant
+# hands over from the symmetric pass to the swapping one
 VANISHING_MINOR = [
     LaurentSymbol.from_coefficients((2, 0, 3), 1),
     LaurentSymbol.from_coefficients((1, -2, 0, 3, 5), 2),
     LaurentSymbol.from_coefficients((3, 0, Fraction(1, 2), 2), 1),
     LaurentSymbol.from_coefficients((1, 1, 1), 1),
+    LaurentSymbol.from_coefficients((1, 0, 1), 1),
 ]
+SYMMETRIC_VANISHING_MINOR = VANISHING_MINOR[-2:]
 
 
 def _symbol_id(symbol):
     return ",".join(map(str, symbol.coeffs))
+
+
+def test_direct_eliminates_a_palindromic_symbol_on_its_upper_band(monkeypatch):
+    half = LaurentSymbol.from_coefficients((Fraction(1, 2), -3, 7, -3, Fraction(1, 2)), 2)
+    # (1, 1, 1) has D_2 = 0, so the swapping pass takes over
+    cases = [(symbol, n) for symbol in (TRIDIAG, half) for n in range(12)] + [(VANISHING_MINOR[3], 5)]
+    want = [trench_det(symbol, n + 1) for symbol, n in cases]  # its s x s minor is a det_exact
+    swapping = []
+    det = toeplitz.det_exact
+    monkeypatch.setattr(toeplitz, "det_exact", lambda *a: swapping.append(a) or det(*a))
+    assert [toeplitz_det_direct(symbol, n) for symbol, n in cases] == want
+    assert want[5] == (4**7 - 1) // 3
+    assert len(swapping) == 1
 
 
 @pytest.mark.parametrize("symbol", VANISHING_MINOR, ids=_symbol_id)
@@ -524,12 +563,12 @@ def test_direct_swaps_past_a_vanishing_leading_minor(symbol):
         assert toeplitz_det_direct(symbol, n) == trench_det(symbol, n + 1) == oracle, n
 
 
-@pytest.mark.parametrize("symbol", [VANISHING_MINOR[0], VANISHING_MINOR[-1]], ids=_symbol_id)
+@pytest.mark.parametrize("symbol", SYMMETRIC_VANISHING_MINOR, ids=_symbol_id)
 def test_growth_turns_a_vanishing_minor_into_a_certificate_error(monkeypatch, symbol):
     # Gram matrices of independent rows have no vanishing minor, so hand
-    # gram_growth the Toeplitz rows of a raw symbol that has one
-    rows_of = toeplitz._toeplitz_rows
-    monkeypatch.setattr(toeplitz, "_toeplitz_rows", lambda _, size: rows_of(symbol, size))
+    # gram_growth the upper band of a raw symmetric symbol that has one
+    band = [int(c) for c in symbol.coeffs[symbol.r :]]
+    monkeypatch.setattr(toeplitz, "_autocorrelation", lambda _: band)
     with pytest.raises(CertificateError, match="vanished"):
         gram_growth(FIB, 12)
 
