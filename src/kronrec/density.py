@@ -200,8 +200,8 @@ def witness(
     returning, the exact values of the returned floats are checked in
     rationals: |w|_inf <= eps/2, and every row of band(A)(target + w) lies
     within WITNESS_RESIDUAL_TOL of its k_i; a failure raises
-    CertificateError.  A non-finite target entry, or a row of band(A) times
-    the target that overflows a float, raises DomainError.
+    CertificateError.  A non-finite target entry or eps, or a row of band(A)
+    times the target that overflows a float, raises DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -211,6 +211,8 @@ def witness(
         raise DomainError(f"target must have length m = {m}")
     if not all(map(math.isfinite, tvec)):
         raise DomainError("target entries must be finite")
+    if eps is not None and not math.isfinite(eps):
+        raise DomainError("eps must be finite")
     fact = factor_real(poly)
     if eps is None:
         eps = fact.eps

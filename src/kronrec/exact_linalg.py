@@ -7,8 +7,10 @@ clear_floats does the same for the binary values of floats; determinant and
 solve share one fraction-free Bareiss elimination on them.  The elimination
 works on row spans: a row is stored from a start column to its last entry,
 a dense matrix being rows that start at column 0, and det_exact takes the
-starts as an optional argument.  A row joins the pass at the step that
-reaches its start, a row with a zero in the pivot column is left alone and
+starts, which never decrease down the rows, as an optional argument.  One
+full pass eliminates every column, and the determinant is its last pivot.
+A row joins the pass at the step that reaches its start, so the joined rows
+are always a prefix; a row with a zero in the pivot column is left alone and
 pays the factor it owes exactly later, since every Bareiss intermediate is a
 minor, and updates stop where the spans end.  So banded matrices cost
 O(L d^2) at order L and half-bandwidth d, bookkeeping included, and dense
@@ -24,7 +26,6 @@ Re-running hnf on its own output is the identity.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -238,7 +239,7 @@ def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[Sequence[int
 
 
 def _square_spans(rows: Sequence[Sequence], starts: Sequence[int] | None, message: str) -> list[int]:
-    """The start column of each row of a square matrix; None means column 0 for every row."""
+    """The start column of each row of a square matrix, never decreasing down the rows; None means 0."""
     n = len(rows)
     if starts is None:
         if {*map(len, rows)} - {n}:
@@ -247,6 +248,8 @@ def _square_spans(rows: Sequence[Sequence], starts: Sequence[int] | None, messag
     ends = map(operator.add, starts, map(len, rows))
     if len(starts) != n or (n and (min(starts) < 0 or max(ends) > n)):
         raise DomainError(message)
+    if any(map(operator.gt, starts, starts[1:])):
+        raise DomainError("row starts must not decrease down the rows")
     return list(starts)
 
 
@@ -256,57 +259,51 @@ def _entry(row: Sequence[int], start: int, col: int) -> int:
     return row[j] if 0 <= j < len(row) else 0
 
 
-def _bareiss(rows: list[Sequence[int]], starts: list[int], steps: int) -> int | None:
-    """Fraction-free elimination of the first `steps` columns of row spans, in place.
+def _bareiss(rows: list[Sequence[int]], starts: list[int]) -> int | None:
+    """Fraction-free elimination of row spans, one step per row, in place.
 
-    rows[i] holds the entries of row i from column starts[i] on; the rest
-    of the row is 0.  Step k replaces each row below the pivot p_k, the
-    entry in column k of row k, by (row * p_k - row[k] * pivot row) / p_{k-1},
-    with p_{-1} = 1; the division is exact, since every intermediate entry
-    is a minor of the input.  While no rows are swapped, p_k is the (k+1)-th
-    leading principal minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot
-    is swapped for the first nonzero entry below it.  An updated row is
-    stored from column k + 1, since callers read only the upper triangle,
-    to the further of its own end and the pivot row's: zeros past both stay
-    zero.  Rows are replaced, never written into, so the input's survive.
-    Returns the number of row swaps, or None when a column has no pivot.
+    rows[i] holds row i from column starts[i] on, the rest of it 0, and the
+    starts never decrease down the rows.  Step k replaces each row below the
+    pivot p_k, the entry in column k of row k, by
+    (row * p_k - row[k] * pivot row) / p_{k-1}, with p_{-1} = 1; the
+    division is exact, since every intermediate entry is a minor of the
+    input.  While no rows are swapped, p_k is the (k+1)-th leading principal
+    minor (Bareiss, Math. Comp. 22, 1968).  A zero pivot is swapped for the
+    first nonzero entry below it.  An updated row is stored from column
+    k + 1, since callers read only the upper triangle, to the further of its
+    own end and the pivot row's.  Rows are replaced, never written into, so
+    the input's survive.  Returns the number of row swaps, or None when a
+    column, the last one included, has no pivot.
 
-    A row joins the rows below the pivot at the step that reaches its
-    start, and one whose entry in the pivot column is 0 is left as it is:
-    the update would only scale it by p_k / p_{k-1}, so a row last updated
-    at step t holds the dense pass's values divided by p_{k-1} / p_t.  Both
-    are minors, so the owed factor is paid exactly when it falls due: folded
-    into the row's next update, which divides by p_t in place of p_{k-1}; in
-    one pass when the row becomes the pivot row; and at the end for the rows
-    past `steps`, since pivot rows are final.  No step visits a row that has
-    not joined and no row is scanned for its end, so a band of order L and
-    half-bandwidth d costs O(L d^2) in bookkeeping as in arithmetic.
+    A row joins at the step that reaches its start.  Swaps and updates keep
+    the joined rows' starts at or before the step, so the joined rows stay
+    a prefix rows[:joined], and if row k has not joined at step k, column k
+    is zero from row k down.  A joined row with a 0 in the pivot column is
+    left as it is, so a row last updated at step t owes the factor
+    p_{k-1} / p_t.  Both are minors, and the factor is paid exactly in the
+    row's next update, which divides by p_t, or when the row becomes the
+    pivot row, as every row does.  So a band of order L and half-bandwidth
+    d costs O(L d^2) in bookkeeping as in arithmetic.
     """
     n = len(rows)
     lags = [1] * n  # lags[i] = p_t, t the last step that updated row i (p_{-1} = 1)
-    # rows yet to join, the latest start first; the joined ones in row order
-    waiting = sorted([i for i in range(n) if starts[i]], key=starts.__getitem__, reverse=True)
-    active = [i for i in range(n) if not starts[i]]
-    swaps = 0
+    joined = swaps = 0
     prev = 1
-    for k in range(steps):
-        while waiting and starts[waiting[-1]] <= k:
-            bisect.insort(active, waiting.pop())
+    for k in range(n):
+        while joined < n and starts[joined] <= k:
+            joined += 1
+        if joined <= k:
+            return None
         row = rows[k]
         at = k - starts[k]
-        if at >= 0:
-            del active[0]  # row k leaves the rows below the pivot
-        if at < 0 or at >= len(row) or not row[at]:
-            swap = next((i for i in active if _entry(rows[i], starts[i], k)), None)
+        if at >= len(row) or not row[at]:
+            swap = next((i for i in range(k + 1, joined) if _entry(rows[i], starts[i], k)), None)
             if swap is None:
                 return None
             rows[k], rows[swap] = rows[swap], row
             starts[k], starts[swap] = starts[swap], starts[k]
             lags[k], lags[swap] = lags[swap], lags[k]
             swaps += 1
-            if at < 0:  # the row moved down has not joined: it waits in its new place
-                active.remove(swap)
-                waiting[waiting.index(k)] = swap
             row = rows[k]
             at = k - starts[k]
         lag = lags[k]
@@ -316,7 +313,7 @@ def _bareiss(rows: list[Sequence[int]], starts: list[int], steps: int) -> int | 
             at = 0
         pivot = row[at]
         pivot_tail = row[at + 1 :]
-        for i in active:
+        for i in range(k + 1, joined):
             r = rows[i]
             j = k + 1 - starts[i]  # r[j - 1] is the entry in column k
             if j <= len(r) and (f := r[j - 1]):
@@ -326,30 +323,24 @@ def _bareiss(rows: list[Sequence[int]], starts: list[int], steps: int) -> int | 
                 starts[i] = k + 1
                 lags[i] = pivot
         prev = pivot
-    for i in range(steps, n):
-        lag = lags[i]
-        if lag != prev:
-            at = max(steps - starts[i], 0)
-            rows[i] = [x * prev // lag for x in rows[i][at:]]
-            starts[i] += at
     return swaps
 
 
 def det_exact(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination.
+    """Determinant by fraction-free Bareiss elimination: its last pivot, signed by the swaps.
 
     With `starts`, rows[i] holds row i from column starts[i] to the row's
-    last stored entry, and the rest of the row is 0.
+    last stored entry, and the rest of the row is 0; starts that decrease
+    down the rows raise DomainError.
     """
     starts = _square_spans(rows, starts, "determinant needs a square matrix")
     a, scales = _clear_row_denominators(rows)
     if not a:
         return Fraction(1)
-    n = len(a)
-    swaps = _bareiss(a, starts, n - 1)
+    swaps = _bareiss(a, starts)
     if swaps is None:
         return Fraction(0)
-    det = _entry(a[-1], starts[-1], n - 1)
+    det = _entry(a[-1], starts[-1], len(a) - 1)
     det = -det if swaps % 2 else det
     den = math.prod(scales)
     return Fraction(det) if den == 1 else Fraction(det, den)
@@ -414,7 +405,7 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[
         raise DomainError("ragged B")
     a, _ = _clear_row_denominators([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
     starts = [0] * n
-    if _bareiss(a, starts, n) is None:
+    if _bareiss(a, starts) is None:
         raise SingularMatrixError("singular matrix in solve_exact")
     # every row runs to the last column of [A | B], so row i from column i on
     # is a[i][i - starts[i]:]; and dx = det * x is integral by Cramer's rule,

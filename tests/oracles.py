@@ -28,9 +28,7 @@ from kronrec.density import (
 from kronrec.errors import CertificateError, DomainError, RootCertificationError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
-    _bareiss,
     _clear_row_denominators,
-    _entry,
     _hnf,
     _int_valuation,
     _square_spans,
@@ -219,21 +217,24 @@ def dense_bareiss(a: list[list[int]], steps: int) -> int | None:
 def leading_minors(
     rows: Sequence[Sequence], starts: Sequence[int] | None = None
 ) -> list[int] | list[Fraction]:
-    """Leading principal minors D_1..D_n from the pivots of one general Bareiss pass.
+    """Leading principal minors D_1..D_n from the pivots of one dense Bareiss pass.
 
-    The reference route to exact_linalg._symmetric_band_minors: the span
-    elimination of det_exact, both triangles of any square matrix, with no
-    symmetry assumed.  Each D_k is an int when every row is integral (each
-    minor of an integer matrix is an integer, read straight off its pivot),
-    and a Fraction otherwise.  Rows are never swapped, so the pass stops with
-    SingularMatrixError when some D_k with k < n vanishes; D_n itself may be
-    zero.  `starts` gives row spans, as for det_exact.
+    The reference route to exact_linalg._symmetric_band_minors: the rows,
+    spread to dense rows, go through zero_skipping_bareiss, both triangles
+    of any square matrix, with no symmetry assumed.  Each D_k is an int when
+    every row is integral (each minor of an integer matrix is an integer,
+    read straight off its pivot), and a Fraction otherwise.  Rows are never
+    swapped, so the pass stops with SingularMatrixError when some D_k with
+    k < n vanishes; D_n itself may be zero.  `starts` gives row spans, as
+    for det_exact.
     """
     starts = _square_spans(rows, starts, "leading minors need a square matrix")
-    a, scales = _clear_row_denominators(rows)
-    if a and _bareiss(a, starts, len(a) - 1) != 0:
+    ints, scales = _clear_row_denominators(rows)
+    n = len(ints)
+    a = [[0] * s + list(r) + [0] * (n - s - len(r)) for r, s in zip(ints, starts)]
+    if a and zero_skipping_bareiss(a, n - 1) != 0:
         raise SingularMatrixError("a leading principal minor vanished")
-    pivots = list(map(_entry, a, starts, itertools.count()))
+    pivots = [row[k] for k, row in enumerate(a)]
     if {*scales} <= {1}:
         return pivots
     # D_k is the k-th pivot over the product of the first k row scales
@@ -597,6 +598,33 @@ def critical_epsilon_per_target(
         estimate=tau,
         method_notes=notes,
     )
+
+
+def degree_one_threshold(poly: IntPolynomial, m: int) -> Fraction:
+    """The conjectured exact threshold eps*(A, m) of a primitive A = a_1 x + a_0, a_0 != 0.
+
+    With P = max(|a_0|, |a_1|) and Q = min(|a_0|, |a_1|) it is
+    (P^(m-1) - Q^(m-1)) / (P^m - Q^m), and (m - 1)/m when P = Q = 1; it
+    rises with m to 1/P = 1/M(A).  Not a proven result: the formula fits
+    every degree-1 grid threshold observed, and the tests pin that agreement.
+    """
+    a0, a1 = poly.coeffs
+    p, q = max(abs(a0), abs(a1)), min(abs(a0), abs(a1))
+    if p == 1:
+        return Fraction(m - 1, m)
+    return Fraction(p ** (m - 1) - q ** (m - 1), p**m - q**m)
+
+
+def in_powers(poly: IntPolynomial, k: int) -> IntPolynomial:
+    """B(x^k): the coefficients of B spread k apart.
+
+    Its recurrence runs separately on each residue class mod k, so the grid
+    threshold decouples: tau_n(B(x^k), m) = tau_n(B, ceil(m / k)), observed
+    numerically, not proven here.
+    """
+    coeffs = [0] * (poly.degree * k + 1)
+    coeffs[::k] = poly.coeffs
+    return IntPolynomial(tuple(coeffs))
 
 
 def refined_threshold_two_root_sets(poly: IntPolynomial) -> Interval:

@@ -33,6 +33,8 @@ from oracles import (
     bisect_grid_threshold,
     covered_by_fraction_gauge,
     critical_epsilon_per_target,
+    degree_one_threshold,
+    in_powers,
     mahler_conjugate_two_root_sets,
     minor_levels_by_rows,
     minors_by_elimination,
@@ -318,6 +320,14 @@ def test_witness_rejects():
         witness(SHIFT2, 1, (0.1,))  # m too small
     with pytest.raises(DomainError):
         witness(SHIFT2, 3, (0.1, 0.2, 0.3), eps=0.1)  # below the bound
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_witness_refuses_a_non_finite_eps_before_factoring(monkeypatch, eps):
+    # nan passed the bound check, and inf reached Fraction(eps), before the check
+    monkeypatch.setattr(density, "factor_real", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(DomainError, match="eps must be finite"):
+        witness(SHIFT2, 3, (0.1, 0.2, 0.3), eps=eps)
 
 
 def test_witness_accepts_larger_eps():
@@ -636,9 +646,9 @@ def test_facets_and_volume_take_no_elimination(monkeypatch):
     calls = []
     real = exact_linalg._bareiss
 
-    def counted(rows, starts, steps):
+    def counted(rows, starts):
         calls.append(len(rows))
-        return real(rows, starts, steps)
+        return real(rows, starts)
 
     monkeypatch.setattr(exact_linalg, "_bareiss", counted)
     for poly, m in ((GOLDEN, 12), (WORKED, 9), (IntPolynomial((2, -3, 1, 4)), 10)):
@@ -775,6 +785,64 @@ def test_grid_threshold_hand_values():
     est = critical_epsilon(IntPolynomial((1, 0, 0, 1)), 5, grid_n=2)
     assert est.estimate == Fraction(1, 2)
     assert est.upper == Fraction(epsilon_bound(IntPolynomial((1, 0, 0, 1))).eps_refined.hi)
+
+
+# x - 2, 1 + 3x, 3 - 2x, 2 + 3x, x - 3, x - 1, x + 1, x + 2, 1 - 2x
+DEGREE_ONE = [
+    IntPolynomial(c) for c in ((-2, 1), (1, 3), (3, -2), (2, 3), (-3, 1), (-1, 1), (1, 1), (2, 1), (1, -2))
+]
+
+
+@pytest.mark.parametrize("poly", DEGREE_ONE, ids=str)
+def test_degree_one_grid_thresholds_stay_below_the_closed_form(poly):
+    # the closed form is a conjecture: these checks pin the observed agreement
+    for m in (2, 3, 4):
+        bound = degree_one_threshold(poly, m)
+        for grid_n in range(1, 11):
+            if grid_n ** (m - 1) <= 600:
+                assert critical_epsilon(poly, m, grid_n=grid_n).estimate <= bound, (m, grid_n)
+
+
+@pytest.mark.parametrize(
+    "poly, m",
+    [(poly, 3) for poly in DEGREE_ONE] + [(DEGREE_ONE[5], 4), (DEGREE_ONE[6], 4), (SHIFT2, 2)],
+    ids=str,
+)
+def test_degree_one_grid_threshold_meets_the_closed_form_at_twice_its_denominator(poly, m):
+    # observed, not proven: the deepest holes lie on the grid of 2 den, e.g.
+    # (5/14, 5/14) for x - 2 at m = 3
+    bound = degree_one_threshold(poly, m)
+    assert critical_epsilon(poly, m, grid_n=2 * bound.denominator).estimate == bound
+
+
+def test_degree_one_closed_form_hand_values():
+    thresholds = [degree_one_threshold(SHIFT2, m) for m in (2, 3, 4)]
+    assert thresholds == [Fraction(1, 3), Fraction(3, 7), Fraction(7, 15)]
+    assert degree_one_threshold(IntPolynomial((2, 3)), 3) == Fraction(5, 19)
+    assert degree_one_threshold(IntPolynomial((1, -1)), 4) == Fraction(3, 4)
+
+
+def test_grid_threshold_decouples_over_residue_classes():
+    # tau_n(B(x^k), m) = tau_n(B, ceil(m / k)): B(x^k)'s recurrence runs on
+    # each residue class mod k alone; observed on every case, not proven
+    rng = random.Random(20261019)
+    bases = []
+    while len(bases) < 6:
+        d = rng.randint(1, 2)
+        ends = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)]
+        poly = IntPolynomial((ends[0], *(rng.randint(-3, 3) for _ in range(d - 1)), ends[1]))
+        if poly.is_primitive:
+            bases.append(poly)
+    cases = 0
+    for poly, k, grid_n in itertools.product(bases, (2, 3), range(2, 6)):
+        d = poly.degree
+        for m in range(k * d + 1, k * d + 4):
+            if -(-m // k) > d:
+                want = critical_epsilon(poly, -(-m // k), grid_n=grid_n).estimate
+                got = critical_epsilon(in_powers(poly, k), m, grid_n=grid_n).estimate
+                assert got == want, (poly, k, m)
+                cases += 1
+    assert cases == 144
 
 
 def test_grid_threshold_inside_bisection_bracket():

@@ -398,9 +398,10 @@ def singular_matrices(draw):
 def late_start_matrices(draw):
     """Rows in any order, each from a drawn first nonzero column on, some right of the diagonal.
 
-    A row that starts right of its own diagonal has not joined when its step
-    comes, so the swap must bring up a row that joined late, or one that
-    joined early and waited.
+    Stored as a staircase by _spans, a row whose first nonzero lies below
+    a later row's keeps leading zeros, and a row whose first nonzero lies
+    right of its own diagonal needs a row that joined late swapped up, or
+    leaves its column with no pivot.
     """
     n = draw(st.integers(2, 8))
     entry = st.sampled_from((0, 0, 1, -1, 2, -3, 5))
@@ -421,44 +422,47 @@ def zero_row_matrices(draw):
 
 
 def _spans(rows):
-    """(rows, starts) storing each row from its first nonzero to its last; a zero row is empty."""
-    starts, spans = [], []
-    for row in rows:
-        nz = [k for k, x in enumerate(row) if x]
-        first, last = (nz[0], nz[-1] + 1) if nz else (len(row), len(row))
-        starts.append(first)
-        spans.append(row[first:last])
-    return spans, starts
+    """(rows, starts) of a staircase: row i from the least first nonzero of rows i.. to its last.
+
+    The starts never decrease down the rows, as the span engine needs; a
+    row stored from left of its own first nonzero keeps those zeros, and a
+    zero row is empty.
+    """
+    width = len(rows[0])
+    firsts = [next((k for k, x in enumerate(row) if x), width) for row in rows]
+    starts = list(itertools.accumulate(reversed(firsts), min))[::-1]
+    ends = [next((k for k in range(width, 0, -1) if row[k - 1]), 0) for row in rows]
+    return [row[s : max(s, e)] for row, s, e in zip(rows, starts, ends)], starts
 
 
-def _echelon(rows, steps):
-    """Swap count and the entries callers read, row i from column min(i, steps) on.
+def _echelon(rows):
+    """Swap count and the entries callers read, row i from column i on.
 
     The span engine runs on the rows' spans, and its rows are densified
     again to be read.
     """
     width = len(rows[0])
     spans, starts = _spans(rows)
-    swaps = _bareiss(spans, starts, steps)
+    swaps = _bareiss(spans, starts)
     if swaps is None:
         return None, None
     for start, span in zip(starts, spans):
         assert 0 <= start and start + len(span) <= width
     dense = [[0] * s + list(r) + [0] * (width - s - len(r)) for s, r in zip(starts, spans)]
-    return swaps, [row[min(i, steps) :] for i, row in enumerate(dense)]
+    return swaps, [row[i:] for i, row in enumerate(dense)]
 
 
-def _oracle_echelon(engine, rows, steps):
-    """_echelon for a dense engine of the oracles."""
+def _oracle_echelon(engine, rows):
+    """_echelon for a dense engine of the oracles, one step per row."""
     a = [list(r) for r in rows]
-    swaps = engine(a, steps)
-    return swaps, None if swaps is None else [row[min(i, steps) :] for i, row in enumerate(a)]
+    swaps = engine(a, len(a))
+    return swaps, None if swaps is None else [row[i:] for i, row in enumerate(a)]
 
 
-def _agrees(rows, steps):
-    want = _oracle_echelon(dense_bareiss, rows, steps)
-    assert _echelon(rows, steps) == want
-    assert _oracle_echelon(zero_skipping_bareiss, rows, steps) == want
+def _agrees(rows):
+    want = _oracle_echelon(dense_bareiss, rows)
+    assert _echelon(rows) == want
+    assert _oracle_echelon(zero_skipping_bareiss, rows) == want
 
 
 @seed(20261018)
@@ -480,8 +484,8 @@ def test_elimination_agrees_with_the_dense_oracle(rows):
     ints, dens = [c for c, _ in cleared], [den for _, den in cleared]
     rhs = [[i + 1, (-1) ** i] for i in range(n)]
     # every pivot and every entry right of the diagonal, for det, minors and solve
-    for a, steps in ((ints, n - 1), (ints, n), ([r + b for r, b in zip(ints, rhs)], n)):
-        _agrees(a, steps)
+    for a in (ints, [r + b for r, b in zip(ints, rhs)]):
+        _agrees(a)
     a = [list(r) for r in ints]
     swaps = dense_bareiss(a, n - 1)
     det = Fraction(0) if swaps is None else Fraction((-1) ** swaps * a[-1][-1], math.prod(dens))
@@ -521,8 +525,7 @@ def test_augmented_elimination_agrees_with_the_dense_oracle(system):
     # solve_exact's pass: n steps over the rows of [A | B], whose spans end
     # anywhere in B or before it
     a, b = system
-    n = len(a)
-    _agrees([ra + rb for ra, rb in zip(a, b)], n)
+    _agrees([ra + rb for ra, rb in zip(a, b)])
     if det_exact(a) == 0:
         with pytest.raises(SingularMatrixError):
             solve_exact(a, b)
@@ -533,19 +536,27 @@ def test_augmented_elimination_agrees_with_the_dense_oracle(system):
 def test_a_row_owing_its_scale_is_swapped_up_exactly():
     # row 2 is skipped at step 0 and owes the pivot 2 when the zero pivot of
     # step 1 swaps it up; row 1, then below it, is skipped at step 1 and pays
-    # 6 / 2 at the end of the pass
+    # 6 / 2 as the last pivot row
     rows = [[2, 1, 1], [4, 2, 5], [0, 3, 7]]
     want = (1, [[2, 1, 1], [6, 14], [18]])
-    assert _echelon(rows, 2) == _oracle_echelon(dense_bareiss, rows, 2) == want
+    assert _echelon(rows) == _oracle_echelon(dense_bareiss, rows) == want
     assert det_exact(rows) == -18
 
 
-def test_a_pivot_slot_row_that_has_not_joined_waits_below():
-    # row 0 starts at column 2, so step 0 swaps row 1 up; the row moved down
-    # joins only at step 2, from its new place
-    rows = [[0, 0, 3], [2, 1, 1], [4, 5, 6]]
-    assert _echelon(rows, 2) == _oracle_echelon(dense_bareiss, rows, 2)
-    assert det_exact([[3], [2, 1, 1], [4, 5, 6]], [2, 0, 0]) == det_exact(rows) == 18
+def test_a_column_no_joined_row_reaches_has_no_pivot():
+    # rows 1 and 2 start at column 2, so column 1 is zero from row 1 down
+    assert _bareiss([[1, 2, 3], [4], [5]], [0, 2, 2]) is None
+    assert det_exact([[1, 2, 3], [4], [5]], [0, 2, 2]) == 0
+    # a zero last pivot has no row to swap with
+    assert _bareiss([[1, 2], [2, 4]], [0, 0]) is None
+
+
+def test_det_exact_refuses_starts_that_decrease_down_the_rows():
+    with pytest.raises(DomainError, match="decrease"):
+        det_exact([[3], [2, 1, 1], [4, 5, 6]], [2, 0, 0])
+    with pytest.raises(DomainError, match="decrease"):
+        det_exact([[1, 2], [3, 4], [5]], [0, 1, 0])
+    assert det_exact([[0, 0, 3], [2, 1, 1], [4, 5, 6]]) == 18
 
 
 def test_band_updates_stop_at_the_band():
@@ -555,7 +566,7 @@ def test_band_updates_stop_at_the_band():
     starts = [max(j - 1, 0) for j in range(n)]
     rows = [[-1, 2, -1][1 - j + s : n - j + 1] for j, s in enumerate(starts)]
     spans, at = list(rows), list(starts)
-    assert _bareiss(spans, at, n - 1) == 0
+    assert _bareiss(spans, at) == 0
     assert [span[k - s] for k, (span, s) in enumerate(zip(spans, at))] == list(range(2, n + 2))
     assert all(s + len(span) <= k + 2 for k, (span, s) in enumerate(zip(spans, at)))
     assert leading_minors(rows, starts) == list(range(2, n + 2))
@@ -568,7 +579,7 @@ def test_the_pass_never_writes_into_its_input_rows(rows):
     spans, starts = _spans(rows)
     before = [list(r) for r in spans]
     kept = list(spans)
-    _bareiss(spans, starts, len(rows) - 1)
+    _bareiss(spans, starts)
     assert kept == before
 
 
