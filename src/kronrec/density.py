@@ -200,8 +200,9 @@ def witness(
     returning, the exact values of the returned floats are checked in
     rationals: |w|_inf <= eps/2, and every row of band(A)(target + w) lies
     within WITNESS_RESIDUAL_TOL of its k_i; a failure raises
-    CertificateError.  A non-finite target entry or eps, or a row of band(A)
-    times the target that overflows a float, raises DomainError.
+    CertificateError.  A non-finite target entry or eps, an eps past the
+    float range, or a row of band(A) times the target that overflows a
+    float, raises DomainError.
     """
     d = poly.degree
     if m <= d:
@@ -211,7 +212,11 @@ def witness(
         raise DomainError(f"target must have length m = {m}")
     if not all(map(math.isfinite, tvec)):
         raise DomainError("target entries must be finite")
-    if eps is not None and not math.isfinite(eps):
+    try:
+        finite = eps is None or math.isfinite(eps)
+    except OverflowError as exc:  # an int or Fraction past the float range
+        raise DomainError("eps must lie within the float range") from exc
+    if not finite:
         raise DomainError("eps must be finite")
     fact = factor_real(poly)
     if eps is None:

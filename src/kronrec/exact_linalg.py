@@ -17,7 +17,10 @@ O(L d^2) at order L and half-bandwidth d, bookkeeping included, and dense
 ones O(L^3).  The symmetric Toeplitz and Gram matrices of A(x)A(1/x) take a
 second pass, the same elimination restricted to the upper band: the minor
 at (i, j) equals the one at (j, i), so the lower triangle is never formed,
-and the pivots are the leading principal minors D_1..D_L.
+and the pivots are the leading principal minors D_1..D_L.  That pass keeps
+its band window in one flat list and builds each next window from one
+update plan, made once per call; the rows are padded with copies of the
+last one so that the plan holds at every step.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced into [0, pivot), so the form is unique: one lattice, one HNF.
@@ -350,44 +353,54 @@ def _symmetric_band_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Leading principal minors D_1..D_n of a symmetric integer band matrix.
 
     rows[i] holds the upper band of row i, the entries (i, i), (i, i + 1),
-    .., (i, i + w), every row of one length w + 1; entries in columns n and
-    beyond are ignored, so a Toeplitz band may pass one list n times.  This
-    is _bareiss's dense pass restricted to the upper band.  The step-k
-    matrix is symmetric, each entry being a minor, so the multiplier of row
-    k + t is the pivot row's own entry (k, k + t).  Entry (i, j) is only
-    scaled by p_k / p_(k-1) before step j - w, so it enters the pass at that
-    step as its input value times the factor it owes, p_(j-w-1) (p_(-1) = 1).
-    Each step updates w (w + 1) / 2 entries, and no row is swapped: the pass
-    raises SingularMatrixError when some D_k with k < n vanishes, while D_n
-    itself may be 0.
+    .., (i, i + w), every row of one length w + 1, so a Toeplitz band may
+    pass one list n times.  This is _bareiss's dense pass restricted to the
+    upper band.  The step-k matrix is symmetric, each entry being a minor,
+    so the multiplier of row k + t is the pivot row's own entry (k, k + t).
+    Entry (i, j) is only scaled by p_k / p_(k-1) before step j - w, so it
+    enters the pass at that step as its input value times the factor it
+    owes, p_(j-w-1) (p_(-1) = 1).
+
+    The step-k window is one flat list: rows k..k + w, row t from column
+    k + t to k + w.  One plan, built once, names the source of each slot of
+    the next window: an update (a, b, c) is (win[a] p_k - win[b] win[c]) /
+    p_(k-1), win[b] being the multiplier, and each row's slot in column
+    k + w + 1, marked a = -1, is an entering entry rows[k + b][c] p_k.  So
+    a step is one pass over the plan, w (w + 1) / 2 updates.  To serve
+    every step with one plan, the rows gain w copies of the last one, and
+    the pass reads entries in columns n and beyond.  What it reads is the
+    upper band of a symmetric integer matrix of order n + w whose leading
+    n x n block is the input, so D_1..D_n are the input's, and each
+    division stays exact, every divided entry being a minor of that matrix.
+    No row is swapped: the pass raises SingularMatrixError when some D_k
+    with k < n vanishes, while D_n itself may be 0.
     """
     n = len(rows)
     if not n:
         return []
     w = len(rows[0]) - 1
-    top = min(w + 1, n)
-    # window[t] is row k + t of the step-k matrix, columns k + t .. k + w
-    window = [list(rows[t][: top - t]) for t in range(top)]
+    rows = [*rows, *[rows[-1]] * w]
+    # row t of a window starts at win[first[t]], its entry in column k + t
+    first = list(itertools.accumulate(range(w + 1, 0, -1), initial=0))
+    plan = [
+        (first[t + 1] + j, t + 1, t + 1 + j) if t + j < w else (-1, t + 1, w - t)
+        for t in range(w + 1)
+        for j in range(w + 1 - t)
+    ]
+    win = [x for t in range(w + 1) for x in rows[t][: w + 1 - t]]
     minors = []
     prev = 1
     for k in range(n - 1):
-        pivot_row = window[0]
-        pivot = pivot_row[0]
+        pivot = win[0]
         if not pivot:
             raise SingularMatrixError("a leading principal minor vanished")
         minors.append(pivot)
-        j = k + w + 1  # the column that step k + 1 reaches first
-        last, window = window, []
-        for t in range(1, len(pivot_row)):
-            f = pivot_row[t]
-            row = [(x * pivot - f * y) // prev for x, y in zip(last[t], pivot_row[t:])]
-            if j < n:
-                row.append(rows[k + t][w + 1 - t] * pivot)
-            window.append(row)
-        if j < n:
-            window.append([rows[j][0] * pivot])
+        win = [
+            (win[a] * pivot - win[b] * win[c]) // prev if a >= 0 else rows[k + b][c] * pivot
+            for a, b, c in plan
+        ]
         prev = pivot
-    minors.append(window[0][0])
+    minors.append(win[0])
     return minors
 
 

@@ -330,6 +330,14 @@ def test_witness_refuses_a_non_finite_eps_before_factoring(monkeypatch, eps):
         witness(SHIFT2, 3, (0.1, 0.2, 0.3), eps=eps)
 
 
+@pytest.mark.parametrize("eps", [10**400, Fraction(10**400, 3), -(10**400)])
+def test_witness_refuses_an_eps_past_the_float_range_before_factoring(monkeypatch, eps):
+    # math.isfinite cannot convert these to a float
+    monkeypatch.setattr(density, "factor_real", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(DomainError, match="eps must lie within the float range"):
+        witness(SHIFT2, 3, (0.1, 0.2, 0.3), eps=eps)
+
+
 def test_witness_accepts_larger_eps():
     wit = witness(SHIFT2, 3, (0.3, 0.9, 0.1), eps=2.0)
     assert wit.eps_used == 2.0

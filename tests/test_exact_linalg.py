@@ -317,11 +317,17 @@ def symmetric_bands(draw):
     diagonal = st.sampled_from((0, 1, 2, 5, 9, -4))
     off = st.sampled_from((0, 0, 1, -1, 2, -3))
     rows = [[draw(diagonal)] + [draw(off) for _ in range(w)] for _ in range(n)]
+    return rows, _symmetric_dense(rows)
+
+
+def _symmetric_dense(rows):
+    """The dense symmetric matrix whose upper band rows are `rows`, columns past n dropped."""
+    n = len(rows)
     dense = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
         for j, x in enumerate(row[: n - i], i):
             dense[i][j] = dense[j][i] = x
-    return rows, dense
+    return dense
 
 
 @seed(20261019)
@@ -349,6 +355,42 @@ def test_symmetric_band_pass_takes_one_list_for_every_row():
     assert _symmetric_band_minors([[5, -2, 0, 0]] * 2) == [5, 21]
     assert _symmetric_band_minors([]) == []
     assert _symmetric_band_minors([[0, 1]]) == [0]  # D_n may vanish
+
+
+def _minors_or_singular(minors, rows):
+    try:
+        return minors(rows)
+    except SingularMatrixError:
+        return "singular"
+
+
+@seed(20261020)
+@settings(deadline=None, max_examples=200)
+@given(symmetric_bands(), st.data())
+def test_symmetric_band_entries_past_the_last_column_do_not_count(band, data):
+    # the pass reads entries in columns n and beyond through its padded rows
+    rows, _ = band
+    n = len(rows)
+    junk = st.integers(-10**6, 10**6)
+    other = [[x if i + j < n else data.draw(junk) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    want = _minors_or_singular(_symmetric_band_minors, rows)
+    assert _minors_or_singular(_symmetric_band_minors, other) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("band", [[7, 1, -2, 3, 1], [9, 0, 0, 0, -4], [2, 2, 1, 0, 5], [0, 1, 2, 3, 4]])
+def test_symmetric_band_of_order_below_its_width_matches_the_oracle(band, n):
+    for rows in ([band] * n, [band[: 5 - i] + [i + 1] * i for i in range(n)]):
+        want = _minors_or_singular(leading_minors, _symmetric_dense(rows))
+        assert _minors_or_singular(_symmetric_band_minors, rows) == want
+
+
+def test_symmetric_toeplitz_band_of_order_120_matches_the_oracle():
+    # the band of B(x)B(1/x) for B = 1 - 2x + x^2 + 2x^3, at gram-growth's orders and past them
+    band = [10, -2, -3, 2]
+    minors = _symmetric_band_minors([band] * 120)
+    assert minors == leading_minors(_symmetric_dense([band] * 120))
+    assert all(d > 0 for d in minors)
 
 
 # ----- the span elimination against the dense oracles -----

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from kronrec.density import witness
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import hnf, solve_exact
 from kronrec.intervals import Interval
@@ -74,6 +75,8 @@ REFUSALS = [
      ValueError, "reciprocal needs a strictly positive interval"),
     ("refined_product_interval degree 0", lambda: refined_product_interval(CONSTANT),
      DomainError, "needs degree >= 1"),
+    ("witness eps past the float range", lambda: witness(QUARTIC, 5, (0.1,) * 5, eps=10**400),
+     DomainError, "eps must lie within the float range"),
 ]
 
 
