@@ -14,6 +14,12 @@ computes and the inputs that the schema renders under another name or as a
 rational (grid_resolution, bisection_tol, eps and matrix_size).  Exit codes:
 0 success, 1 domain error (structured error JSON on stdout), 2 usage or
 parse error, or an --output path that cannot be written.
+
+argparse (`_build_parser`) is the one definition of the command line and writes
+every help text and usage error.  `_quick_args` reads plain argv -- a subcommand,
+its exact option strings and its positional -- off the Actions `_build_parser`
+collects; help, "--", abbreviations, --flag=value, the top-level --format and
+--output, and any argv argparse would refuse go to argparse.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ ECHOED = ("m", "n", "p", "ell_max", "variant", "pivot_rule")
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
+    text = text.strip()  # as typed: main space-prefixes a value that starts with "-"
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -220,7 +227,7 @@ def _cmd_bound(args, poly) -> dict:
 def _cmd_witness(args, poly) -> dict:
     if args.target is not None:
         try:
-            target = tuple(float(tok) for tok in args.target.split(","))
+            target = tuple(float(tok.strip()) for tok in args.target.split(","))
         except ValueError as exc:
             raise ParseError(f"bad --target list: {exc}") from exc
     else:
@@ -374,7 +381,7 @@ def _cmd_gram_growth(args, poly) -> dict:
 
 def _cmd_lyons(args, poly) -> dict:
     try:
-        indices = sorted({int(tok) for tok in args.indices.split(",")})
+        indices = sorted({int(tok.strip()) for tok in args.indices.split(",")})
     except ValueError as exc:
         raise ParseError(f"bad --s index list: {exc}") from exc
     values = lyons_ratios(poly, indices, args.ell_max)
@@ -400,67 +407,112 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kronrec",
         description="Density bounds, recurrence lattices, and Toeplitz certificates.",
     )
-    parser.add_argument("--format", choices=FORMATS, default="json")
-    parser.add_argument("--output", help="write the report to this path instead of stdout")
+    top = [
+        parser.add_argument("--format", choices=FORMATS, default="json"),
+        parser.add_argument("--output", help="write the report to this path instead of stdout"),
+    ]
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # each subcommand's Actions, as add_argument returns them, and the namespace its argv
+    # starts from: the top-level defaults, its name and its set_defaults; _quick_args reads it
+    parser.commands = {}
 
     def add(name, handler, takes_polynomial=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler, takes_polynomial=takes_polynomial)
-        p.add_argument("polynomial", help="ascending comma-separated coefficients")
-        return p
+        base = {a.dest: a.default for a in top if a.default is not argparse.SUPPRESS}
+        base.update(subcommand=name, handler=handler, takes_polynomial=takes_polynomial)
+        actions = [p.add_argument("polynomial", help="ascending comma-separated coefficients")]
+        parser.commands[name] = (actions, base)
+        return lambda *args, **kw: actions.append(p.add_argument(*args, **kw))
 
-    p = add("mahler", _cmd_mahler, help="Mahler measure with certified error")
-    p.add_argument("--variant", choices=MAHLER_VARIANTS, default="plain")
+    arg = add("mahler", _cmd_mahler, help="Mahler measure with certified error")
+    arg("--variant", choices=MAHLER_VARIANTS, default="plain")
 
     add("bound", _cmd_bound, help="certified density threshold enclosures")
 
-    p = add("witness", _cmd_witness, help="constructive perturbation into the orbit set")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--target", help="comma-separated reals; default: seeded uniform")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", help="allowance; default: the constructive bound")
+    arg = add("witness", _cmd_witness, help="constructive perturbation into the orbit set")
+    arg("--m", type=int, required=True)
+    arg("--target", help="comma-separated reals; default: seeded uniform")
+    arg("--seed", type=int, default=0)
+    arg("--eps", help="allowance; default: the constructive bound")
 
-    p = add("critical-eps", _cmd_critical_eps, help="exact covering threshold on a grid")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--grid-n", type=int, default=8, dest="grid_n")
-    p.add_argument(
-        "--tol", default="1/1000", help="inert: validated and echoed, no longer affects the result"
-    )
-    p.add_argument("--allow-large-grid", action="store_true")
+    arg = add("critical-eps", _cmd_critical_eps, help="exact covering threshold on a grid")
+    arg("--m", type=int, required=True)
+    arg("--grid-n", type=int, default=8, dest="grid_n")
+    arg("--tol", default="1/1000", help="inert: validated and echoed, no longer affects the result")
+    arg("--allow-large-grid", action="store_true")
 
-    p = add("certify-nondense", _cmd_certify_nondense, help="exact volume refutation")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--eps", required=True, help="rational, e.g. 0.4 or 2/5 (parsed exactly)")
+    arg = add("certify-nondense", _cmd_certify_nondense, help="exact volume refutation")
+    arg("--m", type=int, required=True)
+    arg("--eps", required=True, help="rational, e.g. 0.4 or 2/5 (parsed exactly)")
 
-    p = add("newton", _cmd_newton, help="p-adic Newton polygon")
-    p.add_argument("--p", type=int, required=True)
+    arg = add("newton", _cmd_newton, help="p-adic Newton polygon")
+    arg("--p", type=int, required=True)
 
-    p = add("basis", _cmd_basis, help="canonical p-adic basis with certificate")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--pivot-rule", choices=PIVOT_RULES, default="nonnegative",
-                   dest="pivot_rule")
+    arg = add("basis", _cmd_basis, help="canonical p-adic basis with certificate")
+    arg("--p", type=int, required=True)
+    arg("--m", type=int, required=True)
+    arg("--pivot-rule", choices=PIVOT_RULES, default="nonnegative", dest="pivot_rule")
 
-    p = add("index", _cmd_index, help="integral lattice basis and its index")
-    p.add_argument("--m", type=int, required=True)
+    arg = add("index", _cmd_index, help="integral lattice basis and its index")
+    arg("--m", type=int, required=True)
 
-    p = add("trench", _cmd_trench, takes_polynomial=False,
-            help="banded Toeplitz determinant: exact closed form against direct expansion")
-    p.add_argument("--n", type=int, required=True, help="matrix size (returns D_{n-1})")
-    p.add_argument("--r", type=int, help="negative band width of the raw symbol")
-    p.add_argument("--autocorrelate", action="store_true",
-                   help="treat the input as B and use the symbol B(x)B(1/x)")
+    arg = add("trench", _cmd_trench, takes_polynomial=False,
+              help="banded Toeplitz determinant: exact closed form against direct expansion")
+    arg("--n", type=int, required=True, help="matrix size (returns D_{n-1})")
+    arg("--r", type=int, help="negative band width of the raw symbol")
+    arg("--autocorrelate", action="store_true",
+        help="treat the input as B and use the symbol B(x)B(1/x)")
 
-    p = add("gram-growth", _cmd_gram_growth, help="Gram determinant growth study")
-    p.add_argument("--ell-max", type=int, required=True, dest="ell_max")
+    arg = add("gram-growth", _cmd_gram_growth, help="Gram determinant growth study")
+    arg("--ell-max", type=int, required=True, dest="ell_max")
 
-    p = add("lyons", _cmd_lyons, help="Gram ratio convergence report")
-    p.add_argument("--s", default="1", dest="indices",
-                   help="comma-separated basis indices")
-    p.add_argument("--ell-max", type=int, required=True, dest="ell_max")
+    arg = add("lyons", _cmd_lyons, help="Gram ratio convergence report")
+    arg("--s", default="1", dest="indices", help="comma-separated basis indices")
+    arg("--ell-max", type=int, required=True, dest="ell_max")
 
     return parser
+
+
+def _quick_args(parser: argparse.ArgumentParser, toks: list[str]) -> argparse.Namespace | None:
+    """parser.parse_args(toks) for plain argv, read off parser.commands; None for any other.
+
+    Plain argv is a subcommand name, then only that subcommand's exact option strings, each
+    with one value that does not start with "-" (or none, for a flag of nargs 0), and exactly
+    its positionals, every value passing its type and choices.  Anything else returns None:
+    -h, --help, --, an abbreviation, --flag=value, a top-level flag, a value that type or
+    choices refuse, a missing required argument.  argparse then parses or refuses it.
+    """
+    if not toks or toks[0] not in parser.commands:
+        return None
+    actions, base = parser.commands[toks[0]]
+    flags = {flag: action for action in actions for flag in action.option_strings}
+    positionals = iter([action for action in actions if not action.option_strings])
+    given = {}
+    rest = iter(toks[1:])
+    for tok in rest:
+        action = flags.get(tok)
+        if action is not None and action.nargs == 0:
+            given[action] = action.const
+            continue
+        if action is None:
+            action = next(positionals, None)
+        else:
+            tok = next(rest, "-")  # an option with no value left is refused below
+        if action is None or tok[:1] == "-":
+            return None
+        try:
+            value = tok if action.type is None else action.type(tok)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if any(action.required and action not in given for action in actions):
+        return None
+    args = {**base, **{a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}}
+    args.update((action.dest, value) for action, value in given.items())
+    return argparse.Namespace(**args)
 
 
 def main(argv=None) -> int:
@@ -477,8 +529,9 @@ def main(argv=None) -> int:
             toks[-1] = f"--output={tok}"
         else:
             toks.append(f" {tok}" if data and tok[:1] == "-" else tok)
+    # plain argv is read off the flag table; argparse parses the rest, prints help and refuses
     try:
-        args = parser.parse_args(toks)
+        args = _quick_args(parser, toks) or parser.parse_args(toks)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     payload = {"schema": SCHEMA, "command": args.subcommand}

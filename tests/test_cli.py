@@ -391,6 +391,25 @@ def test_bad_target_is_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("certify-nondense", "--m", "3", "--eps", "-zz", "-2,1"),
+         "--eps must be a rational like 0.4 or 2/5, got '-zz'"),
+        (("critical-eps", "--m", "3", "--tol", "-zz", "-2,1"),
+         "--tol must be a rational like 0.4 or 2/5, got '-zz'"),
+        (("witness", "--m", "3", "--target", "-x,0,0", "-2,1"),
+         "bad --target list: could not convert string to float: '-x'"),
+        (("lyons", "--s", "-x", "--ell-max", "3", "-2,1"),
+         "bad --s index list: invalid literal for int() with base 10: '-x'"),
+    ],
+    ids=["eps", "tol", "target", "s"],
+)
+def test_parse_error_quotes_the_token_as_typed(capsys, argv, message):
+    # main space-prefixes a value that starts with "-" for argparse; the message drops it
+    assert run(capsys, *argv) == (2, "", f"kronrec: {message}\n")
+
+
 def test_parser_built_once_and_reused(capsys):
     commands = [
         ("mahler", "--variant", "half_scaled", "-1,-1,1"),
