@@ -401,9 +401,14 @@ def _cmd_lyons(args, poly) -> dict:
 # ----- parser -----
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors quote data as typed, without main's leading space
+        super().error(message.replace("' -", "'-").replace("  -", " -"))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kronrec",
         description="Density bounds, recurrence lattices, and Toeplitz certificates.",
     )

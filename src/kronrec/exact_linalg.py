@@ -149,7 +149,6 @@ def _hnf(h: list[list[int]], ncols: int) -> list[list[int]]:
             base = nz[0]
             for r in nz[1:]:
                 row_sub(r, base, h[r][col] // h[base][col])
-        nz = [r for r in range(pr, nr) if h[r][col] != 0]
         if not nz:
             continue
         r0 = nz[0]

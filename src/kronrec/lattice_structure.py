@@ -8,8 +8,10 @@ over the integers by the HNF of {y : y T = 0 mod a_d^(m-d)}, rows extended and
 Gram-Toeplitz certified, where by Gauss's lemma only T's last d columns need
 the congruence; over the p-adic integers by a canonical basis M built segment
 by segment from the Newton polygon of A at p, each selector solved for d seeds
-per row.  canonical_basis_M re-derives every clause of its block certificate
-(shape, identity blocks, determinant valuations, row-walk valuation floors,
+per row, and each selector is invertible: its determinant is a Schur function
+of A's roots with one lowest-valuation monomial at a Newton-polygon vertex.
+canonical_basis_M re-derives every clause of its block certificate (shape,
+identity blocks, determinant valuations, row-walk valuation floors,
 p-integrality) and fails if one breaks; the check shares no code with the
 extension and tests every clause on integer rows, each cleared once.
 """
@@ -22,7 +24,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import CertificateError, DomainError, SingularMatrixError
+from .errors import CertificateError, DomainError
 from .exact_linalg import (
     PADIC_INFINITY,
     _hnf,
@@ -93,24 +95,20 @@ def newton_polygon(poly: IntPolynomial, p: int) -> NewtonPolygon:
     if poly.constant_coefficient == 0:
         raise DomainError("Newton polygon here needs a nonzero constant coefficient")
     pts = [(i, _int_valuation(abs(c), p)) for i, c in enumerate(poly.coeffs) if c != 0]
+
+    def slope(left, right):
+        return Fraction(right[1] - left[1], right[0] - left[0])
+
     hull: list[tuple[int, int]] = []
     for pt in pts:
-        while len(hull) >= 2:
-            x1, y1 = hull[-2]
-            x2, y2 = hull[-1]
-            x3, y3 = pt
-            # pop while the middle point is on or above the chord: slopes must
-            # strictly increase along the lower hull
-            if Fraction(y2 - y1, x2 - x1) >= Fraction(y3 - y2, x3 - x2):
-                hull.pop()
-            else:
-                break
+        # pop while the middle point is on or above the chord: slopes must
+        # strictly increase along the lower hull
+        while len(hull) >= 2 and slope(hull[-2], hull[-1]) >= slope(hull[-1], pt):
+            hull.pop()
         hull.append(pt)
-    slopes = tuple(
-        Fraction(hull[k + 1][1] - hull[k][1], hull[k + 1][0] - hull[k][0])
-        for k in range(len(hull) - 1)
-    )
-    lengths = tuple(hull[k + 1][0] - hull[k][0] for k in range(len(hull) - 1))
+    edges = list(zip(hull, hull[1:]))
+    slopes = tuple(slope(left, right) for left, right in edges)
+    lengths = tuple(right[0] - left[0] for left, right in edges)
     return NewtonPolygon(p, tuple(pts), tuple(hull), slopes, lengths)
 
 
@@ -286,6 +284,17 @@ def canonical_basis_M(
     use the right vertex of the segment, later segments the left one.  Rows
     w_{k-1}+1 .. w_k of the re-normalized rational basis become the rows of M.
     Every clause of the block certificate is re-checked on the result.
+
+    Every selector is invertible if its wall w is a Newton-polygon vertex and
+    m >= d.  Column j of N is x^j mod A, so up to sign det T_xi is a_d^(d(m-d))
+    times the Schur function s_((m-d)^(d-w)) of A's roots (the bialternant
+    formula, Macdonald I.3, as in toeplitz.trench_data).  A root fills at most
+    m - d boxes of that rectangle, and at a vertex the d - w roots right of w
+    have strictly smaller p-adic valuation than the rest, so the one tableau
+    filled with them (coefficient 1) has the least valuation and nothing
+    cancels it: v_p(det T_xi) = (m-d)((d-1) v_p(a_d) + v_p(a_w)), finite.  Off
+    a vertex a minor can vanish: 1 + x + x^2 at w = 1, m = 4 selects columns
+    0 and 3, and x^3 = 1 mod A.
     """
     d = poly.degree
     if not poly.is_primitive:
@@ -305,10 +314,7 @@ def canonical_basis_M(
     def q_for(w: int) -> list[tuple[Fraction, ...]]:
         # row i of T_xi^-1 T is a recurrence vector seeded by row i of T_xi^-1 (lead I)
         cols = list(range(w)) + list(range(m - d + w, m))
-        try:
-            seeds = solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
-        except SingularMatrixError:
-            _fail(f"column selector at w={w} gives a singular minor")
+        seeds = solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
         return [recurrence_extend(poly, row, m) for row in seeds]
 
     matrix: list[tuple[Fraction, ...]] = []

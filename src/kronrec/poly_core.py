@@ -111,23 +111,14 @@ class IntPolynomial(_IntPolynomialFields):
         return sum(abs(c) for c in self.coeffs)
 
     def __str__(self) -> str:
-        parts = []
+        text = ""
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                body = xpow if mag == 1 else f"{mag}{xpow}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
+            if c:
+                xpow = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+                body = xpow if abs(c) == 1 and xpow else f"{abs(c)}{xpow}"
+                sign = "-" if c < 0 else "+"
+                text += f" {sign} {body}" if text else body if c > 0 else f"-{body}"
         return text
 
 
@@ -135,18 +126,16 @@ def parse_polynomial(text: str) -> IntPolynomial:
     """Parse an ascending comma-separated coefficient list, e.g. "3,-2,-9,-3,9"."""
     if text is None or not text.strip():
         raise ParseError("empty polynomial")
-    tokens = [t.strip() for t in text.split(",")]
     values = []
-    for tok in tokens:
+    for tok in text.split(","):
+        tok = tok.strip()
         if not tok:
             raise ParseError("empty coefficient token")
         try:
             values.append(int(tok, 10))
         except ValueError as exc:
             raise ParseError(f"non-integer coefficient {tok!r}") from exc
-    while len(values) > 1 and values[-1] == 0:
-        values.pop()
-    if values == [0]:
+    if _strip(values) == [0]:
         raise ParseError("the zero polynomial is not allowed")
     return IntPolynomial(tuple(values))
 

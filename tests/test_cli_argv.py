@@ -190,3 +190,22 @@ def test_every_subcommand_has_a_table_route_case():
 def test_other_argv_goes_to_argparse(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert route(monkeypatch, capsys, argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["index", "--m", "-x", "1,1"],
+         "kronrec index: error: argument --m: invalid int value: '-x'"),
+        (["mahler", "--variant", "-x", "1,1"],
+         "kronrec mahler: error: argument --variant: invalid choice: '-x' "
+         "(choose from 'plain', 'half_scaled', 'double_scaled', 'conjugate')"),
+    ],
+    ids=["int", "choice"],
+)
+def test_usage_errors_quote_data_as_typed(capsys, argv, line):
+    # main hides data starting with "-" from argparse behind a space; the message drops it
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == line

@@ -460,6 +460,36 @@ def test_canonical_basis_random_instances_pass_certificate(a, p, extra):
         assert seg.left_is_identity or seg.right_is_identity
 
 
+def selector_minor(a, m, w):
+    """det of the columns [0, w) and [m-d+w, m) of T = a_d^(m-d) N: canonical_basis_M's T_xi."""
+    table, _ = scaled_basis_N(a, m)
+    cols = list(range(w)) + list(range(m - a.degree + w, m))
+    return det_exact([[row[c] for c in cols] for row in table])
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None)
+@given(primitive_polys(max_degree=5, bound=40), st.sampled_from((2, 3, 5, 7)), st.integers(0, 9))
+@example(WORKED, 3, 6)
+@example(poly(-3, 2), 2, 0)  # m = d: the selector is the lead-scaled identity
+def test_selector_minor_valuation_at_every_vertex(a, p, extra):
+    # canonical_basis_M's proof: at a vertex w, v_p(det T_xi) = (m-d)((d-1) v_p(a_d) + v_p(a_w))
+    d, m = a.degree, a.degree + extra
+    v_d = p_adic_valuation(a.leading_coefficient, p)
+    for w, v_w in newton_polygon(a, p).vertices:
+        minor = selector_minor(a, m, w)
+        assert minor != 0
+        assert v_w == p_adic_valuation(a.coeffs[w], p)
+        assert p_adic_valuation(minor, p) == extra * ((d - 1) * v_d + v_w)
+
+
+def test_selector_minor_vanishes_off_a_vertex():
+    # w = 1 is no vertex of 1 + x + x^2 at any p; columns 0 and 3 agree, as x^3 = 1 mod A
+    a = poly(1, 1, 1)
+    assert all(1 not in (w for w, _ in newton_polygon(a, p).vertices) for p in (2, 3, 5, 7))
+    assert selector_minor(a, 4, 1) == 0
+
+
 @settings(max_examples=20, deadline=None)
 @given(primitive_polys(max_degree=3, bound=6), st.integers(1, 3))
 def test_pivot_rules_agree_without_zero_slope(a, extra):

@@ -4,10 +4,12 @@ Every entry calls one routine on an input it must refuse and names the
 exception class and the exact message it raises.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from kronrec.cli import main
 from kronrec.density import witness
 from kronrec.errors import DomainError
 from kronrec.exact_linalg import hnf, solve_exact
@@ -19,12 +21,15 @@ from kronrec.lattice_structure import (
     newton_polygon,
     scaled_basis_N,
 )
-from kronrec.poly_core import IntPolynomial, refined_product_interval, roots
+from kronrec.poly_core import IntPolynomial, mahler_measure, refined_product_interval, roots
 from kronrec.recurrence_matrices import band_rows, recurrence_extend
 from kronrec.toeplitz import lyons_ratios
 
 CONSTANT = IntPolynomial((3,))
 QUARTIC = IntPolynomial((3, -2, -9, -3, 9))
+# every coefficient lies within the float range, but M, about 1.99e308, does not
+F = 15 * 10**307
+OVERFLOWING = IntPolynomial((-F, -F, 0, F))
 
 
 def _certificate_at_p4():
@@ -77,6 +82,8 @@ REFUSALS = [
      DomainError, "needs degree >= 1"),
     ("witness eps past the float range", lambda: witness(QUARTIC, 5, (0.1,) * 5, eps=10**400),
      DomainError, "eps must lie within the float range"),
+    ("mahler_measure root product past the float range", lambda: mahler_measure(OVERFLOWING),
+     DomainError, "the root product overflows a float"),
 ]
 
 
@@ -86,6 +93,16 @@ def test_input_is_refused(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_mahler_cli_reports_the_overflowing_root_product(capsys):
+    assert main(["mahler", ",".join(map(str, OVERFLOWING.coeffs))]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "error": {"message": "the root product overflows a float", "type": "DomainError"},
+        "schema": "kronrec/1",
+    }
 
 
 def test_roots_of_a_constant_is_empty():
