@@ -51,8 +51,8 @@ from .lattice_structure import (
 from .poly_core import MAHLER_VARIANTS, mahler_measure, parse_polynomial
 from .toeplitz import (
     LaurentSymbol,
+    _lyons_minors,
     gram_growth,
-    lyons_ratios,
     toeplitz_det_direct,
     trench_data,
 )
@@ -97,6 +97,22 @@ def _float(x) -> float:
     except OverflowError:
         pass
     raise DomainError("a value to report lies beyond the float range")
+
+
+def _quotient(n: int, d: int):
+    """(_rat(Fraction(n, d)), _float(Fraction(n, d))) for ints n and d != 0, with no Fraction.
+
+    One gcd reduces the pair, its sign on the numerator; an int true division
+    is correctly rounded whatever the pair, and raises OverflowError rather
+    than give inf.
+    """
+    g = math.gcd(n, d)
+    n, d = (n // g, d // g) if d > 0 else (-n // g, -d // g)
+    try:
+        f = n / d
+    except OverflowError:
+        raise DomainError("a value to report lies beyond the float range") from None
+    return (n if d == 1 else f"{n}/{d}"), f
 
 
 def _interval(iv: Interval) -> dict:
@@ -369,10 +385,12 @@ def _cmd_trench(args, poly) -> dict:
 
 def _cmd_gram_growth(args, poly) -> dict:
     report = gram_growth(poly, args.ell_max)
+    dets = report.determinants
+    ratios = [*map(_quotient, dets[1:], dets)]  # D_{l+1} / D_l, no Fraction built
     result = {
-        "determinants": list(report.determinants),
-        "ratios": [_rat(ratio) for ratio in report.ratios],
-        "ratios_float": [_float(ratio) for ratio in report.ratios],
+        "determinants": list(dets),
+        "ratios": [exact for exact, _ in ratios],
+        "ratios_float": [f for _, f in ratios],
         "mahler_squared": _interval(report.mahler_squared),
     }
     print(f"gram determinants up to ell = {args.ell_max}", file=sys.stderr)
@@ -384,15 +402,16 @@ def _cmd_lyons(args, poly) -> dict:
         indices = sorted({int(tok.strip()) for tok in args.indices.split(",")})
     except ValueError as exc:
         raise ParseError(f"bad --s index list: {exc}") from exc
-    values = lyons_ratios(poly, indices, args.ell_max)
-    tail = values[-11:]
+    nums, dens = _lyons_minors(poly, indices, args.ell_max)
+    values = [*map(_quotient, nums, dens)]
+    # b - a = (n1 d0 - n0 d1) / (d0 d1) over the last 11 ratios
+    tail = [*zip(nums[-11:], dens[-11:])]
+    steps = [_quotient(n1 * d0 - n0 * d1, d0 * d1)[1] for (n0, d0), (n1, d1) in zip(tail, tail[1:])]
     result = {
         "indices": indices,
-        "values": [_rat(v) for v in values],
-        "values_float": [_float(v) for v in values],
-        "max_tail_fluctuation": max(
-            (abs(_float(b - a)) for a, b in zip(tail, tail[1:])), default=0.0
-        ),
+        "values": [exact for exact, _ in values],
+        "values_float": [f for _, f in values],
+        "max_tail_fluctuation": max(map(abs, steps), default=0.0),
     }
     print(f"lyons ratios for S={indices} up to ell = {args.ell_max}", file=sys.stderr)
     return result

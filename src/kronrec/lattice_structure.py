@@ -13,7 +13,11 @@ of A's roots with one lowest-valuation monomial at a Newton-polygon vertex.
 canonical_basis_M re-derives every clause of its block certificate (shape,
 identity blocks, determinant valuations, row-walk valuation floors,
 p-integrality) and fails if one breaks; the check shares no code with the
-extension and tests every clause on integer rows, each cleared once.
+extension and tests every clause on integer rows.  canonical_basis_M builds
+each row once as ints over one positive denominator and checks those, and
+makes the record's Fractions last; check_basis_certificate clears a given
+Fraction matrix once and runs the same check.  integral_basis compares its
+Gram determinant with Trench's closed form as an int pair.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .exact_linalg import (
     solve_exact,
 )
 from .poly_core import IntPolynomial
-from .recurrence_matrices import extend_rows, recurrence_extend
-from .toeplitz import LaurentSymbol, gram_det, trench_det
+from .recurrence_matrices import extend_rows
+from .toeplitz import LaurentSymbol, _trench_pair, gram_det
 
 __all__ = [
     "NewtonPolygon",
@@ -177,23 +181,33 @@ def check_basis_certificate(
     Exposed separately so the uniqueness of the basis can be probed: any
     p-unit row perturbation must break at least one clause.
 
-    Each row is cleared once to (ints, den), den > 0, and every clause is
-    checked in integers: a window sum scales by den; an entry's valuation is
-    v_p(n) - v_p(den); an identity block reads ints[j] == den [i == j]; a
-    block determinant scales by the product of its rows' den; and a floor
-    val >= sigma t reads val * sigma.den >= sigma.num * t.
+    Each row is cleared once to (ints, den), den > 0, and _certify checks
+    every clause on those integer rows.
+    """
+    if not is_prime(polygon.p):
+        raise DomainError(f"p must be a prime integer, got {polygon.p!r}")
+    if len(matrix) != poly.degree or any(len(row) != m for row in matrix):
+        _fail("deg A rows of m entries")
+    cleared = [clear_denominators(row) for row in matrix]
+    return _certify(poly, polygon, s, m, [row for row, _ in cleared], [den for _, den in cleared])
+
+
+def _certify(
+    poly: IntPolynomial, polygon: NewtonPolygon, s: int, m: int, rows: list[list[int]], dens: list[int]
+) -> tuple[tuple[tuple, ...], tuple[SegmentCertificate, ...]]:
+    """check_basis_certificate on deg A integer rows of m entries, row i standing for rows[i] / dens[i].
+
+    Every den is positive and every clause is checked in integers: a window
+    sum scales by den; an entry's valuation is v_p(n) - v_p(den); an
+    identity block reads ints[j] == den [i == j]; a block determinant scales
+    by the product of its rows' den; and a floor val >= sigma t reads
+    val * sigma.den >= sigma.num * t.  None of these moves when a row and
+    its den share a factor.
     """
     p = polygon.p
-    if not is_prime(p):
-        raise DomainError(f"p must be a prime integer, got {p!r}")
     d = poly.degree
-    if len(matrix) != d or any(len(row) != m for row in matrix):
-        _fail("deg A rows of m entries")
     r = polygon.segment_count
     walls = [v[0] for v in polygon.vertices]
-    cleared = [clear_denominators(row) for row in matrix]
-    rows = [row for row, _ in cleared]
-    dens = [den for _, den in cleared]
     den_vals = [_int_valuation(den, p) for den in dens]
     vals = tuple(
         tuple(_int_valuation(abs(x), p) - dv if x else PADIC_INFINITY for x in row)
@@ -308,29 +322,36 @@ def canonical_basis_M(
     r = polygon.segment_count
     walls = [v[0] for v in polygon.vertices]  # w_0 = 0 < w_1 < ... < w_r = d
     # N_xi^-1 N = T_xi^-1 T: the scale a_d^(m-d) cancels
-    table, _ = scaled_basis_N(poly, m)
+    table, lead = scaled_basis_N(poly, m)
 
     @functools.cache
-    def q_for(w: int) -> list[tuple[Fraction, ...]]:
+    def seeds_for(w: int) -> list[list[Fraction]]:
         # row i of T_xi^-1 T is a recurrence vector seeded by row i of T_xi^-1 (lead I)
         cols = list(range(w)) + list(range(m - d + w, m))
-        seeds = solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
-        return [recurrence_extend(poly, row, m) for row in seeds]
+        return solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
 
-    matrix: list[tuple[Fraction, ...]] = []
+    # each row once, as ints over one positive den: the seeds over den, scaled by
+    # lead, extend exactly (entry t + d owes den a_d^(t+1)), and one gcd reduces them
+    rows, dens = [], []
     for k in range(1, r + 1):
         w = walls[k] if k < s else walls[k - 1]
-        q = q_for(w)
-        matrix.extend(q[walls[k - 1] : walls[k]])
+        for seed in seeds_for(w)[walls[k - 1] : walls[k]]:
+            ints, den = clear_denominators(seed)
+            row = [x * lead for x in ints]
+            extend_rows(poly.coeffs, [row], m)
+            g = math.gcd(den * lead, *row)
+            g = g if lead > 0 else -g
+            rows.append([x // g for x in row])
+            dens.append(den * lead // g)
 
-    vals, segments = check_basis_certificate(poly, polygon, s, m, matrix)
+    vals, segments = _certify(poly, polygon, s, m, rows, dens)
 
     return CanonicalBasisM(
         pivot_segment=s,
         polygon=polygon,
-        matrix=tuple(matrix),
+        matrix=tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(rows, dens)),
         valuations=vals,
-        segments=tuple(segments),
+        segments=segments,
     )
 
 
@@ -381,10 +402,12 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     if not extend_rows(poly.coeffs, z_rows, m):
         raise CertificateError("Z-basis rows are not integer combinations of N")
     # A is primitive, so the band rows [A]_(m-d) span the orthogonal lattice over
-    # Z, and a basis of the whole lattice has their Gram determinant
-    symbol = LaurentSymbol.from_polynomial(poly)
-    if m > d and gram_det(z_rows).determinant != trench_det(symbol, m - d):
-        raise CertificateError("Z-basis does not span the whole integral lattice")
+    # Z, and a basis of the whole lattice has their Gram determinant: the closed
+    # form's pair (num, den) against the integer Gram determinant, cross-multiplied
+    if m > d:
+        num, den = _trench_pair(LaurentSymbol.from_polynomial(poly), m - d)
+        if gram_det(z_rows).determinant.numerator * den != num:
+            raise CertificateError("Z-basis does not span the whole integral lattice")
     return LatticeBases(
         z_basis=tuple(tuple(row) for row in z_rows),
         index=math.prod(row[i] for i, row in enumerate(coords)),

@@ -49,7 +49,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, RootCertificationError
 from .exact_linalg import clear_floats
-from .intervals import Interval
+from .intervals import Interval, _down, _up
 
 __all__ = [
     "IntPolynomial",
@@ -238,15 +238,20 @@ class ComplexRootSet(_ComplexRootSetFields):
         return [(_modulus_interval(enc), enc.multiplicity) for enc in self.roots]
 
     def _product(self, factor) -> Interval:
-        """|a_d| * prod factor(|alpha|) over the roots with multiplicity; finite or DomainError."""
-        acc = Interval.from_int(abs(self.poly.leading_coefficient))
+        """|a_d| * prod factor(|alpha|) over the roots with multiplicity; finite or DomainError.
+
+        The ends fold as floats by Interval.mul's operations and outward
+        rounding, and one Interval is built at the end.
+        """
+        lo, hi = Interval.from_int(abs(self.poly.leading_coefficient))
         for modulus, multiplicity in self._moduli:
-            f = factor(modulus)
+            f_lo, f_hi = factor(modulus)
             for _ in range(multiplicity):
-                acc = acc.mul(f)
-        if not math.isfinite(acc.hi):
+                cands = (lo * f_lo, lo * f_hi, hi * f_lo, hi * f_hi)
+                lo, hi = _down(min(cands)), _up(max(cands))
+        if not math.isfinite(hi):
             raise DomainError("the root product overflows a float")
-        return acc
+        return Interval(lo, hi)
 
     def mahler(self, variant: str = "plain") -> MahlerMeasure:
         """A Mahler variant folded over these roots; "conjugate" is "plain": M(reversal) = M(A)."""

@@ -35,12 +35,16 @@ integer autocorrelation c_0..c_d of B once for every row, and the direct
 determinant does the same unless a leading minor vanishes, when it hands
 over to the swapping elimination.  Both Gram studies check, in integers,
 that their ratios never increase, and gram_growth that the certified
-M(B)^2 lies below its last ratio.
+M(B)^2 lies below its last ratio.  Their results stay int minors, and so
+does Trench's closed form, an unreduced int pair: a Fraction is built once
+per value, only where trench_det, lyons_ratios or GrowthReport.ratios
+hand one out, and the command line writes its reports from the ints.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -155,8 +159,8 @@ class TrenchData(NamedTuple):
         return True
 
 
-def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
-    """D_{n-1} from Trench's closed form, exactly, without the symbol's roots.
+def _trench_pair(symbol: LaurentSymbol, n: int) -> tuple[int, int]:
+    """D_{n-1} from Trench's closed form as an integer pair (num, den), den != 0.
 
     With the symbol scaled to integers c_{-r}..c_s by den, the lcm of its
     denominators, extend_rows runs H_t = -sum_{i=1}^{r+s} c_{s-i} c_s^(i-1)
@@ -164,24 +168,31 @@ def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
     complete homogeneous sums of the roots of x^r C(x).  Jacobi-Trudi writes
     G_n / G_0 = s_{(n^s)} = det[h_{n-i+j}], so D_{n-1} = (-1)^(n s)
     c_s^(n (1-s)) det[H_{n-i+j}]_{i,j=1..s} / den^n, the empty determinant 1.
+    For s >= 1 the power of c_s goes into the denominator, which then carries
+    its sign; nothing is reduced.
     """
     if n < 1:
         raise DomainError("the closed form needs n >= 1")
     r, s = symbol.r, symbol.s
     c, den = clear_denominators(symbol.coeffs)  # c[j + r] is den * c_j
-    c_s, minor = c[-1], 1
-    if s:  # for s = 0 the minor is empty and no H_t is read
-        weights = [x * c_s ** (r + s - 1 - j) for j, x in enumerate(c[:-1])] + [1]
-        h = [0] * (r + s - 1) + [1]  # h[t + r + s - 1] is H_t
-        extend_rows(weights, [h], n + r + 2 * s - 1)
-        minor = det_exact([[h[n - i + j + r + s - 1] for j in range(s)] for i in range(s)])
-    det = (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
-    return TrenchData(det)
+    c_s = c[-1]
+    if not s:  # the minor is empty and no H_t is read
+        return c_s**n, den**n
+    weights = [x * c_s ** (r + s - 1 - j) for j, x in enumerate(c[:-1])] + [1]
+    h = [0] * (r + s - 1) + [1]  # h[t + r + s - 1] is H_t
+    extend_rows(weights, [h], n + r + 2 * s - 1)
+    minor = det_exact([[h[n - i + j + r + s - 1] for j in range(s)] for i in range(s)]).numerator
+    return (-1) ** (n * s) * minor, c_s ** (n * (s - 1)) * den**n
 
 
 def trench_det(symbol: LaurentSymbol, n: int) -> Fraction:
-    """The value D_{n-1}(C) of the closed form."""
-    return trench_data(symbol, n).determinant
+    """The value D_{n-1}(C) of the closed form, exactly, without the symbol's roots."""
+    return Fraction(*_trench_pair(symbol, n))
+
+
+def trench_data(symbol: LaurentSymbol, n: int) -> TrenchData:
+    """D_{n-1} from Trench's closed form (see _trench_pair)."""
+    return TrenchData(trench_det(symbol, n))
 
 
 # ----- Gram determinants and their ratios -----
@@ -205,12 +216,12 @@ def gram_det(vectors: Sequence[Sequence]) -> GramResult:
     return GramResult(det_exact([[sum(map(operator.mul, u, v)) for v in vs] for u in vs]))
 
 
-def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
-    """det G(e_{s in S}, B_1..B_l) / det G(B_1..B_l) for l = 1..ell_max, monic B = A / a_d.
+def _lyons_minors(poly: IntPolynomial, indices, ell_max: int) -> tuple[list[int], list[int]]:
+    """(numerators, denominators) of det G(e_{s in S}, B_1..B_l) / det G(B_1..B_l), l = 1..ell_max.
 
-    Adjoining standard basis vectors perturbs finitely many entries of the
-    Toeplitz Gram matrix, and the ratio converges as l grows; the limit is
-    probed numerically, never asserted.  Both minors hold l rows of B, so
+    B = A / a_d is monic.  Adjoining standard basis vectors perturbs
+    finitely many entries of the Toeplitz Gram matrix, and the ratio
+    converges as l grows; the limit is probed numerically, never asserted.  Both minors hold l rows of B, so
     a_d^(-2l) cancels and both are taken on A's integer rows A_0..A_{l-1}.
     Their Gram matrix G_l is the Toeplitz matrix of A(x)A(1/x) that
     gram_growth eliminates, and its leading minors are the denominators.
@@ -226,7 +237,7 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     a_d.  Each ratio is the squared volume of e_S projected off a growing
     span, so the ratios never increase; that is checked in integers.  An
     empty S, whose ratio is 1 for every A, is refused like an index outside
-    1..d.
+    1..d.  The minors are ints, and the report writes them without a Fraction.
     """
     d = poly.degree
     if d < 1:
@@ -256,8 +267,12 @@ def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
     steps = zip(numerators, denominators, numerators[1:], denominators[1:])
     if any(n1 * d0 > n0 * d1 for n0, d0, n1, d1 in steps):
         raise CertificateError("a Lyons ratio rose above the one before it")
-    # every minor is an int: one normalisation per ratio
-    return list(map(Fraction, numerators, denominators))
+    return numerators, denominators
+
+
+def lyons_ratios(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:
+    """The ratios of _lyons_minors for l = 1..ell_max, each int pair normalised once."""
+    return list(map(Fraction, *_lyons_minors(poly, indices, ell_max)))
 
 
 def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
@@ -265,23 +280,32 @@ def lyons_ratio(poly: IntPolynomial, indices, ell: int) -> Fraction:
     return lyons_ratios(poly, indices, ell)[-1]
 
 
-class GrowthReport(NamedTuple):
+class _GrowthReportFields(NamedTuple):
     determinants: tuple[int, ...]
-    ratios: tuple[Fraction, ...]
     mahler_squared: Interval
 
 
+class GrowthReport(_GrowthReportFields):
+    # no __slots__: the cached ratios live in the instance __dict__
+    @cached_property
+    def ratios(self) -> tuple[Fraction, ...]:
+        """D_{l+1} / D_l for l = 1..L-1, each int pair normalised once, on the first read."""
+        dets = self.determinants
+        return tuple(map(Fraction, dets[1:], dets))
+
+
 def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
-    """det G(B_1..B_l) for l = 1..ell_max and the successive ratios.
+    """det G(B_1..B_l) for l = 1..ell_max, whose successive ratios the report derives.
 
     The determinants are ints, the leading principal minors of the
     ell_max-square Toeplitz matrix of B(x)B(1/x), read off one elimination
-    pass over its upper band; the ratios D_{l+1}/D_l are Fractions.  Each
-    ratio is the squared distance of B_{l+1} from span(B_1..B_l), which
-    only falls as the span grows, and Szego's first limit theorem makes the
-    limit the squared Mahler measure of B; the certified enclosure of that
-    limit rides along.  Both facts are checked in integers:
-    D_{l-1} D_{l+1} <= D_l^2 with D_0 = 1, and the enclosure's lower end is
+    pass over its upper band; the ratios D_{l+1}/D_l are Fractions built
+    from them on first read.  Each ratio is the squared distance of B_{l+1}
+    from span(B_1..B_l), which only falls as the span grows, and Szego's
+    first limit theorem makes the limit the squared Mahler measure of B;
+    the certified enclosure of that limit rides along.  Both facts are
+    checked in integers: D_{l-1} D_{l+1} <= D_l^2 with D_0 = 1, and the
+    enclosure's lower end, a float and so an integer over a power of two, is
     at most the last ratio D_L / D_{L-1}.
     """
     if poly.degree < 1:
@@ -297,12 +321,9 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
         raise CertificateError("a Gram ratio D_{l+1}/D_l rose above the one before it")
     m = mahler_measure(poly).interval
     squared = m.mul(m)
-    if squared.lo > Fraction(dets[-1], minors[-2]):  # float against Fraction: exact
+    # lo / den against D_L / D_{L-1}, D_{L-1} > 0; Interval.mul rounds an
+    # overflowed lower end down to the largest float, so lo is finite
+    lo, den = squared.lo.as_integer_ratio()
+    if lo * minors[-2] > dets[-1] * den:
         raise CertificateError("the certified M(B)^2 exceeds the last Gram ratio")
-    # every D_l is an int: Fraction(D_{l+1}, D_l) normalises once
-    ratios = tuple(map(Fraction, dets[1:], dets))
-    return GrowthReport(
-        determinants=dets,
-        ratios=ratios,
-        mahler_squared=squared,
-    )
+    return GrowthReport(determinants=dets, mahler_squared=squared)

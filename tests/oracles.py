@@ -40,7 +40,14 @@ from kronrec.exact_linalg import (
     is_prime,
     solve_exact,
 )
-from kronrec.lattice_structure import NewtonPolygon, SegmentCertificate, newton_polygon, scaled_basis_N
+from kronrec.cli import _float, _rat
+from kronrec.lattice_structure import (
+    NewtonPolygon,
+    SegmentCertificate,
+    check_basis_certificate,
+    newton_polygon,
+    scaled_basis_N,
+)
 from kronrec.intervals import Interval, interval_min
 from kronrec.poly_core import (
     IntPolynomial,
@@ -48,11 +55,12 @@ from kronrec.poly_core import (
     _aberth,
     _dyadic,
     _exact_values,
+    _modulus_interval,
     _radii,
     _sqrt_up,
     roots,
 )
-from kronrec.recurrence_matrices import _check_coeffs, band_rows
+from kronrec.recurrence_matrices import _check_coeffs, band_rows, extend_rows, recurrence_extend
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -627,6 +635,22 @@ def in_powers(poly: IntPolynomial, k: int) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
+def product_by_interval_mul(root_set, factor) -> Interval:
+    """ComplexRootSet._product by Interval.mul, one Interval per step.
+
+    The Interval route to the fold, which carries the two ends as floats
+    through the same operations and builds one Interval at the end.
+    """
+    acc = Interval.from_int(abs(root_set.poly.leading_coefficient))
+    for enc in root_set.roots:
+        f = factor(_modulus_interval(enc))
+        for _ in range(enc.multiplicity):
+            acc = acc.mul(f)
+    if not math.isfinite(acc.hi):
+        raise DomainError("the root product overflows a float")
+    return acc
+
+
 def refined_threshold_two_root_sets(poly: IntPolynomial) -> Interval:
     """eps_refined by the route `density._refined_threshold` replaced.
 
@@ -733,6 +757,28 @@ def canonical_rows_by_solve(poly: IntPolynomial, p: int, m: int, pivot_rule: str
     return tuple(rows)
 
 
+def canonical_basis_by_fraction_rows(poly: IntPolynomial, p: int, m: int, pivot_rule: str = "nonnegative"):
+    """(matrix, valuations, segments) of canonical_basis_M through Fraction rows.
+
+    The Fraction route to canonical_basis_M, which builds each row once as
+    ints over one positive denominator and certifies those: here each
+    selector's d seed rows from solve_exact are extended by recurrence_extend
+    into Fraction rows, and check_basis_certificate clears them again.
+    """
+    d = poly.degree
+    polygon = newton_polygon(poly, p)
+    s = polygon.pivot_index(pivot_rule)
+    walls = [v[0] for v in polygon.vertices]
+    table, _ = scaled_basis_N(poly, m)
+    matrix = []
+    for k in range(1, polygon.segment_count + 1):
+        w = walls[k] if k < s else walls[k - 1]
+        cols = list(range(w)) + list(range(m - d + w, m))
+        seeds = solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
+        matrix.extend(recurrence_extend(poly, row, m) for row in seeds[walls[k - 1] : walls[k]])
+    return (tuple(matrix), *check_basis_certificate(poly, polygon, s, m, matrix))
+
+
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:
     """Facet normals c and supports s_c of the zonotope band(A) [-1, 1]^m.
 
@@ -835,6 +881,41 @@ def trench_vandermonde(symbol, n: int) -> tuple[Fraction, tuple[tuple[Fraction, 
         raise AssertionError("confluent Vandermonde of distinct roots vanished")
     c_s = symbol.coeffs[-1]
     return (-1) ** (n * s) * c_s**n * confluent(n) / g0, tuple(rational)
+
+
+def trench_det_fractions(symbol, n: int) -> Fraction:
+    """Trench's closed form with its last step in Fractions.
+
+    The Fraction route to toeplitz._trench_pair, which returns the closed
+    form as an unreduced integer pair whose denominator carries the sign
+    of c_s^(n (s - 1)): here (-1)^(n s) c_s^(n (1 - s)) det[H_{n-i+j}] / den^n
+    is one Fraction expression, c_s raised to a negative power for s >= 2.
+    """
+    if n < 1:
+        raise DomainError("the closed form needs n >= 1")
+    r, s = symbol.r, symbol.s
+    c, den = clear_denominators(symbol.coeffs)
+    c_s, minor = c[-1], 1
+    if s:
+        weights = [x * c_s ** (r + s - 1 - j) for j, x in enumerate(c[:-1])] + [1]
+        h = [0] * (r + s - 1) + [1]
+        extend_rows(weights, [h], n + r + 2 * s - 1)
+        minor = det_exact([[h[n - i + j + r + s - 1] for j in range(s)] for i in range(s)])
+    return (-1) ** (n * s) * Fraction(c_s) ** (n * (1 - s)) * minor / den**n
+
+
+def quotients_by_fractions(nums: Sequence[int], dens: Sequence[int]) -> tuple[list, list, float]:
+    """The report values of the int pairs (nums[i], dens[i]) through one Fraction each.
+
+    The Fraction route to cli._quotient, which renders each pair from one gcd
+    and one int true division: here each pair becomes Fraction(n, d), rendered
+    by cli._rat and cli._float, and the largest step between the last 11
+    values, lyons's max_tail_fluctuation, is a Fraction subtraction.
+    """
+    values = list(map(Fraction, nums, dens))
+    tail = values[-11:]
+    steps = [abs(_float(b - a)) for a, b in zip(tail, tail[1:])]
+    return [_rat(v) for v in values], [_float(v) for v in values], max(steps, default=0.0)
 
 
 def lyons_ratios_bordered(poly: IntPolynomial, indices, ell_max: int) -> list[Fraction]:

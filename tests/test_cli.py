@@ -19,6 +19,7 @@ import test_golden_nondense
 import test_golden_roots
 from kronrec import cli
 from kronrec.cli import main
+from kronrec.errors import DomainError
 
 OVERLAPPING_ROOTS = "10239999999999999999999999,-640000000000000000000000,10000000000000000000000"
 
@@ -606,3 +607,47 @@ def test_writer_equals_json_dumps_on_every_golden_payload(monkeypatch, capsys):
     assert len(payloads) == len(EVERY_GOLDEN_COMMAND)
     for payload in payloads:
         assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_writer_refuses_what_json_dumps_refuses_with_its_message():
+    payload = {"ratio": [1, Fraction(1, 2)]}
+    with pytest.raises(TypeError) as ours:
+        cli._json(payload)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(payload, sort_keys=True, indent=2)
+    assert str(ours.value) == str(theirs.value) == "Object of type Fraction is not JSON serializable"
+
+
+def test_pretty_format_writes_a_scalar_beside_a_record_at_the_list_indent():
+    assert cli._render({"rows": [{"a": 1}, 7]}, "pretty") == "rows:\n  -\n    a: 1\n  7\n"
+
+
+# ----- the integer report writer -----
+
+# both signs, up to about 1000 digits, so quotients past the float range come up
+huge = st.integers(-(10**1000), 10**1000)
+sized = st.integers(0, 1000).flatmap(lambda k: st.integers(-(10**k), 10**k))
+
+
+@seed(20261022)
+@settings(max_examples=400, deadline=None)
+@given(huge | sized | st.integers(-50, 50), (huge | sized | st.integers(-50, 50)).filter(bool))
+@example(10**400, 3)
+@example(-(10**400), -7)
+@example(1, 10**400)
+@example(0, -5)
+@example(-6, -4)
+@example(2**1024 - 2**970, 1)  # just below the float range: rounds to the largest float
+def test_quotient_renders_the_fraction_of_its_pair(n, d):
+    exact = cli._rat(Fraction(n, d))
+    try:
+        expected = exact, cli._float(Fraction(n, d))
+    except DomainError as exc:
+        with pytest.raises(DomainError) as refused:
+            cli._quotient(n, d)
+        assert str(refused.value) == str(exc) == "a value to report lies beyond the float range"
+    else:
+        written = cli._quotient(n, d)
+        assert written == expected
+        assert type(written[0]) is type(exact) and math.copysign(1, written[1]) == math.copysign(1, expected[1])
+

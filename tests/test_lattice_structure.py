@@ -29,6 +29,7 @@ from kronrec.poly_core import IntPolynomial
 from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
 from oracles import (
     band_kernel_basis,
+    canonical_basis_by_fraction_rows,
     canonical_rows_by_solve,
     check_basis_certificate_fractions,
     integral_basis_by_columns,
@@ -460,6 +461,47 @@ def test_canonical_basis_random_instances_pass_certificate(a, p, extra):
         assert seg.left_is_identity or seg.right_is_identity
 
 
+@seed(20261022)
+@settings(max_examples=150, deadline=None)
+@given(
+    primitive_polys(max_degree=5, bound=40),
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(0, 9),
+    st.sampled_from(PIVOT_RULES),
+)
+@example(WORKED, 3, 6, "nonnegative")
+@example(poly(-3, -1, -3), 3, 3, "positive")  # a_d = -3: the lead a_d^(m-d) is negative
+def test_canonical_basis_equals_the_fraction_row_route(a, p, extra, rule):
+    m = a.degree + extra
+    basis = canonical_basis_M(a, p, m, pivot_rule=rule)
+    matrix, valuations, segments = canonical_basis_by_fraction_rows(a, p, m, rule)
+    assert basis.matrix == matrix and basis.valuations == valuations and basis.segments == segments
+    assert all(type(x) is Fraction for row in basis.matrix for x in row)
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None)
+@given(
+    primitive_polys(max_degree=4, bound=20),
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_a_p_unit_on_one_row_breaks_the_clause_the_fraction_route_names(a, p, extra, data):
+    m = a.degree + extra
+    basis = canonical_basis_M(a, p, m)
+    i = data.draw(st.integers(0, a.degree - 1))
+    unit = data.draw(st.integers(-30, 30).filter(lambda u: u % p and u != 1))
+    rows = [list(r) for r in basis.matrix]
+    if data.draw(st.booleans()):
+        rows[i] = [unit * x for x in rows[i]]  # the row times a p-unit
+    else:
+        rows[i][data.draw(st.integers(0, m - 1))] += unit  # a p-unit added to one entry
+    verdicts = _both_certificates(a, basis.polygon, basis.pivot_segment, m, rows)
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].startswith("canonical basis certificate violated: ")
+
+
 def selector_minor(a, m, w):
     """det of the columns [0, w) and [m-d+w, m) of T = a_d^(m-d) N: canonical_basis_M's T_xi."""
     table, _ = scaled_basis_N(a, m)
@@ -665,6 +707,29 @@ def test_integral_basis_refuses_a_basis_with_a_row_doubled(monkeypatch, a, m):
     monkeypatch.setattr(lattice_structure, "_hnf", doubled_first_row)
     with pytest.raises(CertificateError, match="span"):
         integral_basis(a, m)
+
+
+@pytest.mark.parametrize(
+    "a",
+    # c_s = a_0 a_d < 0 with n (d - 1) odd for the first two, so the closed form's
+    # denominator is negative; the last has den = 1
+    [poly(-1, -1, 2), poly(1, 2, 0, 1, -3), WORKED, poly(-2, 1)],
+)
+def test_integral_basis_refuses_one_z_basis_row_doubled(monkeypatch, a):
+    # m = d + 1 takes one HNF step, so doubling its first coordinate row doubles one Z-basis row
+    def doubled_first_row(rows, ncols):
+        h = _hnf(rows, ncols)
+        h[1] = [2 * x for x in h[1]]
+        return h
+
+    m = a.degree + 1
+    z_basis = integral_basis(a, m).z_basis
+    monkeypatch.setattr(lattice_structure, "_hnf", doubled_first_row)
+    message = "Z-basis does not span the whole integral lattice"
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        integral_basis(a, m)
+    monkeypatch.undo()
+    assert integral_basis(a, m).z_basis == z_basis
 
 
 def test_integral_basis_refuses_rows_outside_the_lattice(monkeypatch):

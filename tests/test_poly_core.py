@@ -27,6 +27,7 @@ from kronrec.poly_core import (
 )
 from oracles import (
     _aberth_step_sliced,
+    product_by_interval_mul,
     aberth_off_axis_polish,
     certified_simple_roots_two_pass,
     disks_disjoint_all_pairs,
@@ -847,3 +848,30 @@ def test_mahler_coefficient_bound(p):
     d = p.degree
     for i, c in enumerate(p.coeffs):
         assert abs(c) <= math.comb(d, i) * (m.value + m.error) + 1e-9
+
+
+# ----- the root-product fold -----
+
+FOLDS = [*poly_core._MAHLER_FACTORS.values(), poly_core._refined_factor,
+         lambda modulus: modulus.add(poly_core.Interval.point(-1.0)).max_with(1.0)]
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None)
+@given(small_polys(max_degree=6, max_coeff=40), st.integers(1, 3))
+@example(poly(-(15 * 10**307), -(15 * 10**307), 0, 15 * 10**307), 1)  # the product overflows
+@example(poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1), 1)
+def test_root_product_folds_as_interval_mul(a, power):
+    # a power of A gives each root that multiplicity
+    for _ in range(power - 1):
+        a = poly_mul(a, a)
+    root_set = roots(a)
+    for factor in FOLDS:
+        try:
+            expected = product_by_interval_mul(root_set, factor)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{exc}$"):
+                root_set._product(factor)
+        else:
+            folded = root_set._product(factor)
+            assert type(folded) is poly_core.Interval and tuple(folded) == tuple(expected)

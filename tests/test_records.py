@@ -39,7 +39,7 @@ SAMPLES = {
     LaurentSymbol: ((Fraction(-2), Fraction(5), Fraction(-2)), 1, 1),
     TrenchData: (Fraction(3),),
     GramResult: (Fraction(3),),
-    GrowthReport: ((Fraction(5),), (), UNIT),
+    GrowthReport: ((5,), UNIT),
     DensityBound: (UNIT, UNIT, UNIT, UNIT, UNIT),
     RealFactorization: ((-2.0, 1.0), (1.0,), 0.5),
     DensityWitness: ((0.5,), (0.25,), (1,), 0.0, 0.5, 0.5),

@@ -1,12 +1,14 @@
 """Oracle comparisons and hand values for the Toeplitz/Gram machinery."""
 
+import argparse
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from kronrec import toeplitz
@@ -14,9 +16,12 @@ from kronrec.errors import CertificateError, DomainError, SingularMatrixError
 from kronrec.exact_linalg import _symmetric_band_minors, identity_matrix, solve_exact
 from kronrec.poly_core import IntPolynomial, MahlerMeasure, roots
 from kronrec.recurrence_matrices import band_rows
+from kronrec.cli import _cmd_gram_growth, _cmd_lyons
 from kronrec.toeplitz import (
     LaurentSymbol,
+    _lyons_minors,
     _toeplitz_rows,
+    _trench_pair,
     gram_det,
     gram_growth,
     lyons_ratio,
@@ -33,7 +38,9 @@ from oracles import (
     leading_minors,
     lyons_ratios_bordered,
     mat_mul,
+    quotients_by_fractions,
     rational_decompose,
+    trench_det_fractions,
     trench_vandermonde,
     tri_rows,
 )
@@ -635,3 +642,72 @@ def test_integer_toeplitz_rows_over_den_are_the_symbol(symbol, size):
         [symbol.coeffs[k - j + r] if -r <= k - j <= s else 0 for k in range(size)]
         for j in range(size)
     ]
+
+
+# --- integer pairs against their Fraction routes ---
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(raw_symbols(max_width=4), st.integers(1, 9))
+# s = 0; r != s with a symbol over den 6; a negative c_s with n (s - 1) = 3 odd
+@example(LaurentSymbol.from_coefficients((Fraction(1, 2), 0, 3), 2), 4)
+@example(LaurentSymbol.from_coefficients((Fraction(1, 2), Fraction(-5, 3), 1, -2), 1), 3)
+@example(LaurentSymbol.from_coefficients((3, 1, 4, -2), 1), 3)
+def test_trench_pair_is_the_fraction_closed_form(symbol, n):
+    num, den = _trench_pair(symbol, n)
+    assert type(num) is int and type(den) is int and den != 0
+    expected = trench_det_fractions(symbol, n)
+    assert Fraction(num, den) == expected
+    assert trench_det(symbol, n) == trench_data(symbol, n).determinant == expected
+    assert type(trench_det(symbol, n)) is Fraction
+
+
+def test_trench_pair_denominator_carries_the_sign_of_c_s():
+    # c_s = -2, s = 2, n = 3: c_s^(n (s - 1)) = -8 sits in the denominator
+    symbol = LaurentSymbol.from_coefficients((3, 1, 4, -2), 1)
+    num, den = _trench_pair(symbol, 3)
+    assert den == -8
+    assert Fraction(num, den) == toeplitz_det_direct(symbol, 2) == trench_det_fractions(symbol, 3)
+    # s = 0: c_s^n over den^n, nothing in the minor
+    assert _trench_pair(LaurentSymbol.from_coefficients((Fraction(1, 2), 0, 3), 2), 4) == (81 * 16, 16)
+
+
+def _growth_args(ell_max, indices=None):
+    return argparse.Namespace(ell_max=ell_max, indices=indices)
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(nonzero_lead_polys(max_degree=3, bound=9), st.integers(1, 30))
+def test_growth_report_writes_the_fraction_ratios(poly, ell_max):
+    report = gram_growth(poly, ell_max)
+    dets = report.determinants
+    rats, floats, _ = quotients_by_fractions(dets[1:], dets[:-1])
+    written = _cmd_gram_growth(_growth_args(ell_max), poly)
+    assert written["ratios"] == rats and written["ratios_float"] == floats
+    assert report.ratios == tuple(map(Fraction, dets[1:], dets))
+    assert report.ratios is report.ratios  # built once per record
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(nonzero_lead_polys(max_degree=3, bound=9), st.integers(1, 30), st.data())
+def test_lyons_report_writes_the_fraction_ratios(poly, ell_max, data):
+    assume(poly.coeffs[0] != 0)
+    indices = data.draw(st.sets(st.integers(1, poly.degree), min_size=1))
+    nums, dens = _lyons_minors(poly, indices, ell_max)
+    assert lyons_ratios(poly, indices, ell_max) == list(map(Fraction, nums, dens))
+    rats, floats, fluctuation = quotients_by_fractions(nums, dens)
+    text = ",".join(map(str, sorted(indices)))
+    written = _cmd_lyons(_growth_args(ell_max, text), poly)
+    assert written["values"] == rats and written["values_float"] == floats
+    assert written["max_tail_fluctuation"] == fluctuation
+
+
+def test_growth_compares_an_overflowed_measure_square_in_integers():
+    # M(1 + 10^155 x)^2 = 10^310 overflows; Interval.mul rounds its lower end down
+    # to the largest float, which the integer check compares exactly with the last ratio
+    report = gram_growth(IntPolynomial((1, 10**155)), 3)
+    assert report.mahler_squared == (sys.float_info.max, math.inf)
+    assert report.ratios[-1] > sys.float_info.max
