@@ -26,12 +26,12 @@ gets radius 0.  Each pairwise and each conjugate quantity is formed once:
 an Aberth sweep forms 1/(z_i - z_j) once for both points, and the final
 centres are the real ones, the upper ones and their mirrors, so p and the
 radii are taken at the real and upper centres only, by one tail for every
-factor.  Almost always the Aberth centres are already closed under
-conjugation and are the final centres; otherwise p is first evaluated at
-every Aberth centre to snap onto the axis each centre whose disk meets it
-(a centre already on the axis is real whatever its radius, so these radii
-are taken only off it).  Disjointness is decided exactly, after a float
-screen with a proven margin.  No working precision is involved.
+factor.  Almost always as many Aberth centres lie below the axis as above,
+and those below are never read.  Otherwise, or when an upper disk meets
+the axis, p is evaluated at every centre to snap onto the axis each one
+whose disk meets it (radii taken off the axis only: a centre on it is
+real whatever its radius).  Disjointness is decided exactly, after a
+float screen with a proven margin; no working precision is involved.
 
 `roots` accepts the disks when each radius is at most 1e-12 * max(1, |z|)
 and all disks are pairwise disjoint.  Every Mahler variant and the refined
@@ -441,21 +441,20 @@ def _certified_simple_roots(cs: tuple[int, ...]) -> list[tuple[complex, float]]:
     """Weierstrass disks, each within the target, at a square-free factor's Aberth centres.
 
     `_aberth` has already put every centre within eps^2 |Re z| of the real
-    axis on it, and such a centre is real whatever its radius.  Almost
-    always the centres below the axis are exactly the conjugates of those
-    above, so the real centres, the upper ones and their mirrors are the
-    Aberth centres as they stand.  Otherwise, or when an upper centre's disk
-    meets the axis (its pair then snaps onto one point and `roots` fails),
-    `_snapped_centres` gives the final real and upper centres.  Either way
-    `_mirrored_disks` takes the radii, and `roots` checks that the disks
-    are disjoint.
+    axis on it, and such a centre is real whatever its radius.  With as many
+    centres below the axis as above, those are never read: the Braess-Hadeler
+    cover holds at any distinct points, so the reals, the uppers and their
+    mirrors serve.  A disk clear of the axis isolating one root isolates a
+    non-real one, its mirror the conjugate, so no pair that the snap would
+    put on the axis certifies here.  Otherwise, or when an upper disk meets
+    the axis, `_snapped_centres` gives the final centres.  `_mirrored_disks`
+    takes the radii; `roots` checks that the disks are disjoint.
     """
     n = len(cs) - 1
     zs = _aberth(cs)
     reals = [complex(z.real, 0.0) for z in zs if not z.imag]
     ups = [z for z in zs if z.imag > 0]
-    mirrored = sorted((z.real, -z.imag) for z in zs if z.imag < 0)
-    if len(reals) + 2 * len(ups) == n and sorted((z.real, z.imag) for z in ups) == mirrored:
+    if len(reals) + 2 * len(ups) == n:
         disks = _mirrored_disks(cs, reals, ups)
         if all(z.imag > r for z, r in disks[len(reals) : n - len(ups)]):
             return _checked_disks(n, disks)

@@ -300,22 +300,21 @@ def gram_growth(poly: IntPolynomial, ell_max: int) -> GrowthReport:
     The determinants are ints, the leading principal minors of the
     ell_max-square Toeplitz matrix of B(x)B(1/x), read off one elimination
     pass over its upper band; the ratios D_{l+1}/D_l are Fractions built
-    from them on first read.  Each ratio is the squared distance of B_{l+1}
-    from span(B_1..B_l), which only falls as the span grows, and Szego's
-    first limit theorem makes the limit the squared Mahler measure of B;
-    the certified enclosure of that limit rides along.  Both facts are
-    checked in integers: D_{l-1} D_{l+1} <= D_l^2 with D_0 = 1, and the
-    enclosure's lower end, a float and so an integer over a power of two, is
-    at most the last ratio D_L / D_{L-1}.
+    from them on first read.  Every D_l is positive, so the pass never
+    swaps: b_d != 0 ends row l of [B]_l at column l + d, so the rows are
+    independent and their Gram matrix is positive definite.  Each ratio is
+    the squared distance of B_{l+1} from span(B_1..B_l), which only falls as
+    the span grows, and Szego's first limit theorem makes the limit the
+    squared Mahler measure of B; the certified enclosure of that limit rides
+    along.  Both facts are checked in integers: D_{l-1} D_{l+1} <= D_l^2
+    with D_0 = 1, and the enclosure's lower end, a float and so an integer
+    over a power of two, is at most the last ratio D_L / D_{L-1}.
     """
     if poly.degree < 1:
         raise DomainError("growth study needs deg B >= 1")
     if ell_max < 1:
         raise DomainError("growth study needs ell_max >= 1")
-    try:
-        dets = tuple(_symmetric_band_minors([_autocorrelation(poly)] * ell_max))
-    except SingularMatrixError as exc:
-        raise CertificateError("a Gram determinant of independent rows vanished") from exc
+    dets = tuple(_symmetric_band_minors([_autocorrelation(poly)] * ell_max))
     minors = (1, *dets)
     if any(a * c > b * b for a, b, c in zip(minors, dets, dets[1:])):
         raise CertificateError("a Gram ratio D_{l+1}/D_l rose above the one before it")

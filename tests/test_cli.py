@@ -45,6 +45,15 @@ def run_json(capsys, *argv):
     return strict_json(out)
 
 
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() bare; a data token with a leading "-" included
+    argv = ["--format", "pretty", "bound", "-4,-4,0,-2,1"]
+    want = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["kronrec", *argv])
+    assert (main(), *capsys.readouterr()) == want
+    assert want[0] == 0 and want[1]
+
+
 def test_mahler_cyclotomic(capsys):
     doc = run_json(capsys, "mahler", "1,0,1")
     assert doc["schema"] == "kronrec/1"

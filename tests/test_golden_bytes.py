@@ -43,8 +43,11 @@ given by hand (s = 0, and H_t run well past its seeds) and the two basis
 digests at m = 30 and 40 (one with p | a_d, one under the positive pivot rule)
 were recorded while Trench's H_t, the recurrence tables and the canonical
 basis's selector solve each still ran their own loop over the recurrence, so
-they pin every H_t and every canonical row those routes gave.  A failing digest
-prints the report it hashed.
+they pin every H_t and every canonical row those routes gave.  The bound and
+witness digests of (x^2 + 2)(x^2 - 2x - 2) were recorded while its root
+factor still took the snap, its centres of +-i sqrt 2 not being mirrors of
+each other, so they pin the disks that route gave.  A failing digest prints
+the report it hashed.
 """
 
 import builtins
@@ -129,6 +132,8 @@ GOLDEN = [
     ("trench --n 40 --r 2 1/2,-1,3,2/3", "495ac3ca70ec599bd1a6e1ebab29e36b5bb8e4d5f77e0b861b2fa28ab9b75f74"),
     ("basis --p 3 --m 40 3,-2,-9,-3,9", "61a72a87b5a883cf204ad856ad466282ecffd3566cd656ea0dc7940bd4629c34"),
     ("basis --p 2 --m 30 --pivot-rule positive 6,-5,1,4", "20c3cf7f6f45285151f1ad7b9cc39971413a716ff27fb926e6fc0ee29941a9dc"),
+    ("bound -4,-4,0,-2,1", "c1d65c62a43dccc4e28eeae7979343650952c82e1226b9f74812058229c117cb"),
+    ("witness --m 7 --seed 3 -4,-4,0,-2,1", "3d911c565ba006daece840f81eabe4c05edb843671c8031b34151753667e5c48"),
 ]
 
 # the non-JSON renderings of the same payloads

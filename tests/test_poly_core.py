@@ -401,8 +401,8 @@ CLOSE_REAL_PAIR = poly(10**22 - 1, -2 * 10**21, 10**20)
 # a pair snapped onto the axis, from centres that are not each other's conjugates
 @example(CLOSE_REAL_PAIR)
 # (x^2 + 2)(x^2 - 2x - 2), the one benchmark witness factor at seed 1 whose
-# centres are not closed under conjugation: those of +-i sqrt 2 have real
-# parts +-6e-33
+# lower centre is not its upper one's mirror: those of +-i sqrt 2 have real
+# parts -+6e-33
 @example(poly(-4, -4, 0, -2, 1))
 def test_one_radius_pass_matches_the_two_pass_route(p):
     """Bit-identical disks, or the same failure, with and without the second exact evaluation."""
@@ -462,7 +462,7 @@ def _general_snap(cs):
 
 
 def _conjugate_and_general_disks(cs):
-    """Both routes' disks where the Aberth centres are closed under conjugation
+    """Both routes' disks where the Aberth centres are balanced about the axis
     and certify without the snap, else None."""
     with mock.patch.object(poly_core, "_snapped_centres", _no_snap):
         try:
@@ -473,10 +473,10 @@ def _conjugate_and_general_disks(cs):
 
 
 def test_general_snap_gives_the_conjugate_disks_on_the_witness_factors():
-    """On closed centres no upper disk meets the axis, and the final centres
-    are the Aberth centres, so the general snap changes nothing: 119 of the
-    120 seed-1 benchmark witness factors are closed, and each gives the
-    conjugate route's disks bit for bit."""
+    """Where balanced centres certify without the snap, the general snap keeps
+    their real and upper centres (a pair it put on the axis would make more
+    real roots than real centres), so it changes nothing: all 120 seed-1
+    benchmark witness factors certify so, each with the same disks bit for bit."""
     closed = 0
     for cs in benchmark_polys("witness"):
         for fac, _ in squarefree_factors(IntPolynomial(tuple(cs))):
@@ -484,7 +484,20 @@ def test_general_snap_gives_the_conjugate_disks_on_the_witness_factors():
             if both is not None:
                 closed += 1
                 assert both[1] == both[0]
-    assert closed == 119
+    assert closed == 120
+
+
+def test_opposite_sign_imaginary_pair_certifies_without_the_snap():
+    """(x^2 + 2)(x^2 - 2x - 2) leaves the centres of +-i sqrt 2 with real
+    parts -6.2e-33 and +6.2e-33: not each other's mirrors, but balanced, so
+    the lower one is never read and the snap is not called."""
+    cs = (-4, -4, 0, -2, 1)
+    zs = _aberth(cs)
+    upper, lower = (z for z in zs if z.imag > 0), (z for z in zs if z.imag < 0)
+    assert next(upper).real == -next(lower).real != 0
+    with mock.patch.object(poly_core, "_snapped_centres", _no_snap):
+        disks = _disk_bits(_certified_simple_roots(cs))
+    assert disks == _outcome(_general_snap, cs)
 
 
 @seed(20261024)
@@ -528,7 +541,7 @@ def test_aberth_step_equals_the_direct_sums(sweep):
 
 
 def test_certified_roots_evaluate_p_once_beyond_the_polish_sweeps(monkeypatch):
-    """Centres closed under conjugation take one exact evaluation of p beyond
+    """Balanced centres take one exact evaluation of p beyond
     the polish, at the real and upper centres; each mirror reuses its upper
     centre's value."""
     calls = {"all": 0, "aberth": 0}
@@ -624,8 +637,11 @@ def test_first_radius_pass_skips_centres_on_the_axis(monkeypatch):
 def test_close_real_pair_is_snapped_by_the_first_radius_pass(monkeypatch):
     """Centres off the axis by less than their first radius certify as two real disks.
 
-    The first radius pass is the snap's, off the axis; the tail then takes
-    the radii at the upper centres, of which there are none, and at the reals."""
+    The centres are balanced, so the tail first takes the radius at the
+    upper centre and at the reals, of which there are none; that disk meets
+    the axis.  The snap's radius pass then runs off the axis, and the tail
+    takes the radii at the upper centres, of which there are none, and at
+    the reals."""
     cs = CLOSE_REAL_PAIR.coeffs
     zs = _aberth(cs)
     assert all(z.imag for z in zs)
@@ -639,7 +655,8 @@ def test_close_real_pair_is_snapped_by_the_first_radius_pass(monkeypatch):
 
     monkeypatch.setattr(poly_core, "_radii", recorded_radii)
     disks = poly_core._certified_simple_roots(cs)
-    assert len(taken) == 3 and taken[1] == [] and all(abs(z.imag) <= r for z, r in zip(zs, taken[0]))
+    assert len(taken) == 5 and taken[1] == taken[3] == []
+    assert all(abs(z.imag) <= r for z, r in zip(zs, taken[2]))
     assert [z.imag for z, _ in disks] == [0.0, 0.0]
     monkeypatch.undo()
     rs = roots(CLOSE_REAL_PAIR).roots
@@ -725,12 +742,11 @@ def test_disks_disjoint_screen_equals_the_exact_test(disks):
 def test_witness_roots_take_one_radius_per_pair_and_per_real_root(monkeypatch):
     """A timing-free guard on the work of `roots` over the 120 benchmark
     witness polynomials at seed 1: a radius at each conjugate pair's upper
-    centre and at each real centre, 429 in all, where radii at the lower
+    centre and at each real centre, 427 in all, where radii at the lower
     centres and the uppers' second radii made 883; and one exact evaluation
-    of p alone per factor beside the polish's 121 with p', 120 in all, and
-    one more for the one factor whose centres are not closed under
-    conjugation, (x^2 + 2)(x^2 - 2x - 2): its snap evaluates p at every
-    Aberth centre before the final centres are evaluated afresh."""
+    of p alone per factor beside the polish's 121 with p', 120 in all.
+    Every factor's centres are balanced, so none takes the snap, which
+    would evaluate p at every Aberth centre before the final centres."""
     counts = collections.Counter()
     sqrt_up, exact_values = poly_core._sqrt_up, poly_core._exact_values
 
@@ -747,7 +763,7 @@ def test_witness_roots_take_one_radius_per_pair_and_per_real_root(monkeypatch):
     for cs in benchmark_polys("witness"):
         roots(IntPolynomial(tuple(cs)))
     assert counts["radii"] <= 430
-    assert (counts["with p'"], counts["p alone"]) == (121, 121)
+    assert (counts["with p'"], counts["p alone"]) == (121, 120)
 
 
 @settings(deadline=None, max_examples=40)

@@ -538,7 +538,6 @@ VANISHING_MINOR = [
     LaurentSymbol.from_coefficients((1, 1, 1), 1),
     LaurentSymbol.from_coefficients((1, 0, 1), 1),
 ]
-SYMMETRIC_VANISHING_MINOR = VANISHING_MINOR[-2:]
 
 
 def _symbol_id(symbol):
@@ -570,14 +569,20 @@ def test_direct_swaps_past_a_vanishing_leading_minor(symbol):
         assert toeplitz_det_direct(symbol, n) == trench_det(symbol, n + 1) == oracle, n
 
 
-@pytest.mark.parametrize("symbol", SYMMETRIC_VANISHING_MINOR, ids=_symbol_id)
-def test_growth_turns_a_vanishing_minor_into_a_certificate_error(monkeypatch, symbol):
-    # Gram matrices of independent rows have no vanishing minor, so hand
-    # gram_growth the upper band of a raw symmetric symbol that has one
-    band = [int(c) for c in symbol.coeffs[symbol.r :]]
-    monkeypatch.setattr(toeplitz, "_autocorrelation", lambda _: band)
-    with pytest.raises(CertificateError, match="vanished"):
-        gram_growth(FIB, 12)
+@seed(20261025)
+@settings(max_examples=150, deadline=None)
+@given(nonzero_lead_polys(max_degree=5, bound=9), st.integers(1, 40), st.sets(st.integers(1, 5), min_size=1))
+# non-monic with b_0 = 0, which only gram_growth takes, and non-monic with b_0 != 0
+@example(IntPolynomial((0, 0, 3, -1, 0, 2)), 40, {1, 5})
+@example(IntPolynomial((5, -4, 0, 1, 3, -7)), 40, {2, 3, 5})
+def test_every_gram_and_lyons_minor_is_positive(poly, ell_max, indices):
+    """b_d != 0 ends row l of [B]_l at column l + d, so the rows are
+    independent, with e_S adjoined too, and every Gram minor is positive:
+    the band pass never meets a vanishing one."""
+    assert all(det > 0 for det in gram_growth(poly, ell_max).determinants)
+    if poly.coeffs[0]:  # _lyons_minors refuses b_0 = 0
+        nums, dens = _lyons_minors(poly, {min(i, poly.degree) for i in indices}, ell_max)
+        assert all(minor > 0 for minor in nums + dens)
 
 
 # --- biorthonormal pairs ---
