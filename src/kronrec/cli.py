@@ -404,9 +404,9 @@ def _cmd_lyons(args, poly) -> dict:
         raise ParseError(f"bad --s index list: {exc}") from exc
     nums, dens = _lyons_minors(poly, indices, args.ell_max)
     values = [*map(_quotient, nums, dens)]
-    # b - a = (n1 d0 - n0 d1) / (d0 d1) over the last 11 ratios
+    # b - a = (n1 d0 - n0 d1) / (d0 d1), correctly rounded; each ratio lies in [0, 1]
     tail = [*zip(nums[-11:], dens[-11:])]
-    steps = [_quotient(n1 * d0 - n0 * d1, d0 * d1)[1] for (n0, d0), (n1, d1) in zip(tail, tail[1:])]
+    steps = [(n1 * d0 - n0 * d1) / (d0 * d1) for (n0, d0), (n1, d1) in zip(tail, tail[1:])]
     result = {
         "indices": indices,
         "values": [exact for exact, _ in values],

@@ -119,7 +119,7 @@ def newton_polygon(poly: IntPolynomial, p: int) -> NewtonPolygon:
 def scaled_basis_N(poly: IntPolynomial, m: int) -> tuple[list[list[int]], int]:
     """(T, lead): lead = a_d^(m-d) and T = lead * basis_N(poly, m), built in integers.
 
-    Entry t + d of N has a denominator dividing a_d^(t+1), so every division is exact.
+    Entry t + d of N owes a_d^(t+1), so every division is exact; extend_rows checks each.
     """
     a, d = poly.coeffs, poly.degree
     if d < 1 or m < d:
@@ -331,18 +331,18 @@ def canonical_basis_M(
         return solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
 
     # each row once, as ints over one positive den: the seeds over den, scaled by
-    # lead, extend exactly (entry t + d owes den a_d^(t+1)), and one gcd reduces them
+    # |lead|, extend exactly (entry t + d owes den a_d^(t+1)), and one gcd reduces them
     rows, dens = [], []
+    scale = abs(lead)
     for k in range(1, r + 1):
         w = walls[k] if k < s else walls[k - 1]
         for seed in seeds_for(w)[walls[k - 1] : walls[k]]:
             ints, den = clear_denominators(seed)
-            row = [x * lead for x in ints]
+            row = [x * scale for x in ints]
             extend_rows(poly.coeffs, [row], m)
-            g = math.gcd(den * lead, *row)
-            g = g if lead > 0 else -g
+            g = math.gcd(den * scale, *row)
             rows.append([x // g for x in row])
-            dens.append(den * lead // g)
+            dens.append(den * scale // g)
 
     vals, segments = _certify(poly, polygon, s, m, rows, dens)
 
@@ -367,7 +367,7 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF, built one
     column congruence at a time, gives the HNF Z-basis rows z = y N, each y
     extended along the recurrence, and its diagonal product is the index.
-    Certificate: every division by a_d along the way is exact, and the Gram
+    Certificate: extend_rows checks every division by a_d along the way, and the Gram
     determinant is the Toeplitz determinant of A(x)A(1/x) (Trench's closed
     form), which a basis of a sublattice of index k misses by k^2.
 
@@ -397,10 +397,9 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     for col in zip(*(row[max(d, m - d) :] for row in table)):
         rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
         coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
-    # a remainder mod a_d makes z = y N non-integral, so y was not in L_y
+    # a remainder mod a_d would make z = y N non-integral (y not in L_y): extend_rows raises
     z_rows = [list(y) for y in coords]
-    if not extend_rows(poly.coeffs, z_rows, m):
-        raise CertificateError("Z-basis rows are not integer combinations of N")
+    extend_rows(poly.coeffs, z_rows, m)
     # A is primitive, so the band rows [A]_(m-d) span the orthogonal lattice over
     # Z, and a basis of the whole lattice has their Gram determinant: the closed
     # form's pair (num, den) against the integer Gram determinant, cross-multiplied

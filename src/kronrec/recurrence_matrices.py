@@ -4,8 +4,8 @@ For A = a_0 + a_1 x + ... + a_d x^d the band matrix [A]_l is the l x (l+d)
 matrix whose row i carries a_0..a_d starting at column i; its rows express
 the recurrence applied at shifts 0..l-1, and the construction runs on any
 coefficient sequence, rational ones included.  extend_rows is the one loop
-that runs the recurrence: z_(t+d) = -(a_0 z_t + ... + a_(d-1) z_(t+d-1)) / a_d,
-divided exactly, for the package's tables, bases, Trench sums and recurrence_extend.
+that runs the recurrence: z_(t+d) = -(a_0 z_t + ... + a_(d-1) z_(t+d-1)) / a_d, for
+tables, bases, Trench sums and recurrence_extend; a remainder raises CertificateError.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import CertificateError, DomainError
 from .exact_linalg import clear_denominators, coerce_rational
 from .poly_core import IntPolynomial
 
@@ -40,17 +40,16 @@ def band_rows(coeffs: Sequence, ell: int) -> list[list]:
     return [[cs[j - i] if 0 <= j - i <= d else zero for j in range(ell + d)] for i in range(ell)]
 
 
-def extend_rows(coeffs: Sequence[int], rows: list[list[int]], m: int) -> bool:
-    """Extend integer rows of d seeds in place to m entries; False at the first inexact step."""
+def extend_rows(coeffs: Sequence[int], rows: list[list[int]], m: int) -> None:
+    """Extend integer rows of d seeds in place to m entries; CertificateError at a remainder."""
     *low, lead = coeffs
     d = len(low)
-    for z in rows:
+    for i, z in enumerate(rows, start=1):
         for t in range(m - d):
             q, r = divmod(-sum(map(operator.mul, low, z[t : t + d])), lead)
             if r:
-                return False
+                raise CertificateError(f"entry ({i},{t + d + 1}) of the recurrence is not an integer")
             z.append(q)
-    return True
 
 
 def recurrence_extend(poly: IntPolynomial, init: Iterable, m: int) -> tuple[Fraction, ...]:

@@ -46,19 +46,30 @@ basis's selector solve each still ran their own loop over the recurrence, so
 they pin every H_t and every canonical row those routes gave.  The bound and
 witness digests of (x^2 + 2)(x^2 - 2x - 2) were recorded while its root
 factor still took the snap, its centres of +-i sqrt 2 not being mirrors of
-each other, so they pin the disks that route gave.  A failing digest prints
-the report it hashed.
+each other, so they pin the disks that route gave.  The mahler and bound
+digests of 10^14 (x - 35)^2 - 1 and the mahler digest of (x - 1)(x - 10^200)
+pin the only command-line routes into the snapped centres and into the exact
+disk comparison (a squared centre distance past the float range).  A failing
+digest prints the report it hashed.
 """
 
 import builtins
 import hashlib
 import json
+import math
 import shlex
 
 import pytest
 
-from kronrec import density
+from kronrec import density, poly_core
 from kronrec.cli import main
+from kronrec.poly_core import IntPolynomial, roots
+
+BIG = 10**200
+# 10^14 (x - 35)^2 - 1: its close real pair certifies through the snapped centres
+SNAPPED = "122499999999999999,-7000000000000000,100000000000000"
+# (x - 1)(x - 10^200)
+FAR_APART = f"{BIG},{-(BIG + 1)},1"
 
 GOLDEN = [
     ("mahler --variant plain 3,-2,-9,-3,9", "53bbb1cb9234ed532e038e277aded17b2a63a0baabd35d2393a029348ce5a942"),
@@ -134,6 +145,9 @@ GOLDEN = [
     ("basis --p 2 --m 30 --pivot-rule positive 6,-5,1,4", "20c3cf7f6f45285151f1ad7b9cc39971413a716ff27fb926e6fc0ee29941a9dc"),
     ("bound -4,-4,0,-2,1", "c1d65c62a43dccc4e28eeae7979343650952c82e1226b9f74812058229c117cb"),
     ("witness --m 7 --seed 3 -4,-4,0,-2,1", "3d911c565ba006daece840f81eabe4c05edb843671c8031b34151753667e5c48"),
+    (f"mahler {SNAPPED}", "a812c332836e0c397ca519fe911b104fe2b1519f82a08f6d050b25360eafe9f6"),
+    (f"bound {SNAPPED}", "2d5456f8d437c1d396c6c6446efe2c6ead81db2852aca075bc2ba574539818c8"),
+    (f"mahler {FAR_APART}", "7f1a47d4bac13dc8fd5cc6fcd41b5c48c00bffb63bb81a0710845180c487581c"),
 ]
 
 # the non-JSON renderings of the same payloads
@@ -153,6 +167,27 @@ def test_stdout_digest(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("command", [f"mahler {SNAPPED}", f"bound {SNAPPED}"])
+def test_snapped_pins_reach_the_snapped_centres(monkeypatch, capsys, command):
+    calls, snapped_centres = [], poly_core._snapped_centres
+
+    def spy(cs, zs):
+        calls.append(cs)
+        return snapped_centres(cs, zs)
+
+    monkeypatch.setattr(poly_core, "_snapped_centres", spy)
+    assert main(shlex.split(command)) == 0
+    assert calls == [tuple(map(int, SNAPPED.split(",")))]
+
+
+def test_far_apart_pin_overflows_the_float_screen():
+    """The double screen of _disks_disjoint passes no pair whose squared
+    centre distance is infinite, so the exact comparison decides this one."""
+    (z, _, _), (w, _, _) = roots(IntPolynomial((BIG, -(BIG + 1), 1))).roots
+    dx, dy = z.real - w.real, z.imag - w.imag
+    assert dx * dx + dy * dy == math.inf
 
 
 def _compensated_sum(terms, start=0):

@@ -1,11 +1,13 @@
 """Band/triangular recurrence matrices and their factorization identities."""
 
+import operator
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from kronrec.errors import DomainError
+from kronrec.errors import CertificateError, DomainError
 from kronrec.exact_linalg import identity_matrix, integer_kernel, solve_exact
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import band_rows, extend_rows, recurrence_extend
@@ -106,14 +108,55 @@ def test_recurrence_extend_equals_the_fraction_route(case):
 def test_extend_rows_stops_at_the_first_remainder():
     # 2x - 1 from seed 1: z_1 = 1/2 is no integer
     row = [1]
-    assert extend_rows((-1, 2), [row], 4) is False
+    with pytest.raises(CertificateError, match=r"entry \(1,2\) of the recurrence is not an integer"):
+        extend_rows((-1, 2), [row], 4)
     assert row == [1]
     rows = [[4], [2]]
-    assert extend_rows((-1, 2), rows, 3) is False
-    assert rows[0] == [4, 2, 1]  # the first row ends; the second stops at 1/2
+    with pytest.raises(CertificateError, match=r"entry \(2,3\)"):
+        extend_rows((-1, 2), rows, 3)
+    assert rows == [[4, 2, 1], [2, 1]]  # the first row ends; the second stops at 1/2
     rows = [[1, 0], [0, 1]]
-    assert extend_rows((-1, -1, 1), rows, 6) is True
+    assert extend_rows((-1, -1, 1), rows, 6) is None
     assert rows == [[1, 0, 1, 1, 2, 3], [0, 1, 1, 2, 3, 5]]
+
+
+@st.composite
+def non_unit_extensions(draw):
+    d = draw(st.integers(1, 4))
+    low = [draw(st.integers(-12, 12)) for _ in range(d)]
+    lead = draw(st.integers(2, 12)) * draw(st.sampled_from((1, -1)))
+    seeds = st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d)
+    return (*low, lead), draw(st.lists(seeds, min_size=1, max_size=4)), draw(st.integers(d, d + 12))
+
+
+@seed(20261020)
+@settings(deadline=None, max_examples=200)
+@given(non_unit_extensions())
+@example(((-1, 2), [[4], [2]], 3))  # the second row meets 1/2
+@example(((-1, 2), [[128], [0]], 8))  # 2x - 1: every halving is exact
+def test_extend_rows_extends_every_row_or_raises(case):
+    """A row comes back with m entries or the extender raises at the entry
+    whose division leaves a remainder: the rows before it are whole, that row
+    stops there, the rows after it are untouched, and no row is left short
+    without an error."""
+    coeffs, seeds, m = case
+    *low, lead = coeffs
+    d = len(low)
+    rows = [list(z) for z in seeds]
+    try:
+        extend_rows(coeffs, rows, m)
+    except CertificateError as exc:
+        named = re.fullmatch(r"entry \((\d+),(\d+)\) of the recurrence is not an integer", str(exc))
+        i, j = map(int, named.groups())
+        assert all(len(z) == m for z in rows[: i - 1])
+        assert d < j <= m and len(rows[i - 1]) == j - 1
+        assert sum(map(operator.mul, low, rows[i - 1][j - 1 - d :])) % lead
+        assert rows[i:] == seeds[i:]
+    else:
+        assert all(len(z) == m for z in rows)
+    for z, start in zip(rows, seeds):
+        assert z[:d] == start
+        assert all(sum(map(operator.mul, coeffs, z[t : t + d + 1])) == 0 for t in range(len(z) - d))
 
 
 @settings(deadline=None, max_examples=50)
