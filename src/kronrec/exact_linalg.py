@@ -20,7 +20,9 @@ at (i, j) equals the one at (j, i), so the lower triangle is never formed,
 and the pivots are the leading principal minors D_1..D_L.  That pass keeps
 its band window in one flat list and builds each next window from one
 update plan, made once per call; the rows are padded with copies of the
-last one so that the plan holds at every step.
+last one so that the plan holds at every step.  solve_exact hands out the
+integers it computes, (D X, D): D is the elimination's last pivot, plus or
+minus det A once each row of [A | B] is cleared, and D X is integral.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced into [0, pivot), so the form is unique: one lattice, one HNF.
@@ -403,8 +405,12 @@ def _symmetric_band_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact solution X of A X = B; raises SingularMatrixError when A is singular."""
+def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(DX, D) for the solution X of A X = B: D X integral; SingularMatrixError when A is singular.
+
+    D is the last pivot of the elimination of [A | B], each row cleared of
+    denominators first: plus or minus the determinant of the cleared A, never 0.
+    """
     n = len(a_rows)
     if n == 0:
         raise DomainError("solve needs a nonempty A")
@@ -433,4 +439,4 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[
                 acc = [x - c * y for x, y in zip(acc, dx[j])]
         pivot = row[0]
         dx[i] = [x // pivot for x in acc]
-    return [[Fraction(v, det) for v in row] for row in dx]
+    return dx, det

@@ -13,11 +13,11 @@ of A's roots with one lowest-valuation monomial at a Newton-polygon vertex.
 canonical_basis_M re-derives every clause of its block certificate (shape,
 identity blocks, determinant valuations, row-walk valuation floors,
 p-integrality) and fails if one breaks; the check shares no code with the
-extension and tests every clause on integer rows.  canonical_basis_M builds
-each row once as ints over one positive denominator and checks those, and
-makes the record's Fractions last; check_basis_certificate clears a given
-Fraction matrix once and runs the same check.  integral_basis compares its
-Gram determinant with Trench's closed form as an int pair.
+extension.  canonical_basis_M builds each row once as ints over one positive
+denominator, from the integer solve (D X, D), certifies those int rows
+through the public check_basis_certificate, and makes the record's Fractions
+last.  integral_basis compares its Gram determinant with Trench's closed
+form as an int pair.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import NamedTuple, Sequence
 from .errors import CertificateError, DomainError
 from .exact_linalg import (
     PADIC_INFINITY,
+    _check_int_matrix,
     _hnf,
     _int_valuation,
-    clear_denominators,
     det_exact,
     identity_matrix,
     is_prime,
@@ -172,38 +172,29 @@ def check_basis_certificate(
     polygon: NewtonPolygon,
     s: int,
     m: int,
-    matrix: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int]],
+    dens: Sequence[int],
 ) -> tuple[tuple[tuple, ...], tuple[SegmentCertificate, ...]]:
-    """Re-derive every certificate clause for a claimed canonical basis matrix.
+    """Re-derive every certificate clause for a claimed canonical basis, row i = rows[i] / dens[i].
 
     Raises CertificateError on the first violated clause, shape first; returns
     the valuation table and the per-segment block report when all clauses hold.
     Exposed separately so the uniqueness of the basis can be probed: any
-    p-unit row perturbation must break at least one clause.
-
-    Each row is cleared once to (ints, den), den > 0, and _certify checks
-    every clause on those integer rows.
+    p-unit row perturbation must break at least one clause.  Non-int entries,
+    and dens that are not ints >= 1, raise DomainError.  Every clause is
+    checked in integers: a window sum scales by den; an entry's valuation is
+    v_p(n) - v_p(den); an identity block reads ints[j] == den [i == j]; a
+    block determinant scales by the product of its rows' den; and a floor
+    val >= sigma t reads val * sigma.den >= sigma.num * t.  None of these
+    moves when a row and its den share a factor.
     """
     if not is_prime(polygon.p):
         raise DomainError(f"p must be a prime integer, got {polygon.p!r}")
-    if len(matrix) != poly.degree or any(len(row) != m for row in matrix):
+    if len(rows) != poly.degree or len(dens) != poly.degree or any(len(row) != m for row in rows):
         _fail("deg A rows of m entries")
-    cleared = [clear_denominators(row) for row in matrix]
-    return _certify(poly, polygon, s, m, [row for row, _ in cleared], [den for _, den in cleared])
-
-
-def _certify(
-    poly: IntPolynomial, polygon: NewtonPolygon, s: int, m: int, rows: list[list[int]], dens: list[int]
-) -> tuple[tuple[tuple, ...], tuple[SegmentCertificate, ...]]:
-    """check_basis_certificate on deg A integer rows of m entries, row i standing for rows[i] / dens[i].
-
-    Every den is positive and every clause is checked in integers: a window
-    sum scales by den; an entry's valuation is v_p(n) - v_p(den); an
-    identity block reads ints[j] == den [i == j]; a block determinant scales
-    by the product of its rows' den; and a floor val >= sigma t reads
-    val * sigma.den >= sigma.num * t.  None of these moves when a row and
-    its den share a factor.
-    """
+    _check_int_matrix(rows)
+    if not all(isinstance(den, int) and den >= 1 for den in dens):
+        raise DomainError("certificate denominators must be ints >= 1")
     p = polygon.p
     d = poly.degree
     r = polygon.segment_count
@@ -325,26 +316,27 @@ def canonical_basis_M(
     table, lead = scaled_basis_N(poly, m)
 
     @functools.cache
-    def seeds_for(w: int) -> list[list[Fraction]]:
+    def seeds_for(w: int) -> tuple[list[list[int]], int]:
         # row i of T_xi^-1 T is a recurrence vector seeded by row i of T_xi^-1 (lead I)
         cols = list(range(w)) + list(range(m - d + w, m))
         return solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
 
-    # each row once, as ints over one positive den: the seeds over den, scaled by
-    # |lead|, extend exactly (entry t + d owes den a_d^(t+1)), and one gcd reduces them
+    # each row once, as ints over one positive den: a row of DX over D in lowest terms,
+    # scaled by |lead|, extends exactly (entry t + d owes den a_d^(t+1)); one gcd reduces it
     rows, dens = [], []
     scale = abs(lead)
     for k in range(1, r + 1):
         w = walls[k] if k < s else walls[k - 1]
-        for seed in seeds_for(w)[walls[k - 1] : walls[k]]:
-            ints, den = clear_denominators(seed)
-            row = [x * scale for x in ints]
+        dx, det = seeds_for(w)
+        for seed in dx[walls[k - 1] : walls[k]]:
+            g = math.gcd(det, *seed) if det > 0 else -math.gcd(det, *seed)
+            row, den = [x // g * scale for x in seed], det // g * scale
             extend_rows(poly.coeffs, [row], m)
-            g = math.gcd(den * scale, *row)
+            g = math.gcd(den, *row)
             rows.append([x // g for x in row])
-            dens.append(den * scale // g)
+            dens.append(den // g)
 
-    vals, segments = _certify(poly, polygon, s, m, rows, dens)
+    vals, segments = check_basis_certificate(poly, polygon, s, m, rows, dens)
 
     return CanonicalBasisM(
         pivot_segment=s,

@@ -70,6 +70,23 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def solve_fractions(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """The solution X of A X = B as Fractions: solve_exact's (D X, D) divided out."""
+    dx, det = solve_exact(a_rows, b_rows)
+    return [[Fraction(v, det) for v in row] for row in dx]
+
+
+def clear_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """(rows, dens): each exact row of the matrix cleared to (ints, den) by clear_denominators."""
+    cleared = [clear_denominators(row) for row in matrix]
+    return [ints for ints, _ in cleared], [den for _, den in cleared]
+
+
+def check_fraction_rows(poly: IntPolynomial, polygon, s: int, m: int, matrix: Sequence[Sequence]):
+    """check_basis_certificate on a matrix of exact rows, cleared by clear_rows first."""
+    return check_basis_certificate(poly, polygon, s, m, *clear_rows(matrix))
+
+
 def p_adic_valuation(x, p: int):
     """v_p of an int or Fraction; v_p(0) is PADIC_INFINITY.
 
@@ -752,7 +769,7 @@ def canonical_rows_by_solve(poly: IntPolynomial, p: int, m: int, pivot_rule: str
     for k in range(1, polygon.segment_count + 1):
         w = walls[k] if k < s else walls[k - 1]
         cols = list(range(w)) + list(range(m - d + w, m))
-        q = solve_exact([[row[c] for c in cols] for row in basis], basis)
+        q = solve_fractions([[row[c] for c in cols] for row in basis], basis)
         rows.extend(tuple(row) for row in q[walls[k - 1] : walls[k]])
     return tuple(rows)
 
@@ -762,8 +779,9 @@ def canonical_basis_by_fraction_rows(poly: IntPolynomial, p: int, m: int, pivot_
 
     The Fraction route to canonical_basis_M, which builds each row once as
     ints over one positive denominator and certifies those: here each
-    selector's d seed rows from solve_exact are extended by recurrence_extend
-    into Fraction rows, and check_basis_certificate clears them again.
+    selector's d seed rows from solve_exact, divided out into Fractions, are
+    extended by recurrence_extend into Fraction rows, and check_fraction_rows
+    clears them again for check_basis_certificate.
     """
     d = poly.degree
     polygon = newton_polygon(poly, p)
@@ -774,9 +792,9 @@ def canonical_basis_by_fraction_rows(poly: IntPolynomial, p: int, m: int, pivot_
     for k in range(1, polygon.segment_count + 1):
         w = walls[k] if k < s else walls[k - 1]
         cols = list(range(w)) + list(range(m - d + w, m))
-        seeds = solve_exact([[row[c] for c in cols] for row in table], [row[:d] for row in table])
+        seeds = solve_fractions([[row[c] for c in cols] for row in table], [row[:d] for row in table])
         matrix.extend(recurrence_extend(poly, row, m) for row in seeds[walls[k - 1] : walls[k]])
-    return (tuple(matrix), *check_basis_certificate(poly, polygon, s, m, matrix))
+    return (tuple(matrix), *check_fraction_rows(poly, polygon, s, m, matrix))
 
 
 def zonotope_facets_by_band_minors(poly, m: int) -> list[tuple[tuple[int, ...], int]]:

@@ -32,6 +32,7 @@ from oracles import (
     mat_mul,
     p_adic_valuation,
     snf,
+    solve_fractions,
     zero_skipping_bareiss,
 )
 
@@ -242,7 +243,7 @@ def test_det_hand_values():
 def test_solve_exact_round_trip():
     a = [[2, 1], [1, 3]]
     b = [[1], [0]]
-    x = solve_exact(a, b)
+    x = solve_fractions(a, b)
     assert x == [[Fraction(3, 5)], [Fraction(-1, 5)]]
     with pytest.raises(SingularMatrixError):
         solve_exact([[1, 2], [2, 4]], b)
@@ -255,7 +256,7 @@ def test_solve_exact_rejects_empty():
 
 def test_invert_exact():
     a = [[1, 2], [3, 4]]
-    inv = solve_exact(a, identity_matrix(2))
+    inv = solve_fractions(a, identity_matrix(2))
     assert mat_mul(a, inv) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
@@ -267,7 +268,7 @@ def test_solve_consistency_with_det(a):
         with pytest.raises(SingularMatrixError):
             solve_exact(a, [[1], [0], [0]])
     else:
-        x = solve_exact(a, identity_matrix(3))
+        x = solve_fractions(a, identity_matrix(3))
         assert mat_mul(a, x) == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
@@ -546,7 +547,7 @@ def test_elimination_agrees_with_the_dense_oracle(rows):
         with pytest.raises(SingularMatrixError):
             solve_exact(rows, rhs)
     else:
-        assert mat_mul(rows, solve_exact(rows, rhs)) == rhs
+        assert mat_mul(rows, solve_fractions(rows, rhs)) == rhs
 
 
 @st.composite
@@ -572,7 +573,37 @@ def test_augmented_elimination_agrees_with_the_dense_oracle(system):
         with pytest.raises(SingularMatrixError):
             solve_exact(a, b)
     else:
-        assert mat_mul(a, solve_exact(a, b)) == b
+        assert mat_mul(a, solve_fractions(a, b)) == b
+
+
+@st.composite
+def exact_systems(draw):
+    """(A, B) with int or Fraction entries: A of order 1 to 6, B of 1 to 4 columns."""
+    n = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from((small_ints, small_rationals)))
+    width = draw(st.integers(1, 4))
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return a, [[draw(entry) for _ in range(width)] for _ in range(n)]
+
+
+@seed(20261020)
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(augmented_systems(), exact_systems()))
+@example(([[2, 1], [1, -3]], [[1], [Fraction(1, 2)]]))  # D = -14, the second row cleared by 2
+@example(([[0, 1], [1, 0]], [[1, 0], [0, 1]]))  # a swap: D = 1 = -det A
+def test_solve_returns_integers_over_the_last_pivot(system):
+    a, b = system
+    n = len(a)
+    cleared_a = [clear_denominators([*ra, *rb])[0][:n] for ra, rb in zip(a, b)]
+    det = det_exact(cleared_a)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            solve_exact(a, b)
+        return
+    dx, d = solve_exact(a, b)
+    assert type(d) is int and d != 0 and abs(d) == abs(det)
+    assert all(type(v) is int for row in dx for v in row)
+    assert mat_mul(a, dx) == [[d * y for y in row] for row in b]
 
 
 def test_a_row_owing_its_scale_is_swapped_up_exactly():

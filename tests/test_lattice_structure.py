@@ -32,6 +32,8 @@ from oracles import (
     canonical_basis_by_fraction_rows,
     canonical_rows_by_solve,
     check_basis_certificate_fractions,
+    check_fraction_rows,
+    clear_rows,
     integral_basis_by_columns,
     integral_basis_by_product,
     mat_mul,
@@ -39,6 +41,7 @@ from oracles import (
     p_adic_valuation,
     recurrence_extend_fractions,
     snf,
+    solve_fractions,
 )
 
 WORKED = IntPolynomial((3, -2, -9, -3, 9))
@@ -263,7 +266,7 @@ def test_certificate_rejects_any_unit_row_perturbation():
             perturbed = [list(r) for r in rows]
             perturbed[i] = [x + y for x, y in zip(perturbed[i], rows[j])]
             with pytest.raises(CertificateError):
-                check_basis_certificate(WORKED, polygon, 2, 10, perturbed)
+                check_fraction_rows(WORKED, polygon, 2, 10, perturbed)
 
 
 def test_certificate_rejects_unit_row_scaling():
@@ -272,13 +275,13 @@ def test_certificate_rejects_unit_row_scaling():
         scaled = [list(r) for r in basis.matrix]
         scaled[i] = [2 * x for x in scaled[i]]
         with pytest.raises(CertificateError):
-            check_basis_certificate(WORKED, basis.polygon, 2, 10, scaled)
+            check_fraction_rows(WORKED, basis.polygon, 2, 10, scaled)
 
 
 def _both_certificates(poly, polygon, s, m, matrix):
     """The integer certificate and the Fraction oracle on one matrix: results or messages."""
     verdicts = []
-    for check in (check_basis_certificate, check_basis_certificate_fractions):
+    for check in (check_fraction_rows, check_basis_certificate_fractions):
         try:
             verdicts.append(check(poly, polygon, s, m, matrix))
         except CertificateError as exc:
@@ -377,28 +380,31 @@ def test_certificate_rejects_a_matrix_of_the_wrong_shape(reshape):
     basis = canonical_basis_M(WORKED, 3, 10)
     rows = reshape([list(r) for r in basis.matrix])
     with pytest.raises(CertificateError, match="deg A rows of m entries$"):
-        check_basis_certificate(WORKED, basis.polygon, basis.pivot_segment, 10, rows)
+        check_fraction_rows(WORKED, basis.polygon, basis.pivot_segment, 10, rows)
 
 
-class _NoArithmetic(Fraction):
-    """A Fraction entry that refuses every arithmetic operation and comparison."""
-
-    def _refuse(self, *args):
-        raise AssertionError("Fraction arithmetic on a matrix entry")
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
-    __truediv__ = __rtruediv__ = __neg__ = __abs__ = __bool__ = _refuse
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
-    __hash__ = Fraction.__hash__
-
-
-def test_integer_certificate_makes_no_fraction_arithmetic():
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda rows, dens: rows[1].__setitem__(3, Fraction(rows[1][3])), "got Fraction"),
+        (lambda rows, dens: rows[2].__setitem__(0, 0.0), "got float"),
+        (lambda rows, dens: dens.__setitem__(0, Fraction(dens[0])), "denominators must be ints >= 1"),
+        (lambda rows, dens: dens.__setitem__(1, float(dens[1])), "denominators must be ints >= 1"),
+        (lambda rows, dens: dens.__setitem__(2, 0), "denominators must be ints >= 1"),
+        (lambda rows, dens: dens.__setitem__(3, -dens[3]), "denominators must be ints >= 1"),
+    ],
+    ids=["Fraction entry", "float entry", "Fraction den", "float den", "den 0", "negative den"],
+)
+def test_certificate_refuses_rows_that_are_not_ints_over_positive_ints(spoil, message):
     basis = canonical_basis_M(WORKED, 3, 10)
-    rows = [[_NoArithmetic(x) for x in row] for row in basis.matrix]
-    assert check_basis_certificate(WORKED, basis.polygon, 2, 10, rows) == (
+    rows, dens = clear_rows(basis.matrix)
+    assert check_basis_certificate(WORKED, basis.polygon, 2, 10, rows, dens) == (
         basis.valuations,
         basis.segments,
     )
+    spoil(rows, dens)
+    with pytest.raises(DomainError, match=message):
+        check_basis_certificate(WORKED, basis.polygon, 2, 10, rows, dens)
 
 
 def test_certificate_rejects_entry_with_p_in_denominator():
@@ -411,10 +417,10 @@ def test_certificate_rejects_entry_with_p_in_denominator():
 
 def test_certificate_rejects_float_entry():
     basis = canonical_basis_M(WORKED, 3, 10)
-    rows = [list(r) for r in basis.matrix]
+    rows, dens = clear_rows(basis.matrix)
     rows[1][3] = float(rows[1][3])
     with pytest.raises(DomainError):
-        check_basis_certificate(WORKED, basis.polygon, 2, 10, rows)
+        check_basis_certificate(WORKED, basis.polygon, 2, 10, rows, dens)
 
 
 def test_certificate_rejects_one_unit_off_recurrence():
@@ -437,9 +443,7 @@ def test_golden_rows_span_sublattice_of_index_prime_to_p():
     # coordinates with respect to the Z-basis, via the leading d x d blocks:
     # coords W = cleared, solved as W^T coords^T = cleared^T
     w_cols = [[Fraction(lattice.z_basis[i][j]) for i in range(4)] for j in range(4)]
-    from kronrec.exact_linalg import solve_exact
-
-    coords = list(zip(*solve_exact(w_cols, [[r[j] for r in cleared] for j in range(4)])))
+    coords = list(zip(*solve_fractions(w_cols, [[r[j] for r in cleared] for j in range(4)])))
     for i in range(4):
         for j in range(10):
             rebuilt = sum(coords[i][t] * lattice.z_basis[t][j] for t in range(4))
@@ -477,6 +481,31 @@ def test_canonical_basis_equals_the_fraction_row_route(a, p, extra, rule):
     matrix, valuations, segments = canonical_basis_by_fraction_rows(a, p, m, rule)
     assert basis.matrix == matrix and basis.valuations == valuations and basis.segments == segments
     assert all(type(x) is Fraction for row in basis.matrix for x in row)
+
+
+def test_canonical_basis_certifies_its_int_rows_through_the_public_checker_once(monkeypatch):
+    calls = []
+    real = lattice_structure.check_basis_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice_structure, "check_basis_certificate", counted)
+    cases = [
+        (WORKED, 3, 10, "nonnegative"),
+        # each of these solves one selector whose last pivot D is negative
+        (poly(6, -5, 1, 4), 2, 7, "positive"),
+        (poly(6, -5, 1, 4), 2, 30, "positive"),
+        (poly(-3, -1, -3), 3, 3, "positive"),
+    ]
+    for a, p, m, rule in cases:
+        calls.clear()
+        basis = canonical_basis_M(a, p, m, pivot_rule=rule)
+        assert len(calls) == 1
+        rows, dens = calls[0][4:]
+        assert all(type(x) is int for row in rows for x in row) and all(den >= 1 for den in dens)
+        assert basis.matrix == tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(rows, dens))
 
 
 @seed(20261022)

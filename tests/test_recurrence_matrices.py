@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from kronrec.errors import CertificateError, DomainError
-from kronrec.exact_linalg import identity_matrix, integer_kernel, solve_exact
+from kronrec.exact_linalg import identity_matrix, integer_kernel
 from kronrec.poly_core import IntPolynomial
 from kronrec.recurrence_matrices import band_rows, extend_rows, recurrence_extend
-from oracles import recurrence_extend_fractions, tri_rows, verify_factorization
+from oracles import recurrence_extend_fractions, solve_fractions, tri_rows, verify_factorization
 
 
 def poly(*cs: int) -> IntPolynomial:
@@ -229,7 +229,7 @@ def test_tri_inverse_of_linear_factor_is_geometric():
         [Fraction(1) if i == j else (-gamma if j == i - 1 else Fraction(0)) for j in range(m)]
         for i in range(m)
     ]
-    inv = solve_exact(rows, identity_matrix(m))
+    inv = solve_fractions(rows, identity_matrix(m))
     for i in range(m):
         for j in range(m):
             want = gamma ** (i - j) if i >= j else Fraction(0)

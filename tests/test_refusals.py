@@ -24,6 +24,7 @@ from kronrec.lattice_structure import (
 from kronrec.poly_core import IntPolynomial, mahler_measure, refined_product_interval, roots
 from kronrec.recurrence_matrices import band_rows, recurrence_extend
 from kronrec.toeplitz import lyons_ratios
+from oracles import check_fraction_rows
 
 CONSTANT = IntPolynomial((3,))
 QUARTIC = IntPolynomial((3, -2, -9, -3, 9))
@@ -34,7 +35,11 @@ OVERFLOWING = IntPolynomial((-F, -F, 0, F))
 
 def _certificate_at_p4():
     polygon = newton_polygon(QUARTIC, 3)._replace(p=4)
-    return check_basis_certificate(QUARTIC, polygon, 1, 6, [[Fraction(0)] * 6] * 4)
+    return check_fraction_rows(QUARTIC, polygon, 1, 6, [[Fraction(0)] * 6] * 4)
+
+
+def _certificate_of(rows, dens):
+    return check_basis_certificate(QUARTIC, newton_polygon(QUARTIC, 3), 1, 6, rows, dens)
 
 
 REFUSALS = [
@@ -56,6 +61,10 @@ REFUSALS = [
      DomainError, "basis_N needs 1 <= deg A <= m"),
     ("check_basis_certificate p = 4", _certificate_at_p4,
      DomainError, "p must be a prime integer, got 4"),
+    ("check_basis_certificate Fraction entry", lambda: _certificate_of([[Fraction(0)] * 6] * 4, [1] * 4),
+     DomainError, "integer matrix expected, got Fraction"),
+    ("check_basis_certificate den 0", lambda: _certificate_of([[0] * 6] * 4, [1, 1, 0, 1]),
+     DomainError, "certificate denominators must be ints >= 1"),
     ("recurrence_extend degree 0", lambda: recurrence_extend(CONSTANT, [], 3),
      DomainError, "recurrence extension needs degree >= 1"),
     ("recurrence_extend m < d", lambda: recurrence_extend(QUARTIC, [1, 0, 0, 0], 3),

@@ -1,6 +1,9 @@
 """In-process smoke runs of the experiment scripts and of the README's library example."""
 
+import importlib.util
+import re
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -54,3 +57,45 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     # the value the block's last comment states
     assert capsys.readouterr().out.splitlines()[-1] == "True 163456/390625"
+
+
+def _ab(monkeypatch):
+    """scripts/ab.py as a module, its task lists cut to one warm-up task and four timed tasks."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # main sets it
+    spec = importlib.util.spec_from_file_location("ab_script", SCRIPTS / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    full = ab.kronbench_tasks
+
+    def few(workloads, workload, seed):
+        warmup, tasks = full(workloads, workload, seed)
+        return warmup[:1], tasks[:4]
+
+    monkeypatch.setattr(ab, "kronbench_tasks", few)
+    return ab
+
+
+def test_ab_against_the_working_tree_itself(monkeypatch, capsys):
+    ab = _ab(monkeypatch)
+    assert ab.main(["--base", str(ROOT), "--workload", "decide", "-k", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"base {ROOT}, change {ROOT}, seed 1, k 1"
+    assert lines[1].split() == [
+        "workload/subcommand", "tasks", "base", "ms", "change", "ms", "sum", "median", "faster"
+    ]
+    row = r"\S+ +\d+ +\d+\.\d +\d+\.\d +\d+\.\d{3} +\d+\.\d{3} +\d+"
+    assert all(re.fullmatch(row, line) for line in lines[2:-1])
+    assert lines[-3].split()[:2] == ["decide/all", "4"] and lines[-2].split()[:2] == ["all", "4"]
+    assert lines[-1] == "outcome equal on all 4 tasks"
+
+
+def test_ab_exits_1_when_the_base_prints_differently(monkeypatch, capsys, tmp_path):
+    ab = _ab(monkeypatch)
+    shutil.copytree(ROOT / "src" / "kronrec", tmp_path / "src" / "kronrec")
+    cli = tmp_path / "src" / "kronrec" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert 'SCHEMA = "kronrec/1"' in text
+    cli.write_text(text.replace('SCHEMA = "kronrec/1"', 'SCHEMA = "kronrec/0"'), encoding="utf-8")
+    assert ab.main(["--base", str(tmp_path), "--workload", "decide", "-k", "1"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("outcome differs on 4 of 4 tasks, first decide task 0: ")
