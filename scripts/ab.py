@@ -2,6 +2,7 @@
 """Interleaved A/B timing of the working tree's kronrec against a base, in one process.
 
     python3 scripts/ab.py --base <git rev or directory> [--workload NAME ...] [--seed N] [-k K]
+    python3 scripts/ab.py --base <git rev or directory> --stress [-k K]
 
 kronbench runs each repeat in its own worker at its own time, so a slow
 spell of a shared host lands on one side of a parent/change pair.  Here both
@@ -17,9 +18,10 @@ alternating which side goes first, and each side keeps its best time.
 
 Per subcommand, per workload and overall it prints the summed ratio (the
 change's summed best latency over the base's), the median per-task ratio
-and the count of tasks the change ran faster.  The exit status is 1 when
-any task's exit code or stdout differs between the sides, 2 when the base
-cannot be read.
+and the count of tasks the change ran faster.  --stress runs the fixed
+list STRESS instead of the task lists, the same way with no warm-up, and
+prints one row per input.  The exit status is 1 when any task's exit code
+or stdout differs between the sides, 2 when the base cannot be read.
 """
 
 from __future__ import annotations
@@ -38,6 +40,24 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the stress sizes of every subcommand, and raw symbols of the swapping
+# Toeplitz elimination, which kronbench's autocorrelation symbols never reach
+STRESS = (
+    "critical-eps --m 10 --grid-n 2 --allow-large-grid -1,-1,1",
+    "critical-eps --m 8 --grid-n 2 --allow-large-grid -1,1",
+    "certify-nondense --m 36 --eps 1/2 3,-2,-9,-3,9",
+    "certify-nondense --m 400 --eps 3/5 -1,-1,1",
+    "lyons --s 1 --ell-max 300 3,-2,-9,-3,9",
+    "basis --p 3 --m 120 3,-2,-9,-3,9",
+    "gram-growth --ell-max 400 -1,-1,1",
+    "witness --m 2000 -1,-1,1",
+    "index --m 400 -1,-1,1",
+    "trench --autocorrelate --n 400 -1,-1,1",
+    "trench --r 1 --n 400 -2,5,-1",
+    "trench --r 2 --n 300 1,-3,7,2,-1",
+    "trench --r 1 --n 200 1,1,1",
+)
 
 
 def load_workloads():
@@ -140,6 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("-k", type=int, default=7, help="runs per task and side (default 7)")
+    parser.add_argument("--stress", action="store_true", help="run the fixed list STRESS instead")
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("-k must be at least 1")
@@ -156,10 +177,16 @@ def main(argv=None) -> int:
 
 
 def report(workloads, base, change, args) -> int:
-    print(f"base {args.base}, change {ROOT}, seed {args.seed}, k {args.k}")
+    print(f"base {args.base}, change {ROOT}, {'stress' if args.stress else f'seed {args.seed}'}, k {args.k}")
     columns = ("tasks", 5), ("base ms", 10), ("change ms", 10), ("sum", 7), ("median", 7), ("faster", 6)
     print(f"{'workload/subcommand':<24}" + "".join(f" {name:>{width}}" for name, width in columns))
-    everything, differ = [], []
+    if args.stress:
+        tasks = [line.split() for line in STRESS]
+        results = compare(base, change, [(argv[0], argv) for argv in tasks], args.k)
+        for argv, r in zip(tasks, results):
+            print(f"{summary(f'stress/{argv[0]}', [r])}  {' '.join(argv[1:])}")
+        return outcome(results, [f"stress task {i}: {' '.join(argv)}" for i, argv in enumerate(tasks)])
+    everything, labels = [], []
     for workload in args.workload or workloads.WORKLOADS:
         warmup, tasks = kronbench_tasks(workloads, workload, args.seed)
         for _, argv in warmup:
@@ -170,12 +197,18 @@ def report(workloads, base, change, args) -> int:
             print(summary(f"{workload}/{name}", [r for r in results if r[0] == name]))
         print(summary(f"{workload}/all", results))
         everything += results
-        differ += [f"{workload} task {i}: {' '.join(tasks[i][1])}" for i, r in enumerate(results) if not r[3]]
-    print(summary("all", everything))
+        labels += [f"{workload} task {i}: {' '.join(argv)}" for i, (_, argv) in enumerate(tasks)]
+    return outcome(everything, labels)
+
+
+def outcome(results, labels) -> int:
+    """Print the overall row and whether every task's outcome agreed; the exit status."""
+    print(summary("all", results))
+    differ = [label for label, r in zip(labels, results) if not r[3]]
     if differ:
-        print(f"outcome differs on {len(differ)} of {len(everything)} tasks, first {differ[0]}")
+        print(f"outcome differs on {len(differ)} of {len(results)} tasks, first {differ[0]}")
         return 1
-    print(f"outcome equal on all {len(everything)} tasks")
+    print(f"outcome equal on all {len(results)} tasks")
     return 0
 
 

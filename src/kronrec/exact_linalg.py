@@ -5,10 +5,10 @@ integer_kernel) validate integrality.  clear_denominators, the one rational
 coercer, turns exact rows into integers for every integer route, and
 clear_floats does the same for the binary values of floats; determinant and
 solve share one fraction-free Bareiss elimination on them.  The elimination
-works on row spans: a row is stored from a start column to its last entry,
-a dense matrix being rows that start at column 0, and det_exact takes the
-starts, which never decrease down the rows, as an optional argument.  One
-full pass eliminates every column, and the determinant is its last pivot.
+works on row spans, which stay private to this module and toeplitz: a row
+is stored from a start column to its last entry, the starts never decrease
+down the rows, and a dense matrix is rows from column 0.  One full pass
+eliminates every column, and the determinant is its last pivot, signed.
 A row joins the pass at the step that reaches its start, so the joined rows
 are always a prefix; a row with a zero in the pivot column is left alone and
 pays the factor it owes exactly later, since every Bareiss intermediate is a
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -242,28 +241,13 @@ def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[Sequence[int
     return [ints for ints, _ in cleared], [den for _, den in cleared]
 
 
-def _square_spans(rows: Sequence[Sequence], starts: Sequence[int] | None, message: str) -> list[int]:
-    """The start column of each row of a square matrix, never decreasing down the rows; None means 0."""
-    n = len(rows)
-    if starts is None:
-        if {*map(len, rows)} - {n}:
-            raise DomainError(message)
-        return [0] * n
-    ends = map(operator.add, starts, map(len, rows))
-    if len(starts) != n or (n and (min(starts) < 0 or max(ends) > n)):
-        raise DomainError(message)
-    if any(map(operator.gt, starts, starts[1:])):
-        raise DomainError("row starts must not decrease down the rows")
-    return list(starts)
-
-
 def _entry(row: Sequence[int], start: int, col: int) -> int:
     """The entry in column col of a row span that starts at column `start`."""
     j = col - start
     return row[j] if 0 <= j < len(row) else 0
 
 
-def _bareiss(rows: list[Sequence[int]], starts: list[int]) -> int | None:
+def _bareiss(rows: list[Sequence[int]], starts: list[int]) -> tuple[int, int] | None:
     """Fraction-free elimination of row spans, one step per row, in place.
 
     rows[i] holds row i from column starts[i] on, the rest of it 0, and the
@@ -276,8 +260,9 @@ def _bareiss(rows: list[Sequence[int]], starts: list[int]) -> int | None:
     first nonzero entry below it.  An updated row is stored from column
     k + 1, since callers read only the upper triangle, to the further of its
     own end and the pivot row's.  Rows are replaced, never written into, so
-    the input's survive.  Returns the number of row swaps, or None when a
-    column, the last one included, has no pivot.
+    the input's survive.  Returns the number of row swaps and the last
+    pivot, (0, 1) for no rows, or None when a column, the last one
+    included, has no pivot.
 
     A row joins at the step that reaches its start.  Swaps and updates keep
     the joined rows' starts at or before the step, so the joined rows stay
@@ -327,27 +312,25 @@ def _bareiss(rows: list[Sequence[int]], starts: list[int]) -> int | None:
                 starts[i] = k + 1
                 lags[i] = pivot
         prev = pivot
-    return swaps
+    return swaps, prev
 
 
-def det_exact(rows: Sequence[Sequence], starts: Sequence[int] | None = None) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination: its last pivot, signed by the swaps.
+def _det_spans(rows: list[Sequence[int]], starts: list[int]) -> int:
+    """Determinant of integer row spans, as _bareiss takes them: its last pivot, signed by the swaps."""
+    done = _bareiss(rows, starts)
+    if done is None:
+        return 0
+    swaps, det = done
+    return -det if swaps % 2 else det
 
-    With `starts`, rows[i] holds row i from column starts[i] to the row's
-    last stored entry, and the rest of the row is 0; starts that decrease
-    down the rows raise DomainError.
-    """
-    starts = _square_spans(rows, starts, "determinant needs a square matrix")
+
+def det_exact(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix of ints or Fractions by fraction-free Bareiss elimination."""
+    n = len(rows)
+    if {*map(len, rows)} - {n}:
+        raise DomainError("determinant needs a square matrix")
     a, scales = _clear_row_denominators(rows)
-    if not a:
-        return Fraction(1)
-    swaps = _bareiss(a, starts)
-    if swaps is None:
-        return Fraction(0)
-    det = _entry(a[-1], starts[-1], len(a) - 1)
-    det = -det if swaps % 2 else det
-    den = math.prod(scales)
-    return Fraction(det) if den == 1 else Fraction(det, den)
+    return Fraction(_det_spans(a, [0] * n), math.prod(scales))
 
 
 def _symmetric_band_minors(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -423,12 +406,13 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> tuple
         raise DomainError("ragged B")
     a, _ = _clear_row_denominators([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
     starts = [0] * n
-    if _bareiss(a, starts) is None:
+    done = _bareiss(a, starts)
+    if done is None:
         raise SingularMatrixError("singular matrix in solve_exact")
     # every row runs to the last column of [A | B], so row i from column i on
     # is a[i][i - starts[i]:]; and dx = det * x is integral by Cramer's rule,
     # so the division that ends each row of dx is exact
-    det = _entry(a[n - 1], starts[n - 1], n - 1)
+    det = done[1]
     dx = [None] * n
     for i in reversed(range(n)):
         row = a[i][i - starts[i] :]

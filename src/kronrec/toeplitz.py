@@ -26,19 +26,20 @@ Symbols are kept rational-real: every coefficient is stored as a Fraction,
 which covers all symbols of the form B(x)B(1/x) for rational B; the exact
 routes scale them to integers once and slice every Toeplitz row from those.
 A row is a band slice: the at most r + s + 1 entries from its first band
-column to its last, with its start column beside it, and the elimination
-runs on those spans, so a matrix of order L is built and eliminated in
-O(L (r + s)^2) steps with no zero outside the band ever stored.  A
-palindromic symbol, B(x)B(1/x) among them, gives a symmetric matrix, whose
-leading minors come from the upper band alone: the Gram studies pass the
-integer autocorrelation c_0..c_d of B once for every row, and the direct
-determinant does the same unless a leading minor vanishes, when it hands
-over to the swapping elimination.  Both Gram studies check, in integers,
-that their ratios never increase, and gram_growth that the certified
-M(B)^2 lies below its last ratio.  Their results stay int minors, and so
-does Trench's closed form, an unreduced int pair: a Fraction is built once
-per value, only where trench_det, lyons_ratios or GrowthReport.ratios
-hand one out, and the command line writes its reports from the ints.
+column to its last, with its start column beside it, and the slices go as
+they are to exact_linalg's private span determinant, so a matrix of order
+L is built and eliminated in O(L (r + s)^2) steps with no zero outside the
+band ever stored.  A palindromic symbol, B(x)B(1/x) among them, gives a
+symmetric matrix, whose leading minors come from the upper band alone: the
+Gram studies pass the integer autocorrelation c_0..c_d of B once for every
+row, and the direct determinant does the same unless a leading minor
+vanishes, when it hands over to the swapping elimination.  Both Gram
+studies check, in integers, that their ratios never increase, and
+gram_growth that the certified M(B)^2 lies below its last ratio.  Their
+results stay int minors, and so does Trench's closed form, an unreduced
+int pair: a Fraction is built once per value, only where trench_det,
+lyons_ratios or GrowthReport.ratios hand one out, and the command line
+writes its reports from the ints.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, DomainError, SingularMatrixError
-from .exact_linalg import _symmetric_band_minors, clear_denominators, coerce_rational, det_exact
+from .exact_linalg import _det_spans, _symmetric_band_minors, clear_denominators, coerce_rational, det_exact
 from .poly_core import IntPolynomial, mahler_measure
 from .intervals import Interval
 from .recurrence_matrices import extend_rows
@@ -115,36 +116,34 @@ def _autocorrelation(poly: IntPolynomial) -> list[int]:
     return c
 
 
-def _toeplitz_rows(symbol: LaurentSymbol, size: int) -> tuple[list[list[int]], list[int], int]:
-    """(rows, starts, den) of the size x size matrix with entry (j, k) = den * c_{k-j}.
+def _toeplitz_rows(c: list[int], r: int, size: int) -> tuple[list[list[int]], list[int]]:
+    """(rows, starts): the row spans of the size x size matrix with entry (j, k) = c[k - j + r].
 
-    den is the lcm of the symbol's denominators.  Row j is its band slice:
-    the columns k from starts[j] = max(j - r, 0) up to min(j + s, size - 1),
-    the only ones where c_{k-j} can be nonzero.
+    c is a symbol's coefficients c_{-r}..c_s, cleared to ints.  Row j is its
+    band slice: the columns k from starts[j] = max(j - r, 0) up to
+    min(j + s, size - 1), the only ones where c_{k-j} can be nonzero.
     """
-    c, den = clear_denominators(symbol.coeffs)  # c[i] is den * c_{i-r}
-    r = symbol.r
     starts = [max(j - r, 0) for j in range(size)]
-    return [c[s - j + r : size - j + r] for j, s in enumerate(starts)], starts, den
+    return [c[s - j + r : size - j + r] for j, s in enumerate(starts)], starts
 
 
 def toeplitz_det_direct(symbol: LaurentSymbol, n: int) -> Fraction:
     """Exact determinant of the (n+1) x (n+1) matrix with entry (j,k) = c_{k-j}.
 
     A palindromic symbol gives a symmetric matrix, eliminated on its upper
-    band; if a leading minor vanishes there, the swapping pass takes over.
+    band; any other, or a vanishing leading minor there, takes the swapping
+    pass over the band's row spans.
     """
     if n < 0:
         raise DomainError("matrix size index n must be >= 0")
-    c, den = clear_denominators(symbol.coeffs)
+    c, den = clear_denominators(symbol.coeffs)  # c[i] is den * c_{i-r}
     r = symbol.r
     if r == symbol.s and c == c[::-1]:
         try:
             return Fraction(_symmetric_band_minors([c[r:]] * (n + 1))[-1], den ** (n + 1))
         except SingularMatrixError:
             pass
-    rows, starts, den = _toeplitz_rows(symbol, n + 1)
-    return det_exact(rows, starts) / den ** (n + 1)
+    return Fraction(_det_spans(*_toeplitz_rows(c, r, n + 1)), den ** (n + 1))
 
 
 # ----- Trench's closed form -----

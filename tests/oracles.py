@@ -31,7 +31,6 @@ from kronrec.exact_linalg import (
     _clear_row_denominators,
     _hnf,
     _int_valuation,
-    _square_spans,
     clear_denominators,
     coerce_rational,
     det_exact,
@@ -239,24 +238,22 @@ def dense_bareiss(a: list[list[int]], steps: int) -> int | None:
     return swaps
 
 
-def leading_minors(
-    rows: Sequence[Sequence], starts: Sequence[int] | None = None
-) -> list[int] | list[Fraction]:
+def leading_minors(rows: Sequence[Sequence]) -> list[int] | list[Fraction]:
     """Leading principal minors D_1..D_n from the pivots of one dense Bareiss pass.
 
-    The reference route to exact_linalg._symmetric_band_minors: the rows,
-    spread to dense rows, go through zero_skipping_bareiss, both triangles
-    of any square matrix, with no symmetry assumed.  Each D_k is an int when
-    every row is integral (each minor of an integer matrix is an integer,
-    read straight off its pivot), and a Fraction otherwise.  Rows are never
-    swapped, so the pass stops with SingularMatrixError when some D_k with
-    k < n vanishes; D_n itself may be zero.  `starts` gives row spans, as
-    for det_exact.
+    The reference route to exact_linalg._symmetric_band_minors: the dense
+    rows go through zero_skipping_bareiss, both triangles of any square
+    matrix, with no symmetry assumed.  Each D_k is an int when every row is
+    integral (each minor of an integer matrix is an integer, read straight
+    off its pivot), and a Fraction otherwise.  Rows are never swapped, so
+    the pass stops with SingularMatrixError when some D_k with k < n
+    vanishes; D_n itself may be zero.
     """
-    starts = _square_spans(rows, starts, "leading minors need a square matrix")
+    n = len(rows)
+    if {*map(len, rows)} - {n}:
+        raise DomainError("leading minors need a square matrix")
     ints, scales = _clear_row_denominators(rows)
-    n = len(ints)
-    a = [[0] * s + list(r) + [0] * (n - s - len(r)) for r, s in zip(ints, starts)]
+    a = [list(r) for r in ints]
     if a and zero_skipping_bareiss(a, n - 1) != 0:
         raise SingularMatrixError("a leading principal minor vanished")
     pivots = [row[k] for k, row in enumerate(a)]

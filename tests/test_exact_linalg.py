@@ -12,6 +12,7 @@ from kronrec.errors import DomainError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
     _bareiss,
+    _det_spans,
     _symmetric_band_minors,
     clear_denominators,
     clear_floats,
@@ -238,6 +239,9 @@ def test_det_hand_values():
     assert det_exact([[1, 2], [3, 4]]) == -2
     assert det_exact([[Fraction(1, 2), 0], [7, Fraction(2, 3)]]) == Fraction(1, 3)
     assert det_exact([[1, 2], [2, 4]]) == 0
+    for rows in ([[1, 2]], [[1, 2], [3]]):
+        with pytest.raises(DomainError, match="determinant needs a square matrix"):
+            det_exact(rows)
 
 
 def test_solve_exact_round_trip():
@@ -478,20 +482,28 @@ def _spans(rows):
     return [row[s : max(s, e)] for row, s, e in zip(rows, starts, ends)], starts
 
 
+def _dense(spans, starts, width):
+    """The rows of width `width` that the spans store."""
+    return [[0] * s + list(r) + [0] * (width - s - len(r)) for r, s in zip(spans, starts)]
+
+
 def _echelon(rows):
     """Swap count and the entries callers read, row i from column i on.
 
     The span engine runs on the rows' spans, and its rows are densified
-    again to be read.
+    again to be read; the last pivot it hands back is the last row's
+    diagonal entry.
     """
     width = len(rows[0])
     spans, starts = _spans(rows)
-    swaps = _bareiss(spans, starts)
-    if swaps is None:
+    done = _bareiss(spans, starts)
+    if done is None:
         return None, None
+    swaps, pivot = done
     for start, span in zip(starts, spans):
         assert 0 <= start and start + len(span) <= width
-    dense = [[0] * s + list(r) + [0] * (width - s - len(r)) for s, r in zip(starts, spans)]
+    dense = _dense(spans, starts, width)
+    assert pivot == dense[-1][len(dense) - 1]
     return swaps, [row[i:] for i, row in enumerate(dense)]
 
 
@@ -531,15 +543,14 @@ def test_elimination_agrees_with_the_dense_oracle(rows):
         _agrees(a)
     a = [list(r) for r in ints]
     swaps = dense_bareiss(a, n - 1)
-    det = Fraction(0) if swaps is None else Fraction((-1) ** swaps * a[-1][-1], math.prod(dens))
-    spans, starts = _spans(rows)
+    signed = 0 if swaps is None else (-1) ** swaps * a[-1][-1]
+    det = Fraction(signed, math.prod(dens))
     assert det_exact(rows) == det
-    assert det_exact(spans, starts) == det
+    assert _det_spans(*_spans(ints)) == signed
     if swaps == 0:
         prefix = itertools.accumulate(dens, operator.mul)
         want = [Fraction(row[k], s) for k, (row, s) in enumerate(zip(a, prefix))]
         assert leading_minors(rows) == want
-        assert leading_minors(spans, starts) == want
     else:
         with pytest.raises(SingularMatrixError):
             leading_minors(rows)
@@ -614,22 +625,16 @@ def test_a_row_owing_its_scale_is_swapped_up_exactly():
     want = (1, [[2, 1, 1], [6, 14], [18]])
     assert _echelon(rows) == _oracle_echelon(dense_bareiss, rows) == want
     assert det_exact(rows) == -18
+    # a zero first pivot is swapped for the first row below it that has one
+    assert det_exact([[0, 0, 3], [2, 1, 1], [4, 5, 6]]) == 18
 
 
 def test_a_column_no_joined_row_reaches_has_no_pivot():
     # rows 1 and 2 start at column 2, so column 1 is zero from row 1 down
     assert _bareiss([[1, 2, 3], [4], [5]], [0, 2, 2]) is None
-    assert det_exact([[1, 2, 3], [4], [5]], [0, 2, 2]) == 0
+    assert _det_spans([[1, 2, 3], [4], [5]], [0, 2, 2]) == 0
     # a zero last pivot has no row to swap with
     assert _bareiss([[1, 2], [2, 4]], [0, 0]) is None
-
-
-def test_det_exact_refuses_starts_that_decrease_down_the_rows():
-    with pytest.raises(DomainError, match="decrease"):
-        det_exact([[3], [2, 1, 1], [4, 5, 6]], [2, 0, 0])
-    with pytest.raises(DomainError, match="decrease"):
-        det_exact([[1, 2], [3, 4], [5]], [0, 1, 0])
-    assert det_exact([[0, 0, 3], [2, 1, 1], [4, 5, 6]]) == 18
 
 
 def test_band_updates_stop_at_the_band():
@@ -639,10 +644,10 @@ def test_band_updates_stop_at_the_band():
     starts = [max(j - 1, 0) for j in range(n)]
     rows = [[-1, 2, -1][1 - j + s : n - j + 1] for j, s in enumerate(starts)]
     spans, at = list(rows), list(starts)
-    assert _bareiss(spans, at) == 0
+    assert _bareiss(spans, at) == (0, n + 1)
     assert [span[k - s] for k, (span, s) in enumerate(zip(spans, at))] == list(range(2, n + 2))
     assert all(s + len(span) <= k + 2 for k, (span, s) in enumerate(zip(spans, at)))
-    assert leading_minors(rows, starts) == list(range(2, n + 2))
+    assert leading_minors(_dense(rows, starts, n)) == list(range(2, n + 2))
 
 
 @seed(20261019)
@@ -656,19 +661,10 @@ def test_the_pass_never_writes_into_its_input_rows(rows):
     assert kept == before
 
 
-def test_span_inputs_are_checked():
-    with pytest.raises(DomainError):
-        det_exact([[1, 2], [3]], [0, 1, 0])
-    with pytest.raises(DomainError):
-        det_exact([[1, 2], [3, 4]], [0, 1])  # the second row would end past the last column
-    with pytest.raises(DomainError):
-        leading_minors([[1], [2]], [-1, 1])
-
-
 def test_leading_minors_are_ints_for_integral_rows_and_fractions_for_rational_rows():
     dense = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-    for starts, rows in ((None, dense), ([0, 0, 1], [[2, 1], [1, 2, 1], [1, 2]])):
-        minors = leading_minors(rows, starts)
+    for rows in (dense, _dense([[2, 1], [1, 2, 1], [1, 2]], [0, 0, 1], 3)):
+        minors = leading_minors(rows)
         assert minors == [2, 3, 4] and {*map(type, minors)} == {int}
     # an integral first row still gives a Fraction once any row is rational
     minors = leading_minors([[2, 1], [Fraction(1, 2), 1]])
@@ -679,7 +675,7 @@ def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
     assert det_exact([[True, False], [False, True]]) == 1
     assert det_exact([[True, 2], [Fraction(1, 2), 3]]) == 2
     assert leading_minors([[2, Fraction(1, 3)], [Fraction(3, 2), 1]]) == [2, Fraction(3, 2)]
-    assert det_exact([[Fraction(1, 2)], [2, Fraction(1, 3)]], [0, 0]) == Fraction(1, 6)
+    assert det_exact([[Fraction(1, 2), 0], [2, Fraction(1, 3)]]) == Fraction(1, 6)
 
 
 # ----- clear_denominators -----
@@ -691,7 +687,7 @@ def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
 def test_clear_denominators_returns_an_int_row_unchanged(row):
     ints, den = clear_denominators(row)
     assert ints == row and den == 1
-    assert ints is not row  # a copy: Bareiss eliminates in place
+    assert ints is not row  # a copy is the function's contract
 
 
 exact_entries = st.one_of(small_ints, st.fractions(-30, 30, max_denominator=40))

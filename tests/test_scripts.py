@@ -99,3 +99,15 @@ def test_ab_exits_1_when_the_base_prints_differently(monkeypatch, capsys, tmp_pa
     assert ab.main(["--base", str(tmp_path), "--workload", "decide", "-k", "1"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("outcome differs on 4 of 4 tasks, first decide task 0: ")
+
+
+def test_ab_stress_runs_its_fixed_list(monkeypatch, capsys):
+    ab = _ab(monkeypatch)
+    monkeypatch.setattr(ab, "STRESS", ("index --m 6 -1,-1,1", "trench --r 1 --n 6 1,1,1"))
+    assert ab.main(["--base", str(ROOT), "--stress", "-k", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"base {ROOT}, change {ROOT}, stress, k 1"
+    row = r"stress/\S+ +1 +\d+\.\d +\d+\.\d +\d+\.\d{3} +\d+\.\d{3} +[01]  (.*)"
+    assert [re.fullmatch(row, line)[1] for line in lines[2:4]] == ["--m 6 -1,-1,1", "--r 1 --n 6 1,1,1"]
+    assert lines[4].split()[:2] == ["all", "2"]
+    assert lines[5:] == ["outcome equal on all 2 tasks"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kronrec import toeplitz
 from kronrec.errors import CertificateError, DomainError, SingularMatrixError
-from kronrec.exact_linalg import _symmetric_band_minors, identity_matrix
+from kronrec.exact_linalg import _symmetric_band_minors, clear_denominators, identity_matrix
 from kronrec.poly_core import IntPolynomial, MahlerMeasure, roots
 from kronrec.recurrence_matrices import band_rows
 from kronrec.cli import _cmd_gram_growth, _cmd_lyons
@@ -493,8 +493,8 @@ def test_growth_closed_form_for_shift_at_the_stress_size():
 
 def test_toeplitz_rows_store_only_the_band_at_the_stress_size():
     for symbol in (TRIDIAG, LaurentSymbol.from_polynomial(IntPolynomial((3, -2, -9, -3, 9)))):
-        rows, starts, _ = _toeplitz_rows(symbol, 400)
         r, s = symbol.r, symbol.s
+        rows, starts = _toeplitz_rows(clear_denominators(symbol.coeffs)[0], r, 400)
         assert max(map(len, rows)) == r + s + 1
         assert starts == [max(j - r, 0) for j in range(400)]
 
@@ -551,20 +551,33 @@ def test_direct_eliminates_a_palindromic_symbol_on_its_upper_band(monkeypatch):
     cases = [(symbol, n) for symbol in (TRIDIAG, half) for n in range(12)] + [(VANISHING_MINOR[3], 5)]
     want = [trench_det(symbol, n + 1) for symbol, n in cases]  # its s x s minor is a det_exact
     swapping = []
-    det = toeplitz.det_exact
-    monkeypatch.setattr(toeplitz, "det_exact", lambda *a: swapping.append(a) or det(*a))
+    det = toeplitz._det_spans
+    monkeypatch.setattr(toeplitz, "_det_spans", lambda *a: swapping.append(a) or det(*a))
     assert [toeplitz_det_direct(symbol, n) for symbol, n in cases] == want
     assert want[5] == (4**7 - 1) // 3
     assert len(swapping) == 1
 
 
+def test_direct_clears_its_symbol_once_on_every_route(monkeypatch):
+    calls = []
+    clear = toeplitz.clear_denominators
+    monkeypatch.setattr(toeplitz, "clear_denominators", lambda c: calls.append(c) or clear(c))
+    # the upper band, the swapping pass after the upper band's D_2 = 0, and
+    # the swapping pass alone for a symbol that is not palindromic
+    for symbol in (TRIDIAG, VANISHING_MINOR[3], VANISHING_MINOR[1]):
+        calls.clear()
+        toeplitz_det_direct(symbol, 6)
+        assert calls == [symbol.coeffs]
+
+
 @pytest.mark.parametrize("symbol", VANISHING_MINOR, ids=_symbol_id)
 def test_direct_swaps_past_a_vanishing_leading_minor(symbol):
+    c, den = clear_denominators(symbol.coeffs)
     for n in range(2, 40):
-        rows, starts, den = _toeplitz_rows(symbol, n + 1)
-        with pytest.raises(SingularMatrixError):
-            leading_minors(rows, starts)  # so the determinant's pass must swap rows
+        rows, starts = _toeplitz_rows(c, symbol.r, n + 1)
         rows = [[0] * s + row + [0] * (n + 1 - s - len(row)) for row, s in zip(rows, starts)]
+        with pytest.raises(SingularMatrixError):
+            leading_minors(rows)  # so the determinant's pass must swap rows
         swaps = dense_bareiss(rows, n)
         oracle = 0 if swaps is None else Fraction((-1) ** swaps * rows[-1][-1], den ** (n + 1))
         assert toeplitz_det_direct(symbol, n) == trench_det(symbol, n + 1) == oracle, n
@@ -638,10 +651,11 @@ def test_biorthonormal_random_unimodular(n, data):
 @given(raw_symbols(), st.integers(1, 8))
 def test_integer_toeplitz_rows_over_den_are_the_symbol(symbol, size):
     # r or s reaches the matrix size in a share of the draws
-    rows, starts, den = _toeplitz_rows(symbol, size)
+    r, s = symbol.r, symbol.s
+    ints, den = clear_denominators(symbol.coeffs)
+    rows, starts = _toeplitz_rows(ints, r, size)
     assert den == math.lcm(*(c.denominator for c in symbol.coeffs))
     assert all(type(x) is int for row in rows for x in row)
-    r, s = symbol.r, symbol.s
     assert all(len(row) <= r + s + 1 and start + len(row) <= size for row, start in zip(rows, starts))
     dense = [[0] * start + row + [0] * (size - start - len(row)) for row, start in zip(rows, starts)]
     assert [[Fraction(x, den) for x in row] for row in dense] == [
