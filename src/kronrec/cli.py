@@ -85,13 +85,9 @@ def _val(x):
 
 
 def _float(x) -> float:
-    """float(x) for the report; DomainError beyond the float range, so never inf or nan.
-
-    A Fraction's float is its numerator / denominator, the correctly rounded
-    true division that Fraction.__float__ makes.
-    """
+    """float(x) for the report; DomainError beyond the float range, so never inf or nan."""
     try:
-        f = x.numerator / x.denominator if type(x) is Fraction else float(x)
+        f = float(x)
         if math.isfinite(f):
             return f
     except OverflowError:

@@ -3,8 +3,11 @@
 Matrices are plain lists of row lists.  Integer-lattice routines (hnf,
 integer_kernel) validate integrality.  clear_denominators, the one rational
 coercer, turns exact rows into integers for every integer route, and
-clear_floats does the same for the binary values of floats; determinant and
-solve share one fraction-free Bareiss elimination on them.  The elimination
+clear_floats does the same for the binary values of floats, the root
+engine's included.  Both return a new list, and clear_denominators takes a
+row of plain ints, as most determinant and solve rows are, by one type scan
+at C speed, with den 1.  Determinant and solve clear their rows one by one
+and share one fraction-free Bareiss elimination on them.  The elimination
 works on row spans, which stay private to this module and toeplitz: a row
 is stored from a start column to its last entry, the starts never decrease
 down the rows, and a dense matrix is rows from column 0.  One full pass
@@ -203,8 +206,14 @@ def coerce_rational(x) -> Fraction:
 
 
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
-    """(ints, den) for int or Fraction values: den their lcm denominator, ints = den * values."""
+    """(ints, den) for int or Fraction values: den their lcm denominator, ints = den * values.
+
+    ints is always a new list.  Plain ints pass one type scan at C speed and
+    come back over den 1; bools and Fractions take the per-entry route.
+    """
     row = list(values)
+    if {int}.issuperset(map(type, row)):
+        return row, 1
     for x in row:
         if not isinstance(x, (int, Fraction)):
             raise DomainError(f"exact routines need int or Fraction, got {type(x).__name__}")
@@ -225,20 +234,6 @@ def clear_floats(values: Sequence[float]) -> tuple[list[int], int]:
         raise DomainError("exact clearing needs finite floats") from exc
     den = max((q for _, q in ratios), default=1)
     return [p * (den // q) for p, q in ratios], den
-
-
-def _clear_row_denominators(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], list[int]]:
-    """Scale each row by its denominator lcm; returns (integer rows, row scales).
-
-    An integer matrix, the common case, is recognised by one scan of the
-    entry types at C speed and skips the per-row calls, and its rows are not
-    copied, since the elimination never writes into them; bools and
-    Fractions take the per-row route.
-    """
-    if {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-        return list(rows), [1] * len(rows)
-    cleared = [clear_denominators(r) for r in rows]
-    return [ints for ints, _ in cleared], [den for _, den in cleared]
 
 
 def _entry(row: Sequence[int], start: int, col: int) -> int:
@@ -329,8 +324,9 @@ def det_exact(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
     if {*map(len, rows)} - {n}:
         raise DomainError("determinant needs a square matrix")
-    a, scales = _clear_row_denominators(rows)
-    return Fraction(_det_spans(a, [0] * n), math.prod(scales))
+    cleared = [clear_denominators(r) for r in rows]
+    det = _det_spans([ints for ints, _ in cleared], [0] * n)
+    return Fraction(det, math.prod(den for _, den in cleared))
 
 
 def _symmetric_band_minors(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -404,7 +400,7 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> tuple
     width = len(b_rows[0])
     if any(len(r) != width for r in b_rows):
         raise DomainError("ragged B")
-    a, _ = _clear_row_denominators([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
+    a = [clear_denominators([*ra, *rb])[0] for ra, rb in zip(a_rows, b_rows)]
     starts = [0] * n
     done = _bareiss(a, starts)
     if done is None:

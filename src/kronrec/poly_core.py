@@ -19,10 +19,11 @@ real one, so a centre wrongly put there can only fail it.  Each centre is
 then enclosed in a Weierstrass disk: for pairwise distinct points
 z_1..z_n the disks D(z_i, n*|p(z_i)/(lc * prod_{j!=i}(z_i-z_j))|) jointly
 cover the zero set, so pairwise disjoint disks isolate exactly one zero
-each (Braess & Hadeler, Numer. Math. 21, 1973).  The centres are dyadic, so
-over one power of two every quantity in a radius is a Gaussian integer:
-the radii are exact values rounded up, and a root that is itself a float
-gets radius 0.  Each pairwise and each conjugate quantity is formed once:
+each (Braess & Hadeler, Numer. Math. 21, 1973).  The centres are dyadic, and
+`exact_linalg.clear_floats`, the one float clearer, puts them over one power
+of two, where every quantity in a radius is a Gaussian integer: the radii
+are exact values rounded up, and a root that is itself a float gets
+radius 0.  Each pairwise and each conjugate quantity is formed once:
 an Aberth sweep forms 1/(z_i - z_j) once for both points, and the final
 centres are the real ones, the upper ones and their mirrors, so p and the
 radii are taken at the real and upper centres only, by one tail for every
@@ -267,18 +268,6 @@ class ComplexRootSet(_ComplexRootSetFields):
         return self._product(lambda modulus: modulus.add(Interval.point(-1.0)).max_with(1.0))
 
 
-def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
-    """(ints, S): S the largest power-of-two denominator of the values, ints = S * values exactly.
-
-    One clearing route with the density checks (`clear_floats`); a
-    non-finite value raises RootCertificationError.
-    """
-    try:
-        return clear_floats(values)
-    except DomainError:
-        raise RootCertificationError("the root iteration left the float range") from None
-
-
 def _exact_values(cs: tuple[int, ...], zs: Sequence[complex], newton: bool = True):
     """p at the float points zs exactly, and its Newton corrections rounded once.
 
@@ -288,9 +277,13 @@ def _exact_values(cs: tuple[int, ...], zs: Sequence[complex], newton: bool = Tru
     it is infinite or overflows.  With newton False, newtons is None and
     neither p' nor the division is computed: the radii need only p.  A point
     on the real axis takes the same complex Horner pass with y = 0, where
-    the imaginary parts stay 0.
+    the imaginary parts stay 0.  A non-finite point, which only a diverging
+    iteration makes, raises RootCertificationError.
     """
-    ints, s = _dyadic([x for z in zs for x in (z.real, z.imag)])
+    try:
+        ints, s = clear_floats([x for z in zs for x in (z.real, z.imag)])
+    except DomainError:
+        raise RootCertificationError("the root iteration left the float range") from None
     n, e = len(cs) - 1, s.bit_length() - 1
     scaled = [c << e * (n - k) for k, c in enumerate(cs[:-1])][::-1]
     ws, ps, newtons = list(zip(ints[::2], ints[1::2])), [], [] if newton else None
@@ -537,6 +530,11 @@ def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
     and D > R since K > 1 + 2^-49 > (1 + u)^4 (1 + 2^-73) / ((1 - u)^4
     (1 - 2^-73)).  Every other pair is near, overflows or underflows, and is
     decided on its own exact Gaussian integers.
+
+    `clear_floats` cannot raise here: each centre from `roots` is 0 or one
+    that `_exact_values` already cleared (the real and upper centres in
+    `_mirrored_disks`, every centre in `_snapped_centres`; a mirror is a
+    conjugate), and `_checked_disks` bounded every radius.
     """
     for i, (z, r) in enumerate(disks):
         for w, t in disks[i + 1 :]:
@@ -544,7 +542,7 @@ def _disks_disjoint(disks: Sequence[tuple[complex, float]]) -> bool:
             g = dx * dx + dy * dy
             if 2.0**-1000 <= g < math.inf and g > (1 + 2.0**-32) * (rt * rt):
                 continue
-            (x, y, a, u, v, b), _ = _dyadic([z.real, z.imag, r, w.real, w.imag, t])
+            (x, y, a, u, v, b), _ = clear_floats([z.real, z.imag, r, w.real, w.imag, t])
             if (x - u) ** 2 + (y - v) ** 2 <= (a + b) ** 2:
                 return False
     return True

@@ -28,10 +28,10 @@ from kronrec.density import (
 from kronrec.errors import CertificateError, DomainError, RootCertificationError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
-    _clear_row_denominators,
     _hnf,
     _int_valuation,
     clear_denominators,
+    clear_floats,
     coerce_rational,
     det_exact,
     identity_matrix,
@@ -52,7 +52,6 @@ from kronrec.poly_core import (
     IntPolynomial,
     MahlerMeasure,
     _aberth,
-    _dyadic,
     _exact_values,
     _modulus_interval,
     _radii,
@@ -252,8 +251,7 @@ def leading_minors(rows: Sequence[Sequence]) -> list[int] | list[Fraction]:
     n = len(rows)
     if {*map(len, rows)} - {n}:
         raise DomainError("leading minors need a square matrix")
-    ints, scales = _clear_row_denominators(rows)
-    a = [list(r) for r in ints]
+    a, scales = clear_rows(rows)
     if a and zero_skipping_bareiss(a, n - 1) != 0:
         raise SingularMatrixError("a leading principal minor vanished")
     pivots = [row[k] for k, row in enumerate(a)]
@@ -1088,7 +1086,7 @@ def _aberth_step_sliced(zs: Sequence[complex], newtons) -> tuple[list[complex], 
 
 def disks_disjoint_all_pairs(disks: Sequence[tuple[complex, float]]) -> bool:
     """The test that `poly_core._disks_disjoint` replaced: every pair exactly, over one power of two."""
-    ints, _ = _dyadic([x for z, r in disks for x in (z.real, z.imag, r)])
+    ints, _ = clear_floats([x for z, r in disks for x in (z.real, z.imag, r)])
     cells = list(zip(ints[::3], ints[1::3], ints[2::3]))
     return all(
         (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2

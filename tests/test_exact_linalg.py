@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from kronrec import exact_linalg
 from kronrec.errors import DomainError, SingularMatrixError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
@@ -678,15 +679,30 @@ def test_integrality_scan_sends_bools_and_fractions_down_the_exact_route():
     assert det_exact([[Fraction(1, 2), 0], [2, Fraction(1, 3)]]) == Fraction(1, 6)
 
 
+def test_det_and_solve_clear_every_row_through_clear_denominators(monkeypatch):
+    """An all-int matrix takes the same clearer as any other, once per row."""
+    calls = []
+    real = exact_linalg.clear_denominators
+    monkeypatch.setattr(exact_linalg, "clear_denominators", lambda row: calls.append(row) or real(row))
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    assert det_exact(a) == 18 and len(calls) == 3
+    calls.clear()
+    assert solve_exact(a, [[1], [2], [3]])[1] == 18 and len(calls) == 3
+    calls.clear()
+    assert det_exact([]) == 1 and calls == []
+
+
 # ----- clear_denominators -----
 
 
 @seed(20261018)
 @settings(max_examples=100, deadline=None)
-@given(st.lists(small_ints, max_size=8))
+@given(st.lists(small_ints | st.booleans(), max_size=8))
 def test_clear_denominators_returns_an_int_row_unchanged(row):
+    """Plain ints take the type-scan shortcut, bools the per-entry route, and both come back as ints."""
     ints, den = clear_denominators(row)
     assert ints == row and den == 1
+    assert all(type(x) is int for x in ints)
     assert ints is not row  # a copy is the function's contract
 
 

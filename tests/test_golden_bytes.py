@@ -57,7 +57,9 @@ import builtins
 import hashlib
 import json
 import math
+import re
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +233,14 @@ def test_irrational_trench_is_exact(capsys, command):
     doc = json.loads(capsys.readouterr().out)
     assert doc["trench"] == doc["direct"]
     assert isinstance(doc["trench"], int) and doc["exact"] is True
+
+
+def test_console_script_digests_are_pinned_by_the_goldens():
+    """Every digest the CI workflow checks on the installed console script is
+    one that a golden test pins, so re-recording a golden cannot leave a
+    stale CI pin behind."""
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    ci = re.findall(r'test "\$digest" = ([0-9a-f]{64})\b', workflow)
+    goldens = "".join(p.read_text() for p in sorted(root.glob("tests/test_golden_*.py")))
+    assert ci and [d for d in ci if d not in goldens] == []
