@@ -533,11 +533,14 @@ def critical_epsilon(
     |c . (v + k)| / s_c, read from one facet list for every degree.  Targets
     far from an integer go first, and each target gets one gauge search
     that stops as soon as it is covered at the running threshold, so only
-    targets that raise it are searched to their exact minimum.  Every score
-    is an integer over one denominator grid_n lcm(s_c), so target js / grid_n
-    costs c . js per facet: its nearest offset -round(j / grid_n) (half to
-    even) is read from a table per residue j, and its stop is the numerator
-    of half the running threshold; no Fraction is built in the loop.
+    targets that raise it are searched to their exact minimum.  The
+    threshold does not depend on that order, but which offset boxes get
+    built does, and so which box can trip COVERING_OFFSET_GUARD and the
+    offset count its refusal names.  Every score is an integer over one
+    denominator grid_n lcm(s_c), so target js / grid_n costs c . js per
+    facet: its nearest offset -round(j / grid_n) (half to even) is
+    -(2j > grid_n) per residue j, and its stop is the numerator of half the
+    running threshold; no Fraction is built in the loop.
     estimate is that threshold.  The reported upper bound adds the declared
     grid margin (m - d)/grid_n for targets between grid points, capped at
     the certified refined threshold cap which covers the whole torus.  A grid
@@ -570,7 +573,6 @@ def critical_epsilon(
     # every gauge is an integer over den; target js is the integer vector js over grid_n
     den = grid_n * gauge[0]
     ceiling = cap.numerator * den // (2 * cap.denominator)
-    near = [-round(Fraction(j, grid_n)) for j in range(grid_n)]
 
     # far-from-integer targets first, so the threshold rises early and most
     # later targets are skipped
@@ -580,7 +582,7 @@ def critical_epsilon(
     )
     best = 0
     for js in order:
-        score = _gauge_search(gauge, js, grid_n, [near[j] for j in js], best, ceiling)
+        score = _gauge_search(gauge, js, grid_n, [-(2 * j > grid_n) for j in js], best, ceiling)
         if score > ceiling:
             # the box stops at the ceiling, so score need not be this target's least
             raise CertificateError(f"grid threshold exceeds the certified threshold {float(cap):.6g}")

@@ -415,8 +415,7 @@ def solve_exact(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> tuple
         acc = [det * y for y in row[n - i :]]
         for j in range(i + 1, n):
             c = row[j - i]
-            if c:
-                acc = [x - c * y for x, y in zip(acc, dx[j])]
+            acc = [x - c * y for x, y in zip(acc, dx[j])]
         pivot = row[0]
         dx[i] = [x // pivot for x in acc]
     return dx, det

@@ -199,8 +199,6 @@ def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int]
     constant times the product of factor^multiplicity.  Every step stays in
     Z[x]: the gcds are primitive, so the quotients by them are exact.
     """
-    if poly.degree == 0:
-        return ()
     f = list(poly.coeffs)
     fp = _deriv(f)
     g = _gcd(f, fp)

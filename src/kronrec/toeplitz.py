@@ -207,10 +207,7 @@ def gram_det(vectors: Sequence[Sequence]) -> GramResult:
     Int entries stay ints, so an integer family is eliminated in integers.
     """
     vs = [[x if type(x) is int else coerce_rational(x) for x in vec] for vec in vectors]
-    if not vs:
-        return GramResult(Fraction(1))
-    width = len(vs[0])
-    if any(len(vec) != width for vec in vs):
+    if len({*map(len, vs)}) > 1:
         raise DomainError("Gram vectors must share one length")
     return GramResult(det_exact([[sum(map(operator.mul, u, v)) for v in vs] for u in vs]))
 

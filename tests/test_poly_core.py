@@ -143,6 +143,8 @@ def repeated_factor_products(draw):
 @given(repeated_factor_products())
 @example(poly_power_product([(poly(-3), 1), (poly(1, -2), 3), (poly(1, 1, 1), 1)]))
 @example(poly_power_product([(poly(0, 1), 2), (poly(2, 0, -1), 4)]))
+@example(poly(5))
+@example(poly(-3))
 def test_squarefree_matches_the_fraction_route(p):
     assert squarefree_factors(p) == fraction_squarefree(p)
 
