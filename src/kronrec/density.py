@@ -14,7 +14,8 @@ Z^(m-d)}, taken modulo 1.  Four executables cover its density behaviour:
                       from the facets the recurrence lattice's minors give
                       by Gale duality in a box capped by the caller's
                       ceiling, is at most eps/2; critical_epsilon reads the
-                      exact grid threshold from the same search
+                      exact grid threshold from the same search, and each
+                      call's facet products are held to COVERING_BUDGET
   certify_non_density exact zonotope volume of the cube-plus-lattice
                       parallelepiped; below 1 it refutes eps-density
 
@@ -53,9 +54,10 @@ __all__ = [
 
 GRID_DIMENSION_GUARD = 4
 WITNESS_RESIDUAL_TOL = 1e-6
-# integer offsets one covering probe may try (the test suite's largest tries
-# ~5e4), and grid targets, grid_n^l, one critical_epsilon call may list
-COVERING_OFFSET_GUARD = 10**6
+# facet products |c . (v + k)| one is_covered or critical_epsilon call may evaluate (the
+# test suite's largest answer spends ~4.4e4, x^2 - x - 1 at m = 9 on grid 4 ~3.1e6, about 2 s)
+COVERING_BUDGET = 4 * 10**6
+_OVER_BUDGET = f"covering would take more than {COVERING_BUDGET} facet products"
 # entries of certify_non_density's minor table, sum_p C(d, p) C(m, p), and the count
 # (m - d) C(m - 1, d) for the facets, above both their minor table and their C(m, d + 1) supports
 MINOR_SUM_GUARD = 10**5
@@ -414,15 +416,6 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
     return list(facets.items())
 
 
-def _guard_offsets(ranges: list[range]) -> list[range]:
-    offsets = math.prod(map(len, ranges))
-    if offsets > COVERING_OFFSET_GUARD:
-        raise DomainError(
-            f"covering would try {offsets} integer offsets, above the guard {COVERING_OFFSET_GUARD}"
-        )
-    return ranges
-
-
 def _gauge(poly: IntPolynomial, m: int) -> tuple[int, _Facets, int]:
     """(unit, rows, width): unit = lcm(s_c), rows (c, unit // s_c), so |c . x| / s_c is
     |c . x| (unit // s_c) / unit, and width = sum |a_i|, so |x|_inf <= width gauge(x)."""
@@ -431,28 +424,34 @@ def _gauge(poly: IntPolynomial, m: int) -> tuple[int, _Facets, int]:
     return unit, [(c, unit // s) for c, s in facets], poly.coefficient_sum_abs()
 
 
-def _gauge_search(gauge, qv: Sequence[int], q: int, near: Sequence[int], goal: int, ceiling) -> int:
-    """Numerator over den = q unit of the least gauge of the target qv / q, down to goal.
+def _gauge_search(
+    gauge, qv: Sequence[int], q: int, near: Sequence[int], goal: int, ceiling, budget: int
+) -> tuple[int, int]:
+    """(numerator over den = q unit of the least gauge of the target qv / q, down to
+    goal; the budget left), spending budget on facet products |c . (v + k)|.
 
     With gauge (unit, rows, width) from _gauge, the score of an offset k is
     den times its gauge, max_c |c . (qv + q k)| (unit // s_c).  The nearest
-    offset near is scored first, best being its score; then every offset that
-    could score at most min(best, ceiling), ceiling being the caller's bound
-    on any score it needs: the box |qv / q + k|_inf <= min(best, ceiling)
-    width / den, guarded and walked in lexicographic order.  An offset is
-    scored only while it beats the best so far on every facet, and the search
-    returns at the first score at or below goal.  The facet that rejects an
-    offset is tried first on the next, which tends to fail on the same facet;
-    no score depends on that order.
+    offset near is scored first on every facet, best being its score; then
+    every offset that could score at most min(best, ceiling), ceiling being
+    the caller's bound on any score it needs: the box |qv / q + k|_inf <=
+    min(best, ceiling) width / den, walked in lexicographic order.  An offset
+    is scored only while it beats the best so far on every facet, and the
+    search returns at the first score at or below goal.  The facet that
+    rejects an offset is tried first on the next, which tends to fail on the
+    same facet; no score depends on that order.  A box offset that spends
+    past the budget raises DomainError; the nearest offset's len(rows) never
+    does alone, as no call allows more than MINOR_SUM_GUARD facets.
     """
     unit, rows, width = gauge
     t = [x + q * k for x, k in zip(qv, near)]
     best = max((abs(sum(map(operator.mul, c, t))) * w for c, w in rows), default=0)
+    budget -= len(rows)
     if best > goal:
         den, reach = q * unit, math.floor(min(best, ceiling) * width)
         box = [range(-((reach + x * unit) // den), (reach - x * unit) // den + 1) for x in qv]
         scored = [(c, sum(map(operator.mul, c, qv)), w) for c, w in rows]
-        for k in itertools.product(*_guard_offsets(box)):
+        for k in itertools.product(*box):
             worst = 0
             for i, (c, cv, w) in enumerate(scored):
                 x = abs(cv + q * sum(map(operator.mul, c, k))) * w
@@ -463,18 +462,21 @@ def _gauge_search(gauge, qv: Sequence[int], q: int, near: Sequence[int], goal: i
                     worst = x
             else:
                 best = worst
-                if best <= goal:
-                    break
-    return best
+            budget -= i + 1
+            if budget < 0:
+                raise DomainError(_OVER_BUDGET)
+            if best <= goal:
+                break
+    return best, budget
 
 
 def _covered_by_facets(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
     """is_covered past degree 1: the integer least-gauge search, eps/2 its ceiling and stop."""
-    qv, q = clear_denominators(vv)
+    (*qv, qhalf), q = clear_denominators([*vv, half])
     gauge = _gauge(poly, m)
-    ceiling = half * q * gauge[0]
-    goal = math.floor(ceiling)
-    return _gauge_search(gauge, qv, q, [-round(x) for x in vv], goal, ceiling) <= goal
+    goal = qhalf * gauge[0]
+    near = [-round(x) for x in vv]
+    return _gauge_search(gauge, qv, q, near, goal, goal, COVERING_BUDGET)[0] <= goal
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
@@ -488,9 +490,10 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     closed, so boundary contact counts as covered.  The nearest offset
     -round(v) is scored first, and a target it covers returns True at once.
     Otherwise every offset with |v + k|_inf <= (eps/2) sum|a_i| is a
-    candidate, and more than COVERING_OFFSET_GUARD of them raise DomainError.
-    More than MINOR_SUM_GUARD minors for the facets, (m - d) C(m - 1, d),
-    raise DomainError before any offset is scored.
+    candidate, and a search that would evaluate more than COVERING_BUDGET
+    facet products raises DomainError.  More than MINOR_SUM_GUARD minors for
+    the facets, (m - d) C(m - 1, d), raise DomainError before any offset is
+    scored.
     """
     d = poly.degree
     if m <= d:
@@ -530,24 +533,24 @@ def critical_epsilon(
 
     The threshold is 2 max over grid targets v of the least gauge of v: the
     min over integer offsets k of max over the zonotope's facets c of
-    |c . (v + k)| / s_c, read from one facet list for every degree.  Targets
-    far from an integer go first, and each target gets one gauge search
+    |c . (v + k)| / s_c, read from one facet list for every degree.  The
+    targets go in itertools.product order, and each gets one gauge search
     that stops as soon as it is covered at the running threshold, so only
-    targets that raise it are searched to their exact minimum.  The
-    threshold does not depend on that order, but which offset boxes get
-    built does, and so which box can trip COVERING_OFFSET_GUARD and the
-    offset count its refusal names.  Every score is an integer over one
-    denominator grid_n lcm(s_c), so target js / grid_n costs c . js per
-    facet: its nearest offset -round(j / grid_n) (half to even) is
-    -(2j > grid_n) per residue j, and its stop is the numerator of half the
-    running threshold; no Fraction is built in the loop.
+    targets that raise it are searched to their exact minimum.  The searches
+    share one COVERING_BUDGET of facet products, and spending past it raises
+    DomainError in words that name only the budget; grid_n^l times the facet
+    count, the nearest offsets' products alone, above it raises before any
+    target is scored.  Every score is an integer over one denominator
+    grid_n lcm(s_c), so target js / grid_n costs c . js per facet: its
+    nearest offset -round(j / grid_n) (half to even) is -(2j > grid_n) per
+    residue j, and its stop is the numerator of half the running threshold;
+    no Fraction is built in the loop.
     estimate is that threshold.  The reported upper bound adds the declared
     grid margin (m - d)/grid_n for targets between grid points, capped at
     the certified refined threshold cap which covers the whole torus.  A grid
     threshold above cap raises CertificateError, so each offset box stops at
     the score floor(cap grid_n lcm(s_c) / 2) (_gauge_search), and a score
-    above it raises.  More than COVERING_OFFSET_GUARD grid targets raise
-    DomainError first.
+    above it raises.
     bisection_tol is validated only and no longer affects the result.
     """
     d = poly.degree
@@ -561,28 +564,20 @@ def critical_epsilon(
             f"grid dimension {ell} exceeds the guard {GRID_DIMENSION_GUARD}; "
             "pass allow_large_grid=True to override"
         )
-    targets = grid_n**ell
-    if targets > COVERING_OFFSET_GUARD:
-        raise DomainError(
-            f"the grid has {targets} targets, grid_n^{ell}, above the guard {COVERING_OFFSET_GUARD}"
-        )
     if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(_refined_threshold(poly)[1].hi)
     gauge = _gauge(poly, m)
+    if grid_n**ell * len(gauge[1]) > COVERING_BUDGET:
+        raise DomainError(_OVER_BUDGET)
     # every gauge is an integer over den; target js is the integer vector js over grid_n
     den = grid_n * gauge[0]
     ceiling = cap.numerator * den // (2 * cap.denominator)
 
-    # far-from-integer targets first, so the threshold rises early and most
-    # later targets are skipped
-    order = sorted(
-        itertools.product(range(grid_n), repeat=ell),
-        key=lambda js: -sum(min(j, grid_n - j) for j in js),
-    )
-    best = 0
-    for js in order:
-        score = _gauge_search(gauge, js, grid_n, [-(2 * j > grid_n) for j in js], best, ceiling)
+    best, budget = 0, COVERING_BUDGET
+    for js in itertools.product(range(grid_n), repeat=ell):
+        near = [-(2 * j > grid_n) for j in js]
+        score, budget = _gauge_search(gauge, js, grid_n, near, best, ceiling, budget)
         if score > ceiling:
             # the box stops at the ceiling, so score need not be this target's least
             raise CertificateError(f"grid threshold exceeds the certified threshold {float(cap):.6g}")

@@ -15,9 +15,8 @@ from typing import Sequence
 
 import mpmath as mp
 
-from kronrec import density
 from kronrec.density import (
-    COVERING_OFFSET_GUARD,
+    COVERING_BUDGET,
     GRID_DIMENSION_GUARD,
     CriticalEpsilonEstimate,
     _covered_linear,
@@ -489,15 +488,9 @@ def bisect_grid_threshold(poly, m: int, grid_n: int, tol: Fraction) -> tuple[Fra
 
 
 def _fraction_offset_box(vv: Sequence[Fraction], reach: Fraction) -> list[range]:
-    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level, in Fractions.
-
-    The box density._gauge_search builds in integers.  It is guarded through
-    the module attribute density._guard_offsets, so a test that patches the
-    guard records these boxes too.
-    """
-    return density._guard_offsets(
-        [range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv]
-    )
+    """Integer offsets k with every |vv_i + k_i| <= reach, one range per level, in Fractions:
+    the box density._gauge_search builds in integers."""
+    return [range(math.ceil(-reach - vi), math.floor(reach - vi) + 1) for vi in vv]
 
 
 def _fraction_gauge(facets, v: Sequence[Fraction], k: Sequence[int]) -> Fraction:
@@ -515,13 +508,15 @@ def _fraction_gauge_below(facets, v: Sequence[Fraction], k: Sequence[int], g) ->
     return worst
 
 
-def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
+def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v, searches=None) -> bool:
     """density.is_covered by its Fraction route: every offset scored in Fractions.
 
     The input checks and the degree-1 sweep are is_covered's.  Otherwise the
     nearest offset -round(v) is scored first; unless its gauge is at most
     eps/2, every offset of the box |v + k|_inf <= (eps/2) sum|a_i| is scored
-    in turn, until one is covered.
+    in turn, until one is covered.  The search is appended to the list
+    searches, when one is given, as (target, nearest offset, stop eps/2).
+    The box is not held to COVERING_BUDGET.
     """
     d = poly.degree
     if m <= d:
@@ -539,7 +534,10 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v) -> bool:
     if d == 1:
         return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
     facets = _zonotope_facets(poly, m)
-    if _fraction_gauge(facets, vv, [-round(vi) for vi in vv]) <= half:
+    near = [-round(vi) for vi in vv]
+    if searches is not None:
+        searches.append((tuple(vv), tuple(near), half))
+    if _fraction_gauge(facets, vv, near) <= half:
         return True
     box = _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
     return any(_fraction_gauge(facets, vv, k) <= half for k in itertools.product(*box))
@@ -551,19 +549,24 @@ def critical_epsilon_per_target(
     grid_n: int = 8,
     bisection_tol=Fraction(1, 1000),
     allow_large_grid: bool = False,
+    searches=None,
 ) -> CriticalEpsilonEstimate:
     """density.critical_epsilon by its Fraction route, one gauge search per target.
 
-    Each grid target is a vector v of Fractions.  Its nearest offset -round(v)
-    is scored first; unless that gauge g is covered at the running threshold,
-    every offset of the box |v + k|_inf <= min(g, ceiling) sum|a_i| is scored
-    in turn, until one is covered; an offset's facets are scored in their
-    given order only until one reaches the least gauge g found so far.  Every
-    gauge max_c |c . (v + k)| / s_c is a Fraction, and the cap is the public
+    Each grid target is a vector v of Fractions, taken in itertools.product
+    order.  Its nearest offset -round(v) is scored first; unless that gauge g
+    is covered at the running threshold, every offset of the box
+    |v + k|_inf <= min(g, ceiling) sum|a_i| is scored in turn, until one is
+    covered; an offset's facets are scored in their given order only until
+    one reaches the least gauge g found so far.  Every gauge
+    max_c |c . (v + k)| / s_c is a Fraction, and the cap is the public
     epsilon_bound's eps_refined.hi; a gauge above cap/2 raises, so ceiling is
     cap/2 rounded down to the gauges' denominator grid_n lcm(s_c).  The
     guards, the error messages and the report fields are
-    density.critical_epsilon's.
+    density.critical_epsilon's, but only the check before the walk, grid_n^l
+    targets times the facet count above COVERING_BUDGET, holds the work to
+    the budget.  Each search is appended to the list searches, when one is
+    given, as (target, nearest offset, stop half the running threshold).
     """
     d = poly.degree
     ell = m - d
@@ -576,27 +579,23 @@ def critical_epsilon_per_target(
             f"grid dimension {ell} exceeds the guard {GRID_DIMENSION_GUARD}; "
             "pass allow_large_grid=True to override"
         )
-    targets = grid_n**ell
-    if targets > COVERING_OFFSET_GUARD:
-        raise DomainError(
-            f"the grid has {targets} targets, grid_n^{ell}, above the guard {COVERING_OFFSET_GUARD}"
-        )
     if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
     cap = Fraction(epsilon_bound(poly).eps_refined.hi)
     facets = _zonotope_facets(poly, m)
+    if grid_n**ell * len(facets) > COVERING_BUDGET:
+        raise DomainError(f"covering would take more than {COVERING_BUDGET} facet products")
     width = poly.coefficient_sum_abs()
     den = grid_n * math.lcm(*(s for _, s in facets))
     ceiling = Fraction(math.floor(cap * den / 2), den)
 
-    order = sorted(
-        itertools.product(range(grid_n), repeat=ell),
-        key=lambda js: -sum(min(j, grid_n - j) for j in js),
-    )
     tau = Fraction(0)
-    for js in order:
+    for js in itertools.product(range(grid_n), repeat=ell):
         v = [Fraction(j, grid_n) for j in js]
-        g = _fraction_gauge(facets, v, [-round(vi) for vi in v])
+        near = [-round(vi) for vi in v]
+        if searches is not None:
+            searches.append((tuple(v), tuple(near), tau / 2))
+        g = _fraction_gauge(facets, v, near)
         if g > tau / 2:
             for k in itertools.product(*_fraction_offset_box(v, min(g, ceiling) * width)):
                 g = _fraction_gauge_below(facets, v, k, g)

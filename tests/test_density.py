@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kronrec import density, exact_linalg, poly_core
 from kronrec.density import (
+    COVERING_BUDGET,
     MINOR_SUM_GUARD,
     _covered_by_facets,
     _covered_linear,
@@ -30,6 +31,7 @@ from kronrec.lattice_structure import basis_N, integral_basis
 from kronrec.poly_core import IntPolynomial, mahler_measure, refined_product_interval, roots
 from kronrec.recurrence_matrices import band_rows
 from oracles import (
+    _fraction_gauge,
     bisect_grid_threshold,
     covered_by_fraction_gauge,
     critical_epsilon_per_target,
@@ -681,12 +683,38 @@ def test_facets_hand_values():
     ]
 
 
-def test_covering_offset_guard():
+def test_covering_walks_a_large_offset_box():
     # the nearest offset of this target misses at eps = 3/2 on (x - 1)^2, so the
-    # box |v + k|_inf <= 3 is built: 7 offsets at v = 0 and 6 elsewhere, 6^7 7
-    v = [Fraction(x, 8) for x in (5, 2, 0, 4, 2, 2, 6, 4)]
-    with pytest.raises(DomainError, match="covering would try 1959552 integer offsets"):
-        is_covered(IntPolynomial((1, -2, 1)), 10, Fraction(3, 2), v)
+    # box |v + k|_inf <= 3 is walked: 7 offsets at v = 0 and 6 elsewhere, 6^7 7
+    poly, v = IntPolynomial((1, -2, 1)), [Fraction(x, 8) for x in (5, 2, 0, 4, 2, 2, 6, 4)]
+    assert is_covered(poly, 10, Fraction(3, 2), v)
+    # an offset inside that box which covers, checked on every facet in Fractions
+    k = (-3, 0, 1, -1, 0, 0, -1, -1)
+    assert _fraction_gauge(_zonotope_facets(poly, 10), v, k) <= Fraction(3, 4)
+
+
+def test_covering_budget_refuses_the_grids_that_ran_unbounded():
+    # each of these took 15 minutes or more, or 210 s for x^2 - x - 1 at m = 11 on
+    # grid 4, under a guard on each offset box; their targets times their facets
+    # are over the budget
+    budget = f"covering would take more than {COVERING_BUDGET} facet products"
+    for coeffs, m, grid_n in (((-8, -1, 6, 1, -2), 15, 2), ((-5, -9, -2, 4, -6), 15, 2), ((-1, -1, 1), 11, 4)):
+        with pytest.raises(DomainError, match=budget):
+            critical_epsilon(IntPolynomial(coeffs), m, grid_n=grid_n, allow_large_grid=True)
+
+
+def test_gauge_search_spends_one_unit_per_facet_product():
+    # the box walk of test_covering_walks_a_large_offset_box, eps/2 = 3/4 its stop
+    poly, v = IntPolynomial((1, -2, 1)), [Fraction(x, 8) for x in (5, 2, 0, 4, 2, 2, 6, 4)]
+    gauge = density._gauge(poly, 10)
+    qv, near, goal = [int(8 * x) for x in v], [-round(x) for x in v], 6 * gauge[0]
+    best, left = density._gauge_search(gauge, qv, 8, near, goal, goal, COVERING_BUDGET)
+    spent = COVERING_BUDGET - left
+    assert best <= goal and len(gauge[1]) < spent < COVERING_BUDGET
+    # the same walk on exactly its spending answers with nothing left, and one product less is refused
+    assert density._gauge_search(gauge, qv, 8, near, goal, goal, spent) == (best, 0)
+    with pytest.raises(DomainError, match=f"more than {COVERING_BUDGET} facet products"):
+        density._gauge_search(gauge, qv, 8, near, goal, goal, spent - 1)
 
 
 def test_facets_equal_the_band_minor_route():
@@ -770,15 +798,19 @@ def test_critical_grid_guard():
 
 
 def test_critical_target_count_guard(monkeypatch):
-    def unreachable(poly):
-        raise AssertionError("the guard must run before the root work")
+    def unreachable(*args):
+        raise AssertionError("the guard must run before any search")
 
-    monkeypatch.setattr(density, "_refined_threshold", unreachable)
-    # l = 4 passes the dimension guard, but 100^4 targets would be listed
-    with pytest.raises(DomainError, match="100000000"):
+    monkeypatch.setattr(density, "_gauge_search", unreachable)
+    budget = f"covering would take more than {COVERING_BUDGET} facet products"
+    # l = 4 passes the dimension guard, but the nearest offsets of 100^4 targets
+    # alone are over the budget, and so are those of 2^22 targets on x - 1
+    with pytest.raises(DomainError, match=budget):
         critical_epsilon(GOLDEN, 6, grid_n=100)
-    # the patch is on the root work's route: a grid inside the guard reaches it
-    with pytest.raises(AssertionError, match="root work"):
+    with pytest.raises(DomainError, match=budget):
+        critical_epsilon(IntPolynomial((-1, 1)), 23, grid_n=2, allow_large_grid=True)
+    # the patch is on the search's route: a grid inside the budget reaches it
+    with pytest.raises(AssertionError, match="any search"):
         critical_epsilon(GOLDEN, 6, grid_n=2)
 
 
@@ -874,19 +906,22 @@ def test_grid_threshold_inside_bisection_bracket():
 
 
 def _outcome(run):
-    """run()'s result, or its error's type and message, and the offset boxes it built."""
-    boxes = []
-    real = density._guard_offsets
+    """run(searches)'s result, or its error's type and message, and searches: each gauge
+    search's (target, nearest offset, stop), the stop as a gauge.  density's searches are
+    read off density._gauge_search's arguments, qv / q and goal / (q lcm(s_c)); an oracle
+    appends its own to the list it is passed."""
+    searches = []
+    real = density._gauge_search
 
-    def recorded(ranges):
-        boxes.append([(r.start, r.stop) for r in ranges])
-        return real(ranges)
+    def recorded(gauge, qv, q, near, goal, *rest):
+        searches.append((tuple(Fraction(x, q) for x in qv), tuple(near), Fraction(goal, q * gauge[0])))
+        return real(gauge, qv, q, near, goal, *rest)
 
-    with mock.patch.object(density, "_guard_offsets", recorded):
+    with mock.patch.object(density, "_gauge_search", recorded):
         try:
-            return run(), boxes
+            return run(searches), searches
         except KronrecError as exc:
-            return (type(exc), str(exc)), boxes
+            return (type(exc), str(exc)), searches
 
 
 @st.composite
@@ -914,10 +949,14 @@ def grid_inputs(draw):
 def test_critical_epsilon_equals_the_per_target_route(case):
     poly, m, grid_n = case
     large = m - poly.degree > 4
-    got = _outcome(lambda: critical_epsilon(poly, m, grid_n=grid_n, allow_large_grid=large))
-    want = _outcome(lambda: critical_epsilon_per_target(poly, m, grid_n=grid_n, allow_large_grid=large))
-    # the same report or error, and the same offset boxes in the same order, which
-    # pins the nearest offsets (half to even) and the stop each box search starts from
+    got = _outcome(lambda _: critical_epsilon(poly, m, grid_n=grid_n, allow_large_grid=large))
+    want = _outcome(
+        lambda searches: critical_epsilon_per_target(
+            poly, m, grid_n=grid_n, allow_large_grid=large, searches=searches
+        )
+    )
+    # the same report or error, and the same searches in the same order, which pins
+    # the nearest offsets (half to even) and the stop each search starts from
     assert got == want
     if (poly.coeffs, m) == ((-1, 1), 8):
         assert got[0].estimate == Fraction(1, 2)
@@ -947,12 +986,12 @@ def covering_inputs(draw):
 @example((GOLDEN, 4, 0, [Fraction(1, 2), 0.25]))
 def test_is_covered_equals_the_fraction_route(case):
     poly, m, eps, v = case
-    got = _outcome(lambda: is_covered(poly, m, eps, v))
-    want = _outcome(lambda: covered_by_fraction_gauge(poly, m, eps, v))
-    # the same decision or error, and the same guarded offset box
+    got = _outcome(lambda _: is_covered(poly, m, eps, v))
+    want = _outcome(lambda searches: covered_by_fraction_gauge(poly, m, eps, v, searches))
+    # the same decision or error, and the same search: target, nearest offset and stop eps/2
     assert got == want
     if (poly.coeffs, eps) == ((3, -2, 5), 12):
-        assert got == (True, [])
+        assert got == (True, [((0, 0, 0), (0, 0, 0), 6)])
 
 
 def test_critical_clears_no_denominators(monkeypatch):
@@ -966,9 +1005,9 @@ def test_critical_clears_no_denominators(monkeypatch):
     monkeypatch.setattr(density, "clear_denominators", counted)
     assert critical_epsilon(GOLDEN, 5, grid_n=4).estimate == Fraction(1, 2)
     assert calls == []
-    # the single-eps decision still clears its target once
+    # the single-eps decision still clears its target, with eps/2, once
     assert is_covered(GOLDEN, 5, Fraction(1, 2), [Fraction(1, 2)] * 3)
-    assert calls == [3]
+    assert calls == [4]
 
 
 def test_critical_builds_facets_once(monkeypatch):

@@ -26,9 +26,10 @@ recorded before the grid search moved to integer scores over one common
 denominator: degree 1 at m = 4 with sum |a_i| = 13 (the costliest slot),
 degrees 2 and 3 at m = 4 and degree 2 at m = 3, all on a grid of 4, and
 x - 1 at l = 7 on a grid of 2.  That last one pinned a DomainError report
-while its first target's offset box exceeded COVERING_OFFSET_GUARD; it was
-re-recorded, as the answer 1/2, when the boxes began to stop at the
-certified cap that every answer already lies under.
+while its first target's offset box exceeded a per-box offset guard, since
+replaced by the covering budget; it was re-recorded, as the answer 1/2,
+when the boxes began to stop at the certified cap that every answer
+already lies under.
 """
 
 import hashlib
