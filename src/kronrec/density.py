@@ -54,8 +54,8 @@ __all__ = [
 
 GRID_DIMENSION_GUARD = 4
 WITNESS_RESIDUAL_TOL = 1e-6
-# facet products |c . (v + k)| one is_covered or critical_epsilon call may evaluate (the
-# test suite's largest answer spends ~4.4e4, x^2 - x - 1 at m = 9 on grid 4 ~3.1e6, about 2 s)
+# facet products |c . (v + k)| one is_covered or critical_epsilon call may evaluate (the test
+# suite's largest answer spends ~4.4e4; x^2 - x - 1 at m = 9 on grid 4 spends ~3.5e6 in 2-4 s)
 COVERING_BUDGET = 4 * 10**6
 _OVER_BUDGET = f"covering would take more than {COVERING_BUDGET} facet products"
 # entries of certify_non_density's minor table, sum_p C(d, p) C(m, p), and the count
@@ -439,14 +439,15 @@ def _gauge_search(
     is scored only while it beats the best so far on every facet, and the
     search returns at the first score at or below goal.  The facet that
     rejects an offset is tried first on the next, which tends to fail on the
-    same facet; no score depends on that order.  A box offset that spends
-    past the budget raises DomainError; the nearest offset's len(rows) never
-    does alone, as no call allows more than MINOR_SUM_GUARD facets.
+    same facet; no score depends on that order.  Spending past the budget
+    raises DomainError.
     """
     unit, rows, width = gauge
     t = [x + q * k for x, k in zip(qv, near)]
     best = max((abs(sum(map(operator.mul, c, t))) * w for c, w in rows), default=0)
     budget -= len(rows)
+    if budget < 0:
+        raise DomainError(_OVER_BUDGET)
     if best > goal:
         den, reach = q * unit, math.floor(min(best, ceiling) * width)
         box = [range(-((reach + x * unit) // den), (reach - x * unit) // den + 1) for x in qv]

@@ -694,11 +694,12 @@ def test_covering_walks_a_large_offset_box():
 
 
 def test_covering_budget_refuses_the_grids_that_ran_unbounded():
-    # each of these took 15 minutes or more, or 210 s for x^2 - x - 1 at m = 11 on
-    # grid 4, under a guard on each offset box; their targets times their facets
-    # are over the budget
+    # grids whose nearest offsets alone, targets times facets, pass the budget, so
+    # each is refused at once; with only each offset box guarded, the first ran for
+    # over 15 minutes and the last for 210 s
     budget = f"covering would take more than {COVERING_BUDGET} facet products"
-    for coeffs, m, grid_n in (((-8, -1, 6, 1, -2), 15, 2), ((-5, -9, -2, 4, -6), 15, 2), ((-1, -1, 1), 11, 4)):
+    unbounded = (((-8, -1, 6, 1, -2), 15, 2), ((-5, -9, -2, 4, -6), 15, 2), ((-1, -1, 1), 11, 4))
+    for coeffs, m, grid_n in unbounded:
         with pytest.raises(DomainError, match=budget):
             critical_epsilon(IntPolynomial(coeffs), m, grid_n=grid_n, allow_large_grid=True)
 
@@ -711,10 +712,12 @@ def test_gauge_search_spends_one_unit_per_facet_product():
     best, left = density._gauge_search(gauge, qv, 8, near, goal, goal, COVERING_BUDGET)
     spent = COVERING_BUDGET - left
     assert best <= goal and len(gauge[1]) < spent < COVERING_BUDGET
-    # the same walk on exactly its spending answers with nothing left, and one product less is refused
+    # the same walk on exactly its spending answers with nothing left; one product
+    # less is refused, and so is a budget short of the nearest offset's facets
     assert density._gauge_search(gauge, qv, 8, near, goal, goal, spent) == (best, 0)
-    with pytest.raises(DomainError, match=f"more than {COVERING_BUDGET} facet products"):
-        density._gauge_search(gauge, qv, 8, near, goal, goal, spent - 1)
+    for short in (spent - 1, len(gauge[1]) - 1):
+        with pytest.raises(DomainError, match=f"more than {COVERING_BUDGET} facet products"):
+            density._gauge_search(gauge, qv, 8, near, goal, goal, short)
 
 
 def test_facets_equal_the_band_minor_route():
