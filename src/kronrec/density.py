@@ -54,9 +54,9 @@ __all__ = [
 
 GRID_DIMENSION_GUARD = 4
 WITNESS_RESIDUAL_TOL = 1e-6
-# facet products |c . (v + k)| one is_covered or critical_epsilon call may evaluate (the test
-# suite's largest answer spends ~4.4e4; x^2 - x - 1 at m = 9 on grid 4 spends ~3.5e6 in 2-4 s)
-COVERING_BUDGET = 4 * 10**6
+# facet products |c . (v + k)| one is_covered or critical_epsilon call may evaluate, a few minutes
+# of them; about twice the ~5.3e7 of the costliest seeded answer, -1,-5,-7,9 at m = 14
+COVERING_BUDGET = 10**8
 _OVER_BUDGET = f"covering would take more than {COVERING_BUDGET} facet products"
 # entries of certify_non_density's minor table, sum_p C(d, p) C(m, p), and the count
 # (m - d) C(m - 1, d) for the facets, above both their minor table and their C(m, d + 1) supports
@@ -74,6 +74,16 @@ class DensityBound(NamedTuple):
     eps_coarse: Interval
 
 
+def _check_density_input(poly: IntPolynomial) -> None:
+    """The density bounds' input checks, run before any root or facet work."""
+    if poly.constant_coefficient == 0:
+        raise DomainError("density bounds need a nonzero constant coefficient")
+    if not poly.is_primitive:
+        raise DomainError("density bounds need a primitive polynomial")
+    if poly.degree < 1:
+        raise DomainError("Mahler measure variants need degree >= 1")
+
+
 def _refined_threshold(poly: IntPolynomial) -> tuple[ComplexRootSet, Interval]:
     """A's certified root set and eps_refined, after the density bounds' input checks.
 
@@ -81,12 +91,7 @@ def _refined_threshold(poly: IntPolynomial) -> tuple[ComplexRootSet, Interval]:
     (coordinate reversal preserves the orbit set and the cube), keeping the
     smaller; both are folds over the one root set of A.
     """
-    if poly.constant_coefficient == 0:
-        raise DomainError("density bounds need a nonzero constant coefficient")
-    if not poly.is_primitive:
-        raise DomainError("density bounds need a primitive polynomial")
-    if poly.degree < 1:
-        raise DomainError("Mahler measure variants need degree >= 1")
+    _check_density_input(poly)
     own = roots(poly)
     return own, interval_min(own.refined_product().recip(), own.reversal_refined_product().recip())
 
@@ -475,8 +480,7 @@ def _covered_by_facets(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fra
     """is_covered past degree 1: the integer least-gauge search, eps/2 its ceiling and stop."""
     (*qv, qhalf), q = clear_denominators([*vv, half])
     gauge = _gauge(poly, m)
-    goal = qhalf * gauge[0]
-    near = [-round(x) for x in vv]
+    goal, near = qhalf * gauge[0], [-round(x) for x in vv]
     return _gauge_search(gauge, qv, q, near, goal, goal, COVERING_BUDGET)[0] <= goal
 
 
@@ -540,19 +544,18 @@ def critical_epsilon(
     targets that raise it are searched to their exact minimum.  The searches
     share one COVERING_BUDGET of facet products, and spending past it raises
     DomainError in words that name only the budget; grid_n^l times the facet
-    count, the nearest offsets' products alone, above it raises before any
-    target is scored.  Every score is an integer over one denominator
-    grid_n lcm(s_c), so target js / grid_n costs c . js per facet: its
-    nearest offset -round(j / grid_n) (half to even) is -(2j > grid_n) per
-    residue j, and its stop is the numerator of half the running threshold;
-    no Fraction is built in the loop.
-    estimate is that threshold.  The reported upper bound adds the declared
-    grid margin (m - d)/grid_n for targets between grid points, capped at
-    the certified refined threshold cap which covers the whole torus.  A grid
-    threshold above cap raises CertificateError, so each offset box stops at
-    the score floor(cap grid_n lcm(s_c) / 2) (_gauge_search), and a score
-    above it raises.
-    bisection_tol is validated only and no longer affects the result.
+    count, the nearest offsets' products alone, above it raises before the
+    root work.  Every score is an integer over one denominator grid_n
+    lcm(s_c), so target js / grid_n costs c . js per facet: its nearest
+    offset -round(j / grid_n) (half to even) is -(2j > grid_n) per residue
+    j, and its stop is the numerator of half the running threshold; no
+    Fraction is built in the loop.  estimate is that threshold.  The upper
+    bound adds the declared grid margin (m - d)/grid_n for targets between
+    grid points, capped at the certified refined threshold cap which covers
+    the whole torus.  A grid threshold above cap raises CertificateError, so
+    each offset box stops at the score floor(cap grid_n lcm(s_c) / 2)
+    (_gauge_search), and a score above it raises.  bisection_tol is
+    validated only and no longer affects the result.
     """
     d = poly.degree
     ell = m - d
@@ -567,10 +570,11 @@ def critical_epsilon(
         )
     if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
-    cap = Fraction(_refined_threshold(poly)[1].hi)
+    _check_density_input(poly)
     gauge = _gauge(poly, m)
     if grid_n**ell * len(gauge[1]) > COVERING_BUDGET:
         raise DomainError(_OVER_BUDGET)
+    cap = Fraction(_refined_threshold(poly)[1].hi)
     # every gauge is an integer over den; target js is the integer vector js over grid_n
     den = grid_n * gauge[0]
     ceiling = cap.numerator * den // (2 * cap.denominator)

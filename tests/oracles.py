@@ -19,6 +19,7 @@ from kronrec.density import (
     COVERING_BUDGET,
     GRID_DIMENSION_GUARD,
     CriticalEpsilonEstimate,
+    _check_density_input,
     _covered_linear,
     _zonotope_facets,
     epsilon_bound,
@@ -515,8 +516,9 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v, searches=None
     nearest offset -round(v) is scored first; unless its gauge is at most
     eps/2, every offset of the box |v + k|_inf <= (eps/2) sum|a_i| is scored
     in turn, until one is covered.  The search is appended to the list
-    searches, when one is given, as (target, nearest offset, stop eps/2).
-    The box is not held to COVERING_BUDGET.
+    searches, when one is given, as (target, nearest offset, stop eps/2),
+    and then its box, if one is walked, as (start, stop) per level.  The box
+    is not held to COVERING_BUDGET.
     """
     d = poly.degree
     if m <= d:
@@ -540,6 +542,8 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v, searches=None
     if _fraction_gauge(facets, vv, near) <= half:
         return True
     box = _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
+    if searches is not None:
+        searches.append([(r.start, r.stop) for r in box])
     return any(_fraction_gauge(facets, vv, k) <= half for k in itertools.product(*box))
 
 
@@ -565,8 +569,10 @@ def critical_epsilon_per_target(
     guards, the error messages and the report fields are
     density.critical_epsilon's, but only the check before the walk, grid_n^l
     targets times the facet count above COVERING_BUDGET, holds the work to
-    the budget.  Each search is appended to the list searches, when one is
-    given, as (target, nearest offset, stop half the running threshold).
+    the budget, and it runs before the root work.  Each search is appended to
+    the list searches, when one is given, as (target, nearest offset, stop
+    half the running threshold), and then its box, if one is walked, as
+    (start, stop) per level.
     """
     d = poly.degree
     ell = m - d
@@ -581,10 +587,11 @@ def critical_epsilon_per_target(
         )
     if coerce_rational(bisection_tol) <= 0:
         raise DomainError("bisection_tol must be positive")
-    cap = Fraction(epsilon_bound(poly).eps_refined.hi)
+    _check_density_input(poly)
     facets = _zonotope_facets(poly, m)
     if grid_n**ell * len(facets) > COVERING_BUDGET:
         raise DomainError(f"covering would take more than {COVERING_BUDGET} facet products")
+    cap = Fraction(epsilon_bound(poly).eps_refined.hi)
     width = poly.coefficient_sum_abs()
     den = grid_n * math.lcm(*(s for _, s in facets))
     ceiling = Fraction(math.floor(cap * den / 2), den)
@@ -597,7 +604,10 @@ def critical_epsilon_per_target(
             searches.append((tuple(v), tuple(near), tau / 2))
         g = _fraction_gauge(facets, v, near)
         if g > tau / 2:
-            for k in itertools.product(*_fraction_offset_box(v, min(g, ceiling) * width)):
+            box = _fraction_offset_box(v, min(g, ceiling) * width)
+            if searches is not None:
+                searches.append([(r.start, r.stop) for r in box])
+            for k in itertools.product(*box):
                 g = _fraction_gauge_below(facets, v, k, g)
                 if g <= tau / 2:
                     break

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -693,15 +694,14 @@ def test_covering_walks_a_large_offset_box():
     assert _fraction_gauge(_zonotope_facets(poly, 10), v, k) <= Fraction(3, 4)
 
 
-def test_covering_budget_refuses_the_grids_that_ran_unbounded():
-    # grids whose nearest offsets alone, targets times facets, pass the budget, so
-    # each is refused at once; with only each offset box guarded, the first ran for
-    # over 15 minutes and the last for 210 s
-    budget = f"covering would take more than {COVERING_BUDGET} facet products"
-    unbounded = (((-8, -1, 6, 1, -2), 15, 2), ((-5, -9, -2, 4, -6), 15, 2), ((-1, -1, 1), 11, 4))
-    for coeffs, m, grid_n in unbounded:
-        with pytest.raises(DomainError, match=budget):
-            critical_epsilon(IntPolynomial(coeffs), m, grid_n=grid_n, allow_large_grid=True)
+def test_covering_budget_stops_the_walk(monkeypatch):
+    # -2,9,-7,4 at m = 14: 2^11 targets times 1001 facets, ~2.05e6 products for the
+    # nearest offsets alone.  Under a budget just above that, the walk itself must run
+    # out; the real budget takes minutes to, and the text names it whatever the budget
+    # in force
+    monkeypatch.setattr(density, "COVERING_BUDGET", 21 * 10**5)
+    with pytest.raises(DomainError, match=f"more than {COVERING_BUDGET} facet products"):
+        critical_epsilon(IntPolynomial((-2, 9, -7, 4)), 14, grid_n=2, allow_large_grid=True)
 
 
 def test_gauge_search_spends_one_unit_per_facet_product():
@@ -801,10 +801,10 @@ def test_critical_grid_guard():
 
 
 def test_critical_target_count_guard(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the guard must run before any search")
+    def unreachable(poly):
+        raise AssertionError("the guard must run before the root work")
 
-    monkeypatch.setattr(density, "_gauge_search", unreachable)
+    monkeypatch.setattr(density, "_refined_threshold", unreachable)
     budget = f"covering would take more than {COVERING_BUDGET} facet products"
     # l = 4 passes the dimension guard, but the nearest offsets of 100^4 targets
     # alone are over the budget, and so are those of 2^22 targets on x - 1
@@ -812,8 +812,8 @@ def test_critical_target_count_guard(monkeypatch):
         critical_epsilon(GOLDEN, 6, grid_n=100)
     with pytest.raises(DomainError, match=budget):
         critical_epsilon(IntPolynomial((-1, 1)), 23, grid_n=2, allow_large_grid=True)
-    # the patch is on the search's route: a grid inside the budget reaches it
-    with pytest.raises(AssertionError, match="any search"):
+    # the patch is on the root work's route: a grid inside the budget reaches it
+    with pytest.raises(AssertionError, match="root work"):
         critical_epsilon(GOLDEN, 6, grid_n=2)
 
 
@@ -910,15 +910,22 @@ def test_grid_threshold_inside_bisection_bracket():
 
 def _outcome(run):
     """run(searches)'s result, or its error's type and message, and searches: each gauge
-    search's (target, nearest offset, stop), the stop as a gauge.  density's searches are
-    read off density._gauge_search's arguments, qv / q and goal / (q lcm(s_c)); an oracle
-    appends its own to the list it is passed."""
+    search's (target, nearest offset, stop), the stop as a gauge, then the offset box it
+    walks, if any, as (start, stop) per level.  density's searches are read off
+    density._gauge_search's arguments, qv / q and goal / (q lcm(s_c)), and its boxes off
+    the itertools.product call inside it; an oracle appends its own to the list it is
+    passed."""
     searches = []
     real = density._gauge_search
 
+    def product(*box):
+        searches.append([(r.start, r.stop) for r in box])
+        return itertools.product(*box)
+
     def recorded(gauge, qv, q, near, goal, *rest):
         searches.append((tuple(Fraction(x, q) for x in qv), tuple(near), Fraction(goal, q * gauge[0])))
-        return real(gauge, qv, q, near, goal, *rest)
+        with mock.patch.object(density, "itertools", SimpleNamespace(product=product)):
+            return real(gauge, qv, q, near, goal, *rest)
 
     with mock.patch.object(density, "_gauge_search", recorded):
         try:
@@ -959,7 +966,8 @@ def test_critical_epsilon_equals_the_per_target_route(case):
         )
     )
     # the same report or error, and the same searches in the same order, which pins
-    # the nearest offsets (half to even) and the stop each search starts from
+    # the nearest offsets (half to even), the stop each search starts from, and the
+    # integer offset boxes against their Fraction bounds
     assert got == want
     if (poly.coeffs, m) == ((-1, 1), 8):
         assert got[0].estimate == Fraction(1, 2)
@@ -991,7 +999,8 @@ def test_is_covered_equals_the_fraction_route(case):
     poly, m, eps, v = case
     got = _outcome(lambda _: is_covered(poly, m, eps, v))
     want = _outcome(lambda searches: covered_by_fraction_gauge(poly, m, eps, v, searches))
-    # the same decision or error, and the same search: target, nearest offset and stop eps/2
+    # the same decision or error, and the same search: target, nearest offset, stop
+    # eps/2 and offset box
     assert got == want
     if (poly.coeffs, eps) == ((3, -2, 5), 12):
         assert got == (True, [((0, 0, 0), (0, 0, 0), 6)])
