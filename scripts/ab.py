@@ -41,8 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the stress sizes of every subcommand, and raw symbols of the swapping
-# Toeplitz elimination, which kronbench's autocorrelation symbols never reach
+# the stress sizes of every subcommand, raw symbols of the swapping Toeplitz
+# elimination, which kronbench's autocorrelation symbols never reach, and
+# (x - 1)^8, which the square-free check modulo a prime leaves to Yun
 STRESS = (
     "critical-eps --m 10 --grid-n 2 --allow-large-grid -1,-1,1",
     "critical-eps --m 8 --grid-n 2 --allow-large-grid -1,1",
@@ -57,6 +58,7 @@ STRESS = (
     "trench --r 1 --n 400 -2,5,-1",
     "trench --r 2 --n 300 1,-3,7,2,-1",
     "trench --r 1 --n 200 1,1,1",
+    "mahler 1,-8,28,-56,70,-56,28,-8,1",
 )
 
 

@@ -2,10 +2,12 @@
 
 This module is kronrec's only root finder, and every nonzero root takes one
 route.  The factor x^k is split off, so the root 0 keeps an exact disk of
-radius 0.  Yun's square-free decomposition, run on integer coefficient
-lists with primitive remainder sequences, splits the rest into pairwise
-coprime square-free factors with exact multiplicities, so only simple roots
-are ever iterated on; rational roots are not searched for.  One
+radius 0.  The rest is recognised as square-free modulo a prime when
+gcd(A, A') is constant there, which proves it over Z; only when that check
+fails does Yun's square-free decomposition, run on integer coefficient
+lists with primitive remainder sequences, split it into pairwise coprime
+square-free factors with exact multiplicities.  So only simple roots are
+ever iterated on; rational roots are not searched for.  One
 Aberth-Ehrlich iteration in doubles finds each factor's roots, first with p
 evaluated in doubles, then with p evaluated exactly at the float iterates
 until they settle.  Before each exact sweep a centre z with
@@ -66,6 +68,8 @@ __all__ = [
 
 # largest radius of a certified root disk, relative to max(1, |z|)
 _TARGET_RADIUS = 1e-12
+# the largest prime below 2^15, modulo which square-free input is recognised
+_SQUAREFREE_PRIME = 32749
 MAHLER_VARIANTS = ("plain", "half_scaled", "double_scaled", "conjugate")
 
 
@@ -191,6 +195,38 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return a
 
 
+def _squarefree_mod_p(cs: Sequence[int]) -> bool:
+    """Whether p = _SQUAREFREE_PRIME does not divide a_n and gcd(f, f') mod p is a nonzero constant.
+
+    Euclid's algorithm runs in F_p[x] on pseudo-remainders: each step
+    scales the dividend by the divisor's leading coefficient, a unit, so no
+    inverse is taken and each remainder is a unit times the one division
+    gives.  A True answer proves f square-free over Z: by Gauss's lemma a
+    factor g^2 of f with deg g >= 1 has g in Z[x], and p does not divide
+    g's leading coefficient, a divisor of a_n, so g mod p keeps its degree
+    and divides both f mod p and f' mod p.  A False answer proves nothing;
+    a constant f gets it, as its derivative is 0.
+    """
+    p = _SQUAREFREE_PRIME
+    if cs[-1] % p == 0:
+        return False
+    a = [c % p for c in cs]
+    b = [i * c % p for i, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while len(b) > 1:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            shift, top = len(r) - len(b), r[-1]
+            r = [lead * x % p for x in r[:shift]] + [
+                (lead * x - top * y) % p for x, y in zip(r[shift:-1], b)
+            ]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return len(b) == 1
+
+
 def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Yun decomposition: primitive square-free factors with exact multiplicities.
 
@@ -198,8 +234,13 @@ def squarefree_factors(poly: IntPolynomial) -> tuple[tuple[tuple[int, ...], int]
     each with a positive leading coefficient, and A equal to a nonzero
     constant times the product of factor^multiplicity.  Every step stays in
     Z[x]: the gcds are primitive, so the quotients by them are exact.
+    A square-free A is first recognised modulo a prime (`_squarefree_mod_p`)
+    and returned as its primitive part, which is what Yun gives for it;
+    Yun runs only when that check fails.
     """
     f = list(poly.coeffs)
+    if _squarefree_mod_p(f):
+        return ((tuple(_primitive(f)), 1),)
     fp = _deriv(f)
     g = _gcd(f, fp)
     b, c = _exact_quotient(f, g), _exact_quotient(fp, g)

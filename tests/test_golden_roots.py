@@ -20,7 +20,8 @@ polynomials shaped like the benchmark's witness and mahler inputs, some
 with repeated factors or the root 0.  `test_benchmark_roots_digest` pins it
 on every polynomial the benchmark's three workloads draw at seed 1; the
 benchmark's `workloads.py` is loaded from its file without writing bytecode
-next to it.
+next to it.  `test_edge_roots_digest` pins it on the inputs either side of
+`squarefree_factors`' check modulo a prime.
 """
 
 import hashlib
@@ -110,6 +111,35 @@ def test_roots_digest():
     """Every bit of each centre and radius, and each multiplicity, of `roots`
     on 82 seeded polynomials; a failure would be pinned by its message."""
     assert _roots_digest(_golden_polys()) == "e0b68a58bb97cdcd607ada9093ac0e5adf2de6b8edb1aa8dce686af2455d56ab"
+
+
+def _wilkinson(n):
+    cs = [1]
+    for k in range(1, n + 1):
+        cs = _mul(cs, [-k, 1])
+    return cs
+
+
+EDGE_POLYS = [
+    [1, 1, 32749],
+    [-32749, 0, 1],
+    [-4, 0, 6],
+    [2, 0, -1],
+    [1, -8, 28, -56, 70, -56, 28, -8, 1],
+    [0, 0, 0, 1, -2, 1],
+    _wilkinson(20),
+    [10**16 + 1, -2 * 10**8, 1],
+]
+
+
+def test_edge_roots_digest():
+    """`roots` bit for bit on either side of the square-free check modulo
+    32749: a leading coefficient it divides, a square-free A whose
+    discriminant it divides, content 2, a negative leading coefficient,
+    (x - 1)^8, and x^3 (x - 1)^2.  Wilkinson's product for n = 20 and the
+    roots 10^8 +- i are square-free refusals, whose messages are hashed.
+    Recorded before the check existed."""
+    assert _roots_digest(EDGE_POLYS) == "7c8bac870ea17d03db01765cd9015a3f3bc45d4e1d2679a540e40be70cf3c8fc"
 
 
 def benchmark_polys(workload):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from kronrec import poly_core
 from kronrec.errors import DomainError, ParseError, RootCertificationError
@@ -20,6 +20,7 @@ from kronrec.poly_core import (
     _disks_disjoint,
     _exact_values,
     _sqrt_up,
+    _squarefree_mod_p,
     mahler_measure,
     parse_polynomial,
     roots,
@@ -145,8 +146,30 @@ def repeated_factor_products(draw):
 @example(poly_power_product([(poly(0, 1), 2), (poly(2, 0, -1), 4)]))
 @example(poly(5))
 @example(poly(-3))
+@example(poly(1, 1, 32749))  # the prime divides a_n: Yun answers
+@example(poly(-32749, 0, 1))  # the prime divides the discriminant of a square-free A: Yun answers
+@example(poly(-4, 0, 6))  # content 2: the check answers with the primitive part
+@example(poly(2, 0, -1))  # a negative leading coefficient: the check answers
+@example(poly_power_product([(poly(-1, 1), 8)]))
 def test_squarefree_matches_the_fraction_route(p):
     assert squarefree_factors(p) == fraction_squarefree(p)
+
+
+@seed(20261022)
+@settings(deadline=None, max_examples=200)
+@given(small_polys(max_degree=10))
+def test_squarefree_check_matches_the_fraction_route(p):
+    # random draws are almost all square-free, so the mod-p check answers most of them
+    assert squarefree_factors(p) == fraction_squarefree(p)
+
+
+@seed(20261022)
+@settings(deadline=None, max_examples=150)
+@given(repeated_factor_products())
+@example(poly_power_product([(poly(1, 32749), 2), (poly(2, 1), 1)]))  # p divides a_n; mod p this is x + 2
+def test_squarefree_check_refuses_every_repeated_factor(p):
+    assume(any(mult >= 2 for _, mult in fraction_squarefree(p)))
+    assert not _squarefree_mod_p(p.coeffs)
 
 
 def test_squarefree_wilkinson_is_its_own_factor():
