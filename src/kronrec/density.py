@@ -58,7 +58,7 @@ WITNESS_RESIDUAL_TOL = 1e-6
 # of them; about twice the ~5.3e7 of the costliest seeded answer, -1,-5,-7,9 at m = 14
 COVERING_BUDGET = 10**8
 _OVER_BUDGET = f"covering would take more than {COVERING_BUDGET} facet products"
-# entries of certify_non_density's minor table, sum_p C(d, p) C(m, p), and the count
+# entries of certify_non_density's minor table, C(m + d, d), and the count
 # (m - d) C(m - 1, d) for the facets, above both their minor table and their C(m, d + 1) supports
 MINOR_SUM_GUARD = 10**5
 
@@ -85,13 +85,12 @@ def _check_density_input(poly: IntPolynomial) -> None:
 
 
 def _refined_threshold(poly: IntPolynomial) -> tuple[ComplexRootSet, Interval]:
-    """A's certified root set and eps_refined, after the density bounds' input checks.
+    """A's certified root set and eps_refined; the caller runs _check_density_input first.
 
     eps_refined reciprocates A's refined product and its reversal's
     (coordinate reversal preserves the orbit set and the cube), keeping the
     smaller; both are folds over the one root set of A.
     """
-    _check_density_input(poly)
     own = roots(poly)
     return own, interval_min(own.refined_product().recip(), own.reversal_refined_product().recip())
 
@@ -106,6 +105,7 @@ def epsilon_bound(poly: IntPolynomial) -> DensityBound:
     eps_coarse = 2^floor(d/2) / M(A).  All five come from one certified root
     set of A: the reversal's product is |a_d| * prod max(1, |alpha| - 1).
     """
+    _check_density_input(poly)
     own, refined = _refined_threshold(poly)
     half = own.mahler("half_scaled").interval.recip()
     dbl = own.mahler("double_scaled").interval.recip()
@@ -180,10 +180,10 @@ class DensityWitness(NamedTuple):
     eps_constructive: float
 
 
-def _band_times(a: Sequence[int], x: Sequence[float], ell: int) -> list[float]:
-    """The ell rows of band(A) x, each summed left to right from 0, as sum() did
-    before Python 3.12 compensated float sums: the witness's bytes stay put."""
-    rows = [0] * ell
+def _band_times(a: Sequence[int], x: Sequence[float]) -> list[float]:
+    """The len(x) - deg A rows of band(A) x, each summed left to right from 0, as sum()
+    did before Python 3.12 compensated float sums: the witness's bytes stay put."""
+    rows = [0] * (len(x) - len(a) + 1)
     for j, aj in enumerate(a):
         rows = [r + aj * xj for r, xj in zip(rows, x[j:])]
     return rows
@@ -234,7 +234,7 @@ def witness(
         )
     a = poly.coeffs
     ell = m - d
-    rows = _band_times(a, tvec, ell)
+    rows = _band_times(a, tvec)
     if not all(map(math.isfinite, rows)):
         raise DomainError("a row of band(A) times the target overflows a float")
     v = [-x % 1.0 for x in rows]
@@ -262,7 +262,7 @@ def witness(
 
     k = []
     residual = 0.0
-    for row_val in _band_times(a, [x + y for x, y in zip(tvec, w)], ell):
+    for row_val in _band_times(a, [x + y for x, y in zip(tvec, w)]):
         ki = round(row_val)
         k.append(int(ki))
         residual = max(residual, abs(row_val - ki))
@@ -304,8 +304,8 @@ def _merge_intervals(parts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
     return merged
 
 
-def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction]) -> bool:
-    """Degree-1 covering by a sweep of feasible w-interval unions.
+def _covered_linear(a0: int, a1: int, half: Fraction, v: list[Fraction]) -> bool:
+    """Degree-1 covering by a sweep of feasible w-interval unions, one step per entry of v.
 
     Each step maps the union by -a0/a1, so where |a1| > |a0| the pieces would
     shrink and multiply; the sweep then runs on the reversal w_i -> w_(m-1-i),
@@ -314,14 +314,14 @@ def _covered_linear(a0: int, a1: int, ell: int, half: Fraction, v: list[Fraction
     if abs(a1) > abs(a0):
         a0, a1, v = a1, a0, v[::-1]
     feasible = [(-half, half)]
-    for i in range(ell):
+    for vi in v:
         nxt: list[tuple[Fraction, Fraction]] = []
         for lo, hi in feasible:
             img_lo, img_hi = sorted((a0 * lo, a0 * hi))
             reach = abs(a1) * half
-            for k in range(math.ceil(img_lo - reach - v[i]), math.floor(img_hi + reach - v[i]) + 1):
-                c1 = (v[i] + k - a0 * lo) / a1
-                c2 = (v[i] + k - a0 * hi) / a1
+            for k in range(math.ceil(img_lo - reach - vi), math.floor(img_hi + reach - vi) + 1):
+                c1 = (vi + k - a0 * lo) / a1
+                c2 = (vi + k - a0 * hi) / a1
                 n_lo = max(min(c1, c2), -half)
                 n_hi = min(max(c1, c2), half)
                 if n_lo <= n_hi:
@@ -397,13 +397,13 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
         raise DomainError(
             f"the zonotope facets would take {minors} minors, above the guard {MINOR_SUM_GUARD}"
         )
-    # column j: a_d^l (x^j mod A), which is column j of T = a_d^l basis_N, then
-    # a_d^l (x^j div A), whose x^i coefficient is T[d-1][j-1-i] / a_d; both integral for j < m
+    # cols[j - d], for column j >= d: a_d^l (x^j mod A), which is column j of T = a_d^l basis_N,
+    # then a_d^l (x^j div A), whose x^i coefficient is T[d-1][j-1-i] / a_d; both integral for j < m
     table, lead = scaled_basis_N(poly, m)
     cols = [
         [row[j] for row in table]
         + [table[d - 1][j - 1 - i] // a[d] if j - i >= d else 0 for i in range(ell)]
-        for j in range(m)
+        for j in range(d, m)
     ]
     levels = list(_minor_levels([row[d:] for row in table], min(d, ell - 1)))
     where = [{cs: k for k, cs in enumerate(level[0])} for level in levels]
@@ -412,8 +412,8 @@ def _zonotope_facets(poly: IntPolynomial, m: int) -> _Facets:
         top, free = tuple(j - d for j in s if j >= d), tuple(r for r in range(d) if r not in s)
         below, at = levels[len(free)][1][free], where[len(free)]
         u = [(-1) ** i * below[at[top[:i] + top[i + 1 :]]] for i in range(len(top))]
-        # z = sum u_j cols[d + j]: minus U below x^d, then C
-        z = [sum(t) for t in zip(*([uj * x for x in cols[d + j]] for j, uj in zip(top, u)))]
+        # z = sum u_j cols[j]: minus U below x^d, then C
+        z = [sum(t) for t in zip(*([uj * x for x in cols[j]] for j, uj in zip(top, u)))]
         if any(z[d:]):
             g = math.gcd(*z[d:]) if next(filter(None, z[d:])) > 0 else -math.gcd(*z[d:])
             support = abs(lead) * sum(map(abs, u)) + sum(map(abs, z[:d]))
@@ -430,25 +430,26 @@ def _gauge(poly: IntPolynomial, m: int) -> tuple[int, _Facets, int]:
 
 
 def _gauge_search(
-    gauge, qv: Sequence[int], q: int, near: Sequence[int], goal: int, ceiling, budget: int
+    gauge, qv: Sequence[int], q: int, goal: int, ceiling, budget: int
 ) -> tuple[int, int]:
     """(numerator over den = q unit of the least gauge of the target qv / q, down to
     goal; the budget left), spending budget on facet products |c . (v + k)|.
 
     With gauge (unit, rows, width) from _gauge, the score of an offset k is
-    den times its gauge, max_c |c . (qv + q k)| (unit // s_c).  The nearest
-    offset near is scored first on every facet, best being its score; then
-    every offset that could score at most min(best, ceiling), ceiling being
-    the caller's bound on any score it needs: the box |qv / q + k|_inf <=
-    min(best, ceiling) width / den, walked in lexicographic order.  An offset
-    is scored only while it beats the best so far on every facet, and the
-    search returns at the first score at or below goal.  The facet that
-    rejects an offset is tried first on the next, which tends to fail on the
-    same facet; no score depends on that order.  Spending past the budget
-    raises DomainError.
+    den times its gauge, max_c |c . (qv + q k)| (unit // s_c).  The target is
+    reduced, 0 <= qv_i < q, so its nearest offset -round(qv / q), half to
+    even, is -(2 qv_i > q) in each entry.  That offset is scored first on
+    every facet, best being its score; then every offset that could score at
+    most min(best, ceiling), ceiling being the caller's bound on any score it
+    needs: the box |qv / q + k|_inf <= min(best, ceiling) width / den, walked
+    in lexicographic order.  An offset is scored only while it beats the best
+    so far on every facet, and the search returns at the first score at or
+    below goal.  The facet that rejects an offset is tried first on the
+    next, which tends to fail on the same facet; no score depends on that
+    order.  Spending past the budget raises DomainError.
     """
     unit, rows, width = gauge
-    t = [x + q * k for x, k in zip(qv, near)]
+    t = [x - q * (2 * x > q) for x in qv]
     best = max((abs(sum(map(operator.mul, c, t))) * w for c, w in rows), default=0)
     budget -= len(rows)
     if budget < 0:
@@ -476,12 +477,12 @@ def _gauge_search(
     return best, budget
 
 
-def _covered_by_facets(poly: IntPolynomial, m: int, half: Fraction, vv: list[Fraction]) -> bool:
+def _covered_by_facets(poly: IntPolynomial, half: Fraction, vv: list[Fraction]) -> bool:
     """is_covered past degree 1: the integer least-gauge search, eps/2 its ceiling and stop."""
     (*qv, qhalf), q = clear_denominators([*vv, half])
-    gauge = _gauge(poly, m)
-    goal, near = qhalf * gauge[0], [-round(x) for x in vv]
-    return _gauge_search(gauge, qv, q, near, goal, goal, COVERING_BUDGET)[0] <= goal
+    gauge = _gauge(poly, poly.degree + len(vv))
+    goal = qhalf * gauge[0]
+    return _gauge_search(gauge, qv, q, goal, goal, COVERING_BUDGET)[0] <= goal
 
 
 def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
@@ -493,7 +494,7 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
     (_covered_by_facets).  Degree 1 sweeps feasible interval unions instead,
     w_1 to w_m, or w_m to w_1 when |a_1| > |a_0| (_covered_linear).  The cube is
     closed, so boundary contact counts as covered.  The nearest offset
-    -round(v) is scored first, and a target it covers returns True at once.
+    (_gauge_search) is scored first; a target it covers returns True at once.
     Otherwise every offset with |v + k|_inf <= (eps/2) sum|a_i| is a
     candidate, and a search that would evaluate more than COVERING_BUDGET
     facet products raises DomainError.  More than MINOR_SUM_GUARD minors for
@@ -514,8 +515,8 @@ def is_covered(poly: IntPolynomial, m: int, eps, v) -> bool:
         raise DomainError(f"v must have length m - deg A = {ell}")
     vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
-        return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
-    return _covered_by_facets(poly, m, half, vv)
+        return _covered_linear(poly.coeffs[0], poly.coeffs[1], half, vv)
+    return _covered_by_facets(poly, half, vv)
 
 
 # ----- exact grid threshold -----
@@ -546,16 +547,16 @@ def critical_epsilon(
     DomainError in words that name only the budget; grid_n^l times the facet
     count, the nearest offsets' products alone, above it raises before the
     root work.  Every score is an integer over one denominator grid_n
-    lcm(s_c), so target js / grid_n costs c . js per facet: its nearest
-    offset -round(j / grid_n) (half to even) is -(2j > grid_n) per residue
-    j, and its stop is the numerator of half the running threshold; no
-    Fraction is built in the loop.  estimate is that threshold.  The upper
-    bound adds the declared grid margin (m - d)/grid_n for targets between
-    grid points, capped at the certified refined threshold cap which covers
-    the whole torus.  A grid threshold above cap raises CertificateError, so
-    each offset box stops at the score floor(cap grid_n lcm(s_c) / 2)
-    (_gauge_search), and a score above it raises.  bisection_tol is
-    validated only and no longer affects the result.
+    lcm(s_c), so target js / grid_n costs c . js per facet, its nearest
+    offset is _gauge_search's, and its stop is the numerator of half the
+    running threshold; no Fraction is built in the loop.  estimate is that
+    threshold.  The upper bound adds the declared grid margin (m - d)/grid_n
+    for targets between grid points, capped at the certified refined
+    threshold cap which covers the whole torus.  A grid threshold above cap
+    raises CertificateError, so each offset box stops at the score
+    floor(cap grid_n lcm(s_c) / 2) (_gauge_search), and a threshold above it
+    raises after the walk.  bisection_tol is validated only and no longer
+    affects the result.
     """
     d = poly.degree
     ell = m - d
@@ -581,12 +582,11 @@ def critical_epsilon(
 
     best, budget = 0, COVERING_BUDGET
     for js in itertools.product(range(grid_n), repeat=ell):
-        near = [-(2 * j > grid_n) for j in js]
-        score, budget = _gauge_search(gauge, js, grid_n, near, best, ceiling, budget)
-        if score > ceiling:
-            # the box stops at the ceiling, so score need not be this target's least
-            raise CertificateError(f"grid threshold exceeds the certified threshold {float(cap):.6g}")
+        score, budget = _gauge_search(gauge, js, grid_n, best, ceiling, budget)
         best = max(best, score)
+    if best > ceiling:
+        # each box stops at the ceiling, so best need not be the grid threshold
+        raise CertificateError(f"grid threshold exceeds the certified threshold {float(cap):.6g}")
     tau = Fraction(2 * best, den)
     margin = Fraction(ell, grid_n)
     notes = (
@@ -628,7 +628,7 @@ def certify_non_density(poly: IntPolynomial, m: int, eps) -> NonDensityCertifica
     d = poly.degree
     if m <= d:
         raise DomainError("certification needs m > deg A")
-    minors = sum(math.comb(d, p) * math.comb(m, p) for p in range(d + 1))
+    minors = math.comb(m + d, d)
     if minors > MINOR_SUM_GUARD:
         raise DomainError(
             f"certification would sum {minors} minors, above the guard {MINOR_SUM_GUARD}"

@@ -516,9 +516,9 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v, searches=None
     nearest offset -round(v) is scored first; unless its gauge is at most
     eps/2, every offset of the box |v + k|_inf <= (eps/2) sum|a_i| is scored
     in turn, until one is covered.  The search is appended to the list
-    searches, when one is given, as (target, nearest offset, stop eps/2),
-    and then its box, if one is walked, as (start, stop) per level.  The box
-    is not held to COVERING_BUDGET.
+    searches, when one is given, as (target, stop eps/2), and then its box,
+    if one is walked, as (start, stop) per level.  The box is not held to
+    COVERING_BUDGET.
     """
     d = poly.degree
     if m <= d:
@@ -534,11 +534,11 @@ def covered_by_fraction_gauge(poly: IntPolynomial, m: int, eps, v, searches=None
         raise DomainError(f"v must have length m - deg A = {ell}")
     vv = [coerce_rational(x) % 1 for x in raw]
     if d == 1:
-        return _covered_linear(poly.coeffs[0], poly.coeffs[1], ell, half, vv)
+        return _covered_linear(poly.coeffs[0], poly.coeffs[1], half, vv)
     facets = _zonotope_facets(poly, m)
     near = [-round(vi) for vi in vv]
     if searches is not None:
-        searches.append((tuple(vv), tuple(near), half))
+        searches.append((tuple(vv), half))
     if _fraction_gauge(facets, vv, near) <= half:
         return True
     box = _fraction_offset_box(vv, half * poly.coefficient_sum_abs())
@@ -570,9 +570,9 @@ def critical_epsilon_per_target(
     density.critical_epsilon's, but only the check before the walk, grid_n^l
     targets times the facet count above COVERING_BUDGET, holds the work to
     the budget, and it runs before the root work.  Each search is appended to
-    the list searches, when one is given, as (target, nearest offset, stop
-    half the running threshold), and then its box, if one is walked, as
-    (start, stop) per level.
+    the list searches, when one is given, as (target, stop half the running
+    threshold), and then its box, if one is walked, as (start, stop) per
+    level.
     """
     d = poly.degree
     ell = m - d
@@ -601,7 +601,7 @@ def critical_epsilon_per_target(
         v = [Fraction(j, grid_n) for j in js]
         near = [-round(vi) for vi in v]
         if searches is not None:
-            searches.append((tuple(v), tuple(near), tau / 2))
+            searches.append((tuple(v), tau / 2))
         g = _fraction_gauge(facets, v, near)
         if g > tau / 2:
             box = _fraction_offset_box(v, min(g, ceiling) * width)

@@ -447,7 +447,7 @@ def test_covered_linear_agrees_with_general(a0_mag, a1, sign, ell, eps, data):
     v = [data.draw(st.fractions(min_value=0, max_value=1)) for _ in range(ell)]
     half = eps / 2
     vv = [x % 1 for x in v]
-    assert _covered_linear(a0, a1, ell, half, vv) == _covered_by_facets(poly, ell + 1, half, vv)
+    assert _covered_linear(a0, a1, half, vv) == _covered_by_facets(poly, half, vv)
 
 
 def test_covered_linear_sweeps_away_from_the_larger_coefficient(monkeypatch):
@@ -468,7 +468,7 @@ def test_covered_linear_sweeps_away_from_the_larger_coefficient(monkeypatch):
     v = [Fraction(x, 16) for x in (2, 9, 10, 9, 5, 2, 4, 9, 15, 5)]
     covered = is_covered(poly, 11, Fraction(47, 50), v)
     assert sizes and max(sizes) <= 4
-    assert covered == _covered_by_facets(poly, 11, Fraction(47, 100), v)
+    assert covered == _covered_by_facets(poly, Fraction(47, 100), v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,7 +574,7 @@ def test_facet_test_agrees_with_fourier_motzkin(poly, ell, data):
         poly, ell, lambda lo, hi: data.draw(st.fractions(lo, hi, max_denominator=12))
     )
     m = poly.degree + ell
-    assert _covered_by_facets(poly, m, half, vv) == _covered_fm(poly, m, half, vv)
+    assert _covered_by_facets(poly, half, vv) == _covered_fm(poly, m, half, vv)
 
 
 def test_facet_and_fm_agree_on_both_sides():
@@ -586,7 +586,7 @@ def test_facet_and_fm_agree_on_both_sides():
         poly = IntPolynomial(tuple(coeffs) + (rng.choice((-1, 1)),))
         ell = rng.randint(1, 3)
         half, vv = _covering_case(poly, ell, lambda lo, hi: Fraction(rng.randint(0, 12), 12))
-        got = _covered_by_facets(poly, poly.degree + ell, half, vv)
+        got = _covered_by_facets(poly, half, vv)
         assert got == _covered_fm(poly, poly.degree + ell, half, vv)
         outcomes.append(got)
     assert True in outcomes and False in outcomes
@@ -708,16 +708,23 @@ def test_gauge_search_spends_one_unit_per_facet_product():
     # the box walk of test_covering_walks_a_large_offset_box, eps/2 = 3/4 its stop
     poly, v = IntPolynomial((1, -2, 1)), [Fraction(x, 8) for x in (5, 2, 0, 4, 2, 2, 6, 4)]
     gauge = density._gauge(poly, 10)
-    qv, near, goal = [int(8 * x) for x in v], [-round(x) for x in v], 6 * gauge[0]
-    best, left = density._gauge_search(gauge, qv, 8, near, goal, goal, COVERING_BUDGET)
+    qv, goal = [int(8 * x) for x in v], 6 * gauge[0]
+    best, left = density._gauge_search(gauge, qv, 8, goal, goal, COVERING_BUDGET)
     spent = COVERING_BUDGET - left
     assert best <= goal and len(gauge[1]) < spent < COVERING_BUDGET
     # the same walk on exactly its spending answers with nothing left; one product
     # less is refused, and so is a budget short of the nearest offset's facets
-    assert density._gauge_search(gauge, qv, 8, near, goal, goal, spent) == (best, 0)
+    assert density._gauge_search(gauge, qv, 8, goal, goal, spent) == (best, 0)
     for short in (spent - 1, len(gauge[1]) - 1):
         with pytest.raises(DomainError, match=f"more than {COVERING_BUDGET} facet products"):
-            density._gauge_search(gauge, qv, 8, near, goal, goal, short)
+            density._gauge_search(gauge, qv, 8, goal, goal, short)
+
+
+def test_nearest_offset_is_round_half_to_even():
+    # _gauge_search takes the nearest offset of a reduced target x / q as -(2x > q)
+    for q in range(1, 65):
+        for x in range(q):
+            assert -round(Fraction(x, q)) == -(2 * x > q)
 
 
 def test_facets_equal_the_band_minor_route():
@@ -910,11 +917,11 @@ def test_grid_threshold_inside_bisection_bracket():
 
 def _outcome(run):
     """run(searches)'s result, or its error's type and message, and searches: each gauge
-    search's (target, nearest offset, stop), the stop as a gauge, then the offset box it
-    walks, if any, as (start, stop) per level.  density's searches are read off
-    density._gauge_search's arguments, qv / q and goal / (q lcm(s_c)), and its boxes off
-    the itertools.product call inside it; an oracle appends its own to the list it is
-    passed."""
+    search's (target, stop), the stop as a gauge, then the offset box it walks, if any,
+    as (start, stop) per level.  density's searches are read off density._gauge_search's
+    arguments, qv / q and goal / (q lcm(s_c)), and its boxes off the itertools.product
+    call inside it; an oracle appends its own to the list it is passed.  The nearest
+    offset is not an argument: the boxes and stops that follow from it are compared."""
     searches = []
     real = density._gauge_search
 
@@ -922,10 +929,10 @@ def _outcome(run):
         searches.append([(r.start, r.stop) for r in box])
         return itertools.product(*box)
 
-    def recorded(gauge, qv, q, near, goal, *rest):
-        searches.append((tuple(Fraction(x, q) for x in qv), tuple(near), Fraction(goal, q * gauge[0])))
+    def recorded(gauge, qv, q, goal, *rest):
+        searches.append((tuple(Fraction(x, q) for x in qv), Fraction(goal, q * gauge[0])))
         with mock.patch.object(density, "itertools", SimpleNamespace(product=product)):
-            return real(gauge, qv, q, near, goal, *rest)
+            return real(gauge, qv, q, goal, *rest)
 
     with mock.patch.object(density, "_gauge_search", recorded):
         try:
@@ -966,8 +973,8 @@ def test_critical_epsilon_equals_the_per_target_route(case):
         )
     )
     # the same report or error, and the same searches in the same order, which pins
-    # the nearest offsets (half to even), the stop each search starts from, and the
-    # integer offset boxes against their Fraction bounds
+    # the stop each search starts from and the integer offset boxes against their
+    # Fraction bounds, both of which follow from the nearest offsets (half to even)
     assert got == want
     if (poly.coeffs, m) == ((-1, 1), 8):
         assert got[0].estimate == Fraction(1, 2)
@@ -999,11 +1006,10 @@ def test_is_covered_equals_the_fraction_route(case):
     poly, m, eps, v = case
     got = _outcome(lambda _: is_covered(poly, m, eps, v))
     want = _outcome(lambda searches: covered_by_fraction_gauge(poly, m, eps, v, searches))
-    # the same decision or error, and the same search: target, nearest offset, stop
-    # eps/2 and offset box
+    # the same decision or error, and the same search: target, stop eps/2 and offset box
     assert got == want
     if (poly.coeffs, eps) == ((3, -2, 5), 12):
-        assert got == (True, [((0, 0, 0), (0, 0, 0), 6)])
+        assert got == (True, [((0, 0, 0), 6)])
 
 
 def test_critical_clears_no_denominators(monkeypatch):
@@ -1034,6 +1040,22 @@ def test_critical_builds_facets_once(monkeypatch):
         calls.clear()
         critical_epsilon(poly, m, grid_n=4)
         assert calls == [(poly, m)]
+
+
+def test_density_input_checks_run_once_per_call(monkeypatch):
+    calls = []
+    real = density._check_density_input
+
+    def counted(poly):
+        calls.append(poly)
+        real(poly)
+
+    monkeypatch.setattr(density, "_check_density_input", counted)
+    epsilon_bound(GOLDEN)
+    assert calls == [GOLDEN]
+    calls.clear()
+    critical_epsilon(GOLDEN, 4, grid_n=4)
+    assert calls == [GOLDEN]
 
 
 def test_critical_threshold_above_cap_raises(monkeypatch):
@@ -1104,6 +1126,17 @@ def test_certify_minor_guard():
     assert math.comb(40, 4) <= MINOR_SUM_GUARD < math.comb(41, 4) == 101270
     with pytest.raises(DomainError, match="101270"):
         certify_non_density(IntPolynomial((3, -2, -9, -3, 9)), 37, Fraction(1, 2))
+
+
+def test_certify_minor_count_is_vandermonde():
+    # the minor table holds sum_p C(d, p) C(m, p) entries, which the guard counts as C(m + d, d)
+    for d, m in itertools.product(range(7), range(61)):
+        table = sum(math.comb(d, p) * math.comb(m, p) for p in range(d + 1))
+        assert table == math.comb(m + d, d)
+    for poly, m in ((SHIFT2, 8), (GOLDEN, 8), (WORKED, 9)):
+        levels = _minor_levels(integral_basis(poly, m).z_basis, poly.degree)
+        entries = sum(len(row) for _, level in levels for row in level.values())
+        assert entries == math.comb(m + poly.degree, poly.degree)
 
 
 def test_certify_rejects():

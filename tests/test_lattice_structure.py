@@ -1,5 +1,6 @@
 """Newton polygons, the canonical p-adic basis, lattice index, minor identity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from kronrec.lattice_structure import (
     scaled_basis_N,
 )
 from kronrec.poly_core import IntPolynomial
+from kronrec.recurrence_matrices import band_rows
 from kronrec.toeplitz import LaurentSymbol, gram_det, toeplitz_det_direct, trench_det
 from oracles import (
     band_kernel_basis,
@@ -759,6 +761,36 @@ def test_integral_basis_refuses_one_z_basis_row_doubled(monkeypatch, a):
         integral_basis(a, m)
     monkeypatch.undo()
     assert integral_basis(a, m).z_basis == z_basis
+
+
+def _abs_minor_sum(rows, k):
+    """Sum of |k x k minors| over the k-column sets of k integer rows, each by det_exact."""
+    cols = range(len(rows[0]))
+    return sum(
+        abs(det_exact([[row[j] for j in js] for row in rows]))
+        for js in itertools.combinations(cols, k)
+    )
+
+
+def test_integral_basis_minor_sum_equals_the_band_minor_sum():
+    """A third route, sharing no code with the Gram = Trench certificate.
+
+    The integral lattice and the Z-span of band(A)'s rows (A primitive) are
+    complementary saturated lattices in Z^m, so their Plucker coordinates agree
+    up to sign and the complement of column sets: the d x d minors of the Z-basis
+    and the l x l minors of band_rows(A, l) have one sum of absolute values.  A
+    basis of a sublattice of index k would multiply the left side by k.
+    """
+    rng = random.Random(20261022)
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        coeffs = [0]
+        while not (coeffs[0] and coeffs[-1] and math.gcd(*coeffs) == 1):
+            coeffs = [rng.randint(-6, 6) for _ in range(d + 1)]
+        m = d + rng.randint(1, 5)
+        z_basis = integral_basis(IntPolynomial(tuple(coeffs)), m).z_basis
+        band = band_rows(coeffs, m - d)
+        assert _abs_minor_sum(z_basis, d) == _abs_minor_sum(band, m - d), (coeffs, m)
 
 
 def test_integral_basis_refuses_rows_outside_the_lattice(monkeypatch):
