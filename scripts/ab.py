@@ -42,8 +42,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # the stress sizes of every subcommand, raw symbols of the swapping Toeplitz
-# elimination, which kronbench's autocorrelation symbols never reach, and
-# (x - 1)^8, which the square-free check modulo a prime leaves to Yun
+# elimination, which kronbench's autocorrelation symbols never reach,
+# (x - 1)^8, which the square-free check modulo a prime leaves to Yun, and
+# non-monic index rows: for monic A the modulus a_d^(m-d) is 1 and the
+# integral basis' HNF has nothing to do
 STRESS = (
     "critical-eps --m 10 --grid-n 2 --allow-large-grid -1,-1,1",
     "critical-eps --m 8 --grid-n 2 --allow-large-grid -1,1",
@@ -54,6 +56,8 @@ STRESS = (
     "gram-growth --ell-max 400 -1,-1,1",
     "witness --m 2000 -1,-1,1",
     "index --m 400 -1,-1,1",
+    "index --m 120 3,-2,-9,-3,9",
+    "index --m 200 -1,0,1,3",
     "trench --autocorrelate --n 400 -1,-1,1",
     "trench --r 1 --n 400 -2,5,-1",
     "trench --r 2 --n 300 1,-3,7,2,-1",

@@ -29,7 +29,11 @@ minus det A once each row of [A | B] is cleared, and D X is integral.
 
 HNF convention: row-style echelon, positive pivots, entries above a pivot
 reduced into [0, pivot), so the form is unique: one lattice, one HNF.
-Re-running hnf on its own output is the identity.
+Re-running hnf on its own output is the identity.  _hnf_mod(rows, M) gives
+the same form for the full-rank lattice span(rows) + M Z^n by one
+extended-gcd step per nonzero entry, every entry kept in [0, M), so its
+work does not grow with the size of M (HNF modulo D: Domich, Kannan and
+Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Algorithm 2.4.8).
 """
 
 from __future__ import annotations
@@ -163,6 +167,47 @@ def _hnf(h: list[list[int]], ncols: int) -> list[list[int]]:
         for r in range(pr):
             row_sub(r, pr, h[r][col] // h[pr][col])
         pr += 1
+    return h
+
+
+def _hnf_mod(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    """HNF of span(rows) + modulus Z^n, for integer rows of width n and modulus >= 1.
+
+    The lattice has full rank, so its HNF has n rows, built one column at a
+    time: column j's pivot row starts as modulus e_j, and each row with a
+    nonzero entry in column j meets it in one extended-gcd step, the
+    unimodular map (pivot, row) -> (s pivot + t row, (c/g) pivot - (a/g) row)
+    for a, c their column-j entries, g = gcd(a, c) = s a + t c.  Adding
+    multiples of modulus e_i keeps every entry in [0, modulus), so nothing
+    grows; a pivot is a divisor of modulus, modulus itself when no row met it.
+    The entries above each pivot end reduced into [0, pivot), as hnf's.
+    """
+    n = len(rows[0])
+    work = [[x % modulus for x in row] for row in rows]
+    h = []
+    for j in range(n):
+        pivot = [0] * n
+        pivot[j] = modulus
+        for i, row in enumerate(work):
+            c = row[j]
+            if c:
+                a = pivot[j]
+                g = math.gcd(a, c)
+                t = pow(c // g, -1, a // g)
+                s = (g - t * c) // a
+                a, c = a // g, c // g
+                pivot, work[i] = (
+                    [(s * x + t * y) % modulus for x, y in zip(pivot, row)],
+                    [(c * x - a * y) % modulus for x, y in zip(pivot, row)],
+                )
+        h.append(pivot)
+    # row i < j changes from column j on, past its own pivot, which may be modulus itself
+    for j in range(1, n):
+        tail = h[j][j:]
+        for i in range(j):
+            q = h[i][j] // tail[0]
+            if q:
+                h[i][j:] = [(x - q * y) % modulus for x, y in zip(h[i][j:], tail)]
     return h
 
 

@@ -4,12 +4,13 @@ Vectors of length m whose windows of width d+1 are annihilated by the
 coefficients of A form a rank-d lattice, each vector its first d entries
 extended by recurrence_matrices.extend_rows.  Over the rationals it is spanned
 by the rows of N (seeded with e_i, read from the integer table T = a_d^(m-d) N);
-over the integers by the HNF of {y : y T = 0 mod a_d^(m-d)}, rows extended and
-Gram-Toeplitz certified, where by Gauss's lemma only T's last d columns need
-the congruence; over the p-adic integers by a canonical basis M built segment
-by segment from the Newton polygon of A at p, each selector solved for d seeds
-per row, and each selector is invertible: its determinant is a Schur function
-of A's roots with one lowest-valuation monomial at a Newton-polygon vertex.
+over the integers by the HNF of {y : y T = 0 mod a_d^(m-d)}, one HNF modulo
+a_d^(m-d), rows extended and Gram-Toeplitz certified, where by Gauss's lemma
+only T's last d columns need the congruence; over the p-adic integers by a
+canonical basis M built segment by segment from the Newton polygon of A at p,
+each selector solved for d seeds per row, and each selector is invertible: its
+determinant is a Schur function of A's roots with one lowest-valuation
+monomial at a Newton-polygon vertex.
 canonical_basis_M re-derives every clause of its block certificate (shape,
 identity blocks, determinant valuations, row-walk valuation floors,
 p-integrality) and fails if one breaks; the check shares no code with the
@@ -32,7 +33,7 @@ from .errors import CertificateError, DomainError
 from .exact_linalg import (
     PADIC_INFINITY,
     _check_int_matrix,
-    _hnf,
+    _hnf_mod,
     _int_valuation,
     det_exact,
     identity_matrix,
@@ -356,15 +357,17 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     """HNF Z-basis of the saturated integral lattice, and its index in the Z-span of N.
 
     N starts with an identity block, so z -> z[:d] maps the integral lattice
-    onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF, built one
-    column congruence at a time, gives the HNF Z-basis rows z = y N, each y
-    extended along the recurrence, and its diagonal product is the index.
+    onto L_y = {y in Z^d : y T = 0 mod a_d^(m-d)}; its canonical HNF gives the
+    HNF Z-basis rows z = y N, each y extended along the recurrence, and its
+    diagonal product is the index.  L_y holds a_d^(m-d) Z^d, so one HNF modulo
+    a_d^(m-d) solves all its congruences at once, every entry below the
+    modulus: at most (k + d) d extended-gcd steps, k = min(d, m - d), at any m.
     Certificate: extend_rows checks every division by a_d along the way, and the Gram
     determinant is the Toeplitz determinant of A(x)A(1/x) (Trench's closed
-    form), which a basis of a sublattice of index k misses by k^2.
+    form), which a basis of a sublattice of index r misses by r^2.
 
-    Only the columns max(d, m - d) .. m - 1 need their congruence, min(d, m - d)
-    HNF steps: a rational recurrence vector z whose first d and last d entries
+    Only the k columns max(d, m - d) .. m - 1 need their congruence: a
+    rational recurrence vector z whose first d and last d entries
     are integers is integral.  Proof: with Z = sum z_k x^k and A~ = x^d A(1/x),
     the x^(t+d) coefficient of A~ Z is the window sum at t, which vanishes, so
     A~ Z = P + x^m Q with deg P, deg Q < d; P uses only z_0 .. z_(d-1) and Q
@@ -380,15 +383,13 @@ def integral_basis(poly: IntPolynomial, m: int) -> LatticeBases:
     if d < 1 or m < d:
         raise DomainError("integral basis needs m >= deg A >= 1")
     table, lead = scaled_basis_N(poly, m)
-    # for each column t of the last window past T's identity block, rows 1..d of
-    # the HNF of [y t mod |lead| | y] and the fence [|lead| | 0] are the HNF of the y
-    # that also pass y t = 0 mod |lead|; each such lattice contains |lead| Z^d, so
-    # no y-fences.  The rows are integral by construction, and no transform is needed
-    fence = [abs(lead)] + [0] * d
-    coords = identity_matrix(d)
-    for col in zip(*(row[max(d, m - d) :] for row in table)):
-        rows = [[sum(a * b for a, b in zip(y, col)) % abs(lead)] + y for y in coords]
-        coords = [row[1:] for row in _hnf(rows + [fence], d + 1)[1 : d + 1]]
+    # with B the last k columns of T, (0, y) lies in span[B | I] + |lead| Z^(k+d) iff
+    # y B = 0 mod |lead|, and that lattice holds |lead| Z^(k+d), so its HNF modulo
+    # |lead| is exact; the rows whose first k entries vanish, its last d, are the
+    # HNF of L_y
+    k = min(d, m - d)
+    rows = [row[m - k :] + e for row, e in zip(table, identity_matrix(d))]
+    coords = [row[k:] for row in _hnf_mod(rows, abs(lead))[k:]]
     # a remainder mod a_d would make z = y N non-integral (y not in L_y): extend_rows raises
     z_rows = [list(y) for y in coords]
     extend_rows(poly.coeffs, z_rows, m)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from kronrec.exact_linalg import (
     PADIC_INFINITY,
     _bareiss,
     _det_spans,
+    _hnf,
+    _hnf_mod,
     _symmetric_band_minors,
     clear_denominators,
     clear_floats,
@@ -168,6 +171,27 @@ def test_hnf_and_kernel_match_the_two_matrix_route(a):
 def test_band_kernel_matches_the_two_matrix_route():
     rows = band_rows([-3, -1, -3], 58)
     assert integer_kernel(rows) == kernel_two_matrices(rows)
+
+
+@pytest.mark.parametrize("modulus", [1, 7919, 12, 2**40, 3**47])
+def test_hnf_mod_is_the_euclid_hnf_with_the_modulus_rows(modulus):
+    """_hnf_mod(rows, M) is the nonzero part of _hnf(rows + M I), the Euclid route as oracle."""
+    rng = random.Random(20261022 + modulus % 1000)
+    cases = [[[0, 0, 0]], [[-5, 0, 3, 2 * modulus]], [[0, 0], [modulus, -modulus]]]
+    for _ in range(150):
+        r, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [
+            [rng.choice((0, rng.randint(-30, 30), rng.randint(-(3**50), 3**50))) for _ in range(n)]
+            for _ in range(r)
+        ]
+        if rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * n
+        cases.append(rows)
+    for rows in cases:
+        n = len(rows[0])
+        fence = [[modulus * x for x in e] for e in identity_matrix(n)]
+        want = [row for row in _hnf([list(row) for row in rows] + fence, n) if any(row)]
+        assert _hnf_mod(rows, modulus) == want, (rows, modulus)
 
 
 # ----- SNF -----

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from kronrec import lattice_structure
+from kronrec import exact_linalg, lattice_structure
 from kronrec.cli import main
 from kronrec.errors import CertificateError, DomainError
 from kronrec.exact_linalg import (
     PADIC_INFINITY,
-    _hnf,
+    _hnf_mod,
     det_exact,
     identity_matrix,
 )
@@ -696,16 +696,53 @@ def test_integral_basis_equals_the_product_route(shape):
     [(poly(-1, -1, 2), 60), (poly(-3, 2), 40), (WORKED, 4), (WORKED, 6), (WORKED, 8), (WORKED, 30)],
 )
 def test_index_takes_one_hnf_step_per_last_window_column(monkeypatch, capsys, a, m):
+    # one HNF modulo a_d^(m-d), one column per last-window column and one per coordinate
     calls = []
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return _hnf(rows, ncols)
+    def counted(rows, modulus):
+        calls.append(len(rows[0]))
+        return _hnf_mod(rows, modulus)
 
-    monkeypatch.setattr(lattice_structure, "_hnf", counted)
+    monkeypatch.setattr(lattice_structure, "_hnf_mod", counted)
     assert main(["index", "--m", str(m), ",".join(map(str, a.coeffs))]) == 0
     assert '"matches": true' in capsys.readouterr().out
-    assert len(calls) == min(a.degree, m - a.degree)  # 2, not 58, for the quadratic
+    d = a.degree
+    assert calls == [min(d, m - d) + d]  # width 4, not 58 + 2, for the quadratic
+
+
+class _CountingMath:
+    """The math module, with its gcd calls counted."""
+
+    def __init__(self):
+        self.gcds = 0
+
+    def gcd(self, *args):
+        self.gcds += 1
+        return math.gcd(*args)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_integral_basis_hnf_work_does_not_grow_with_m(monkeypatch):
+    # a_d = 3: the modulus 3^(m-3) grows with m, and the Euclid rounds of one
+    # column congruence at a time with it (18, 75 and 283 at m = 12, 50, 200)
+    a, d = poly(-1, 0, 1, 3), 3
+    counted = _CountingMath()
+    monkeypatch.setattr(exact_linalg, "math", counted)
+    steps = []
+
+    def one_call(rows, modulus):
+        before = counted.gcds
+        h = _hnf_mod(rows, modulus)
+        steps.append(counted.gcds - before)
+        return h
+
+    monkeypatch.setattr(lattice_structure, "_hnf_mod", one_call)
+    for m in (12, 50, 200):
+        k = min(d, m - d)
+        integral_basis(a, m)
+        assert len(steps) == 1 and 0 < steps.pop() <= (k + d) * d
 
 
 @seed(20261019)
@@ -727,15 +764,16 @@ def _rows_rederive(a, m, z_rows):
 
 @pytest.mark.parametrize("a, m", [(WORKED, 9), (poly(-3, -1, -3), 12), (poly(-2, 1), 5)])
 def test_integral_basis_refuses_a_basis_with_a_row_doubled(monkeypatch, a, m):
-    def doubled_first_row(rows, ncols):
-        h = _hnf(rows, ncols)
-        h[1] = [2 * x for x in h[1]]  # the first coordinate row y
+    def doubled_first_row(rows, modulus):
+        h = _hnf_mod(rows, modulus)
+        k = len(rows[0]) - len(rows)
+        h[k] = [2 * x for x in h[k]]  # the first coordinate row y
         return h
 
     doubled = [list(r) for r in integral_basis(a, m).z_basis]
     doubled[0] = [2 * x for x in doubled[0]]
     assert _rows_rederive(a, m, doubled)  # the per-row check cannot see it
-    monkeypatch.setattr(lattice_structure, "_hnf", doubled_first_row)
+    monkeypatch.setattr(lattice_structure, "_hnf_mod", doubled_first_row)
     with pytest.raises(CertificateError, match="span"):
         integral_basis(a, m)
 
@@ -747,15 +785,16 @@ def test_integral_basis_refuses_a_basis_with_a_row_doubled(monkeypatch, a, m):
     [poly(-1, -1, 2), poly(1, 2, 0, 1, -3), WORKED, poly(-2, 1)],
 )
 def test_integral_basis_refuses_one_z_basis_row_doubled(monkeypatch, a):
-    # m = d + 1 takes one HNF step, so doubling its first coordinate row doubles one Z-basis row
-    def doubled_first_row(rows, ncols):
-        h = _hnf(rows, ncols)
-        h[1] = [2 * x for x in h[1]]
+    # doubling the first coordinate row of the HNF doubles one Z-basis row
+    def doubled_first_row(rows, modulus):
+        h = _hnf_mod(rows, modulus)
+        k = len(rows[0]) - len(rows)
+        h[k] = [2 * x for x in h[k]]
         return h
 
     m = a.degree + 1
     z_basis = integral_basis(a, m).z_basis
-    monkeypatch.setattr(lattice_structure, "_hnf", doubled_first_row)
+    monkeypatch.setattr(lattice_structure, "_hnf_mod", doubled_first_row)
     message = "Z-basis does not span the whole integral lattice"
     with pytest.raises(CertificateError, match=f"^{message}$"):
         integral_basis(a, m)
@@ -795,7 +834,7 @@ def test_integral_basis_minor_sum_equals_the_band_minor_sum():
 
 def test_integral_basis_refuses_rows_outside_the_lattice(monkeypatch):
     # a route that skips the congruences keeps coords = I, and T / a_d^(m-d) is not integral
-    monkeypatch.setattr(lattice_structure, "_hnf", lambda rows, ncols: identity_matrix(ncols))
+    monkeypatch.setattr(lattice_structure, "_hnf_mod", lambda rows, modulus: identity_matrix(len(rows[0])))
     with pytest.raises(CertificateError, match=r"entry \(1,2\) of the recurrence is not an integer"):
         integral_basis(poly(-3, 2), 3)
 
